@@ -429,9 +429,10 @@ pub fn run_fleet_demo(
                     // Registration's birth records land before the chaos
                     // starts.
                     grace_appends: opts.links.div_ceil(opts.shards) as u64,
+                    tear_at: None,
                 },
             );
-            let (log, _) = ShardLog::open(io, dir.join(format!("shard{i}.mpsl")), i, 64)
+            let (log, _) = ShardLog::open(io, dir.join(format!("shard{i}.mpsl")), i, 16)
                 .map_err(|e| format!("open shard {i} log: {e}"))?;
             shards.push(mpdf_fleet::Shard::new(i, Some(log)));
         }

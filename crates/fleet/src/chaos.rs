@@ -1,5 +1,5 @@
-//! Deterministic chaos: seeded kill schedules and a fault-injecting
-//! [`LogIo`] shim.
+//! Deterministic chaos: seeded kill schedules, a fault-injecting
+//! [`LogIo`] shim and an in-memory [`LogIo`] to run it over.
 //!
 //! Everything here is a pure function of the seed and the operation
 //! count — no clocks, no global RNG — so a chaos run replays
@@ -7,8 +7,10 @@
 //! equivalence tests demand *bit-identical* fused verdicts between a
 //! chaos'd fleet and an uninterrupted one.
 
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
 use crate::log::LogIo;
-use std::path::Path;
 
 /// SplitMix64-style mixer: a deterministic pseudo-random word from a
 /// seed and two lane values.
@@ -79,6 +81,9 @@ pub struct FaultPlan {
     /// The first this-many appends always succeed — a grace window so a
     /// driver can write its birth records before the chaos starts.
     pub grace_appends: u64,
+    /// `(n, cut)`: the `n`-th append (1-based, grace included) is torn
+    /// after `cut % len` bytes, whatever the periods say.
+    pub tear_at: Option<(u64, usize)>,
 }
 
 impl FaultPlan {
@@ -89,6 +94,16 @@ impl FaultPlan {
             transient_period: 0,
             torn_period: 0,
             grace_appends: 0,
+            tear_at: None,
+        }
+    }
+
+    /// A plan whose only fault tears the `n`-th append after
+    /// `cut % len` bytes.
+    pub fn tear_once(n: u64, cut: usize) -> Self {
+        FaultPlan {
+            tear_at: Some((n, cut)),
+            ..FaultPlan::quiet(0)
         }
     }
 }
@@ -129,6 +144,11 @@ impl<IO: LogIo> LogIo for FaultIo<IO> {
         self.appends += 1;
         let n = self.appends;
         let plan = self.plan;
+        if let Some((_, cut)) = plan.tear_at.filter(|&(at, _)| at == n) {
+            self.inner
+                .append(path, &bytes[..cut % bytes.len().max(1)])?;
+            return Err(std::io::Error::other("injected torn append"));
+        }
         if n <= plan.grace_appends {
             return self.inner.append(path, bytes);
         }
@@ -163,47 +183,54 @@ impl<IO: LogIo> LogIo for FaultIo<IO> {
     }
 }
 
+/// An in-memory [`LogIo`]: files are byte vectors keyed by path. Tests
+/// and property runs use it to crash and recover logs without disk IO.
+#[derive(Debug, Default, Clone)]
+pub struct MemIo {
+    files: BTreeMap<PathBuf, Vec<u8>>,
+}
+
+impl MemIo {
+    /// A store with no files.
+    pub fn new() -> Self {
+        MemIo::default()
+    }
+}
+
+impl LogIo for MemIo {
+    fn read(&mut self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.files
+            .get(path)
+            .cloned()
+            .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::NotFound))
+    }
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.files
+            .entry(path.to_path_buf())
+            .or_default()
+            .extend_from_slice(bytes);
+        Ok(())
+    }
+    fn replace(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.files.insert(path.to_path_buf(), bytes.to_vec());
+        Ok(())
+    }
+    fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+        let data = self
+            .files
+            .remove(from)
+            .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::NotFound))?;
+        self.files.insert(to.to_path_buf(), data);
+        Ok(())
+    }
+    fn exists(&mut self, path: &Path) -> bool {
+        self.files.contains_key(path)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    /// Minimal in-memory LogIo for shim tests.
-    #[derive(Debug, Default)]
-    struct MemIo {
-        files: BTreeMap<std::path::PathBuf, Vec<u8>>,
-    }
-
-    impl LogIo for MemIo {
-        fn read(&mut self, path: &Path) -> std::io::Result<Vec<u8>> {
-            self.files
-                .get(path)
-                .cloned()
-                .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::NotFound))
-        }
-        fn append(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-            self.files
-                .entry(path.to_path_buf())
-                .or_default()
-                .extend_from_slice(bytes);
-            Ok(())
-        }
-        fn replace(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-            self.files.insert(path.to_path_buf(), bytes.to_vec());
-            Ok(())
-        }
-        fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
-            let data = self
-                .files
-                .remove(from)
-                .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::NotFound))?;
-            self.files.insert(to.to_path_buf(), data);
-            Ok(())
-        }
-        fn exists(&mut self, path: &Path) -> bool {
-            self.files.contains_key(path)
-        }
-    }
 
     #[test]
     fn seeded_plans_are_reproducible_and_respect_bounds() {
@@ -233,6 +260,7 @@ mod tests {
                 transient_period: 0,
                 torn_period: 1,
                 grace_appends: 0,
+                tear_at: None,
             },
         );
         let path = Path::new("log");
@@ -253,6 +281,7 @@ mod tests {
                     transient_period: 3,
                     torn_period: 0,
                     grace_appends: 0,
+                    tear_at: None,
                 },
             );
             (0..30)
@@ -276,5 +305,19 @@ mod tests {
         io.replace(path, b"z").expect("replace");
         io.rename(path, Path::new("log2")).expect("rename");
         assert!(io.exists(Path::new("log2")));
+    }
+
+    #[test]
+    fn tear_once_tears_exactly_the_chosen_append() {
+        let mut io = FaultIo::new(MemIo::new(), FaultPlan::tear_once(2, 3));
+        let path = Path::new("log");
+        io.append(path, b"first").expect("append 1 is clean");
+        io.append(path, b"second").expect_err("append 2 is torn");
+        io.append(path, b"third").expect("append 3 is clean");
+        assert_eq!(io.read(path).expect("read"), b"firstsecthird");
+        // A cut past the end wraps around: always a strict prefix.
+        let mut io = FaultIo::new(MemIo::new(), FaultPlan::tear_once(1, 7));
+        io.append(path, b"ab").expect_err("torn");
+        assert_eq!(io.read(path).expect("read"), b"a");
     }
 }

@@ -206,10 +206,11 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Fleet<S, IO> {
     /// Registers a calibrated runtime as link `link` reporting into
     /// `room`. The runtime's scheme and configs are captured as the
     /// link's recovery constants; a birth record is appended to the home
-    /// shard's log.
+    /// shard's log. Registration is all-or-nothing: on error the fleet
+    /// is unchanged and the call may be retried.
     ///
     /// # Errors
-    /// [`FleetError::DuplicateLink`]; log failures on the birth record.
+    /// [`FleetError::DuplicateLink`]; see [`Shard::register`].
     pub fn register(
         &mut self,
         link: u64,
@@ -220,15 +221,13 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Fleet<S, IO> {
             return Err(FleetError::DuplicateLink(link));
         }
         let shard = self.shard_of(link);
-        self.constants.insert(
-            link,
-            LinkConstants {
-                scheme: runtime.scheme().clone(),
-                detector: runtime.detector().config().clone(),
-                session: runtime.session_config().clone(),
-            },
-        );
+        let constants = LinkConstants {
+            scheme: runtime.scheme().clone(),
+            detector: runtime.detector().config().clone(),
+            session: runtime.session_config().clone(),
+        };
         self.shards[shard as usize].register(link, room, runtime)?;
+        self.constants.insert(link, constants);
         self.directory.insert(link, shard);
         Ok(())
     }
@@ -309,21 +308,24 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Fleet<S, IO> {
     }
 
     /// Recovers one shard from its log: every link homed there is
-    /// rebuilt from its latest durable record using the constants
-    /// captured at registration. After recovery the driver replays the
-    /// deliveries its ledger holds past each link's restored event
-    /// count.
+    /// rebuilt from its last snapshot record, using the constants
+    /// captured at registration, and its later window records are
+    /// replayed. Only deliveries lost to a failed append are missing
+    /// afterwards: the driver replays the deliveries its ledger holds
+    /// past each link's restored event count.
     ///
     /// # Errors
-    /// [`FleetError::UnknownShard`], [`FleetError::NoLog`], log and
-    /// snapshot failures, [`FleetError::MissingSnapshot`] if the log
+    /// [`FleetError::UnknownShard`], [`FleetError::NoLog`], log, record
+    /// and snapshot failures, [`FleetError::MissingSnapshot`] if the log
     /// lacks a registered link's image.
     pub fn recover_shard(&mut self, shard: u32) -> Result<RecoveryReport, FleetError> {
         if shard as usize >= self.shards.len() {
             return Err(FleetError::UnknownShard(shard));
         }
+        let _stage = mpdf_obs::stage!("fleet.recover");
         let constants = &self.constants;
-        let rec = self.shards[shard as usize].recover(|link, snap| {
+        let policy = &self.policy;
+        let rec = self.shards[shard as usize].recover(policy, |link, snap| {
             let Some(c) = constants.get(&link) else {
                 // A link in the log that was never registered this run:
                 // restore it with nothing to go on is impossible.
@@ -354,7 +356,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Fleet<S, IO> {
         })
     }
 
-    /// Replays one delivery lost to a crash: delivers `packets` to
+    /// Replays one delivery lost to a failed append: delivers `packets` to
     /// `link` as if at `tick` (the original tick — health gates must see
     /// the same clock they saw the first time), bypassing shedding.
     ///

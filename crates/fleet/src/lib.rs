@@ -15,7 +15,9 @@
 //!   exponential backoff; it never takes down its shard.
 //! - **Crash-recoverable shard logs** — one append-only, CRC-framed,
 //!   generation-numbered [`log::ShardLog`] per shard multiplexes all of
-//!   its sessions (replacing file-per-session at fleet scale), with
+//!   its sessions (replacing file-per-session at fleet scale) as a
+//!   write-ahead log of delivered windows, with session snapshots only
+//!   at registration and compaction, one group commit per shard tick,
 //!   torn-tail truncation and `.bak` last-good-generation fallback.
 //! - **Overload shedding** — bounded per-shard ingest with typed
 //!   backpressure ([`shard::LinkOutcome::Shed`]); shedding is

@@ -1,59 +1,71 @@
-//! Append-only, CRC-framed, generation-numbered shard checkpoint logs.
+//! Append-only, CRC-framed, generation-numbered shard write-ahead logs.
 //!
-//! One log per shard multiplexes the snapshots of every session the
-//! shard runs — at fleet scale this replaces file-per-session
-//! checkpointing (thousands of tiny files and fsyncs) with one
-//! sequentially-appended file per failure domain.
+//! One log per shard multiplexes every session the shard runs — at
+//! fleet scale this replaces file-per-session checkpointing (thousands
+//! of tiny files and fsyncs) with one sequentially-appended file per
+//! failure domain. The log records *inputs*, not state: each delivered
+//! window is logged as its packets, and a link's full session snapshot
+//! is written only at registration and at compaction. Session stepping
+//! is deterministic, so a link's last snapshot plus a replay of its
+//! later window records reproduces its state bit for bit.
 //!
 //! ## On-disk layout (all little-endian)
 //!
 //! ```text
 //! header   magic    b"MPSL"        4 bytes
-//!          version  u16            2
+//!          version  u16            2   (LOG_VERSION = 2)
 //!          shard    u32            4
 //! record   sync     b"RC"          2
 //!          gen      u64            8   (log-wide generation number)
 //!          link     u64            8
+//!          kind     u8             1   (1 snapshot, 2 window, 3 shape fault)
 //!          len      u32            4   (payload byte count)
-//!          payload  [len bytes]        (LinkMeta ‖ session snapshot)
-//!          crc      u64            8   CRC-64/ECMA over gen..payload
+//!          payload  [len bytes]
+//!          crc      u64            8   CRC-64/WE over gen..payload
+//!
+//! snapshot    LinkMeta ‖ encode_snapshot(..)
+//! window      tick u64 ‖ packets u32 ‖ packets as mpdf_wifi::wire frames
+//! shape fault tick u64 ‖ got antennas u64 ‖ got subcarriers u64
 //! ```
 //!
-//! Recovery scans records in file order, keeping the **latest image per
-//! link**; the first frame that fails its sync marker, length bound or
-//! CRC ends the scan and everything from there on is truncated as a
-//! torn tail (a crash mid-append can only damage the suffix). If the
-//! header itself is damaged the previous-good `.bak` rotation — written
-//! by compaction — is recovered instead. Generation numbers strictly
-//! increase across appends, so the newest surviving record per link is
-//! unambiguous even after compaction rewrites.
+//! Recovery scans records in file order; the first frame that fails its
+//! sync marker, length bound, kind byte, CRC, or whose generation is not
+//! above its predecessor's ends the scan, and everything from there on
+//! is truncated as a torn tail (a crash mid-append can only damage the
+//! suffix). If the header itself is damaged the previous-good `.bak`
+//! rotation — written by compaction — is recovered instead.
 //!
 //! All IO flows through the [`LogIo`] trait: production uses [`StdIo`]
 //! (real files, full fsync discipline), the chaos harness swaps in
 //! [`crate::chaos::FaultIo`] to inject seeded torn writes and transient
 //! errors without touching this module's logic.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+
+use mpdf_session::durable::{retry_io, sync_parent_dir};
+use mpdf_wifi::csi::CsiPacket;
+use mpdf_wifi::wire::{self, WireError, WireRecord};
 
 /// Shard-log file magic.
 pub const LOG_MAGIC: &[u8; 4] = b"MPSL";
 /// Current shard-log format version.
-pub const LOG_VERSION: u16 = 1;
+pub const LOG_VERSION: u16 = 2;
 /// Byte length of the file header.
 pub const HEADER_LEN: usize = 10;
-/// Per-record framing overhead (sync + gen + link + len + crc).
-pub const RECORD_OVERHEAD: usize = 2 + 8 + 8 + 4 + 8;
+/// Per-record framing overhead (sync + gen + link + kind + len + crc).
+pub const RECORD_OVERHEAD: usize = 2 + 8 + 8 + 1 + 4 + 8;
 /// Largest admissible record payload; larger lengths in a frame are
 /// treated as corruption, not allocation requests.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 28;
 
 const RECORD_SYNC: &[u8; 2] = b"RC";
-const IO_ATTEMPTS: u32 = 4;
+/// Offset of the payload within a frame.
+const PAYLOAD_AT: usize = RECORD_OVERHEAD - 8;
 
 /// Errors produced by shard-log operations.
 #[derive(Debug)]
@@ -76,6 +88,15 @@ pub enum LogError {
         /// Offending payload length.
         len: usize,
     },
+    /// Append-side: a window's packets cannot be wire-encoded.
+    Wire(WireError),
+    /// A CRC-valid record whose payload does not decode as its kind.
+    BadRecord {
+        /// Generation of the offending record.
+        gen: u64,
+        /// What failed to decode.
+        what: String,
+    },
 }
 
 impl fmt::Display for LogError {
@@ -91,6 +112,10 @@ impl fmt::Display for LogError {
                 f,
                 "record payload of {len} bytes exceeds the {MAX_RECORD_PAYLOAD} byte cap"
             ),
+            LogError::Wire(e) => write!(f, "window cannot be logged: {e}"),
+            LogError::BadRecord { gen, what } => {
+                write!(f, "shard log record {gen} does not decode: {what}")
+            }
         }
     }
 }
@@ -99,6 +124,7 @@ impl Error for LogError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             LogError::Io(e) => Some(e),
+            LogError::Wire(e) => Some(e),
             _ => None,
         }
     }
@@ -110,34 +136,58 @@ impl From<std::io::Error> for LogError {
     }
 }
 
+impl From<WireError> for LogError {
+    fn from(e: WireError) -> Self {
+        LogError::Wire(e)
+    }
+}
+
 /// CRC-64 over the ECMA-182 polynomial (`0x42F0E1EBA9EA3693`),
 /// MSB-first, with all-ones init and xorout (the CRC-64/WE profile) so
 /// leading-zero damage and the empty input are distinguishable.
+/// Computed eight bytes per step (slicing-by-8).
 pub fn crc64(data: &[u8]) -> u64 {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u64; 256];
-        let mut i = 0usize;
-        while i < 256 {
+    static TABLES: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u64; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut crc = (i as u64) << 56;
-            let mut b = 0;
-            while b < 8 {
+            for _ in 0..8 {
                 crc = if crc & (1 << 63) != 0 {
                     (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
                 } else {
                     crc << 1
                 };
-                b += 1;
             }
-            t[i] = crc;
-            i += 1;
+            *entry = crc;
+        }
+        // t[k][b]: byte b followed by k zero bytes.
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev << 8) ^ t[0][(prev >> 56) as usize];
+            }
         }
         t
     });
     let mut crc = !0u64;
-    for &byte in data {
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let x = crc ^ u64::from_be_bytes(word);
+        crc = t[7][(x >> 56) as usize]
+            ^ t[6][(x >> 48) as usize & 0xFF]
+            ^ t[5][(x >> 40) as usize & 0xFF]
+            ^ t[4][(x >> 32) as usize & 0xFF]
+            ^ t[3][(x >> 24) as usize & 0xFF]
+            ^ t[2][(x >> 16) as usize & 0xFF]
+            ^ t[1][(x >> 8) as usize & 0xFF]
+            ^ t[0][x as usize & 0xFF];
+    }
+    for &byte in chunks.remainder() {
         let idx = ((crc >> 56) ^ u64::from(byte)) as usize & 0xFF;
-        crc = (crc << 8) ^ table[idx];
+        crc = (crc << 8) ^ t[0][idx];
     }
     !crc
 }
@@ -156,14 +206,6 @@ pub trait LogIo {
     fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()>;
     /// Whether the file exists.
     fn exists(&mut self, path: &Path) -> bool;
-}
-
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
 }
 
 /// Real-filesystem [`LogIo`] with full durability discipline.
@@ -185,9 +227,7 @@ impl LogIo for StdIo {
     }
 
     fn replace(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        let mut staged = path.as_os_str().to_os_string();
-        staged.push(".staged");
-        let staged = PathBuf::from(staged);
+        let staged = sibling(path, ".staged");
         let mut f = std::fs::File::create(&staged)?;
         f.write_all(bytes)?;
         f.sync_all()?;
@@ -206,36 +246,14 @@ impl LogIo for StdIo {
     }
 }
 
-fn transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-    )
-}
-
-/// Bounded deterministic retry on transient IO errors, mirroring the
-/// session checkpoint store. Counted on `fleet.log.io_retries_total`.
-fn retry_io<T, F: FnMut() -> std::io::Result<T>>(mut op: F) -> std::io::Result<T> {
-    let mut attempt = 1;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if transient(e.kind()) && attempt < IO_ATTEMPTS => {
-                mpdf_obs::counter!("fleet.log.io_retries_total").inc();
-                for _ in 0..attempt {
-                    std::thread::yield_now();
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+fn retry<T>(op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
+    retry_io(mpdf_obs::counter!("fleet.log.io_retries_total"), op)
 }
 
 /// What a [`ShardLog::open`]/[`ShardLog::recover`] pass found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecovery {
-    /// Valid records scanned (pre-dedup, file order).
+    /// Valid records scanned (file order).
     pub records: usize,
     /// Bytes truncated off a torn tail (0 for a clean log).
     pub torn_bytes: usize,
@@ -244,11 +262,163 @@ pub struct LogRecovery {
     pub used_bak: bool,
 }
 
-struct Scan {
-    live: BTreeMap<u64, (u64, Vec<u8>)>,
-    next_gen: u64,
-    records: usize,
-    torn_bytes: usize,
+/// The three record kinds of a v2 shard log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// `LinkMeta ‖ session snapshot`: a birth record or a compaction
+    /// image.
+    Snapshot,
+    /// One delivered window's packets.
+    Window,
+    /// A delivery rejected by the shape gate: only its tick and shape.
+    ShapeFault,
+}
+
+impl RecordKind {
+    fn tag(self) -> u8 {
+        match self {
+            RecordKind::Snapshot => 1,
+            RecordKind::Window => 2,
+            RecordKind::ShapeFault => 3,
+        }
+    }
+
+    fn from_tag(tag: u8) -> Option<RecordKind> {
+        match tag {
+            1 => Some(RecordKind::Snapshot),
+            2 => Some(RecordKind::Window),
+            3 => Some(RecordKind::ShapeFault),
+            _ => None,
+        }
+    }
+}
+
+/// One CRC-valid record of a recovered log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
+    /// Log-wide generation number.
+    pub gen: u64,
+    /// Link the record belongs to.
+    pub link: u64,
+    /// Record kind.
+    pub kind: RecordKind,
+    /// The raw payload.
+    pub payload: &'a [u8],
+}
+
+/// A record's decoded payload.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Entry<'a> {
+    /// `LinkMeta ‖ session snapshot` bytes.
+    Snapshot(&'a [u8]),
+    /// A delivered window.
+    Window {
+        /// The tick it was delivered at.
+        tick: u64,
+        /// Its packets.
+        packets: Vec<CsiPacket>,
+    },
+    /// A delivery the shape gate rejected.
+    ShapeFault {
+        /// The tick it was delivered at.
+        tick: u64,
+        /// The offending packet's `(antennas, subcarriers)`.
+        got: (usize, usize),
+    },
+}
+
+fn read_u64(data: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(&data[..8]);
+    u64::from_le_bytes(bytes)
+}
+
+impl<'a> Record<'a> {
+    /// Decodes the payload. Window packets are parsed with the total
+    /// [`WireRecord::parse`], so no payload can panic.
+    ///
+    /// # Errors
+    /// [`LogError::BadRecord`] when the payload does not decode as its
+    /// kind.
+    pub fn entry(&self) -> Result<Entry<'a>, LogError> {
+        let bad = |what: String| LogError::BadRecord {
+            gen: self.gen,
+            what,
+        };
+        let p = self.payload;
+        match self.kind {
+            RecordKind::Snapshot => Ok(Entry::Snapshot(p)),
+            RecordKind::ShapeFault => {
+                if p.len() != 24 {
+                    return Err(bad(format!("shape fault payload of {} bytes", p.len())));
+                }
+                let got = (read_u64(&p[8..]), read_u64(&p[16..]));
+                Ok(Entry::ShapeFault {
+                    tick: read_u64(p),
+                    got: (
+                        usize::try_from(got.0).map_err(|_| bad("antennas".into()))?,
+                        usize::try_from(got.1).map_err(|_| bad("subcarriers".into()))?,
+                    ),
+                })
+            }
+            RecordKind::Window => {
+                if p.len() < 12 {
+                    return Err(bad(format!("window payload of {} bytes", p.len())));
+                }
+                let tick = read_u64(p);
+                let count = u32::from_le_bytes([p[8], p[9], p[10], p[11]]) as usize;
+                let mut rest = &p[12..];
+                // Each frame is at least a wire header, so a corrupt count
+                // cannot request more than the payload can hold.
+                let mut packets = Vec::with_capacity(count.min(rest.len() / wire::HEADER_LEN));
+                for i in 0..count {
+                    let frame =
+                        WireRecord::parse(rest).map_err(|e| bad(format!("packet {i}: {e}")))?;
+                    packets.push(frame.to_packet());
+                    rest = &rest[frame.frame_len()..];
+                }
+                if !rest.is_empty() {
+                    return Err(bad(format!("{} trailing bytes", rest.len())));
+                }
+                Ok(Entry::Window { tick, packets })
+            }
+        }
+    }
+}
+
+/// The valid records of a recovered log, in log order.
+#[derive(Debug, Default)]
+pub struct LogImage {
+    data: Vec<u8>,
+    records: Vec<(u64, u64, RecordKind, Range<usize>)>,
+}
+
+impl LogImage {
+    /// Number of valid records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the log holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The `i`-th record in log order.
+    pub fn get(&self, i: usize) -> Option<Record<'_>> {
+        let (gen, link, kind, range) = self.records.get(i)?;
+        Some(Record {
+            gen: *gen,
+            link: *link,
+            kind: *kind,
+            payload: &self.data[range.clone()],
+        })
+    }
+
+    /// Iterates the records in log order.
+    pub fn records(&self) -> impl Iterator<Item = Record<'_>> {
+        (0..self.records.len()).filter_map(|i| self.get(i))
+    }
 }
 
 fn header_bytes(shard: u32) -> Vec<u8> {
@@ -259,21 +429,49 @@ fn header_bytes(shard: u32) -> Vec<u8> {
     bytes
 }
 
-fn frame_record(out: &mut Vec<u8>, gen: u64, link: u64, payload: &[u8]) {
+/// Frames one record into `out`; `write` appends the payload. On error
+/// `out` is left as it was.
+fn frame_record(
+    out: &mut Vec<u8>,
+    gen: u64,
+    link: u64,
+    kind: RecordKind,
+    write: impl FnOnce(&mut Vec<u8>) -> Result<(), LogError>,
+) -> Result<(), LogError> {
     let start = out.len();
     out.extend_from_slice(RECORD_SYNC);
     out.extend_from_slice(&gen.to_le_bytes());
     out.extend_from_slice(&link.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.push(kind.tag());
+    out.extend_from_slice(&[0; 4]);
+    let body = out.len();
+    let written = write(out).and_then(|()| {
+        let len = out.len() - body;
+        if len > MAX_RECORD_PAYLOAD {
+            return Err(LogError::TooLarge { len });
+        }
+        Ok(len as u32)
+    });
+    let len = match written {
+        Ok(len) => len,
+        Err(e) => {
+            out.truncate(start);
+            return Err(e);
+        }
+    };
+    out[body - 4..body].copy_from_slice(&len.to_le_bytes());
     let crc = crc64(&out[start + 2..]);
     out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
-fn read_u64(data: &[u8]) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&data[..8]);
-    u64::from_le_bytes(bytes)
+/// The outcome of scanning a log file.
+struct Scan {
+    /// Byte length of the valid prefix (header included).
+    end: usize,
+    next_gen: u64,
+    records: Vec<(u64, u64, RecordKind, Range<usize>)>,
+    torn_bytes: usize,
 }
 
 fn scan(data: &[u8], shard: u32) -> Result<Scan, LogError> {
@@ -297,44 +495,48 @@ fn scan(data: &[u8], shard: u32) -> Result<Scan, LogError> {
             found,
         });
     }
-    let mut live = BTreeMap::new();
-    let mut next_gen = 1u64;
-    let mut records = 0usize;
+    let mut records = Vec::new();
+    let mut last_gen = 0u64;
     let mut off = HEADER_LEN;
-    loop {
-        if off == data.len() {
-            break;
-        }
+    while off < data.len() {
         let rest = &data[off..];
         if rest.len() < RECORD_OVERHEAD || &rest[..2] != RECORD_SYNC {
             break;
         }
         let gen = read_u64(&rest[2..]);
         let link = read_u64(&rest[10..]);
-        let len = u32::from_le_bytes([rest[18], rest[19], rest[20], rest[21]]) as usize;
+        let Some(kind) = RecordKind::from_tag(rest[18]) else {
+            break;
+        };
+        let len = u32::from_le_bytes([rest[19], rest[20], rest[21], rest[22]]) as usize;
         if len > MAX_RECORD_PAYLOAD || rest.len() < RECORD_OVERHEAD + len {
             break;
         }
-        let payload_end = 22 + len;
-        let stored = read_u64(&rest[payload_end..]);
-        let computed = crc64(&rest[2..payload_end]);
-        if stored != computed {
+        let payload_end = PAYLOAD_AT + len;
+        if read_u64(&rest[payload_end..]) != crc64(&rest[2..payload_end]) {
             break;
         }
-        live.insert(link, (gen, rest[22..payload_end].to_vec()));
-        next_gen = next_gen.max(gen.saturating_add(1));
-        records += 1;
+        // Generations strictly increase across appends; a stale one is
+        // a record from before a rewrite, not part of this log.
+        if gen <= last_gen {
+            break;
+        }
+        last_gen = gen;
+        records.push((gen, link, kind, off + PAYLOAD_AT..off + payload_end));
         off += RECORD_OVERHEAD + len;
     }
     Ok(Scan {
-        live,
-        next_gen,
+        end: off,
+        next_gen: last_gen + 1,
         records,
         torn_bytes: data.len() - off,
     })
 }
 
-/// A crash-recoverable per-shard checkpoint log.
+/// A crash-recoverable per-shard write-ahead log.
+///
+/// Records are staged into an in-memory buffer and made durable by
+/// [`ShardLog::flush`] in one [`LogIo::append`] — a group commit.
 #[derive(Debug)]
 pub struct ShardLog<IO: LogIo> {
     io: IO,
@@ -342,9 +544,13 @@ pub struct ShardLog<IO: LogIo> {
     bak: PathBuf,
     shard: u32,
     next_gen: u64,
-    live: BTreeMap<u64, (u64, Vec<u8>)>,
     compact_every: usize,
-    appends_since_compact: usize,
+    windows_since_compact: usize,
+    pending: Vec<u8>,
+    pending_windows: usize,
+    /// A failed append may have left a torn tail; the next flush
+    /// rewrites the primary from its valid prefix first.
+    torn: bool,
 }
 
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -356,8 +562,8 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 impl<IO: LogIo> ShardLog<IO> {
     /// Opens (or creates) the shard log at `path`, recovering whatever
     /// state survives on disk. `compact_every` bounds log growth: after
-    /// that many appends the log is rewritten to one latest record per
-    /// link (`0` disables compaction).
+    /// that many window records the shard rewrites the log as one
+    /// snapshot per link (`0` disables compaction).
     ///
     /// # Errors
     /// IO failures, or typed corruption errors when neither the primary
@@ -376,11 +582,13 @@ impl<IO: LogIo> ShardLog<IO> {
             bak,
             shard,
             next_gen: 1,
-            live: BTreeMap::new(),
             compact_every,
-            appends_since_compact: 0,
+            windows_since_compact: 0,
+            pending: Vec::new(),
+            pending_windows: 0,
+            torn: false,
         };
-        let recovery = log.recover()?;
+        let (recovery, _) = log.recover()?;
         Ok((log, recovery))
     }
 
@@ -389,149 +597,236 @@ impl<IO: LogIo> ShardLog<IO> {
         &self.path
     }
 
-    /// Latest surviving payload per link, in link order.
-    pub fn live(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.live.iter().map(|(&link, (_, p))| (link, p.as_slice()))
-    }
-
-    /// Number of links with a live record.
-    pub fn live_links(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Re-reads the on-disk state, discarding the in-memory image — the
-    /// moral equivalent of a process restart. Torn tails are truncated
-    /// (counted on `fleet.log.torn_tails_total`); an unreadable primary
-    /// falls back to the `.bak` rotation (`fleet.log.bak_fallbacks_total`).
+    /// Re-reads the on-disk state, discarding anything staged — the
+    /// moral equivalent of a process restart — and returns the valid
+    /// records. Torn tails are truncated (counted on
+    /// `fleet.log.torn_tails_total`); an unreadable primary falls back
+    /// to the `.bak` rotation (`fleet.log.bak_fallbacks_total`). Either
+    /// way the primary is rewritten from the valid bytes already read.
     ///
     /// # Errors
     /// IO failures, or the *primary's* typed corruption error when the
     /// `.bak` fallback is also unusable.
-    pub fn recover(&mut self) -> Result<LogRecovery, LogError> {
-        self.live.clear();
-        self.next_gen = 1;
-        self.appends_since_compact = 0;
+    pub fn recover(&mut self) -> Result<(LogRecovery, LogImage), LogError> {
+        // The log's position (`torn`, `next_gen`, the window count) is
+        // reset only once the primary is known clean: a recovery that
+        // fails midway leaves the repair pending and generations
+        // increasing.
+        self.pending.clear();
+        self.pending_windows = 0;
 
-        let primary_scan = if self.io.exists(&self.path) {
-            let data = retry_io(|| self.io.read(&self.path))?;
-            Some(scan(&data, self.shard))
+        let primary = if self.io.exists(&self.path) {
+            let data = retry(|| self.io.read(&self.path))?;
+            Some(scan(&data, self.shard).map(|s| (data, s)))
         } else {
             None
         };
-
-        let (chosen, used_bak) = match primary_scan {
-            Some(Ok(s)) => (Some(s), false),
+        let ((mut data, s), used_bak) = match primary {
+            Some(Ok(found)) => (found, false),
             // Primary unreadable at the header level (or missing): try
             // the previous-good rotation before giving up.
             Some(Err(primary_err)) => match self.recover_bak()? {
-                Some(s) => (Some(s), true),
+                Some(found) => (found, true),
                 None => return Err(primary_err),
             },
             None => match self.recover_bak()? {
-                Some(s) => (Some(s), true),
+                Some(found) => (found, true),
                 None => {
                     // Fresh log: durably write the header so appends have
                     // a valid file to extend.
-                    retry_io(|| self.io.replace(&self.path, &header_bytes(self.shard)))?;
-                    return Ok(LogRecovery {
+                    let header = header_bytes(self.shard);
+                    retry(|| self.io.replace(&self.path, &header))?;
+                    self.torn = false;
+                    self.next_gen = 1;
+                    self.windows_since_compact = 0;
+                    let recovery = LogRecovery {
                         records: 0,
                         torn_bytes: 0,
                         used_bak: false,
-                    });
+                    };
+                    return Ok((recovery, LogImage::default()));
                 }
             },
         };
-
-        // `chosen` is always Some here; destructure without panicking.
-        let Some(s) = chosen else {
-            return Err(LogError::BadHeader("empty recovery state".to_string()));
-        };
-        self.live = s.live;
-        self.next_gen = s.next_gen;
         if s.torn_bytes > 0 {
             mpdf_obs::counter!("fleet.log.torn_tails_total").inc();
         }
         if used_bak {
             mpdf_obs::counter!("fleet.log.bak_fallbacks_total").inc();
         }
+        data.truncate(s.end);
         if s.torn_bytes > 0 || used_bak {
             // Rebuild the primary from the surviving records so appends
             // extend a clean file. The .bak rotation is left untouched:
             // it still holds the last known-good full image.
-            self.rewrite_primary()?;
+            retry(|| self.io.replace(&self.path, &data))?;
         }
-        Ok(LogRecovery {
-            records: s.records,
+        self.torn = false;
+        self.next_gen = s.next_gen;
+        self.windows_since_compact = s
+            .records
+            .iter()
+            .filter(|r| r.2 != RecordKind::Snapshot)
+            .count();
+        let recovery = LogRecovery {
+            records: s.records.len(),
             torn_bytes: s.torn_bytes,
             used_bak,
-        })
+        };
+        Ok((
+            recovery,
+            LogImage {
+                data,
+                records: s.records,
+            },
+        ))
     }
 
-    fn recover_bak(&mut self) -> Result<Option<Scan>, LogError> {
+    fn recover_bak(&mut self) -> Result<Option<(Vec<u8>, Scan)>, LogError> {
         if !self.io.exists(&self.bak) {
             return Ok(None);
         }
-        let data = retry_io(|| self.io.read(&self.bak))?;
-        match scan(&data, self.shard) {
-            Ok(s) => Ok(Some(s)),
-            Err(_) => Ok(None),
-        }
+        let data = retry(|| self.io.read(&self.bak))?;
+        Ok(scan(&data, self.shard).ok().map(|s| (data, s)))
     }
 
-    fn serialize_live(&self) -> Vec<u8> {
-        let mut bytes = header_bytes(self.shard);
-        for (&link, (gen, payload)) in &self.live {
-            frame_record(&mut bytes, *gen, link, payload);
+    fn stage(
+        &mut self,
+        link: u64,
+        kind: RecordKind,
+        write: impl FnOnce(&mut Vec<u8>) -> Result<(), LogError>,
+    ) -> Result<(), LogError> {
+        frame_record(&mut self.pending, self.next_gen, link, kind, write)?;
+        self.next_gen += 1;
+        if kind != RecordKind::Snapshot {
+            self.pending_windows += 1;
         }
-        bytes
-    }
-
-    fn rewrite_primary(&mut self) -> Result<(), LogError> {
-        let bytes = self.serialize_live();
-        retry_io(|| self.io.replace(&self.path, &bytes))?;
         Ok(())
     }
 
-    /// Appends a record for `link`, durably. The payload becomes the
-    /// link's live image; generation numbers increase monotonically.
+    /// Stages a snapshot record (`payload` is `LinkMeta ‖ snapshot`).
     ///
     /// # Errors
-    /// [`LogError::TooLarge`] for oversized payloads; IO errors after
-    /// the transient-retry budget. On an IO error the in-memory image is
-    /// *not* updated — the caller treats the shard as crashed and
-    /// recovers from disk.
-    pub fn append(&mut self, link: u64, payload: Vec<u8>) -> Result<(), LogError> {
-        if payload.len() > MAX_RECORD_PAYLOAD {
-            return Err(LogError::TooLarge { len: payload.len() });
+    /// [`LogError::TooLarge`]; nothing is staged on error.
+    pub fn stage_snapshot(&mut self, link: u64, payload: &[u8]) -> Result<(), LogError> {
+        self.stage(link, RecordKind::Snapshot, |out| {
+            out.extend_from_slice(payload);
+            Ok(())
+        })
+    }
+
+    /// Stages a window record: the tick and the packets as wire frames.
+    ///
+    /// # Errors
+    /// [`LogError::Wire`] for a packet shape the wire header cannot
+    /// carry, [`LogError::TooLarge`]; nothing is staged on error.
+    pub fn stage_window(
+        &mut self,
+        link: u64,
+        tick: u64,
+        packets: &[CsiPacket],
+    ) -> Result<(), LogError> {
+        let count =
+            u32::try_from(packets.len()).map_err(|_| LogError::TooLarge { len: packets.len() })?;
+        self.stage(link, RecordKind::Window, |out| {
+            out.extend_from_slice(&tick.to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
+            for p in packets {
+                wire::encode_frame(p, 0, out)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Stages a shape-fault record: the tick and the offending shape.
+    ///
+    /// # Errors
+    /// Never in practice; the signature matches the other stagers.
+    pub fn stage_shape_fault(
+        &mut self,
+        link: u64,
+        tick: u64,
+        got: (usize, usize),
+    ) -> Result<(), LogError> {
+        self.stage(link, RecordKind::ShapeFault, |out| {
+            out.extend_from_slice(&tick.to_le_bytes());
+            out.extend_from_slice(&(got.0 as u64).to_le_bytes());
+            out.extend_from_slice(&(got.1 as u64).to_le_bytes());
+            Ok(())
+        })
+    }
+
+    /// Makes every staged record durable in one append (a group
+    /// commit). A no-op when nothing is staged.
+    ///
+    /// # Errors
+    /// IO errors after the transient-retry budget. The staged records
+    /// are dropped either way; on error the caller treats the shard as
+    /// crashed and recovers from disk.
+    pub fn flush(&mut self) -> Result<(), LogError> {
+        if self.pending.is_empty() {
+            return Ok(());
         }
-        let gen = self.next_gen;
-        let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-        frame_record(&mut rec, gen, link, &payload);
-        retry_io(|| self.io.append(&self.path, &rec))?;
-        self.next_gen += 1;
+        let mut batch = std::mem::take(&mut self.pending);
+        let windows = std::mem::take(&mut self.pending_windows);
+        if self.torn {
+            // The batch's generations were allocated above every durable
+            // one; keep allocating above them.
+            let next_gen = self.next_gen;
+            self.recover()?;
+            self.next_gen = next_gen;
+        }
+        let result = retry(|| self.io.append(&self.path, &batch));
+        let len = batch.len() as u64;
+        batch.clear();
+        self.pending = batch;
+        if let Err(e) = result {
+            self.torn = true;
+            return Err(e.into());
+        }
         mpdf_obs::counter!("fleet.log.appends_total").inc();
-        mpdf_obs::counter!("fleet.log.bytes_total").add(rec.len() as u64);
-        self.live.insert(link, (gen, payload));
-        self.appends_since_compact += 1;
-        if self.compact_every > 0 && self.appends_since_compact >= self.compact_every {
-            self.compact()?;
-        }
+        mpdf_obs::counter!("fleet.log.bytes_total").add(len);
+        self.windows_since_compact += windows;
         Ok(())
     }
 
-    /// Rewrites the log to one latest record per link, rotating the
-    /// previous file to `.bak` (the last-good-generation fallback).
+    /// Whether `compact_every` window records have been logged since the
+    /// last compaction.
+    pub fn compaction_due(&self) -> bool {
+        self.compact_every > 0 && self.windows_since_compact >= self.compact_every
+    }
+
+    /// Rewrites the log as one snapshot record per link (`images` holds
+    /// `(link, LinkMeta ‖ snapshot)`), rotating the previous file to
+    /// `.bak` (the last-good-generation fallback).
     ///
     /// # Errors
     /// IO failures; a crash between the rotation and the rewrite leaves
     /// the `.bak` recoverable.
-    pub fn compact(&mut self) -> Result<(), LogError> {
-        let bytes = self.serialize_live();
-        if self.io.exists(&self.path) {
-            retry_io(|| self.io.rename(&self.path, &self.bak))?;
+    pub fn compact<'a>(
+        &mut self,
+        images: impl IntoIterator<Item = (u64, &'a [u8])>,
+    ) -> Result<(), LogError> {
+        let mut bytes = header_bytes(self.shard);
+        for (link, image) in images {
+            frame_record(
+                &mut bytes,
+                self.next_gen,
+                link,
+                RecordKind::Snapshot,
+                |out| {
+                    out.extend_from_slice(image);
+                    Ok(())
+                },
+            )?;
+            self.next_gen += 1;
         }
-        retry_io(|| self.io.replace(&self.path, &bytes))?;
-        self.appends_since_compact = 0;
+        if self.io.exists(&self.path) {
+            retry(|| self.io.rename(&self.path, &self.bak))?;
+        }
+        retry(|| self.io.replace(&self.path, &bytes))?;
+        self.torn = false;
+        self.windows_since_compact = 0;
         mpdf_obs::counter!("fleet.log.compactions_total").inc();
         Ok(())
     }
@@ -540,118 +835,288 @@ impl<IO: LogIo> ShardLog<IO> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{FaultIo, FaultPlan, MemIo};
+    use mpdf_rfmath::complex::Complex64;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mpdf_fleet_log_{}_{}", std::process::id(), tag));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn packet(seq: u64) -> CsiPacket {
+        let data = (0..6)
+            .map(|i| Complex64::new(seq as f64 + f64::from(i), -0.5 * f64::from(i)))
+            .collect();
+        CsiPacket::new(2, 3, data, seq, seq as f64 * 0.02)
+    }
+
+    fn open(io: MemIo, compact_every: usize) -> ShardLog<MemIo> {
+        ShardLog::open(io, "shard0.mpsl", 0, compact_every)
+            .unwrap()
+            .0
+    }
+
+    /// What a restarted process finds: the opening scan's summary and
+    /// the records.
+    fn reopen(log: &ShardLog<MemIo>) -> (LogRecovery, LogImage) {
+        let (mut fresh, rec) = ShardLog::open(log.io.clone(), "shard0.mpsl", 0, 0).unwrap();
+        (rec, fresh.recover().unwrap().1)
+    }
+
+    /// Appends a CRC-valid record with an explicit generation.
+    fn raw_append(log: &mut ShardLog<MemIo>, gen: u64, link: u64) -> usize {
+        let mut rec = Vec::new();
+        frame_record(&mut rec, gen, link, RecordKind::Snapshot, |out| {
+            out.extend_from_slice(b"stale");
+            Ok(())
+        })
+        .unwrap();
+        log.io.append(Path::new("shard0.mpsl"), &rec).unwrap();
+        rec.len()
     }
 
     #[test]
-    fn crc64_is_stable_and_sensitive() {
+    fn crc64_is_stable_sensitive_and_matches_the_bytewise_definition() {
         let a = crc64(b"123456789");
         assert_eq!(a, crc64(b"123456789"), "deterministic");
         assert_ne!(a, crc64(b"123456780"), "sensitive to content");
         assert_ne!(crc64(b""), crc64(b"\0"), "length-extension guarded");
-    }
-
-    #[test]
-    fn fresh_open_append_recover_roundtrip() {
-        let dir = temp_dir("roundtrip");
-        let path = dir.join("shard0.mpsl");
-        let (mut log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
-        assert_eq!(
-            rec,
-            LogRecovery {
-                records: 0,
-                torn_bytes: 0,
-                used_bak: false
+        let bytewise = |data: &[u8]| {
+            let mut crc = !0u64;
+            for &byte in data {
+                crc ^= u64::from(byte) << 56;
+                for _ in 0..8 {
+                    crc = if crc & (1 << 63) != 0 {
+                        (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
+                    } else {
+                        crc << 1
+                    };
+                }
             }
-        );
-        log.append(5, b"five-v1".to_vec()).unwrap();
-        log.append(2, b"two-v1".to_vec()).unwrap();
-        log.append(5, b"five-v2".to_vec()).unwrap();
-        // Reopen: latest image per link, link order.
-        let (log2, rec2) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
-        assert_eq!(
-            rec2,
-            LogRecovery {
-                records: 3,
-                torn_bytes: 0,
-                used_bak: false
-            }
-        );
-        let live: Vec<(u64, &[u8])> = log2.live().collect();
-        assert_eq!(
-            live,
-            vec![(2, b"two-v1".as_slice()), (5, b"five-v2".as_slice())]
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compaction_preserves_live_set_and_rotates_bak() {
-        let dir = temp_dir("compact");
-        let path = dir.join("shard1.mpsl");
-        let (mut log, _) = ShardLog::open(StdIo, &path, 1, 4).unwrap();
-        for round in 0u64..3 {
-            for link in 0u64..4 {
-                log.append(link, format!("l{link}r{round}").into_bytes())
-                    .unwrap();
-            }
+            !crc
+        };
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc64(&data[..len]), bytewise(&data[..len]), "len {len}");
         }
-        // 12 appends with compact_every=4: several compactions ran.
-        assert!(sibling(&path, ".bak").exists(), "compaction rotated a .bak");
-        let (log2, rec) = ShardLog::open(StdIo, &path, 1, 0).unwrap();
-        assert_eq!(log2.live_links(), 4);
+        // The CRC-64/WE check value.
+        assert_eq!(crc64(b"123456789"), 0x62EC_59E3_F1A4_F00A);
+    }
+
+    #[test]
+    fn staged_records_commit_in_one_append_and_decode() {
+        let mut log = ShardLog::open(FaultIo::new(MemIo::new(), FaultPlan::quiet(0)), "l", 0, 0)
+            .unwrap()
+            .0;
+        let window = vec![packet(1), packet(2)];
+        log.stage_snapshot(5, b"birth").unwrap();
+        log.stage_window(5, 7, &window).unwrap();
+        log.stage_shape_fault(2, 7, (1, 30)).unwrap();
+        log.flush().unwrap();
+        log.flush().unwrap();
+        assert_eq!(
+            log.io.appends(),
+            1,
+            "one group commit; empty flushes are free"
+        );
+
+        let (rec, image) = log.recover().unwrap();
+        assert_eq!((rec.records, rec.torn_bytes, rec.used_bak), (3, 0, false));
+        let entries: Vec<(u64, u64, Entry<'_>)> = image
+            .records()
+            .map(|r| (r.gen, r.link, r.entry().unwrap()))
+            .collect();
+        assert_eq!(entries[0], (1, 5, Entry::Snapshot(b"birth")));
+        let Entry::Window { tick, packets } = &entries[1].2 else {
+            panic!("window record expected");
+        };
+        assert_eq!((entries[1].0, *tick), (2, 7));
+        assert!(packets.iter().zip(&window).all(|(a, b)| a.bits_eq(b)));
+        assert_eq!(packets.len(), 2);
+        assert_eq!(
+            entries[2],
+            (
+                3,
+                2,
+                Entry::ShapeFault {
+                    tick: 7,
+                    got: (1, 30)
+                }
+            )
+        );
+    }
+
+    #[test]
+    fn compaction_rewrites_snapshots_with_fresh_generations_and_rotates_bak() {
+        let mut log = open(MemIo::new(), 2);
+        log.stage_snapshot(1, b"one").unwrap();
+        log.stage_window(1, 0, &[packet(0)]).unwrap();
+        log.flush().unwrap();
+        assert!(!log.compaction_due());
+        log.stage_window(1, 1, &[packet(1)]).unwrap();
+        log.flush().unwrap();
+        assert!(
+            log.compaction_due(),
+            "two window records since the last compaction"
+        );
+        log.compact([(1, &b"one-v2"[..]), (4, &b"four"[..])])
+            .unwrap();
+        assert!(!log.compaction_due());
+        assert!(log.io.exists(Path::new("shard0.mpsl.bak")));
+
+        let (rec, image) = reopen(&log);
+        assert_eq!(rec.records, 2);
+        let gens: Vec<(u64, u64, &[u8])> = image
+            .records()
+            .map(|r| (r.gen, r.link, r.payload))
+            .collect();
+        assert_eq!(gens, vec![(4, 1, &b"one-v2"[..]), (5, 4, &b"four"[..])]);
+        // The window count survives a reopen: it is read off the file.
+        log.stage_window(4, 2, &[packet(2)]).unwrap();
+        log.flush().unwrap();
+        let mut again = open(log.io.clone(), 1);
+        assert!(again.compaction_due());
+        assert_eq!(again.recover().unwrap().1.len(), 3);
+    }
+
+    #[test]
+    fn a_stale_generation_ends_the_scan() {
+        let mut log = open(MemIo::new(), 0);
+        log.stage_snapshot(1, b"a").unwrap();
+        log.stage_snapshot(2, b"b").unwrap();
+        log.flush().unwrap();
+        // CRC-valid, but generation 2 was already used: a leftover from
+        // before a rewrite, not part of this log.
+        let stale = raw_append(&mut log, 2, 3);
+        let (rec, image) = reopen(&log);
+        assert_eq!((rec.records, rec.torn_bytes), (2, stale));
+        assert_eq!(
+            image.records().map(|r| r.link).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+        // A later, higher generation does not resurrect anything past it.
+        raw_append(&mut log, 9, 4);
+        let (rec, _) = reopen(&log);
+        assert_eq!(rec.records, 2, "the scan stopped at the stale record");
+    }
+
+    #[test]
+    fn a_failed_append_is_repaired_before_the_next_one() {
+        let io = FaultIo::new(MemIo::new(), FaultPlan::tear_once(2, 17));
+        let (mut log, _) = ShardLog::open(io, "l", 0, 0).unwrap();
+        log.stage_snapshot(1, b"one").unwrap();
+        log.flush().unwrap();
+        log.stage_window(1, 0, &[packet(0)]).unwrap();
+        assert!(log.flush().is_err(), "append 2 is torn");
+        log.stage_window(1, 1, &[packet(1)]).unwrap();
+        log.flush().unwrap();
+        let (rec, image) = log.recover().unwrap();
+        assert_eq!((rec.records, rec.torn_bytes), (2, 0));
+        let gens: Vec<u64> = image.records().map(|r| r.gen).collect();
+        assert_eq!(gens, vec![1, 3], "generations stay strictly increasing");
+    }
+
+    /// A [`MemIo`] whose next append can be torn and whose next replace
+    /// can fail, on demand.
+    #[derive(Debug, Default)]
+    struct Flaky {
+        mem: MemIo,
+        tear_next_append: bool,
+        fail_next_replace: bool,
+    }
+
+    impl LogIo for Flaky {
+        fn read(&mut self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.mem.read(path)
+        }
+        fn append(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            if std::mem::take(&mut self.tear_next_append) {
+                self.mem.append(path, &bytes[..3])?;
+                return Err(std::io::Error::other("torn append"));
+            }
+            self.mem.append(path, bytes)
+        }
+        fn replace(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            if std::mem::take(&mut self.fail_next_replace) {
+                return Err(std::io::Error::other("replace failed"));
+            }
+            self.mem.replace(path, bytes)
+        }
+        fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.mem.rename(from, to)
+        }
+        fn exists(&mut self, path: &Path) -> bool {
+            self.mem.exists(path)
+        }
+    }
+
+    #[test]
+    fn a_failed_repair_is_retried_before_the_next_append() {
+        let (mut log, _) = ShardLog::open(Flaky::default(), "l", 0, 0).unwrap();
+        log.stage_snapshot(1, b"one").unwrap();
+        log.flush().unwrap();
+        log.io.tear_next_append = true;
+        log.stage_snapshot(2, b"two").unwrap();
+        assert!(log.flush().is_err(), "torn append");
+        log.io.fail_next_replace = true;
+        log.stage_snapshot(3, b"three").unwrap();
+        assert!(log.flush().is_err(), "the tail repair fails");
+        // The torn tail is still there: this flush must repair it first,
+        // or its record would land behind garbage and be lost.
+        log.stage_snapshot(4, b"four").unwrap();
+        log.flush().unwrap();
+        let (rec, image) = log.recover().unwrap();
         assert_eq!(rec.torn_bytes, 0);
-        for (link, payload) in log2.live() {
-            assert_eq!(
-                payload,
-                format!("l{link}r2").as_bytes(),
-                "latest image wins"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        let links: Vec<u64> = image.records().map(|r| r.link).collect();
+        assert_eq!(links, vec![1, 4]);
     }
 
     #[test]
     fn wrong_shard_and_version_are_typed_errors() {
-        let dir = temp_dir("typed");
-        let path = dir.join("shard7.mpsl");
-        let (mut log, _) = ShardLog::open(StdIo, &path, 7, 0).unwrap();
-        log.append(1, b"x".to_vec()).unwrap();
+        let log = open(MemIo::new(), 0);
+        let io = log.io.clone();
         assert!(matches!(
-            ShardLog::open(StdIo, &path, 8, 0),
+            ShardLog::open(io.clone(), "shard0.mpsl", 8, 0),
             Err(LogError::ShardMismatch {
                 expected: 8,
-                found: 7
+                found: 0
             })
         ));
-        let mut data = std::fs::read(&path).unwrap();
-        data[4] = 0xFF;
-        std::fs::write(&path, &data).unwrap();
+        // A version-1 file (the snapshot-per-window format) is refused.
+        let mut v1 = io;
+        let mut data = v1.read(Path::new("shard0.mpsl")).unwrap();
+        data[4..6].copy_from_slice(&1u16.to_le_bytes());
+        v1.replace(Path::new("shard0.mpsl"), &data).unwrap();
         assert!(matches!(
-            ShardLog::open(StdIo, &path, 7, 0),
-            Err(LogError::UnsupportedVersion(_))
+            ShardLog::open(v1, "shard0.mpsl", 0, 0),
+            Err(LogError::UnsupportedVersion(1))
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn empty_payloads_roundtrip_and_errors_display() {
-        let dir = temp_dir("edge");
-        let path = dir.join("shard2.mpsl");
-        let (mut log, _) = ShardLog::open(StdIo, &path, 2, 0).unwrap();
-        log.append(9, Vec::new()).unwrap();
-        let (log2, rec) = ShardLog::open(StdIo, &path, 2, 0).unwrap();
-        assert_eq!(rec.records, 1);
-        assert_eq!(log2.live().collect::<Vec<_>>(), vec![(9, &[][..])]);
-        let err = LogError::TooLarge {
-            len: MAX_RECORD_PAYLOAD + 1,
+    fn undecodable_payloads_are_typed_errors() {
+        let record = |kind, payload| Record {
+            gen: 4,
+            link: 1,
+            kind,
+            payload,
         };
-        assert!(err.to_string().contains("cap"));
-        std::fs::remove_dir_all(&dir).ok();
+        for (kind, payload) in [
+            (RecordKind::ShapeFault, &b"short"[..]),
+            (RecordKind::Window, &b"tiny"[..]),
+            (
+                RecordKind::Window,
+                &[0u8, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0][..],
+            ),
+            (
+                RecordKind::Window,
+                &[0u8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1][..],
+            ),
+        ] {
+            let err = record(kind, payload).entry().unwrap_err();
+            assert!(matches!(err, LogError::BadRecord { gen: 4, .. }), "{err}");
+        }
+        let mut log = open(MemIo::new(), 0);
+        let wide = CsiPacket::new(1, 300, vec![Complex64::new(0.0, 0.0); 300], 0, 0.0);
+        assert!(matches!(
+            log.stage_window(1, 0, &[wide]),
+            Err(LogError::Wire(WireError::ShapeTooLarge { .. }))
+        ));
+        assert!(log.pending.is_empty(), "nothing staged on error");
     }
 }

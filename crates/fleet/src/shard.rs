@@ -10,25 +10,28 @@
 //!
 //! ## Crash semantics
 //!
-//! A log-append failure marks the shard *crashed* for the rest of the
-//! tick: the in-memory stepping completes (the tick's records were
-//! already computed and handed downstream — exactly what a process
-//! crash during the final flush looks like from the outside), further
-//! appends are skipped, and the caller recovers the shard from its log
-//! before the next tick. Recovery rebuilds every link from the latest
-//! durable record; the events counter in each record tells the driver
-//! which deliveries were lost and must be replayed.
+//! The log records inputs: every delivery of a tick is framed into one
+//! buffer and made durable by one group append at the end of the tick.
+//! A failed append marks the shard *crashed*: the in-memory stepping
+//! completed (the tick's records were already computed and handed
+//! downstream — exactly what a process crash during the final flush
+//! looks like from the outside), further appends are skipped, and the
+//! caller recovers the shard from its log before the next tick.
+//! Recovery restores every link from its last snapshot and replays its
+//! later window records; the restored event counts tell the driver
+//! which deliveries were lost with the failed append and must be
+//! replayed.
 
 use std::collections::BTreeMap;
 
 use mpdf_core::detector::Decision;
 use mpdf_core::scheme::DetectionScheme;
-use mpdf_session::checkpoint::encode_snapshot;
 use mpdf_session::SessionRuntime;
 use mpdf_wifi::csi::CsiPacket;
+use mpdf_wifi::wire::WireError;
 
 use crate::link::{LinkFault, LinkHealth, LinkMeta};
-use crate::log::{LogIo, ShardLog};
+use crate::log::{Entry, LogIo, RecordKind, ShardLog};
 use crate::slab::Slab;
 use crate::{FleetError, FleetPolicy};
 
@@ -131,14 +134,51 @@ pub struct Shard<S: DetectionScheme + Clone, IO: LogIo> {
     by_link: BTreeMap<u64, usize>,
     log: Option<ShardLog<IO>>,
     crashed: bool,
+    /// The final `LinkMeta ‖ snapshot` image of every evicted dead link
+    /// (logged shards only): compaction rewrites it so the link stays
+    /// recoverable.
+    evicted: BTreeMap<u64, Vec<u8>>,
 }
 
-fn log_payload<S: DetectionScheme + Clone>(slot: &LinkSlot<S>) -> Option<Vec<u8>> {
-    let snap = encode_snapshot(&slot.runtime.snapshot()).ok()?;
+/// What one delivery hands a link — and what the log records for it.
+#[derive(Debug, Clone, Copy)]
+enum Delivery<'a> {
+    /// A window of packets.
+    Window(&'a [CsiPacket]),
+    /// A window the shape gate rejected, known only by the offending
+    /// packet's shape (how the log records and replays it).
+    ShapeFault((usize, usize)),
+}
+
+/// `LinkMeta ‖ encode_snapshot(..)`: a link's snapshot record payload.
+fn snapshot_image<S: DetectionScheme + Clone>(
+    meta: &LinkMeta,
+    runtime: &SessionRuntime<S>,
+) -> Result<Vec<u8>, FleetError> {
+    let snap = runtime.encode_checkpoint()?;
     let mut payload = Vec::with_capacity(LinkMeta::ENCODED_LEN + snap.len());
-    slot.meta.encode(&mut payload);
+    meta.encode(&mut payload);
     payload.extend_from_slice(&snap);
-    Some(payload)
+    Ok(payload)
+}
+
+fn is_delivery(record: &LinkRecord) -> bool {
+    matches!(
+        record.outcome,
+        LinkOutcome::Decision { .. } | LinkOutcome::Fault { .. }
+    )
+}
+
+/// What the log records for a delivered window: its packets, or only
+/// the shape of a window the shape gate rejected.
+fn logged<'a>(record: &LinkRecord, packets: &'a [CsiPacket]) -> Delivery<'a> {
+    match record.outcome {
+        LinkOutcome::Fault {
+            fault: LinkFault::Shape { got, .. },
+            ..
+        } => Delivery::ShapeFault(got),
+        _ => Delivery::Window(packets),
+    }
 }
 
 impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
@@ -151,6 +191,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             by_link: BTreeMap::new(),
             log,
             crashed: false,
+            evicted: BTreeMap::new(),
         }
     }
 
@@ -182,12 +223,17 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             .filter_map(|(&link, &slot)| self.slab.get(slot).map(|s| (link, &s.meta)))
     }
 
-    /// Registers a link on this shard. Writes the *birth record* — the
-    /// link's initial snapshot — so a recovery always finds an image for
-    /// every registered link, even one that never stepped.
+    /// Registers a link on this shard. A logged shard first makes the
+    /// *birth record* — the link's initial snapshot — durable, so a
+    /// recovery always finds an image for every registered link.
+    /// Registration is all-or-nothing: on any error the shard is
+    /// unchanged and the call may be retried.
     ///
     /// # Errors
-    /// [`FleetError::DuplicateLink`]; log failures on the birth append.
+    /// [`FleetError::DuplicateLink`]; on a logged shard, a calibrated
+    /// shape the wire header's `u8` dimensions cannot carry
+    /// ([`LogError::Wire`](crate::LogError::Wire)), and log failures on
+    /// the birth append.
     pub fn register(
         &mut self,
         link: u64,
@@ -197,27 +243,35 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         if self.by_link.contains_key(&link) {
             return Err(FleetError::DuplicateLink(link));
         }
+        let meta = LinkMeta::new(room);
+        if let Some(log) = self.log.as_mut() {
+            let profile = runtime.detector().profile();
+            let (antennas, subcarriers) = (profile.antennas(), profile.subcarriers());
+            if u8::try_from(antennas).is_err() || u8::try_from(subcarriers).is_err() {
+                return Err(FleetError::Log(crate::LogError::Wire(
+                    WireError::ShapeTooLarge {
+                        antennas,
+                        subcarriers,
+                    },
+                )));
+            }
+            let image = snapshot_image(&meta, &runtime)?;
+            log.stage_snapshot(link, &image)?;
+            log.flush()?;
+        }
+        self.evicted.remove(&link);
         let slot = self.slab.insert(LinkSlot {
             link,
-            meta: LinkMeta::new(room),
+            meta,
             runtime,
         });
         self.by_link.insert(link, slot);
-        if self.log.is_some() {
-            // The borrow of the slot ends before the log append.
-            let payload = self.slab.get(slot).and_then(log_payload);
-            let Some(payload) = payload else {
-                return Err(FleetError::MissingSnapshot(link));
-            };
-            if let Some(log) = self.log.as_mut() {
-                log.append(link, payload)?;
-            }
-        }
         Ok(())
     }
 
-    /// Evicts every dead link, freeing its slab slot (and memory).
-    /// Evicted links stay in the log; a recovery restores them still
+    /// Evicts every dead link, freeing its slab slot (and its runtime).
+    /// Evicted links stay in the log — a logged shard keeps each one's
+    /// final image for compaction — and a recovery restores them still
     /// dead. Returns the number evicted.
     pub fn evict_dead(&mut self) -> usize {
         let dead: Vec<u64> = self
@@ -232,17 +286,31 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             .map(|(&link, _)| link)
             .collect();
         for link in &dead {
-            if let Some(slot) = self.by_link.remove(link) {
-                self.slab.remove(slot);
+            let Some(slot) = self.by_link.remove(link) else {
+                continue;
+            };
+            let Some(evicted) = self.slab.remove(slot) else {
+                continue;
+            };
+            if self.log.is_some() {
+                match snapshot_image(&evicted.meta, &evicted.runtime) {
+                    Ok(image) => {
+                        self.evicted.insert(*link, image);
+                    }
+                    // Without an image the next compaction would drop the
+                    // link: leave that to a recovery from the log instead.
+                    Err(_) => self.crash(),
+                }
             }
         }
         dead.len()
     }
 
     /// Processes one tick: vacancy-biased shedding against the ingest
-    /// budget, then per-link delivery in input order, appending a
-    /// durable record per delivery. Windows for links not homed on this
-    /// shard are ignored (the fleet validates routing before calling).
+    /// budget, then per-link delivery in input order, then one group
+    /// append of the tick's deliveries and, when due, a compaction.
+    /// Windows for links not homed on this shard are ignored (the fleet
+    /// validates routing before calling).
     pub fn step_tick(
         &mut self,
         tick: u64,
@@ -295,6 +363,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         }
 
         let mut records = Vec::with_capacity(windows.len());
+        let mut batch = Vec::new();
         let mut delivered = 0u32;
         let mut shed = 0u32;
         for (idx, w) in windows.iter().enumerate() {
@@ -303,15 +372,21 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
                 records.push(rec);
                 continue;
             }
-            if let Some(rec) = self.deliver_inner(tick, w.link, &w.packets, policy) {
-                if matches!(
-                    rec.outcome,
-                    LinkOutcome::Decision { .. } | LinkOutcome::Fault { .. }
-                ) {
+            if let Some(rec) =
+                self.deliver_inner(tick, w.link, Delivery::Window(&w.packets), policy)
+            {
+                if is_delivery(&rec) {
                     delivered += 1;
+                    if self.log.is_some() {
+                        batch.push((w.link, logged(&rec, &w.packets)));
+                    }
                 }
                 records.push(rec);
             }
+        }
+        if self.log.is_some() {
+            self.commit(tick, &batch);
+            self.compact_if_due();
         }
         ShardTick {
             index: self.index,
@@ -323,8 +398,10 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
     }
 
     /// Delivers one window to one link, bypassing shedding — the replay
-    /// entry point. `tick` must be the tick the window originally
-    /// belonged to so the health gate reproduces the original decision.
+    /// entry point for deliveries lost to a failed append. `tick` must
+    /// be the tick the window originally belonged to so the health gate
+    /// reproduces the original decision. A delivery is logged with its
+    /// own append.
     ///
     /// # Errors
     /// [`FleetError::UnknownLink`] for links not homed here.
@@ -335,15 +412,20 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         packets: &[CsiPacket],
         policy: &FleetPolicy,
     ) -> Result<LinkRecord, FleetError> {
-        self.deliver_inner(tick, link, packets, policy)
-            .ok_or(FleetError::UnknownLink(link))
+        let record = self
+            .deliver_inner(tick, link, Delivery::Window(packets), policy)
+            .ok_or(FleetError::UnknownLink(link))?;
+        if is_delivery(&record) && self.log.is_some() {
+            self.commit(tick, &[(link, logged(&record, packets))]);
+        }
+        Ok(record)
     }
 
     fn deliver_inner(
         &mut self,
         tick: u64,
         link: u64,
-        packets: &[CsiPacket],
+        delivery: Delivery<'_>,
         policy: &FleetPolicy,
     ) -> Option<LinkRecord> {
         let &slot_idx = self.by_link.get(&link)?;
@@ -379,10 +461,16 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         // they can reach (and poison) the runtime.
         let profile = slot.runtime.detector().profile();
         let want = (profile.antennas(), profile.subcarriers());
-        let bad_shape = packets
-            .iter()
-            .find(|p| (p.antennas(), p.subcarriers()) != want)
-            .map(|p| (p.antennas(), p.subcarriers()));
+        let (packets, bad_shape) = match delivery {
+            Delivery::Window(packets) => (
+                packets,
+                packets
+                    .iter()
+                    .find(|p| (p.antennas(), p.subcarriers()) != want)
+                    .map(|p| (p.antennas(), p.subcarriers())),
+            ),
+            Delivery::ShapeFault(got) => (&[][..], Some(got)),
+        };
         let outcome = if let Some(got) = bad_shape {
             let fault = LinkFault::Shape { got, want };
             let health = apply_fault(&mut slot.meta, tick, policy);
@@ -427,73 +515,115 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             }
         };
 
-        let record = LinkRecord {
+        Some(LinkRecord {
             link,
             room,
             events: slot.meta.events,
             outcome,
-        };
-        self.append_slot(slot_idx, link);
-        Some(record)
+        })
     }
 
-    /// Appends the slot's current image to the log; a failure marks the
-    /// shard crashed (in-memory state stays authoritative for the tick,
-    /// durable state goes stale until recovery).
-    fn append_slot(&mut self, slot_idx: usize, link: u64) {
-        if self.crashed || self.log.is_none() {
+    fn crash(&mut self) {
+        if !self.crashed {
+            self.crashed = true;
+            mpdf_obs::counter!("fleet.shard_crashes_total").inc();
+        }
+    }
+
+    /// Logs `batch` — one record per delivery, in delivery order — with
+    /// one append; a failure marks the shard crashed (in-memory state
+    /// stays authoritative for the tick, durable state goes stale until
+    /// recovery).
+    fn commit(&mut self, tick: u64, batch: &[(u64, Delivery<'_>)]) {
+        if self.crashed || batch.is_empty() {
             return;
         }
-        let payload = self.slab.get(slot_idx).and_then(log_payload);
         let Some(log) = self.log.as_mut() else {
             return;
         };
-        match payload {
-            Some(payload) => {
-                if log.append(link, payload).is_err() {
-                    self.crashed = true;
-                    mpdf_obs::counter!("fleet.shard_crashes_total").inc();
-                }
-            }
-            None => {
-                self.crashed = true;
-                mpdf_obs::counter!("fleet.shard_crashes_total").inc();
-            }
+        let _stage = mpdf_obs::stage!("fleet.log.append");
+        let staged = batch
+            .iter()
+            .try_for_each(|&(link, delivery)| match delivery {
+                Delivery::Window(packets) => log.stage_window(link, tick, packets),
+                Delivery::ShapeFault(got) => log.stage_shape_fault(link, tick, got),
+            });
+        if staged.and_then(|()| log.flush()).is_err() {
+            self.crash();
         }
     }
 
-    /// Rebuilds the shard from its log — the in-memory slab is discarded
-    /// and every link restored from its latest durable record. `restore`
-    /// turns a snapshot image back into a runtime (the fleet supplies
-    /// the per-link calibration constants).
+    /// Rewrites the log as one snapshot per link — live and evicted —
+    /// once `compact_every` window records have accumulated.
+    fn compact_if_due(&mut self) {
+        if self.crashed || !self.log.as_ref().is_some_and(ShardLog::compaction_due) {
+            return;
+        }
+        let _stage = mpdf_obs::stage!("fleet.log.compact");
+        let live: Result<Vec<(u64, Vec<u8>)>, FleetError> = self
+            .by_link
+            .iter()
+            .filter_map(|(&link, &slot)| self.slab.get(slot).map(|s| (link, s)))
+            .map(|(link, s)| Ok((link, snapshot_image(&s.meta, &s.runtime)?)))
+            .collect();
+        let compacted = live.ok().zip(self.log.as_mut()).is_some_and(|(live, log)| {
+            let evicted = self.evicted.iter().map(|(&l, image)| (l, image.as_slice()));
+            let live = live.iter().map(|(l, image)| (*l, image.as_slice()));
+            log.compact(live.chain(evicted)).is_ok()
+        });
+        if !compacted {
+            self.crash();
+        }
+    }
+
+    /// Rebuilds the shard from its log — the in-memory slab is discarded,
+    /// every link is restored from its last snapshot record, and its
+    /// later window records are replayed, in log order, at their logged
+    /// ticks (nothing is appended while replaying). `restore` turns a
+    /// snapshot image back into a runtime (the fleet supplies the
+    /// per-link calibration constants).
     ///
     /// # Errors
-    /// [`FleetError::NoLog`] for in-memory shards; log and snapshot
-    /// decode failures.
-    pub fn recover<F>(&mut self, mut restore: F) -> Result<ShardRecovery, FleetError>
+    /// [`FleetError::NoLog`] for in-memory shards; log, record and
+    /// snapshot decode failures; [`FleetError::MissingSnapshot`] for a
+    /// window record of a link with no earlier snapshot.
+    pub fn recover<F>(
+        &mut self,
+        policy: &FleetPolicy,
+        mut restore: F,
+    ) -> Result<ShardRecovery, FleetError>
     where
         F: FnMut(u64, &[u8]) -> Result<SessionRuntime<S>, FleetError>,
     {
         let Some(log) = self.log.as_mut() else {
             return Err(FleetError::NoLog(self.index));
         };
-        let rec = log.recover()?;
+        let (rec, image) = log.recover()?;
+        // Each link's last snapshot; records before it are superseded.
+        let mut last_snapshot: BTreeMap<u64, usize> = BTreeMap::new();
+        for (i, r) in image.records().enumerate() {
+            if r.kind == RecordKind::Snapshot {
+                last_snapshot.insert(r.link, i);
+            }
+        }
         let mut entries: Vec<(u64, LinkMeta, SessionRuntime<S>)> = Vec::new();
-        let mut events = BTreeMap::new();
-        for (link, payload) in log.live() {
-            let Some((meta, snap)) = LinkMeta::decode(payload) else {
+        for (&link, &i) in &last_snapshot {
+            let Some(record) = image.get(i) else {
+                return Err(FleetError::MissingSnapshot(link));
+            };
+            let Some((meta, snap)) = LinkMeta::decode(record.payload) else {
                 return Err(FleetError::Checkpoint(
                     mpdf_session::CheckpointError::Corrupt(format!(
                         "link {link} meta prefix truncated"
                     )),
                 ));
             };
-            let runtime = restore(link, snap)?;
-            events.insert(link, meta.events);
-            entries.push((link, meta, runtime));
+            entries.push((link, meta, restore(link, snap)?));
         }
         self.slab.clear();
         self.by_link.clear();
+        self.evicted.clear();
+        self.crashed = false;
         for (link, meta, runtime) in entries {
             let slot = self.slab.insert(LinkSlot {
                 link,
@@ -502,7 +632,35 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             });
             self.by_link.insert(link, slot);
         }
-        self.crashed = false;
+        for (i, record) in image.records().enumerate() {
+            if record.kind == RecordKind::Snapshot {
+                continue;
+            }
+            match last_snapshot.get(&record.link) {
+                Some(&snap) if snap < i => {}
+                Some(_) => continue,
+                None => return Err(FleetError::MissingSnapshot(record.link)),
+            }
+            let replayed = match record.entry()? {
+                Entry::Window { tick, packets } => {
+                    self.deliver_inner(tick, record.link, Delivery::Window(&packets), policy)
+                }
+                Entry::ShapeFault { tick, got } => {
+                    self.deliver_inner(tick, record.link, Delivery::ShapeFault(got), policy)
+                }
+                Entry::Snapshot(_) => continue,
+            };
+            if !replayed.as_ref().is_some_and(is_delivery) {
+                // The logged window was delivered; a skip now means the
+                // log disagrees with itself.
+                return Err(FleetError::Log(crate::LogError::BadRecord {
+                    gen: record.gen,
+                    what: "replayed window was not delivered".to_string(),
+                }));
+            }
+            mpdf_obs::counter!("fleet.log.replayed_windows_total").inc();
+        }
+        let events = self.link_metas().map(|(l, m)| (l, m.events)).collect();
         Ok(ShardRecovery {
             records: rec.records,
             torn_bytes: rec.torn_bytes,

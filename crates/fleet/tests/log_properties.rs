@@ -1,4 +1,4 @@
-//! Property tests for the shard checkpoint log: a torn tail at *any*
+//! Property tests for the shard write-ahead log: a torn tail at *any*
 //! byte offset of the final record is truncated cleanly (never a panic,
 //! never a half-record), header-level damage falls back to the `.bak`
 //! rotation, and empty or zero-length files are typed errors.
@@ -7,7 +7,23 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use mpdf_fleet::log::{LogIo, RECORD_OVERHEAD};
 use mpdf_fleet::{LogError, ShardLog, StdIo};
+
+/// Durably appends one snapshot record.
+fn append<IO: LogIo>(log: &mut ShardLog<IO>, link: u64, payload: &[u8]) {
+    log.stage_snapshot(link, payload).unwrap();
+    log.flush().unwrap();
+}
+
+/// `(link, payload)` of every record the log recovers, in log order.
+fn recovered<IO: LogIo>(log: &mut ShardLog<IO>) -> Vec<(u64, Vec<u8>)> {
+    let (_, image) = log.recover().unwrap();
+    image
+        .records()
+        .map(|r| (r.link, r.payload.to_vec()))
+        .collect()
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mpdf_fleet_prop_{}_{tag}", std::process::id()));
@@ -21,9 +37,9 @@ fn seeded_log(dir: &std::path::Path, payload_len: usize) -> (PathBuf, usize) {
     let path = dir.join("shard0.mpsl");
     std::fs::remove_file(&path).ok();
     let (mut log, _) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
-    log.append(1, vec![0xA1; payload_len]).unwrap();
-    log.append(2, vec![0xB2; payload_len.max(1)]).unwrap();
-    log.append(1, vec![0xC3; payload_len]).unwrap();
+    append(&mut log, 1, &vec![0xA1; payload_len]);
+    append(&mut log, 2, &vec![0xB2; payload_len.max(1)]);
+    append(&mut log, 1, &vec![0xC3; payload_len]);
     let len = std::fs::metadata(&path).unwrap().len() as usize;
     (path, len)
 }
@@ -32,7 +48,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Truncating the file anywhere inside the FINAL record loses only
-    /// that record: links 1 and 2 recover to their previous images.
+    /// that record: the first two records survive byte-identical.
     #[test]
     fn torn_tail_at_every_offset_of_the_final_record(
         payload_len in 0usize..48,
@@ -40,20 +56,18 @@ proptest! {
     ) {
         let dir = temp_dir("torn");
         let (path, full) = seeded_log(&dir, payload_len);
-        // The last record is 30 + payload_len bytes; cut anywhere
-        // strictly inside it.
-        let record_len = 30 + payload_len;
+        // Cut anywhere strictly inside the last record.
+        let record_len = RECORD_OVERHEAD + payload_len;
         let cut = full - 1 - (cut_back % record_len.max(1)).min(record_len - 1);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..cut.max(full - record_len)]).unwrap();
 
-        let (log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+        let (mut log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
         prop_assert!(rec.torn_bytes > 0 || cut.max(full - record_len) == full - record_len);
         prop_assert!(!rec.used_bak);
         // The first two records always survive; never a half-record.
-        prop_assert_eq!(log.live_links(), 2);
-        let live: Vec<(u64, Vec<u8>)> =
-            log.live().map(|(l, p)| (l, p.to_vec())).collect();
+        let live = recovered(&mut log);
+        prop_assert_eq!(live.len(), 2);
         prop_assert_eq!(live[0].clone(), (1, vec![0xA1; payload_len]), "link 1 reverts");
         prop_assert_eq!(live[1].clone(), (2, vec![0xB2; payload_len.max(1)]));
         std::fs::remove_dir_all(&dir).ok();
@@ -71,17 +85,17 @@ proptest! {
     ) {
         let dir = temp_dir("flip");
         let (path, full) = seeded_log(&dir, payload_len);
-        let record_len = 30 + payload_len;
+        let record_len = RECORD_OVERHEAD + payload_len;
         let pos = full - 1 - (pos_back % record_len);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[pos] ^= xor;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+        let (mut log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
         prop_assert!(rec.torn_bytes > 0, "a flipped frame is a torn tail");
-        prop_assert_eq!(log.live_links(), 2);
-        let link1: Vec<u8> = log.live().next().unwrap().1.to_vec();
-        prop_assert_eq!(link1, vec![0xA1; payload_len], "link 1 reverts to its prior image");
+        let live = recovered(&mut log);
+        prop_assert_eq!(live.len(), 2);
+        prop_assert_eq!(live[0].1.clone(), vec![0xA1; payload_len], "link 1 reverts to its prior image");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -90,22 +104,26 @@ proptest! {
 fn corrupt_primary_header_falls_back_to_valid_bak() {
     let dir = temp_dir("bak");
     let path = dir.join("shard3.mpsl");
-    // compact_every=2 guarantees a .bak rotation exists.
-    let (mut log, _) = ShardLog::open(StdIo, &path, 3, 2).unwrap();
-    log.append(7, b"seven-v1".to_vec()).unwrap();
-    log.append(8, b"eight-v1".to_vec()).unwrap();
+    let (mut log, _) = ShardLog::open(StdIo, &path, 3, 0).unwrap();
+    append(&mut log, 7, b"seven-v1");
+    append(&mut log, 8, b"eight-v1");
+    log.compact([(7, &b"seven-v2"[..]), (8, &b"eight-v2"[..])])
+        .unwrap();
     // Smash the primary's magic.
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[0] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
 
-    let (log2, rec) = ShardLog::open(StdIo, &path, 3, 0).unwrap();
+    let (_, rec) = ShardLog::open(StdIo, &path, 3, 0).unwrap();
     assert!(rec.used_bak, "recovery must use the .bak rotation");
-    assert_eq!(log2.live_links(), 2);
-    // Recovery rewrote the primary; a further reopen is clean.
-    let (log3, rec3) = ShardLog::open(StdIo, &path, 3, 0).unwrap();
+    assert_eq!(rec.records, 2);
+    // Recovery rewrote the primary from the .bak's valid bytes; a
+    // further reopen is clean and holds the pre-compaction records.
+    let (mut log3, rec3) = ShardLog::open(StdIo, &path, 3, 0).unwrap();
     assert!(!rec3.used_bak);
-    assert_eq!(log3.live_links(), 2);
+    let live = recovered(&mut log3);
+    assert_eq!(live[0], (7, b"seven-v1".to_vec()));
+    assert_eq!(live.len(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -137,9 +155,10 @@ fn appends_after_torn_recovery_extend_a_clean_file() {
 
     let (mut log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
     assert!(rec.torn_bytes > 0);
-    log.append(9, b"nine".to_vec()).unwrap();
-    let (log2, rec2) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+    append(&mut log, 9, b"nine");
+    let (mut log2, rec2) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
     assert_eq!(rec2.torn_bytes, 0, "recovery rewrote the file cleanly");
-    assert_eq!(log2.live_links(), 3);
+    let links: Vec<u64> = recovered(&mut log2).into_iter().map(|(l, _)| l).collect();
+    assert_eq!(links, vec![1, 2, 9]);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -66,7 +66,7 @@ fn calibrated(seed: u64) -> SessionRuntime<SubcarrierWeighting> {
 /// The window `link` receives at `tick` — pure in `(SEED, link, tick)`.
 /// Roughly one in 11 windows is poisoned with a mis-shaped packet.
 fn window_for(link: u64, tick: u64) -> Vec<CsiPacket> {
-    if mix(SEED, link, tick.wrapping_mul(13) ^ 0xFA) % 11 == 0 {
+    if mix(SEED, link, tick.wrapping_mul(13) ^ 0xFA).is_multiple_of(11) {
         let sc = DetectorConfig::default().band.num_subcarriers();
         return vec![CsiPacket::new(
             2,
@@ -76,7 +76,7 @@ fn window_for(link: u64, tick: u64) -> Vec<CsiPacket> {
             0.0,
         )];
     }
-    let occupied = mix(SEED, link % 2, tick ^ 0x0CC) % 3 == 0;
+    let occupied = mix(SEED, link % 2, tick ^ 0x0CC).is_multiple_of(3);
     let body = HumanBody::new(Vec2::new(4.0, 3.6));
     let mut rx = receiver(mix(SEED, link ^ 0x417, tick));
     rx.capture_static(occupied.then_some(&body), WINDOW)
@@ -197,6 +197,7 @@ fn chaos_fleet(
                 transient_period: 4,
                 torn_period: 7,
                 grace_appends: LINKS.div_ceil(SHARDS as u64),
+                tear_at: None,
             },
         );
         let (log, _) = ShardLog::open(io, dir.join(format!("shard{i}.mpsl")), i, 16).unwrap();

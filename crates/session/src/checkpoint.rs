@@ -33,7 +33,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use mpdf_core::error::DetectError;
 use mpdf_core::hmm::{Gaussian, HmmSmoother};
@@ -43,6 +43,7 @@ use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::csi::CsiPacket;
 
+use crate::durable::{retry_io, sync_parent_dir};
 use crate::runtime::{SessionMode, SessionSnapshot};
 use crate::sentinel::{DriftState, SentinelSnapshot};
 
@@ -131,53 +132,6 @@ impl From<DetectError> for CheckpointError {
     }
 }
 
-/// Transient-IO retry budget for checkpoint writes: total attempts per
-/// operation before the error is surfaced to the session.
-const IO_ATTEMPTS: u32 = 4;
-
-/// True for error kinds that a bounded retry is allowed to absorb:
-/// signal interruptions and spurious would-block reports. Everything
-/// else (permissions, disk full, bad paths) fails immediately.
-fn transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-    )
-}
-
-/// Runs an IO operation with a bounded deterministic retry on transient
-/// errors. Backoff is attempt-scaled scheduler yields, not wall-clock
-/// sleeps: no clock is read, so retries can never make control flow
-/// time-dependent. Each retry is counted on
-/// `session.checkpoint_io_retries_total`.
-fn retry_io<T, F: FnMut() -> std::io::Result<T>>(mut op: F) -> std::io::Result<T> {
-    let mut attempt = 1;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if transient(e.kind()) && attempt < IO_ATTEMPTS => {
-                mpdf_obs::counter!("session.checkpoint_io_retries_total").inc();
-                for _ in 0..attempt {
-                    std::thread::yield_now();
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Fsyncs the directory containing `path`, making a just-completed
-/// rename of `path` itself durable (renames are directory mutations; the
-/// file's own `sync_all` does not cover them).
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    retry_io(|| std::fs::File::open(parent)?.sync_all())
-}
-
 /// FNV-1a 64-bit checksum.
 fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -208,7 +162,7 @@ fn len_u16(what: &'static str, len: usize) -> Result<u16, CheckpointError> {
 }
 
 fn put_packets(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     windows: &[Vec<CsiPacket>],
     antennas: usize,
     subcarriers: usize,
@@ -224,8 +178,7 @@ fn put_packets(
             buf.put_u64_le(p.seq);
             buf.put_f64_le(p.timestamp);
             for a in 0..antennas {
-                for k in 0..subcarriers {
-                    let z = p.get(a, k);
+                for z in &p.antenna_row(a)[..subcarriers] {
                     buf.put_f64_le(z.re);
                     buf.put_f64_le(z.im);
                 }
@@ -233,6 +186,24 @@ fn put_packets(
         }
     }
     Ok(())
+}
+
+/// Borrowed view of everything a checkpoint image holds, so a running
+/// session can be encoded without first cloning its state into a
+/// [`SessionSnapshot`].
+pub(crate) struct SnapshotParts<'a> {
+    pub(crate) cursor: u64,
+    pub(crate) threshold: f64,
+    pub(crate) profile: &'a CalibrationProfile,
+    pub(crate) hmm: HmmSmoother,
+    pub(crate) posterior: f64,
+    pub(crate) sentinel: SentinelSnapshot,
+    pub(crate) mode: SessionMode,
+    pub(crate) retries: u32,
+    pub(crate) backoff_remaining: u64,
+    pub(crate) watchdog_strikes: u32,
+    pub(crate) reservoir: &'a [Vec<CsiPacket>],
+    pub(crate) shadow: &'a [Vec<CsiPacket>],
 }
 
 /// Serializes a session snapshot into a checkpoint byte image.
@@ -246,9 +217,41 @@ fn put_packets(
 /// field's range (the format caps shapes at `u16` and window/packet
 /// counts at `u32`).
 pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Bytes, CheckpointError> {
+    encode_parts(&SnapshotParts {
+        cursor: snapshot.cursor,
+        threshold: snapshot.threshold,
+        profile: &snapshot.profile,
+        hmm: snapshot.hmm,
+        posterior: snapshot.posterior,
+        sentinel: snapshot.sentinel,
+        mode: snapshot.mode,
+        retries: snapshot.retries,
+        backoff_remaining: snapshot.backoff_remaining,
+        watchdog_strikes: snapshot.watchdog_strikes,
+        reservoir: &snapshot.reservoir,
+        shadow: &snapshot.shadow,
+    })
+}
+
+/// Header bytes before the payload: magic, version, payload length.
+const IMAGE_HEADER: usize = 4 + 2 + 8;
+
+pub(crate) fn encode_parts(snapshot: &SnapshotParts<'_>) -> Result<Bytes, CheckpointError> {
     let antennas = snapshot.profile.antennas();
     let subcarriers = snapshot.profile.subcarriers();
-    let mut payload = BytesMut::with_capacity(4096);
+    let packet_bytes = 16 + antennas * subcarriers * 16;
+    let packets: usize = snapshot
+        .reservoir
+        .iter()
+        .chain(snapshot.shadow)
+        .map(Vec::len)
+        .sum();
+    // The image is built in place: header (length patched below),
+    // payload, checksum.
+    let mut payload = Vec::with_capacity(IMAGE_HEADER + 4096 + packets * packet_bytes + 8);
+    payload.put_slice(MAGIC);
+    payload.put_u16_le(VERSION);
+    payload.put_u64_le(0);
     payload.put_u64_le(snapshot.cursor);
     payload.put_f64_le(snapshot.threshold);
 
@@ -308,17 +311,14 @@ pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Bytes, CheckpointEr
     payload.put_u32_le(snapshot.watchdog_strikes);
 
     // Packet windows.
-    put_packets(&mut payload, &snapshot.reservoir, antennas, subcarriers)?;
-    put_packets(&mut payload, &snapshot.shadow, antennas, subcarriers)?;
+    put_packets(&mut payload, snapshot.reservoir, antennas, subcarriers)?;
+    put_packets(&mut payload, snapshot.shadow, antennas, subcarriers)?;
 
-    let mut buf = BytesMut::with_capacity(22 + payload.len());
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_slice(&payload);
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    Ok(buf.freeze())
+    let len = (payload.len() - IMAGE_HEADER) as u64;
+    payload[IMAGE_HEADER - 8..IMAGE_HEADER].copy_from_slice(&len.to_le_bytes());
+    let checksum = fnv1a(&payload);
+    payload.put_u64_le(checksum);
+    Ok(Bytes::from(payload))
 }
 
 /// Bounds-checked little-endian reader over the payload.
@@ -614,16 +614,19 @@ impl CheckpointStore {
         let _stage = mpdf_obs::stage!("session.checkpoint");
         let bytes = encode_snapshot(snapshot)?;
         let tmp = self.sibling(".tmp");
-        retry_io(|| {
+        let retries = mpdf_obs::counter!("session.checkpoint_io_retries_total");
+        retry_io(retries, || {
             let mut f = std::fs::File::create(&tmp)?;
             std::io::Write::write_all(&mut f, &bytes)?;
             f.sync_all()
         })?;
         if self.path.exists() {
-            retry_io(|| std::fs::rename(&self.path, self.sibling(".bak")))?;
+            retry_io(retries, || {
+                std::fs::rename(&self.path, self.sibling(".bak"))
+            })?;
         }
-        retry_io(|| std::fs::rename(&tmp, &self.path))?;
-        sync_parent_dir(&self.path)?;
+        retry_io(retries, || std::fs::rename(&tmp, &self.path))?;
+        retry_io(retries, || sync_parent_dir(&self.path))?;
         mpdf_obs::counter!("session.checkpoint_writes_total").inc();
         Ok(())
     }
@@ -697,6 +700,16 @@ mod tests {
     }
 
     #[test]
+    fn runtime_encoding_matches_the_snapshot_encoding_byte_for_byte() {
+        let rt = runtime();
+        let direct = rt.encode_checkpoint().unwrap();
+        let via_snapshot = encode_snapshot(&rt.snapshot()).unwrap();
+        assert_eq!(&direct[..], &via_snapshot[..]);
+        let decoded = decode_snapshot(&direct, rt.detector().config()).unwrap();
+        assert_eq!(&encode_snapshot(&decoded).unwrap()[..], &direct[..]);
+    }
+
+    #[test]
     fn oversized_collections_are_a_typed_error_not_a_truncation() {
         // The length fields are u16 (shape) and u32 (window/packet
         // counts); lengths past them must fail loudly — the old `as`
@@ -718,43 +731,6 @@ mod tests {
             len_u32("packet windows", u32::MAX as usize + 1),
             Err(CheckpointError::TooLarge { max, .. }) if max == u64::from(u32::MAX)
         ));
-    }
-
-    #[test]
-    fn transient_io_errors_are_retried_with_a_bounded_budget() {
-        use std::io::{Error, ErrorKind};
-        // Two interruptions, then success: absorbed.
-        let mut calls = 0;
-        let v = retry_io(|| {
-            calls += 1;
-            if calls < 3 {
-                Err(Error::new(ErrorKind::Interrupted, "signal"))
-            } else {
-                Ok(42)
-            }
-        })
-        .unwrap();
-        assert_eq!((v, calls), (42, 3));
-
-        // A persistent transient error exhausts the budget and surfaces.
-        let mut calls = 0;
-        let err = retry_io::<(), _>(|| {
-            calls += 1;
-            Err(Error::new(ErrorKind::WouldBlock, "busy"))
-        })
-        .unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::WouldBlock);
-        assert_eq!(calls, IO_ATTEMPTS);
-
-        // Non-transient errors fail on the first call.
-        let mut calls = 0;
-        let err = retry_io::<(), _>(|| {
-            calls += 1;
-            Err(Error::new(ErrorKind::PermissionDenied, "no"))
-        })
-        .unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::PermissionDenied);
-        assert_eq!(calls, 1);
     }
 
     #[test]

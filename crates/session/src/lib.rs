@@ -17,7 +17,9 @@
 //!   degradation to frozen-profile mode;
 //! - [`checkpoint`] — versioned, checksummed serialization of the full
 //!   session state with atomic write-rename and previous-good fallback,
-//!   so a killed session restores bit-identically.
+//!   so a killed session restores bit-identically;
+//! - [`durable`] — the bounded transient-IO retry and parent-directory
+//!   fsync shared by the checkpoint store and the fleet's shard logs.
 //!
 //! Everything is deterministic and clock-free: retry budgets, backoff and
 //! watchdog deadlines are counted in *windows*, never wall time, so a
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod durable;
 pub mod runtime;
 pub mod sentinel;
 

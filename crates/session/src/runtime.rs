@@ -625,6 +625,29 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
         }
     }
 
+    /// Encodes the complete dynamic state as a checkpoint image —
+    /// byte-identical to `encode_snapshot(&self.snapshot())`, without
+    /// cloning the state first.
+    ///
+    /// # Errors
+    /// See [`crate::checkpoint::encode_snapshot`].
+    pub fn encode_checkpoint(&self) -> Result<bytes::Bytes, crate::CheckpointError> {
+        crate::checkpoint::encode_parts(&crate::checkpoint::SnapshotParts {
+            cursor: self.cursor,
+            threshold: self.detector.threshold(),
+            profile: self.detector.profile(),
+            hmm: self.hmm,
+            posterior: self.posterior,
+            sentinel: self.sentinel.snapshot(),
+            mode: self.mode,
+            retries: self.retries,
+            backoff_remaining: self.backoff_remaining,
+            watchdog_strikes: self.watchdog_strikes,
+            reservoir: &self.reservoir,
+            shadow: &self.shadow,
+        })
+    }
+
     /// Reconstructs a session from a snapshot plus the deployment
     /// constants (scheme, detector config, session config) it was
     /// originally calibrated with. The restored session continues
