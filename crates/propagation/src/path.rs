@@ -89,12 +89,21 @@ impl PropagationPath {
     /// # Panics
     /// Panics if `k` is negative or non-finite.
     pub fn attenuated(&self, k: f64) -> PropagationPath {
-        assert!(k.is_finite() && k >= 0.0, "attenuation must be >= 0");
         PropagationPath {
             vertices: self.vertices.clone(),
-            amplitude_factor: self.amplitude_factor * k,
+            amplitude_factor: self.attenuated_factor(k),
             kind: self.kind,
         }
+    }
+
+    /// The amplitude factor [`PropagationPath::attenuated`] would store,
+    /// without copying the vertices.
+    ///
+    /// # Panics
+    /// Panics if `k` is negative or non-finite.
+    pub fn attenuated_factor(&self, k: f64) -> f64 {
+        assert!(k.is_finite() && k >= 0.0, "attenuation must be >= 0");
+        self.amplitude_factor * k
     }
 
     /// Total geometric length in metres.

@@ -9,6 +9,9 @@ use mpdf_propagation::path::PathKind;
 use mpdf_propagation::pathloss::PathLossModel;
 use mpdf_propagation::tracer::{trace, TraceConfig};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+use mpdf_eval::scenario::{five_cases, LinkCase};
 
 fn room() -> Environment {
     Environment::empty_room(Rect::new(Vec2::ZERO, Vec2::new(8.0, 6.0)))
@@ -21,6 +24,41 @@ fn interior() -> impl Strategy<Value = Vec2> {
 
 fn wifi_freq() -> impl Strategy<Value = f64> {
     2.452e9f64..2.472e9
+}
+
+/// The five evaluation links with their traced channels, built once.
+fn case_links() -> &'static [(LinkCase, ChannelModel)] {
+    static LINKS: OnceLock<Vec<(LinkCase, ChannelModel)>> = OnceLock::new();
+    LINKS.get_or_init(|| {
+        five_cases()
+            .into_iter()
+            .map(|case| {
+                let model = ChannelModel::new(case.environment.clone(), case.tx, case.rx).unwrap();
+                (case, model)
+            })
+            .collect()
+    })
+}
+
+/// Where a test body stands: `(kind, u, v)` places it anywhere in the
+/// case's room (kind 0), on the LOS (kind 1), or within 1e-6 m of an
+/// endpoint (kind 2), where no scatter path exists.
+fn body_spot() -> impl Strategy<Value = (usize, f64, f64)> {
+    (0usize..3, 0.0f64..1.0, 0.0f64..1.0)
+}
+
+fn place(case: &LinkCase, (kind, u, v): (usize, f64, f64)) -> Vec2 {
+    match kind {
+        0 => {
+            let (lo, hi) = (case.room.min(), case.room.max());
+            Vec2::new(lo.x + u * (hi.x - lo.x), lo.y + v * (hi.y - lo.y))
+        }
+        1 => case.tx.lerp(case.rx, u),
+        _ => {
+            let end = if v < 0.5 { case.tx } else { case.rx };
+            end + Vec2::from_angle(u * std::f64::consts::TAU) * (0.9e-6 * v)
+        }
+    }
 }
 
 proptest! {
@@ -138,5 +176,36 @@ proptest! {
         let calm = model.snapshot(None).unwrap();
         let busy = model.snapshot(Some(&HumanBody::new(bx))).unwrap();
         prop_assert_eq!(busy.paths().len(), calm.paths().len() + 1);
+    }
+
+    #[test]
+    fn static_table_synthesis_is_bitwise_the_snapshot_cfr(
+        a in body_spot(), b in body_spot(), axis in 0.0f64..std::f64::consts::TAU
+    ) {
+        // A 3-element λ/2 array on a random axis, over a 30-subcarrier grid.
+        let freqs: Vec<f64> = (0..30).map(|k| 2.444e9 + k as f64 * 1.25e6).collect();
+        let offsets: Vec<Vec2> = (0..3)
+            .map(|e| Vec2::from_angle(axis) * ((e as f64 - 1.0) * 0.0609))
+            .collect();
+        let mut synth = Vec::new();
+        for (case, model) in case_links() {
+            let table = model.static_cfr_table(&freqs, &offsets);
+            let spots = [a, b];
+            for n in 0..=2 {
+                let bodies: Vec<HumanBody> =
+                    spots[..n].iter().map(|&s| HumanBody::new(place(case, s))).collect();
+                model.synthesize_into(&table, &bodies, &mut synth);
+                prop_assert_eq!(synth.len(), offsets.len() * freqs.len());
+                let snap = model.snapshot_multi(&bodies).unwrap();
+                for (e, &off) in offsets.iter().enumerate() {
+                    let reference = snap.cfr_with_offset(&freqs, off);
+                    for (k, h) in reference.iter().enumerate() {
+                        let got = synth[e * freqs.len() + k];
+                        prop_assert_eq!(got.re.to_bits(), h.re.to_bits());
+                        prop_assert_eq!(got.im.to_bits(), h.im.to_bits());
+                    }
+                }
+            }
+        }
     }
 }

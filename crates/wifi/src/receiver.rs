@@ -6,11 +6,13 @@
 //! hands back [`CsiPacket`]s. All randomness comes from one seeded RNG so
 //! campaigns are exactly reproducible.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use mpdf_propagation::channel::{CfrPlan, ChannelModel};
+use mpdf_propagation::channel::{ChannelModel, StaticCfrTable};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::tracer::TraceError;
 use mpdf_propagation::trajectory::Trajectory;
@@ -74,6 +76,12 @@ impl Default for ReceiverConfig {
 pub struct CsiReceiver {
     channel: ChannelModel,
     config: ReceiverConfig,
+    /// The static paths' body-invariant CFR terms over the band and the
+    /// array, built once in [`CsiReceiver::with_config`] and shared by
+    /// every clone and fork. It needs no key: the receiver has no setter
+    /// for its channel, band or array, so none can change after
+    /// construction.
+    table: Arc<StaticCfrTable>,
     /// Fixed front-end gain normalizing CSI amplitudes to O(1).
     gain: f64,
     /// Reference per-sample signal power used to size AWGN (measured on
@@ -99,7 +107,8 @@ impl CsiReceiver {
     /// seed.
     ///
     /// # Errors
-    /// Propagates [`TraceError`] if the link cannot be traced.
+    /// Kept for API stability: the link was traced, and validated, when
+    /// `channel` was built.
     pub fn new(channel: ChannelModel, seed: u64) -> Result<Self, TraceError> {
         CsiReceiver::with_config(channel, ReceiverConfig::default(), seed)
     }
@@ -107,7 +116,8 @@ impl CsiReceiver {
     /// Creates a receiver with an explicit configuration.
     ///
     /// # Errors
-    /// Propagates [`TraceError`] if the link cannot be traced.
+    /// Kept for API stability: the link was traced, and validated, when
+    /// `channel` was built.
     ///
     /// # Panics
     /// Panics if the packet rate is not positive.
@@ -120,23 +130,21 @@ impl CsiReceiver {
         // Normalize so a 1 m LOS link has unit amplitude.
         let fc = config.band.center_hz();
         let gain = 1.0 / channel.pathloss().amplitude_gain(1.0, fc);
-        let snapshot = channel.snapshot(None)?;
         let freqs = config.band.frequencies();
-        let plan = snapshot.cfr_plan(&freqs);
-        let mut power = 0.0;
         let offsets = config.array.offsets();
-        let mut buf = Vec::new();
-        for off in &offsets {
-            plan.eval_into(*off, &mut buf);
-            for &h in &buf {
-                power += (h * gain).norm_sqr();
-            }
+        let table = channel.static_cfr_table(&freqs, &offsets);
+        let mut cfr = Vec::new();
+        channel.synthesize_into(&table, &[], &mut cfr);
+        let mut power = 0.0;
+        for &h in &cfr {
+            power += (h * gain).norm_sqr();
         }
-        let reference_power = (power / (offsets.len() * freqs.len()) as f64).max(f64::MIN_POSITIVE);
-        let drift = vec![mpdf_rfmath::complex::Complex64::ZERO; offsets.len() * freqs.len()];
+        let reference_power = (power / cfr.len() as f64).max(f64::MIN_POSITIVE);
+        let drift = vec![mpdf_rfmath::complex::Complex64::ZERO; cfr.len()];
         Ok(CsiReceiver {
             channel,
             config,
+            table: Arc::new(table),
             gain,
             reference_power,
             drift,
@@ -266,42 +274,31 @@ impl CsiReceiver {
         self.reference_power
     }
 
-    /// Clean (impairment-free) packet for a frozen channel snapshot,
-    /// including the current session's clutter drift. The CFR plan hoists
-    /// the per-path setup out of the per-element loop (and, for a static
-    /// scene, out of the per-packet loop entirely); `buf` is the reused
-    /// per-element CFR scratch.
-    fn clean_packet(
-        &self,
-        plan: &CfrPlan,
-        offsets: &[mpdf_geom::vec2::Vec2],
-        buf: &mut Vec<mpdf_rfmath::complex::Complex64>,
-    ) -> CsiPacket {
-        let nf = plan.freqs().len();
-        let mut data = Vec::with_capacity(offsets.len() * nf);
-        for (i, off) in offsets.iter().enumerate() {
-            plan.eval_into(*off, buf);
-            for (k, &h) in buf.iter().enumerate() {
-                data.push((h * self.gain + self.drift[i * nf + k]) * self.session_gain);
-            }
-        }
-        CsiPacket::new(offsets.len(), nf, data, self.seq, self.time)
+    /// Clean (impairment-free) packet from the element-major CFR `cfr`,
+    /// including the current session's clutter drift.
+    fn clean_packet(&self, cfr: &[mpdf_rfmath::complex::Complex64]) -> CsiPacket {
+        let data = cfr
+            .iter()
+            .zip(&self.drift)
+            .map(|(&h, &d)| (h * self.gain + d) * self.session_gain)
+            .collect();
+        CsiPacket::new(
+            self.table.offsets().len(),
+            self.table.freqs().len(),
+            data,
+            self.seq,
+            self.time,
+        )
     }
 
-    /// Emits one packet slot into `out`. With faults disabled this pushes
-    /// exactly one packet and never touches the fault RNG stream; with
-    /// faults enabled the slot may contribute zero (loss, hold-back), one
-    /// or two (duplicate, released hold-back) packets. The sequence
-    /// number and clock advance once per slot either way, so lost packets
-    /// leave visible sequence gaps.
-    fn emit_into(
-        &mut self,
-        plan: &CfrPlan,
-        offsets: &[mpdf_geom::vec2::Vec2],
-        buf: &mut Vec<mpdf_rfmath::complex::Complex64>,
-        out: &mut Vec<CsiPacket>,
-    ) {
-        let mut packet = self.clean_packet(plan, offsets, buf);
+    /// Emits one packet slot of the element-major CFR `cfr` into `out`.
+    /// With faults disabled this pushes exactly one packet and never
+    /// touches the fault RNG stream; with faults enabled the slot may
+    /// contribute zero (loss, hold-back), one or two (duplicate, released
+    /// hold-back) packets. The sequence number and clock advance once per
+    /// slot either way, so lost packets leave visible sequence gaps.
+    fn emit_into(&mut self, cfr: &[mpdf_rfmath::complex::Complex64], out: &mut Vec<CsiPacket>) {
+        let mut packet = self.clean_packet(cfr);
         self.config.impairments.apply_with_interferer(
             &mut packet,
             self.config.band.indices(),
@@ -332,33 +329,34 @@ impl CsiReceiver {
     /// from `n` (loss swallows slots, duplication re-delivers).
     ///
     /// # Errors
-    /// Propagates [`TraceError`] from the snapshot.
+    /// Kept for API stability; synthesis itself cannot fail.
     pub fn capture_static(
         &mut self,
         human: Option<&HumanBody>,
         n: usize,
     ) -> Result<Vec<CsiPacket>, TraceError> {
-        let snapshot = self.channel.snapshot(human)?;
-        // One plan for the whole capture: the scene is frozen, so every
-        // packet shares the per-path/per-frequency CFR setup.
-        let plan = snapshot.cfr_plan(&self.config.band.frequencies());
-        let offsets = self.config.array.offsets();
-        let mut buf = Vec::new();
+        // The scene is frozen, so every packet shares one clean CFR.
+        let mut cfr = Vec::new();
+        self.channel.synthesize_into(
+            &self.table,
+            human.map_or(&[], std::slice::from_ref),
+            &mut cfr,
+        );
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            self.emit_into(&plan, &offsets, &mut buf, &mut out);
+            self.emit_into(&cfr, &mut out);
         }
         self.flush_faults(&mut out);
         Ok(out)
     }
 
     /// Captures `n` packets while the human follows `trajectory`
-    /// (re-tracing the channel per packet). Time starts at the current
-    /// receiver clock and the trajectory is evaluated on the *elapsed*
-    /// time since this call began.
+    /// (re-synthesizing the channel per packet). Time starts at the
+    /// current receiver clock and the trajectory is evaluated on the
+    /// *elapsed* time since this call began.
     ///
     /// # Errors
-    /// Propagates [`TraceError`] from per-packet snapshots.
+    /// Kept for API stability; synthesis itself cannot fail.
     pub fn capture_moving<T: Trajectory + ?Sized>(
         &mut self,
         body: &HumanBody,
@@ -366,15 +364,13 @@ impl CsiReceiver {
         n: usize,
     ) -> Result<Vec<CsiPacket>, TraceError> {
         let t0 = self.time;
-        let freqs = self.config.band.frequencies();
-        let offsets = self.config.array.offsets();
-        let mut buf = Vec::new();
+        let mut cfr = Vec::new();
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let pos = trajectory.position(self.time - t0);
-            let snapshot = self.channel.snapshot(Some(&body.at(pos)))?;
-            let plan = snapshot.cfr_plan(&freqs);
-            self.emit_into(&plan, &offsets, &mut buf, &mut out);
+            self.channel
+                .synthesize_into(&self.table, &[body.at(pos)], &mut cfr);
+            self.emit_into(&cfr, &mut out);
         }
         self.flush_faults(&mut out);
         Ok(out)
@@ -393,7 +389,7 @@ impl CsiReceiver {
     /// environment's variability.
     ///
     /// # Errors
-    /// Propagates [`TraceError`] from the snapshot.
+    /// Kept for API stability; synthesis itself cannot fail.
     pub fn capture_sessions(
         &mut self,
         human: Option<&HumanBody>,
@@ -414,7 +410,7 @@ impl CsiReceiver {
     /// campaign: a monitored person plus background walkers.
     ///
     /// # Errors
-    /// Propagates [`TraceError`] from per-packet snapshots.
+    /// Kept for API stability; synthesis itself cannot fail.
     pub fn capture_actors(
         &mut self,
         actors: &[Actor<'_>],
@@ -424,9 +420,7 @@ impl CsiReceiver {
             return self.capture_static(None, n);
         }
         let t0 = self.time;
-        let freqs = self.config.band.frequencies();
-        let offsets = self.config.array.offsets();
-        let mut buf = Vec::new();
+        let mut cfr = Vec::new();
         let mut bodies = Vec::with_capacity(actors.len());
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -437,9 +431,8 @@ impl CsiReceiver {
                     .iter()
                     .map(|a| a.body.at(a.trajectory.position(elapsed))),
             );
-            let snapshot = self.channel.snapshot_multi(&bodies)?;
-            let plan = snapshot.cfr_plan(&freqs);
-            self.emit_into(&plan, &offsets, &mut buf, &mut out);
+            self.channel.synthesize_into(&self.table, &bodies, &mut cfr);
+            self.emit_into(&cfr, &mut out);
         }
         self.flush_faults(&mut out);
         Ok(out)
@@ -585,6 +578,23 @@ mod tests {
         assert_eq!(a, b);
         let c = rx.fork(43).capture_static(None, 3).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn forks_share_one_table_and_capture_independently() {
+        let rx = CsiReceiver::new(link(), 7).unwrap();
+        let mut a = rx.fork(11);
+        let mut b = rx.fork(12);
+        assert!(Arc::ptr_eq(&rx.table, &a.table));
+        assert!(Arc::ptr_eq(&a.table, &b.table));
+        let body = HumanBody::new(Vec2::new(4.0, 3.2));
+        let walk = LinearWalk::new(Vec2::new(3.0, 2.0), Vec2::new(5.0, 4.0), 1.0);
+        let alone = rx.fork(11).capture_moving(&body, &walk, 6).unwrap();
+        // A sibling's captures, static and moving, leave the shared
+        // table, and so this fork's capture, untouched.
+        let _ = b.capture_static(Some(&body), 4).unwrap();
+        let _ = b.capture_moving(&body, &walk, 6).unwrap();
+        assert_eq!(a.capture_moving(&body, &walk, 6).unwrap(), alone);
     }
 
     #[test]
