@@ -18,7 +18,7 @@ use std::path::Path;
 
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::DetectionScheme;
-use mpdf_session::checkpoint::decode_snapshot;
+use mpdf_session::checkpoint::decode_image;
 use mpdf_session::{SessionConfig, SessionRuntime};
 use mpdf_wifi::csi::CsiPacket;
 
@@ -331,7 +331,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Fleet<S, IO> {
                 // restore it with nothing to go on is impossible.
                 return Err(FleetError::MissingSnapshot(link));
             };
-            let snapshot = decode_snapshot(snap, &c.detector)?;
+            let snapshot = decode_image(snap, &c.detector)?;
             SessionRuntime::from_snapshot(
                 snapshot,
                 c.scheme.clone(),

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! header   magic    b"MPSL"        4 bytes
-//!          version  u16            2   (LOG_VERSION = 2)
+//!          version  u16            2   (LOG_VERSION = 3)
 //!          shard    u32            4
 //! record   sync     b"RC"          2
 //!          gen      u64            8   (log-wide generation number)
@@ -23,10 +23,14 @@
 //!          payload  [len bytes]
 //!          crc      u64            8   CRC-64/WE over gen..payload
 //!
-//! snapshot    LinkMeta ‖ encode_snapshot(..)
+//! snapshot    LinkMeta ‖ checkpoint image (encode_image_into, no trailer)
 //! window      tick u64 ‖ packets u32 ‖ packets as mpdf_wifi::wire frames
 //! shape fault tick u64 ‖ got antennas u64 ‖ got subcarriers u64
 //! ```
+//!
+//! The record CRC is the only checksum on a snapshot's bytes: the image
+//! is encoded straight into its frame, and decoded with
+//! `mpdf_session::checkpoint::decode_image` once the frame checks out.
 //!
 //! Recovery scans records in file order; the first frame that fails its
 //! sync marker, length bound, kind byte, CRC, or whose generation is not
@@ -45,16 +49,17 @@ use std::fmt;
 use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
-use mpdf_session::durable::{retry_io, sync_parent_dir};
+use mpdf_session::durable::{crc64, retry_io, sync_parent_dir};
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire::{self, WireError, WireRecord};
 
 /// Shard-log file magic.
 pub const LOG_MAGIC: &[u8; 4] = b"MPSL";
-/// Current shard-log format version.
-pub const LOG_VERSION: u16 = 2;
+/// Current shard-log format version. Version 2 snapshot records carried
+/// the checkpoint file's own trailer; version 1 logged a snapshot per
+/// delivery. Both are refused as [`LogError::UnsupportedVersion`].
+pub const LOG_VERSION: u16 = 3;
 /// Byte length of the file header.
 pub const HEADER_LEN: usize = 10;
 /// Per-record framing overhead (sync + gen + link + kind + len + crc).
@@ -142,56 +147,6 @@ impl From<WireError> for LogError {
     }
 }
 
-/// CRC-64 over the ECMA-182 polynomial (`0x42F0E1EBA9EA3693`),
-/// MSB-first, with all-ones init and xorout (the CRC-64/WE profile) so
-/// leading-zero damage and the empty input are distinguishable.
-/// Computed eight bytes per step (slicing-by-8).
-pub fn crc64(data: &[u8]) -> u64 {
-    static TABLES: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
-    let t = TABLES.get_or_init(|| {
-        let mut t = [[0u64; 256]; 8];
-        for (i, entry) in t[0].iter_mut().enumerate() {
-            let mut crc = (i as u64) << 56;
-            for _ in 0..8 {
-                crc = if crc & (1 << 63) != 0 {
-                    (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
-                } else {
-                    crc << 1
-                };
-            }
-            *entry = crc;
-        }
-        // t[k][b]: byte b followed by k zero bytes.
-        for k in 1..8 {
-            for i in 0..256 {
-                let prev = t[k - 1][i];
-                t[k][i] = (prev << 8) ^ t[0][(prev >> 56) as usize];
-            }
-        }
-        t
-    });
-    let mut crc = !0u64;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        let x = crc ^ u64::from_be_bytes(word);
-        crc = t[7][(x >> 56) as usize]
-            ^ t[6][(x >> 48) as usize & 0xFF]
-            ^ t[5][(x >> 40) as usize & 0xFF]
-            ^ t[4][(x >> 32) as usize & 0xFF]
-            ^ t[3][(x >> 24) as usize & 0xFF]
-            ^ t[2][(x >> 16) as usize & 0xFF]
-            ^ t[1][(x >> 8) as usize & 0xFF]
-            ^ t[0][x as usize & 0xFF];
-    }
-    for &byte in chunks.remainder() {
-        let idx = ((crc >> 56) ^ u64::from(byte)) as usize & 0xFF;
-        crc = (crc << 8) ^ t[0][idx];
-    }
-    !crc
-}
-
 /// The filesystem surface a shard log needs. Production uses [`StdIo`];
 /// the chaos harness wraps any `LogIo` in a fault-injecting shim.
 pub trait LogIo {
@@ -262,10 +217,10 @@ pub struct LogRecovery {
     pub used_bak: bool,
 }
 
-/// The three record kinds of a v2 shard log.
+/// The three record kinds of a v3 shard log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
-    /// `LinkMeta ‖ session snapshot`: a birth record or a compaction
+    /// `LinkMeta ‖ checkpoint image`: a birth record or a compaction
     /// image.
     Snapshot,
     /// One delivered window's packets.
@@ -309,7 +264,7 @@ pub struct Record<'a> {
 /// A record's decoded payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Entry<'a> {
-    /// `LinkMeta ‖ session snapshot` bytes.
+    /// `LinkMeta ‖ checkpoint image` bytes.
     Snapshot(&'a [u8]),
     /// A delivered window.
     Window {
@@ -421,7 +376,7 @@ impl LogImage {
     }
 }
 
-fn header_bytes(shard: u32) -> Vec<u8> {
+pub(crate) fn header_bytes(shard: u32) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN);
     bytes.extend_from_slice(LOG_MAGIC);
     bytes.extend_from_slice(&LOG_VERSION.to_le_bytes());
@@ -431,13 +386,13 @@ fn header_bytes(shard: u32) -> Vec<u8> {
 
 /// Frames one record into `out`; `write` appends the payload. On error
 /// `out` is left as it was.
-fn frame_record(
+pub(crate) fn frame_record<E: From<LogError>>(
     out: &mut Vec<u8>,
     gen: u64,
     link: u64,
     kind: RecordKind,
-    write: impl FnOnce(&mut Vec<u8>) -> Result<(), LogError>,
-) -> Result<(), LogError> {
+    write: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
     let start = out.len();
     out.extend_from_slice(RECORD_SYNC);
     out.extend_from_slice(&gen.to_le_bytes());
@@ -448,7 +403,7 @@ fn frame_record(
     let written = write(out).and_then(|()| {
         let len = out.len() - body;
         if len > MAX_RECORD_PAYLOAD {
-            return Err(LogError::TooLarge { len });
+            return Err(LogError::TooLarge { len }.into());
         }
         Ok(len as u32)
     });
@@ -548,6 +503,9 @@ pub struct ShardLog<IO: LogIo> {
     windows_since_compact: usize,
     pending: Vec<u8>,
     pending_windows: usize,
+    /// The buffer compaction builds the new file in, kept between
+    /// compactions like `pending`.
+    compacted: Vec<u8>,
     /// A failed append may have left a torn tail; the next flush
     /// rewrites the primary from its valid prefix first.
     torn: bool,
@@ -586,6 +544,7 @@ impl<IO: LogIo> ShardLog<IO> {
             windows_since_compact: 0,
             pending: Vec::new(),
             pending_windows: 0,
+            compacted: Vec::new(),
             torn: false,
         };
         let (recovery, _) = log.recover()?;
@@ -690,12 +649,12 @@ impl<IO: LogIo> ShardLog<IO> {
         Ok(scan(&data, self.shard).ok().map(|s| (data, s)))
     }
 
-    fn stage(
+    fn stage<E: From<LogError>>(
         &mut self,
         link: u64,
         kind: RecordKind,
-        write: impl FnOnce(&mut Vec<u8>) -> Result<(), LogError>,
-    ) -> Result<(), LogError> {
+        write: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
         frame_record(&mut self.pending, self.next_gen, link, kind, write)?;
         self.next_gen += 1;
         if kind != RecordKind::Snapshot {
@@ -704,15 +663,18 @@ impl<IO: LogIo> ShardLog<IO> {
         Ok(())
     }
 
-    /// Stages a snapshot record (`payload` is `LinkMeta ‖ snapshot`).
+    /// Stages a snapshot record: `write` appends its payload
+    /// (`LinkMeta ‖ checkpoint image`) straight into the frame.
     ///
     /// # Errors
-    /// [`LogError::TooLarge`]; nothing is staged on error.
-    pub fn stage_snapshot(&mut self, link: u64, payload: &[u8]) -> Result<(), LogError> {
-        self.stage(link, RecordKind::Snapshot, |out| {
-            out.extend_from_slice(payload);
-            Ok(())
-        })
+    /// `write`'s error, or [`LogError::TooLarge`]; nothing is staged on
+    /// error.
+    pub fn stage_snapshot<E: From<LogError>>(
+        &mut self,
+        link: u64,
+        write: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.stage(link, RecordKind::Snapshot, write)
     }
 
     /// Stages a window record: the tick and the packets as wire frames.
@@ -796,38 +758,50 @@ impl<IO: LogIo> ShardLog<IO> {
         self.compact_every > 0 && self.windows_since_compact >= self.compact_every
     }
 
-    /// Rewrites the log as one snapshot record per link (`images` holds
-    /// `(link, LinkMeta ‖ snapshot)`), rotating the previous file to
-    /// `.bak` (the last-good-generation fallback).
+    /// Rewrites the log as one snapshot record per link, rotating the
+    /// previous file to `.bak` (the last-good-generation fallback).
+    /// `images` yields each link with a writer that appends its payload
+    /// (`LinkMeta ‖ checkpoint image`) straight into the new file, which
+    /// is built in a buffer the log keeps between compactions.
     ///
     /// # Errors
-    /// IO failures; a crash between the rotation and the rewrite leaves
-    /// the `.bak` recoverable.
-    pub fn compact<'a>(
+    /// A writer's error or [`LogError::TooLarge`], before anything is
+    /// written; IO failures, where a crash between the rotation and the
+    /// rewrite leaves the `.bak` recoverable.
+    pub fn compact<E, W>(&mut self, images: impl IntoIterator<Item = (u64, W)>) -> Result<(), E>
+    where
+        E: From<LogError>,
+        W: FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    {
+        let mut bytes = std::mem::take(&mut self.compacted);
+        let written = self.rewrite(&mut bytes, images);
+        self.compacted = bytes;
+        written
+    }
+
+    fn rewrite<E, W>(
         &mut self,
-        images: impl IntoIterator<Item = (u64, &'a [u8])>,
-    ) -> Result<(), LogError> {
-        let mut bytes = header_bytes(self.shard);
-        for (link, image) in images {
-            frame_record(
-                &mut bytes,
-                self.next_gen,
-                link,
-                RecordKind::Snapshot,
-                |out| {
-                    out.extend_from_slice(image);
-                    Ok(())
-                },
-            )?;
+        bytes: &mut Vec<u8>,
+        images: impl IntoIterator<Item = (u64, W)>,
+    ) -> Result<(), E>
+    where
+        E: From<LogError>,
+        W: FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    {
+        bytes.clear();
+        bytes.extend_from_slice(&header_bytes(self.shard));
+        for (link, write) in images {
+            frame_record(bytes, self.next_gen, link, RecordKind::Snapshot, write)?;
             self.next_gen += 1;
         }
         if self.io.exists(&self.path) {
-            retry(|| self.io.rename(&self.path, &self.bak))?;
+            retry(|| self.io.rename(&self.path, &self.bak)).map_err(LogError::from)?;
         }
-        retry(|| self.io.replace(&self.path, &bytes))?;
+        retry(|| self.io.replace(&self.path, bytes)).map_err(LogError::from)?;
         self.torn = false;
         self.windows_since_compact = 0;
         mpdf_obs::counter!("fleet.log.compactions_total").inc();
+        mpdf_obs::counter!("fleet.log.compacted_bytes_total").add(bytes.len() as u64);
         Ok(())
     }
 }
@@ -858,44 +832,20 @@ mod tests {
         (rec, fresh.recover().unwrap().1)
     }
 
+    /// A payload writer that appends `payload` as it is.
+    fn bytes(payload: &[u8]) -> impl FnOnce(&mut Vec<u8>) -> Result<(), LogError> + '_ {
+        move |out| {
+            out.extend_from_slice(payload);
+            Ok(())
+        }
+    }
+
     /// Appends a CRC-valid record with an explicit generation.
     fn raw_append(log: &mut ShardLog<MemIo>, gen: u64, link: u64) -> usize {
         let mut rec = Vec::new();
-        frame_record(&mut rec, gen, link, RecordKind::Snapshot, |out| {
-            out.extend_from_slice(b"stale");
-            Ok(())
-        })
-        .unwrap();
+        frame_record(&mut rec, gen, link, RecordKind::Snapshot, bytes(b"stale")).unwrap();
         log.io.append(Path::new("shard0.mpsl"), &rec).unwrap();
         rec.len()
-    }
-
-    #[test]
-    fn crc64_is_stable_sensitive_and_matches_the_bytewise_definition() {
-        let a = crc64(b"123456789");
-        assert_eq!(a, crc64(b"123456789"), "deterministic");
-        assert_ne!(a, crc64(b"123456780"), "sensitive to content");
-        assert_ne!(crc64(b""), crc64(b"\0"), "length-extension guarded");
-        let bytewise = |data: &[u8]| {
-            let mut crc = !0u64;
-            for &byte in data {
-                crc ^= u64::from(byte) << 56;
-                for _ in 0..8 {
-                    crc = if crc & (1 << 63) != 0 {
-                        (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
-                    } else {
-                        crc << 1
-                    };
-                }
-            }
-            !crc
-        };
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
-        for len in 0..data.len() {
-            assert_eq!(crc64(&data[..len]), bytewise(&data[..len]), "len {len}");
-        }
-        // The CRC-64/WE check value.
-        assert_eq!(crc64(b"123456789"), 0x62EC_59E3_F1A4_F00A);
     }
 
     #[test]
@@ -904,7 +854,7 @@ mod tests {
             .unwrap()
             .0;
         let window = vec![packet(1), packet(2)];
-        log.stage_snapshot(5, b"birth").unwrap();
+        log.stage_snapshot(5, bytes(b"birth")).unwrap();
         log.stage_window(5, 7, &window).unwrap();
         log.stage_shape_fault(2, 7, (1, 30)).unwrap();
         log.flush().unwrap();
@@ -944,7 +894,7 @@ mod tests {
     #[test]
     fn compaction_rewrites_snapshots_with_fresh_generations_and_rotates_bak() {
         let mut log = open(MemIo::new(), 2);
-        log.stage_snapshot(1, b"one").unwrap();
+        log.stage_snapshot(1, bytes(b"one")).unwrap();
         log.stage_window(1, 0, &[packet(0)]).unwrap();
         log.flush().unwrap();
         assert!(!log.compaction_due());
@@ -954,7 +904,7 @@ mod tests {
             log.compaction_due(),
             "two window records since the last compaction"
         );
-        log.compact([(1, &b"one-v2"[..]), (4, &b"four"[..])])
+        log.compact([(1, bytes(b"one-v2")), (4, bytes(b"four"))])
             .unwrap();
         assert!(!log.compaction_due());
         assert!(log.io.exists(Path::new("shard0.mpsl.bak")));
@@ -977,8 +927,8 @@ mod tests {
     #[test]
     fn a_stale_generation_ends_the_scan() {
         let mut log = open(MemIo::new(), 0);
-        log.stage_snapshot(1, b"a").unwrap();
-        log.stage_snapshot(2, b"b").unwrap();
+        log.stage_snapshot(1, bytes(b"a")).unwrap();
+        log.stage_snapshot(2, bytes(b"b")).unwrap();
         log.flush().unwrap();
         // CRC-valid, but generation 2 was already used: a leftover from
         // before a rewrite, not part of this log.
@@ -999,7 +949,7 @@ mod tests {
     fn a_failed_append_is_repaired_before_the_next_one() {
         let io = FaultIo::new(MemIo::new(), FaultPlan::tear_once(2, 17));
         let (mut log, _) = ShardLog::open(io, "l", 0, 0).unwrap();
-        log.stage_snapshot(1, b"one").unwrap();
+        log.stage_snapshot(1, bytes(b"one")).unwrap();
         log.flush().unwrap();
         log.stage_window(1, 0, &[packet(0)]).unwrap();
         assert!(log.flush().is_err(), "append 2 is torn");
@@ -1048,17 +998,17 @@ mod tests {
     #[test]
     fn a_failed_repair_is_retried_before_the_next_append() {
         let (mut log, _) = ShardLog::open(Flaky::default(), "l", 0, 0).unwrap();
-        log.stage_snapshot(1, b"one").unwrap();
+        log.stage_snapshot(1, bytes(b"one")).unwrap();
         log.flush().unwrap();
         log.io.tear_next_append = true;
-        log.stage_snapshot(2, b"two").unwrap();
+        log.stage_snapshot(2, bytes(b"two")).unwrap();
         assert!(log.flush().is_err(), "torn append");
         log.io.fail_next_replace = true;
-        log.stage_snapshot(3, b"three").unwrap();
+        log.stage_snapshot(3, bytes(b"three")).unwrap();
         assert!(log.flush().is_err(), "the tail repair fails");
         // The torn tail is still there: this flush must repair it first,
         // or its record would land behind garbage and be lost.
-        log.stage_snapshot(4, b"four").unwrap();
+        log.stage_snapshot(4, bytes(b"four")).unwrap();
         log.flush().unwrap();
         let (rec, image) = log.recover().unwrap();
         assert_eq!(rec.torn_bytes, 0);
@@ -1077,15 +1027,18 @@ mod tests {
                 found: 0
             })
         ));
-        // A version-1 file (the snapshot-per-window format) is refused.
-        let mut v1 = io;
-        let mut data = v1.read(Path::new("shard0.mpsl")).unwrap();
-        data[4..6].copy_from_slice(&1u16.to_le_bytes());
-        v1.replace(Path::new("shard0.mpsl"), &data).unwrap();
-        assert!(matches!(
-            ShardLog::open(v1, "shard0.mpsl", 0, 0),
-            Err(LogError::UnsupportedVersion(1))
-        ));
+        // Earlier formats are refused: version 1 logged a snapshot per
+        // window, version 2 kept each snapshot's own checksum trailer.
+        for version in [1u16, 2] {
+            let mut old = io.clone();
+            let mut data = old.read(Path::new("shard0.mpsl")).unwrap();
+            data[4..6].copy_from_slice(&version.to_le_bytes());
+            old.replace(Path::new("shard0.mpsl"), &data).unwrap();
+            assert!(matches!(
+                ShardLog::open(old, "shard0.mpsl", 0, 0),
+                Err(LogError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -1118,5 +1071,44 @@ mod tests {
             Err(LogError::Wire(WireError::ShapeTooLarge { .. }))
         ));
         assert!(log.pending.is_empty(), "nothing staged on error");
+        // A writer's own error stages nothing either.
+        let refused = log.stage_snapshot(1, |out: &mut Vec<u8>| {
+            out.extend_from_slice(b"half an image");
+            Err(LogError::TooLarge { len: 13 })
+        });
+        assert!(matches!(refused, Err(LogError::TooLarge { len: 13 })));
+        assert!(log.pending.is_empty(), "nothing staged on error");
+    }
+
+    #[test]
+    fn compaction_reuses_its_buffer_and_a_failed_writer_leaves_the_log_alone() {
+        let mut log = open(MemIo::new(), 1);
+        log.stage_snapshot(1, bytes(b"one")).unwrap();
+        log.stage_window(1, 0, &[packet(0)]).unwrap();
+        log.flush().unwrap();
+        log.compact([(1, bytes(&[7; 4096]))]).unwrap();
+        let capacity = log.compacted.capacity();
+        assert!(capacity >= HEADER_LEN + RECORD_OVERHEAD + 4096);
+        log.compact([(1, bytes(b"small"))]).unwrap();
+        assert_eq!(
+            log.compacted.capacity(),
+            capacity,
+            "kept between compactions"
+        );
+
+        // A writer that fails aborts the compaction before any IO.
+        let before = log.io.read(Path::new("shard0.mpsl")).unwrap();
+        let failed = log.compact([(1, false), (2, true)].map(|(link, fail)| {
+            (link, move |out: &mut Vec<u8>| {
+                out.extend_from_slice(b"fine");
+                if fail {
+                    return Err(LogError::TooLarge { len: 0 });
+                }
+                Ok(())
+            })
+        }));
+        assert!(failed.is_err());
+        assert_eq!(log.io.read(Path::new("shard0.mpsl")).unwrap(), before);
+        assert_eq!(log.compacted.capacity(), capacity, "kept after a failure");
     }
 }

@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 
 use mpdf_core::detector::Decision;
 use mpdf_core::scheme::DetectionScheme;
+use mpdf_session::checkpoint::encode_image_into;
 use mpdf_session::SessionRuntime;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire::WireError;
@@ -134,9 +135,9 @@ pub struct Shard<S: DetectionScheme + Clone, IO: LogIo> {
     by_link: BTreeMap<u64, usize>,
     log: Option<ShardLog<IO>>,
     crashed: bool,
-    /// The final `LinkMeta ‖ snapshot` image of every evicted dead link
-    /// (logged shards only): compaction rewrites it so the link stays
-    /// recoverable.
+    /// The final `LinkMeta ‖ checkpoint image` payload of every evicted
+    /// dead link (logged shards only): compaction rewrites it so the link
+    /// stays recoverable.
     evicted: BTreeMap<u64, Vec<u8>>,
 }
 
@@ -150,16 +151,36 @@ enum Delivery<'a> {
     ShapeFault((usize, usize)),
 }
 
-/// `LinkMeta ‖ encode_snapshot(..)`: a link's snapshot record payload.
-fn snapshot_image<S: DetectionScheme + Clone>(
+/// Appends a link's snapshot record payload, `LinkMeta ‖ checkpoint
+/// image`, to `out`.
+fn write_snapshot<S: DetectionScheme + Clone>(
     meta: &LinkMeta,
     runtime: &SessionRuntime<S>,
-) -> Result<Vec<u8>, FleetError> {
-    let snap = runtime.encode_checkpoint()?;
-    let mut payload = Vec::with_capacity(LinkMeta::ENCODED_LEN + snap.len());
-    meta.encode(&mut payload);
-    payload.extend_from_slice(&snap);
-    Ok(payload)
+    out: &mut Vec<u8>,
+) -> Result<(), FleetError> {
+    meta.encode(out);
+    encode_image_into(&runtime.snapshot_parts(), out)?;
+    Ok(())
+}
+
+/// Where a compacted snapshot record's payload comes from.
+enum Payload<'a, S: DetectionScheme + Clone> {
+    /// A live link: encoded from its runtime.
+    Live(&'a LinkSlot<S>),
+    /// An evicted link: the payload kept at eviction.
+    Kept(&'a [u8]),
+}
+
+impl<S: DetectionScheme + Clone> Payload<'_, S> {
+    fn write(self, out: &mut Vec<u8>) -> Result<(), FleetError> {
+        match self {
+            Payload::Live(s) => write_snapshot(&s.meta, &s.runtime, out),
+            Payload::Kept(image) => {
+                out.extend_from_slice(image);
+                Ok(())
+            }
+        }
+    }
 }
 
 fn is_delivery(record: &LinkRecord) -> bool {
@@ -255,8 +276,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
                     },
                 )));
             }
-            let image = snapshot_image(&meta, &runtime)?;
-            log.stage_snapshot(link, &image)?;
+            log.stage_snapshot(link, |out| write_snapshot(&meta, &runtime, out))?;
             log.flush()?;
         }
         self.evicted.remove(&link);
@@ -293,8 +313,9 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
                 continue;
             };
             if self.log.is_some() {
-                match snapshot_image(&evicted.meta, &evicted.runtime) {
-                    Ok(image) => {
+                let mut image = Vec::new();
+                match write_snapshot(&evicted.meta, &evicted.runtime, &mut image) {
+                    Ok(()) => {
                         self.evicted.insert(*link, image);
                     }
                     // Without an image the next compaction would drop the
@@ -554,24 +575,30 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
     }
 
     /// Rewrites the log as one snapshot per link — live and evicted —
-    /// once `compact_every` window records have accumulated.
+    /// once `compact_every` window records have accumulated. Each live
+    /// link's image is encoded straight into the new file; an evicted
+    /// link's kept bytes are copied in.
     fn compact_if_due(&mut self) {
-        if self.crashed || !self.log.as_ref().is_some_and(ShardLog::compaction_due) {
+        if self.crashed {
             return;
         }
+        let Some(log) = self.log.as_mut().filter(|log| log.compaction_due()) else {
+            return;
+        };
         let _stage = mpdf_obs::stage!("fleet.log.compact");
-        let live: Result<Vec<(u64, Vec<u8>)>, FleetError> = self
+        let slab = &self.slab;
+        let live = self
             .by_link
             .iter()
-            .filter_map(|(&link, &slot)| self.slab.get(slot).map(|s| (link, s)))
-            .map(|(link, s)| Ok((link, snapshot_image(&s.meta, &s.runtime)?)))
-            .collect();
-        let compacted = live.ok().zip(self.log.as_mut()).is_some_and(|(live, log)| {
-            let evicted = self.evicted.iter().map(|(&l, image)| (l, image.as_slice()));
-            let live = live.iter().map(|(l, image)| (*l, image.as_slice()));
-            log.compact(live.chain(evicted)).is_ok()
-        });
-        if !compacted {
+            .filter_map(|(&link, &slot)| slab.get(slot).map(|s| (link, Payload::Live(s))));
+        let kept = self
+            .evicted
+            .iter()
+            .map(|(&link, image)| (link, Payload::Kept(image)));
+        let images = live
+            .chain(kept)
+            .map(|(link, payload)| (link, move |out: &mut Vec<u8>| payload.write(out)));
+        if log.compact(images).is_err() {
             self.crash();
         }
     }
@@ -696,6 +723,110 @@ fn apply_fault(meta: &mut LinkMeta, tick: u64, policy: &FleetPolicy) -> LinkHeal
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::LinkWindow;
+    use crate::log::{frame_record, header_bytes, StdIo};
+    use mpdf_core::profile::DetectorConfig;
+    use mpdf_core::scheme::SubcarrierWeighting;
+    use mpdf_geom::shapes::Rect;
+    use mpdf_geom::vec2::Vec2;
+    use mpdf_propagation::channel::ChannelModel;
+    use mpdf_propagation::environment::Environment;
+    use mpdf_rfmath::complex::Complex64;
+    use mpdf_session::checkpoint::{decode_image, encode_snapshot};
+    use mpdf_session::runtime::SessionSnapshot;
+    use mpdf_session::SessionConfig;
+    use mpdf_wifi::receiver::CsiReceiver;
+
+    fn receiver(seed: u64) -> CsiReceiver {
+        let env = Environment::empty_room(Rect::new(Vec2::ZERO, Vec2::new(8.0, 6.0)));
+        let link = ChannelModel::new(env, Vec2::new(2.0, 3.0), Vec2::new(6.0, 3.0)).unwrap();
+        CsiReceiver::new(link, seed).unwrap()
+    }
+
+    /// `(LinkMeta, snapshot)` of a link homed on `shard`.
+    fn state<IO: LogIo>(
+        shard: &Shard<SubcarrierWeighting, IO>,
+        link: u64,
+    ) -> (LinkMeta, SessionSnapshot) {
+        let s = shard.slab.get(shard.by_link[&link]).unwrap();
+        (s.meta.clone(), s.runtime.snapshot())
+    }
+
+    #[test]
+    fn compaction_writes_what_snapshot_encoding_and_framing_would() {
+        let dir = std::env::temp_dir().join(format!("mpdf_shard_compact_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard0.mpsl");
+        std::fs::remove_file(&path).ok();
+        let (log, _) = ShardLog::open(StdIo, &path, 0, 2).unwrap();
+        let mut shard = Shard::new(0, Some(log));
+        let calibration = receiver(3).capture_static(None, 100).unwrap();
+        let runtime = SessionRuntime::calibrate(
+            &calibration,
+            SubcarrierWeighting,
+            DetectorConfig::default(),
+            SessionConfig::default(),
+        )
+        .unwrap();
+        for link in [3, 5, 9] {
+            shard.register(link, 0, runtime.clone()).unwrap();
+        }
+        // One strike kills: link 9's mis-shaped window makes it dead, and
+        // it is evicted with its final image kept.
+        let policy = FleetPolicy {
+            max_strikes: 0,
+            ..FleetPolicy::default()
+        };
+        let window = |link: u64, tick: u64| LinkWindow {
+            link,
+            packets: receiver(link * 10 + tick).capture_static(None, 25).unwrap(),
+        };
+        let poisoned = LinkWindow {
+            link: 9,
+            packets: vec![CsiPacket::new(1, 1, vec![Complex64::new(1.0, 0.0)], 0, 0.0)],
+        };
+        let tick0 = [window(3, 0), window(5, 0), poisoned];
+        let report = shard.step_tick(0, &tick0.iter().collect::<Vec<_>>(), &policy);
+        assert!(!report.crashed);
+        let dead = state(&shard, 9);
+        assert!(matches!(dead.0.health, LinkHealth::Dead { .. }));
+        assert_eq!(shard.evict_dead(), 1);
+        let tick1 = [window(3, 1), window(5, 1)];
+        let report = shard.step_tick(1, &tick1.iter().collect::<Vec<_>>(), &policy);
+        assert!(!report.crashed);
+
+        // Built the old way: the snapshot's file encoding without its
+        // trailer, copied behind the meta, framed into a fresh buffer.
+        // Generations: births 1-3, tick 0's records 4-6, its compaction
+        // 7-9, tick 1's records 10-11, then this compaction.
+        let links = [(3, state(&shard, 3)), (5, state(&shard, 5)), (9, dead)];
+        let mut expected = header_bytes(0);
+        for (gen, (link, (meta, snap))) in (12..).zip(&links) {
+            frame_record(&mut expected, gen, *link, RecordKind::Snapshot, |out| {
+                meta.encode(out);
+                let file = encode_snapshot(snap)?;
+                out.extend_from_slice(&file[..file.len() - 8]);
+                Ok::<_, FleetError>(())
+            })
+            .unwrap();
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+
+        // Every snapshot record decodes back to the runtime's snapshot.
+        let (mut reopened, _) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+        let (_, image) = reopened.recover().unwrap();
+        assert_eq!(image.len(), links.len());
+        for (record, (link, (meta, snap))) in image.records().zip(&links) {
+            assert_eq!(record.link, *link);
+            let (decoded_meta, body) = LinkMeta::decode(record.payload).unwrap();
+            assert_eq!(decoded_meta, *meta);
+            assert_eq!(
+                decode_image(body, &DetectorConfig::default()).unwrap(),
+                *snap
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn fault_escalation_walks_quarantine_into_death() {

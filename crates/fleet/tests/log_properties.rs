@@ -10,9 +10,17 @@ use proptest::prelude::*;
 use mpdf_fleet::log::{LogIo, RECORD_OVERHEAD};
 use mpdf_fleet::{LogError, ShardLog, StdIo};
 
+/// A payload writer that appends `payload` as it is.
+fn bytes(payload: &[u8]) -> impl FnOnce(&mut Vec<u8>) -> Result<(), LogError> + '_ {
+    move |out| {
+        out.extend_from_slice(payload);
+        Ok(())
+    }
+}
+
 /// Durably appends one snapshot record.
 fn append<IO: LogIo>(log: &mut ShardLog<IO>, link: u64, payload: &[u8]) {
-    log.stage_snapshot(link, payload).unwrap();
+    log.stage_snapshot(link, bytes(payload)).unwrap();
     log.flush().unwrap();
 }
 
@@ -107,7 +115,7 @@ fn corrupt_primary_header_falls_back_to_valid_bak() {
     let (mut log, _) = ShardLog::open(StdIo, &path, 3, 0).unwrap();
     append(&mut log, 7, b"seven-v1");
     append(&mut log, 8, b"eight-v1");
-    log.compact([(7, &b"seven-v2"[..]), (8, &b"eight-v2"[..])])
+    log.compact([(7, bytes(b"seven-v2")), (8, bytes(b"eight-v2"))])
         .unwrap();
     // Smash the primary's magic.
     let mut bytes = std::fs::read(&path).unwrap();

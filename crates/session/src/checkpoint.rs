@@ -9,11 +9,11 @@
 //! Layout (all little-endian):
 //!
 //! ```text
-//! magic    b"MPSC"                             4 bytes
+//! magic    b"MPSC"                             4 bytes   image
 //! version  u16                                 2
 //! paylen   u64  (payload byte count)           8
 //! payload  [paylen bytes]
-//! checksum u64  FNV-1a(64) over magic..payload 8
+//! checksum u64  CRC-64 over magic..payload     8         trailer
 //! ```
 //!
 //! The payload packs, in order: cursor, threshold, the calibration
@@ -23,6 +23,14 @@
 //! the sentinel snapshot, supervision state (mode, retries, backoff,
 //! watchdog strikes), and the reservoir + shadow packet windows in the
 //! `mpdf_wifi::trace` per-packet encoding.
+//!
+//! The codec is split at the trailer. [`encode_image_into`] appends the
+//! image to any buffer and [`decode_image`] decodes an image whose
+//! integrity the caller has already checked: the fleet's shard log
+//! stores images inside records whose own CRC-64 frame is their only
+//! checksum. Checkpoint files use [`encode_snapshot`] and
+//! [`decode_snapshot`], which add and verify the trailer. The checksum
+//! is [`crate::durable::crc64`], the one the shard log frames with.
 //!
 //! [`CheckpointStore`] adds crash-safe file handling: atomic
 //! write-rename through a `.tmp` sibling, the previous good checkpoint
@@ -43,14 +51,16 @@ use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::csi::CsiPacket;
 
-use crate::durable::{retry_io, sync_parent_dir};
+use crate::durable::{crc64, retry_io, sync_parent_dir};
 use crate::runtime::{SessionMode, SessionSnapshot};
 use crate::sentinel::{DriftState, SentinelSnapshot};
 
 /// Checkpoint file magic.
 pub const MAGIC: &[u8; 4] = b"MPSC";
-/// Current checkpoint format version.
-pub const VERSION: u16 = 1;
+/// Current checkpoint format version. Version 1 files carried an FNV-1a
+/// trailer: the CRC-64 check refuses them as
+/// [`CheckpointError::ChecksumMismatch`].
+pub const VERSION: u16 = 2;
 
 /// Errors produced when loading a checkpoint.
 #[derive(Debug)]
@@ -132,16 +142,6 @@ impl From<DetectError> for CheckpointError {
     }
 }
 
-/// FNV-1a 64-bit checksum.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Checked conversion of a collection length into a `u32` length field;
 /// overflow is a typed error, never a silent truncation.
 fn len_u32(what: &'static str, len: usize) -> Result<u32, CheckpointError> {
@@ -177,10 +177,15 @@ fn put_packets(
             );
             buf.put_u64_le(p.seq);
             buf.put_f64_le(p.timestamp);
+            // Each row is written into space sized up front: one length
+            // check per row instead of two per entry.
             for a in 0..antennas {
-                for z in &p.antenna_row(a)[..subcarriers] {
-                    buf.put_f64_le(z.re);
-                    buf.put_f64_le(z.im);
+                let row = &p.antenna_row(a)[..subcarriers];
+                let start = buf.len();
+                buf.resize(start + 16 * row.len(), 0);
+                for (dst, z) in buf[start..].chunks_exact_mut(16).zip(row) {
+                    dst[..8].copy_from_slice(&z.re.to_le_bytes());
+                    dst[8..].copy_from_slice(&z.im.to_le_bytes());
                 }
             }
         }
@@ -189,9 +194,12 @@ fn put_packets(
 }
 
 /// Borrowed view of everything a checkpoint image holds, so a running
-/// session can be encoded without first cloning its state into a
-/// [`SessionSnapshot`].
-pub(crate) struct SnapshotParts<'a> {
+/// session is encoded without first cloning its state into a
+/// [`SessionSnapshot`]. Built by
+/// [`SessionRuntime::snapshot_parts`](crate::runtime::SessionRuntime::snapshot_parts)
+/// or from a snapshot with `SnapshotParts::from(&snapshot)`.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotParts<'a> {
     pub(crate) cursor: u64,
     pub(crate) threshold: f64,
     pub(crate) profile: &'a CalibrationProfile,
@@ -206,37 +214,72 @@ pub(crate) struct SnapshotParts<'a> {
     pub(crate) shadow: &'a [Vec<CsiPacket>],
 }
 
-/// Serializes a session snapshot into a checkpoint byte image.
-///
-/// All packet windows in the snapshot must share the profile's
-/// `(antennas, subcarriers)` shape — the runtime guarantees this (every
-/// window passed shape validation before being retained).
-///
-/// # Errors
-/// [`CheckpointError::TooLarge`] when a collection exceeds its length
-/// field's range (the format caps shapes at `u16` and window/packet
-/// counts at `u32`).
-pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Bytes, CheckpointError> {
-    encode_parts(&SnapshotParts {
-        cursor: snapshot.cursor,
-        threshold: snapshot.threshold,
-        profile: &snapshot.profile,
-        hmm: snapshot.hmm,
-        posterior: snapshot.posterior,
-        sentinel: snapshot.sentinel,
-        mode: snapshot.mode,
-        retries: snapshot.retries,
-        backoff_remaining: snapshot.backoff_remaining,
-        watchdog_strikes: snapshot.watchdog_strikes,
-        reservoir: &snapshot.reservoir,
-        shadow: &snapshot.shadow,
-    })
+impl<'a> From<&'a SessionSnapshot> for SnapshotParts<'a> {
+    fn from(snapshot: &'a SessionSnapshot) -> Self {
+        SnapshotParts {
+            cursor: snapshot.cursor,
+            threshold: snapshot.threshold,
+            profile: &snapshot.profile,
+            hmm: snapshot.hmm,
+            posterior: snapshot.posterior,
+            sentinel: snapshot.sentinel,
+            mode: snapshot.mode,
+            retries: snapshot.retries,
+            backoff_remaining: snapshot.backoff_remaining,
+            watchdog_strikes: snapshot.watchdog_strikes,
+            reservoir: &snapshot.reservoir,
+            shadow: &snapshot.shadow,
+        }
+    }
 }
 
 /// Header bytes before the payload: magic, version, payload length.
 const IMAGE_HEADER: usize = 4 + 2 + 8;
+/// Trailer bytes after the image: the CRC-64.
+const TRAILER: usize = 8;
 
-pub(crate) fn encode_parts(snapshot: &SnapshotParts<'_>) -> Result<Bytes, CheckpointError> {
+/// Serializes a session snapshot into a checkpoint file: the image
+/// followed by its CRC-64 trailer.
+///
+/// # Errors
+/// See [`encode_image_into`].
+pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Bytes, CheckpointError> {
+    let mut file = Vec::new();
+    encode_image_into(&snapshot.into(), &mut file)?;
+    let checksum = crc64(&file);
+    file.put_u64_le(checksum);
+    Ok(Bytes::from(file))
+}
+
+/// Appends the checkpoint image of `parts` (header and payload, no
+/// trailer) to `out`, so a session's state is encoded once, straight
+/// into the buffer that will hold it.
+///
+/// All packet windows must share the profile's `(antennas,
+/// subcarriers)` shape — the runtime guarantees this (every window
+/// passed shape validation before being retained).
+///
+/// # Errors
+/// [`CheckpointError::TooLarge`] when a collection exceeds its length
+/// field's range (the format caps shapes at `u16` and window/packet
+/// counts at `u32`). `out` is left as it was.
+pub fn encode_image_into(
+    parts: &SnapshotParts<'_>,
+    out: &mut Vec<u8>,
+) -> Result<(), CheckpointError> {
+    let start = out.len();
+    let written = put_image(parts, out, start);
+    if written.is_err() {
+        out.truncate(start);
+    }
+    written
+}
+
+fn put_image(
+    snapshot: &SnapshotParts<'_>,
+    payload: &mut Vec<u8>,
+    start: usize,
+) -> Result<(), CheckpointError> {
     let antennas = snapshot.profile.antennas();
     let subcarriers = snapshot.profile.subcarriers();
     let packet_bytes = 16 + antennas * subcarriers * 16;
@@ -246,9 +289,9 @@ pub(crate) fn encode_parts(snapshot: &SnapshotParts<'_>) -> Result<Bytes, Checkp
         .chain(snapshot.shadow)
         .map(Vec::len)
         .sum();
-    // The image is built in place: header (length patched below),
-    // payload, checksum.
-    let mut payload = Vec::with_capacity(IMAGE_HEADER + 4096 + packets * packet_bytes + 8);
+    // The image is built in place: header (length patched below), then
+    // payload, with room for the checksum that follows it.
+    payload.reserve(IMAGE_HEADER + 4096 + packets * packet_bytes + TRAILER);
     payload.put_slice(MAGIC);
     payload.put_u16_le(VERSION);
     payload.put_u64_le(0);
@@ -311,14 +354,12 @@ pub(crate) fn encode_parts(snapshot: &SnapshotParts<'_>) -> Result<Bytes, Checkp
     payload.put_u32_le(snapshot.watchdog_strikes);
 
     // Packet windows.
-    put_packets(&mut payload, snapshot.reservoir, antennas, subcarriers)?;
-    put_packets(&mut payload, snapshot.shadow, antennas, subcarriers)?;
+    put_packets(payload, snapshot.reservoir, antennas, subcarriers)?;
+    put_packets(payload, snapshot.shadow, antennas, subcarriers)?;
 
-    let len = (payload.len() - IMAGE_HEADER) as u64;
-    payload[IMAGE_HEADER - 8..IMAGE_HEADER].copy_from_slice(&len.to_le_bytes());
-    let checksum = fnv1a(&payload);
-    payload.put_u64_le(checksum);
-    Ok(Bytes::from(payload))
+    let len = (payload.len() - start - IMAGE_HEADER) as u64;
+    payload[start + IMAGE_HEADER - 8..start + IMAGE_HEADER].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
 /// Bounds-checked little-endian reader over the payload.
@@ -360,6 +401,13 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Decodes 8 little-endian bytes (callers pass exactly 8).
+fn f64_le(bytes: &[u8]) -> f64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(bytes);
+    f64::from_le_bytes(raw)
+}
+
 fn read_windows(
     r: &mut Reader<'_>,
     antennas: usize,
@@ -374,7 +422,8 @@ fn read_windows(
     let mut windows = Vec::with_capacity(count);
     for _ in 0..count {
         let n = r.u32()? as usize;
-        let per_packet = 16 + antennas * subcarriers * 16;
+        let entry_bytes = antennas * subcarriers * 16;
+        let per_packet = 16 + entry_bytes;
         if n.saturating_mul(per_packet) > r.buf.remaining() {
             return Err(CheckpointError::Truncated);
         }
@@ -382,12 +431,16 @@ fn read_windows(
         for _ in 0..n {
             let seq = r.u64()?;
             let timestamp = r.f64()?;
-            let mut data = Vec::with_capacity(antennas * subcarriers);
-            for _ in 0..antennas * subcarriers {
-                let re = r.f64()?;
-                let im = r.f64()?;
-                data.push(Complex64::new(re, im));
-            }
+            r.need(entry_bytes)?;
+            let (entries, rest) = r.buf.split_at(entry_bytes);
+            r.buf = rest;
+            let data = entries
+                .chunks_exact(16)
+                .map(|z| {
+                    let (re, im) = z.split_at(8);
+                    Complex64::new(f64_le(re), f64_le(im))
+                })
+                .collect();
             w.push(CsiPacket::new(antennas, subcarriers, data, seq, timestamp));
         }
         windows.push(w);
@@ -395,7 +448,8 @@ fn read_windows(
     Ok(windows)
 }
 
-/// Deserializes a checkpoint byte image.
+/// Deserializes a checkpoint file: verifies the CRC-64 trailer first,
+/// then decodes the image.
 ///
 /// `config` supplies the deployment constants (angular gate) needed to
 /// re-derive the profile's path weights — restore must use the same
@@ -408,15 +462,31 @@ pub fn decode_snapshot(
     data: &[u8],
     config: &DetectorConfig,
 ) -> Result<SessionSnapshot, CheckpointError> {
-    if data.len() < 22 {
+    if data.len() < IMAGE_HEADER + TRAILER {
         return Err(CheckpointError::Truncated);
     }
-    let (body, trailer) = data.split_at(data.len() - 8);
+    let (body, trailer) = data.split_at(data.len() - TRAILER);
     let stored = (&mut { trailer }).get_u64_le();
-    let computed = fnv1a(body);
+    let computed = crc64(body);
     if stored != computed {
         return Err(CheckpointError::ChecksumMismatch { stored, computed });
     }
+    decode_image(body, config)
+}
+
+/// Decodes a checkpoint image (header and payload, no trailer) whose
+/// integrity the caller has already checked. Total on any input: every
+/// length is bounded by the bytes left before anything is allocated,
+/// so arbitrary bytes give a typed error, never a panic.
+///
+/// # Errors
+/// [`CheckpointError::BadMagic`], [`CheckpointError::UnsupportedVersion`],
+/// [`CheckpointError::Truncated`], [`CheckpointError::Corrupt`] or
+/// [`CheckpointError::Invalid`].
+pub fn decode_image(
+    body: &[u8],
+    config: &DetectorConfig,
+) -> Result<SessionSnapshot, CheckpointError> {
     let mut r = Reader { buf: body };
     let mut magic = [0u8; 4];
     r.need(4)?;
@@ -442,6 +512,13 @@ pub fn decode_snapshot(
         return Err(CheckpointError::Corrupt(
             "profile declares an empty shape".to_string(),
         ));
+    }
+    // Amplitudes, powers and antennas x antennas covariances, per
+    // subcarrier: a shape the remaining bytes cannot hold is corruption,
+    // not an allocation request.
+    let profile_bytes = subcarriers.saturating_mul(8 + 8 * antennas + 16 * antennas * antennas);
+    if profile_bytes > r.buf.remaining() {
+        return Err(CheckpointError::Truncated);
     }
     let mut static_amplitude = Vec::with_capacity(antennas);
     for _ in 0..antennas {
@@ -702,11 +779,22 @@ mod tests {
     #[test]
     fn runtime_encoding_matches_the_snapshot_encoding_byte_for_byte() {
         let rt = runtime();
-        let direct = rt.encode_checkpoint().unwrap();
-        let via_snapshot = encode_snapshot(&rt.snapshot()).unwrap();
-        assert_eq!(&direct[..], &via_snapshot[..]);
-        let decoded = decode_snapshot(&direct, rt.detector().config()).unwrap();
-        assert_eq!(&encode_snapshot(&decoded).unwrap()[..], &direct[..]);
+        let snap = rt.snapshot();
+        // The image is appended after whatever the buffer already holds.
+        let mut direct = b"prefix".to_vec();
+        encode_image_into(&rt.snapshot_parts(), &mut direct).unwrap();
+        let mut via_snapshot = Vec::new();
+        encode_image_into(&(&snap).into(), &mut via_snapshot).unwrap();
+        assert_eq!(&direct[..6], b"prefix");
+        assert_eq!(&direct[6..], &via_snapshot[..]);
+        // A file is the image plus its CRC-64 trailer.
+        let file = encode_snapshot(&snap).unwrap();
+        let (body, trailer) = file.split_at(file.len() - TRAILER);
+        assert_eq!(body, &via_snapshot[..]);
+        assert_eq!(trailer, crc64(body).to_le_bytes());
+        let decoded = decode_image(&via_snapshot, rt.detector().config()).unwrap();
+        assert_eq!(decoded, snap);
+        assert_eq!(&encode_snapshot(&decoded).unwrap()[..], &file[..]);
     }
 
     #[test]
@@ -744,25 +832,29 @@ mod tests {
     #[test]
     fn bad_magic_and_version_are_typed() {
         let snap = snapshot();
-        let mut bytes = encode_snapshot(&snap).unwrap().to_vec();
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] = b'X';
-        // Checksum catches the flip first (it covers the magic); fixing
-        // the checksum reveals the magic check.
-        let body_len = wrong_magic.len() - 8;
-        let fixed = fnv1a(&wrong_magic[..body_len]).to_le_bytes();
-        wrong_magic[body_len..].copy_from_slice(&fixed);
+        let bytes = encode_snapshot(&snap).unwrap().to_vec();
+        // The checksum catches each edit first (it covers the header);
+        // fixing the checksum reveals the header check.
+        let resealed = |at: usize, byte: u8| {
+            let mut edited = bytes.clone();
+            edited[at] = byte;
+            let body_len = edited.len() - TRAILER;
+            assert!(matches!(
+                decode_snapshot(&edited, &DetectorConfig::default()),
+                Err(CheckpointError::ChecksumMismatch { .. })
+            ));
+            let fixed = crc64(&edited[..body_len]).to_le_bytes();
+            edited[body_len..].copy_from_slice(&fixed);
+            decode_snapshot(&edited, &DetectorConfig::default())
+        };
+        assert!(matches!(resealed(0, b'X'), Err(CheckpointError::BadMagic)));
         assert!(matches!(
-            decode_snapshot(&wrong_magic, &DetectorConfig::default()),
-            Err(CheckpointError::BadMagic)
-        ));
-        bytes[4] = 9;
-        let body_len = bytes.len() - 8;
-        let fixed = fnv1a(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&fixed);
-        assert!(matches!(
-            decode_snapshot(&bytes, &DetectorConfig::default()),
+            resealed(4, 9),
             Err(CheckpointError::UnsupportedVersion(9))
+        ));
+        assert!(matches!(
+            resealed(4, 1),
+            Err(CheckpointError::UnsupportedVersion(1))
         ));
     }
 

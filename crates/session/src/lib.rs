@@ -18,8 +18,9 @@
 //! - [`checkpoint`] — versioned, checksummed serialization of the full
 //!   session state with atomic write-rename and previous-good fallback,
 //!   so a killed session restores bit-identically;
-//! - [`durable`] — the bounded transient-IO retry and parent-directory
-//!   fsync shared by the checkpoint store and the fleet's shard logs.
+//! - [`durable`] — the CRC-64 checksum, bounded transient-IO retry and
+//!   parent-directory fsync shared by the checkpoint store and the
+//!   fleet's shard logs.
 //!
 //! Everything is deterministic and clock-free: retry budgets, backoff and
 //! watchdog deadlines are counted in *windows*, never wall time, so a

@@ -625,14 +625,12 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
         }
     }
 
-    /// Encodes the complete dynamic state as a checkpoint image —
-    /// byte-identical to `encode_snapshot(&self.snapshot())`, without
-    /// cloning the state first.
-    ///
-    /// # Errors
-    /// See [`crate::checkpoint::encode_snapshot`].
-    pub fn encode_checkpoint(&self) -> Result<bytes::Bytes, crate::CheckpointError> {
-        crate::checkpoint::encode_parts(&crate::checkpoint::SnapshotParts {
+    /// Borrows the complete dynamic state for encoding: what
+    /// [`Self::snapshot`] captures, without cloning it.
+    /// [`crate::checkpoint::encode_image_into`] writes the same bytes from
+    /// either.
+    pub fn snapshot_parts(&self) -> crate::checkpoint::SnapshotParts<'_> {
+        crate::checkpoint::SnapshotParts {
             cursor: self.cursor,
             threshold: self.detector.threshold(),
             profile: self.detector.profile(),
@@ -645,7 +643,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             watchdog_strikes: self.watchdog_strikes,
             reservoir: &self.reservoir,
             shadow: &self.shadow,
-        })
+        }
     }
 
     /// Reconstructs a session from a snapshot plus the deployment

@@ -1,7 +1,8 @@
 //! Recovery edge cases for the session checkpoint store: truncating the
-//! primary at *any* byte offset falls back to the `.bak` rotation, and
+//! primary at *any* byte offset falls back to the `.bak` rotation,
 //! degenerate files (empty, header-only) are typed errors — never a
-//! panic, never a silently half-restored snapshot.
+//! panic, never a silently half-restored snapshot — and a checkpoint
+//! from an earlier format is refused the same way.
 
 use std::path::PathBuf;
 
@@ -13,7 +14,7 @@ use mpdf_geom::shapes::Rect;
 use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::channel::ChannelModel;
 use mpdf_propagation::environment::Environment;
-use mpdf_session::checkpoint::CheckpointStore;
+use mpdf_session::checkpoint::{decode_snapshot, CheckpointStore};
 use mpdf_session::runtime::{SessionConfig, SessionRuntime};
 use mpdf_session::CheckpointError;
 use mpdf_wifi::receiver::CsiReceiver;
@@ -100,4 +101,55 @@ fn missing_checkpoint_is_an_io_error_not_a_panic() {
     assert!(!store.exists());
     let err = store.load(&DetectorConfig::default()).unwrap_err();
     assert!(matches!(err, CheckpointError::Io(_)), "got {err}");
+}
+
+/// A version-1 checkpoint as earlier builds wrote it: the header, a
+/// 16-byte payload (cursor 7, threshold 0.5) and the FNV-1a-64 trailer
+/// those builds stored.
+fn v1_checkpoint() -> Vec<u8> {
+    let mut file = b"MPSC".to_vec();
+    file.extend_from_slice(&1u16.to_le_bytes());
+    file.extend_from_slice(&16u64.to_le_bytes());
+    file.extend_from_slice(&7u64.to_le_bytes());
+    file.extend_from_slice(&0.5f64.to_le_bytes());
+    file.extend_from_slice(&0xA419_7262_1F08_AA15u64.to_le_bytes());
+    file
+}
+
+#[test]
+fn a_v1_checkpoint_is_a_checksum_mismatch_and_load_falls_back_to_the_bak() {
+    let config = DetectorConfig::default();
+    let v1 = v1_checkpoint();
+    // The CRC-64 is verified before the version field is read.
+    assert!(matches!(
+        decode_snapshot(&v1, &config),
+        Err(CheckpointError::ChecksumMismatch {
+            stored: 0xA419_7262_1F08_AA15,
+            ..
+        })
+    ));
+
+    let path = temp_path("v1");
+    let bak = {
+        let mut p = path.clone().into_os_string();
+        p.push(".bak");
+        PathBuf::from(p)
+    };
+    std::fs::remove_file(&bak).ok();
+    let store = CheckpointStore::new(&path);
+    // Alone, the v1 primary surfaces its typed error.
+    std::fs::write(&path, &v1).unwrap();
+    assert!(matches!(
+        store.load(&config),
+        Err(CheckpointError::ChecksumMismatch { .. })
+    ));
+    // Beside a good `.bak`, load restores the `.bak`: two saves rotate a
+    // good checkpoint into it, then the primary is overwritten.
+    let (rt, _) = runtime(7);
+    store.save(&rt.snapshot()).unwrap();
+    store.save(&rt.snapshot()).unwrap();
+    std::fs::write(&path, &v1).unwrap();
+    assert_eq!(store.load(&config).unwrap(), rt.snapshot());
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&bak).ok();
 }
