@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use mpdf_rfmath::contract;
-use mpdf_rfmath::stats::median;
+use mpdf_rfmath::stats::median_in_place;
 use mpdf_wifi::csi::CsiPacket;
 
 use crate::multipath_factor::MuGrid;
@@ -106,8 +106,11 @@ impl SubcarrierWeights {
         // Eq. 13/14: per-packet medians and exceedance counts.
         let mut mean_mu = vec![0.0; k];
         let mut exceed = vec![0usize; k];
+        let mut scratch = Vec::with_capacity(k);
         for mus in flat.chunks_exact(k) {
-            let med = median(mus);
+            scratch.clear();
+            scratch.extend_from_slice(mus);
+            let med = median_in_place(&mut scratch);
             for (i, &mu) in mus.iter().enumerate() {
                 mean_mu[i] += mu.min(Self::MU_CLIP);
                 if mu > med {

@@ -51,6 +51,10 @@ pub struct CaseData {
     pub profile: CalibrationProfile,
     /// Labeled monitoring windows.
     pub windows: Vec<WindowRecord>,
+    /// Worker threads [`score_campaign`] scores on: the
+    /// [`CampaignConfig::threads`] the campaign ran with (`0` = all
+    /// available cores). Any value gives the same scores.
+    pub threads: usize,
 }
 
 /// Campaign configuration.
@@ -334,6 +338,7 @@ pub fn run_campaign(
             case_id: case.id,
             profile,
             windows: Vec::new(),
+            threads: cfg.threads,
         })
         .collect();
     for (job, record) in jobs.iter().zip(captured) {
@@ -364,6 +369,11 @@ impl ScoredWindow {
     }
 }
 
+/// Windows one pool job scores in [`score_campaign`]: enough to amortize
+/// a job's hand-off, few enough that a campaign still balances over the
+/// workers.
+const SCORE_CHUNK: usize = 16;
+
 /// Scores every window of a campaign with one scheme.
 ///
 /// Windows that the graceful-degradation path aborts with
@@ -375,35 +385,61 @@ impl ScoredWindow {
 /// `eval.aborted_windows_total`. Fault-free campaigns never abort, so
 /// this keeps the zero-fault output byte-identical.
 ///
+/// Contiguous runs of [`SCORE_CHUNK`] windows are scored on the pool,
+/// [`CaseData::threads`] workers wide (the first case's value). A
+/// window's score depends only on its case profile and packets, and the
+/// outcomes are merged — and counted — in input order on the calling
+/// thread, so scores, counters and the reported error are the same at
+/// any thread count.
+///
 /// # Errors
-/// Propagates scheme errors other than gap-budget aborts and lost
-/// windows.
-pub fn score_campaign<S: DetectionScheme>(
+/// Propagates the first scheme error, in window order, other than
+/// gap-budget aborts and lost windows.
+pub fn score_campaign<S: DetectionScheme + Sync>(
     data: &[CaseData],
     scheme: &S,
     detector: &DetectorConfig,
 ) -> Result<Vec<ScoredWindow>, mpdf_core::error::DetectError> {
+    use mpdf_core::error::DetectError;
     let _stage = mpdf_obs::stage!("eval.score");
-    let mut out = Vec::new();
-    for case in data {
-        for w in &case.windows {
-            let score = match scheme.score(&case.profile, &w.packets, detector) {
-                Ok(score) => score,
-                Err(
-                    mpdf_core::error::DetectError::DegradedBeyondBudget { .. }
-                    | mpdf_core::error::DetectError::EmptyWindow,
-                ) => {
-                    mpdf_obs::counter!("eval.aborted_windows_total").inc();
-                    continue;
+    let windows: Vec<(&CaseData, &WindowRecord)> = data
+        .iter()
+        .flat_map(|case| case.windows.iter().map(move |w| (case, w)))
+        .collect();
+    let chunks: Vec<&[(&CaseData, &WindowRecord)]> = windows.chunks(SCORE_CHUNK).collect();
+    let threads = data.first().map_or(1, |case| case.threads);
+    // Per window: a score, `None` for an abstention, or the error that
+    // ends its chunk.
+    let outcomes = mpdf_par::map_indexed(threads, &chunks, |_, chunk| {
+        let mut scored = Vec::with_capacity(chunk.len());
+        for (case, w) in chunk.iter() {
+            match scheme.score(&case.profile, &w.packets, detector) {
+                Ok(score) => scored.push(Ok(Some(score))),
+                Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => {
+                    scored.push(Ok(None));
                 }
-                Err(e) => return Err(e),
-            };
-            mpdf_obs::counter!("eval.scored_windows_total").inc();
-            out.push(ScoredWindow {
-                case_id: case.case_id,
-                score,
-                human: w.human,
-            });
+                Err(e) => {
+                    scored.push(Err(e));
+                    break;
+                }
+            }
+        }
+        scored
+    });
+    let mut out = Vec::with_capacity(windows.len());
+    // Every chunk before the first error is complete, so windows and
+    // outcomes stay aligned up to that error.
+    for ((case, w), outcome) in windows.iter().zip(outcomes.into_iter().flatten()) {
+        match outcome? {
+            Some(score) => {
+                mpdf_obs::counter!("eval.scored_windows_total").inc();
+                out.push(ScoredWindow {
+                    case_id: case.case_id,
+                    score,
+                    human: w.human,
+                });
+            }
+            None => mpdf_obs::counter!("eval.aborted_windows_total").inc(),
         }
     }
     Ok(out)

@@ -176,13 +176,19 @@ impl ChannelModel {
     /// receiver).
     pub fn static_cfr_table(&self, freqs: &[f64], offsets: &[Vec2]) -> StaticCfrTable {
         let _stage = mpdf_obs::stage!("physics.cfr_table");
+        let samples = offsets.len() * freqs.len();
         StaticCfrTable {
             freqs: freqs.to_vec(),
             offsets: offsets.to_vec(),
             paths: self
                 .static_paths
                 .iter()
-                .map(|p| PathTerms::new(p, &self.pathloss, freqs, offsets))
+                .map(|p| {
+                    let terms = PathTerms::new(p, &self.pathloss, freqs, offsets);
+                    let mut unshadowed = vec![Complex64::ZERO; samples];
+                    terms.apply(p.amplitude_factor(), &mut unshadowed, |h, t| *h = t);
+                    StaticPathTerms { terms, unshadowed }
+                })
                 .collect(),
         }
     }
@@ -195,6 +201,9 @@ impl ChannelModel {
     /// `snapshot_multi(humans)` evaluated with
     /// [`ChannelSnapshot::cfr_with_offset`]: every sample is the same
     /// expression over the same bits, summed in the same path order.
+    /// A static path no body shadows (factor exactly 1) adds the table's
+    /// stored unshadowed terms; `attenuated_factor(1.0)` is the amplitude
+    /// factor itself, so those are the terms recomputation would add.
     ///
     /// # Panics
     /// Panics if a shadowing factor is negative or non-finite, as
@@ -208,8 +217,15 @@ impl ChannelModel {
         debug_assert_eq!(table.paths.len(), self.static_paths.len());
         out.clear();
         out.resize(table.offsets.len() * table.freqs.len(), Complex64::ZERO);
-        for (p, terms) in self.static_paths.iter().zip(&table.paths) {
-            terms.accumulate(p.attenuated_factor(shadowing(humans, p)), out);
+        for (p, sp) in self.static_paths.iter().zip(&table.paths) {
+            let beta = shadowing(humans, p);
+            if beta == 1.0 {
+                for (h, &t) in out.iter_mut().zip(&sp.unshadowed) {
+                    *h += t;
+                }
+            } else {
+                sp.terms.accumulate(p.attenuated_factor(beta), out);
+            }
         }
         for (sp, beta) in self.scatter_paths(humans) {
             PathTerms::new(&sp, &self.pathloss, &table.freqs, &table.offsets)
@@ -383,15 +399,17 @@ impl ChannelSnapshot {
 /// — its path-loss gain and travel phase per frequency, and the
 /// plane-wave phase shift each element sees — is fixed for the life of
 /// the link. [`ChannelModel::static_cfr_table`] computes those terms
-/// once; [`ChannelModel::synthesize_into`] then pays per snapshot only
-/// for the shadowing factors, one complex multiply-add per (path,
-/// frequency, element) and the scatter paths.
+/// once, together with each path's full CFR term with no body in the
+/// way. [`ChannelModel::synthesize_into`] then pays per snapshot only for
+/// the shadowing factors, one complex add per (path, frequency, element)
+/// of an unshadowed path, one multiply-add per sample of a shadowed one,
+/// and the scatter paths.
 #[derive(Debug, Clone)]
 pub struct StaticCfrTable {
     freqs: Vec<f64>,
     offsets: Vec<Vec2>,
     /// One entry per static path, in trace order.
-    paths: Vec<PathTerms>,
+    paths: Vec<StaticPathTerms>,
 }
 
 impl StaticCfrTable {
@@ -405,6 +423,17 @@ impl StaticCfrTable {
     pub fn offsets(&self) -> &[Vec2] {
         &self.offsets
     }
+}
+
+/// One static path's entry in a [`StaticCfrTable`].
+#[derive(Debug, Clone)]
+struct StaticPathTerms {
+    terms: PathTerms,
+    /// Per (element, frequency), element-major: the term
+    /// [`PathTerms::accumulate`] adds at the path's own amplitude factor,
+    /// stored as computed (not added into zeros, which would turn a −0
+    /// into +0).
+    unshadowed: Vec<Complex64>,
 }
 
 /// The body-invariant CFR terms of one path.
@@ -461,6 +490,12 @@ impl PathTerms {
     /// body over the same amplitude and the hoisted `cos`/`sin`, times
     /// the same rotor.
     fn accumulate(&self, af: f64, out: &mut [Complex64]) {
+        self.apply(af, out, |h, t| *h += t);
+    }
+
+    /// Combines each element-major sample of `out` with the path's term
+    /// at amplitude factor `af` through `op`.
+    fn apply(&self, af: f64, out: &mut [Complex64], op: impl Fn(&mut Complex64, Complex64)) {
         let nf = self.phasors.len();
         if nf == 0 {
             return;
@@ -472,13 +507,13 @@ impl PathTerms {
         if self.rotors.is_empty() {
             for row in out.chunks_exact_mut(nf) {
                 for (h, p) in row.iter_mut().zip(&self.phasors) {
-                    *h += base(p);
+                    op(h, base(p));
                 }
             }
         } else {
             for (row, rotors) in out.chunks_exact_mut(nf).zip(self.rotors.chunks_exact(nf)) {
                 for ((h, p), &r) in row.iter_mut().zip(&self.phasors).zip(rotors) {
-                    *h += base(p) * r;
+                    op(h, base(p) * r);
                 }
             }
         }
@@ -645,6 +680,43 @@ mod tests {
                 assert_eq!(batch[k].im.to_bits(), reference.im.to_bits());
                 assert_eq!(table_h.re.to_bits(), reference.re.to_bits());
                 assert_eq!(table_h.im.to_bits(), reference.im.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn synthesis_covers_a_degenerate_arrival_direction() {
+        // The tracer never emits a last leg shorter than 1e-9 m, so only a
+        // hand-built path set reaches the rotor-free branch, shadowed and
+        // unshadowed.
+        let mut model = link();
+        let (tx, rx) = (model.tx(), model.rx());
+        let degenerate = PropagationPath::new(
+            vec![tx, p(4.0, 5.0), rx, rx],
+            0.3,
+            PathKind::WallReflection { order: 2 },
+        );
+        assert!(degenerate.arrival_direction().is_none());
+        let mut paths = model.static_paths.as_ref().clone();
+        paths.push(degenerate.clone());
+        model.static_paths = Arc::new(paths);
+        let freqs: Vec<f64> = (0..30).map(|k| 2.442e9 + k as f64 * 1.25e6).collect();
+        let offsets = [Vec2::ZERO, Vec2::new(0.0, 0.0609), Vec2::new(-0.031, 0.017)];
+        let table = model.static_cfr_table(&freqs, &offsets);
+        let off_los = HumanBody::new(p(4.0, 5.0));
+        assert!(off_los.shadow_factor(&degenerate) < 1.0);
+        assert_eq!(off_los.shadow_factor(&model.static_paths[0]), 1.0);
+        let mut synth = Vec::new();
+        for bodies in [vec![], vec![off_los], vec![HumanBody::new(p(4.0, 3.0))]] {
+            model.synthesize_into(&table, &bodies, &mut synth);
+            let snap = model.snapshot_multi(&bodies).unwrap();
+            for (e, &off) in offsets.iter().enumerate() {
+                let reference = snap.cfr_with_offset(&freqs, off);
+                for (k, h) in reference.iter().enumerate() {
+                    let got = synth[e * freqs.len() + k];
+                    assert_eq!(got.re.to_bits(), h.re.to_bits());
+                    assert_eq!(got.im.to_bits(), h.im.to_bits());
+                }
             }
         }
     }

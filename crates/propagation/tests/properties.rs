@@ -5,7 +5,7 @@ use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::channel::ChannelModel;
 use mpdf_propagation::environment::Environment;
 use mpdf_propagation::human::HumanBody;
-use mpdf_propagation::path::PathKind;
+use mpdf_propagation::path::{PathKind, PropagationPath};
 use mpdf_propagation::pathloss::PathLossModel;
 use mpdf_propagation::tracer::{trace, TraceConfig};
 use proptest::prelude::*;
@@ -41,24 +41,60 @@ fn case_links() -> &'static [(LinkCase, ChannelModel)] {
 }
 
 /// Where a test body stands: `(kind, u, v)` places it anywhere in the
-/// case's room (kind 0), on the LOS (kind 1), or within 1e-6 m of an
-/// endpoint (kind 2), where no scatter path exists.
+/// case's room (kind 0), on the LOS (kind 1), within 1e-6 m of an
+/// endpoint (kind 2), where no scatter path exists, or on a wall or
+/// furniture path it shadows while the LOS stays clear (kind 3).
 fn body_spot() -> impl Strategy<Value = (usize, f64, f64)> {
-    (0usize..3, 0.0f64..1.0, 0.0f64..1.0)
+    (0usize..4, 0.0f64..1.0, 0.0f64..1.0)
 }
 
-fn place(case: &LinkCase, (kind, u, v): (usize, f64, f64)) -> Vec2 {
+fn place(case: &LinkCase, model: &ChannelModel, (kind, u, v): (usize, f64, f64)) -> Vec2 {
     match kind {
         0 => {
             let (lo, hi) = (case.room.min(), case.room.max());
             Vec2::new(lo.x + u * (hi.x - lo.x), lo.y + v * (hi.y - lo.y))
         }
         1 => case.tx.lerp(case.rx, u),
-        _ => {
+        2 => {
             let end = if v < 0.5 { case.tx } else { case.rx };
             end + Vec2::from_angle(u * std::f64::consts::TAU) * (0.9e-6 * v)
         }
+        _ => off_los_blocker(model, u, v),
     }
+}
+
+/// A point on one of `model`'s non-LOS static paths where a body shadows
+/// that path but not the LOS; `u` picks the path the search starts from
+/// and `v` the fraction along it.
+fn off_los_blocker(model: &ChannelModel, u: f64, v: f64) -> Vec2 {
+    let snap = model.snapshot(None).unwrap();
+    let (los, others) = snap.paths().split_first().unwrap();
+    assert_eq!(los.kind(), PathKind::LineOfSight);
+    let start = (u * others.len() as f64) as usize;
+    for i in 0..others.len() {
+        let path = &others[(start + i) % others.len()];
+        for j in 0..16 {
+            let spot = along(path, (v + j as f64 / 16.0).fract());
+            let body = HumanBody::new(spot);
+            if body.shadow_factor(los) == 1.0 && body.shadow_factor(path) < 1.0 {
+                return spot;
+            }
+        }
+    }
+    panic!("no spot shadows a non-LOS path while the LOS stays clear");
+}
+
+/// The point a fraction `t` of the way along `path`.
+fn along(path: &PropagationPath, t: f64) -> Vec2 {
+    let mut left = t * path.length();
+    for leg in path.vertices().windows(2) {
+        let len = leg[0].distance(leg[1]);
+        if left <= len {
+            return leg[0].lerp(leg[1], left / len);
+        }
+        left -= len;
+    }
+    path.vertices()[path.vertices().len() - 1]
 }
 
 proptest! {
@@ -193,7 +229,7 @@ proptest! {
             let spots = [a, b];
             for n in 0..=2 {
                 let bodies: Vec<HumanBody> =
-                    spots[..n].iter().map(|&s| HumanBody::new(place(case, s))).collect();
+                    spots[..n].iter().map(|&s| HumanBody::new(place(case, model, s))).collect();
                 model.synthesize_into(&table, &bodies, &mut synth);
                 prop_assert_eq!(synth.len(), offsets.len() * freqs.len());
                 let snap = model.snapshot_multi(&bodies).unwrap();

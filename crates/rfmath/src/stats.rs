@@ -29,20 +29,36 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Median by sorting a copy; average of middle pair for even lengths.
-/// Returns `0.0` for an empty slice.
+/// Median of a copy (see [`median_in_place`]); average of middle pair
+/// for even lengths. Returns `0.0` for an empty slice.
 pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
+    median_in_place(&mut xs.to_vec())
+}
+
+/// Median under [`f64::total_cmp`] order, reordering `xs`: the middle
+/// element for odd lengths, the average of the middle pair for even
+/// ones, `0.0` for an empty slice.
+///
+/// Selects rather than sorts. Elements equal under `total_cmp` have
+/// equal bits, so the selected middle pair — the `n/2`-th element and
+/// the largest of the partition below it — is bitwise the pair a full
+/// sort would put there, NaN, signed zeros and infinities included.
+pub fn median_in_place(xs: &mut [f64]) -> f64 {
+    let n = xs.len();
+    if n == 0 {
         return 0.0;
     }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
+    let (lower, &mut upper, _) = xs.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
+        return upper;
     }
+    // n ≥ 2 here, so the lower partition is never empty.
+    let lo = lower
+        .iter()
+        .copied()
+        .max_by(f64::total_cmp)
+        .unwrap_or(upper);
+    0.5 * (lo + upper)
 }
 
 /// Linear-interpolated percentile, `p ∈ [0, 100]`.

@@ -5,11 +5,44 @@ use mpdf_rfmath::dft::{dft, fft, idft, ifft, nudft_at_delay};
 use mpdf_rfmath::eig::hermitian_eig;
 use mpdf_rfmath::fit::{linear_fit, log_fit};
 use mpdf_rfmath::matrix::CMatrix;
-use mpdf_rfmath::stats::{mean, median, moving_variance, variance, Ecdf};
+use mpdf_rfmath::stats::{mean, median, median_in_place, moving_variance, variance, Ecdf};
 use proptest::prelude::*;
 
 fn finite() -> impl Strategy<Value = f64> {
     -1e3f64..1e3f64
+}
+
+/// Values that stress an ordering: NaNs of both signs and two payloads,
+/// signed zeros, infinities, and a few repeats, mixed with finite draws.
+fn awkward() -> impl Strategy<Value = f64> {
+    (0usize..12, finite()).prop_map(|(kind, x)| match kind {
+        0 => f64::NAN,
+        1 => -f64::NAN,
+        2 => f64::from_bits(0x7ff8_0000_0000_0001),
+        3 => 0.0,
+        4 => -0.0,
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7 => 1.5,
+        8 => -2.25,
+        _ => x,
+    })
+}
+
+/// The median as computed before selection replaced sorting: a full
+/// `total_cmp` sort of a copy.
+fn sorted_median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        0.5 * (v[n / 2 - 1] + v[n / 2])
+    }
 }
 
 fn complex() -> impl Strategy<Value = Complex64> {
@@ -178,6 +211,22 @@ proptest! {
         let above = xs.iter().filter(|&&x| x >= med - 1e-12).count();
         prop_assert!(below * 2 >= xs.len());
         prop_assert!(above * 2 >= xs.len());
+    }
+
+    #[test]
+    fn selected_median_is_bitwise_the_sorted_median(
+        xs in proptest::collection::vec(awkward(), 0..48)
+    ) {
+        let expect = sorted_median(&xs).to_bits();
+        prop_assert_eq!(median(&xs).to_bits(), expect);
+        let mut scratch = xs.clone();
+        prop_assert_eq!(median_in_place(&mut scratch).to_bits(), expect);
+        // Reordered, not altered: the same multiset of bit patterns.
+        let mut before: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
+        let mut after: Vec<u64> = scratch.iter().map(|x| x.to_bits()).collect();
+        before.sort_unstable();
+        after.sort_unstable();
+        prop_assert_eq!(before, after);
     }
 
     #[test]

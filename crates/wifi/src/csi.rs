@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::db::power_to_db;
+use mpdf_rfmath::stats::median_in_place;
 
 /// CSI for one received packet: `antennas × subcarriers` complex samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -207,21 +208,14 @@ impl CsiPacket {
     pub fn median_power_profile(packets: &[CsiPacket]) -> Vec<f64> {
         assert!(!packets.is_empty(), "cannot average zero packets");
         let s = packets[0].subcarriers();
+        let mut powers = Vec::with_capacity(packets.len());
         (0..s)
             .map(|k| {
-                let mut powers: Vec<f64> = packets
-                    .iter()
-                    .map(|p| {
-                        (0..p.antennas).map(|a| p.power(a, k)).sum::<f64>() / p.antennas as f64
-                    })
-                    .collect();
-                powers.sort_by(f64::total_cmp);
-                let n = powers.len();
-                if n % 2 == 1 {
-                    powers[n / 2]
-                } else {
-                    0.5 * (powers[n / 2 - 1] + powers[n / 2])
-                }
+                powers.clear();
+                powers.extend(packets.iter().map(|p| {
+                    (0..p.antennas).map(|a| p.power(a, k)).sum::<f64>() / p.antennas as f64
+                }));
+                median_in_place(&mut powers)
             })
             .collect()
     }

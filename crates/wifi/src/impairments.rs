@@ -158,9 +158,14 @@ impl ImpairmentModel {
             None
         };
 
+        // The phase impairments are common across antennas: one rotor
+        // per subcarrier serves every chain.
+        let rotors: Vec<Complex64> = subcarrier_indices
+            .iter()
+            .map(|&idx| Complex64::cis(common_phase + slope * idx as f64))
+            .collect();
         for a in 0..packet.antennas() {
-            for (k, &idx) in subcarrier_indices.iter().enumerate() {
-                let rot = Complex64::cis(common_phase + slope * idx as f64);
+            for (k, &rot) in rotors.iter().enumerate() {
                 let mut noise = if noise_sigma > 0.0 {
                     // Complex AWGN: σ²/2 per quadrature.
                     Complex64::new(gaussian(rng), gaussian(rng)) * (noise_sigma / 2f64.sqrt())
@@ -223,7 +228,7 @@ mod tests {
     use super::*;
     use crate::band::INTEL5300_SUBCARRIER_INDICES;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn clean_packet() -> CsiPacket {
         let data = vec![Complex64::ONE; 3 * 30];
@@ -412,6 +417,124 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    /// The impairment loop as written before the rotors were hoisted out
+    /// of the antenna loop: one `cis` per antenna and subcarrier.
+    fn apply_per_antenna_rotors<R: Rng>(
+        model: &ImpairmentModel,
+        packet: &mut CsiPacket,
+        subcarrier_indices: &[i32],
+        reference_power: f64,
+        interferer_center: Option<usize>,
+        rng: &mut R,
+    ) {
+        let common_phase = if model.random_common_phase {
+            rng.gen_range(0.0..std::f64::consts::TAU)
+        } else {
+            0.0
+        };
+        let slope = if model.sfo_slope_std > 0.0 {
+            gaussian(rng) * model.sfo_slope_std
+        } else {
+            0.0
+        };
+        let gain = if model.agc_jitter_db > 0.0 {
+            db_to_amplitude(gaussian(rng) * model.agc_jitter_db)
+        } else {
+            1.0
+        };
+        let noise_sigma = if model.snr_db.is_finite() {
+            (reference_power / mpdf_rfmath::db::db_to_power(model.snr_db)).sqrt()
+        } else {
+            0.0
+        };
+        let burst: Option<(usize, usize, f64)> = if model.interference_prob > 0.0
+            && model.interference_width > 0
+            && rng.gen_range(0.0..1.0) < model.interference_prob
+        {
+            let k = packet.subcarriers();
+            let width = model.interference_width.min(k);
+            let start = match interferer_center {
+                Some(c) => burst_start_covering(c, width, k),
+                None => rng.gen_range(0..=(k - width)),
+            };
+            let sigma = (reference_power
+                * mpdf_rfmath::db::db_to_power(model.interference_power_db))
+            .sqrt();
+            Some((start, start + width, sigma))
+        } else {
+            None
+        };
+        for a in 0..packet.antennas() {
+            for (k, &idx) in subcarrier_indices.iter().enumerate() {
+                let rot = Complex64::cis(common_phase + slope * idx as f64);
+                let mut noise = if noise_sigma > 0.0 {
+                    Complex64::new(gaussian(rng), gaussian(rng)) * (noise_sigma / 2f64.sqrt())
+                } else {
+                    Complex64::ZERO
+                };
+                if let Some((lo, hi, sigma)) = burst {
+                    if k >= lo && k < hi {
+                        noise +=
+                            Complex64::new(gaussian(rng), gaussian(rng)) * (sigma / 2f64.sqrt());
+                    }
+                }
+                let h = packet.get_mut(a, k);
+                *h = *h * rot * gain + noise;
+            }
+        }
+    }
+
+    #[test]
+    fn one_rotor_per_subcarrier_is_bitwise_the_per_antenna_loop() {
+        let varied = || {
+            let data = (0..3 * 30)
+                .map(|i| Complex64::new(0.3 + 0.01 * i as f64, -0.2 + 0.007 * i as f64))
+                .collect();
+            CsiPacket::new(3, 30, data, 0, 0.0)
+        };
+        for random_common_phase in [false, true] {
+            for interference_prob in [0.0, 1.0] {
+                let model = ImpairmentModel {
+                    random_common_phase,
+                    interference_prob,
+                    ..ImpairmentModel::commodity_nic()
+                };
+                for center in [None, Some(0), Some(17)] {
+                    for seed in 0..16 {
+                        let mut hoisted = varied();
+                        let mut reference = varied();
+                        let mut rng_h = SmallRng::seed_from_u64(seed);
+                        let mut rng_r = SmallRng::seed_from_u64(seed);
+                        model.apply_with_interferer(
+                            &mut hoisted,
+                            &INTEL5300_SUBCARRIER_INDICES,
+                            0.7,
+                            center,
+                            &mut rng_h,
+                        );
+                        apply_per_antenna_rotors(
+                            &model,
+                            &mut reference,
+                            &INTEL5300_SUBCARRIER_INDICES,
+                            0.7,
+                            center,
+                            &mut rng_r,
+                        );
+                        for a in 0..3 {
+                            for k in 0..30 {
+                                let (h, r) = (hoisted.get(a, k), reference.get(a, k));
+                                assert_eq!(h.re.to_bits(), r.re.to_bits(), "({a}, {k})");
+                                assert_eq!(h.im.to_bits(), r.im.to_bits(), "({a}, {k})");
+                            }
+                        }
+                        // Same draws consumed: the streams stay in step.
+                        assert_eq!(rng_h.next_u64(), rng_r.next_u64());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
