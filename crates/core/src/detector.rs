@@ -1,7 +1,5 @@
 //! The end-to-end detector: calibrate → monitor → decide (§IV-C).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_wifi::csi::CsiPacket;
 
 use crate::error::DetectError;
@@ -10,7 +8,7 @@ use crate::scheme::DetectionScheme;
 use crate::threshold::{static_score_distribution, threshold_for_fp};
 
 /// One monitoring decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// The window's anomaly score.
     pub score: f64,
@@ -20,7 +18,6 @@ pub struct Decision {
     pub detected: bool,
     /// The window was scored under graceful degradation (packets lost,
     /// rejected, antenna-reduced or clipped) — trust accordingly.
-    #[serde(default)]
     pub degraded: bool,
 }
 

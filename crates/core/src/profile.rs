@@ -11,8 +11,6 @@
 //! - the static angular pseudospectrum and the path weights derived from
 //!   it (Eq. 17).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_music::covariance::{forward_backward, SlidingCovariance};
 use mpdf_music::music::{pseudospectrum, AngleGrid, Pseudospectrum, UlaSteering};
 use mpdf_rfmath::matrix::CMatrix;
@@ -25,7 +23,7 @@ use crate::error::DetectError;
 use crate::path_weight::PathWeights;
 
 /// Pipeline configuration shared by calibration and monitoring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
     /// Band plan (frequencies + subcarrier indices).
     pub band: Band,
@@ -66,7 +64,7 @@ impl Default for DetectorConfig {
 }
 
 /// The stored no-human baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationProfile {
     antennas: usize,
     subcarriers: usize,

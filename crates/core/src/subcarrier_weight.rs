@@ -10,8 +10,6 @@
 //! - Eq. 15 — combined weights `|μ̄_k·r_k / (Σμ̄ · Σr)|` applied to the
 //!   per-subcarrier RSS changes `Δs(f_k)`.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_rfmath::contract;
 use mpdf_rfmath::stats::median_in_place;
 use mpdf_wifi::csi::CsiPacket;
@@ -34,7 +32,7 @@ pub fn single_packet_weights(mus: &[f64]) -> Vec<f64> {
 }
 
 /// Multi-packet subcarrier weights (Eq. 13–15).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubcarrierWeights {
     /// Temporal mean multipath factor `μ̄_k` (winsorized at
     /// [`SubcarrierWeights::MU_CLIP`]).

@@ -6,13 +6,11 @@
 //! walking through the area churns the multipath superposition and
 //! inflates short-window RSS variance even when the mean change nets out.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_rfmath::stats::variance;
 use mpdf_wifi::csi::CsiPacket;
 
 /// Motion score configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotionDetectorConfig {
     /// Packets per variance window.
     pub window: usize,

@@ -8,8 +8,6 @@
 //! and the combined scheme's detection rate on the hard large-angle fan
 //! (Fig. 11's metric).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
 use mpdf_core::scheme::{DetectionScheme, SubcarrierAndPathWeighting};
@@ -31,7 +29,7 @@ use crate::workload::{annotate, CampaignConfig};
 use super::fig5::wall_adjacent_case;
 
 /// Per-array-size outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArrayOutcome {
     /// Number of ULA elements.
     pub elements: usize,
@@ -42,7 +40,7 @@ pub struct ArrayOutcome {
 }
 
 /// Result of the array-scaling study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtArrayResult {
     /// One row per array size.
     pub rows: Vec<ArrayOutcome>,

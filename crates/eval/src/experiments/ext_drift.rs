@@ -24,8 +24,6 @@
 //! point (detection high, FP near target) where the frozen profile
 //! erodes.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_core::scheme::SubcarrierWeighting;
 use mpdf_geom::vec2::Vec2;
@@ -50,7 +48,7 @@ const DB_STEP: f64 = 0.04;
 const CALIBRATION_WINDOWS: usize = 12;
 
 /// One drift block of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftRow {
     /// Block index (drift magnitude = block × step).
     pub block: usize,
@@ -71,7 +69,7 @@ pub struct DriftRow {
 }
 
 /// Result of the drift-adaptation campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtDriftResult {
     /// Day-one threshold both sessions start from.
     pub initial_threshold: f64,

@@ -4,8 +4,6 @@
 //! path weighting helps most at large angles (NLOS directions), while
 //! the gain near the LOS direction (0°) is marginal.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::scheme::{DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
@@ -18,7 +16,7 @@ use crate::workload::{case_receiver, CampaignConfig};
 use super::fig7::{run_campaign_scores, CampaignScores};
 
 /// Detection rate by angle for the two weighted schemes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Result {
     /// Rows of `(angle°, subcarrier-only, subcarrier+path)`.
     pub rows: Vec<(f64, f64, f64)>,

@@ -4,8 +4,6 @@
 //! packets — the weighting schemes add negligible computational latency,
 //! so response time is packet-budget-bound.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 
 use crate::metrics::{LabeledScore, RocCurve};
@@ -14,7 +12,7 @@ use crate::workload::CampaignConfig;
 use super::fig7::run_campaign_scores;
 
 /// Balanced detection rates vs window size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Result {
     /// Rows of `(window packets, seconds at 50 pkt/s, baseline TP,
     /// subcarrier TP, combined TP)` at each scheme's balanced threshold.

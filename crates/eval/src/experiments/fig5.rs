@@ -6,8 +6,6 @@
 //! receiver: strong changes along the LOS direction plus a notable bump
 //! near the reflected path's angle.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_core::profile::CalibrationProfile;
 use mpdf_geom::vec2::{Point, Vec2};
@@ -40,7 +38,7 @@ pub fn wall_adjacent_case() -> LinkCase {
 }
 
 /// Result of Fig. 5b.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5bResult {
     /// Normalized static pseudospectrum (angle°, value), downsampled.
     pub spectrum: Vec<(f64, f64)>,
@@ -123,7 +121,7 @@ pub fn report_fig5b(r: &Fig5bResult) -> String {
 }
 
 /// Result of Fig. 5c.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5cResult {
     /// Per-angle mean |Δs| (dB) over subcarriers.
     pub rss_change_by_angle: Vec<(f64, f64)>,

@@ -5,14 +5,13 @@
 //! at 4.5 % FP. Shape target: strict ordering of the three ROC curves.
 
 use mpdf_core::scheme::{Baseline, SubcarrierAndPathWeighting, SubcarrierWeighting};
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{LabeledScore, RocCurve, SchemeSummary};
 use crate::scenario::five_cases;
 use crate::workload::{run_campaign, score_campaign, CampaignConfig, ScoredWindow};
 
 /// Per-scheme outcome of the Fig. 7 campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchemeOutcome {
     /// Scheme label.
     pub name: String,
@@ -23,7 +22,7 @@ pub struct SchemeOutcome {
 }
 
 /// Result of the Fig. 7 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// Outcomes in scheme order: baseline, subcarrier, subcarrier+path.
     pub schemes: Vec<SchemeOutcome>,

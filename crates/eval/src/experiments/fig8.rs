@@ -4,15 +4,13 @@
 //! slightly leads, and path weighting can slightly hurt where angle
 //! estimates err (case 1 in the paper's data).
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::detection_rate;
 use crate::workload::{CampaignConfig, ScoredWindow};
 
 use super::fig7::{run_campaign_scores, CampaignScores};
 
 /// Per-case detection rates of the three schemes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Rows of `(case id, baseline, subcarrier, combined)` detection rates.
     pub rows: Vec<(usize, f64, f64, f64)>,

@@ -5,8 +5,6 @@
 //! humans — roughly doubling the usable detection range at a 90 %
 //! detection-rate requirement.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::scheme::{
     Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
 };
@@ -21,7 +19,7 @@ use crate::workload::{case_receiver, CampaignConfig};
 use super::fig7::{run_campaign_scores, CampaignScores};
 
 /// Detection rates per distance bin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Rows of `(distance m, baseline, subcarrier, combined)`.
     pub rows: Vec<(f64, f64, f64, f64)>,

@@ -16,9 +16,9 @@ use std::path::PathBuf;
 
 use mpdf_core::error::DetectError;
 use mpdf_core::scheme::SubcarrierWeighting;
+use mpdf_fleet::{checkpoint, StdIo};
 use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::human::HumanBody;
-use mpdf_session::checkpoint::CheckpointStore;
 use mpdf_session::runtime::{RecalOutcome, RecalPolicy, SessionConfig, SessionRuntime};
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::receiver::CsiReceiver;
@@ -116,13 +116,17 @@ pub fn run_session_demo(
     let case = &cases[0];
     let template = case_receiver(case, cfg, cfg.seed ^ 0xD81F)
         .map_err(|e| format!("session link geometry: {e}"))?;
-    let store = opts.checkpoint.as_ref().map(CheckpointStore::new);
-
-    let mut rt = match &store {
-        Some(store) if store.exists() => {
-            let snap = store
-                .load(&cfg.detector)
+    let (mut store, restored) = match &opts.checkpoint {
+        Some(path) => {
+            let (log, snap) = checkpoint::load(StdIo, path, &cfg.detector)
                 .map_err(|e| format!("load checkpoint: {e}"))?;
+            (Some(log), snap)
+        }
+        None => (None, None),
+    };
+
+    let mut rt = match restored {
+        Some(snap) => {
             let rt = SessionRuntime::from_snapshot(
                 snap,
                 SubcarrierWeighting,
@@ -133,7 +137,7 @@ pub fn run_session_demo(
             emit(out, &format!("resumed window={}", rt.cursor()))?;
             rt
         }
-        _ => {
+        None => {
             // Calibration day: drift magnitude zero, one continuous
             // capture (window index space starts after it).
             let mut calib_rx = template.fork(cfg.seed ^ 0xCA11B);
@@ -183,9 +187,8 @@ pub fn run_session_demo(
                 rt.threshold().to_bits()
             ),
         )?;
-        if let Some(store) = &store {
-            store
-                .save(&rt.snapshot())
+        if let Some(log) = &mut store {
+            checkpoint::save(log, &rt.snapshot_parts())
                 .map_err(|e| format!("checkpoint window {w}: {e}"))?;
         }
         processed += 1;

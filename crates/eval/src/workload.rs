@@ -6,8 +6,6 @@
 //! background dynamics (people moving far from the link, as the paper
 //! allowed during its campaign).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
 use mpdf_core::scheme::DetectionScheme;
 use mpdf_geom::vec2::{Point, Vec2};
@@ -23,7 +21,7 @@ use crate::metrics::LabeledScore;
 use crate::scenario::LinkCase;
 
 /// Ground-truth annotation of a window containing a human.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HumanInfo {
     /// Person position.
     pub position: Point,
@@ -58,7 +56,7 @@ pub struct CaseData {
 }
 
 /// Campaign configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Detection pipeline configuration.
     pub detector: DetectorConfig,

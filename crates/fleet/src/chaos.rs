@@ -110,8 +110,8 @@ impl FaultPlan {
 
 /// A [`LogIo`] decorator that injects seeded faults into appends.
 /// Reads, replaces and renames pass through untouched: the interesting
-/// crash surface is the hot append path; rewrites already go through
-/// the checkpoint-style staged rename.
+/// crash surface is the hot append path; a replace is already atomic
+/// (staged write, fsync, rename).
 #[derive(Debug)]
 pub struct FaultIo<IO: LogIo> {
     inner: IO,

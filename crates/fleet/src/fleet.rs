@@ -4,8 +4,8 @@
 //! The fleet owns the shards, a link→shard directory and the per-link
 //! calibration constants needed to rebuild a session runtime from a
 //! recovered snapshot (a snapshot stores the *mutable* state; scheme,
-//! detector config and session config are fleet-side constants, exactly
-//! as in the single-session checkpoint store).
+//! detector config and session config are fleet-side constants, as they
+//! are for a single-session checkpoint).
 //!
 //! `step_tick` is deterministic at any thread count: windows are routed
 //! by link id, shards are stepped independently (in parallel through

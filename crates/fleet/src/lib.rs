@@ -18,7 +18,8 @@
 //!   its sessions (replacing file-per-session at fleet scale) as a
 //!   write-ahead log of delivered windows, with session snapshots only
 //!   at registration and compaction, one group commit per shard tick,
-//!   torn-tail truncation and `.bak` last-good-generation fallback.
+//!   torn-tail truncation and `.bak` last-good-generation fallback. A
+//!   one-link log is the single-session [`checkpoint`] file.
 //! - **Overload shedding** — bounded per-shard ingest with typed
 //!   backpressure ([`shard::LinkOutcome::Shed`]); shedding is
 //!   vacancy-biased so presence-positive links are shed last.
@@ -37,6 +38,7 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+pub mod checkpoint;
 pub mod fleet;
 pub mod link;
 pub mod log;

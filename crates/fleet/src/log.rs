@@ -23,21 +23,27 @@
 //!          payload  [len bytes]
 //!          crc      u64            8   CRC-64/WE over gen..payload
 //!
-//! snapshot    LinkMeta ‖ checkpoint image (encode_image_into, no trailer)
+//! snapshot    opaque, defined by the caller (see below)
 //! window      tick u64 ‖ packets u32 ‖ packets as mpdf_wifi::wire frames
 //! shape fault tick u64 ‖ got antennas u64 ‖ got subcarriers u64
 //! ```
 //!
-//! The record CRC is the only checksum on a snapshot's bytes: the image
-//! is encoded straight into its frame, and decoded with
+//! A snapshot payload is opaque to the log; each caller defines its
+//! own. A fleet shard ([`crate::shard`]) writes `LinkMeta ‖ session
+//! image`; a single-session checkpoint ([`crate::checkpoint`]), a log
+//! holding one link, writes the bare session image. Either way the
+//! record CRC is the only checksum on the image: it is encoded straight
+//! into its frame (`encode_image_into`) and decoded with
 //! `mpdf_session::checkpoint::decode_image` once the frame checks out.
 //!
 //! Recovery scans records in file order; the first frame that fails its
 //! sync marker, length bound, kind byte, CRC, or whose generation is not
 //! above its predecessor's ends the scan, and everything from there on
 //! is truncated as a torn tail (a crash mid-append can only damage the
-//! suffix). If the header itself is damaged the previous-good `.bak`
-//! rotation — written by compaction — is recovered instead.
+//! suffix). If the header itself is damaged, or no record survives
+//! (a torn first record, or a file cut back to its header), the
+//! previous-good `.bak` rotation — written by compaction — is recovered
+//! instead, as long as it holds a record.
 //!
 //! All IO flows through the [`LogIo`] trait: production uses [`StdIo`]
 //! (real files, full fsync discipline), the chaos harness swaps in
@@ -49,8 +55,8 @@ use std::fmt;
 use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use mpdf_session::durable::{crc64, retry_io, sync_parent_dir};
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire::{self, WireError, WireRecord};
 
@@ -147,6 +153,109 @@ impl From<WireError> for LogError {
     }
 }
 
+/// CRC-64 over the ECMA-182 polynomial (`0x42F0E1EBA9EA3693`),
+/// MSB-first, with all-ones init and xorout (the CRC-64/WE profile) so
+/// leading-zero damage and the empty input are distinguishable.
+/// Computed eight bytes per step (slicing-by-8).
+pub fn crc64(data: &[u8]) -> u64 {
+    static TABLES: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u64; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
+            let mut crc = (i as u64) << 56;
+            for _ in 0..8 {
+                crc = if crc & (1 << 63) != 0 {
+                    (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
+                } else {
+                    crc << 1
+                };
+            }
+            *entry = crc;
+        }
+        // t[k][b]: byte b followed by k zero bytes.
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev << 8) ^ t[0][(prev >> 56) as usize];
+            }
+        }
+        t
+    });
+    let mut crc = !0u64;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let x = crc ^ u64::from_be_bytes(word);
+        crc = t[7][(x >> 56) as usize]
+            ^ t[6][(x >> 48) as usize & 0xFF]
+            ^ t[5][(x >> 40) as usize & 0xFF]
+            ^ t[4][(x >> 32) as usize & 0xFF]
+            ^ t[3][(x >> 24) as usize & 0xFF]
+            ^ t[2][(x >> 16) as usize & 0xFF]
+            ^ t[1][(x >> 8) as usize & 0xFF]
+            ^ t[0][x as usize & 0xFF];
+    }
+    for &byte in chunks.remainder() {
+        let idx = ((crc >> 56) ^ u64::from(byte)) as usize & 0xFF;
+        crc = (crc << 8) ^ t[0][idx];
+    }
+    !crc
+}
+
+/// Transient-IO retry budget: total attempts per operation before the
+/// error is surfaced to the caller.
+const IO_ATTEMPTS: u32 = 4;
+
+/// True for error kinds that a bounded retry is allowed to absorb:
+/// signal interruptions and spurious would-block reports. Everything
+/// else (permissions, disk full, bad paths) fails immediately.
+fn transient(kind: std::io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
+    )
+}
+
+/// Runs an IO operation with a bounded deterministic retry on transient
+/// errors. Backoff is attempt-scaled scheduler yields, not wall-clock
+/// sleeps: no clock is read, so retries can never make control flow
+/// time-dependent. Each retry is counted on `fleet.log.io_retries_total`.
+///
+/// # Errors
+/// The first non-transient error, or the last transient one once the
+/// [`IO_ATTEMPTS`] budget is spent.
+fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
+    let mut attempt = 1;
+    loop {
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(e) if transient(e.kind()) && attempt < IO_ATTEMPTS => {
+                mpdf_obs::counter!("fleet.log.io_retries_total").inc();
+                for _ in 0..attempt {
+                    std::thread::yield_now();
+                }
+                attempt += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Fsyncs the directory containing `path`, making a just-completed
+/// rename of `path` itself durable (renames are directory mutations; the
+/// file's own `sync_all` does not cover them).
+///
+/// # Errors
+/// Opening or syncing the directory failed.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(parent)?.sync_all()
+}
+
 /// The filesystem surface a shard log needs. Production uses [`StdIo`];
 /// the chaos harness wraps any `LogIo` in a fault-injecting shim.
 pub trait LogIo {
@@ -201,10 +310,6 @@ impl LogIo for StdIo {
     }
 }
 
-fn retry<T>(op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    retry_io(mpdf_obs::counter!("fleet.log.io_retries_total"), op)
-}
-
 /// What a [`ShardLog::open`]/[`ShardLog::recover`] pass found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecovery {
@@ -220,8 +325,8 @@ pub struct LogRecovery {
 /// The three record kinds of a v3 shard log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
-    /// `LinkMeta ‖ checkpoint image`: a birth record or a compaction
-    /// image.
+    /// A caller-defined snapshot payload (see the module docs): a
+    /// birth record or a compaction image.
     Snapshot,
     /// One delivered window's packets.
     Window,
@@ -264,7 +369,7 @@ pub struct Record<'a> {
 /// A record's decoded payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Entry<'a> {
-    /// `LinkMeta ‖ checkpoint image` bytes.
+    /// A caller-defined snapshot payload (see the module docs).
     Snapshot(&'a [u8]),
     /// A delivered window.
     Window {
@@ -559,9 +664,12 @@ impl<IO: LogIo> ShardLog<IO> {
     /// Re-reads the on-disk state, discarding anything staged — the
     /// moral equivalent of a process restart — and returns the valid
     /// records. Torn tails are truncated (counted on
-    /// `fleet.log.torn_tails_total`); an unreadable primary falls back
-    /// to the `.bak` rotation (`fleet.log.bak_fallbacks_total`). Either
-    /// way the primary is rewritten from the valid bytes already read.
+    /// `fleet.log.torn_tails_total`); a primary with an unreadable
+    /// header falls back to the `.bak` rotation, and so does one with no
+    /// record when the `.bak` holds one (`fleet.log.bak_fallbacks_total`).
+    /// Either way the primary is rewritten from the valid bytes already
+    /// read. A record-less primary with no such `.bak` is a fresh, empty
+    /// log.
     ///
     /// # Errors
     /// IO failures, or the *primary's* typed corruption error when the
@@ -575,12 +683,22 @@ impl<IO: LogIo> ShardLog<IO> {
         self.pending_windows = 0;
 
         let primary = if self.io.exists(&self.path) {
-            let data = retry(|| self.io.read(&self.path))?;
+            let data = retry_io(|| self.io.read(&self.path))?;
             Some(scan(&data, self.shard).map(|s| (data, s)))
         } else {
             None
         };
         let ((mut data, s), used_bak) = match primary {
+            // A primary with no record at all, torn or cut back to its
+            // header: a .bak that holds records is the log as it was
+            // before its last compaction, which beats losing every link.
+            // (Compaction never writes zero records, so an empty primary
+            // beside such a .bak is always damage.) Without one, the
+            // header survives as an empty log.
+            Some(Ok(found)) if found.1.records.is_empty() => match self.recover_bak()? {
+                Some(bak) if !bak.1.records.is_empty() => (bak, true),
+                _ => (found, false),
+            },
             Some(Ok(found)) => (found, false),
             // Primary unreadable at the header level (or missing): try
             // the previous-good rotation before giving up.
@@ -594,7 +712,7 @@ impl<IO: LogIo> ShardLog<IO> {
                     // Fresh log: durably write the header so appends have
                     // a valid file to extend.
                     let header = header_bytes(self.shard);
-                    retry(|| self.io.replace(&self.path, &header))?;
+                    retry_io(|| self.io.replace(&self.path, &header))?;
                     self.torn = false;
                     self.next_gen = 1;
                     self.windows_since_compact = 0;
@@ -618,7 +736,7 @@ impl<IO: LogIo> ShardLog<IO> {
             // Rebuild the primary from the surviving records so appends
             // extend a clean file. The .bak rotation is left untouched:
             // it still holds the last known-good full image.
-            retry(|| self.io.replace(&self.path, &data))?;
+            retry_io(|| self.io.replace(&self.path, &data))?;
         }
         self.torn = false;
         self.next_gen = s.next_gen;
@@ -645,7 +763,7 @@ impl<IO: LogIo> ShardLog<IO> {
         if !self.io.exists(&self.bak) {
             return Ok(None);
         }
-        let data = retry(|| self.io.read(&self.bak))?;
+        let data = retry_io(|| self.io.read(&self.bak))?;
         Ok(scan(&data, self.shard).ok().map(|s| (data, s)))
     }
 
@@ -663,8 +781,8 @@ impl<IO: LogIo> ShardLog<IO> {
         Ok(())
     }
 
-    /// Stages a snapshot record: `write` appends its payload
-    /// (`LinkMeta ‖ checkpoint image`) straight into the frame.
+    /// Stages a snapshot record: `write` appends its caller-defined
+    /// payload (see the module docs) straight into the frame.
     ///
     /// # Errors
     /// `write`'s error, or [`LogError::TooLarge`]; nothing is staged on
@@ -738,7 +856,7 @@ impl<IO: LogIo> ShardLog<IO> {
             self.recover()?;
             self.next_gen = next_gen;
         }
-        let result = retry(|| self.io.append(&self.path, &batch));
+        let result = retry_io(|| self.io.append(&self.path, &batch));
         let len = batch.len() as u64;
         batch.clear();
         self.pending = batch;
@@ -760,9 +878,10 @@ impl<IO: LogIo> ShardLog<IO> {
 
     /// Rewrites the log as one snapshot record per link, rotating the
     /// previous file to `.bak` (the last-good-generation fallback).
-    /// `images` yields each link with a writer that appends its payload
-    /// (`LinkMeta ‖ checkpoint image`) straight into the new file, which
-    /// is built in a buffer the log keeps between compactions.
+    /// `images` yields each link with a writer that appends its
+    /// caller-defined snapshot payload (see the module docs) straight
+    /// into the new file, which is built in a buffer the log keeps
+    /// between compactions.
     ///
     /// # Errors
     /// A writer's error or [`LogError::TooLarge`], before anything is
@@ -795,9 +914,9 @@ impl<IO: LogIo> ShardLog<IO> {
             self.next_gen += 1;
         }
         if self.io.exists(&self.path) {
-            retry(|| self.io.rename(&self.path, &self.bak)).map_err(LogError::from)?;
+            retry_io(|| self.io.rename(&self.path, &self.bak)).map_err(LogError::from)?;
         }
-        retry(|| self.io.replace(&self.path, bytes)).map_err(LogError::from)?;
+        retry_io(|| self.io.replace(&self.path, bytes)).map_err(LogError::from)?;
         self.torn = false;
         self.windows_since_compact = 0;
         mpdf_obs::counter!("fleet.log.compactions_total").inc();
@@ -1110,5 +1229,77 @@ mod tests {
         assert!(failed.is_err());
         assert_eq!(log.io.read(Path::new("shard0.mpsl")).unwrap(), before);
         assert_eq!(log.compacted.capacity(), capacity, "kept after a failure");
+    }
+
+    #[test]
+    fn crc64_is_stable_sensitive_and_matches_the_bytewise_definition() {
+        let a = crc64(b"123456789");
+        assert_eq!(a, crc64(b"123456789"), "deterministic");
+        assert_ne!(a, crc64(b"123456780"), "sensitive to content");
+        assert_ne!(crc64(b""), crc64(b"\0"), "length-extension guarded");
+        let bytewise = |data: &[u8]| {
+            let mut crc = !0u64;
+            for &byte in data {
+                crc ^= u64::from(byte) << 56;
+                for _ in 0..8 {
+                    crc = if crc & (1 << 63) != 0 {
+                        (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
+                    } else {
+                        crc << 1
+                    };
+                }
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc64(&data[..len]), bytewise(&data[..len]), "len {len}");
+        }
+        // The CRC-64/WE check value.
+        assert_eq!(crc64(b"123456789"), 0x62EC_59E3_F1A4_F00A);
+    }
+
+    #[test]
+    fn transient_io_errors_are_retried_with_a_bounded_budget() {
+        use std::io::{Error, ErrorKind};
+        // Two interruptions, then success: absorbed.
+        let mut calls = 0;
+        let v = retry_io(|| {
+            calls += 1;
+            if calls < 3 {
+                Err(Error::new(ErrorKind::Interrupted, "signal"))
+            } else {
+                Ok(42)
+            }
+        })
+        .unwrap();
+        assert_eq!((v, calls), (42, 3));
+
+        // A persistent transient error exhausts the budget and surfaces.
+        let mut calls = 0;
+        let err = retry_io::<()>(|| {
+            calls += 1;
+            Err(Error::new(ErrorKind::WouldBlock, "busy"))
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
+        assert_eq!(calls, IO_ATTEMPTS);
+
+        // Non-transient errors fail on the first call.
+        let mut calls = 0;
+        let err = retry_io::<()>(|| {
+            calls += 1;
+            Err(Error::new(ErrorKind::PermissionDenied, "no"))
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::PermissionDenied);
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn parent_dir_sync_accepts_bare_file_names() {
+        sync_parent_dir(Path::new("no_directory_component")).unwrap();
+        let dir = std::env::temp_dir();
+        sync_parent_dir(&dir.join("child")).unwrap();
     }
 }

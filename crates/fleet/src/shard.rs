@@ -732,7 +732,7 @@ mod tests {
     use mpdf_propagation::channel::ChannelModel;
     use mpdf_propagation::environment::Environment;
     use mpdf_rfmath::complex::Complex64;
-    use mpdf_session::checkpoint::{decode_image, encode_snapshot};
+    use mpdf_session::checkpoint::decode_image;
     use mpdf_session::runtime::SessionSnapshot;
     use mpdf_session::SessionConfig;
     use mpdf_wifi::receiver::CsiReceiver;
@@ -795,8 +795,8 @@ mod tests {
         let report = shard.step_tick(1, &tick1.iter().collect::<Vec<_>>(), &policy);
         assert!(!report.crashed);
 
-        // Built the old way: the snapshot's file encoding without its
-        // trailer, copied behind the meta, framed into a fresh buffer.
+        // Built the old way: the snapshot's image encoded into a scratch
+        // buffer, copied behind the meta, framed into a fresh buffer.
         // Generations: births 1-3, tick 0's records 4-6, its compaction
         // 7-9, tick 1's records 10-11, then this compaction.
         let links = [(3, state(&shard, 3)), (5, state(&shard, 5)), (9, dead)];
@@ -804,8 +804,9 @@ mod tests {
         for (gen, (link, (meta, snap))) in (12..).zip(&links) {
             frame_record(&mut expected, gen, *link, RecordKind::Snapshot, |out| {
                 meta.encode(out);
-                let file = encode_snapshot(snap)?;
-                out.extend_from_slice(&file[..file.len() - 8]);
+                let mut image = Vec::new();
+                encode_image_into(&snap.into(), &mut image)?;
+                out.extend_from_slice(&image);
                 Ok::<_, FleetError>(())
             })
             .unwrap();

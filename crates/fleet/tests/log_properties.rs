@@ -1,13 +1,14 @@
 //! Property tests for the shard write-ahead log: a torn tail at *any*
 //! byte offset of the final record is truncated cleanly (never a panic,
-//! never a half-record), header-level damage falls back to the `.bak`
-//! rotation, and empty or zero-length files are typed errors.
+//! never a half-record), header-level damage — or damage that leaves no
+//! record, down to a bare header — falls back to the `.bak` rotation,
+//! and empty or zero-length files are typed errors.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use mpdf_fleet::log::{LogIo, RECORD_OVERHEAD};
+use mpdf_fleet::log::{LogIo, HEADER_LEN, RECORD_OVERHEAD};
 use mpdf_fleet::{LogError, ShardLog, StdIo};
 
 /// A payload writer that appends `payload` as it is.
@@ -132,6 +133,54 @@ fn corrupt_primary_header_falls_back_to_valid_bak() {
     let live = recovered(&mut log3);
     assert_eq!(live[0], (7, b"seven-v1".to_vec()));
     assert_eq!(live.len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_torn_first_record_falls_back_to_the_bak() {
+    let dir = temp_dir("first");
+    let path = dir.join("shard1.mpsl");
+    let (mut log, _) = ShardLog::open(StdIo, &path, 1, 0).unwrap();
+    append(&mut log, 4, b"four-v1");
+    append(&mut log, 5, b"five-v1");
+    log.compact([(4, bytes(b"four-v2")), (5, bytes(b"five-v2"))])
+        .unwrap();
+    // Tear the primary inside its first record: the header survives but
+    // no record does.
+    let compacted = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &compacted[..HEADER_LEN + 5]).unwrap();
+
+    let (mut log, rec) = ShardLog::open(StdIo, &path, 1, 0).unwrap();
+    assert!(rec.used_bak, "a log with no surviving record uses the .bak");
+    assert_eq!((rec.records, rec.torn_bytes), (2, 0));
+    assert_eq!(
+        recovered(&mut log),
+        vec![(4, b"four-v1".to_vec()), (5, b"five-v1".to_vec())]
+    );
+
+    // A primary cut back to its bare header, nothing torn, also holds no
+    // record: the .bak is restored the same way.
+    std::fs::write(&path, &compacted[..HEADER_LEN]).unwrap();
+    let (mut log, rec) = ShardLog::open(StdIo, &path, 1, 0).unwrap();
+    assert!(rec.used_bak, "a bare header beside a .bak uses the .bak");
+    assert_eq!((rec.records, rec.torn_bytes), (2, 0));
+    assert_eq!(
+        recovered(&mut log),
+        vec![(4, b"four-v1".to_vec()), (5, b"five-v1".to_vec())]
+    );
+
+    // With no .bak, or one holding no record, a bare header is a fresh,
+    // empty log.
+    let (bare, bak) = (&compacted[..HEADER_LEN], dir.join("shard1.mpsl.bak"));
+    std::fs::write(&path, bare).unwrap();
+    std::fs::write(&bak, bare).unwrap();
+    let (mut log, rec) = ShardLog::open(StdIo, &path, 1, 0).unwrap();
+    assert_eq!((rec.records, rec.torn_bytes, rec.used_bak), (0, 0, false));
+    assert!(recovered(&mut log).is_empty());
+    std::fs::remove_file(&bak).unwrap();
+    let (mut log, rec) = ShardLog::open(StdIo, &path, 1, 0).unwrap();
+    assert_eq!((rec.records, rec.torn_bytes, rec.used_bak), (0, 0, false));
+    assert!(recovered(&mut log).is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,13 +5,11 @@
 //! containment and occlusion queries O(edges) and matches what the
 //! propagation layer needs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::segment::Segment;
 use crate::vec2::{Point, Vec2};
 
 /// A convex polygon with counter-clockwise vertices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvexPolygon {
     vertices: Vec<Point>,
 }

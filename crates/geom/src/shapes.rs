@@ -4,13 +4,11 @@
 //! human-body cross-section (the paper's dielectric cylinder seen in plan
 //! view).
 
-use serde::{Deserialize, Serialize};
-
 use crate::segment::Segment;
 use crate::vec2::{Point, Vec2};
 
 /// An axis-aligned rectangle given by opposite corners.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     min: Point,
     max: Point,
@@ -101,7 +99,7 @@ impl Rect {
 }
 
 /// A circle: the human-body footprint in plan view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Center.
     pub center: Point,

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D point/vector with `f64` coordinates, in metres.
 ///
 /// One type serves both roles (point and displacement), as is common in
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let v = Vec2::new(3.0, 4.0);
 /// assert_eq!(v.norm(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// x-coordinate (metres).
     pub x: f64,

@@ -13,8 +13,6 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::contract;
 use mpdf_rfmath::eig::{hermitian_eig, EigError};
@@ -67,7 +65,7 @@ impl From<CovarianceError> for MusicError {
 
 /// Steering model of a uniform linear array, parameterized by spacing in
 /// wavelengths (0.5 for the paper's λ/2 array).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UlaSteering {
     elements: usize,
     spacing_wavelengths: f64,
@@ -141,7 +139,7 @@ impl UlaSteering {
 }
 
 /// An angular scan grid in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AngleGrid {
     /// First angle (degrees).
     pub start_deg: f64,
@@ -293,7 +291,7 @@ impl SteeringTable {
 }
 
 /// A MUSIC pseudospectrum: paired angles (degrees) and values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pseudospectrum {
     angles_deg: Vec<f64>,
     values: Vec<f64>,

@@ -17,8 +17,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_rfmath::complex::Complex64;
 
@@ -29,18 +27,16 @@ use crate::pathloss::{PathLossModel, SPEED_OF_LIGHT};
 use crate::tracer::{trace, TraceConfig, TraceError};
 
 /// A TX–RX link inside an environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelModel {
     env: Environment,
     tx: Point,
     rx: Point,
     pathloss: PathLossModel,
-    #[serde(skip, default = "default_trace_config")]
     trace_cfg: TraceConfig,
     /// Environment paths, traced once — humans only modulate them.
     /// Behind an `Arc` so that clones of the model (every receiver fork
     /// clones its channel) share one immutable path set.
-    #[serde(skip)]
     static_paths: Arc<Vec<PropagationPath>>,
 }
 
@@ -53,13 +49,6 @@ fn traced(
 ) -> Result<Arc<Vec<PropagationPath>>, TraceError> {
     let _stage = mpdf_obs::stage!("physics.trace");
     Ok(Arc::new(trace(env, tx, rx, cfg)?))
-}
-
-// Referenced from the `#[serde(default = "...")]` attribute above, which
-// the vendored serde stand-in parses but does not yet expand into code.
-#[allow(dead_code)]
-fn default_trace_config() -> TraceConfig {
-    TraceConfig::default()
 }
 
 impl ChannelModel {
@@ -259,7 +248,7 @@ fn shadowing(humans: &[HumanBody], path: &PropagationPath) -> f64 {
 }
 
 /// A frozen path set with CFR evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelSnapshot {
     paths: Vec<PropagationPath>,
     pathloss: PathLossModel,

@@ -6,8 +6,6 @@
 //! ray tracer needs: *which surfaces can reflect?* and *how much amplitude
 //! survives a straight leg between two points?*
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::polygon::ConvexPolygon;
 use mpdf_geom::segment::{Intersection, Segment};
 use mpdf_geom::shapes::Rect;
@@ -16,7 +14,7 @@ use mpdf_geom::vec2::Point;
 use crate::material::Material;
 
 /// A reflective wall: a segment with a surface material.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wall {
     /// Wall geometry.
     pub segment: Segment,
@@ -25,7 +23,7 @@ pub struct Wall {
 }
 
 /// The plan-view footprint of a furniture obstacle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Footprint {
     /// Axis-aligned rectangle.
     Rect(Rect),
@@ -47,7 +45,7 @@ impl Footprint {
 /// not spawn reflected paths (its reflections are folded into the
 /// environment's diffuse clutter), matching the paper's one-bounce wall
 /// model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Furniture {
     /// Plan-view footprint.
     pub footprint: Footprint,
@@ -56,7 +54,7 @@ pub struct Furniture {
 }
 
 /// An indoor environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     bounds: Rect,
     walls: Vec<Wall>,
@@ -284,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_shape() {
+    fn clones_compare_equal_and_keep_their_bounds() {
         let env = Environment::empty_room(room());
         // Sanity: clone/eq works and bounds survive.
         let copy = env.clone();

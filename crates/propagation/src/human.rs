@@ -10,8 +10,6 @@
 //!
 //! Both are implemented here in plan view with a circular body footprint.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::shapes::Circle;
 use mpdf_geom::vec2::Point;
 
@@ -20,7 +18,7 @@ use crate::material::Material;
 use crate::path::{PathKind, PropagationPath};
 
 /// A human body at a fixed position.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HumanBody {
     position: Point,
     radius: f64,

@@ -12,26 +12,15 @@
 //! the paper's analysis (§III-B) treats them as environmental constants
 //! folded into the amplitude ratio `γ`.
 
-use serde::{Deserialize, Serialize};
-
 /// A propagation surface material.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Material {
     /// Amplitude reflection coefficient `Γ ∈ [0, 1]`.
     reflection: f64,
     /// Amplitude transmission coefficient `∈ [0, 1]` for rays crossing it.
     transmission: f64,
-    /// Short human-readable label. Cosmetic only: deserialized materials
-    /// get a generic label since `&'static str` cannot be deserialized.
-    #[serde(skip_deserializing, default = "deserialized_name")]
+    /// Short human-readable label. Cosmetic only.
     name: &'static str,
-}
-
-// Referenced from the `#[serde(default = "...")]` attribute above, which
-// the vendored serde stand-in parses but does not yet expand into code.
-#[allow(dead_code)]
-fn deserialized_name() -> &'static str {
-    "material"
 }
 
 impl Material {

@@ -9,13 +9,11 @@
 //! dependence of this law, so the same [`PathLossModel`] instance is shared
 //! by the simulator and referenced in the detector's documentation.
 
-use serde::{Deserialize, Serialize};
-
 /// Speed of light in vacuum (m/s).
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 
 /// Free-space path-loss model with environment exponent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLossModel {
     /// Environmental attenuation factor `n` (2 = free space; indoor
     /// office values run 2.5–4).

@@ -16,8 +16,6 @@ use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` real and imaginary parts.
 ///
 /// The type is `Copy` and all arithmetic operators are implemented for both
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.norm(), 5.0);
 /// assert_eq!((a * a.conj()).re, 25.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,
@@ -479,18 +477,5 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(Complex64::new(1.0, 2.0).to_string(), "1+2i");
         assert_eq!(Complex64::new(1.0, -2.0).to_string(), "1-2i");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let z = Complex64::new(1.25, -0.5);
-        let json = serde_json_like(&z);
-        assert!(json.contains("1.25"));
-    }
-
-    // We avoid a serde_json dev-dependency; just ensure Serialize is wired by
-    // serializing through the Debug-stable helper below.
-    fn serde_json_like(z: &Complex64) -> String {
-        format!("{z:?}")
     }
 }

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::Complex64;
 
 /// A dense, row-major complex matrix.
@@ -22,7 +20,7 @@ use crate::complex::Complex64;
 /// let a = CMatrix::from_fn(3, 3, |r, c| Complex64::new((r + c) as f64, 0.0));
 /// assert_eq!(&eye * &a, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,

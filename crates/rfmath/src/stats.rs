@@ -5,8 +5,6 @@
 //! (Eq. 13–14), and variances for threshold selection and the
 //! moving-variance detector.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -102,7 +100,7 @@ pub fn min_max(xs: &[f64]) -> (f64, f64) {
 /// let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(e.eval(2.5), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -177,7 +175,7 @@ impl Ecdf {
 }
 
 /// A fixed-bin histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,6 +1,6 @@
-//! Versioned, checksummed checkpoint files for session state.
+//! The versioned binary image of session state.
 //!
-//! A checkpoint captures the complete dynamic state of a
+//! An image captures the complete dynamic state of a
 //! [`SessionRuntime`](crate::runtime::SessionRuntime) — profile,
 //! threshold, HMM state, drift-sentinel state, supervision counters, the
 //! null reservoir and shadow buffer, and the seq cursor — so a killed
@@ -9,11 +9,10 @@
 //! Layout (all little-endian):
 //!
 //! ```text
-//! magic    b"MPSC"                             4 bytes   image
+//! magic    b"MPSC"                             4 bytes
 //! version  u16                                 2
 //! paylen   u64  (payload byte count)           8
 //! payload  [paylen bytes]
-//! checksum u64  CRC-64 over magic..payload     8         trailer
 //! ```
 //!
 //! The payload packs, in order: cursor, threshold, the calibration
@@ -24,24 +23,16 @@
 //! watchdog strikes), and the reservoir + shadow packet windows in the
 //! `mpdf_wifi::trace` per-packet encoding.
 //!
-//! The codec is split at the trailer. [`encode_image_into`] appends the
-//! image to any buffer and [`decode_image`] decodes an image whose
-//! integrity the caller has already checked: the fleet's shard log
-//! stores images inside records whose own CRC-64 frame is their only
-//! checksum. Checkpoint files use [`encode_snapshot`] and
-//! [`decode_snapshot`], which add and verify the trailer. The checksum
-//! is [`crate::durable::crc64`], the one the shard log frames with.
-//!
-//! [`CheckpointStore`] adds crash-safe file handling: atomic
-//! write-rename through a `.tmp` sibling, the previous good checkpoint
-//! retained as `.bak`, and corrupt/truncated-file detection on load
-//! falling back to the previous good file.
+//! This module is the codec only. [`encode_image_into`] appends an
+//! image to any buffer and [`decode_image`] decodes one whose integrity
+//! the caller has already checked. Durability — the checksum, the
+//! staged write, the `.bak` rotation and the fallback to it — belongs
+//! to the store that holds the image: `mpdf-fleet`'s shard log, which
+//! frames each image in a CRC-64 record, and whose one-link form is the
+//! single-session checkpoint file.
 
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
-
-use bytes::{Buf, BufMut, Bytes};
 
 use mpdf_core::error::DetectError;
 use mpdf_core::hmm::{Gaussian, HmmSmoother};
@@ -51,33 +42,23 @@ use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::csi::CsiPacket;
 
-use crate::durable::{crc64, retry_io, sync_parent_dir};
 use crate::runtime::{SessionMode, SessionSnapshot};
 use crate::sentinel::{DriftState, SentinelSnapshot};
 
-/// Checkpoint file magic.
+/// Image magic.
 pub const MAGIC: &[u8; 4] = b"MPSC";
-/// Current checkpoint format version. Version 1 files carried an FNV-1a
-/// trailer: the CRC-64 check refuses them as
-/// [`CheckpointError::ChecksumMismatch`].
+/// Current image format version.
 pub const VERSION: u16 = 2;
 
-/// Errors produced when loading a checkpoint.
+/// Errors produced when encoding or decoding an image.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The file does not start with the `MPSC` magic.
+    /// The image does not start with the `MPSC` magic.
     BadMagic,
     /// The version field is unsupported.
     UnsupportedVersion(u16),
-    /// The file ends before its declared payload/trailer.
+    /// The image ends before its declared payload.
     Truncated,
-    /// The trailing checksum does not match the file contents.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum computed over the file contents.
-        computed: u64,
-    },
     /// The payload decodes but is internally inconsistent.
     Corrupt(String),
     /// The decoded state fails semantic validation (profile shapes, HMM
@@ -93,8 +74,6 @@ pub enum CheckpointError {
         /// Largest length the field can represent.
         max: u64,
     },
-    /// Underlying I/O failure.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for CheckpointError {
@@ -105,17 +84,12 @@ impl fmt::Display for CheckpointError {
                 write!(f, "unsupported checkpoint version {v}")
             }
             CheckpointError::Truncated => write!(f, "checkpoint ends before declared length"),
-            CheckpointError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
             CheckpointError::Corrupt(what) => write!(f, "checkpoint is corrupt: {what}"),
             CheckpointError::Invalid(e) => write!(f, "checkpoint state is invalid: {e}"),
             CheckpointError::TooLarge { what, len, max } => write!(
                 f,
                 "cannot checkpoint {what}: {len} entries exceed the format's limit of {max}"
             ),
-            CheckpointError::Io(e) => write!(f, "i/o error on checkpoint: {e}"),
         }
     }
 }
@@ -123,16 +97,9 @@ impl fmt::Display for CheckpointError {
 impl Error for CheckpointError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            CheckpointError::Io(e) => Some(e),
             CheckpointError::Invalid(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
     }
 }
 
@@ -167,16 +134,16 @@ fn put_packets(
     antennas: usize,
     subcarriers: usize,
 ) -> Result<(), CheckpointError> {
-    buf.put_u32_le(len_u32("packet windows", windows.len())?);
+    buf.extend_from_slice(&len_u32("packet windows", windows.len())?.to_le_bytes());
     for w in windows {
-        buf.put_u32_le(len_u32("packets in a window", w.len())?);
+        buf.extend_from_slice(&len_u32("packets in a window", w.len())?.to_le_bytes());
         for p in w {
             debug_assert!(
                 p.antennas() == antennas && p.subcarriers() == subcarriers,
                 "checkpointed packet shape diverges from profile"
             );
-            buf.put_u64_le(p.seq);
-            buf.put_f64_le(p.timestamp);
+            buf.extend_from_slice(&p.seq.to_le_bytes());
+            buf.extend_from_slice(&p.timestamp.to_le_bytes());
             // Each row is written into space sized up front: one length
             // check per row instead of two per entry.
             for a in 0..antennas {
@@ -235,24 +202,9 @@ impl<'a> From<&'a SessionSnapshot> for SnapshotParts<'a> {
 
 /// Header bytes before the payload: magic, version, payload length.
 const IMAGE_HEADER: usize = 4 + 2 + 8;
-/// Trailer bytes after the image: the CRC-64.
-const TRAILER: usize = 8;
 
-/// Serializes a session snapshot into a checkpoint file: the image
-/// followed by its CRC-64 trailer.
-///
-/// # Errors
-/// See [`encode_image_into`].
-pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Bytes, CheckpointError> {
-    let mut file = Vec::new();
-    encode_image_into(&snapshot.into(), &mut file)?;
-    let checksum = crc64(&file);
-    file.put_u64_le(checksum);
-    Ok(Bytes::from(file))
-}
-
-/// Appends the checkpoint image of `parts` (header and payload, no
-/// trailer) to `out`, so a session's state is encoded once, straight
+/// Appends the checkpoint image of `parts` (header and payload) to
+/// `out`, so a session's state is encoded once, straight
 /// into the buffer that will hold it.
 ///
 /// All packet windows must share the profile's `(antennas,
@@ -290,38 +242,40 @@ fn put_image(
         .map(Vec::len)
         .sum();
     // The image is built in place: header (length patched below), then
-    // payload, with room for the checksum that follows it.
-    payload.reserve(IMAGE_HEADER + 4096 + packets * packet_bytes + TRAILER);
-    payload.put_slice(MAGIC);
-    payload.put_u16_le(VERSION);
-    payload.put_u64_le(0);
-    payload.put_u64_le(snapshot.cursor);
-    payload.put_f64_le(snapshot.threshold);
+    // payload, with room for the 8-byte record checksum that follows it.
+    payload.reserve(IMAGE_HEADER + 4096 + packets * packet_bytes + 8);
+    payload.extend_from_slice(MAGIC);
+    payload.extend_from_slice(&VERSION.to_le_bytes());
+    payload.extend_from_slice(&[0; 8]);
+    payload.extend_from_slice(&snapshot.cursor.to_le_bytes());
+    payload.extend_from_slice(&snapshot.threshold.to_le_bytes());
 
     // Profile.
-    payload.put_u16_le(len_u16("profile antennas", antennas)?);
-    payload.put_u16_le(len_u16("profile subcarriers", subcarriers)?);
+    payload.extend_from_slice(&len_u16("profile antennas", antennas)?.to_le_bytes());
+    payload.extend_from_slice(&len_u16("profile subcarriers", subcarriers)?.to_le_bytes());
     for row in snapshot.profile.static_amplitude() {
         for &v in row {
-            payload.put_f64_le(v);
+            payload.extend_from_slice(&v.to_le_bytes());
         }
     }
     for &v in snapshot.profile.static_power() {
-        payload.put_f64_le(v);
+        payload.extend_from_slice(&v.to_le_bytes());
     }
     for r in snapshot.profile.static_covariances() {
         for z in r.as_slice() {
-            payload.put_f64_le(z.re);
-            payload.put_f64_le(z.im);
+            payload.extend_from_slice(&z.re.to_le_bytes());
+            payload.extend_from_slice(&z.im.to_le_bytes());
         }
     }
     let spectrum = snapshot.profile.static_spectrum();
-    payload.put_u32_le(len_u32("spectrum angle grid", spectrum.angles_deg().len())?);
+    payload.extend_from_slice(
+        &len_u32("spectrum angle grid", spectrum.angles_deg().len())?.to_le_bytes(),
+    );
     for &a in spectrum.angles_deg() {
-        payload.put_f64_le(a);
+        payload.extend_from_slice(&a.to_le_bytes());
     }
     for &v in spectrum.values() {
-        payload.put_f64_le(v);
+        payload.extend_from_slice(&v.to_le_bytes());
     }
 
     // HMM + carried posterior.
@@ -336,22 +290,22 @@ fn put_image(
         snapshot.hmm.llr_cap,
         snapshot.posterior,
     ] {
-        payload.put_f64_le(v);
+        payload.extend_from_slice(&v.to_le_bytes());
     }
 
     // Sentinel.
-    payload.put_f64_le(snapshot.sentinel.baseline_mean);
-    payload.put_f64_le(snapshot.sentinel.baseline_std);
-    payload.put_f64_le(snapshot.sentinel.ewma);
-    payload.put_u8(snapshot.sentinel.state.as_u8());
-    payload.put_u32_le(snapshot.sentinel.above_enter);
-    payload.put_u32_le(snapshot.sentinel.below_exit);
+    payload.extend_from_slice(&snapshot.sentinel.baseline_mean.to_le_bytes());
+    payload.extend_from_slice(&snapshot.sentinel.baseline_std.to_le_bytes());
+    payload.extend_from_slice(&snapshot.sentinel.ewma.to_le_bytes());
+    payload.push(snapshot.sentinel.state.as_u8());
+    payload.extend_from_slice(&snapshot.sentinel.above_enter.to_le_bytes());
+    payload.extend_from_slice(&snapshot.sentinel.below_exit.to_le_bytes());
 
     // Supervision.
-    payload.put_u8(snapshot.mode.as_u8());
-    payload.put_u32_le(snapshot.retries);
-    payload.put_u64_le(snapshot.backoff_remaining);
-    payload.put_u32_le(snapshot.watchdog_strikes);
+    payload.push(snapshot.mode.as_u8());
+    payload.extend_from_slice(&snapshot.retries.to_le_bytes());
+    payload.extend_from_slice(&snapshot.backoff_remaining.to_le_bytes());
+    payload.extend_from_slice(&snapshot.watchdog_strikes.to_le_bytes());
 
     // Packet windows.
     put_packets(payload, snapshot.reservoir, antennas, subcarriers)?;
@@ -369,35 +323,44 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn need(&self, n: usize) -> Result<(), CheckpointError> {
-        if self.buf.remaining() < n {
+        if self.buf.len() < n {
             return Err(CheckpointError::Truncated);
         }
         Ok(())
     }
 
+    /// The next `n` bytes, consumed.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+        self.need(n)?;
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let mut raw = [0u8; N];
+        raw.copy_from_slice(self.take(N)?);
+        Ok(raw)
+    }
+
     fn u8(&mut self) -> Result<u8, CheckpointError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.array::<1>()?[0])
     }
 
     fn u16(&mut self) -> Result<u16, CheckpointError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.array()?))
     }
 }
 
@@ -416,7 +379,7 @@ fn read_windows(
     let count = r.u32()? as usize;
     // Each window needs at least one length field; a count larger than
     // the remaining bytes is corruption, not an allocation request.
-    if count > r.buf.remaining() {
+    if count > r.buf.len() {
         return Err(CheckpointError::Truncated);
     }
     let mut windows = Vec::with_capacity(count);
@@ -424,17 +387,15 @@ fn read_windows(
         let n = r.u32()? as usize;
         let entry_bytes = antennas * subcarriers * 16;
         let per_packet = 16 + entry_bytes;
-        if n.saturating_mul(per_packet) > r.buf.remaining() {
+        if n.saturating_mul(per_packet) > r.buf.len() {
             return Err(CheckpointError::Truncated);
         }
         let mut w = Vec::with_capacity(n);
         for _ in 0..n {
             let seq = r.u64()?;
             let timestamp = r.f64()?;
-            r.need(entry_bytes)?;
-            let (entries, rest) = r.buf.split_at(entry_bytes);
-            r.buf = rest;
-            let data = entries
+            let data = r
+                .take(entry_bytes)?
                 .chunks_exact(16)
                 .map(|z| {
                     let (re, im) = z.split_at(8);
@@ -448,33 +409,7 @@ fn read_windows(
     Ok(windows)
 }
 
-/// Deserializes a checkpoint file: verifies the CRC-64 trailer first,
-/// then decodes the image.
-///
-/// `config` supplies the deployment constants (angular gate) needed to
-/// re-derive the profile's path weights — restore must use the same
-/// [`DetectorConfig`] the session was calibrated with.
-///
-/// # Errors
-/// See [`CheckpointError`]; any single corrupted byte is caught by the
-/// trailing checksum.
-pub fn decode_snapshot(
-    data: &[u8],
-    config: &DetectorConfig,
-) -> Result<SessionSnapshot, CheckpointError> {
-    if data.len() < IMAGE_HEADER + TRAILER {
-        return Err(CheckpointError::Truncated);
-    }
-    let (body, trailer) = data.split_at(data.len() - TRAILER);
-    let stored = (&mut { trailer }).get_u64_le();
-    let computed = crc64(body);
-    if stored != computed {
-        return Err(CheckpointError::ChecksumMismatch { stored, computed });
-    }
-    decode_image(body, config)
-}
-
-/// Decodes a checkpoint image (header and payload, no trailer) whose
+/// Decodes a checkpoint image (header and payload) whose
 /// integrity the caller has already checked. Total on any input: every
 /// length is bounded by the bytes left before anything is allocated,
 /// so arbitrary bytes give a typed error, never a panic.
@@ -488,10 +423,7 @@ pub fn decode_image(
     config: &DetectorConfig,
 ) -> Result<SessionSnapshot, CheckpointError> {
     let mut r = Reader { buf: body };
-    let mut magic = [0u8; 4];
-    r.need(4)?;
-    r.buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &r.array::<4>()? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
     let version = r.u16()?;
@@ -499,7 +431,7 @@ pub fn decode_image(
         return Err(CheckpointError::UnsupportedVersion(version));
     }
     let paylen = r.u64()? as usize;
-    if paylen != r.buf.remaining() {
+    if paylen != r.buf.len() {
         return Err(CheckpointError::Truncated);
     }
 
@@ -517,7 +449,7 @@ pub fn decode_image(
     // subcarrier: a shape the remaining bytes cannot hold is corruption,
     // not an allocation request.
     let profile_bytes = subcarriers.saturating_mul(8 + 8 * antennas + 16 * antennas * antennas);
-    if profile_bytes > r.buf.remaining() {
+    if profile_bytes > r.buf.len() {
         return Err(CheckpointError::Truncated);
     }
     let mut static_amplitude = Vec::with_capacity(antennas);
@@ -543,7 +475,7 @@ pub fn decode_image(
         static_covariances.push(CMatrix::from_rows(antennas, antennas, &entries));
     }
     let grid_len = r.u32()? as usize;
-    if grid_len == 0 || grid_len.saturating_mul(16) > r.buf.remaining() {
+    if grid_len == 0 || grid_len.saturating_mul(16) > r.buf.len() {
         return Err(CheckpointError::Truncated);
     }
     let mut angles = Vec::with_capacity(grid_len);
@@ -620,10 +552,10 @@ pub fn decode_image(
 
     let reservoir = read_windows(&mut r, antennas, subcarriers)?;
     let shadow = read_windows(&mut r, antennas, subcarriers)?;
-    if r.buf.remaining() != 0 {
+    if !r.buf.is_empty() {
         return Err(CheckpointError::Corrupt(format!(
             "{} trailing bytes after payload",
-            r.buf.remaining()
+            r.buf.len()
         )));
     }
 
@@ -641,103 +573,6 @@ pub fn decode_image(
         reservoir,
         shadow,
     })
-}
-
-/// Crash-safe checkpoint file handling: atomic write-rename plus a
-/// retained previous-good file for corruption fallback.
-#[derive(Debug, Clone)]
-pub struct CheckpointStore {
-    path: PathBuf,
-}
-
-impl CheckpointStore {
-    /// Binds a store to a checkpoint path. `<path>.tmp` and `<path>.bak`
-    /// siblings are used for staging and the previous good checkpoint.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointStore { path: path.into() }
-    }
-
-    /// The main checkpoint path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn sibling(&self, suffix: &str) -> PathBuf {
-        let mut name = self.path.as_os_str().to_os_string();
-        name.push(suffix);
-        PathBuf::from(name)
-    }
-
-    /// Whether a checkpoint (main or previous-good) exists on disk.
-    pub fn exists(&self) -> bool {
-        self.path.exists() || self.sibling(".bak").exists()
-    }
-
-    /// Atomically saves a snapshot: the image is written to `<path>.tmp`
-    /// and fsynced, the current checkpoint (if any) is retained as
-    /// `<path>.bak`, the temp file is renamed into place, and the parent
-    /// directory is fsynced so the renames themselves are durable. A
-    /// crash (or power cut) at any point leaves either the old or the
-    /// new checkpoint loadable — the rename can never publish a file
-    /// whose data blocks were still in the page cache.
-    ///
-    /// Transient IO errors (`Interrupted`, `WouldBlock`) are absorbed by
-    /// a bounded deterministic retry instead of failing the session on
-    /// the first occurrence.
-    ///
-    /// # Errors
-    /// Propagates non-transient (or retry-exhausted) I/O failures.
-    pub fn save(&self, snapshot: &SessionSnapshot) -> Result<(), CheckpointError> {
-        let _stage = mpdf_obs::stage!("session.checkpoint");
-        let bytes = encode_snapshot(snapshot)?;
-        let tmp = self.sibling(".tmp");
-        let retries = mpdf_obs::counter!("session.checkpoint_io_retries_total");
-        retry_io(retries, || {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()
-        })?;
-        if self.path.exists() {
-            retry_io(retries, || {
-                std::fs::rename(&self.path, self.sibling(".bak"))
-            })?;
-        }
-        retry_io(retries, || std::fs::rename(&tmp, &self.path))?;
-        retry_io(retries, || sync_parent_dir(&self.path))?;
-        mpdf_obs::counter!("session.checkpoint_writes_total").inc();
-        Ok(())
-    }
-
-    /// Loads the most recent good checkpoint: the main file first, and on
-    /// corruption/truncation (or a missing main file) the previous good
-    /// `.bak`. Returns the *primary* error when both fail to decode.
-    ///
-    /// # Errors
-    /// See [`CheckpointError`]. A missing store (neither file exists)
-    /// surfaces as [`CheckpointError::Io`] with `NotFound`.
-    pub fn load(&self, config: &DetectorConfig) -> Result<SessionSnapshot, CheckpointError> {
-        let primary = match std::fs::read(&self.path) {
-            Ok(data) => match decode_snapshot(&data, config) {
-                Ok(snap) => {
-                    mpdf_obs::counter!("session.checkpoint_restores_total").inc();
-                    return Ok(snap);
-                }
-                Err(e) => e,
-            },
-            Err(e) => CheckpointError::Io(e),
-        };
-        match std::fs::read(self.sibling(".bak")) {
-            Ok(data) => match decode_snapshot(&data, config) {
-                Ok(snap) => {
-                    mpdf_obs::counter!("session.checkpoint_fallbacks_total").inc();
-                    mpdf_obs::counter!("session.checkpoint_restores_total").inc();
-                    Ok(snap)
-                }
-                Err(_) => Err(primary),
-            },
-            Err(_) => Err(primary),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -772,8 +607,10 @@ mod tests {
         .unwrap()
     }
 
-    fn snapshot() -> SessionSnapshot {
-        runtime().snapshot()
+    fn image(snapshot: &SessionSnapshot) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_image_into(&snapshot.into(), &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -783,18 +620,12 @@ mod tests {
         // The image is appended after whatever the buffer already holds.
         let mut direct = b"prefix".to_vec();
         encode_image_into(&rt.snapshot_parts(), &mut direct).unwrap();
-        let mut via_snapshot = Vec::new();
-        encode_image_into(&(&snap).into(), &mut via_snapshot).unwrap();
+        let via_snapshot = image(&snap);
         assert_eq!(&direct[..6], b"prefix");
         assert_eq!(&direct[6..], &via_snapshot[..]);
-        // A file is the image plus its CRC-64 trailer.
-        let file = encode_snapshot(&snap).unwrap();
-        let (body, trailer) = file.split_at(file.len() - TRAILER);
-        assert_eq!(body, &via_snapshot[..]);
-        assert_eq!(trailer, crc64(body).to_le_bytes());
         let decoded = decode_image(&via_snapshot, rt.detector().config()).unwrap();
         assert_eq!(decoded, snap);
-        assert_eq!(&encode_snapshot(&decoded).unwrap()[..], &file[..]);
+        assert_eq!(image(&decoded), via_snapshot);
     }
 
     #[test]
@@ -822,118 +653,33 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip_is_exact() {
-        let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap();
-        let decoded = decode_snapshot(&bytes, &DetectorConfig::default()).unwrap();
-        assert_eq!(decoded, snap);
-    }
-
-    #[test]
     fn bad_magic_and_version_are_typed() {
-        let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap().to_vec();
-        // The checksum catches each edit first (it covers the header);
-        // fixing the checksum reveals the header check.
-        let resealed = |at: usize, byte: u8| {
+        let bytes = image(&runtime().snapshot());
+        let edited = |at: usize, byte: u8| {
             let mut edited = bytes.clone();
             edited[at] = byte;
-            let body_len = edited.len() - TRAILER;
-            assert!(matches!(
-                decode_snapshot(&edited, &DetectorConfig::default()),
-                Err(CheckpointError::ChecksumMismatch { .. })
-            ));
-            let fixed = crc64(&edited[..body_len]).to_le_bytes();
-            edited[body_len..].copy_from_slice(&fixed);
-            decode_snapshot(&edited, &DetectorConfig::default())
+            decode_image(&edited, &DetectorConfig::default())
         };
-        assert!(matches!(resealed(0, b'X'), Err(CheckpointError::BadMagic)));
+        assert!(matches!(edited(0, b'X'), Err(CheckpointError::BadMagic)));
         assert!(matches!(
-            resealed(4, 9),
+            edited(4, 9),
             Err(CheckpointError::UnsupportedVersion(9))
         ));
         assert!(matches!(
-            resealed(4, 1),
+            edited(4, 1),
             Err(CheckpointError::UnsupportedVersion(1))
         ));
     }
 
     #[test]
-    fn any_single_byte_corruption_is_a_checksum_mismatch() {
-        let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap().to_vec();
-        // Probe a spread of positions including the trailer.
-        let step = (bytes.len() / 37).max(1);
-        for i in (0..bytes.len()).step_by(step) {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x5a;
-            assert!(
-                matches!(
-                    decode_snapshot(&corrupt, &DetectorConfig::default()),
-                    Err(CheckpointError::ChecksumMismatch { .. })
-                ),
-                "byte {i} corruption not caught"
-            );
-        }
-    }
-
-    #[test]
     fn truncation_is_detected() {
-        let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap();
+        let bytes = image(&runtime().snapshot());
         for cut in [0usize, 10, 21, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode_snapshot(&bytes[..cut], &DetectorConfig::default()).unwrap_err();
+            let err = decode_image(&bytes[..cut], &DetectorConfig::default()).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    CheckpointError::Truncated | CheckpointError::ChecksumMismatch { .. }
-                ),
+                matches!(err, CheckpointError::Truncated),
                 "cut {cut}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn store_saves_atomically_and_falls_back_to_previous_good() {
-        let dir =
-            std::env::temp_dir().join(format!("mpdf_ckpt_test_{}_{}", std::process::id(), line!()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new(dir.join("session.ckpt"));
-        let cfg = DetectorConfig::default();
-
-        assert!(!store.exists());
-        assert!(matches!(
-            store.load(&cfg),
-            Err(CheckpointError::Io(ref e)) if e.kind() == std::io::ErrorKind::NotFound
-        ));
-
-        let mut rt = runtime();
-        let first = rt.snapshot();
-        store.save(&first).unwrap();
-        assert!(store.exists());
-        assert_eq!(store.load(&cfg).unwrap(), first);
-
-        // Second save retains the first as previous-good.
-        rt.step(&[]).unwrap_or_else(|_| unreachable!());
-        let second = rt.snapshot();
-        store.save(&second).unwrap();
-        assert_eq!(store.load(&cfg).unwrap(), second);
-
-        // Corrupt the main file: load falls back to the previous good.
-        let mut data = std::fs::read(store.path()).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xff;
-        std::fs::write(store.path(), &data).unwrap();
-        assert_eq!(store.load(&cfg).unwrap(), first);
-
-        // Corrupt the backup too: the primary (typed) error surfaces.
-        let bak = store.sibling(".bak");
-        std::fs::write(&bak, b"garbage").unwrap();
-        assert!(matches!(
-            store.load(&cfg),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

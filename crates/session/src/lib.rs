@@ -15,12 +15,10 @@
 //!   recalibration (shadow buffer → candidate profile → rollback guard →
 //!   atomic swap), window-counted exponential backoff and graceful
 //!   degradation to frozen-profile mode;
-//! - [`checkpoint`] — versioned, checksummed serialization of the full
-//!   session state with atomic write-rename and previous-good fallback,
-//!   so a killed session restores bit-identically;
-//! - [`durable`] — the CRC-64 checksum, bounded transient-IO retry and
-//!   parent-directory fsync shared by the checkpoint store and the
-//!   fleet's shard logs.
+//! - [`checkpoint`] — the versioned binary image of the full session
+//!   state, so a killed session restores bit-identically. This crate
+//!   does no file IO: `mpdf-fleet`'s shard log stores images, and a
+//!   one-link shard log is the single-session checkpoint file.
 //!
 //! Everything is deterministic and clock-free: retry budgets, backoff and
 //! watchdog deadlines are counted in *windows*, never wall time, so a
@@ -30,11 +28,10 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod durable;
 pub mod runtime;
 pub mod sentinel;
 
-pub use checkpoint::{CheckpointError, CheckpointStore};
+pub use checkpoint::CheckpointError;
 pub use runtime::{
     RecalOutcome, RecalPolicy, SessionConfig, SessionDecision, SessionMode, SessionRuntime,
 };

@@ -27,8 +27,6 @@
 //! Everything is deterministic and clock-free, so a session restored
 //! from a [`crate::checkpoint`] continues bit-identically.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::detector::{Decision, Detector};
 use mpdf_core::error::DetectError;
 use mpdf_core::hmm::HmmSmoother;
@@ -40,7 +38,7 @@ use mpdf_wifi::csi::CsiPacket;
 use crate::sentinel::{DriftSentinel, DriftState, SentinelConfig, SentinelSnapshot};
 
 /// Staged-recalibration policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecalPolicy {
     /// Master switch. Off by default: adaptation is opt-in, and a runtime
     /// with recalibration disabled is arithmetically identical to a bare
@@ -76,7 +74,7 @@ impl Default for RecalPolicy {
 }
 
 /// Session-level configuration wrapped around a detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Pinned false-positive target; both the initial threshold and every
     /// recalibrated threshold are derived at this operating point.
@@ -160,7 +158,7 @@ impl SessionConfig {
 }
 
 /// Supervision mode of the session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionMode {
     /// Adapting normally.
     Normal,

@@ -9,13 +9,11 @@
 //! - steering vectors `a(θ)` with per-element phase `e^{-jπ m sinθ}`
 //!   (paper Eq. 16's geometry), consumed by the MUSIC estimator.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::vec2::Vec2;
 use mpdf_rfmath::complex::Complex64;
 
 /// A uniform linear antenna array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniformLinearArray {
     elements: usize,
     spacing_m: f64,

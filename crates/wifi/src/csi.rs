@@ -5,14 +5,12 @@
 //! sequence number and timestamp. Helpers convert to the amplitude/power
 //! features the detection schemes consume.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::db::power_to_db;
 use mpdf_rfmath::stats::median_in_place;
 
 /// CSI for one received packet: `antennas × subcarriers` complex samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsiPacket {
     antennas: usize,
     subcarriers: usize,

@@ -25,8 +25,6 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use mpdf_rfmath::complex::Complex64;
 
 use crate::csi::CsiPacket;
@@ -83,7 +81,7 @@ impl From<std::io::Error> for CaptureError {
 /// # Panics
 /// Panics if `packets` is empty or shapes are inconsistent — a capture of
 /// nothing is a caller bug, not an I/O condition.
-pub fn encode_capture(packets: &[CsiPacket]) -> Bytes {
+pub fn encode_capture(packets: &[CsiPacket]) -> Vec<u8> {
     assert!(!packets.is_empty(), "cannot encode an empty capture");
     let antennas = packets[0].antennas();
     let subcarriers = packets[0].subcarriers();
@@ -94,24 +92,24 @@ pub fn encode_capture(packets: &[CsiPacket]) -> Bytes {
         "all packets in a capture must share a shape"
     );
     let per_packet = 16 + antennas * subcarriers * 16;
-    let mut buf = BytesMut::with_capacity(18 + packets.len() * per_packet);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(antennas as u16);
-    buf.put_u16_le(subcarriers as u16);
-    buf.put_u64_le(packets.len() as u64);
+    let mut buf = Vec::with_capacity(18 + packets.len() * per_packet);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(antennas as u16).to_le_bytes());
+    buf.extend_from_slice(&(subcarriers as u16).to_le_bytes());
+    buf.extend_from_slice(&(packets.len() as u64).to_le_bytes());
     for p in packets {
-        buf.put_u64_le(p.seq);
-        buf.put_f64_le(p.timestamp);
+        buf.extend_from_slice(&p.seq.to_le_bytes());
+        buf.extend_from_slice(&p.timestamp.to_le_bytes());
         for a in 0..antennas {
             for k in 0..subcarriers {
                 let z = p.get(a, k);
-                buf.put_f64_le(z.re);
-                buf.put_f64_le(z.im);
+                buf.extend_from_slice(&z.re.to_le_bytes());
+                buf.extend_from_slice(&z.im.to_le_bytes());
             }
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Writes a capture to any writer.
@@ -127,42 +125,48 @@ pub fn write_capture<W: Write>(mut w: W, packets: &[CsiPacket]) -> std::io::Resu
 /// # Errors
 /// See [`CaptureError`].
 pub fn decode_capture(data: &[u8]) -> Result<Vec<CsiPacket>, CaptureError> {
-    let mut buf = data;
-    if buf.remaining() < 18 {
+    if data.len() < 18 {
         return Err(CaptureError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (header, mut buf) = data.split_at(18);
+    if &header[..4] != MAGIC {
         return Err(CaptureError::BadMagic);
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes([header[4], header[5]]);
     if version != VERSION {
         return Err(CaptureError::UnsupportedVersion(version));
     }
-    let antennas = buf.get_u16_le() as usize;
-    let subcarriers = buf.get_u16_le() as usize;
+    let antennas = u16::from_le_bytes([header[6], header[7]]) as usize;
+    let subcarriers = u16::from_le_bytes([header[8], header[9]]) as usize;
     if antennas == 0 || subcarriers == 0 {
         return Err(CaptureError::BadShape);
     }
-    let count = buf.get_u64_le() as usize;
+    let count = le_u64(&header[10..]) as usize;
     let per_packet = 16 + antennas * subcarriers * 16;
     let mut packets = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        if buf.remaining() < per_packet {
+        if buf.len() < per_packet {
             return Err(CaptureError::Truncated);
         }
-        let seq = buf.get_u64_le();
-        let timestamp = buf.get_f64_le();
-        let mut data = Vec::with_capacity(antennas * subcarriers);
-        for _ in 0..antennas * subcarriers {
-            let re = buf.get_f64_le();
-            let im = buf.get_f64_le();
-            data.push(Complex64::new(re, im));
-        }
+        let (packet, rest) = buf.split_at(per_packet);
+        buf = rest;
+        let seq = le_u64(packet);
+        let timestamp = f64::from_bits(le_u64(&packet[8..]));
+        let data = packet[16..]
+            .chunks_exact(16)
+            .map(|z| Complex64::new(f64::from_bits(le_u64(z)), f64::from_bits(le_u64(&z[8..]))))
+            .collect();
         packets.push(CsiPacket::new(antennas, subcarriers, data, seq, timestamp));
     }
     Ok(packets)
+}
+
+/// Decodes the first 8 bytes of `bytes` (callers pass at least 8) as a
+/// little-endian `u64`.
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(raw)
 }
 
 /// Reads a capture from any reader.
@@ -209,7 +213,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = encode_capture(&packets(1)).to_vec();
+        let mut bytes = encode_capture(&packets(1));
         bytes[0] = b'X';
         assert!(matches!(
             decode_capture(&bytes),
@@ -219,7 +223,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = encode_capture(&packets(1)).to_vec();
+        let mut bytes = encode_capture(&packets(1));
         bytes[4] = 9;
         assert!(matches!(
             decode_capture(&bytes),
