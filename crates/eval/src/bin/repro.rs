@@ -48,9 +48,10 @@ experiments:
   (default: fig7)
 
   stream             replay the recorded campaign through the CSI wire codec
-                     and bounded-queue ingest path at max speed, verifying
-                     stream-path scores bit-identical to the offline pass
-                     (runs alone, not part of `all`)
+                     at max speed; scoring workers pull, decode and score
+                     their own epochs, verifying stream-path scores
+                     bit-identical to the offline pass (runs alone, not
+                     part of `all`)
   fleet              run many links under the sharded fleet supervisor:
                      fault containment, overload shedding, room fusion;
                      with --chaos, crash-recoverable shard logs under
@@ -561,7 +562,7 @@ fn main() {
         return;
     }
     // Stream mode replaces the experiment fan-out: record the campaign,
-    // replay it through the wire codec + bounded-queue path, and verify
+    // replay it through the wire codec on pull-based workers, and verify
     // bit-identity with the offline scoring pass. Kept out of `all` so
     // `repro all` output is unchanged; throughput goes to stderr so the
     // stdout report stays deterministic.

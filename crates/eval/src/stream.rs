@@ -5,22 +5,24 @@
 //! CSI tool emits a continuous record stream the detector must consume
 //! at line rate. This module replays a *recorded* campaign through that
 //! shape: each case's captured windows are encoded with the
-//! [`mpdf_wifi::wire`] codec into one contiguous byte stream, pumped
-//! through a bounded ingest queue in MTU-sized chunks, reassembled and
-//! split back into frames by the zero-copy decoder, batched into
-//! `detector.window`-packet epochs, and scored by a pool of workers.
+//! [`mpdf_wifi::wire`] codec into one contiguous byte stream, read back
+//! in MTU-sized chunks, reassembled and split into frames by the
+//! zero-copy decoder, batched into `detector.window`-packet epochs, and
+//! scored by a pool of workers.
 //!
-//! The pipeline is back-pressured end to end: the chunk producer blocks
-//! when the ingest queue is full and the framer blocks when the epoch
-//! queue is full, so a slow scorer throttles ingest instead of letting
-//! buffers grow without bound ([`mpdf_par::queue::Bounded`] semantics).
+//! There are no hand-off threads: a free scoring worker locks the shared
+//! ingest state, reads chunks until one epoch is decoded, cuts it,
+//! unlocks and scores it. Back-pressure is structural — bytes are read
+//! only when a worker is free, so with reads shorter than a frame at
+//! most one epoch per worker plus one partial frame is decoded ahead.
 //! Scores land in *epoch-indexed* slots, so the output order is a pure
 //! function of the byte stream no matter how many workers race — the
 //! contract, pinned by a tier-1 test, is that stream-path scores are
 //! **bit-identical** to the offline [`score_campaign`] pass over the
 //! same recording.
 
-use std::sync::{Mutex, PoisonError};
+use std::slice::Chunks;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use mpdf_core::error::DetectError;
@@ -28,7 +30,6 @@ use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::{
     Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
 };
-use mpdf_par::queue::Bounded;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire;
@@ -48,8 +49,6 @@ pub struct StreamOptions {
     /// *smaller* than one 3×30 frame (1466 bytes) — every frame crosses
     /// a chunk boundary, so the replay exercises reassembly constantly.
     pub chunk_bytes: usize,
-    /// Ingest queue capacity in chunks (back-pressure bound).
-    pub queue_chunks: usize,
     /// AGC gain step stamped on every encoded frame.
     pub agc: u8,
 }
@@ -58,7 +57,6 @@ impl Default for StreamOptions {
     fn default() -> Self {
         StreamOptions {
             chunk_bytes: 1460,
-            queue_chunks: 64,
             agc: 40,
         }
     }
@@ -98,9 +96,78 @@ fn validate_band(band: &Band) -> Result<(), DetectError> {
         .map_err(|e| invalid(format!("stream ingest band rejected: {e}")))
 }
 
-/// Replays one recorded case through the wire codec and bounded-queue
-/// path, returning per-epoch scheme scores (epoch order) plus transport
-/// stats.
+/// The ingest side of one replay, shared by the scoring workers behind
+/// one mutex: whoever holds it reads and decodes for everyone.
+struct Ingest<'a> {
+    /// The socket stand-in: the encoded stream, one read at a time.
+    reads: Chunks<'a, u8>,
+    /// Carry-over tail (a frame split across reads) and decoded packets
+    /// not yet cut into an epoch.
+    tail: Vec<u8>,
+    pending: Vec<CsiPacket>,
+    /// `stats.epochs` counts the epochs handed out: the next epoch index.
+    stats: CaseStreamStats,
+    /// The closed flag: the earliest failing epoch and its error.
+    failure: Option<(usize, DetectError)>,
+}
+
+impl Ingest<'_> {
+    /// Reads until `window` packets are pending, then cuts the next
+    /// epoch. `None` at end of stream (a trailing partial epoch is
+    /// dropped) or once a failure has closed the stream.
+    fn next_epoch(&mut self, window: usize) -> Option<(usize, Vec<CsiPacket>)> {
+        if self.failure.is_some() {
+            return None;
+        }
+        while self.pending.len() < window {
+            self.tail.extend_from_slice(self.reads.next()?);
+            let drained = wire::drain_frames(&self.tail, &mut self.pending);
+            self.tail.drain(..drained.consumed);
+            self.stats.packets += drained.frames;
+            self.stats.bytes += drained.consumed as u64;
+            self.stats.rejects += drained.rejects;
+        }
+        let idx = self.stats.epochs;
+        self.stats.epochs += 1;
+        Some((idx, self.pending.drain(..window).collect()))
+    }
+
+    /// Closes the stream, keeping the earliest failing epoch's error.
+    /// Epochs are handed out in order and a worker finishes the one it
+    /// holds, so the kept error does not depend on the thread count.
+    fn fail(&mut self, idx: usize, e: DetectError) {
+        match self.failure {
+            Some((first, _)) if first < idx => {}
+            _ => self.failure = Some((idx, e)),
+        }
+    }
+}
+
+/// Scores one epoch with the three schemes back to back on one thread,
+/// so the sanitize memo misses once and hits twice. Abstentions are
+/// `None`; any other scheme error is returned.
+fn score_epoch(
+    case: &CaseData,
+    packets: &[CsiPacket],
+    detector: &DetectorConfig,
+) -> Result<EpochScores, DetectError> {
+    let kept = |result: Result<f64, DetectError>| match result {
+        Ok(s) => Ok(Some(s)),
+        Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
+        Err(e) => Err(e),
+    };
+    let p = &case.profile;
+    Ok([
+        kept(Baseline.score(p, packets, detector))?,
+        kept(SubcarrierWeighting.score(p, packets, detector))?,
+        kept(SubcarrierAndPathWeighting.score(p, packets, detector))?,
+    ])
+}
+
+/// Replays one recorded case through the wire codec, returning
+/// per-epoch scheme scores (epoch order) plus transport stats. Each of
+/// the [`mpdf_par::resolve_threads`]`(threads)` workers pulls and
+/// scores its own epochs; the ingest lock is never held while scoring.
 ///
 /// The recording must be *clean*: every window exactly
 /// `detector.window` packets, as a fault-free campaign produces. Epoch
@@ -110,8 +177,8 @@ fn validate_band(band: &Band) -> Result<(), DetectError> {
 ///
 /// # Errors
 /// [`DetectError::InvalidConfig`] for a malformed band, ragged
-/// recording, or a replay that lost epochs; scheme errors other than
-/// the abstention cases propagate.
+/// recording, or a replay that lost epochs; a scheme error other than
+/// the abstention cases stops the replay and propagates.
 pub fn stream_case_scores(
     case: &CaseData,
     detector: &DetectorConfig,
@@ -138,124 +205,56 @@ pub fn stream_case_scores(
         }
     }
 
-    let expected_epochs = case.windows.len();
-    let workers = mpdf_par::resolve_threads(threads);
-    let chunk_bytes = opts.chunk_bytes.max(1);
-    let ingest: Bounded<Vec<u8>> = Bounded::new(opts.queue_chunks.max(1));
-    let epochs: Bounded<(usize, Vec<CsiPacket>)> = Bounded::new(workers.max(1) * 2);
-    let slots: Vec<Mutex<Option<EpochScores>>> =
-        (0..expected_epochs).map(|_| Mutex::new(None)).collect();
-    let failure: Mutex<Option<DetectError>> = Mutex::new(None);
-    let transport: Mutex<CaseStreamStats> = Mutex::new(CaseStreamStats {
-        case_id: case.case_id,
-        ..CaseStreamStats::default()
+    let ingest = Mutex::new(Ingest {
+        reads: bytes.chunks(opts.chunk_bytes.max(1)),
+        tail: Vec::new(),
+        pending: Vec::new(),
+        stats: CaseStreamStats {
+            case_id: case.case_id,
+            ..CaseStreamStats::default()
+        },
+        failure: None,
     });
+    let slots: Vec<OnceLock<EpochScores>> =
+        (0..case.windows.len()).map(|_| OnceLock::new()).collect();
 
     std::thread::scope(|scope| {
-        // Producer: the socket stand-in, pushing MTU-sized chunks with
-        // back-pressure (push blocks while the queue is full).
-        scope.spawn(|| {
-            for chunk in bytes.chunks(chunk_bytes) {
-                if ingest.push(chunk.to_vec()).is_err() {
-                    return; // queue closed early (downstream failure)
-                }
-                let depth = ingest.len() as i64;
-                mpdf_obs::gauge!("eval.stream.ingest_depth").set(depth);
-                mpdf_obs::gauge!("eval.stream.ingest_depth_max").set_max(depth);
-            }
-            ingest.close();
-        });
-
-        // Framer: reassembles chunks, splits frames zero-copy, batches
-        // N packets per epoch.
-        scope.spawn(|| {
-            let mut tail: Vec<u8> = Vec::new();
-            let mut pending: Vec<CsiPacket> = Vec::new();
-            let mut epoch_idx = 0usize;
-            while let Some(chunk) = ingest.pop() {
-                tail.extend_from_slice(&chunk);
-                let stats = wire::drain_frames(&tail, &mut pending);
-                tail.drain(..stats.consumed);
-                {
-                    let mut t = lock(&transport);
-                    t.packets += stats.frames;
-                    t.bytes += stats.consumed as u64;
-                    t.rejects += stats.rejects;
-                }
-                mpdf_obs::counter!("eval.stream.packets_total").add(stats.frames);
-                while pending.len() >= window {
-                    let epoch: Vec<CsiPacket> = pending.drain(..window).collect();
-                    if epochs.push((epoch_idx, epoch)).is_err() {
-                        ingest.close();
-                        return;
-                    }
-                    epoch_idx += 1;
-                }
-            }
-            // A clean replay consumes everything; a trailing partial
-            // epoch (corruption ate frames) is dropped, and the missing
-            // slot surfaces below as a typed error.
-            epochs.close();
-        });
-
-        // Scoring workers: pop epochs in whatever order, write results
-        // into their epoch-indexed slot — output order is data-determined.
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| {
-                while let Some((idx, packets)) = epochs.pop() {
-                    let results = [
-                        Baseline.score(&case.profile, &packets, detector),
-                        SubcarrierWeighting.score(&case.profile, &packets, detector),
-                        SubcarrierAndPathWeighting.score(&case.profile, &packets, detector),
-                    ];
-                    let mut scores: EpochScores = [None, None, None];
-                    for (slot, result) in scores.iter_mut().zip(results) {
-                        match result {
-                            Ok(s) => *slot = Some(s),
-                            Err(
-                                DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow,
-                            ) => {}
-                            Err(e) => {
-                                let mut f = lock(&failure);
-                                if f.is_none() {
-                                    *f = Some(e);
-                                }
-                                drop(f);
-                                // Tear the pipeline down; the producer
-                                // and framer observe closed queues.
-                                ingest.close();
-                                epochs.close();
-                                return;
-                            }
+        for _ in 0..mpdf_par::resolve_threads(threads) {
+            scope.spawn(|| loop {
+                let next = {
+                    let _stage = mpdf_obs::stage!("eval.stream.ingest");
+                    lock(&ingest).next_epoch(window)
+                };
+                let Some((idx, packets)) = next else { return };
+                match score_epoch(case, &packets, detector) {
+                    Ok(scores) => {
+                        if let Some(slot) = slots.get(idx) {
+                            slot.get_or_init(|| scores);
                         }
+                        mpdf_obs::counter!("eval.stream.windows_total").inc();
                     }
-                    if let Some(cell) = slots.get(idx) {
-                        *lock(cell) = Some(scores);
-                    }
-                    mpdf_obs::counter!("eval.stream.windows_total").inc();
+                    Err(e) => return lock(&ingest).fail(idx, e),
                 }
             });
         }
     });
 
-    if let Some(e) = lock(&failure).take() {
+    let ingest = ingest.into_inner().unwrap_or_else(PoisonError::into_inner);
+    mpdf_obs::counter!("eval.stream.packets_total").add(ingest.stats.packets);
+    if let Some((_, e)) = ingest.failure {
         return Err(e);
     }
-    let mut out = Vec::with_capacity(expected_epochs);
-    for (idx, cell) in slots.iter().enumerate() {
-        match lock(cell).take() {
-            Some(scores) => out.push(scores),
-            None => {
-                return Err(invalid(format!(
-                    "stream replay of case {} lost epoch {idx}",
-                    case.case_id
-                )))
-            }
-        }
+    // A clean replay fills every slot; a trailing partial epoch (corruption
+    // ate frames) leaves the last one empty.
+    let out: Vec<EpochScores> = slots.into_iter().map_while(OnceLock::into_inner).collect();
+    if out.len() < case.windows.len() {
+        return Err(invalid(format!(
+            "stream replay of case {} lost epoch {}",
+            case.case_id,
+            out.len()
+        )));
     }
-    let mut stats = lock(&transport).to_owned();
-    stats.epochs = out.len();
-    Ok((out, stats))
+    Ok((out, ingest.stats))
 }
 
 /// One case's replay outcome, compared against the offline reference.
@@ -307,9 +306,9 @@ fn offline_bits(scores: &[ScoredWindow], case_id: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Records the five-case campaign, replays it through the wire codec +
-/// bounded-queue path, and verifies the stream scores bit-identical to
-/// the offline scoring pass on the same recording.
+/// Records the five-case campaign, replays it through the wire codec and
+/// the pull-based scoring workers, and verifies the stream scores
+/// bit-identical to the offline scoring pass on the same recording.
 ///
 /// # Errors
 /// Propagates campaign, scoring and replay errors.

@@ -1,9 +1,12 @@
 //! The streaming contract: replaying a recorded campaign through the
-//! wire codec + bounded-queue ingest path must reproduce the offline
-//! scoring pass **bit-identically**, at any thread count and any chunk
-//! size — the wire format, the splitter reassembly and the epoch
-//! batching are all lossless by construction, and this test pins it.
+//! wire codec, with scoring workers that pull and decode their own
+//! epochs, must reproduce the offline scoring pass **bit-identically**,
+//! at any thread count and any chunk size — the wire format, the
+//! splitter reassembly and the epoch batching are all lossless by
+//! construction, and this test pins it. A scheme error stops the pull
+//! loop and comes back typed.
 
+use mpdf_core::error::DetectError;
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::{Baseline, SubcarrierAndPathWeighting, SubcarrierWeighting};
 use mpdf_eval::scenario::five_cases;
@@ -84,6 +87,9 @@ fn chunk_size_cannot_change_a_single_bit() {
     // A 7-byte chunk shreds every header across several pushes; the
     // splitter's carry-over tail must reassemble them losslessly.
     assert_stream_matches_offline(2, 7);
+    // A 64 KiB chunk decodes frames for several epochs in one read; the
+    // pending packets must carry over between pulls bit-exactly.
+    assert_stream_matches_offline(2, 65_536);
 }
 
 #[test]
@@ -111,8 +117,27 @@ fn ragged_recordings_are_a_typed_error() {
     data[0].windows[1].packets.pop();
     let err = stream_case_scores(&data[0], &cfg.detector, 1, &StreamOptions::default())
         .expect_err("ragged recording must be rejected");
-    assert!(
-        matches!(err, mpdf_core::error::DetectError::InvalidConfig { .. }),
-        "{err}"
-    );
+    assert!(matches!(err, DetectError::InvalidConfig { .. }), "{err}");
+}
+
+#[test]
+fn a_scheme_error_stops_the_replay_as_that_typed_error() {
+    let cfg = tiny_config(1);
+    let cases = &five_cases()[..1];
+    let mut data = run_campaign(cases, &cfg).expect("campaign");
+    // A three-antenna profile against two-antenna packets: every scheme
+    // fails every epoch with `ShapeMismatch`, which is not an abstention.
+    for w in &mut data[0].windows {
+        for p in &mut w.packets {
+            *p = p.select_antennas(&[0, 1]);
+        }
+    }
+    for threads in [1, 4] {
+        let err = stream_case_scores(&data[0], &cfg.detector, threads, &StreamOptions::default())
+            .expect_err("a shape mismatch must fail the replay");
+        assert!(
+            matches!(err, DetectError::ShapeMismatch { .. }),
+            "{threads} thread(s): {err}"
+        );
+    }
 }
