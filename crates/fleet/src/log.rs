@@ -153,54 +153,149 @@ impl From<WireError> for LogError {
     }
 }
 
+/// Bytes each of [`crc64`]'s interleaved lanes covers per block.
+pub const CRC_LANE_BYTES: usize = 1024;
+/// Independent lanes [`crc64`] runs side by side within one block of
+/// `CRC_LANES * CRC_LANE_BYTES` input bytes (its loop is written out
+/// for four).
+pub const CRC_LANES: usize = 4;
+
+/// The ECMA-182 generator polynomial, MSB-first.
+const CRC_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
+
+struct CrcTables {
+    /// `slice[k][b]`: byte `b` followed by `k` zero bytes (slicing-by-8).
+    slice: [[u64; 256]; 8],
+    /// `shift[k][b]`: the register `b << 8k` advanced over
+    /// [`CRC_LANE_BYTES`] zero bytes, i.e. multiplied by
+    /// x^(8·CRC_LANE_BYTES) mod P.
+    shift: [[u64; 256]; 8],
+}
+
+/// `x` through eight byte-indexed tables, row `k` taking byte `k` of `x`
+/// counted from the least significant end.
+#[inline(always)]
+fn slice8(t: &[[u64; 256]; 8], x: u64) -> u64 {
+    t[7][(x >> 56) as usize]
+        ^ t[6][(x >> 48) as usize & 0xFF]
+        ^ t[5][(x >> 40) as usize & 0xFF]
+        ^ t[4][(x >> 32) as usize & 0xFF]
+        ^ t[3][(x >> 24) as usize & 0xFF]
+        ^ t[2][(x >> 16) as usize & 0xFF]
+        ^ t[1][(x >> 8) as usize & 0xFF]
+        ^ t[0][x as usize & 0xFF]
+}
+
+impl CrcTables {
+    fn get() -> &'static CrcTables {
+        static TABLES: OnceLock<CrcTables> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let mut slice = [[0u64; 256]; 8];
+            for (i, entry) in slice[0].iter_mut().enumerate() {
+                let mut crc = (i as u64) << 56;
+                for _ in 0..8 {
+                    crc = if crc & (1 << 63) != 0 {
+                        (crc << 1) ^ CRC_POLY
+                    } else {
+                        crc << 1
+                    };
+                }
+                *entry = crc;
+            }
+            let mut t = CrcTables {
+                slice,
+                shift: [[0u64; 256]; 8],
+            };
+            // Row k of either table is row k - 1 advanced over one more
+            // zero byte; the shift table's first row needs the whole
+            // slicing table.
+            for k in 1..8 {
+                for i in 0..256 {
+                    t.slice[k][i] = t.zero_byte(t.slice[k - 1][i]);
+                }
+            }
+            for i in 0..256 {
+                t.shift[0][i] = t.serial(i as u64, &[0; CRC_LANE_BYTES]);
+            }
+            for k in 1..8 {
+                for i in 0..256 {
+                    t.shift[k][i] = t.zero_byte(t.shift[k - 1][i]);
+                }
+            }
+            t
+        })
+    }
+
+    /// The register advanced over one zero byte.
+    fn zero_byte(&self, crc: u64) -> u64 {
+        (crc << 8) ^ self.slice[0][(crc >> 56) as usize]
+    }
+
+    /// The register advanced over one 8-byte word.
+    #[inline(always)]
+    fn word(&self, crc: u64, word: &[u8]) -> u64 {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(word);
+        slice8(&self.slice, crc ^ u64::from_be_bytes(bytes))
+    }
+
+    /// The register advanced over [`CRC_LANE_BYTES`] zero bytes.
+    #[inline(always)]
+    fn shift(&self, crc: u64) -> u64 {
+        slice8(&self.shift, crc)
+    }
+
+    /// The serial loop: one dependency chain, eight bytes per step, then
+    /// the remainder byte by byte.
+    fn serial(&self, mut crc: u64, data: &[u8]) -> u64 {
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            crc = self.word(crc, word);
+        }
+        for &byte in words.remainder() {
+            crc = self.zero_byte(crc ^ (u64::from(byte) << 56));
+        }
+        crc
+    }
+}
+
 /// CRC-64 over the ECMA-182 polynomial (`0x42F0E1EBA9EA3693`),
 /// MSB-first, with all-ones init and xorout (the CRC-64/WE profile) so
 /// leading-zero damage and the empty input are distinguishable.
-/// Computed eight bytes per step (slicing-by-8).
+///
+/// The input is walked in blocks of [`CRC_LANES`] × [`CRC_LANE_BYTES`]
+/// bytes. Within a block four slicing-by-8 lanes run in one loop as
+/// independent dependency chains: lane 0 carries the running CRC, lanes
+/// 1–3 start from zero. CRC is linear, so the block's CRC is the lanes
+/// merged with a precomputed table that multiplies by
+/// x^(8·CRC_LANE_BYTES) mod P (`crc = shift(crc) ^ lane`, lane by lane).
+/// The tail shorter than a block runs the serial slicing-by-8 loop.
 pub fn crc64(data: &[u8]) -> u64 {
-    static TABLES: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
-    let t = TABLES.get_or_init(|| {
-        let mut t = [[0u64; 256]; 8];
-        for (i, entry) in t[0].iter_mut().enumerate() {
-            let mut crc = (i as u64) << 56;
-            for _ in 0..8 {
-                crc = if crc & (1 << 63) != 0 {
-                    (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
-                } else {
-                    crc << 1
-                };
-            }
-            *entry = crc;
-        }
-        // t[k][b]: byte b followed by k zero bytes.
-        for k in 1..8 {
-            for i in 0..256 {
-                let prev = t[k - 1][i];
-                t[k][i] = (prev << 8) ^ t[0][(prev >> 56) as usize];
-            }
-        }
-        t
-    });
+    let _stage = mpdf_obs::stage!("fleet.log.checksum");
+    let t = CrcTables::get();
     let mut crc = !0u64;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        let x = crc ^ u64::from_be_bytes(word);
-        crc = t[7][(x >> 56) as usize]
-            ^ t[6][(x >> 48) as usize & 0xFF]
-            ^ t[5][(x >> 40) as usize & 0xFF]
-            ^ t[4][(x >> 32) as usize & 0xFF]
-            ^ t[3][(x >> 24) as usize & 0xFF]
-            ^ t[2][(x >> 16) as usize & 0xFF]
-            ^ t[1][(x >> 8) as usize & 0xFF]
-            ^ t[0][x as usize & 0xFF];
+    let mut blocks = data.chunks_exact(CRC_LANES * CRC_LANE_BYTES);
+    for block in &mut blocks {
+        let (l0, rest) = block.split_at(CRC_LANE_BYTES);
+        let (l1, rest) = rest.split_at(CRC_LANE_BYTES);
+        let (l2, l3) = rest.split_at(CRC_LANE_BYTES);
+        let mut lanes = [crc, 0, 0, 0];
+        let words = l0
+            .chunks_exact(8)
+            .zip(l1.chunks_exact(8))
+            .zip(l2.chunks_exact(8))
+            .zip(l3.chunks_exact(8));
+        for (((w0, w1), w2), w3) in words {
+            lanes = [
+                t.word(lanes[0], w0),
+                t.word(lanes[1], w1),
+                t.word(lanes[2], w2),
+                t.word(lanes[3], w3),
+            ];
+        }
+        crc = t.shift(t.shift(t.shift(lanes[0]) ^ lanes[1]) ^ lanes[2]) ^ lanes[3];
     }
-    for &byte in chunks.remainder() {
-        let idx = ((crc >> 56) ^ u64::from(byte)) as usize & 0xFF;
-        crc = (crc << 8) ^ t[0][idx];
-    }
-    !crc
+    !t.serial(crc, blocks.remainder())
 }
 
 /// Transient-IO retry budget: total attempts per operation before the
@@ -1231,32 +1326,106 @@ mod tests {
         assert_eq!(log.compacted.capacity(), capacity, "kept after a failure");
     }
 
+    /// The CRC-64/WE register advanced over `data` one bit at a time —
+    /// the definition `crc64` must reproduce, with no table in sight.
+    fn bytewise_register(mut crc: u64, data: &[u8]) -> u64 {
+        for &byte in data {
+            crc ^= u64::from(byte) << 56;
+            for _ in 0..8 {
+                crc = if crc & (1 << 63) != 0 {
+                    (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
+    fn bytewise(data: &[u8]) -> u64 {
+        !bytewise_register(!0, data)
+    }
+
+    /// `len` seeded pseudo-random bytes (xorshift64).
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 32) as u8
+            })
+            .collect()
+    }
+
+    const CRC_BLOCK: usize = CRC_LANES * CRC_LANE_BYTES;
+
     #[test]
     fn crc64_is_stable_sensitive_and_matches_the_bytewise_definition() {
         let a = crc64(b"123456789");
         assert_eq!(a, crc64(b"123456789"), "deterministic");
         assert_ne!(a, crc64(b"123456780"), "sensitive to content");
         assert_ne!(crc64(b""), crc64(b"\0"), "length-extension guarded");
-        let bytewise = |data: &[u8]| {
-            let mut crc = !0u64;
-            for &byte in data {
-                crc ^= u64::from(byte) << 56;
-                for _ in 0..8 {
-                    crc = if crc & (1 << 63) != 0 {
-                        (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
-                    } else {
-                        crc << 1
-                    };
-                }
-            }
-            !crc
-        };
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
-        for len in 0..data.len() {
-            assert_eq!(crc64(&data[..len]), bytewise(&data[..len]), "len {len}");
-        }
         // The CRC-64/WE check value.
-        assert_eq!(crc64(b"123456789"), 0x62EC_59E3_F1A4_F00A);
+        assert_eq!(a, 0x62EC_59E3_F1A4_F00A);
+
+        // Every length through three blocks plus a remainder: serial
+        // inputs, whole blocks, and blocks followed by every tail.
+        let data = seeded_bytes(1, 3 * CRC_BLOCK + CRC_LANE_BYTES + 9);
+        let mut register = !0u64;
+        for len in 0..=data.len() {
+            assert_eq!(crc64(&data[..len]), !register, "len {len}");
+            if let Some(&byte) = data.get(len) {
+                register = bytewise_register(register, &[byte]);
+            }
+        }
+
+        // Unaligned sub-slices: start offsets 1-7, lengths on either
+        // side of every block boundary and a stride through the rest.
+        for start in 1..8 {
+            let data = &data[start..];
+            let mut lens: Vec<usize> = (0..data.len()).step_by(61).collect();
+            for blocks in 1..=3 {
+                let edge = blocks * CRC_BLOCK;
+                lens.extend([edge - 1, edge, edge + 1, edge + 7, edge + 8]);
+            }
+            for len in lens {
+                let data = &data[..len];
+                assert_eq!(crc64(data), bytewise(data), "start {start} len {len}");
+            }
+        }
+
+        let mib = seeded_bytes(2, 1 << 20);
+        assert_eq!(crc64(&mib), bytewise(&mib), "1 MiB");
+    }
+
+    #[test]
+    fn the_shift_table_advances_the_register_over_one_lane_of_zeros() {
+        let t = CrcTables::get();
+        for (k, row) in t.shift.iter().enumerate() {
+            for (b, &entry) in row.iter().enumerate() {
+                let register = (b as u64) << (8 * k);
+                assert_eq!(
+                    entry,
+                    t.serial(register, &[0; CRC_LANE_BYTES]),
+                    "shift[{k}][{b}]"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn crc64_matches_the_bytewise_definition_on_random_input(
+            data in proptest::collection::vec(0u8..=255, 0..=(64 << 10) + 7),
+            start in 0usize..8,
+        ) {
+            let data = &data[start.min(data.len())..];
+            proptest::prop_assert_eq!(crc64(data), bytewise(data), "len {}", data.len());
+        }
     }
 
     #[test]

@@ -2,14 +2,18 @@
 //! byte offset of the final record is truncated cleanly (never a panic,
 //! never a half-record), header-level damage — or damage that leaves no
 //! record, down to a bare header — falls back to the `.bak` rotation,
-//! and empty or zero-length files are typed errors.
+//! empty or zero-length files are typed errors, and a bit flip anywhere
+//! in a full-size window record — every lane and block edge of the
+//! interleaved CRC included — drops that record.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use mpdf_fleet::log::{LogIo, HEADER_LEN, RECORD_OVERHEAD};
+use mpdf_fleet::log::{LogIo, CRC_LANES, CRC_LANE_BYTES, HEADER_LEN, RECORD_OVERHEAD};
 use mpdf_fleet::{LogError, ShardLog, StdIo};
+use mpdf_rfmath::complex::Complex64;
+use mpdf_wifi::csi::CsiPacket;
 
 /// A payload writer that appends `payload` as it is.
 fn bytes(payload: &[u8]) -> impl FnOnce(&mut Vec<u8>) -> Result<(), LogError> + '_ {
@@ -217,5 +221,71 @@ fn appends_after_torn_recovery_extend_a_clean_file() {
     assert_eq!(rec2.torn_bytes, 0, "recovery rewrote the file cleanly");
     let links: Vec<u64> = recovered(&mut log2).into_iter().map(|(l, _)| l).collect();
     assert_eq!(links, vec![1, 2, 9]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A 25-packet window of 3 antennas x 30 subcarriers, the shape the
+/// fleet logs per delivery.
+fn full_window() -> Vec<CsiPacket> {
+    (0..25u64)
+        .map(|seq| {
+            let data = (0..90u32)
+                .map(|i| {
+                    let phase = f64::from(i) * 0.37 + seq as f64 * 0.11;
+                    Complex64::new(12.0 * phase.cos(), -9.0 * phase.sin())
+                })
+                .collect();
+            CsiPacket::new(3, 30, data, seq, seq as f64 * 0.02)
+        })
+        .collect()
+}
+
+#[test]
+fn a_bit_flip_anywhere_in_a_full_window_record_drops_it() {
+    let dir = temp_dir("window");
+    let path = dir.join("shard0.mpsl");
+    let (mut log, _) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+    append(&mut log, 1, b"birth");
+    let before = std::fs::metadata(&path).unwrap().len() as usize;
+    log.stage_window(1, 0, &full_window()).unwrap();
+    log.flush().unwrap();
+    let intact = std::fs::read(&path).unwrap();
+    let record_len = intact.len() - before;
+    assert_eq!(record_len, 36_693, "a 25 x 3 x 30 window record");
+
+    // The CRC covers the frame from the generation (after the 2-byte
+    // sync marker) to the end of the payload; aim at every lane start
+    // and end and both sides of every block boundary in that range.
+    let (crc_at, crc_len) = (before + 2, record_len - 2 - 8);
+    let block = CRC_LANES * CRC_LANE_BYTES;
+    assert!(crc_len > 2 * block, "the record spans several blocks");
+    let mut offsets = Vec::new();
+    for start in (0..crc_len - crc_len % block).step_by(block) {
+        for lane in 0..CRC_LANES {
+            let lane_at = start + lane * CRC_LANE_BYTES;
+            offsets.extend([lane_at, lane_at + CRC_LANE_BYTES - 1]);
+        }
+        offsets.extend([start + block - 1, start + block]);
+    }
+    let mut offsets: Vec<usize> = offsets.into_iter().map(|o| crc_at + o).collect();
+    // Plus a seeded sample of the whole record, sync and trailer included.
+    let mut s = 0x5EED_u64;
+    for _ in 0..48 {
+        s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        offsets.push(before + (s >> 33) as usize % record_len);
+    }
+
+    for (i, &pos) in offsets.iter().enumerate() {
+        let mut bytes = intact.clone();
+        bytes[pos] ^= 1 << (i % 8);
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+        assert_eq!(
+            (rec.records, rec.torn_bytes, rec.used_bak),
+            (1, record_len, false),
+            "flip at byte {pos} of the file is a torn tail"
+        );
+        assert_eq!(recovered(&mut log), vec![(1, b"birth".to_vec())]);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
