@@ -7,12 +7,15 @@
 //! - the per-subcarrier static amplitudes and powers (`s(0)`),
 //! - per-subcarrier spatial covariances (so subcarrier weights computed at
 //!   monitor time can be applied to the *calibration* side too, using the
-//!   linearity argument of §IV-C),
+//!   linearity argument of §IV-C), from the same estimator the combined
+//!   scheme runs on monitored windows,
 //! - the static angular pseudospectrum and the path weights derived from
 //!   it (Eq. 17).
 
-use mpdf_music::covariance::{forward_backward, SlidingCovariance};
+use mpdf_music::covariance::forward_backward;
 use mpdf_music::music::{pseudospectrum, AngleGrid, Pseudospectrum, UlaSteering};
+use mpdf_rfmath::complex::Complex64;
+use mpdf_rfmath::contract;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
@@ -156,23 +159,10 @@ impl CalibrationProfile {
         // calibration capture.
         let static_power = CsiPacket::median_power_profile(&sanitized);
 
-        // Per-subcarrier covariances and the pooled static spectrum. One
-        // incremental accumulator is reset and refilled per subcarrier —
-        // bitwise the batch estimate, without per-snapshot `Vec` churn.
-        let mut static_covariances = Vec::with_capacity(subcarriers);
-        let mut sliding = SlidingCovariance::new(antennas, sanitized.len());
-        let mut col = Vec::with_capacity(antennas);
-        for k in 0..subcarriers {
-            sliding.reset();
-            for p in &sanitized {
-                p.subcarrier_column_into(k, &mut col);
-                sliding.push(&col);
-            }
-            let r = sliding
-                .covariance()
-                .map_err(mpdf_music::music::MusicError::from)?;
-            static_covariances.push(forward_backward(&r));
-        }
+        // Per-subcarrier covariances and the pooled static spectrum: the
+        // estimator the combined scheme runs on monitored windows, so
+        // both sides of the §IV-C comparison are the same computation.
+        let static_covariances = per_subcarrier_fb_covariances(&sanitized);
         let pooled = pool_covariances(&static_covariances, None);
         let static_spectrum =
             pseudospectrum(&pooled, &config.steering, config.num_sources, &config.grid)?;
@@ -330,19 +320,91 @@ pub fn pool_covariances(covs: &[CMatrix], weights: Option<&[f64]>) -> CMatrix {
     acc
 }
 
+/// Per-subcarrier forward–backward covariances of a sanitized window —
+/// the one estimator behind both sides of the §IV-C comparison:
+/// [`CalibrationProfile::build`] stores its output for the static scene
+/// and the combined scheme runs it on every monitored window.
+///
+/// One pass over the packets rank-1-updates every subcarrier's
+/// accumulator, so each packet's CSI is read once in row order instead
+/// of one strided column gather per subcarrier. Per subcarrier the
+/// update sequence — `+= u_r·conj(u_c)` in packet order from zero, then
+/// one `1/N` scale — is the arithmetic
+/// [`sample_covariance`](mpdf_music::covariance::sample_covariance) runs
+/// on that subcarrier's column snapshots, so every matrix is bitwise
+/// `forward_backward(sample_covariance(columns))`.
+///
+/// # Panics
+/// Panics if `window` is empty.
+pub(crate) fn per_subcarrier_fb_covariances(window: &[CsiPacket]) -> Vec<CMatrix> {
+    let _stage = mpdf_obs::stage!("music.covariance");
+    let dim = window[0].antennas();
+    let subcarriers = window[0].subcarriers();
+    let scale = 1.0 / window.len() as f64;
+    let finish = |mut r: CMatrix| {
+        r.scale_in_place(scale);
+        contract::assert_hermitian("sample covariance", &r, 1e-9 * (1.0 + r.trace().norm()));
+        forward_backward(&r)
+    };
+    if dim == 3 {
+        // The paper's 3-chain array: fixed-size accumulators stay in
+        // registers across the packet loop instead of streaming a 30×9
+        // accumulator table through cache per packet.
+        let rows: Vec<[&[Complex64]; 3]> = window
+            .iter()
+            .map(|p| [p.antenna_row(0), p.antenna_row(1), p.antenna_row(2)])
+            .collect();
+        return (0..subcarriers)
+            .map(|k| {
+                let mut acc = [Complex64::ZERO; 9];
+                for r3 in &rows {
+                    let u = [r3[0][k], r3[1][k], r3[2][k]];
+                    for (r, &ur) in u.iter().enumerate() {
+                        for (c, &uc) in u.iter().enumerate() {
+                            acc[r * 3 + c] += ur * uc.conj();
+                        }
+                    }
+                }
+                finish(CMatrix::from_rows(3, 3, &acc))
+            })
+            .collect();
+    }
+    let mut acc = vec![Complex64::ZERO; subcarriers * dim * dim];
+    let mut cols = vec![Complex64::ZERO; subcarriers * dim];
+    for p in window {
+        // Transpose the packet to column-major once: columns become
+        // contiguous `dim`-element snapshots.
+        for r in 0..dim {
+            for (k, &h) in p.antenna_row(r).iter().enumerate() {
+                cols[k * dim + r] = h;
+            }
+        }
+        for (a, u) in acc.chunks_exact_mut(dim * dim).zip(cols.chunks_exact(dim)) {
+            for (row, &ur) in a.chunks_exact_mut(dim).zip(u) {
+                for (slot, &uc) in row.iter_mut().zip(u) {
+                    *slot += ur * uc.conj();
+                }
+            }
+        }
+    }
+    acc.chunks_exact(dim * dim)
+        .map(|chunk| finish(CMatrix::from_rows(dim, dim, chunk)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdf_rfmath::complex::Complex64;
+    use mpdf_music::covariance::sample_covariance;
 
-    fn synthetic_packets(n: usize) -> Vec<CsiPacket> {
-        // A LOS-dominated 3×30 scene with a weak 35° side path and a touch
-        // of deterministic per-packet variation.
-        let steering = UlaSteering::three_half_wavelength();
+    /// A LOS-dominated `antennas`×30 scene with a weak 35° side path and
+    /// a touch of deterministic per-packet variation.
+    fn array_packets(antennas: usize, n: usize) -> Vec<CsiPacket> {
+        let steering = UlaSteering::new(antennas, 0.5);
         (0..n)
             .map(|i| {
-                let mut data = Vec::with_capacity(90);
-                for a in 0..3 {
+                let mut data = Vec::with_capacity(antennas * 30);
+                for a in 0..antennas {
                     for k in 0..30 {
                         let los = Complex64::from_polar(1.0, 0.02 * k as f64);
                         let side = steering.vector(35f64.to_radians())[a]
@@ -350,15 +412,98 @@ mod tests {
                         data.push(los + side);
                     }
                 }
-                CsiPacket::new(3, 30, data, i as u64, i as f64 * 0.02)
+                CsiPacket::new(antennas, 30, data, i as u64, i as f64 * 0.02)
             })
             .collect()
+    }
+
+    /// The batch reference: `forward_backward(sample_covariance(columns))`
+    /// of each subcarrier's column snapshots.
+    fn batch_reference(window: &[CsiPacket]) -> Vec<CMatrix> {
+        (0..window[0].subcarriers())
+            .map(|k| {
+                let columns: Vec<Vec<Complex64>> =
+                    window.iter().map(|p| p.subcarrier_column(k)).collect();
+                forward_backward(&sample_covariance(&columns).unwrap())
+            })
+            .collect()
+    }
+
+    fn assert_bitwise_eq(got: &[CMatrix], want: &[CMatrix], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: subcarrier count");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.rows(), b.rows(), "{what}: subcarrier {k} order");
+            for r in 0..a.rows() {
+                for c in 0..a.cols() {
+                    assert_eq!(
+                        (a[(r, c)].re.to_bits(), a[(r, c)].im.to_bits()),
+                        (b[(r, c)].re.to_bits(), b[(r, c)].im.to_bits()),
+                        "{what}: subcarrier {k} entry ({r},{c})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fb_covariances_match_batch_reference_bitwise() {
+        // Dim 3 takes the register branch; every other size the general
+        // one (ext-array runs 4, 6 and 8 elements).
+        for antennas in [2, 3, 4, 6, 8] {
+            // Per-packet phase noise so no two snapshots are collinear.
+            let window: Vec<CsiPacket> = array_packets(antennas, 25)
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let data = (0..antennas)
+                        .flat_map(|a| {
+                            (0..30).map(move |k| {
+                                p.get(a, k) + Complex64::from_polar(0.1, (i * 7 + a * 3 + k) as f64)
+                            })
+                        })
+                        .collect();
+                    CsiPacket::new(antennas, 30, data, i as u64, 0.0)
+                })
+                .collect();
+            let got = per_subcarrier_fb_covariances(&window);
+            assert_bitwise_eq(
+                &got,
+                &batch_reference(&window),
+                &format!("{antennas} antennas"),
+            );
+        }
+    }
+
+    #[test]
+    fn static_covariances_are_the_batch_reference_of_the_sanitized_capture() {
+        for antennas in [3, 4] {
+            let cfg = DetectorConfig {
+                steering: UlaSteering::new(antennas, 0.5),
+                ..DetectorConfig::default()
+            };
+            let packets = array_packets(antennas, 20);
+            let profile = CalibrationProfile::build(&packets, &cfg).unwrap();
+            let mut scratch = SanitizeScratch::new();
+            let sanitized: Vec<CsiPacket> = packets
+                .iter()
+                .map(|p| {
+                    let mut q = p.clone();
+                    sanitize_packet_with(&mut scratch, &mut q, cfg.band.indices());
+                    q
+                })
+                .collect();
+            assert_bitwise_eq(
+                profile.static_covariances(),
+                &batch_reference(&sanitized),
+                &format!("{antennas}-antenna calibration"),
+            );
+        }
     }
 
     #[test]
     fn build_produces_consistent_shapes() {
         let cfg = DetectorConfig::default();
-        let profile = CalibrationProfile::build(&synthetic_packets(20), &cfg).unwrap();
+        let profile = CalibrationProfile::build(&array_packets(3, 20), &cfg).unwrap();
         assert_eq!(profile.antennas(), 3);
         assert_eq!(profile.subcarriers(), 30);
         assert_eq!(profile.static_amplitude().len(), 3);
@@ -373,7 +518,7 @@ mod tests {
     #[test]
     fn static_spectrum_resolves_both_paths() {
         let cfg = DetectorConfig::default();
-        let profile = CalibrationProfile::build(&synthetic_packets(30), &cfg).unwrap();
+        let profile = CalibrationProfile::build(&array_packets(3, 30), &cfg).unwrap();
         // MUSIC peak *heights* are not power-ordered, but with two sources
         // in the signal subspace both the LOS (0°) and the side path (35°)
         // must appear as peaks — the paper's Fig. 5b structure.
@@ -420,7 +565,7 @@ mod tests {
     #[test]
     fn from_parts_roundtrips_build() {
         let cfg = DetectorConfig::default();
-        let p = CalibrationProfile::build(&synthetic_packets(10), &cfg).unwrap();
+        let p = CalibrationProfile::build(&array_packets(3, 10), &cfg).unwrap();
         let rebuilt = CalibrationProfile::from_parts(
             p.antennas(),
             p.subcarriers(),
@@ -437,7 +582,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_bad_shapes() {
         let cfg = DetectorConfig::default();
-        let p = CalibrationProfile::build(&synthetic_packets(10), &cfg).unwrap();
+        let p = CalibrationProfile::build(&array_packets(3, 10), &cfg).unwrap();
         let err = CalibrationProfile::from_parts(
             p.antennas(),
             p.subcarriers(),
@@ -454,8 +599,8 @@ mod tests {
     #[test]
     fn profile_is_deterministic() {
         let cfg = DetectorConfig::default();
-        let p1 = CalibrationProfile::build(&synthetic_packets(10), &cfg).unwrap();
-        let p2 = CalibrationProfile::build(&synthetic_packets(10), &cfg).unwrap();
+        let p1 = CalibrationProfile::build(&array_packets(3, 10), &cfg).unwrap();
+        let p2 = CalibrationProfile::build(&array_packets(3, 10), &cfg).unwrap();
         assert_eq!(p1, p2);
     }
 }

@@ -10,15 +10,15 @@
 //! Every scheme maps a monitoring window of packets to a scalar score;
 //! larger scores mean "more different from the calibration profile".
 
-use mpdf_music::covariance::forward_backward;
 use mpdf_music::music::bartlett_spectrum;
-use mpdf_rfmath::complex::Complex64;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::sanitize::{sanitize_packet_with, SanitizeScratch};
 
 use crate::degrade::{assess_window, WindowHealth};
 use crate::error::DetectError;
-use crate::profile::{pool_covariances, CalibrationProfile, DetectorConfig};
+use crate::profile::{
+    per_subcarrier_fb_covariances, pool_covariances, CalibrationProfile, DetectorConfig,
+};
 use crate::subcarrier_weight::SubcarrierWeights;
 
 /// A detection scheme: window of packets → anomaly score.
@@ -311,83 +311,6 @@ impl DetectionScheme for SubcarrierWeighting {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubcarrierAndPathWeighting;
 
-impl SubcarrierAndPathWeighting {
-    /// Per-subcarrier forward–backward covariances of a sanitized
-    /// window, accumulated structure-of-arrays: one pass over the
-    /// packets rank-1-updates every subcarrier's flat accumulator, so
-    /// each packet's CSI is read once in row order instead of 30 strided
-    /// column gathers. Per accumulator the update sequence — `+=
-    /// u_r·conj(u_c)` in packet order, then one `1/N` scale — is the
-    /// identical arithmetic [`SlidingCovariance`] runs per subcarrier,
-    /// so every covariance is bitwise the incremental/batch estimate
-    /// (pinned by `soa_covariances_match_sliding_estimator_bitwise`).
-    fn per_subcarrier_fb_covariances(window: &[CsiPacket]) -> Vec<mpdf_rfmath::matrix::CMatrix> {
-        let dim = window[0].antennas();
-        let subcarriers = window[0].subcarriers();
-        let scale = 1.0 / window.len() as f64;
-        if dim == 3 {
-            // The paper's 3-chain array: fixed-size accumulators stay in
-            // registers across the packet loop instead of streaming a
-            // 30×9 accumulator table through cache per packet.
-            let rows: Vec<[&[Complex64]; 3]> = window
-                .iter()
-                .map(|p| [p.antenna_row(0), p.antenna_row(1), p.antenna_row(2)])
-                .collect();
-            return (0..subcarriers)
-                .map(|k| {
-                    let mut acc = [Complex64::ZERO; 9];
-                    for r3 in &rows {
-                        let u = [r3[0][k], r3[1][k], r3[2][k]];
-                        for (r, &ur) in u.iter().enumerate() {
-                            for (c, &uc) in u.iter().enumerate() {
-                                acc[r * 3 + c] += ur * uc.conj();
-                            }
-                        }
-                    }
-                    let mut m = mpdf_rfmath::matrix::CMatrix::from_rows(3, 3, &acc);
-                    m.scale_in_place(scale);
-                    forward_backward(&m)
-                })
-                .collect();
-        }
-        let mut acc = vec![Complex64::ZERO; subcarriers * dim * dim];
-        let mut cols = vec![Complex64::ZERO; subcarriers * dim];
-        for p in window {
-            // Transpose the packet to column-major once: columns become
-            // contiguous `dim`-element snapshots.
-            for r in 0..dim {
-                for (k, &h) in p.antenna_row(r).iter().enumerate() {
-                    cols[k * dim + r] = h;
-                }
-            }
-            for (a, u) in acc.chunks_exact_mut(dim * dim).zip(cols.chunks_exact(dim)) {
-                for (row, &ur) in a.chunks_exact_mut(dim).zip(u) {
-                    for (slot, &uc) in row.iter_mut().zip(u) {
-                        *slot += ur * uc.conj();
-                    }
-                }
-            }
-        }
-        acc.chunks_exact(dim * dim)
-            .map(|chunk| {
-                let mut r = mpdf_rfmath::matrix::CMatrix::from_rows(dim, dim, chunk);
-                r.scale_in_place(scale);
-                forward_backward(&r)
-            })
-            .collect()
-    }
-
-    /// Computes the subcarrier-weighted spatial covariance of a sanitized
-    /// window: the SoA per-subcarrier estimates pooled by Eq. 12 weights.
-    fn weighted_covariance(
-        window: &[CsiPacket],
-        weights: &[f64],
-    ) -> Result<mpdf_rfmath::matrix::CMatrix, DetectError> {
-        let covs = Self::per_subcarrier_fb_covariances(window);
-        Ok(pool_covariances(&covs, Some(weights)))
-    }
-}
-
 impl DetectionScheme for SubcarrierAndPathWeighting {
     fn name(&self) -> &'static str {
         "subcarrier+path-weighting"
@@ -434,13 +357,14 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
             )
         };
 
-        // Monitored side: subcarrier-weighted covariance → angular
-        // *power* spectrum (Bartlett). The MUSIC pseudospectrum is
+        // Monitored side: subcarrier-weighted covariance (the estimator
+        // calibration stored the static side with) → angular *power*
+        // spectrum (Bartlett). The MUSIC pseudospectrum is
         // scale-free — fine for finding angles (it defines the path
         // weights at calibration), but the detection distance needs the
         // power-bearing angular profile of the paper's "subcarrier
         // weighted signal strengths".
-        let monitored_cov = Self::weighted_covariance(&window, &eff)?;
+        let monitored_cov = pool_covariances(&per_subcarrier_fb_covariances(&window), Some(&eff));
         let monitored_spectrum = bartlett_spectrum(&monitored_cov, &steering, &config.grid)?;
 
         // Calibration side: the same subcarrier weights applied to the
@@ -705,35 +629,6 @@ mod tests {
                 budget: cfg.gap_budget
             }
         );
-    }
-
-    #[test]
-    fn soa_covariances_match_sliding_estimator_bitwise() {
-        use mpdf_music::covariance::SlidingCovariance;
-        let window = scene_packets(25, 0.3, -15.0);
-        let soa = SubcarrierAndPathWeighting::per_subcarrier_fb_covariances(&window);
-        assert_eq!(soa.len(), 30);
-        let mut sliding = SlidingCovariance::new(3, window.len());
-        let mut col = Vec::new();
-        for (k, fb_soa) in soa.iter().enumerate() {
-            sliding.reset();
-            for p in &window {
-                p.subcarrier_column_into(k, &mut col);
-                sliding.push(&col);
-            }
-            let fb_ref = forward_backward(&sliding.covariance().unwrap());
-            for r in 0..3 {
-                for c in 0..3 {
-                    let a = fb_soa[(r, c)];
-                    let b = fb_ref[(r, c)];
-                    assert_eq!(
-                        (a.re.to_bits(), a.im.to_bits()),
-                        (b.re.to_bits(), b.im.to_bits()),
-                        "subcarrier {k} entry ({r},{c})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! Forward–backward averaging improves conditioning for the coherent
 //! (fully correlated) signals multipath produces.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -58,208 +57,6 @@ pub fn sample_covariance(snapshots: &[Vec<Complex64>]) -> Result<CMatrix, Covari
     r.scale_in_place(1.0 / snapshots.len() as f64);
     contract::assert_hermitian("sample covariance", &r, 1e-9 * (1.0 + r.trace().norm()));
     Ok(r)
-}
-
-/// Incremental sample covariance over a sliding snapshot window.
-///
-/// Consecutive overlapping monitoring windows share almost all of their
-/// snapshots, so recomputing `R = (1/N) Σ x xᴴ` from scratch wastes the
-/// previous window's work. This accumulator maintains the *unnormalized*
-/// sum with one rank-1 update per arriving snapshot
-/// ([`CMatrix::axpy_outer`]) and one rank-1 downdate per retiring one
-/// ([`CMatrix::axpy_outer_sub`]) — `O(M²)` per slide instead of
-/// `O(N·M²)` per window.
-///
-/// Floating-point cancellation from downdates drifts the accumulator
-/// away from the batch result; every [`SlidingCovariance::rebuild_every`]
-/// downdates the sum is rebuilt from the retained window, which bounds
-/// the drift and restores bitwise agreement with
-/// [`sample_covariance`]. Until the first downdate (or right after a
-/// rebuild) the update sequence is identical to the batch loop, so the
-/// results agree bitwise; in between they agree to a few ULPs (the
-/// equivalence proptests below pin both regimes).
-///
-/// Forward–backward averaging and spatial smoothing compose on top: see
-/// [`SlidingCovariance::covariance_fb`] and
-/// [`SlidingCovariance::smoothed_covariance`].
-#[derive(Debug, Clone)]
-pub struct SlidingCovariance {
-    dim: usize,
-    capacity: usize,
-    rebuild_every: usize,
-    window: VecDeque<Vec<Complex64>>,
-    /// Retired snapshot buffers recycled by later pushes.
-    spare: Vec<Vec<Complex64>>,
-    /// Unnormalized `Σ x xᴴ` over the current window.
-    acc: CMatrix,
-    downdates_since_rebuild: usize,
-    /// Rank-1 updates not yet flushed to the metrics counter (batched so
-    /// the hot loop pays one atomic add per materialization, not one per
-    /// snapshot).
-    pending_updates: u64,
-}
-
-impl SlidingCovariance {
-    /// Default downdate budget between full rebuilds. 64 downdates of
-    /// unit-scale snapshots keep the accumulated drift far below the
-    /// Hermitian-contract tolerance while amortizing the rebuild to
-    /// noise.
-    pub const DEFAULT_REBUILD_EVERY: usize = 64;
-
-    /// Creates an accumulator for `dim`-element snapshots keeping the
-    /// trailing `capacity` of them, with the default rebuild cadence.
-    ///
-    /// # Panics
-    /// Panics if `dim` or `capacity` is zero.
-    pub fn new(dim: usize, capacity: usize) -> Self {
-        SlidingCovariance::with_rebuild_every(dim, capacity, Self::DEFAULT_REBUILD_EVERY)
-    }
-
-    /// Creates an accumulator with an explicit rebuild cadence (a full
-    /// rebuild after every `rebuild_every` downdates).
-    ///
-    /// # Panics
-    /// Panics if `dim`, `capacity` or `rebuild_every` is zero.
-    pub fn with_rebuild_every(dim: usize, capacity: usize, rebuild_every: usize) -> Self {
-        assert!(dim > 0, "snapshot dimension must be non-zero");
-        assert!(capacity > 0, "window capacity must be non-zero");
-        assert!(rebuild_every > 0, "rebuild cadence must be non-zero");
-        SlidingCovariance {
-            dim,
-            capacity,
-            rebuild_every,
-            window: VecDeque::with_capacity(capacity),
-            spare: Vec::new(),
-            acc: CMatrix::zeros(dim, dim),
-            downdates_since_rebuild: 0,
-            pending_updates: 0,
-        }
-    }
-
-    /// Snapshot dimension `M`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Maximum retained window length.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Downdates between full rebuilds.
-    pub fn rebuild_every(&self) -> usize {
-        self.rebuild_every
-    }
-
-    /// Snapshots currently in the window.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// True when no snapshots have been pushed since creation/reset.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Pushes one snapshot; once the window is full, each push also
-    /// retires the oldest snapshot with a rank-1 downdate.
-    ///
-    /// # Panics
-    /// Panics if `x.len()` differs from the accumulator dimension.
-    pub fn push(&mut self, x: &[Complex64]) {
-        assert_eq!(
-            x.len(),
-            self.dim,
-            "snapshot length must match accumulator dimension"
-        );
-        self.pending_updates += 1;
-        if self.window.len() == self.capacity {
-            if let Some(mut old) = self.window.pop_front() {
-                self.acc.axpy_outer_sub(&old, &old);
-                old.clear();
-                old.extend_from_slice(x);
-                self.acc.axpy_outer(&old, &old);
-                self.window.push_back(old);
-            }
-            self.downdates_since_rebuild += 1;
-            if self.downdates_since_rebuild >= self.rebuild_every {
-                self.rebuild();
-            }
-        } else {
-            self.acc.axpy_outer(x, x);
-            let mut storage = self.spare.pop().unwrap_or_default();
-            storage.clear();
-            storage.extend_from_slice(x);
-            self.window.push_back(storage);
-        }
-    }
-
-    /// Rebuilds the unnormalized sum from the retained window in arrival
-    /// order — the identical accumulation [`sample_covariance`] runs, so
-    /// the next [`SlidingCovariance::covariance`] is bitwise batch.
-    fn rebuild(&mut self) {
-        mpdf_obs::counter!("music.cov_full_rebuilds").inc();
-        self.acc.set_zero();
-        for x in &self.window {
-            self.acc.axpy_outer(x, x);
-        }
-        self.downdates_since_rebuild = 0;
-    }
-
-    /// Empties the window and zeroes the accumulator, keeping every
-    /// allocation (window buffers are recycled by later pushes) — lets
-    /// per-subcarrier loops reuse one accumulator across subcarriers.
-    pub fn reset(&mut self) {
-        self.flush_updates();
-        self.spare.extend(self.window.drain(..));
-        self.acc.set_zero();
-        self.downdates_since_rebuild = 0;
-    }
-
-    fn flush_updates(&mut self) {
-        if self.pending_updates > 0 {
-            mpdf_obs::counter!("music.cov_incremental_updates").add(self.pending_updates);
-            self.pending_updates = 0;
-        }
-    }
-
-    /// Materializes the sample covariance `R = (1/N) Σ x xᴴ` of the
-    /// current window (takes `&mut self` to flush batched metrics).
-    ///
-    /// # Errors
-    /// [`CovarianceError::NoSnapshots`] when the window is empty.
-    pub fn covariance(&mut self) -> Result<CMatrix, CovarianceError> {
-        let _stage = mpdf_obs::stage!("music.covariance");
-        self.flush_updates();
-        if self.window.is_empty() {
-            return Err(CovarianceError::NoSnapshots);
-        }
-        let mut r = self.acc.clone();
-        r.scale_in_place(1.0 / self.window.len() as f64);
-        contract::assert_hermitian("sample covariance", &r, 1e-9 * (1.0 + r.trace().norm()));
-        Ok(r)
-    }
-
-    /// Forward–backward averaged covariance of the current window —
-    /// [`forward_backward`] composed on the incremental estimate.
-    ///
-    /// # Errors
-    /// [`CovarianceError::NoSnapshots`] when the window is empty.
-    pub fn covariance_fb(&mut self) -> Result<CMatrix, CovarianceError> {
-        Ok(forward_backward(&self.covariance()?))
-    }
-
-    /// Spatially smoothed covariance of the retained window —
-    /// [`spatially_smoothed_covariance`] composed on the snapshots the
-    /// accumulator keeps for downdating (smoothing needs per-subarray
-    /// sums, so it recomputes from the window rather than the sum).
-    ///
-    /// # Errors
-    /// Same conditions as [`spatially_smoothed_covariance`].
-    pub fn smoothed_covariance(&mut self, subarray_len: usize) -> Result<CMatrix, CovarianceError> {
-        self.flush_updates();
-        spatially_smoothed_covariance(self.window.make_contiguous(), subarray_len)
-    }
 }
 
 /// Forward–backward averaging: `R_fb = (R + J·R*·J)/2` with `J` the
@@ -423,169 +220,6 @@ mod tests {
         );
     }
 
-    /// Deterministic snapshot stream used by the sliding-window tests.
-    fn stream(n: usize) -> Vec<Vec<Complex64>> {
-        (0..n)
-            .map(|i| {
-                let t = i as f64 * 0.61;
-                vec![
-                    Complex64::cis(t),
-                    Complex64::cis(1.9 * t) * 0.7,
-                    c(t.sin() * 0.4, t.cos()),
-                ]
-            })
-            .collect()
-    }
-
-    fn assert_bitwise_eq(a: &CMatrix, b: &CMatrix, what: &str) {
-        for r in 0..a.rows() {
-            for col in 0..a.cols() {
-                assert_eq!(
-                    a[(r, col)].re.to_bits(),
-                    b[(r, col)].re.to_bits(),
-                    "{what}: re mismatch at ({r},{col})"
-                );
-                assert_eq!(
-                    a[(r, col)].im.to_bits(),
-                    b[(r, col)].im.to_bits(),
-                    "{what}: im mismatch at ({r},{col})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sliding_is_bitwise_batch_before_first_downdate() {
-        // Filling a fresh (or reset) accumulator runs the identical
-        // zeros → axpy_outer → scale sequence as the batch estimator.
-        let snaps = stream(25);
-        let mut sliding = SlidingCovariance::new(3, 25);
-        for x in &snaps {
-            sliding.push(x);
-        }
-        let incr = sliding.covariance().unwrap();
-        let batch = sample_covariance(&snaps).unwrap();
-        assert_bitwise_eq(&incr, &batch, "pre-downdate sliding vs batch");
-
-        // reset() restores the bitwise-batch regime.
-        sliding.reset();
-        for x in &snaps[5..20] {
-            sliding.push(x);
-        }
-        let incr = sliding.covariance().unwrap();
-        let batch = sample_covariance(&snaps[5..20]).unwrap();
-        assert_bitwise_eq(&incr, &batch, "post-reset sliding vs batch");
-    }
-
-    #[test]
-    fn sliding_tracks_trailing_window_through_downdates() {
-        let snaps = stream(80);
-        let cap = 12;
-        let mut sliding = SlidingCovariance::new(3, cap);
-        for (i, x) in snaps.iter().enumerate() {
-            sliding.push(x);
-            let start = (i + 1).saturating_sub(cap);
-            let batch = sample_covariance(&snaps[start..=i]).unwrap();
-            let incr = sliding.covariance().unwrap();
-            let err = (&incr - &batch).frobenius_norm();
-            let tol = 1e-12 * (1.0 + batch.frobenius_norm());
-            assert!(err <= tol, "after push {i}: drift {err} > {tol}");
-        }
-        assert_eq!(sliding.len(), cap);
-    }
-
-    #[test]
-    fn forced_rebuild_restores_bitwise_batch_at_the_boundary() {
-        let snaps = stream(40);
-        let cap = 8;
-        let every = 5;
-        let mut sliding = SlidingCovariance::with_rebuild_every(3, cap, every);
-        for (i, x) in snaps.iter().enumerate() {
-            sliding.push(x);
-            let downdates = (i + 1).saturating_sub(cap);
-            if downdates > 0 && downdates % every == 0 {
-                // A rebuild just ran: the accumulator re-summed the
-                // retained window in arrival order, exactly the batch
-                // loop, so agreement is bitwise — not merely close.
-                let batch = sample_covariance(&snaps[i + 1 - cap..=i]).unwrap();
-                let incr = sliding.covariance().unwrap();
-                assert_bitwise_eq(&incr, &batch, "post-rebuild sliding vs batch");
-            }
-        }
-    }
-
-    #[test]
-    fn downdates_remove_retired_snapshots_entirely() {
-        // Push a burst of large "stale" snapshots, then slide fully past
-        // them: the result must match a batch estimate that never saw
-        // the burst (to rebuild-bounded precision).
-        let mut stale = stream(10);
-        for x in &mut stale {
-            for z in x.iter_mut() {
-                *z *= 50.0;
-            }
-        }
-        let fresh = stream(6);
-        let mut sliding = SlidingCovariance::new(3, 6);
-        for x in stale.iter().chain(&fresh) {
-            sliding.push(x);
-        }
-        let incr = sliding.covariance().unwrap();
-        let batch = sample_covariance(&fresh).unwrap();
-        let err = (&incr - &batch).frobenius_norm();
-        // The downdated burst was 50× the surviving snapshots, so the
-        // tolerance scales with the cancelled magnitude (2500× power),
-        // still far below anything detection-relevant.
-        let tol = 1e-10 * (1.0 + batch.frobenius_norm());
-        assert!(err <= tol, "stale burst left drift {err} > {tol}");
-    }
-
-    #[test]
-    fn sliding_fb_and_smoothing_compose_on_the_window() {
-        let snaps = stream(30);
-        let cap = 16;
-        let mut sliding = SlidingCovariance::new(3, cap);
-        for x in &snaps {
-            sliding.push(x);
-        }
-        let trailing = &snaps[snaps.len() - cap..];
-        let fb_incr = sliding.covariance_fb().unwrap();
-        let fb_batch = forward_backward(&sample_covariance(trailing).unwrap());
-        assert!(
-            (&fb_incr - &fb_batch).frobenius_norm() <= 1e-12 * (1.0 + fb_batch.frobenius_norm())
-        );
-
-        let sm_incr = sliding.smoothed_covariance(2).unwrap();
-        let sm_batch = spatially_smoothed_covariance(trailing, 2).unwrap();
-        // Smoothing recomputes from the retained window: bitwise.
-        assert_bitwise_eq(&sm_incr, &sm_batch, "sliding smoothing vs batch");
-    }
-
-    #[test]
-    fn sliding_empty_window_errors_and_counters_move() {
-        let mut sliding = SlidingCovariance::new(2, 4);
-        assert!(sliding.is_empty());
-        assert_eq!(sliding.covariance(), Err(CovarianceError::NoSnapshots));
-
-        let updates = mpdf_obs::metrics::counter("music.cov_incremental_updates");
-        let rebuilds = mpdf_obs::metrics::counter("music.cov_full_rebuilds");
-        let (u0, r0) = (updates.get(), rebuilds.get());
-        let mut forced = SlidingCovariance::with_rebuild_every(2, 2, 1);
-        let snaps = [
-            vec![c(1.0, 0.0), c(0.0, 1.0)],
-            vec![c(0.5, 0.5), c(1.0, 0.0)],
-            vec![c(0.0, -1.0), c(0.25, 0.0)],
-        ];
-        for x in &snaps {
-            forced.push(x);
-        }
-        let _ = forced.covariance().unwrap();
-        // Other tests share the process-global counters, so assert
-        // monotone floors rather than exact deltas.
-        assert!(updates.get() - u0 >= 3, "one update per push");
-        assert!(rebuilds.get() - r0 >= 1, "third push downdates → rebuild");
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -647,93 +281,6 @@ mod tests {
                     prop_assert!(r[(i, i)].re >= 0.0);
                     prop_assert!(r[(i, i)].im.abs() < 1e-12);
                 }
-            }
-
-            /// ULP-pinned equivalence of the sliding accumulator against
-            /// batch [`sample_covariance`] of the trailing window, at
-            /// every stream position: before the window fills, across
-            /// downdates of arbitrary retired snapshots, and through
-            /// forced-rebuild boundaries.
-            #[test]
-            fn sliding_matches_batch_at_every_position(
-                parts in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 30..=90),
-                cap in 2usize..8,
-                every in 1usize..6,
-            ) {
-                let snaps: Vec<Vec<Complex64>> = parts
-                    .chunks_exact(3)
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .map(|&(re, im)| Complex64::new(re, im))
-                            .collect()
-                    })
-                    .collect();
-                let mut sliding = SlidingCovariance::with_rebuild_every(3, cap, every);
-                for (i, x) in snaps.iter().enumerate() {
-                    sliding.push(x);
-                    let start = (i + 1).saturating_sub(cap);
-                    let batch = sample_covariance(&snaps[start..=i]).unwrap();
-                    let incr = sliding.covariance().unwrap();
-                    let err = (&incr - &batch).frobenius_norm();
-                    let tol = 1e-12 * (1.0 + batch.frobenius_norm());
-                    prop_assert!(
-                        err <= tol,
-                        "push {i} (cap {cap}, rebuild_every {every}): drift {err} > {tol}"
-                    );
-                    let downdates = (i + 1).saturating_sub(cap);
-                    if downdates == 0 || (downdates % every == 0) {
-                        // Bitwise regimes: before any downdate, and
-                        // immediately after a forced rebuild.
-                        for r in 0..3 {
-                            for c in 0..3 {
-                                prop_assert_eq!(
-                                    incr[(r, c)].re.to_bits(),
-                                    batch[(r, c)].re.to_bits()
-                                );
-                                prop_assert_eq!(
-                                    incr[(r, c)].im.to_bits(),
-                                    batch[(r, c)].im.to_bits()
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-
-            /// Downdating fully past the window erases retired snapshots:
-            /// a stream prefix the window has slid past cannot influence
-            /// the estimate beyond rebuild-bounded drift.
-            #[test]
-            fn downdate_past_window_forgets_the_prefix(
-                prefix in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 6..=24),
-                suffix in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 9..=15),
-            ) {
-                let to_snaps = |parts: &[(f64, f64)]| -> Vec<Vec<Complex64>> {
-                    parts
-                        .chunks_exact(3)
-                        .map(|chunk| {
-                            chunk
-                                .iter()
-                                .map(|&(re, im)| Complex64::new(re, im))
-                                .collect()
-                        })
-                        .collect()
-                };
-                let prefix = to_snaps(&prefix);
-                let suffix = to_snaps(&suffix);
-                let cap = suffix.len();
-                let mut sliding = SlidingCovariance::new(3, cap);
-                for x in prefix.iter().chain(&suffix) {
-                    sliding.push(x);
-                }
-                let incr = sliding.covariance().unwrap();
-                let batch = sample_covariance(&suffix).unwrap();
-                let err = (&incr - &batch).frobenius_norm();
-                // Tolerance scales with the magnitude of what was
-                // cancelled (prefix power ≤ 50 per snapshot entry pair).
-                let tol = 1e-11 * (1.0 + batch.frobenius_norm());
-                prop_assert!(err <= tol, "prefix leaked: drift {err} > {tol}");
             }
         }
     }

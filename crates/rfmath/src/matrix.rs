@@ -284,24 +284,6 @@ impl CMatrix {
         }
     }
 
-    /// Subtracts the outer product `u·vᴴ` in place — the downdate
-    /// sibling of [`CMatrix::axpy_outer`], used by sliding-window
-    /// covariance maintenance to retire the oldest snapshot.
-    ///
-    /// # Panics
-    /// Panics if `u.len() != rows` or `v.len() != cols`.
-    pub fn axpy_outer_sub(&mut self, u: &[Complex64], v: &[Complex64]) {
-        assert_eq!(u.len(), self.rows, "outer-update row length mismatch");
-        assert_eq!(v.len(), self.cols, "outer-update column length mismatch");
-        let mut idx = 0;
-        for &ur in u {
-            for &vc in v {
-                self.data[idx] -= ur * vc.conj();
-                idx += 1;
-            }
-        }
-    }
-
     /// Multiplies every entry by a real scalar in place (the
     /// non-allocating sibling of [`CMatrix::scale`]).
     pub fn scale_in_place(&mut self, k: f64) {
@@ -567,25 +549,6 @@ mod tests {
         let expect = &CMatrix::identity(3) + &CMatrix::outer(&u, &v);
         acc.axpy_outer(&u, &v);
         assert!((&acc - &expect).frobenius_norm() < 1e-15);
-    }
-
-    #[test]
-    fn axpy_outer_sub_reverses_axpy_outer() {
-        // Dyadic components keep every product and sum exactly
-        // representable, so update followed by downdate of the same pair
-        // restores the base bitwise (both apply the identical ±ur·vc̄).
-        let u = [c(1.0, 0.5), c(0.0, 2.0), c(-0.75, 0.25)];
-        let v = [c(2.0, -0.5), c(0.5, 1.0), c(0.0, -1.0)];
-        let base = CMatrix::from_fn(3, 3, |r, cc| c(r as f64 - 0.25, cc as f64 + 0.5));
-        let mut acc = base.clone();
-        acc.axpy_outer(&u, &v);
-        acc.axpy_outer_sub(&u, &v);
-        for r in 0..3 {
-            for cc in 0..3 {
-                assert_eq!(acc[(r, cc)].re.to_bits(), base[(r, cc)].re.to_bits());
-                assert_eq!(acc[(r, cc)].im.to_bits(), base[(r, cc)].im.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -115,15 +115,6 @@ impl CsiPacket {
             .collect()
     }
 
-    /// Writes the subcarrier column into a caller-provided buffer
-    /// (cleared and refilled) — the allocation-free sibling of
-    /// [`CsiPacket::subcarrier_column`] for per-window covariance loops.
-    pub fn subcarrier_column_into(&self, subcarrier: usize, out: &mut Vec<Complex64>) {
-        assert!(subcarrier < self.subcarriers, "subcarrier out of range");
-        out.clear();
-        out.extend((0..self.antennas).map(|a| self.data[a * self.subcarriers + subcarrier]));
-    }
-
     /// Subcarrier power `|H|²` for one antenna.
     pub fn power(&self, antenna: usize, subcarrier: usize) -> f64 {
         self.get(antenna, subcarrier).norm_sqr()
