@@ -112,7 +112,11 @@ fn bench_detection(c: &mut Criterion) {
             black_box(pseudospectrum(&fb, &steering, 2, &grid).unwrap())
         });
     });
-    // The three per-window decisions — the §V-B4 latency story.
+    // The three per-window decisions — the §V-B4 latency story. Each
+    // bench re-scores one window, so every call after the first hits the
+    // per-thread prepared-window memo: these time the memo-hit path,
+    // which skips sanitization and, for the subcarrier and combined
+    // schemes, μ_k and the subcarrier weights too.
     g.bench_function("score_baseline_25pkt", |b| {
         b.iter(|| black_box(Baseline.score(&profile, &window, &config).unwrap()));
     });

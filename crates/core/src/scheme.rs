@@ -10,6 +10,9 @@
 //! Every scheme maps a monitoring window of packets to a scalar score;
 //! larger scores mean "more different from the calibration profile".
 
+use std::cell::{OnceCell, RefCell};
+use std::rc::Rc;
+
 use mpdf_music::music::bartlett_spectrum;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::sanitize::{sanitize_packet_with, SanitizeScratch};
@@ -58,21 +61,43 @@ pub trait DetectionScheme {
     }
 }
 
-/// One memoized quarantine-and-sanitize result (see [`sanitized_window`]).
+/// A window after the front end every scheme shares: quarantined,
+/// validated and phase-sanitized, plus the Eq. 12–15 subcarrier weights
+/// that schemes 2 and 3 both read (§IV-C reuses scheme 2's weights),
+/// computed on first use.
+struct PreparedWindow {
+    packets: Vec<CsiPacket>,
+    health: WindowHealth,
+    weights: OnceCell<SubcarrierWeights>,
+}
+
+impl PreparedWindow {
+    /// The window's subcarrier weights on `config.band`. The memo key
+    /// holds the band's centre and indices, so one prepared window never
+    /// serves two frequency grids.
+    fn weights(&self, config: &DetectorConfig) -> &SubcarrierWeights {
+        self.weights.get_or_init(|| {
+            SubcarrierWeights::from_packets(&self.packets, &config.band.frequencies())
+        })
+    }
+}
+
+/// The memoized prepared window (see [`prepared_window`]).
 ///
 /// The key is the *entire input by value*: raw window content compared
-/// bitwise plus every configuration field the pass reads (profile shape,
-/// quarantine policy, gap budget, OFDM indices). A hit therefore returns
-/// exactly what recomputation would produce — the memo cannot perturb
-/// byte-identity, only skip redundant work.
+/// bitwise plus every configuration field the front end reads (profile
+/// shape, quarantine policy, gap budget, the band's centre frequency and
+/// OFDM indices). A hit therefore returns exactly what recomputation
+/// would produce — the memo cannot perturb byte-identity, only skip
+/// redundant work.
 struct SanitizeMemo {
     shape: (usize, usize),
     gap_budget: usize,
     policy: mpdf_wifi::quarantine::QuarantinePolicy,
+    center_hz: f64,
     indices: Vec<i32>,
     raw: Vec<CsiPacket>,
-    sanitized: Vec<CsiPacket>,
-    health: WindowHealth,
+    prepared: Rc<PreparedWindow>,
 }
 
 impl SanitizeMemo {
@@ -81,7 +106,6 @@ impl SanitizeMemo {
         profile: &CalibrationProfile,
         window: &[CsiPacket],
         config: &DetectorConfig,
-        indices: &[i32],
     ) -> bool {
         self.shape == (profile.antennas(), profile.subcarriers())
             && self.gap_budget == config.gap_budget
@@ -89,63 +113,67 @@ impl SanitizeMemo {
             && self.policy.max_saturated_frac.to_bits()
                 == config.quarantine.max_saturated_frac.to_bits()
             && self.policy.min_usable_antennas == config.quarantine.min_usable_antennas
-            && self.indices == indices
+            && self.center_hz.to_bits() == config.band.center_hz().to_bits()
+            && self.indices == config.band.indices()
             && self.raw.len() == window.len()
             && self.raw.iter().zip(window).all(|(a, b)| a.bits_eq(b))
     }
 }
 
 thread_local! {
-    /// Last sanitized window per thread. Every scheme scores through the
-    /// same quarantine + phase-sanitization pass, so a campaign scoring a
-    /// window under several schemes back-to-back repays the full pass
-    /// once and replays it for the rest (a content-bitwise hit costs a
-    /// 36 KB compare + clone instead of ~750 `atan2`/`cis` evaluations).
-    static SANITIZED_MEMO: std::cell::RefCell<Option<SanitizeMemo>> =
-        const { std::cell::RefCell::new(None) };
+    /// Last prepared window per thread. A replay scoring one window under
+    /// several schemes back-to-back pays the front end once: a hit costs a
+    /// 36 KB compare plus a handle instead of ~750 `atan2`/`cis`
+    /// evaluations, and the weights are computed once per window.
+    static SANITIZED_MEMO: RefCell<Option<SanitizeMemo>> = const { RefCell::new(None) };
 }
 
 /// Quarantines and validates a window (see [`assess_window`]), then
-/// returns sanitized copies of the survivors plus the health report.
-/// Results are memoized per thread keyed on the full input content.
-fn sanitized_window(
+/// sanitizes the survivors into a [`PreparedWindow`]. Results are
+/// memoized per thread keyed on the full input content.
+fn prepared_window(
     profile: &CalibrationProfile,
     window: &[CsiPacket],
     config: &DetectorConfig,
-) -> Result<(Vec<CsiPacket>, WindowHealth), DetectError> {
-    let indices = config.band.indices();
+) -> Result<Rc<PreparedWindow>, DetectError> {
     let hit = SANITIZED_MEMO.with(|memo| {
         memo.borrow().as_ref().and_then(|m| {
-            m.matches(profile, window, config, indices)
-                .then(|| (m.sanitized.clone(), m.health.clone()))
+            m.matches(profile, window, config)
+                .then(|| Rc::clone(&m.prepared))
         })
     });
-    if let Some(cached) = hit {
+    if let Some(prepared) = hit {
         mpdf_obs::counter!("core.sanitize_memo.hits").inc();
-        return Ok(cached);
+        return Ok(prepared);
     }
     mpdf_obs::counter!("core.sanitize_memo.misses").inc();
     let (kept, health) = assess_window(profile, window, config)?;
+    let indices = config.band.indices();
     let mut scratch = SanitizeScratch::new();
-    let sanitized: Vec<CsiPacket> = kept
+    let packets: Vec<CsiPacket> = kept
         .into_iter()
         .map(|mut q| {
             sanitize_packet_with(&mut scratch, &mut q, indices);
             q
         })
         .collect();
+    let prepared = Rc::new(PreparedWindow {
+        packets,
+        health,
+        weights: OnceCell::new(),
+    });
     SANITIZED_MEMO.with(|memo| {
         *memo.borrow_mut() = Some(SanitizeMemo {
             shape: (profile.antennas(), profile.subcarriers()),
             gap_budget: config.gap_budget,
             policy: config.quarantine,
+            center_hz: config.band.center_hz(),
             indices: indices.to_vec(),
             raw: window.to_vec(),
-            sanitized: sanitized.clone(),
-            health: health.clone(),
+            prepared: Rc::clone(&prepared),
         });
     });
-    Ok((sanitized, health))
+    Ok(prepared)
 }
 
 /// Zeroes the weights of clipped subcarriers and rescales the survivors
@@ -204,13 +232,14 @@ impl DetectionScheme for Baseline {
         config: &DetectorConfig,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.baseline");
-        let (window, health) = sanitized_window(profile, window, config)?;
+        let prepared = prepared_window(profile, window, config)?;
+        let (window, health) = (&prepared.packets, &prepared.health);
         let n = window.len() as f64;
         let mut total = 0.0;
         // Row `r` of a (possibly reduced) packet is physical chain `a`.
         for (r, &a) in health.usable_antennas.iter().enumerate() {
             let mut mean_amp = vec![0.0; profile.subcarriers()];
-            for p in &window {
+            for p in window {
                 for (k, slot) in mean_amp.iter_mut().enumerate() {
                     *slot += p.get(r, k).norm();
                 }
@@ -220,7 +249,7 @@ impl DetectionScheme for Baseline {
             }
             total += euclidean(&mean_amp, &profile.static_amplitude()[a]);
         }
-        Ok((total / health.usable_antennas.len() as f64, health))
+        Ok((total / health.usable_antennas.len() as f64, health.clone()))
     }
 }
 
@@ -246,7 +275,8 @@ impl DetectionScheme for RssiBaseline {
         config: &DetectorConfig,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.rssi");
-        let (window, health) = sanitized_window(profile, window, config)?;
+        let prepared = prepared_window(profile, window, config)?;
+        let (window, health) = (&prepared.packets, &prepared.health);
         let monitored: f64 = window
             .iter()
             .map(mpdf_wifi::CsiPacket::total_power)
@@ -258,9 +288,12 @@ impl DetectionScheme for RssiBaseline {
         let static_total: f64 =
             profile.static_power().iter().sum::<f64>() * health.usable_antennas.len() as f64;
         if static_total <= f64::MIN_POSITIVE || monitored <= f64::MIN_POSITIVE {
-            return Ok((0.0, health));
+            return Ok((0.0, health.clone()));
         }
-        Ok(((10.0 * (monitored / static_total).log10()).abs(), health))
+        Ok((
+            (10.0 * (monitored / static_total).log10()).abs(),
+            health.clone(),
+        ))
     }
 }
 
@@ -280,15 +313,14 @@ impl DetectionScheme for SubcarrierWeighting {
         config: &DetectorConfig,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.subcarrier");
-        let (window, health) = sanitized_window(profile, window, config)?;
-        let freqs = config.band.frequencies();
-        let weights = SubcarrierWeights::from_packets(&window, &freqs);
+        let prepared = prepared_window(profile, window, config)?;
+        let (window, health) = (&prepared.packets, &prepared.health);
         // Δs(f_k): per-subcarrier RSS change in dB (the paper measures
         // link sensitivity in dB throughout §III; the multipath factor
         // predicts *relative* sensitivity, which only the log-domain
         // difference exposes — destructive subcarriers have small
         // absolute power but large dB swings).
-        let monitored = CsiPacket::median_power_profile(&window);
+        let monitored = CsiPacket::median_power_profile(window);
         let delta: Vec<f64> = monitored
             .iter()
             .zip(profile.static_power())
@@ -300,9 +332,12 @@ impl DetectionScheme for SubcarrierWeighting {
                 }
             })
             .collect();
-        let eff = effective_weights(&weights, &health);
+        let eff = effective_weights(prepared.weights(config), health);
         let weighted: Vec<f64> = delta.iter().zip(&eff).map(|(d, w)| w * d).collect();
-        Ok((weighted.iter().map(|d| d * d).sum::<f64>().sqrt(), health))
+        Ok((
+            weighted.iter().map(|d| d * d).sum::<f64>().sqrt(),
+            health.clone(),
+        ))
     }
 }
 
@@ -323,7 +358,8 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         config: &DetectorConfig,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.combined");
-        let (window, health) = sanitized_window(profile, window, config)?;
+        let prepared = prepared_window(profile, window, config)?;
+        let (window, health) = (&prepared.packets, &prepared.health);
         // Angle estimation needs an aperture: with fewer than two
         // surviving chains there is no spatial spectrum to compare, so
         // the window counts as degraded beyond what this scheme absorbs.
@@ -333,9 +369,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                 budget: config.gap_budget,
             });
         }
-        let freqs = config.band.frequencies();
-        let weights = SubcarrierWeights::from_packets(&window, &freqs);
-        let eff = effective_weights(&weights, &health);
+        let eff = effective_weights(prepared.weights(config), health);
 
         // MUSIC 3→2 fallback: when a chain dropped for the whole window,
         // both sides of the comparison shrink to the surviving sub-array
@@ -364,7 +398,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         // weights at calibration), but the detection distance needs the
         // power-bearing angular profile of the paper's "subcarrier
         // weighted signal strengths".
-        let monitored_cov = pool_covariances(&per_subcarrier_fb_covariances(&window), Some(&eff));
+        let monitored_cov = pool_covariances(&per_subcarrier_fb_covariances(window), Some(&eff));
         let monitored_spectrum = bartlett_spectrum(&monitored_cov, &steering, &config.grid)?;
 
         // Calibration side: the same subcarrier weights applied to the
@@ -396,7 +430,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
             .map(|(d, w)| (*d, *w))
             .collect();
         if gated.is_empty() {
-            return Ok((0.0, health));
+            return Ok((0.0, health.clone()));
         }
         let mean = gated.iter().map(|(d, _)| d).sum::<f64>() / gated.len() as f64;
         let sum_sq: f64 = gated
@@ -406,7 +440,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                 v * v
             })
             .sum();
-        Ok(((sum_sq / gated.len() as f64).sqrt(), health))
+        Ok(((sum_sq / gated.len() as f64).sqrt(), health.clone()))
     }
 }
 
@@ -629,6 +663,63 @@ mod tests {
                 budget: cfg.gap_budget
             }
         );
+    }
+
+    /// Scores `window` on a fresh thread, whose prepared-window memo is
+    /// empty: the reference for a memo miss.
+    fn score_on_a_miss(
+        scheme: impl DetectionScheme + Send + 'static,
+        profile: &CalibrationProfile,
+        window: &[CsiPacket],
+        cfg: &DetectorConfig,
+    ) -> (f64, WindowHealth) {
+        let (profile, window, cfg) = (profile.clone(), window.to_vec(), cfg.clone());
+        std::thread::spawn(move || scheme.score_with_health(&profile, &window, &cfg))
+            .join()
+            .expect("scoring thread")
+            .expect("score")
+    }
+
+    #[test]
+    fn combined_on_shared_weights_is_bitwise_combined_on_a_miss() {
+        let (profile, cfg) = profile_and_config();
+        let window = scene_packets(10, 0.4, -20.0);
+        // Subcarrier fills the window's weights; Combined then hits the
+        // memo and reads them instead of computing its own.
+        SubcarrierWeighting.score(&profile, &window, &cfg).unwrap();
+        let (shared, shared_health) = SubcarrierAndPathWeighting
+            .score_with_health(&profile, &window, &cfg)
+            .unwrap();
+        let (fresh, fresh_health) =
+            score_on_a_miss(SubcarrierAndPathWeighting, &profile, &window, &cfg);
+        assert_eq!(shared.to_bits(), fresh.to_bits());
+        assert_eq!(shared_health, fresh_health);
+    }
+
+    #[test]
+    fn configs_differing_only_in_centre_frequency_do_not_share_weights() {
+        let (profile, cfg) = profile_and_config();
+        let shifted = DetectorConfig {
+            band: mpdf_wifi::band::Band::new(
+                mpdf_wifi::band::channel_center_hz(1),
+                cfg.band.indices().to_vec(),
+            ),
+            ..cfg.clone()
+        };
+        assert_ne!(
+            cfg.band.center_hz().to_bits(),
+            shifted.band.center_hz().to_bits()
+        );
+        let window = scene_packets(10, 0.4, -20.0);
+        let first = SubcarrierWeighting.score(&profile, &window, &cfg).unwrap();
+        let second = SubcarrierWeighting
+            .score(&profile, &window, &shifted)
+            .unwrap();
+        let (fresh, _) = score_on_a_miss(SubcarrierWeighting, &profile, &window, &shifted);
+        // The weights depend on the centre frequency, so reusing the first
+        // config's weights would change the score.
+        assert_ne!(first.to_bits(), fresh.to_bits());
+        assert_eq!(second.to_bits(), fresh.to_bits());
     }
 
     #[test]

@@ -4,24 +4,27 @@
 //! The paper's monitoring loop is inherently streaming — the Intel 5300
 //! CSI tool emits a continuous record stream the detector must consume
 //! at line rate. This module replays a *recorded* campaign through that
-//! shape: each case's captured windows are encoded with the
-//! [`mpdf_wifi::wire`] codec into one contiguous byte stream, read back
-//! in MTU-sized chunks, reassembled and split into frames by the
-//! zero-copy decoder, batched into `detector.window`-packet epochs, and
-//! scored by a pool of workers.
+//! shape: each case's captured windows form one contiguous
+//! [`mpdf_wifi::wire`] byte stream, read in MTU-sized chunks,
+//! reassembled and split into frames by the zero-copy decoder, batched
+//! into `detector.window`-packet epochs, and scored by a pool of workers.
+//! The stream is encoded on demand: a read that needs bytes not yet
+//! encoded encodes the next recorded windows first, so encoding overlaps
+//! with scoring and the replay never holds a whole case's wire bytes.
 //!
 //! There are no hand-off threads: a free scoring worker locks the shared
-//! ingest state, reads chunks until one epoch is decoded, cuts it,
-//! unlocks and scores it. Back-pressure is structural — bytes are read
-//! only when a worker is free, so with reads shorter than a frame at
-//! most one epoch per worker plus one partial frame is decoded ahead.
+//! ingest state, reads (encoding as needed) until one epoch is decoded,
+//! cuts it, unlocks and scores it. Back-pressure is structural — bytes
+//! are encoded and read only when a worker is free, so with reads
+//! shorter than a frame at most one epoch per worker plus one partial
+//! frame is decoded ahead.
 //! Scores land in *epoch-indexed* slots, so the output order is a pure
 //! function of the byte stream no matter how many workers race — the
 //! contract, pinned by a tier-1 test, is that stream-path scores are
 //! **bit-identical** to the offline [`score_campaign`] pass over the
 //! same recording.
 
-use std::slice::Chunks;
+use std::slice::Iter;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -35,7 +38,9 @@ use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire;
 
 use crate::scenario::five_cases;
-use crate::workload::{run_campaign, score_campaign, CampaignConfig, CaseData, ScoredWindow};
+use crate::workload::{
+    run_campaign, score_campaign, CampaignConfig, CaseData, ScoredWindow, WindowRecord,
+};
 
 /// Per-epoch scores in scheme order (baseline, subcarrier, combined);
 /// `None` where that scheme abstained (degraded beyond budget / empty),
@@ -85,6 +90,10 @@ fn invalid(what: String) -> DetectError {
     DetectError::InvalidConfig { what }
 }
 
+fn unfit(e: wire::WireError) -> DetectError {
+    invalid(format!("recorded packet does not fit the wire: {e}"))
+}
+
 /// Validates the configured band at the ingest boundary.
 ///
 /// Config files and wire headers are untrusted inputs; revalidating
@@ -97,13 +106,20 @@ fn validate_band(band: &Band) -> Result<(), DetectError> {
 }
 
 /// The ingest side of one replay, shared by the scoring workers behind
-/// one mutex: whoever holds it reads and decodes for everyone.
+/// one mutex: whoever holds it encodes, reads and decodes for everyone.
 struct Ingest<'a> {
-    /// The socket stand-in: the encoded stream, one read at a time.
-    reads: Chunks<'a, u8>,
-    /// Carry-over tail (a frame split across reads) and decoded packets
-    /// not yet cut into an epoch.
-    tail: Vec<u8>,
+    /// The socket stand-in: recorded windows not yet encoded, and the
+    /// wire bytes encoded so far. `wire[start..read]` has been read but
+    /// not decoded (a frame split across reads), `wire[read..]` is
+    /// encoded but not yet read. Reads are `chunk_bytes` slices of the
+    /// same byte stream an up-front encode would produce.
+    recording: Iter<'a, WindowRecord>,
+    wire: Vec<u8>,
+    start: usize,
+    read: usize,
+    chunk_bytes: usize,
+    agc: u8,
+    /// Decoded packets not yet cut into an epoch.
     pending: Vec<CsiPacket>,
     /// `stats.epochs` counts the epochs handed out: the next epoch index.
     stats: CaseStreamStats,
@@ -120,9 +136,9 @@ impl Ingest<'_> {
             return None;
         }
         while self.pending.len() < window {
-            self.tail.extend_from_slice(self.reads.next()?);
-            let drained = wire::drain_frames(&self.tail, &mut self.pending);
-            self.tail.drain(..drained.consumed);
+            self.read_chunk()?;
+            let drained = wire::drain_frames(&self.wire[self.start..self.read], &mut self.pending);
+            self.start += drained.consumed;
             self.stats.packets += drained.frames;
             self.stats.bytes += drained.consumed as u64;
             self.stats.rejects += drained.rejects;
@@ -130,6 +146,37 @@ impl Ingest<'_> {
         let idx = self.stats.epochs;
         self.stats.epochs += 1;
         Some((idx, self.pending.drain(..window).collect()))
+    }
+
+    /// Reads the next `chunk_bytes` of the stream, first encoding recorded
+    /// windows while fewer than that are encoded but unread. `None` at end
+    /// of stream, or when a packet does not fit the wire (which closes
+    /// the stream; [`stream_case_scores`] refuses such a recording before
+    /// any read).
+    fn read_chunk(&mut self) -> Option<()> {
+        if self.wire.len() - self.read < self.chunk_bytes && self.recording.len() > 0 {
+            // Drop the decoded prefix before growing: what moves is at
+            // most a partial frame plus less than one read.
+            self.wire.drain(..self.start);
+            self.read -= self.start;
+            self.start = 0;
+            while self.wire.len() - self.read < self.chunk_bytes {
+                let Some(w) = self.recording.next() else {
+                    break;
+                };
+                for p in &w.packets {
+                    if let Err(e) = wire::encode_frame(p, self.agc, &mut self.wire) {
+                        self.fail(self.stats.epochs, unfit(e));
+                        return None;
+                    }
+                }
+            }
+        }
+        if self.read == self.wire.len() {
+            return None;
+        }
+        self.read = self.wire.len().min(self.read + self.chunk_bytes);
+        Some(())
     }
 
     /// Closes the stream, keeping the earliest failing epoch's error.
@@ -144,8 +191,11 @@ impl Ingest<'_> {
 }
 
 /// Scores one epoch with the three schemes back to back on one thread,
-/// so the sanitize memo misses once and hits twice. Abstentions are
-/// `None`; any other scheme error is returned.
+/// so they share one prepared window: the sanitize memo misses once and
+/// hits twice, and the subcarrier weights are computed once. The caller
+/// encodes and decodes the epoch under the ingest lock; scoring runs
+/// outside it. Abstentions are `None`; any other scheme error is
+/// returned.
 fn score_epoch(
     case: &CaseData,
     packets: &[CsiPacket],
@@ -167,18 +217,22 @@ fn score_epoch(
 /// Replays one recorded case through the wire codec, returning
 /// per-epoch scheme scores (epoch order) plus transport stats. Each of
 /// the [`mpdf_par::resolve_threads`]`(threads)` workers pulls and
-/// scores its own epochs; the ingest lock is never held while scoring.
+/// scores its own epochs, encoding the recording on demand; the ingest
+/// lock is never held while scoring.
 ///
 /// The recording must be *clean*: every window exactly
 /// `detector.window` packets, as a fault-free campaign produces. Epoch
 /// batching drains a fixed N packets per decision window, so a recording
 /// with ragged windows (packet loss already applied) cannot be aligned
-/// and is rejected with a typed error.
+/// and is rejected with a typed error, as is a recording with a packet
+/// the wire header cannot describe; both checks run before any epoch is
+/// scored.
 ///
 /// # Errors
 /// [`DetectError::InvalidConfig`] for a malformed band, ragged
-/// recording, or a replay that lost epochs; a scheme error other than
-/// the abstention cases stops the replay and propagates.
+/// recording, a packet that does not fit the wire, or a replay that
+/// lost epochs; a scheme error other than the abstention cases stops
+/// the replay and propagates.
 pub fn stream_case_scores(
     case: &CaseData,
     detector: &DetectorConfig,
@@ -194,20 +248,17 @@ pub fn stream_case_scores(
             w.packets.len()
         )));
     }
-
-    // Encode the recording into one contiguous wire stream — the bytes a
-    // socket would deliver.
-    let mut bytes = Vec::new();
-    for w in &case.windows {
-        for p in &w.packets {
-            wire::encode_frame(p, opts.agc, &mut bytes)
-                .map_err(|e| invalid(format!("recorded packet does not fit the wire: {e}")))?;
-        }
+    for p in case.windows.iter().flat_map(|w| &w.packets) {
+        wire::frame_shape(p).map_err(unfit)?;
     }
 
     let ingest = Mutex::new(Ingest {
-        reads: bytes.chunks(opts.chunk_bytes.max(1)),
-        tail: Vec::new(),
+        recording: case.windows.iter(),
+        wire: Vec::new(),
+        start: 0,
+        read: 0,
+        chunk_bytes: opts.chunk_bytes.max(1),
+        agc: opts.agc,
         pending: Vec::new(),
         stats: CaseStreamStats {
             case_id: case.case_id,

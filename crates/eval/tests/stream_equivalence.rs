@@ -12,6 +12,8 @@ use mpdf_core::scheme::{Baseline, SubcarrierAndPathWeighting, SubcarrierWeightin
 use mpdf_eval::scenario::five_cases;
 use mpdf_eval::stream::{run_stream, stream_case_scores, StreamOptions};
 use mpdf_eval::workload::{run_campaign, score_campaign, CampaignConfig, ScoredWindow};
+use mpdf_rfmath::complex::Complex64;
+use mpdf_wifi::csi::CsiPacket;
 
 fn tiny_config(threads: usize) -> CampaignConfig {
     CampaignConfig {
@@ -90,6 +92,9 @@ fn chunk_size_cannot_change_a_single_bit() {
     // A 64 KiB chunk decodes frames for several epochs in one read; the
     // pending packets must carry over between pulls bit-exactly.
     assert_stream_matches_offline(2, 65_536);
+    // A chunk larger than a whole case's recording: the first read
+    // encodes and decodes every epoch at once.
+    assert_stream_matches_offline(2, 16_777_216);
 }
 
 #[test]
@@ -118,6 +123,35 @@ fn ragged_recordings_are_a_typed_error() {
     let err = stream_case_scores(&data[0], &cfg.detector, 1, &StreamOptions::default())
         .expect_err("ragged recording must be rejected");
     assert!(matches!(err, DetectError::InvalidConfig { .. }), "{err}");
+}
+
+#[test]
+fn a_packet_that_does_not_fit_the_wire_is_refused_before_any_epoch_is_scored() {
+    let cfg = tiny_config(1);
+    let cases = &five_cases()[..1];
+    let mut data = run_campaign(cases, &cfg).expect("campaign");
+    // Every epoch but the last would fail scoring with `ShapeMismatch`
+    // (two-antenna packets against a three-antenna profile), and the last
+    // window holds a packet with 256 subcarriers, more than the header's
+    // `u8` field can declare. Only a check that runs before any epoch is
+    // scored returns the wire error instead of the scheme error.
+    for w in &mut data[0].windows {
+        for p in &mut w.packets {
+            *p = p.select_antennas(&[0, 1]);
+        }
+    }
+    let last = data[0].windows.last_mut().expect("recorded windows");
+    last.packets[0] = CsiPacket::new(2, 256, vec![Complex64::ONE; 512], 0, 0.0);
+    for threads in [1, 4] {
+        let err = stream_case_scores(&data[0], &cfg.detector, threads, &StreamOptions::default())
+            .expect_err("an unencodable packet must be refused");
+        match err {
+            DetectError::InvalidConfig { what } => {
+                assert!(what.contains("does not fit the wire"), "{threads}: {what}");
+            }
+            other => panic!("{threads} thread(s): {other}"),
+        }
+    }
 }
 
 #[test]

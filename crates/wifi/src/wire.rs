@@ -300,18 +300,30 @@ impl<'a> WireRecord<'a> {
     }
 }
 
+/// The packet's `(antennas, subcarriers)` as the header's `u8` fields:
+/// whether [`encode_frame`] accepts it, checked without encoding.
+///
+/// # Errors
+/// [`WireError::ShapeTooLarge`] when the packet dimensions do not fit
+/// the header's `u8` fields.
+pub fn frame_shape(packet: &CsiPacket) -> Result<(u8, u8), WireError> {
+    let too_large = |_| WireError::ShapeTooLarge {
+        antennas: packet.antennas(),
+        subcarriers: packet.subcarriers(),
+    };
+    Ok((
+        u8::try_from(packet.antennas()).map_err(too_large)?,
+        u8::try_from(packet.subcarriers()).map_err(too_large)?,
+    ))
+}
+
 /// Encodes one packet as a wire frame appended to `out`.
 ///
 /// # Errors
 /// [`WireError::ShapeTooLarge`] when the packet dimensions do not fit
 /// the header's `u8` fields.
 pub fn encode_frame(packet: &CsiPacket, agc: u8, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let too_large = || WireError::ShapeTooLarge {
-        antennas: packet.antennas(),
-        subcarriers: packet.subcarriers(),
-    };
-    let antennas = u8::try_from(packet.antennas()).map_err(|_| too_large())?;
-    let subcarriers = u8::try_from(packet.subcarriers()).map_err(|_| too_large())?;
+    let (antennas, subcarriers) = frame_shape(packet)?;
     let payload = packet.antennas() * packet.subcarriers() * 16;
     let declared = (HEADER_TAIL + payload) as u32;
     out.reserve(6 + HEADER_TAIL + payload);
