@@ -24,6 +24,9 @@
 //! - [`trajectory`] — windowed metric time series: samples registry
 //!   deltas every K processed windows (deterministic window counts, not
 //!   wall-clock) into NDJSON (`repro --trajectory`).
+//! - [`json`] — the one JSON format module: the string escaper every
+//!   exporter above writes with and the tree reader every consumer
+//!   (the NDJSON span reader, the xtask report diffs) reads with.
 //! - `allocs` (feature `alloc-count`) — a counting global allocator
 //!   with thread-local stage scopes, attributing allocations/bytes to
 //!   the active [`stage!`] and publishing `obs.alloc.*` counters; zero
@@ -64,6 +67,7 @@
 
 #[cfg(feature = "alloc-count")]
 pub mod allocs;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod trace;

@@ -21,6 +21,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use crate::json;
+
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -395,23 +397,6 @@ pub struct Snapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// Escapes a string for a JSON string literal.
-pub(crate) fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl Snapshot {
     /// Serializes the snapshot as a stable, human-readable JSON object
     /// (`{"counters": {...}, "gauges": {...}, "histograms": {...}}`).
@@ -420,24 +405,24 @@ impl Snapshot {
         out.push_str("{\n  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    \"");
-            escape_json(name, &mut out);
-            out.push_str(&format!("\": {value}"));
+            out.push_str("    ");
+            json::push_string(&mut out, name);
+            out.push_str(&format!(": {value}"));
         }
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, (name, value)) in self.gauges.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    \"");
-            escape_json(name, &mut out);
-            out.push_str(&format!("\": {value}"));
+            out.push_str("    ");
+            json::push_string(&mut out, name);
+            out.push_str(&format!(": {value}"));
         }
         out.push_str("\n  },\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    \"");
-            escape_json(name, &mut out);
+            out.push_str("    ");
+            json::push_string(&mut out, name);
             out.push_str(&format!(
-                "\": {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
+                ": {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
                  \"p50_ns\": {:.1}, \"p95_ns\": {:.1}, \"p99_ns\": {:.1}}}",
                 h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99
             ));
@@ -576,20 +561,29 @@ mod tests {
         assert!(json.contains("\"depth\": -3"));
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("\"p50_ns\": 100.0"));
-        // Balanced braces (a cheap well-formedness proxy without a JSON
-        // parser in the dependency-free workspace).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
+        let Ok(json::Json::Obj(sections)) = json::parse_document(&json) else {
+            panic!("snapshot is not a JSON object:\n{json}");
+        };
+        let names: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["counters", "gauges", "histograms"]);
     }
 
     #[test]
-    fn json_escaping_handles_special_chars() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd\te\u{1}", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
+    fn control_characters_in_names_parse_back() {
+        let r = Registry::default();
+        let name = "ctl\u{1}\u{1f}\"name\\\n";
+        r.counter(name).add(4);
+        let text = r.snapshot().to_json();
+        let Ok(json::Json::Obj(sections)) = json::parse_document(&text) else {
+            panic!("snapshot does not parse:\n{text}");
+        };
+        let json::Json::Obj(counters) = &sections[0].1 else {
+            panic!("counters is not an object:\n{text}");
+        };
+        assert!(
+            matches!(&counters[..], [(k, json::Json::Num(v))] if k == name && *v == 4.0),
+            "{text}"
+        );
     }
 
     #[test]

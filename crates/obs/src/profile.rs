@@ -19,6 +19,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json;
 use crate::trace::{SpanEvent, SpanKind};
 
 /// Owned mirror of [`SpanEvent`], the unit this module analyzes.
@@ -540,41 +541,24 @@ pub fn to_json(profile: &Profile, top: usize) -> String {
     out.push_str("  \"hotspots\": [");
     for (i, s) in hotspots(profile, top).iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str("    {\"stage\": ");
+        json::push_string(&mut out, &s.name);
         out.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"count\": {}, \"total_ns\": {}, \
-             \"self_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-            json_escaped(&s.name),
-            s.count,
-            s.total_ns,
-            s.self_ns,
-            s.min_ns,
-            s.max_ns
+            ", \"count\": {}, \"total_ns\": {}, \"self_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
+            s.count, s.total_ns, s.self_ns, s.min_ns, s.max_ns
         ));
     }
     out.push_str("\n  ],\n  \"critical_path\": [");
     for (i, hop) in profile.critical_path.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str("    {\"stage\": ");
+        json::push_string(&mut out, &hop.name);
         out.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"depth\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
-            json_escaped(&hop.name),
-            hop.depth,
-            hop.total_ns,
-            hop.self_ns
+            ", \"depth\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
+            hop.depth, hop.total_ns, hop.self_ns
         ));
     }
     out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn json_escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -617,10 +601,10 @@ fn parse_event_line(line: &str) -> Option<TraceEvent> {
             }
             break;
         }
-        let (key, after) = parse_json_string(rest)?;
+        let (key, after) = json::parse_string(rest).ok()?;
         rest = after.trim_start().strip_prefix(':')?.trim_start();
         if rest.starts_with('"') {
-            let (value, after) = parse_json_string(rest)?;
+            let (value, after) = json::parse_string(rest).ok()?;
             match key.as_str() {
                 "ev" => {
                     kind = Some(match value.as_str() {
@@ -659,26 +643,6 @@ fn parse_event_line(line: &str) -> Option<TraceEvent> {
         ts_ns: ts_ns?,
         elapsed_ns,
     })
-}
-
-/// Parses a leading JSON string literal, returning the unescaped body
-/// and the remainder after the closing quote.
-fn parse_json_string(s: &str) -> Option<(String, &str)> {
-    let rest = s.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, rest.get(i + 1..)?)),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -864,6 +828,25 @@ mod tests {
                 elapsed_ns: 250,
             }
         );
+
+        // Names with a newline, a quote and a backslash stay on one line
+        // and read back unchanged.
+        let odd = SpanEvent {
+            name: "odd\nspan \"q\" \\",
+            parent: Some("odd\nparent \"q\" \\"),
+            ..live
+        };
+        let line = odd.to_ndjson();
+        assert_eq!(line.lines().count(), 1, "{line}");
+        let Ok(json::Json::Obj(fields)) = json::parse_document(&line) else {
+            panic!("event line does not parse: {line}");
+        };
+        assert!(fields.iter().any(|(k, v)| k == "parent"
+            && matches!(v, json::Json::Str(s) if s == "odd\nparent \"q\" \\")));
+        let (events, malformed) = parse_ndjson(&format!("{line}\n"));
+        assert_eq!(malformed, 0);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, odd.name);
     }
 
     #[test]
@@ -884,7 +867,29 @@ mod tests {
         let json = to_json(&p, 5);
         assert!(json.contains("\"dropped_events\": 3"));
         assert!(json.contains("\"stage\": \"a.b\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json::parse_document(&json).is_ok(), "{json}");
+    }
+
+    #[test]
+    fn json_export_escapes_stage_names() {
+        let name = "odd\n\"stage\"\\";
+        let events: Vec<TraceEvent> = span(name, 1, 0, 10).into_iter().collect();
+        let json = to_json(&reconstruct(&events), 5);
+        let Ok(json::Json::Obj(fields)) = json::parse_document(&json) else {
+            panic!("trace report does not parse:\n{json}");
+        };
+        for key in ["hotspots", "critical_path"] {
+            let Some((_, json::Json::Arr(rows))) = fields.iter().find(|(k, _)| k == key) else {
+                panic!("{key} missing:\n{json}");
+            };
+            let Some(json::Json::Obj(row)) = rows.first() else {
+                panic!("{key} is empty:\n{json}");
+            };
+            assert!(
+                matches!(&row[0], (k, json::Json::Str(s)) if k == "stage" && s == name),
+                "{json}"
+            );
+        }
     }
 
     #[test]

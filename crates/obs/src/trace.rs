@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
+use crate::json;
 use crate::metrics::{self, Histogram};
 
 /// What a [`SpanEvent`] marks.
@@ -73,21 +74,17 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// Encodes the event as a single NDJSON line (no trailing newline).
-    ///
-    /// Names are string literals from source code, so no JSON escaping is
-    /// needed beyond what a literal can contain; quotes/backslashes are
-    /// escaped anyway for robustness.
+    /// Names are escaped with [`json::push_string`], so any name —
+    /// newlines included — stays on its line and parses back unchanged.
     pub fn to_ndjson(&self) -> String {
         let mut out = String::with_capacity(128);
         out.push_str("{\"ev\":\"");
         out.push_str(self.kind.tag());
-        out.push_str("\",\"span\":\"");
-        push_escaped(&mut out, self.name);
-        out.push('"');
+        out.push_str("\",\"span\":");
+        json::push_string(&mut out, self.name);
         if let Some(parent) = self.parent {
-            out.push_str(",\"parent\":\"");
-            push_escaped(&mut out, parent);
-            out.push('"');
+            out.push_str(",\"parent\":");
+            json::push_string(&mut out, parent);
         }
         out.push_str(&format!(
             ",\"depth\":{},\"thread\":{},\"ts_ns\":{}",
@@ -98,16 +95,6 @@ impl SpanEvent {
         }
         out.push('}');
         out
-    }
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
     }
 }
 

@@ -20,6 +20,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use crate::json;
 use crate::metrics::{self, Snapshot};
 
 /// One exported trajectory point.
@@ -158,18 +159,16 @@ pub fn to_ndjson(samples: &[Sample]) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            metrics::escape_json(name, &mut out);
-            out.push_str(&format!("\":{value}"));
+            json::push_string(&mut out, name);
+            out.push_str(&format!(":{value}"));
         }
         out.push_str("},\"gauges\":{");
         for (i, (name, value)) in sample.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            metrics::escape_json(name, &mut out);
-            out.push_str(&format!("\":{value}"));
+            json::push_string(&mut out, name);
+            out.push_str(&format!(":{value}"));
         }
         out.push_str("}}\n");
     }
@@ -290,6 +289,9 @@ mod tests {
             text,
             "{\"windows\":8,\"counters\":{\"a.b\":2},\"gauges\":{\"c.d\":-1}}\n"
         );
+        for line in text.lines() {
+            assert!(json::parse_document(line).is_ok(), "{line}");
+        }
     }
 
     #[test]

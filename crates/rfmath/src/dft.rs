@@ -15,45 +15,16 @@
 use std::error::Error;
 use std::f64::consts::PI;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::complex::Complex64;
 
-/// One cached twiddle table: `(transform length, shared table)`.
-type TwiddleEntry = (usize, Arc<[Complex64]>);
-
-/// Process-wide cache of forward twiddle tables, keyed by transform
-/// length. CSI work hits a handful of lengths (30 subcarriers, the
-/// benchmark's power-of-two signals), so a small linear-scan vector
-/// behind a mutex beats hashing.
-static TWIDDLE_CACHE: OnceLock<Mutex<Vec<TwiddleEntry>>> = OnceLock::new();
-
-/// Largest transform length worth caching (the table is O(N)).
-const TWIDDLE_CACHE_MAX_LEN: usize = 1 << 14;
-
-/// Forward twiddle table `w[j] = e^{-2πi j/N}` for length `n`, shared and
-/// cached process-wide. The inverse transform conjugates on lookup.
-fn forward_twiddles(n: usize) -> Arc<[Complex64]> {
-    let build = || -> Arc<[Complex64]> {
-        (0..n)
-            .map(|j| Complex64::cis(-2.0 * PI * j as f64 / n as f64))
-            .collect()
-    };
-    if n > TWIDDLE_CACHE_MAX_LEN {
-        return build();
-    }
-    let cache = TWIDDLE_CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    // Poisoning cannot corrupt the table (entries are write-once), so
-    // recover the inner value instead of panicking.
-    let mut tables = cache
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some((_, t)) = tables.iter().find(|(len, _)| *len == n) {
-        return Arc::clone(t);
-    }
-    let t = build();
-    tables.push((n, Arc::clone(&t)));
-    t
+/// Forward twiddle table `w[j] = e^{-2πi j/N}` for length `n`, built once
+/// per transform (O(N) `cis` calls against the O(N²) sum). The inverse
+/// transform conjugates on lookup.
+fn forward_twiddles(n: usize) -> Vec<Complex64> {
+    (0..n)
+        .map(|j| Complex64::cis(-2.0 * PI * j as f64 / n as f64))
+        .collect()
 }
 
 /// Error returned by the fixed-radix FFT routines.
@@ -79,7 +50,7 @@ impl Error for FftError {}
 /// Direct forward DFT: `X[k] = Σ_n x[n]·e^{-2πi kn/N}`.
 ///
 /// Accepts any non-zero length. Returns an empty vector for empty input.
-/// Twiddle factors come from a cached per-length table — no `sin`/`cos`
+/// Twiddle factors come from one table built per call — no `sin`/`cos`
 /// in the O(N²) loop.
 pub fn dft(x: &[Complex64]) -> Vec<Complex64> {
     let n = x.len();
@@ -425,18 +396,5 @@ mod tests {
     #[test]
     fn delay_profile_zero_bins_is_empty() {
         assert!(delay_power_profile(&[Complex64::ONE], &[1.0], 1e-9, 0).is_empty());
-    }
-
-    #[test]
-    fn twiddle_cache_is_consistent_across_lengths() {
-        // Interleave lengths so cached tables for one length cannot leak
-        // into another.
-        for n in [3usize, 8, 30, 8, 3] {
-            let x: Vec<Complex64> = (0..n)
-                .map(|i| Complex64::new((i as f64 * 0.9).cos(), (i as f64 * 0.4).sin()))
-                .collect();
-            let y = idft(&dft(&x));
-            assert!(close_vec(&x, &y, 1e-10), "length {n} round trip");
-        }
     }
 }

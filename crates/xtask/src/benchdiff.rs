@@ -3,8 +3,8 @@
 //!
 //! A report is a JSON array of records shaped like
 //! `{"name": "group/bench", "mean_ns_per_iter": 1234.5, ...}`; this
-//! module parses two of them (with the shared std-only reader in
-//! [`crate::json`]), joins the records by name and classifies
+//! module parses two of them (with the workspace's one JSON reader,
+//! [`mpdf_obs::json`]), joins the records by name and classifies
 //! each pair by the relative change of `mean_ns_per_iter`. CI runs it as
 //! `cargo xtask bench-diff <old.json> <new.json> [--threshold <pct>]`
 //! after regenerating benches, so a hot-path regression fails the job
@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::{parse_document, Json};
+use mpdf_obs::json::{parse_document, Json};
 
 /// One benchmark's name and mean cost from a report file.
 #[derive(Debug, Clone, PartialEq)]

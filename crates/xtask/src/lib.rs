@@ -13,8 +13,8 @@
 //! regression gate over `BENCH_*.json`), [`obsdiff`] (SLO gate over
 //! `OBS_metrics.json` snapshots against the `OBS_budgets.txt` manifest)
 //! and [`tracereport`] (span-tree profiling of `repro --trace`
-//! captures, built on `mpdf_obs::profile`), sharing the std-only
-//! [`json`] reader.
+//! captures, built on `mpdf_obs::profile`), all reading JSON through
+//! `mpdf_obs::json`, the workspace's one JSON format module.
 //!
 //! It is a library (not just a binary) so `crates/bench` can measure
 //! full-workspace lint wall time, and so fixture tests can drive the
@@ -29,7 +29,6 @@
 pub mod benchdiff;
 pub mod concurrency;
 pub mod determinism;
-pub mod json;
 pub mod lexer;
 pub mod lint;
 pub mod metrics;
@@ -38,3 +37,7 @@ pub mod report;
 pub mod rules;
 pub mod stream;
 pub mod tracereport;
+
+/// The workspace's JSON reader and writer, re-exported under the path
+/// the end-to-end benchmark harness imports (`xtask::json`).
+pub use mpdf_obs::json;

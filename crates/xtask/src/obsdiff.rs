@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::{parse_document, Json};
+use mpdf_obs::json::{parse_document, Json};
 
 /// Histogram summary as exported by `Snapshot::to_json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

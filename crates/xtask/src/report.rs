@@ -4,6 +4,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use mpdf_obs::json;
+
 /// The enforced rule set: the six original text-level policies (now
 /// ported onto the token stream) plus the three analysis families added
 /// for fleet-scale concurrency — determinism taint (`det-*`), the
@@ -207,14 +209,16 @@ pub fn to_json(violations: &[Violation]) -> String {
     s.push_str("},\n  \"findings\": [");
     for (i, v) in violations.iter().enumerate() {
         s.push_str(if i == 0 { "\n" } else { ",\n" });
+        s.push_str("    {\"file\": ");
+        json::push_string(&mut s, &path_str(&v.file));
         s.push_str(&format!(
-            "    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": {}}}",
-            json_string(&path_str(&v.file)),
+            ", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": ",
             v.line,
             v.col,
-            v.rule.name(),
-            json_string(&v.message)
+            v.rule.name()
         ));
+        json::push_string(&mut s, &v.message);
+        s.push('}');
     }
     if !violations.is_empty() {
         s.push_str("\n  ");
@@ -229,25 +233,6 @@ fn path_str(p: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
+use mpdf_obs::json::{parse_document, Json};
+
 fn fixture_root(fixture: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -202,6 +204,14 @@ fn seeded_json_report_matches_findings() {
         stdout.contains("\"file\": \"crates/par/src/lib.rs\""),
         "{stdout}"
     );
+    let Ok(Json::Obj(fields)) = parse_document(&stdout) else {
+        panic!("report is not a JSON object:\n{stdout}");
+    };
+    let findings = fields.iter().find_map(|(k, v)| match v {
+        Json::Arr(items) if k == "findings" => Some(items.len()),
+        _ => None,
+    });
+    assert_eq!(findings, Some(23), "{stdout}");
 }
 
 #[test]

@@ -7,6 +7,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use mpdf_obs::json::parse_document;
+
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_xtask"))
         .args(args)
@@ -86,6 +88,7 @@ fn trace_report_json_and_collapse_outputs() {
     // --top 2 truncates the third stage out of the hotspot list.
     assert!(stdout.matches("\"stage\"").count() >= 2, "{stdout}");
     assert!(!stdout.contains("\"stage\": \"core.mu_k\""), "{stdout}");
+    assert!(parse_document(&stdout).is_ok(), "{stdout}");
     let stacks = fs::read_to_string(collapse.0.as_path()).expect("collapse file");
     assert!(stacks.contains("eval.window;music.scan 700"), "{stacks}");
     assert!(stacks.contains("core.mu_k 200"), "{stacks}");
