@@ -1,10 +1,9 @@
 //! # mpdf-bench — shared fixtures for the benchmark harness
 //!
-//! The benches live in `benches/`: `micro` times the building blocks
+//! The bench lives in `benches/micro.rs` and times the building blocks
 //! (supporting the paper's §V-B4 claim that the weighting schemes are
-//! computationally negligible next to the packet budget), and `figures`
-//! runs reduced-size versions of every experiment so regressions in any
-//! figure's pipeline show up as timing or panics.
+//! computationally negligible next to the packet budget). Every figure's
+//! pipeline runs end to end through `repro all` instead.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,14 +41,4 @@ pub fn bench_fixture() -> (CalibrationProfile, Vec<CsiPacket>, DetectorConfig) {
     // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
     let window = rx.capture_static(Some(&human), 25).expect("capture");
     (profile, window, config)
-}
-
-/// A reduced campaign configuration for the figure benches.
-pub fn small_campaign() -> mpdf_eval::workload::CampaignConfig {
-    mpdf_eval::workload::CampaignConfig {
-        calibration_packets: 120,
-        episodes_per_position: 1,
-        negative_windows: 9,
-        ..Default::default()
-    }
 }

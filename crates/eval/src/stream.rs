@@ -216,7 +216,7 @@ fn score_epoch(
 
 /// Replays one recorded case through the wire codec, returning
 /// per-epoch scheme scores (epoch order) plus transport stats. Each of
-/// the [`mpdf_par::resolve_threads`]`(threads)` workers pulls and
+/// the [`mpdf_par::workers`]`(threads, epochs)` workers pulls and
 /// scores its own epochs, encoding the recording on demand; the ingest
 /// lock is never held while scoring.
 ///
@@ -270,7 +270,7 @@ pub fn stream_case_scores(
         (0..case.windows.len()).map(|_| OnceLock::new()).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..mpdf_par::resolve_threads(threads) {
+        for _ in 0..mpdf_par::workers(threads, case.windows.len()) {
             scope.spawn(|| loop {
                 let next = {
                     let _stage = mpdf_obs::stage!("eval.stream.ingest");

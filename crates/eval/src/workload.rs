@@ -367,11 +367,6 @@ impl ScoredWindow {
     }
 }
 
-/// Windows one pool job scores in [`score_campaign`]: enough to amortize
-/// a job's hand-off, few enough that a campaign still balances over the
-/// workers.
-const SCORE_CHUNK: usize = 16;
-
 /// Scores every window of a campaign with one scheme.
 ///
 /// Windows that the graceful-degradation path aborts with
@@ -383,7 +378,7 @@ const SCORE_CHUNK: usize = 16;
 /// `eval.aborted_windows_total`. Fault-free campaigns never abort, so
 /// this keeps the zero-fault output byte-identical.
 ///
-/// Contiguous runs of [`SCORE_CHUNK`] windows are scored on the pool,
+/// Windows are scored on the pool, one window per job,
 /// [`CaseData::threads`] workers wide (the first case's value). A
 /// window's score depends only on its case profile and packets, and the
 /// outcomes are merged — and counted — in input order on the calling
@@ -404,30 +399,17 @@ pub fn score_campaign<S: DetectionScheme + Sync>(
         .iter()
         .flat_map(|case| case.windows.iter().map(move |w| (case, w)))
         .collect();
-    let chunks: Vec<&[(&CaseData, &WindowRecord)]> = windows.chunks(SCORE_CHUNK).collect();
     let threads = data.first().map_or(1, |case| case.threads);
-    // Per window: a score, `None` for an abstention, or the error that
-    // ends its chunk.
-    let outcomes = mpdf_par::map_indexed(threads, &chunks, |_, chunk| {
-        let mut scored = Vec::with_capacity(chunk.len());
-        for (case, w) in chunk.iter() {
-            match scheme.score(&case.profile, &w.packets, detector) {
-                Ok(score) => scored.push(Ok(Some(score))),
-                Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => {
-                    scored.push(Ok(None));
-                }
-                Err(e) => {
-                    scored.push(Err(e));
-                    break;
-                }
-            }
+    // Per window: a score, `None` for an abstention, or a scheme error.
+    let outcomes = mpdf_par::map_indexed(threads, &windows, |_, (case, w)| {
+        match scheme.score(&case.profile, &w.packets, detector) {
+            Ok(score) => Ok(Some(score)),
+            Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
+            Err(e) => Err(e),
         }
-        scored
     });
     let mut out = Vec::with_capacity(windows.len());
-    // Every chunk before the first error is complete, so windows and
-    // outcomes stay aligned up to that error.
-    for ((case, w), outcome) in windows.iter().zip(outcomes.into_iter().flatten()) {
+    for ((case, w), outcome) in windows.iter().zip(outcomes) {
         match outcome? {
             Some(score) => {
                 mpdf_obs::counter!("eval.scored_windows_total").inc();

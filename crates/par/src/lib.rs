@@ -1,11 +1,11 @@
 //! # mpdf-par — deterministic parallel execution layer
 //!
 //! A std-only work pool for the evaluation harness: scoped worker
-//! threads pulling indices from a bounded queue, with results collected
-//! **in input order** so a parallel run is indistinguishable from a
-//! serial one. No external dependencies (the build container is
-//! offline), no unsafe code, no work stealing — just enough machinery to
-//! saturate the cores on embarrassingly parallel campaign work.
+//! threads claim items one at a time from a shared iterator, and results
+//! are collected **in input order** so a parallel run is
+//! indistinguishable from a serial one. No external dependencies, no
+//! unsafe code, no work stealing — just enough machinery to saturate the
+//! cores on embarrassingly parallel campaign work.
 //!
 //! ## Determinism contract
 //!
@@ -23,12 +23,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod queue;
-
 use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Errors surfaced by the fallible pool entry points.
 #[derive(Debug)]
@@ -59,13 +57,8 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Per-item outcome inside the pool: unprocessed (a sibling panicked and
-/// the queue closed early), completed, or panicked with the payload.
-enum Slot<R> {
-    Empty,
-    Done(R),
-    Panicked(Box<dyn Any + Send>),
-}
+/// One item's outcome inside the pool: its result, or its panic payload.
+type Outcome<R> = Result<R, Box<dyn Any + Send>>;
 
 fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -99,15 +92,21 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+/// Number of workers to start for `items` units of work under the
+/// thread knob `threads`: [`resolve_threads`]`(threads)`, capped at the
+/// work available so no worker starts with nothing to claim.
+pub fn workers(threads: usize, items: usize) -> usize {
+    resolve_threads(threads).min(items)
+}
+
 /// Maps `f` over `items` on `threads` scoped worker threads, returning
 /// results in input order.
 ///
-/// `threads` is resolved via [`resolve_threads`] (`0` = all cores); with
-/// one thread (or ≤ 1 item) the map degenerates to a plain serial loop
-/// with no thread or lock overhead. Work indices flow through a bounded
-/// [`queue::Bounded`] (capacity 2× the worker count), so uneven item
-/// costs balance automatically and the producer is back-pressured rather
-/// than buffering the whole work list.
+/// `threads` is resolved via [`resolve_threads`] (`0` = all cores) and
+/// capped at the item count ([`workers`]). Each worker claims the next
+/// unclaimed item when it finishes its last one, so uneven item costs
+/// balance automatically; with one worker the same loop runs on the
+/// calling thread and no thread is spawned.
 ///
 /// # Panics
 /// If `f` panics on a worker thread the panic payload is re-raised on
@@ -120,20 +119,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let mut out = Vec::with_capacity(items.len());
-    for slot in run_map(threads, items, f) {
-        match slot {
-            Slot::Done(r) => out.push(r),
-            Slot::Panicked(payload) => resume_unwind(payload),
-            // Unprocessed slots only exist when a lower-indexed item
-            // panicked, and that panic re-raised above.
-            Slot::Empty => {
-                // lint: allow(no-panic) — run_map fills every slot unless a sibling panicked, and the lowest-indexed panic has already been re-raised by the arm above
-                unreachable!("pool left a slot unfilled without a recorded panic")
-            }
-        }
-    }
-    out
+    rethrow(run(threads, items.iter(), f))
 }
 
 /// Like [`map_indexed`], but a worker panic is returned as
@@ -149,109 +135,14 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let mut out = Vec::with_capacity(items.len());
-    for (index, slot) in run_map(threads, items, f).into_iter().enumerate() {
-        match slot {
-            Slot::Done(r) => out.push(r),
-            Slot::Panicked(payload) => {
-                return Err(PoolError::WorkerPanic {
-                    index,
-                    message: panic_message(payload.as_ref()),
-                });
-            }
-            // Indices are fed to the queue in order, so unprocessed
-            // slots sit strictly after the panicked one — which the
-            // match above has already returned.
-            Slot::Empty => {
-                // lint: allow(no-panic) — see map_indexed: an Empty slot without a preceding Panicked slot cannot be constructed by run_map
-                unreachable!("pool left a slot unfilled without a recorded panic")
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Shared pool core: maps `f` over `items` and records each item's
-/// outcome (done / panicked / never ran) without unwinding.
-fn run_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<Slot<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = resolve_threads(threads).min(n);
-    let run_one = |i: usize| -> Slot<R> {
-        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-            Ok(r) => Slot::Done(r),
-            Err(payload) => {
-                mpdf_obs::counter!("par.worker_panics_total").inc();
-                Slot::Panicked(payload)
-            }
-        }
-    };
-    if workers <= 1 {
-        let mut out: Vec<Slot<R>> = (0..n).map(|_| Slot::Empty).collect();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = run_one(i);
-            mpdf_obs::counter!("par.jobs_total").inc();
-            if matches!(slot, Slot::Panicked(_)) {
-                break;
-            }
-        }
-        return out;
-    }
-    let work = queue::Bounded::new(workers * 2);
-    let slots: Vec<Mutex<Slot<R>>> = (0..n).map(|_| Mutex::new(Slot::Empty)).collect();
-    mpdf_obs::counter!("par.workers_spawned_total").add(workers as u64);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let active = mpdf_obs::gauge!("par.workers_active");
-                active.add(1);
-                while let Some(i) = work.pop() {
-                    let result = run_one(i);
-                    mpdf_obs::counter!("par.jobs_total").inc();
-                    let panicked = matches!(result, Slot::Panicked(_));
-                    // Each slot is written exactly once by the worker
-                    // that popped index `i`; poisoning is impossible
-                    // because the lock is only held for the store below.
-                    let mut slot = slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    *slot = result;
-                    drop(slot);
-                    if panicked {
-                        // Abort the run: poison the queue so the backlog
-                        // is discarded instead of drained. Siblings finish
-                        // at most the item already in their hands, the
-                        // producer's blocked push wakes with Err, and the
-                        // collection phase surfaces the panic promptly
-                        // rather than after the whole work list ran.
-                        let discarded = work.poison();
-                        mpdf_obs::counter!("par.jobs_discarded_total").add(discarded as u64);
-                        break;
-                    }
-                }
-                active.sub(1);
-            });
-        }
-        for i in 0..n {
-            // Backpressure: the queue is bounded to 2× the worker count
-            // and push blocks until a worker frees a slot. Disconnect: a
-            // panicking worker poisons the queue, push returns Err, and
-            // we stop feeding so the collection phase can surface it.
-            if work.push(i).is_err() {
-                break;
-            }
-        }
-        work.close();
-    });
-    slots
+    run(threads, items.iter(), f)
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .enumerate()
+        .map(|(index, outcome)| {
+            outcome.map_err(|payload| PoolError::WorkerPanic {
+                index,
+                message: panic_message(payload.as_ref()),
+            })
         })
         .collect()
 }
@@ -273,17 +164,7 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    map_indexed(threads, &cells, |i, cell| {
-        // Each cell is locked exactly once, by the worker that popped
-        // index `i`. The mutex only moves the `&mut` across the `Sync`
-        // bound of `map_indexed`; it is never contended and never held
-        // together with another pool lock.
-        let mut item = cell
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(i, &mut item)
-    })
+    rethrow(run(threads, items.iter_mut(), f))
 }
 
 /// Maps a fallible `f` over `items` in parallel, short-circuiting on the
@@ -299,11 +180,80 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let mut out = Vec::with_capacity(items.len());
-    for r in map_indexed(threads, items, f) {
-        out.push(r?);
-    }
-    Ok(out)
+    map_indexed(threads, items, f).into_iter().collect()
+}
+
+/// Unwraps [`run`]'s outcomes, re-raising the first (lowest-indexed)
+/// panic on the calling thread.
+fn rethrow<R>(outcomes: Vec<Outcome<R>>) -> Vec<R> {
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
+}
+
+/// The pool core behind every entry point: [`workers`]`(threads, n)`
+/// workers claim `(index, item)` pairs from one shared iterator and run
+/// `f` on each, catching panics.
+///
+/// Returns the outcomes in input order. After a panic the panicking
+/// worker drains the iterator, so peers finish at most the item already
+/// in their hands; indices are claimed in order, so the outcomes still
+/// cover a prefix of `items` that ends at or after the lowest-indexed
+/// panic. Without a panic every item has its outcome.
+fn run<I, R, F>(threads: usize, items: I, f: F) -> Vec<Outcome<R>>
+where
+    I: ExactSizeIterator + Send,
+    R: Send,
+    F: Fn(usize, I::Item) -> R + Sync,
+{
+    let workers = workers(threads, items.len());
+    let next = Mutex::new(items.enumerate());
+    // Only a claim or a drain ever holds the lock; neither can panic.
+    let claims = || next.lock().unwrap_or_else(PoisonError::into_inner);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard is a temporary: it is released before `f` runs.
+            let claimed = claims().next();
+            let Some((i, item)) = claimed else { break };
+            let outcome = catch_unwind(AssertUnwindSafe(|| f(i, item)));
+            mpdf_obs::counter!("par.jobs_total").inc();
+            let panicked = outcome.is_err();
+            done.push((i, outcome));
+            if panicked {
+                mpdf_obs::counter!("par.worker_panics_total").inc();
+                let discarded = claims().by_ref().count();
+                mpdf_obs::counter!("par.jobs_discarded_total").add(discarded as u64);
+                break;
+            }
+        }
+        done
+    };
+    let mut outcomes = if workers <= 1 {
+        work()
+    } else {
+        mpdf_obs::counter!("par.workers_spawned_total").add(workers as u64);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let active = mpdf_obs::gauge!("par.workers_active");
+                        active.add(1);
+                        let done = work();
+                        active.sub(1);
+                        done
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 #[cfg(test)]
@@ -426,13 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_records_job_and_depth_metrics() {
+    fn pool_records_job_and_worker_metrics() {
         let jobs_before = mpdf_obs::metrics::counter("par.jobs_total").get();
         let items: Vec<u64> = (0..50).collect();
         let out = map_indexed(4, &items, |_, &x| x + 1);
         assert_eq!(out.len(), 50);
         assert!(mpdf_obs::metrics::counter("par.jobs_total").get() >= jobs_before + 50);
-        assert!(mpdf_obs::metrics::gauge("par.queue_depth_max").get() >= 1);
+        assert!(mpdf_obs::metrics::counter("par.workers_spawned_total").get() >= 2);
     }
 
     #[test]
@@ -455,6 +405,25 @@ mod tests {
             *x
         });
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn map_indexed_mut_reraises_worker_panic() {
+        for threads in [1usize, 2, 4] {
+            let mut items: Vec<u32> = (0..16).collect();
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                map_indexed_mut(threads, &mut items, |_, x| {
+                    assert!(*x != 5, "mut boom");
+                    *x += 1;
+                })
+            }));
+            let payload = caught.expect_err("panic must reach the caller");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "mut boom",
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
@@ -502,5 +471,14 @@ mod tests {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(0), available_threads());
+    }
+
+    #[test]
+    fn workers_are_capped_at_the_work_available() {
+        assert!(workers(0, 3) <= 3);
+        assert!(workers(0, 3) >= 1);
+        assert_eq!(workers(64, 2), 2);
+        assert_eq!(workers(3, 10), 3);
+        assert_eq!(workers(4, 0), 0);
     }
 }
