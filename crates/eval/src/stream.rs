@@ -7,25 +7,26 @@
 //! shape: each case's captured windows form one contiguous
 //! [`mpdf_wifi::wire`] byte stream, read in MTU-sized chunks,
 //! reassembled and split into frames by the zero-copy decoder, batched
-//! into `detector.window`-packet epochs, and scored by a pool of workers.
-//! The stream is encoded on demand: a read that needs bytes not yet
-//! encoded encodes the next recorded windows first, so encoding overlaps
-//! with scoring and the replay never holds a whole case's wire bytes.
+//! into `detector.window`-packet epochs, and scored on the
+//! [`mpdf_par`] pool. The stream is encoded on demand: a read that needs
+//! bytes not yet encoded encodes the next recorded windows first, so
+//! encoding overlaps with scoring and the replay never holds a whole
+//! case's wire bytes.
 //!
-//! There are no hand-off threads: a free scoring worker locks the shared
-//! ingest state, reads (encoding as needed) until one epoch is decoded,
-//! cuts it, unlocks and scores it. Back-pressure is structural — bytes
-//! are encoded and read only when a worker is free, so with reads
-//! shorter than a frame at most one epoch per worker plus one partial
-//! frame is decoded ahead.
-//! Scores land in *epoch-indexed* slots, so the output order is a pure
-//! function of the byte stream no matter how many workers race — the
-//! contract, pinned by a tier-1 test, is that stream-path scores are
+//! The ingest state is the pool's claim source, an iterator of epochs:
+//! a free worker claims the next one, which reads (encoding as needed)
+//! until one epoch is decoded and cuts it, and then scores it outside
+//! the claim lock. Back-pressure is structural — bytes are encoded and
+//! read only when a worker is free, so with reads shorter than a frame
+//! at most one epoch per worker plus one partial frame is decoded
+//! ahead. The pool returns the scores in epoch order, so the output is
+//! a pure function of the byte stream no matter how many workers race —
+//! the contract, pinned by a tier-1 test, is that stream-path scores are
 //! **bit-identical** to the offline [`score_campaign`] pass over the
-//! same recording.
+//! same recording. The first failing epoch, in epoch order, stops the
+//! replay: the pool claims no further epochs, so nothing more is read.
 
 use std::slice::Iter;
-use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use mpdf_core::error::DetectError;
@@ -39,7 +40,8 @@ use mpdf_wifi::wire;
 
 use crate::scenario::five_cases;
 use crate::workload::{
-    run_campaign, score_campaign, CampaignConfig, CaseData, ScoredWindow, WindowRecord,
+    run_campaign, score_campaign, scored_or_abstained, CampaignConfig, CaseData, ScoredWindow,
+    WindowRecord,
 };
 
 /// Per-epoch scores in scheme order (baseline, subcarrier, combined);
@@ -82,10 +84,6 @@ pub struct CaseStreamStats {
     pub rejects: u64,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn invalid(what: String) -> DetectError {
     DetectError::InvalidConfig { what }
 }
@@ -105,8 +103,9 @@ fn validate_band(band: &Band) -> Result<(), DetectError> {
         .map_err(|e| invalid(format!("stream ingest band rejected: {e}")))
 }
 
-/// The ingest side of one replay, shared by the scoring workers behind
-/// one mutex: whoever holds it encodes, reads and decodes for everyone.
+/// The ingest side of one replay: an iterator of epochs, claimed by the
+/// scoring workers through the pool, whose claim lock serializes the
+/// encoding, reading and decoding.
 struct Ingest<'a> {
     /// The socket stand-in: recorded windows not yet encoded, and the
     /// wire bytes encoded so far. `wire[start..read]` has been read but
@@ -119,41 +118,40 @@ struct Ingest<'a> {
     read: usize,
     chunk_bytes: usize,
     agc: u8,
+    /// Packets per epoch.
+    window: usize,
+    /// Epochs in the recording; `stats.epochs` of them are cut.
+    epochs: usize,
     /// Decoded packets not yet cut into an epoch.
     pending: Vec<CsiPacket>,
-    /// `stats.epochs` counts the epochs handed out: the next epoch index.
     stats: CaseStreamStats,
-    /// The closed flag: the earliest failing epoch and its error.
-    failure: Option<(usize, DetectError)>,
 }
 
 impl Ingest<'_> {
-    /// Reads until `window` packets are pending, then cuts the next
-    /// epoch. `None` at end of stream (a trailing partial epoch is
-    /// dropped) or once a failure has closed the stream.
-    fn next_epoch(&mut self, window: usize) -> Option<(usize, Vec<CsiPacket>)> {
-        if self.failure.is_some() {
-            return None;
-        }
-        while self.pending.len() < window {
-            self.read_chunk()?;
+    /// Reads until `window` packets are pending, then cuts them. A stream
+    /// that ends first lost this epoch (corruption ate frames).
+    fn cut_epoch(&mut self) -> Result<Vec<CsiPacket>, DetectError> {
+        while self.pending.len() < self.window {
+            if !self.read_chunk()? {
+                return Err(invalid(format!(
+                    "stream replay of case {} lost epoch {}",
+                    self.stats.case_id, self.stats.epochs
+                )));
+            }
             let drained = wire::drain_frames(&self.wire[self.start..self.read], &mut self.pending);
             self.start += drained.consumed;
             self.stats.packets += drained.frames;
             self.stats.bytes += drained.consumed as u64;
             self.stats.rejects += drained.rejects;
         }
-        let idx = self.stats.epochs;
-        self.stats.epochs += 1;
-        Some((idx, self.pending.drain(..window).collect()))
+        Ok(self.pending.drain(..self.window).collect())
     }
 
     /// Reads the next `chunk_bytes` of the stream, first encoding recorded
-    /// windows while fewer than that are encoded but unread. `None` at end
-    /// of stream, or when a packet does not fit the wire (which closes
-    /// the stream; [`stream_case_scores`] refuses such a recording before
-    /// any read).
-    fn read_chunk(&mut self) -> Option<()> {
+    /// windows while fewer than that are encoded but unread. `false` at
+    /// end of stream; an error when a packet does not fit the wire
+    /// ([`stream_case_scores`] refuses such a recording before any read).
+    fn read_chunk(&mut self) -> Result<bool, DetectError> {
         if self.wire.len() - self.read < self.chunk_bytes && self.recording.len() > 0 {
             // Drop the decoded prefix before growing: what moves is at
             // most a partial frame plus less than one read.
@@ -165,60 +163,61 @@ impl Ingest<'_> {
                     break;
                 };
                 for p in &w.packets {
-                    if let Err(e) = wire::encode_frame(p, self.agc, &mut self.wire) {
-                        self.fail(self.stats.epochs, unfit(e));
-                        return None;
-                    }
+                    wire::encode_frame(p, self.agc, &mut self.wire).map_err(unfit)?;
                 }
             }
         }
         if self.read == self.wire.len() {
-            return None;
+            return Ok(false);
         }
         self.read = self.wire.len().min(self.read + self.chunk_bytes);
-        Some(())
-    }
-
-    /// Closes the stream, keeping the earliest failing epoch's error.
-    /// Epochs are handed out in order and a worker finishes the one it
-    /// holds, so the kept error does not depend on the thread count.
-    fn fail(&mut self, idx: usize, e: DetectError) {
-        match self.failure {
-            Some((first, _)) if first < idx => {}
-            _ => self.failure = Some((idx, e)),
-        }
+        Ok(true)
     }
 }
 
+impl Iterator for Ingest<'_> {
+    type Item = Result<Vec<CsiPacket>, DetectError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.stats.epochs == self.epochs {
+            return None;
+        }
+        let _stage = mpdf_obs::stage!("eval.stream.ingest");
+        let epoch = self.cut_epoch();
+        self.stats.epochs += 1;
+        Some(epoch)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.epochs - self.stats.epochs;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Ingest<'_> {}
+
 /// Scores one epoch with the three schemes back to back on one thread,
 /// so they share one prepared window: the sanitize memo misses once and
-/// hits twice, and the subcarrier weights are computed once. The caller
-/// encodes and decodes the epoch under the ingest lock; scoring runs
-/// outside it. Abstentions are `None`; any other scheme error is
-/// returned.
+/// hits twice, and the subcarrier weights are computed once.
+/// Abstentions are `None`; any other scheme error is returned.
 fn score_epoch(
     case: &CaseData,
     packets: &[CsiPacket],
     detector: &DetectorConfig,
 ) -> Result<EpochScores, DetectError> {
-    let kept = |result: Result<f64, DetectError>| match result {
-        Ok(s) => Ok(Some(s)),
-        Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
-        Err(e) => Err(e),
-    };
     let p = &case.profile;
     Ok([
-        kept(Baseline.score(p, packets, detector))?,
-        kept(SubcarrierWeighting.score(p, packets, detector))?,
-        kept(SubcarrierAndPathWeighting.score(p, packets, detector))?,
+        scored_or_abstained(Baseline.score(p, packets, detector))?,
+        scored_or_abstained(SubcarrierWeighting.score(p, packets, detector))?,
+        scored_or_abstained(SubcarrierAndPathWeighting.score(p, packets, detector))?,
     ])
 }
 
 /// Replays one recorded case through the wire codec, returning
-/// per-epoch scheme scores (epoch order) plus transport stats. Each of
-/// the [`mpdf_par::workers`]`(threads, epochs)` workers pulls and
-/// scores its own epochs, encoding the recording on demand; the ingest
-/// lock is never held while scoring.
+/// per-epoch scheme scores (epoch order) plus transport stats. The
+/// epochs are claimed and scored through [`mpdf_par::try_map_indexed`],
+/// `threads` workers wide, encoding the recording on demand; no epoch is
+/// scored under the claim lock.
 ///
 /// The recording must be *clean*: every window exactly
 /// `detector.window` packets, as a fault-free campaign produces. Epoch
@@ -231,8 +230,9 @@ fn score_epoch(
 /// # Errors
 /// [`DetectError::InvalidConfig`] for a malformed band, ragged
 /// recording, a packet that does not fit the wire, or a replay that
-/// lost epochs; a scheme error other than the abstention cases stops
-/// the replay and propagates.
+/// lost an epoch; a scheme error other than the abstention cases stops
+/// the replay and propagates. The first failing epoch's error is
+/// returned, at any thread count.
 pub fn stream_case_scores(
     case: &CaseData,
     detector: &DetectorConfig,
@@ -252,60 +252,28 @@ pub fn stream_case_scores(
         wire::frame_shape(p).map_err(unfit)?;
     }
 
-    let ingest = Mutex::new(Ingest {
+    let mut ingest = Ingest {
         recording: case.windows.iter(),
         wire: Vec::new(),
         start: 0,
         read: 0,
         chunk_bytes: opts.chunk_bytes.max(1),
         agc: opts.agc,
+        window,
+        epochs: case.windows.len(),
         pending: Vec::new(),
         stats: CaseStreamStats {
             case_id: case.case_id,
             ..CaseStreamStats::default()
         },
-        failure: None,
+    };
+    let scores = mpdf_par::try_map_indexed(threads, &mut ingest, |_, epoch| {
+        let scores = score_epoch(case, &epoch?, detector)?;
+        mpdf_obs::counter!("eval.stream.windows_total").inc();
+        Ok::<_, DetectError>(scores)
     });
-    let slots: Vec<OnceLock<EpochScores>> =
-        (0..case.windows.len()).map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..mpdf_par::workers(threads, case.windows.len()) {
-            scope.spawn(|| loop {
-                let next = {
-                    let _stage = mpdf_obs::stage!("eval.stream.ingest");
-                    lock(&ingest).next_epoch(window)
-                };
-                let Some((idx, packets)) = next else { return };
-                match score_epoch(case, &packets, detector) {
-                    Ok(scores) => {
-                        if let Some(slot) = slots.get(idx) {
-                            slot.get_or_init(|| scores);
-                        }
-                        mpdf_obs::counter!("eval.stream.windows_total").inc();
-                    }
-                    Err(e) => return lock(&ingest).fail(idx, e),
-                }
-            });
-        }
-    });
-
-    let ingest = ingest.into_inner().unwrap_or_else(PoisonError::into_inner);
     mpdf_obs::counter!("eval.stream.packets_total").add(ingest.stats.packets);
-    if let Some((_, e)) = ingest.failure {
-        return Err(e);
-    }
-    // A clean replay fills every slot; a trailing partial epoch (corruption
-    // ate frames) leaves the last one empty.
-    let out: Vec<EpochScores> = slots.into_iter().map_while(OnceLock::into_inner).collect();
-    if out.len() < case.windows.len() {
-        return Err(invalid(format!(
-            "stream replay of case {} lost epoch {}",
-            case.case_id,
-            out.len()
-        )));
-    }
-    Ok((out, ingest.stats))
+    Ok((scores?, ingest.stats))
 }
 
 /// One case's replay outcome, compared against the offline reference.

@@ -6,6 +6,7 @@
 //! background dynamics (people moving far from the link, as the paper
 //! allowed during its campaign).
 
+use mpdf_core::error::DetectError;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
 use mpdf_core::scheme::DetectionScheme;
 use mpdf_geom::vec2::{Point, Vec2};
@@ -272,7 +273,7 @@ struct WindowJob {
 pub fn run_campaign(
     cases: &[LinkCase],
     cfg: &CampaignConfig,
-) -> Result<Vec<CaseData>, mpdf_core::error::DetectError> {
+) -> Result<Vec<CaseData>, DetectError> {
     let _stage = mpdf_obs::stage!("eval.campaign");
     // Stage 1: per-case template receiver and calibration profile.
     let calibrated: Vec<(CsiReceiver, CalibrationProfile)> =
@@ -283,7 +284,7 @@ pub fn run_campaign(
                 .capture_static(None, cfg.calibration_packets)?;
             let profile = CalibrationProfile::build(&calibration, &cfg.detector)?;
             mpdf_obs::counter!("eval.cases_total").inc();
-            Ok::<_, mpdf_core::error::DetectError>((template, profile))
+            Ok::<_, DetectError>((template, profile))
         })?;
 
     // Stage 2: one flat job list across all cases and windows, grouped by
@@ -322,7 +323,7 @@ pub fn run_campaign(
         // Per-case breakdown keyed by the scenario's case id (dynamic
         // name, so it goes through the registry rather than the macro).
         mpdf_obs::metrics::counter(&format!("eval.case{}.windows_total", case.id)).inc();
-        Ok::<_, mpdf_core::error::DetectError>(WindowRecord {
+        Ok::<_, DetectError>(WindowRecord {
             packets,
             human: job.monitored.map(|pos| annotate(case, pos)),
         })
@@ -367,12 +368,26 @@ impl ScoredWindow {
     }
 }
 
+/// One window's scheme result as the campaign counts it: a score, `None`
+/// for an abstention — a window the gap budget aborted
+/// ([`DetectError::DegradedBeyondBudget`]) or the receiver lost outright
+/// ([`DetectError::EmptyWindow`]) — or any other scheme error.
+pub(crate) fn scored_or_abstained(
+    result: Result<f64, DetectError>,
+) -> Result<Option<f64>, DetectError> {
+    match result {
+        Ok(score) => Ok(Some(score)),
+        Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// Scores every window of a campaign with one scheme.
 ///
 /// Windows that the graceful-degradation path aborts with
-/// [`DegradedBeyondBudget`](mpdf_core::error::DetectError::DegradedBeyondBudget)
+/// [`DegradedBeyondBudget`](DetectError::DegradedBeyondBudget)
 /// — or that the faulty receiver lost outright
-/// ([`EmptyWindow`](mpdf_core::error::DetectError::EmptyWindow)) — are
+/// ([`EmptyWindow`](DetectError::EmptyWindow)) — are
 /// skipped: a detector facing a fault burst abstains on that window
 /// rather than failing the whole campaign. Abstentions are counted on
 /// `eval.aborted_windows_total`. Fault-free campaigns never abort, so
@@ -392,21 +407,15 @@ pub fn score_campaign<S: DetectionScheme + Sync>(
     data: &[CaseData],
     scheme: &S,
     detector: &DetectorConfig,
-) -> Result<Vec<ScoredWindow>, mpdf_core::error::DetectError> {
-    use mpdf_core::error::DetectError;
+) -> Result<Vec<ScoredWindow>, DetectError> {
     let _stage = mpdf_obs::stage!("eval.score");
     let windows: Vec<(&CaseData, &WindowRecord)> = data
         .iter()
         .flat_map(|case| case.windows.iter().map(move |w| (case, w)))
         .collect();
     let threads = data.first().map_or(1, |case| case.threads);
-    // Per window: a score, `None` for an abstention, or a scheme error.
     let outcomes = mpdf_par::map_indexed(threads, &windows, |_, (case, w)| {
-        match scheme.score(&case.profile, &w.packets, detector) {
-            Ok(score) => Ok(Some(score)),
-            Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
-            Err(e) => Err(e),
-        }
+        scored_or_abstained(scheme.score(&case.profile, &w.packets, detector))
     });
     let mut out = Vec::with_capacity(windows.len());
     for ((case, w), outcome) in windows.iter().zip(outcomes) {

@@ -1,5 +1,5 @@
-//! `score_campaign` scores chunks of windows on the pool, as wide as the
-//! campaign's `threads`. The scores, their order and the abstention
+//! `score_campaign` scores its windows on the pool, one window per job,
+//! as wide as the campaign's `threads`. The scores, their order and the abstention
 //! counters must not depend on that width — on a clean campaign and on
 //! one whose faults make the detector abstain.
 //!

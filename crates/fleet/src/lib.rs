@@ -7,7 +7,7 @@
 //! supervisor, robustness-first:
 //!
 //! - **Sharding** — links are partitioned across [`shard::Shard`]s
-//!   (slab-pooled per-link state, stepped in parallel through the
+//!   (per-link state in link order, stepped in parallel through the
 //!   `mpdf-par` pool). A shard is the failure and recovery domain.
 //! - **Per-link fault containment** — a link whose step hard-errors,
 //!   whose windows arrive mis-shaped, or that trips the fleet watchdog
@@ -43,7 +43,6 @@ pub mod fleet;
 pub mod link;
 pub mod log;
 pub mod shard;
-pub mod slab;
 
 use std::error::Error;
 use std::fmt;

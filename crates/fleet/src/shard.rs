@@ -1,12 +1,12 @@
 //! A shard: the fleet's unit of parallelism, failure and recovery.
 //!
-//! Each shard owns a slab of link slots (session runtime + fleet-level
-//! [`LinkMeta`]) and, optionally, one [`ShardLog`] multiplexing every
-//! session's checkpoints. Ticks are processed link-by-link in input
-//! order; all cross-link interaction (shedding) is a deterministic
-//! function of the shard's state at the start of the tick, so a shard
-//! stepped serially and one stepped on a pool thread produce identical
-//! records.
+//! Each shard owns its links' slots (session runtime + fleet-level
+//! [`LinkMeta`]), keyed and iterated in link order, and, optionally,
+//! one [`ShardLog`] multiplexing every session's checkpoints. Ticks are
+//! processed link-by-link in input order; all cross-link interaction
+//! (shedding) is a deterministic function of the shard's state at the
+//! start of the tick, so a shard stepped serially and one stepped on a
+//! pool thread produce identical records.
 //!
 //! ## Crash semantics
 //!
@@ -33,14 +33,11 @@ use mpdf_wifi::wire::WireError;
 
 use crate::link::{LinkFault, LinkHealth, LinkMeta};
 use crate::log::{Entry, LogIo, RecordKind, ShardLog};
-use crate::slab::Slab;
 use crate::{FleetError, FleetPolicy};
 
-/// One link's pooled state.
+/// One link's state.
 #[derive(Debug)]
 pub struct LinkSlot<S: DetectionScheme + Clone> {
-    /// Link id.
-    pub link: u64,
     /// Fleet-level metadata (health, streaks, event count).
     pub meta: LinkMeta,
     /// The supervised session runtime.
@@ -131,8 +128,7 @@ pub struct ShardRecovery {
 #[derive(Debug)]
 pub struct Shard<S: DetectionScheme + Clone, IO: LogIo> {
     index: u32,
-    slab: Slab<LinkSlot<S>>,
-    by_link: BTreeMap<u64, usize>,
+    links: BTreeMap<u64, LinkSlot<S>>,
     log: Option<ShardLog<IO>>,
     crashed: bool,
     /// The final `LinkMeta ‖ checkpoint image` payload of every evicted
@@ -208,8 +204,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
     pub fn new(index: u32, log: Option<ShardLog<IO>>) -> Self {
         Shard {
             index,
-            slab: Slab::new(),
-            by_link: BTreeMap::new(),
+            links: BTreeMap::new(),
             log,
             crashed: false,
             evicted: BTreeMap::new(),
@@ -223,7 +218,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
 
     /// Number of links homed on this shard.
     pub fn links(&self) -> usize {
-        self.slab.len()
+        self.links.len()
     }
 
     /// Whether the shard's log failed and a recovery is pending.
@@ -233,15 +228,12 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
 
     /// The metadata of a link homed here.
     pub fn link_meta(&self, link: u64) -> Option<&LinkMeta> {
-        let &slot = self.by_link.get(&link)?;
-        self.slab.get(slot).map(|s| &s.meta)
+        self.links.get(&link).map(|s| &s.meta)
     }
 
     /// Iterates `(link, meta)` in link order.
     pub fn link_metas(&self) -> impl Iterator<Item = (u64, &LinkMeta)> {
-        self.by_link
-            .iter()
-            .filter_map(|(&link, &slot)| self.slab.get(slot).map(|s| (link, &s.meta)))
+        self.links.iter().map(|(&link, s)| (link, &s.meta))
     }
 
     /// Registers a link on this shard. A logged shard first makes the
@@ -261,7 +253,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         room: u32,
         runtime: SessionRuntime<S>,
     ) -> Result<(), FleetError> {
-        if self.by_link.contains_key(&link) {
+        if self.links.contains_key(&link) {
             return Err(FleetError::DuplicateLink(link));
         }
         let meta = LinkMeta::new(room);
@@ -280,36 +272,23 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             log.flush()?;
         }
         self.evicted.remove(&link);
-        let slot = self.slab.insert(LinkSlot {
-            link,
-            meta,
-            runtime,
-        });
-        self.by_link.insert(link, slot);
+        self.links.insert(link, LinkSlot { meta, runtime });
         Ok(())
     }
 
-    /// Evicts every dead link, freeing its slab slot (and its runtime).
+    /// Evicts every dead link, freeing its slot (and its runtime).
     /// Evicted links stay in the log — a logged shard keeps each one's
     /// final image for compaction — and a recovery restores them still
     /// dead. Returns the number evicted.
     pub fn evict_dead(&mut self) -> usize {
         let dead: Vec<u64> = self
-            .by_link
+            .links
             .iter()
-            .filter(|(_, &slot)| {
-                matches!(
-                    self.slab.get(slot).map(|s| s.meta.health),
-                    Some(LinkHealth::Dead { .. })
-                )
-            })
+            .filter(|(_, s)| matches!(s.meta.health, LinkHealth::Dead { .. }))
             .map(|(&link, _)| link)
             .collect();
         for link in &dead {
-            let Some(slot) = self.by_link.remove(link) else {
-                continue;
-            };
-            let Some(evicted) = self.slab.remove(slot) else {
+            let Some(evicted) = self.links.remove(link) else {
                 continue;
             };
             if self.log.is_some() {
@@ -346,10 +325,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             // break — presence-positive links are shed last.
             let mut candidates: Vec<(bool, f64, u64, usize, u32)> = Vec::new();
             for (idx, w) in windows.iter().enumerate() {
-                let Some(&slot) = self.by_link.get(&w.link) else {
-                    continue;
-                };
-                let Some(s) = self.slab.get(slot) else {
+                let Some(s) = self.links.get(&w.link) else {
                     continue;
                 };
                 let deliverable = match s.meta.health {
@@ -449,8 +425,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         delivery: Delivery<'_>,
         policy: &FleetPolicy,
     ) -> Option<LinkRecord> {
-        let &slot_idx = self.by_link.get(&link)?;
-        let slot = self.slab.get_mut(slot_idx)?;
+        let slot = self.links.get_mut(&link)?;
         let room = slot.meta.room;
 
         // Health gate: skips touch nothing (and are not events).
@@ -586,11 +561,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             return;
         };
         let _stage = mpdf_obs::stage!("fleet.log.compact");
-        let slab = &self.slab;
-        let live = self
-            .by_link
-            .iter()
-            .filter_map(|(&link, &slot)| slab.get(slot).map(|s| (link, Payload::Live(s))));
+        let live = self.links.iter().map(|(&link, s)| (link, Payload::Live(s)));
         let kept = self
             .evicted
             .iter()
@@ -603,7 +574,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         }
     }
 
-    /// Rebuilds the shard from its log — the in-memory slab is discarded,
+    /// Rebuilds the shard from its log — the in-memory links are discarded,
     /// every link is restored from its last snapshot record, and its
     /// later window records are replayed, in log order, at their logged
     /// ticks (nothing is appended while replaying). `restore` turns a
@@ -633,7 +604,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
                 last_snapshot.insert(r.link, i);
             }
         }
-        let mut entries: Vec<(u64, LinkMeta, SessionRuntime<S>)> = Vec::new();
+        let mut links = BTreeMap::new();
         for (&link, &i) in &last_snapshot {
             let Some(record) = image.get(i) else {
                 return Err(FleetError::MissingSnapshot(link));
@@ -645,20 +616,12 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
                     )),
                 ));
             };
-            entries.push((link, meta, restore(link, snap)?));
+            let runtime = restore(link, snap)?;
+            links.insert(link, LinkSlot { meta, runtime });
         }
-        self.slab.clear();
-        self.by_link.clear();
+        self.links = links;
         self.evicted.clear();
         self.crashed = false;
-        for (link, meta, runtime) in entries {
-            let slot = self.slab.insert(LinkSlot {
-                link,
-                meta,
-                runtime,
-            });
-            self.by_link.insert(link, slot);
-        }
         for (i, record) in image.records().enumerate() {
             if record.kind == RecordKind::Snapshot {
                 continue;
@@ -748,7 +711,7 @@ mod tests {
         shard: &Shard<SubcarrierWeighting, IO>,
         link: u64,
     ) -> (LinkMeta, SessionSnapshot) {
-        let s = shard.slab.get(shard.by_link[&link]).unwrap();
+        let s = &shard.links[&link];
         (s.meta.clone(), s.runtime.snapshot())
     }
 

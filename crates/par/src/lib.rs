@@ -95,7 +95,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Number of workers to start for `items` units of work under the
 /// thread knob `threads`: [`resolve_threads`]`(threads)`, capped at the
 /// work available so no worker starts with nothing to claim.
-pub fn workers(threads: usize, items: usize) -> usize {
+fn workers(threads: usize, items: usize) -> usize {
     resolve_threads(threads).min(items)
 }
 
@@ -103,10 +103,10 @@ pub fn workers(threads: usize, items: usize) -> usize {
 /// results in input order.
 ///
 /// `threads` is resolved via [`resolve_threads`] (`0` = all cores) and
-/// capped at the item count ([`workers`]). Each worker claims the next
-/// unclaimed item when it finishes its last one, so uneven item costs
-/// balance automatically; with one worker the same loop runs on the
-/// calling thread and no thread is spawned.
+/// capped at the item count. Each worker claims the next unclaimed item
+/// when it finishes its last one, so uneven item costs balance
+/// automatically; with one worker the same loop runs on the calling
+/// thread and no thread is spawned.
 ///
 /// # Panics
 /// If `f` panics on a worker thread the panic payload is re-raised on
@@ -119,7 +119,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    rethrow(run(threads, items.iter(), f))
+    rethrow(run(threads, items.iter(), f, |_| false))
 }
 
 /// Like [`map_indexed`], but a worker panic is returned as
@@ -135,7 +135,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run(threads, items.iter(), f)
+    run(threads, items.iter(), f, |_| false)
         .into_iter()
         .enumerate()
         .map(|(index, outcome)| {
@@ -164,23 +164,37 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    rethrow(run(threads, items.iter_mut(), f))
+    rethrow(run(threads, items.iter_mut(), f, |_| false))
 }
 
-/// Maps a fallible `f` over `items` in parallel, short-circuiting on the
-/// first error **in input order** (matching what a serial `?` loop would
-/// have reported; later items may still have been evaluated).
+/// Maps a fallible `f` over `items` in parallel, returning the results in
+/// input order or the error of the lowest-indexed failing item — what a
+/// serial `?` loop would have reported.
+///
+/// `items` is anything with an exact-size iterator: a slice, or a lazy
+/// source whose `next` produces each item on demand (the stream replay
+/// reads and decodes its epochs that way). `next` runs under the pool's
+/// claim lock, so a source needs no lock of its own. Once an item fails
+/// the pool claims nothing more: the failing worker closes the source —
+/// drops it unread — and counts its remaining `len()` on
+/// `par.jobs_discarded_total`. Items already claimed still run.
+///
+/// # Panics
+/// As [`map_indexed`]: a worker panic is re-raised on the calling thread.
 ///
 /// # Errors
 /// Returns the error of the lowest-indexed failing item.
-pub fn try_map_indexed<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
+pub fn try_map_indexed<I, R, E, F>(threads: usize, items: I, f: F) -> Result<Vec<R>, E>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, I::Item) -> Result<R, E> + Sync,
 {
-    map_indexed(threads, items, f).into_iter().collect()
+    rethrow(run(threads, items.into_iter(), f, Result::is_err))
+        .into_iter()
+        .collect()
 }
 
 /// Unwraps [`run`]'s outcomes, re-raising the first (lowest-indexed)
@@ -196,34 +210,44 @@ fn rethrow<R>(outcomes: Vec<Outcome<R>>) -> Vec<R> {
 /// workers claim `(index, item)` pairs from one shared iterator and run
 /// `f` on each, catching panics.
 ///
-/// Returns the outcomes in input order. After a panic the panicking
-/// worker drains the iterator, so peers finish at most the item already
-/// in their hands; indices are claimed in order, so the outcomes still
-/// cover a prefix of `items` that ends at or after the lowest-indexed
-/// panic. Without a panic every item has its outcome.
-fn run<I, R, F>(threads: usize, items: I, f: F) -> Vec<Outcome<R>>
+/// Returns the outcomes in input order. An item that panics, or whose
+/// result `fails`, closes the iterator: its worker takes it out of the
+/// claim lock and counts its remaining `len()` as discarded, so peers
+/// finish at most the item already in their hands. Indices are claimed
+/// in order, so the outcomes still cover a prefix of `items` that ends
+/// at or after the lowest-indexed failure. Without one every item has
+/// its outcome.
+fn run<I, R, F>(threads: usize, items: I, f: F, fails: fn(&R) -> bool) -> Vec<Outcome<R>>
 where
     I: ExactSizeIterator + Send,
     R: Send,
     F: Fn(usize, I::Item) -> R + Sync,
 {
     let workers = workers(threads, items.len());
-    let next = Mutex::new(items.enumerate());
-    // Only a claim or a drain ever holds the lock; neither can panic.
+    let next = Mutex::new(Some(items.enumerate()));
+    // Only a claim, which may run a lazy source's `next`, or a close
+    // ever holds the lock.
     let claims = || next.lock().unwrap_or_else(PoisonError::into_inner);
     let work = || {
         let mut done = Vec::new();
         loop {
             // The guard is a temporary: it is released before `f` runs.
-            let claimed = claims().next();
+            let claimed = claims().as_mut().and_then(Iterator::next);
             let Some((i, item)) = claimed else { break };
             let outcome = catch_unwind(AssertUnwindSafe(|| f(i, item)));
             mpdf_obs::counter!("par.jobs_total").inc();
-            let panicked = outcome.is_err();
+            let failed = match &outcome {
+                Ok(result) => fails(result),
+                Err(_) => {
+                    mpdf_obs::counter!("par.worker_panics_total").inc();
+                    true
+                }
+            };
             done.push((i, outcome));
-            if panicked {
-                mpdf_obs::counter!("par.worker_panics_total").inc();
-                let discarded = claims().by_ref().count();
+            if failed {
+                // The source is dropped after the guard is released.
+                let rest = claims().take();
+                let discarded = rest.map_or(0, |rest| rest.len());
                 mpdf_obs::counter!("par.jobs_discarded_total").add(discarded as u64);
                 break;
             }
