@@ -10,10 +10,9 @@
 //! Every scheme maps a monitoring window of packets to a scalar score;
 //! larger scores mean "more different from the calibration profile".
 
-use std::cell::{OnceCell, RefCell};
-use std::rc::Rc;
+use std::cell::OnceCell;
 
-use mpdf_music::music::bartlett_spectrum;
+use mpdf_music::music::{check_bartlett, SteeringTable};
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::sanitize::{sanitize_packet_with, SanitizeScratch};
 
@@ -32,24 +31,38 @@ pub trait DetectionScheme {
     /// Short scheme label used in reports.
     fn name(&self) -> &'static str;
 
-    /// Scores a monitoring window against the profile and reports the
-    /// window's fault-health. Higher score = more evidence of human
-    /// presence.
+    /// Scores a prepared monitoring window against its profile and
+    /// reports the window's fault-health. Higher score = more evidence
+    /// of human presence. Schemes scoring one [`PreparedWindow`] share
+    /// its front end.
     ///
     /// # Errors
     /// [`DetectError`] on empty windows, shape mismatches, angle-
     /// estimation failures, or windows degraded beyond the gap budget.
+    fn score_prepared(
+        &self,
+        prepared: &PreparedWindow<'_>,
+    ) -> Result<(f64, WindowHealth), DetectError>;
+
+    /// Scores a monitoring window against the profile and reports the
+    /// window's fault-health: [`DetectionScheme::score_prepared`] on a
+    /// window prepared for this one call.
+    ///
+    /// # Errors
+    /// Same as [`DetectionScheme::score_prepared`].
     fn score_with_health(
         &self,
         profile: &CalibrationProfile,
         window: &[CsiPacket],
         config: &DetectorConfig,
-    ) -> Result<(f64, WindowHealth), DetectError>;
+    ) -> Result<(f64, WindowHealth), DetectError> {
+        self.score_prepared(&PreparedWindow::new(profile, window, config))
+    }
 
     /// Scores a monitoring window, discarding the health report.
     ///
     /// # Errors
-    /// Same as [`DetectionScheme::score_with_health`].
+    /// Same as [`DetectionScheme::score_prepared`].
     fn score(
         &self,
         profile: &CalibrationProfile,
@@ -61,119 +74,99 @@ pub trait DetectionScheme {
     }
 }
 
-/// A window after the front end every scheme shares: quarantined,
-/// validated and phase-sanitized, plus the Eq. 12–15 subcarrier weights
-/// that schemes 2 and 3 both read (§IV-C reuses scheme 2's weights),
-/// computed on first use.
-struct PreparedWindow {
+/// One monitoring window, scored against one profile under one detector
+/// configuration, with the front end every scheme shares.
+///
+/// The front end — quarantine and validation ([`assess_window`]), then
+/// phase sanitization of the survivors — runs the first time a scheme
+/// reads the window; the Eq. 12–15 subcarrier weights, which schemes 2
+/// and 3 both read (§IV-C reuses scheme 2's weights), the first time a
+/// scheme needs them. Every later scheme reuses both, and a front-end
+/// error is returned to every scheme that reads the window. The
+/// counters `core.sanitize_memo.misses` and `.hits` count the reads that
+/// built the front end and the reads that reused it.
+///
+/// A prepared window caches only what its own inputs determine, so a
+/// score from it is bitwise the score of a fresh preparation.
+pub struct PreparedWindow<'a> {
+    profile: &'a CalibrationProfile,
+    window: &'a [CsiPacket],
+    config: &'a DetectorConfig,
+    front: OnceCell<Result<FrontEnd, DetectError>>,
+}
+
+/// The quarantined, sanitized packets of a window, their health, and the
+/// window's subcarrier weights once a scheme asked for them.
+struct FrontEnd {
     packets: Vec<CsiPacket>,
     health: WindowHealth,
     weights: OnceCell<SubcarrierWeights>,
 }
 
-impl PreparedWindow {
-    /// The window's subcarrier weights on `config.band`. The memo key
-    /// holds the band's centre and indices, so one prepared window never
-    /// serves two frequency grids.
+impl<'a> PreparedWindow<'a> {
+    /// Wraps a window for scoring; no work happens until a scheme reads
+    /// it.
+    pub fn new(
+        profile: &'a CalibrationProfile,
+        window: &'a [CsiPacket],
+        config: &'a DetectorConfig,
+    ) -> Self {
+        PreparedWindow {
+            profile,
+            window,
+            config,
+            front: OnceCell::new(),
+        }
+    }
+
+    /// The window's damage report, running the front end if no scheme
+    /// has yet.
+    ///
+    /// # Errors
+    /// The front end's [`assess_window`] error.
+    pub fn health(&self) -> Result<&WindowHealth, DetectError> {
+        self.front().map(|front| &front.health)
+    }
+
+    /// The front end, built on the first read (counted as a miss; every
+    /// later read is a hit).
+    fn front(&self) -> Result<&FrontEnd, DetectError> {
+        if self.front.get().is_some() {
+            mpdf_obs::counter!("core.sanitize_memo.hits").inc();
+        } else {
+            mpdf_obs::counter!("core.sanitize_memo.misses").inc();
+        }
+        self.front
+            .get_or_init(|| {
+                let (kept, health) = assess_window(self.profile, self.window, self.config)?;
+                let indices = self.config.band.indices();
+                let mut scratch = SanitizeScratch::new();
+                let packets = kept
+                    .into_iter()
+                    .map(|mut q| {
+                        sanitize_packet_with(&mut scratch, &mut q, indices);
+                        q
+                    })
+                    .collect();
+                Ok(FrontEnd {
+                    packets,
+                    health,
+                    weights: OnceCell::new(),
+                })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
+impl FrontEnd {
+    /// The window's subcarrier weights on `config.band`, computed on
+    /// first use.
     fn weights(&self, config: &DetectorConfig) -> &SubcarrierWeights {
         self.weights.get_or_init(|| {
             SubcarrierWeights::from_packets(&self.packets, &config.band.frequencies())
         })
     }
-}
-
-/// The memoized prepared window (see [`prepared_window`]).
-///
-/// The key is the *entire input by value*: raw window content compared
-/// bitwise plus every configuration field the front end reads (profile
-/// shape, quarantine policy, gap budget, the band's centre frequency and
-/// OFDM indices). A hit therefore returns exactly what recomputation
-/// would produce — the memo cannot perturb byte-identity, only skip
-/// redundant work.
-struct SanitizeMemo {
-    shape: (usize, usize),
-    gap_budget: usize,
-    policy: mpdf_wifi::quarantine::QuarantinePolicy,
-    center_hz: f64,
-    indices: Vec<i32>,
-    raw: Vec<CsiPacket>,
-    prepared: Rc<PreparedWindow>,
-}
-
-impl SanitizeMemo {
-    fn matches(
-        &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
-    ) -> bool {
-        self.shape == (profile.antennas(), profile.subcarriers())
-            && self.gap_budget == config.gap_budget
-            && self.policy.saturation_amp.to_bits() == config.quarantine.saturation_amp.to_bits()
-            && self.policy.max_saturated_frac.to_bits()
-                == config.quarantine.max_saturated_frac.to_bits()
-            && self.policy.min_usable_antennas == config.quarantine.min_usable_antennas
-            && self.center_hz.to_bits() == config.band.center_hz().to_bits()
-            && self.indices == config.band.indices()
-            && self.raw.len() == window.len()
-            && self.raw.iter().zip(window).all(|(a, b)| a.bits_eq(b))
-    }
-}
-
-thread_local! {
-    /// Last prepared window per thread. A replay scoring one window under
-    /// several schemes back-to-back pays the front end once: a hit costs a
-    /// 36 KB compare plus a handle instead of ~750 `atan2`/`cis`
-    /// evaluations, and the weights are computed once per window.
-    static SANITIZED_MEMO: RefCell<Option<SanitizeMemo>> = const { RefCell::new(None) };
-}
-
-/// Quarantines and validates a window (see [`assess_window`]), then
-/// sanitizes the survivors into a [`PreparedWindow`]. Results are
-/// memoized per thread keyed on the full input content.
-fn prepared_window(
-    profile: &CalibrationProfile,
-    window: &[CsiPacket],
-    config: &DetectorConfig,
-) -> Result<Rc<PreparedWindow>, DetectError> {
-    let hit = SANITIZED_MEMO.with(|memo| {
-        memo.borrow().as_ref().and_then(|m| {
-            m.matches(profile, window, config)
-                .then(|| Rc::clone(&m.prepared))
-        })
-    });
-    if let Some(prepared) = hit {
-        mpdf_obs::counter!("core.sanitize_memo.hits").inc();
-        return Ok(prepared);
-    }
-    mpdf_obs::counter!("core.sanitize_memo.misses").inc();
-    let (kept, health) = assess_window(profile, window, config)?;
-    let indices = config.band.indices();
-    let mut scratch = SanitizeScratch::new();
-    let packets: Vec<CsiPacket> = kept
-        .into_iter()
-        .map(|mut q| {
-            sanitize_packet_with(&mut scratch, &mut q, indices);
-            q
-        })
-        .collect();
-    let prepared = Rc::new(PreparedWindow {
-        packets,
-        health,
-        weights: OnceCell::new(),
-    });
-    SANITIZED_MEMO.with(|memo| {
-        *memo.borrow_mut() = Some(SanitizeMemo {
-            shape: (profile.antennas(), profile.subcarriers()),
-            gap_budget: config.gap_budget,
-            policy: config.quarantine,
-            center_hz: config.band.center_hz(),
-            indices: indices.to_vec(),
-            raw: window.to_vec(),
-            prepared: Rc::clone(&prepared),
-        });
-    });
-    Ok(prepared)
 }
 
 /// Zeroes the weights of clipped subcarriers and rescales the survivors
@@ -225,15 +218,14 @@ impl DetectionScheme for Baseline {
         "baseline"
     }
 
-    fn score_with_health(
+    fn score_prepared(
         &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
+        prepared: &PreparedWindow<'_>,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.baseline");
-        let prepared = prepared_window(profile, window, config)?;
-        let (window, health) = (&prepared.packets, &prepared.health);
+        let profile = prepared.profile;
+        let front = prepared.front()?;
+        let (window, health) = (&front.packets, &front.health);
         let n = window.len() as f64;
         let mut total = 0.0;
         // Row `r` of a (possibly reduced) packet is physical chain `a`.
@@ -268,15 +260,14 @@ impl DetectionScheme for RssiBaseline {
         "rssi-baseline"
     }
 
-    fn score_with_health(
+    fn score_prepared(
         &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
+        prepared: &PreparedWindow<'_>,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.rssi");
-        let prepared = prepared_window(profile, window, config)?;
-        let (window, health) = (&prepared.packets, &prepared.health);
+        let profile = prepared.profile;
+        let front = prepared.front()?;
+        let (window, health) = (&front.packets, &front.health);
         let monitored: f64 = window
             .iter()
             .map(mpdf_wifi::CsiPacket::total_power)
@@ -306,15 +297,14 @@ impl DetectionScheme for SubcarrierWeighting {
         "subcarrier-weighting"
     }
 
-    fn score_with_health(
+    fn score_prepared(
         &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
+        prepared: &PreparedWindow<'_>,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.subcarrier");
-        let prepared = prepared_window(profile, window, config)?;
-        let (window, health) = (&prepared.packets, &prepared.health);
+        let (profile, config) = (prepared.profile, prepared.config);
+        let front = prepared.front()?;
+        let (window, health) = (&front.packets, &front.health);
         // Δs(f_k): per-subcarrier RSS change in dB (the paper measures
         // link sensitivity in dB throughout §III; the multipath factor
         // predicts *relative* sensitivity, which only the log-domain
@@ -332,7 +322,7 @@ impl DetectionScheme for SubcarrierWeighting {
                 }
             })
             .collect();
-        let eff = effective_weights(prepared.weights(config), health);
+        let eff = effective_weights(front.weights(config), health);
         let weighted: Vec<f64> = delta.iter().zip(&eff).map(|(d, w)| w * d).collect();
         Ok((
             weighted.iter().map(|d| d * d).sum::<f64>().sqrt(),
@@ -351,15 +341,14 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         "subcarrier+path-weighting"
     }
 
-    fn score_with_health(
+    fn score_prepared(
         &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
+        prepared: &PreparedWindow<'_>,
     ) -> Result<(f64, WindowHealth), DetectError> {
         let _stage = mpdf_obs::stage!("core.score.combined");
-        let prepared = prepared_window(profile, window, config)?;
-        let (window, health) = (&prepared.packets, &prepared.health);
+        let (profile, config) = (prepared.profile, prepared.config);
+        let front = prepared.front()?;
+        let (window, health) = (&front.packets, &front.health);
         // Angle estimation needs an aperture: with fewer than two
         // surviving chains there is no spatial spectrum to compare, so
         // the window counts as degraded beyond what this scheme absorbs.
@@ -369,7 +358,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                 budget: config.gap_budget,
             });
         }
-        let eff = effective_weights(prepared.weights(config), health);
+        let eff = effective_weights(front.weights(config), health);
 
         // MUSIC 3→2 fallback: when a chain dropped for the whole window,
         // both sides of the comparison shrink to the surviving sub-array
@@ -399,36 +388,40 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         // power-bearing angular profile of the paper's "subcarrier
         // weighted signal strengths".
         let monitored_cov = pool_covariances(&per_subcarrier_fb_covariances(window), Some(&eff));
-        let monitored_spectrum = bartlett_spectrum(&monitored_cov, &steering, &config.grid)?;
-
-        // Calibration side: the same subcarrier weights applied to the
-        // stored static covariances (the §IV-C linearity argument).
-        let static_spectrum = bartlett_spectrum(&static_cov, &steering, &config.grid)?;
+        // The calibration side is the same subcarrier weights applied to
+        // the stored static covariances (the §IV-C linearity argument),
+        // reduced to the same antennas, so it has the monitored shape.
+        check_bartlett(&monitored_cov, &steering)?;
 
         // Per-angle RSS change in dB inside the ±60° gate. The gate-mean
         // is removed first: a flat dB offset is session gain drift (TX
         // power control / AGC reference), not human presence — humans
         // *redistribute* angular power. The residual is boosted by the
-        // Eq. 17 path weights and collapsed by the RMS norm.
-        let pw = profile.path_weights();
-        let raw: Vec<f64> = monitored_spectrum
-            .values()
-            .iter()
-            .zip(static_spectrum.values())
-            .map(|(m, s)| {
-                if *m <= f64::MIN_POSITIVE || *s <= f64::MIN_POSITIVE {
-                    0.0
-                } else {
-                    10.0 * (m / s).log10()
-                }
-            })
-            .collect();
-        let gated: Vec<(f64, f64)> = raw
-            .iter()
-            .zip(pw.weights())
-            .filter(|(_, w)| **w > 0.0)
-            .map(|(d, w)| (*d, *w))
-            .collect();
+        // Eq. 17 path weights and collapsed by the RMS norm. Only grid
+        // points with a positive path weight enter the score, so only
+        // those are scanned.
+        let table = SteeringTable::cached(&steering, &config.grid);
+        let gated: Vec<(f64, f64)> = {
+            let _stage = mpdf_obs::stage!("music.scan");
+            profile
+                .path_weights()
+                .weights()
+                .iter()
+                .take(table.len())
+                .enumerate()
+                .filter(|(_, w)| **w > 0.0)
+                .map(|(i, &w)| {
+                    let m = table.bartlett_power(&monitored_cov, i);
+                    let s = table.bartlett_power(&static_cov, i);
+                    let d = if m <= f64::MIN_POSITIVE || s <= f64::MIN_POSITIVE {
+                        0.0
+                    } else {
+                        10.0 * (m / s).log10()
+                    };
+                    (d, w)
+                })
+                .collect()
+        };
         if gated.is_empty() {
             return Ok((0.0, health.clone()));
         }
@@ -665,39 +658,26 @@ mod tests {
         );
     }
 
-    /// Scores `window` on a fresh thread, whose prepared-window memo is
-    /// empty: the reference for a memo miss.
-    fn score_on_a_miss(
-        scheme: impl DetectionScheme + Send + 'static,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        cfg: &DetectorConfig,
-    ) -> (f64, WindowHealth) {
-        let (profile, window, cfg) = (profile.clone(), window.to_vec(), cfg.clone());
-        std::thread::spawn(move || scheme.score_with_health(&profile, &window, &cfg))
-            .join()
-            .expect("scoring thread")
-            .expect("score")
-    }
-
     #[test]
-    fn combined_on_shared_weights_is_bitwise_combined_on_a_miss() {
+    fn combined_on_shared_weights_is_bitwise_combined_on_a_fresh_window() {
         let (profile, cfg) = profile_and_config();
         let window = scene_packets(10, 0.4, -20.0);
-        // Subcarrier fills the window's weights; Combined then hits the
-        // memo and reads them instead of computing its own.
-        SubcarrierWeighting.score(&profile, &window, &cfg).unwrap();
+        // Subcarrier fills the prepared window's weights; Combined then
+        // reads them instead of computing its own.
+        let prepared = PreparedWindow::new(&profile, &window, &cfg);
+        SubcarrierWeighting.score_prepared(&prepared).unwrap();
         let (shared, shared_health) = SubcarrierAndPathWeighting
+            .score_prepared(&prepared)
+            .unwrap();
+        let (fresh, fresh_health) = SubcarrierAndPathWeighting
             .score_with_health(&profile, &window, &cfg)
             .unwrap();
-        let (fresh, fresh_health) =
-            score_on_a_miss(SubcarrierAndPathWeighting, &profile, &window, &cfg);
         assert_eq!(shared.to_bits(), fresh.to_bits());
         assert_eq!(shared_health, fresh_health);
     }
 
     #[test]
-    fn configs_differing_only_in_centre_frequency_do_not_share_weights() {
+    fn configs_differing_only_in_centre_frequency_score_differently() {
         let (profile, cfg) = profile_and_config();
         let shifted = DetectorConfig {
             band: mpdf_wifi::band::Band::new(
@@ -711,15 +691,174 @@ mod tests {
             shifted.band.center_hz().to_bits()
         );
         let window = scene_packets(10, 0.4, -20.0);
-        let first = SubcarrierWeighting.score(&profile, &window, &cfg).unwrap();
-        let second = SubcarrierWeighting
+        // A prepared window borrows its configuration, so the weights of
+        // one band can never serve another; they depend on the centre
+        // frequency, so the scores differ.
+        let first = PreparedWindow::new(&profile, &window, &cfg);
+        let second = PreparedWindow::new(&profile, &window, &shifted);
+        let (a, _) = SubcarrierWeighting.score_prepared(&first).unwrap();
+        let (b, _) = SubcarrierWeighting.score_prepared(&second).unwrap();
+        assert_ne!(a.to_bits(), b.to_bits());
+        let fresh = SubcarrierWeighting
             .score(&profile, &window, &shifted)
             .unwrap();
-        let (fresh, _) = score_on_a_miss(SubcarrierWeighting, &profile, &window, &shifted);
-        // The weights depend on the centre frequency, so reusing the first
-        // config's weights would change the score.
-        assert_ne!(first.to_bits(), fresh.to_bits());
-        assert_eq!(second.to_bits(), fresh.to_bits());
+        assert_eq!(b.to_bits(), fresh.to_bits());
+    }
+
+    /// Score bits and health, or the error, of one scoring.
+    fn outcome(
+        r: Result<(f64, WindowHealth), DetectError>,
+    ) -> Result<(u64, WindowHealth), DetectError> {
+        r.map(|(s, h)| (s.to_bits(), h))
+    }
+
+    #[test]
+    fn score_prepared_is_bitwise_score_with_health_on_every_window_kind() {
+        let (profile, cfg) = profile_and_config();
+        let clip_cfg = DetectorConfig {
+            quarantine: mpdf_wifi::quarantine::QuarantinePolicy {
+                saturation_amp: 2.0,
+                ..cfg.quarantine
+            },
+            ..cfg.clone()
+        };
+        let busy = scene_packets(10, 0.4, -20.0);
+        let mut dead_row = busy.clone();
+        dead_row[2] = with_dead_row(&dead_row[2], 1);
+        let mut clipped = busy.clone();
+        let mut data = Vec::with_capacity(90);
+        for a in 0..3 {
+            for k in 0..30 {
+                data.push(if (a, k) == (0, 5) {
+                    Complex64::new(2.0, 0.0)
+                } else {
+                    clipped[3].get(a, k)
+                });
+            }
+        }
+        clipped[3] = CsiPacket::new(3, 30, data, clipped[3].seq, clipped[3].timestamp);
+        let over_budget: Vec<CsiPacket> =
+            scene_packets(30, 0.0, 0.0).into_iter().step_by(3).collect();
+        let mismatched = vec![CsiPacket::new(2, 30, vec![Complex64::ONE; 60], 0, 0.0)];
+        let cases: [(&str, &[CsiPacket], &DetectorConfig); 6] = [
+            ("clean", &busy, &cfg),
+            ("dead row", &dead_row, &cfg),
+            ("clipped", &clipped, &clip_cfg),
+            ("over budget", &over_budget, &cfg),
+            ("empty", &[], &cfg),
+            ("shape mismatch", &mismatched, &cfg),
+        ];
+        let schemes = [
+            &Baseline as &dyn DetectionScheme,
+            &RssiBaseline,
+            &SubcarrierWeighting,
+            &SubcarrierAndPathWeighting,
+        ];
+        for (label, window, config) in cases {
+            // All four schemes share one preparation, as a replay scores
+            // them; each must match a preparation of its own.
+            let prepared = PreparedWindow::new(&profile, window, config);
+            for scheme in schemes {
+                let shared = outcome(scheme.score_prepared(&prepared));
+                let fresh = outcome(scheme.score_with_health(&profile, window, config));
+                assert_eq!(shared, fresh, "{label}: {}", scheme.name());
+            }
+        }
+        // The windows do reach the paths they are named for.
+        let health = |w: &[CsiPacket], c: &DetectorConfig| {
+            PreparedWindow::new(&profile, w, c).health().cloned()
+        };
+        assert!(health(&dead_row, &cfg).unwrap().widened_uncertainty);
+        assert!(health(&clipped, &clip_cfg).unwrap().clipped_subcarriers[5]);
+        assert!(matches!(
+            health(&over_budget, &cfg),
+            Err(DetectError::DegradedBeyondBudget { .. })
+        ));
+        assert_eq!(health(&[], &cfg), Err(DetectError::EmptyWindow));
+        assert!(matches!(
+            health(&mismatched, &cfg),
+            Err(DetectError::ShapeMismatch { .. })
+        ));
+    }
+
+    /// The combined score as two full Bartlett spectra over the grid,
+    /// compared inside the path-weight gate — the formulation the gated
+    /// scan replaced, kept as its reference.
+    fn combined_from_two_spectra(prepared: &PreparedWindow<'_>) -> f64 {
+        use mpdf_music::music::bartlett_spectrum;
+        let (profile, config) = (prepared.profile, prepared.config);
+        let front = prepared.front().unwrap();
+        let health = &front.health;
+        let eff = effective_weights(front.weights(config), health);
+        let (steering, static_cov) = if health.widened_uncertainty {
+            (
+                config.steering.subset(&health.usable_antennas),
+                profile
+                    .weighted_static_covariance(Some(&eff))
+                    .principal_submatrix(&health.usable_antennas),
+            )
+        } else {
+            (
+                config.steering,
+                profile.weighted_static_covariance(Some(&eff)),
+            )
+        };
+        let monitored_cov =
+            pool_covariances(&per_subcarrier_fb_covariances(&front.packets), Some(&eff));
+        let monitored = bartlett_spectrum(&monitored_cov, &steering, &config.grid).unwrap();
+        let stat = bartlett_spectrum(&static_cov, &steering, &config.grid).unwrap();
+        let raw: Vec<f64> = monitored
+            .values()
+            .iter()
+            .zip(stat.values())
+            .map(|(m, s)| {
+                if *m <= f64::MIN_POSITIVE || *s <= f64::MIN_POSITIVE {
+                    0.0
+                } else {
+                    10.0 * (m / s).log10()
+                }
+            })
+            .collect();
+        let gated: Vec<(f64, f64)> = raw
+            .iter()
+            .zip(profile.path_weights().weights())
+            .filter(|(_, w)| **w > 0.0)
+            .map(|(d, w)| (*d, *w))
+            .collect();
+        if gated.is_empty() {
+            return 0.0;
+        }
+        let mean = gated.iter().map(|(d, _)| d).sum::<f64>() / gated.len() as f64;
+        let sum_sq: f64 = gated
+            .iter()
+            .map(|(d, w)| {
+                let v = w * (d - mean);
+                v * v
+            })
+            .sum();
+        (sum_sq / gated.len() as f64).sqrt()
+    }
+
+    #[test]
+    fn gated_combined_score_is_bitwise_the_two_spectrum_score() {
+        let (profile, cfg) = profile_and_config();
+        let mut dead_row = scene_packets(10, 0.4, -20.0);
+        dead_row[0] = with_dead_row(&dead_row[0], 1);
+        let windows = [
+            scene_packets(10, 0.0, 0.0),
+            scene_packets(10, 0.1, -20.0),
+            scene_packets(10, 0.5, 40.0),
+            scene_packets(25, 0.3, 10.0),
+            dead_row,
+        ];
+        for (i, window) in windows.iter().enumerate() {
+            let prepared = PreparedWindow::new(&profile, window, &cfg);
+            let (gated, _) = SubcarrierAndPathWeighting
+                .score_prepared(&prepared)
+                .unwrap();
+            let reference = combined_from_two_spectra(&prepared);
+            assert_eq!(gated.to_bits(), reference.to_bits(), "window {i}");
+        }
     }
 
     #[test]

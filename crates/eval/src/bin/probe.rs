@@ -4,7 +4,7 @@
 use mpdf_core::multipath_factor::multipath_factors;
 use mpdf_core::profile::CalibrationProfile;
 use mpdf_core::scheme::{
-    Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
+    Baseline, DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
 };
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_eval::scenario::five_cases;
@@ -82,12 +82,13 @@ fn main() {
             &w.weights,
         );
         println!("corr(|Δs|, weight) = {corr:.3}");
+        let prepared = PreparedWindow::new(&profile, &window, &cfg.detector);
         for scheme in [
             &Baseline as &dyn DetectionScheme,
             &SubcarrierWeighting,
             &SubcarrierAndPathWeighting,
         ] {
-            let s = scheme.score(&profile, &window, &cfg.detector).unwrap();
+            let (s, _) = scheme.score_prepared(&prepared).unwrap();
             println!("  {:28} {s:.5}", scheme.name());
         }
     }
@@ -109,12 +110,13 @@ fn main() {
             }
         };
         println!("\n== {label}");
+        let prepared = PreparedWindow::new(&profile, &window, &cfg.detector);
         for scheme in [
             &Baseline as &dyn DetectionScheme,
             &SubcarrierWeighting,
             &SubcarrierAndPathWeighting,
         ] {
-            let s = scheme.score(&profile, &window, &cfg.detector).unwrap();
+            let (s, _) = scheme.score_prepared(&prepared).unwrap();
             println!("  {:28} {s:.5}", scheme.name());
         }
     }

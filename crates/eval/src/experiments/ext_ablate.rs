@@ -7,13 +7,11 @@
 //! is too coarse ("a fickle feature"); the rest is the paper's own
 //! progression.
 
-use mpdf_core::scheme::RssiBaseline;
+use mpdf_core::scheme::{Baseline, RssiBaseline, SubcarrierAndPathWeighting, SubcarrierWeighting};
 
 use crate::metrics::{LabeledScore, SchemeSummary};
 use crate::scenario::five_cases;
-use crate::workload::{run_campaign, score_campaign, CampaignConfig, ScoredWindow};
-
-use super::fig7::run_campaign_scores;
+use crate::workload::{run_campaign, score_campaign_schemes, CampaignConfig, ScoredWindow};
 
 /// One ablation row.
 #[derive(Debug, Clone)]
@@ -44,18 +42,25 @@ fn summarize(name: &str, scores: &[ScoredWindow]) -> AblationRow {
 /// # Errors
 /// Propagates pipeline errors.
 pub fn run(cfg: &CampaignConfig) -> Result<ExtAblateResult, mpdf_core::error::DetectError> {
-    // The shared campaign covers the paper's three schemes; the RSSI
-    // detector is scored on an identical fresh campaign (same seed ⇒
-    // identical captures).
-    let shared = run_campaign_scores(cfg)?;
+    // The RSSI detector and the paper's three schemes score the shared
+    // campaign, each window prepared once for all four.
     let data = run_campaign(&five_cases(), cfg)?;
-    let rssi = score_campaign(&data, &RssiBaseline, &cfg.detector)?;
+    let [rssi, baseline, subcarrier, combined] = score_campaign_schemes(
+        &data,
+        [
+            &RssiBaseline,
+            &Baseline,
+            &SubcarrierWeighting,
+            &SubcarrierAndPathWeighting,
+        ],
+        &cfg.detector,
+    )?;
     Ok(ExtAblateResult {
         rows: vec![
             summarize("rssi (wideband power)", &rssi),
-            summarize("csi baseline", &shared.baseline),
-            summarize("+ subcarrier weighting", &shared.subcarrier),
-            summarize("+ path weighting", &shared.combined),
+            summarize("csi baseline", &baseline),
+            summarize("+ subcarrier weighting", &subcarrier),
+            summarize("+ path weighting", &combined),
         ],
     })
 }

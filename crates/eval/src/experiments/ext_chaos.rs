@@ -16,7 +16,7 @@ use mpdf_wifi::FaultModel;
 
 use crate::metrics::detection_rate;
 use crate::scenario::five_cases;
-use crate::workload::{run_campaign, CampaignConfig};
+use crate::workload::{run_campaign, scored_or_abstained, CampaignConfig};
 
 /// The fault intensities swept (scale factors on the `chaos` preset's
 /// probabilities; 0 disables fault injection entirely).
@@ -77,8 +77,10 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtChaosResult, DetectError> {
         let mut aborted_windows = 0usize;
         for case in &data {
             for w in &case.windows {
-                match scheme.score_with_health(&case.profile, &w.packets, &fault_cfg.detector) {
-                    Ok((score, health)) => {
+                let scored =
+                    scheme.score_with_health(&case.profile, &w.packets, &fault_cfg.detector);
+                match scored_or_abstained(scored)? {
+                    Some((score, health)) => {
                         if health.degraded {
                             degraded_windows += 1;
                         }
@@ -88,10 +90,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtChaosResult, DetectError> {
                             negatives.push(score);
                         }
                     }
-                    Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => {
-                        aborted_windows += 1;
-                    }
-                    Err(e) => return Err(e),
+                    None => aborted_windows += 1,
                 }
             }
         }

@@ -15,7 +15,7 @@
 
 use mpdf_core::fade_level::fade_level_db;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
-use mpdf_core::scheme::{Baseline, DetectionScheme, SubcarrierWeighting};
+use mpdf_core::scheme::{Baseline, DetectionScheme, PreparedWindow, SubcarrierWeighting};
 use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::channel::ChannelModel;
 use mpdf_propagation::human::HumanBody;
@@ -168,11 +168,17 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, mpdf_core::error::Det
             windows.push(window);
         }
         let positive = maybe_pos.is_some();
+        // Prepared lazily: only the channels a scheme reads are sanitized,
+        // and channel 11's front end is shared by schemes 1 and 3.
+        let prepared: Vec<PreparedWindow<'_>> = channels
+            .iter()
+            .zip(&windows)
+            .map(|(ctx, window)| PreparedWindow::new(&ctx.profile, window, &ctx.detector))
+            .collect();
 
         // 1. Fixed channel 11.
-        let ch11 = &channels[2];
         fixed.push(LabeledScore {
-            score: Baseline.score(&ch11.profile, &windows[2], &ch11.detector)?,
+            score: Baseline.score_prepared(&prepared[2])?.0,
             positive,
         });
         // 2. Fade-level selection: the *calibration-time* fade level picks
@@ -187,14 +193,13 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, mpdf_core::error::Det
                 fa.total_cmp(&fb)
             })
             .unwrap_or(0);
-        let ctx = &channels[deepest];
         swept.push(LabeledScore {
-            score: Baseline.score(&ctx.profile, &windows[deepest], &ctx.detector)?,
+            score: Baseline.score_prepared(&prepared[deepest])?.0,
             positive,
         });
         // 3. The paper's subcarrier weighting, single channel.
         weighted.push(LabeledScore {
-            score: SubcarrierWeighting.score(&ch11.profile, &windows[2], &ch11.detector)?,
+            score: SubcarrierWeighting.score_prepared(&prepared[2])?.0,
             positive,
         });
         let _ = w;

@@ -4,7 +4,9 @@
 //! path weighting helps most at large angles (NLOS directions), while
 //! the gain near the LOS direction (0°) is marginal.
 
-use mpdf_core::scheme::{DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting};
+use mpdf_core::scheme::{
+    DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
+};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
 use mpdf_wifi::receiver::Actor;
@@ -53,8 +55,9 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig11Result, mpdf_core::error::Detect
                 trajectory: &sway,
             }];
             let window = receiver.capture_actors(&actors, cfg.detector.window)?;
-            s_scores.push(SubcarrierWeighting.score(&profile, &window, &cfg.detector)?);
-            c_scores.push(SubcarrierAndPathWeighting.score(&profile, &window, &cfg.detector)?);
+            let prepared = PreparedWindow::new(&profile, &window, &cfg.detector);
+            s_scores.push(SubcarrierWeighting.score_prepared(&prepared)?.0);
+            c_scores.push(SubcarrierAndPathWeighting.score_prepared(&prepared)?.0);
         }
         rows.push((
             angle,

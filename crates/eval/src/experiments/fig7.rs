@@ -4,11 +4,11 @@
 //! weighting 88.2 % TP at 13.0 % FP; subcarrier+path weighting 92.0 % TP
 //! at 4.5 % FP. Shape target: strict ordering of the three ROC curves.
 
-use mpdf_core::scheme::{Baseline, SubcarrierAndPathWeighting, SubcarrierWeighting};
-
 use crate::metrics::{LabeledScore, RocCurve, SchemeSummary};
 use crate::scenario::five_cases;
-use crate::workload::{run_campaign, score_campaign, CampaignConfig, ScoredWindow};
+use crate::workload::{
+    run_campaign, score_campaign_schemes, CampaignConfig, ScoredWindow, PAPER_SCHEMES,
+};
 
 /// Per-scheme outcome of the Fig. 7 campaign.
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ impl CampaignScores {
 }
 
 /// Runs the shared evaluation campaign and scores it with all three
-/// schemes.
+/// schemes, each window prepared once.
 ///
 /// # Errors
 /// Propagates pipeline errors.
@@ -59,10 +59,12 @@ pub fn run_campaign_scores(
 ) -> Result<CampaignScores, mpdf_core::error::DetectError> {
     let cases = five_cases();
     let data = run_campaign(&cases, cfg)?;
+    let [baseline, subcarrier, combined] =
+        score_campaign_schemes(&data, PAPER_SCHEMES, &cfg.detector)?;
     Ok(CampaignScores {
-        baseline: score_campaign(&data, &Baseline, &cfg.detector)?,
-        subcarrier: score_campaign(&data, &SubcarrierWeighting, &cfg.detector)?,
-        combined: score_campaign(&data, &SubcarrierAndPathWeighting, &cfg.detector)?,
+        baseline,
+        subcarrier,
+        combined,
     })
 }
 

@@ -6,7 +6,7 @@
 //! detection-rate requirement.
 
 use mpdf_core::scheme::{
-    Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
+    Baseline, DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
 };
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
@@ -74,12 +74,12 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectE
                 else {
                     continue;
                 };
-                slot.1
-                    .push(Baseline.score(&profile, &window, &cfg.detector)?);
+                let prepared = PreparedWindow::new(&profile, &window, &cfg.detector);
+                slot.1.push(Baseline.score_prepared(&prepared)?.0);
                 slot.2
-                    .push(SubcarrierWeighting.score(&profile, &window, &cfg.detector)?);
+                    .push(SubcarrierWeighting.score_prepared(&prepared)?.0);
                 slot.3
-                    .push(SubcarrierAndPathWeighting.score(&profile, &window, &cfg.detector)?);
+                    .push(SubcarrierAndPathWeighting.score_prepared(&prepared)?.0);
                 let _ = episode;
             }
         }

@@ -22,7 +22,7 @@
 //! ahead. The pool returns the scores in epoch order, so the output is
 //! a pure function of the byte stream no matter how many workers race —
 //! the contract, pinned by a tier-1 test, is that stream-path scores are
-//! **bit-identical** to the offline [`score_campaign`] pass over the
+//! **bit-identical** to the offline [`score_campaign_schemes`] pass over the
 //! same recording. The first failing epoch, in epoch order, stops the
 //! replay: the pool claims no further epochs, so nothing more is read.
 
@@ -31,22 +31,19 @@ use std::time::Instant;
 
 use mpdf_core::error::DetectError;
 use mpdf_core::profile::DetectorConfig;
-use mpdf_core::scheme::{
-    Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
-};
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire;
 
 use crate::scenario::five_cases;
 use crate::workload::{
-    run_campaign, score_campaign, scored_or_abstained, CampaignConfig, CaseData, ScoredWindow,
-    WindowRecord,
+    run_campaign, score_campaign_schemes, score_window, CampaignConfig, CaseData, ScoredWindow,
+    WindowRecord, PAPER_SCHEMES,
 };
 
 /// Per-epoch scores in scheme order (baseline, subcarrier, combined);
 /// `None` where that scheme abstained (degraded beyond budget / empty),
-/// mirroring [`score_campaign`]'s skip semantics.
+/// mirroring [`score_campaign_schemes`]'s skip semantics.
 pub type EpochScores = [Option<f64>; 3];
 
 /// Knobs of the replay transport.
@@ -196,21 +193,21 @@ impl Iterator for Ingest<'_> {
 
 impl ExactSizeIterator for Ingest<'_> {}
 
-/// Scores one epoch with the three schemes back to back on one thread,
-/// so they share one prepared window: the sanitize memo misses once and
-/// hits twice, and the subcarrier weights are computed once.
-/// Abstentions are `None`; any other scheme error is returned.
+/// Scores one epoch with the three schemes from one [`PreparedWindow`]
+/// (`mpdf_core::scheme`): the front end runs once per epoch — one
+/// `core.sanitize_memo` miss, then two hits — and the subcarrier weights
+/// are computed once. Abstentions are `None`; any other scheme error is
+/// returned, the first in scheme order.
+///
+/// [`PreparedWindow`]: mpdf_core::scheme::PreparedWindow
 fn score_epoch(
     case: &CaseData,
     packets: &[CsiPacket],
     detector: &DetectorConfig,
 ) -> Result<EpochScores, DetectError> {
-    let p = &case.profile;
-    Ok([
-        scored_or_abstained(Baseline.score(p, packets, detector))?,
-        scored_or_abstained(SubcarrierWeighting.score(p, packets, detector))?,
-        scored_or_abstained(SubcarrierAndPathWeighting.score(p, packets, detector))?,
-    ])
+    let [baseline, subcarrier, combined] =
+        score_window(PAPER_SCHEMES, &case.profile, packets, detector);
+    Ok([baseline?, subcarrier?, combined?])
 }
 
 /// Replays one recorded case through the wire codec, returning
@@ -335,11 +332,7 @@ pub fn run_stream(cfg: &CampaignConfig, opts: &StreamOptions) -> Result<StreamRu
     let _stage = mpdf_obs::stage!("eval.stream");
     let cases = five_cases();
     let data = run_campaign(&cases, cfg)?;
-    let offline = [
-        score_campaign(&data, &Baseline, &cfg.detector)?,
-        score_campaign(&data, &SubcarrierWeighting, &cfg.detector)?,
-        score_campaign(&data, &SubcarrierAndPathWeighting, &cfg.detector)?,
-    ];
+    let offline = score_campaign_schemes(&data, PAPER_SCHEMES, &cfg.detector)?;
 
     let start = Instant::now();
     let mut reports = Vec::with_capacity(data.len());

@@ -8,7 +8,9 @@
 
 use mpdf_core::error::DetectError;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
-use mpdf_core::scheme::DetectionScheme;
+use mpdf_core::scheme::{
+    Baseline, DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
+};
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::channel::ChannelModel;
 use mpdf_propagation::human::HumanBody;
@@ -368,21 +370,58 @@ impl ScoredWindow {
     }
 }
 
-/// One window's scheme result as the campaign counts it: a score, `None`
+/// The paper's three schemes in report order: baseline, subcarrier
+/// weighting, subcarrier + path weighting (§V-A).
+pub(crate) const PAPER_SCHEMES: [&(dyn DetectionScheme + Sync); 3] =
+    [&Baseline, &SubcarrierWeighting, &SubcarrierAndPathWeighting];
+
+/// One window's scheme result as the campaign counts it: the result, `None`
 /// for an abstention — a window the gap budget aborted
 /// ([`DetectError::DegradedBeyondBudget`]) or the receiver lost outright
 /// ([`DetectError::EmptyWindow`]) — or any other scheme error.
-pub(crate) fn scored_or_abstained(
-    result: Result<f64, DetectError>,
-) -> Result<Option<f64>, DetectError> {
+pub(crate) fn scored_or_abstained<T>(
+    result: Result<T, DetectError>,
+) -> Result<Option<T>, DetectError> {
     match result {
-        Ok(score) => Ok(Some(score)),
+        Ok(scored) => Ok(Some(scored)),
         Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
         Err(e) => Err(e),
     }
 }
 
-/// Scores every window of a campaign with one scheme.
+/// Scores one window with each of `schemes`, in order, from one
+/// [`PreparedWindow`]: the front end runs once and the subcarrier
+/// weights are computed at most once.
+pub(crate) fn score_window<const N: usize>(
+    schemes: [&(dyn DetectionScheme + Sync); N],
+    profile: &CalibrationProfile,
+    packets: &[CsiPacket],
+    detector: &DetectorConfig,
+) -> [Result<Option<f64>, DetectError>; N] {
+    let prepared = PreparedWindow::new(profile, packets, detector);
+    schemes
+        .map(|scheme| scored_or_abstained(scheme.score_prepared(&prepared).map(|(score, _)| score)))
+}
+
+/// Scores every window of a campaign with one scheme:
+/// [`score_campaign_schemes`] with a single scheme.
+///
+/// # Errors
+/// As [`score_campaign_schemes`].
+pub fn score_campaign<S: DetectionScheme + Sync>(
+    data: &[CaseData],
+    scheme: &S,
+    detector: &DetectorConfig,
+) -> Result<Vec<ScoredWindow>, DetectError> {
+    let [scored] = score_campaign_schemes(data, [scheme], detector)?;
+    Ok(scored)
+}
+
+/// Scores every window of a campaign with each of `schemes`, returning
+/// one list per scheme in `schemes` order. Each window is prepared once
+/// and every scheme scores it from that one preparation
+/// ([`PreparedWindow`]), so the front end runs once per window, not once
+/// per scheme.
 ///
 /// Windows that the graceful-degradation path aborts with
 /// [`DegradedBeyondBudget`](DetectError::DegradedBeyondBudget)
@@ -396,18 +435,18 @@ pub(crate) fn scored_or_abstained(
 /// Windows are scored on the pool, one window per job,
 /// [`CaseData::threads`] workers wide (the first case's value). A
 /// window's score depends only on its case profile and packets, and the
-/// outcomes are merged — and counted — in input order on the calling
-/// thread, so scores, counters and the reported error are the same at
-/// any thread count.
+/// outcomes are merged — and counted — scheme by scheme, in window order
+/// on the calling thread, so scores, counters and the reported error are
+/// those of one call per scheme in turn, at any thread count.
 ///
 /// # Errors
-/// Propagates the first scheme error, in window order, other than
-/// gap-budget aborts and lost windows.
-pub fn score_campaign<S: DetectionScheme + Sync>(
+/// Propagates the first scheme error — in scheme order, then window
+/// order — other than gap-budget aborts and lost windows.
+pub fn score_campaign_schemes<const N: usize>(
     data: &[CaseData],
-    scheme: &S,
+    schemes: [&(dyn DetectionScheme + Sync); N],
     detector: &DetectorConfig,
-) -> Result<Vec<ScoredWindow>, DetectError> {
+) -> Result<[Vec<ScoredWindow>; N], DetectError> {
     let _stage = mpdf_obs::stage!("eval.score");
     let windows: Vec<(&CaseData, &WindowRecord)> = data
         .iter()
@@ -415,20 +454,24 @@ pub fn score_campaign<S: DetectionScheme + Sync>(
         .collect();
     let threads = data.first().map_or(1, |case| case.threads);
     let outcomes = mpdf_par::map_indexed(threads, &windows, |_, (case, w)| {
-        scored_or_abstained(scheme.score(&case.profile, &w.packets, detector))
+        score_window(schemes, &case.profile, &w.packets, detector)
     });
-    let mut out = Vec::with_capacity(windows.len());
-    for ((case, w), outcome) in windows.iter().zip(outcomes) {
-        match outcome? {
-            Some(score) => {
-                mpdf_obs::counter!("eval.scored_windows_total").inc();
-                out.push(ScoredWindow {
-                    case_id: case.case_id,
-                    score,
-                    human: w.human,
-                });
+    let mut out: [Vec<ScoredWindow>; N] =
+        std::array::from_fn(|_| Vec::with_capacity(windows.len()));
+    for (s, scored) in out.iter_mut().enumerate() {
+        for ((case, w), outcome) in windows.iter().zip(&outcomes) {
+            match &outcome[s] {
+                Ok(Some(score)) => {
+                    mpdf_obs::counter!("eval.scored_windows_total").inc();
+                    scored.push(ScoredWindow {
+                        case_id: case.case_id,
+                        score: *score,
+                        human: w.human,
+                    });
+                }
+                Ok(None) => mpdf_obs::counter!("eval.aborted_windows_total").inc(),
+                Err(e) => return Err(e.clone()),
             }
-            None => mpdf_obs::counter!("eval.aborted_windows_total").inc(),
         }
     }
     Ok(out)
@@ -540,5 +583,38 @@ mod tests {
         let mp = pos.iter().sum::<f64>() / pos.len() as f64;
         let mn = neg.iter().sum::<f64>() / neg.len() as f64;
         assert!(mp > mn, "positives {mp} must outscore negatives {mn}");
+    }
+
+    #[test]
+    fn schemes_scored_together_match_one_call_per_scheme() {
+        use mpdf_core::scheme::RssiBaseline;
+        // Chaos faults make some schemes abstain on windows others score.
+        let cfg = CampaignConfig {
+            faults: FaultModel::chaos(),
+            ..tiny_config()
+        };
+        let data = run_campaign(&five_cases()[..2], &cfg).unwrap();
+        let schemes: [&(dyn DetectionScheme + Sync); 4] = [
+            &RssiBaseline,
+            &Baseline,
+            &SubcarrierWeighting,
+            &SubcarrierAndPathWeighting,
+        ];
+        let together = score_campaign_schemes(&data, schemes, &cfg.detector).unwrap();
+        let bits = |scored: &[ScoredWindow]| -> Vec<(usize, u64)> {
+            scored
+                .iter()
+                .map(|w| (w.case_id, w.score.to_bits()))
+                .collect()
+        };
+        for (scheme, scored) in schemes.iter().zip(&together) {
+            let [alone] = score_campaign_schemes(&data, [*scheme], &cfg.detector).unwrap();
+            assert_eq!(bits(scored), bits(&alone), "{}", scheme.name());
+        }
+        assert_ne!(
+            together[0].len(),
+            together[3].len(),
+            "no scheme abstained alone"
+        );
     }
 }

@@ -288,6 +288,16 @@ impl SteeringTable {
         let m = self.steering.elements();
         &self.vectors[idx * m..(idx + 1) * m]
     }
+
+    /// Bartlett power `a(θ)ᴴ R a(θ)` at grid index `idx`, clamped at 0
+    /// (a Hermitian `R` only goes negative by round-off). The covariance
+    /// must pass [`check_bartlett`].
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of bounds.
+    pub fn bartlett_power(&self, covariance: &CMatrix, idx: usize) -> f64 {
+        covariance.quadratic_form(self.vector(idx)).re.max(0.0)
+    }
 }
 
 /// A MUSIC pseudospectrum: paired angles (degrees) and values.
@@ -435,6 +445,18 @@ pub fn pseudospectrum(
     Ok(Pseudospectrum::new(table.angles_deg().to_vec(), values))
 }
 
+/// Checks that `covariance` is a square matrix over `steering`'s array —
+/// the one way a Bartlett scan can fail.
+///
+/// # Errors
+/// [`MusicError::Covariance`] on a non-square or wrongly sized matrix.
+pub fn check_bartlett(covariance: &CMatrix, steering: &UlaSteering) -> Result<(), MusicError> {
+    if !covariance.is_square() || covariance.rows() != steering.elements() {
+        return Err(MusicError::Covariance(CovarianceError::RaggedSnapshots));
+    }
+    Ok(())
+}
+
 /// The Bartlett (conventional beamformer) angular power spectrum:
 /// `B(θ) = a(θ)ᴴ R a(θ)`.
 ///
@@ -453,16 +475,13 @@ pub fn bartlett_spectrum(
     steering: &UlaSteering,
     grid: &AngleGrid,
 ) -> Result<Pseudospectrum, MusicError> {
-    if !covariance.is_square() || covariance.rows() != steering.elements() {
-        return Err(MusicError::Covariance(CovarianceError::RaggedSnapshots));
-    }
+    check_bartlett(covariance, steering)?;
     let table = SteeringTable::cached(steering, grid);
     let values: Vec<f64> = {
-        // Same stage as the MUSIC scan: both walk the steering table, and
-        // monitoring windows only take this Bartlett path.
+        // Same stage as the MUSIC scan: both walk the steering table.
         let _stage = mpdf_obs::stage!("music.scan");
         (0..table.len())
-            .map(|i| covariance.quadratic_form(table.vector(i)).re.max(0.0))
+            .map(|i| table.bartlett_power(covariance, i))
             .collect()
     };
     contract::assert_non_negative("Bartlett spectrum", &values);

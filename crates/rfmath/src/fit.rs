@@ -55,6 +55,38 @@ impl Fit {
     }
 }
 
+/// Slope and intercept of the ordinary least-squares line `y = a·x + b`
+/// over the finite `(x, y)` pairs, without collecting the points or
+/// computing R² (the phase sanitizer's per-packet fit reads only the
+/// line). [`linear_fit`] is this plus R².
+///
+/// # Errors
+/// Same as [`linear_fit`].
+pub fn linear_trend(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), FitError> {
+    let count = finite_pairs(xs, ys).count();
+    if count < 2 {
+        return Err(FitError::TooFewPoints);
+    }
+    let n = count as f64;
+    let mx = finite_pairs(xs, ys).map(|p| p.0).sum::<f64>() / n;
+    let my = finite_pairs(xs, ys).map(|p| p.1).sum::<f64>() / n;
+    let sxx: f64 = finite_pairs(xs, ys).map(|p| (p.0 - mx) * (p.0 - mx)).sum();
+    let sxy: f64 = finite_pairs(xs, ys).map(|p| (p.0 - mx) * (p.1 - my)).sum();
+    if sxx <= f64::EPSILON * n {
+        return Err(FitError::DegenerateX);
+    }
+    let slope = sxy / sxx;
+    Ok((slope, my - slope * mx))
+}
+
+/// The finite `(x, y)` pairs of two columns.
+fn finite_pairs<'a>(xs: &'a [f64], ys: &'a [f64]) -> impl Iterator<Item = (f64, f64)> + 'a {
+    xs.iter()
+        .zip(ys)
+        .filter(|(x, y)| x.is_finite() && y.is_finite())
+        .map(|(&x, &y)| (x, y))
+}
+
 /// Ordinary least squares for `y = a·x + b`.
 ///
 /// Non-finite points are ignored.
@@ -63,29 +95,12 @@ impl Fit {
 /// [`FitError::TooFewPoints`] with fewer than two usable points,
 /// [`FitError::DegenerateX`] when the x-variance vanishes.
 pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Result<Fit, FitError> {
-    let pts: Vec<(f64, f64)> = xs
-        .iter()
-        .zip(ys)
-        .filter(|(x, y)| x.is_finite() && y.is_finite())
-        .map(|(&x, &y)| (x, y))
-        .collect();
-    if pts.len() < 2 {
-        return Err(FitError::TooFewPoints);
-    }
-    let n = pts.len() as f64;
-    let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
-    let sxx: f64 = pts.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
-    let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-    if sxx <= f64::EPSILON * n {
-        return Err(FitError::DegenerateX);
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
+    let (slope, intercept) = linear_trend(xs, ys)?;
+    let n = finite_pairs(xs, ys).count() as f64;
+    let my = finite_pairs(xs, ys).map(|p| p.1).sum::<f64>() / n;
     // R² = 1 − SS_res / SS_tot.
-    let ss_tot: f64 = pts.iter().map(|p| (p.1 - my) * (p.1 - my)).sum();
-    let ss_res: f64 = pts
-        .iter()
+    let ss_tot: f64 = finite_pairs(xs, ys).map(|p| (p.1 - my) * (p.1 - my)).sum();
+    let ss_res: f64 = finite_pairs(xs, ys)
         .map(|p| {
             let e = p.1 - (slope * p.0 + intercept);
             e * e

@@ -3,7 +3,7 @@
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::dft::{dft, fft, idft, ifft, nudft_at_delay};
 use mpdf_rfmath::eig::hermitian_eig;
-use mpdf_rfmath::fit::{linear_fit, log_fit};
+use mpdf_rfmath::fit::{linear_fit, linear_trend, log_fit, FitError};
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_rfmath::stats::{mean, median, median_in_place, moving_variance, variance, Ecdf};
 use proptest::prelude::*;
@@ -27,6 +27,45 @@ fn awkward() -> impl Strategy<Value = f64> {
         8 => -2.25,
         _ => x,
     })
+}
+
+/// Least squares over a collected vector of the finite pairs: the
+/// reference formulation `linear_trend` and `linear_fit` must reproduce
+/// bit for bit (slope, intercept, R²).
+fn collected_linear_fit(xs: &[f64], ys: &[f64]) -> Result<[u64; 3], FitError> {
+    let pts: Vec<(f64, f64)> = xs
+        .iter()
+        .zip(ys)
+        .filter(|(x, y)| x.is_finite() && y.is_finite())
+        .map(|(&x, &y)| (x, y))
+        .collect();
+    if pts.len() < 2 {
+        return Err(FitError::TooFewPoints);
+    }
+    let n = pts.len() as f64;
+    let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
+    let sxx: f64 = pts.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
+    let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
+    if sxx <= f64::EPSILON * n {
+        return Err(FitError::DegenerateX);
+    }
+    let slope = sxy / sxx;
+    let intercept = my - slope * mx;
+    let ss_tot: f64 = pts.iter().map(|p| (p.1 - my) * (p.1 - my)).sum();
+    let ss_res: f64 = pts
+        .iter()
+        .map(|p| {
+            let e = p.1 - (slope * p.0 + intercept);
+            e * e
+        })
+        .sum();
+    let r_squared = if ss_tot <= f64::EPSILON {
+        1.0
+    } else {
+        1.0 - ss_res / ss_tot
+    };
+    Ok([slope.to_bits(), intercept.to_bits(), r_squared.to_bits()])
 }
 
 /// The median as computed before selection replaced sorting: a full
@@ -260,6 +299,26 @@ proptest! {
         let fit = linear_fit(&xs, &ys).unwrap();
         prop_assert!((fit.slope - a).abs() < 1e-6 * a.abs().max(1.0));
         prop_assert!((fit.intercept - b).abs() < 1e-6 * b.abs().max(1.0));
+    }
+
+    #[test]
+    fn linear_fit_is_bitwise_the_collected_formulation(
+        xs in proptest::collection::vec(awkward(), 0..40),
+        ys in proptest::collection::vec(awkward(), 0..40),
+        constant_x in 0usize..2,
+    ) {
+        // A constant x column (finite or not) is the degenerate case.
+        let xs: Vec<f64> = if constant_x == 1 {
+            xs.iter().map(|_| xs[0]).collect()
+        } else {
+            xs
+        };
+        let reference = collected_linear_fit(&xs, &ys);
+        let lean = linear_trend(&xs, &ys).map(|(a, b)| [a.to_bits(), b.to_bits()]);
+        prop_assert_eq!(lean, reference.clone().map(|r| [r[0], r[1]]));
+        let full = linear_fit(&xs, &ys)
+            .map(|f| [f.slope.to_bits(), f.intercept.to_bits(), f.r_squared.to_bits()]);
+        prop_assert_eq!(full, reference);
     }
 
     #[test]

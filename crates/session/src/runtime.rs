@@ -449,10 +449,14 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             // trustworthy null example, and an occupied one never is.
             if vacant && !d.degraded {
                 mpdf_obs::counter!("session.vacant_windows_total").inc();
-                if self.reservoir.len() >= self.session.reservoir_windows {
-                    self.reservoir.remove(0);
-                }
-                self.reservoir.push(window.to_vec());
+                // A full reservoir recycles the evicted window's buffers.
+                let mut slot = if self.reservoir.len() >= self.session.reservoir_windows {
+                    self.reservoir.remove(0)
+                } else {
+                    Vec::new()
+                };
+                window.clone_into(&mut slot);
+                self.reservoir.push(slot);
             }
         }
 
@@ -742,6 +746,36 @@ mod tests {
         }
         assert_eq!(rt.drift_state(), DriftState::Stable);
         assert_eq!(rt.cursor(), 10);
+    }
+
+    #[test]
+    fn recycled_reservoir_encodes_the_bytes_of_copied_windows() {
+        let mut rt = runtime(false);
+        let cap = rt.session.reservoir_windows;
+        let rx = receiver(11);
+        // The reservoir as owned copies, the way `to_vec` filled it.
+        let mut copied = rt.snapshot().reservoir;
+        let mut admitted = 0usize;
+        for w in 0..24u64 {
+            // Ragged lengths make a recycled slot grow and shrink.
+            let len = [25, 18, 31][(w % 3) as usize];
+            let win = rx.fork(3000 + w).capture_static(None, len).unwrap();
+            let d = rt.step(&win).unwrap();
+            if d.vacant && d.decision.is_some_and(|x| !x.degraded) {
+                admitted += 1;
+                if copied.len() >= cap {
+                    copied.remove(0);
+                }
+                copied.push(win.clone());
+            }
+        }
+        assert!(admitted > cap + 2, "only {admitted} windows admitted");
+        let mut reference = rt.snapshot();
+        reference.reservoir = copied;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        crate::checkpoint::encode_image_into(&rt.snapshot_parts(), &mut got).unwrap();
+        crate::checkpoint::encode_image_into(&(&reference).into(), &mut want).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use mpdf_rfmath::db::power_to_db;
 use mpdf_rfmath::stats::median_in_place;
 
 /// CSI for one received packet: `antennas × subcarriers` complex samples.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CsiPacket {
     antennas: usize,
     subcarriers: usize,
@@ -20,6 +20,35 @@ pub struct CsiPacket {
     pub seq: u64,
     /// Capture timestamp in seconds.
     pub timestamp: f64,
+}
+
+impl Clone for CsiPacket {
+    fn clone(&self) -> Self {
+        CsiPacket {
+            antennas: self.antennas,
+            subcarriers: self.subcarriers,
+            data: self.data.clone(),
+            seq: self.seq,
+            timestamp: self.timestamp,
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s sample buffer.
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured exhaustively so a new field cannot be left stale.
+        let CsiPacket {
+            antennas,
+            subcarriers,
+            data,
+            seq,
+            timestamp,
+        } = source;
+        self.antennas = *antennas;
+        self.subcarriers = *subcarriers;
+        self.data.clone_from(data);
+        self.seq = *seq;
+        self.timestamp = *timestamp;
+    }
 }
 
 impl CsiPacket {
@@ -65,9 +94,8 @@ impl CsiPacket {
 
     /// Bitwise equality with another packet: identical shape, metadata
     /// and per-sample bit patterns. Samples compare by representation
-    /// (`to_bits`), so `NaN`s equal themselves — IEEE `==` would make a
-    /// memo key unsound by never matching a poisoned packet and by
-    /// conflating `±0.0`.
+    /// (`to_bits`), so `NaN`s equal themselves — IEEE `==` would never
+    /// match a poisoned packet and would conflate `±0.0`.
     pub fn bits_eq(&self, other: &Self) -> bool {
         self.antennas == other.antennas
             && self.subcarriers == other.subcarriers

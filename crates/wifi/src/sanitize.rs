@@ -131,16 +131,8 @@ pub fn estimate_linear_phase_with(
     phases.clear();
     phases.extend(sums.iter().map(|s| s.arg()));
     unwrap_phases_into(phases, unwrapped);
-    match mpdf_rfmath::fit::linear_fit(xs, unwrapped) {
-        Ok(fit) => PhaseCorrection {
-            slope: fit.slope,
-            intercept: fit.intercept,
-        },
-        Err(_) => PhaseCorrection {
-            slope: 0.0,
-            intercept: 0.0,
-        },
-    }
+    let (slope, intercept) = mpdf_rfmath::fit::linear_trend(xs, unwrapped).unwrap_or((0.0, 0.0));
+    PhaseCorrection { slope, intercept }
 }
 
 /// Estimates the linear phase trend of a packet across subcarriers.
