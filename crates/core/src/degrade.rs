@@ -50,11 +50,6 @@ impl WindowHealth {
             widened_uncertainty: false,
         }
     }
-
-    /// Total packets lost to sequence gaps or quarantine rejects.
-    pub fn lost(&self) -> usize {
-        self.gaps + self.rejects
-    }
 }
 
 /// Quarantines, orders and reduces one monitoring window.
@@ -207,7 +202,6 @@ mod tests {
         assert_eq!(kept, window);
         assert_eq!(health, WindowHealth::clean(3, 30));
         assert!(!health.degraded);
-        assert_eq!(health.lost(), 0);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl<S: DetectionScheme> Detector<S> {
         self.threshold
     }
 
-    /// Overrides the threshold (ROC sweeps).
-    pub fn set_threshold(&mut self, threshold: f64) {
-        self.threshold = threshold;
-    }
-
     /// Scores one monitoring window without thresholding.
     ///
     /// # Errors
@@ -165,7 +160,7 @@ impl<S: DetectionScheme> Detector<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{Baseline, SubcarrierWeighting};
+    use crate::scheme::Baseline;
     use mpdf_rfmath::complex::Complex64;
 
     /// Static packets with mild deterministic jitter; `bump > 0` injects a
@@ -234,23 +229,6 @@ mod tests {
         assert!(dropped.get() > before, "partial-window drop not counted");
         let exact = det.decide_stream(&packets(30, 0.0, 500)).unwrap();
         assert_eq!(exact.len(), 3);
-    }
-
-    #[test]
-    fn threshold_override() {
-        let cfg = DetectorConfig {
-            window: 10,
-            ..DetectorConfig::default()
-        };
-        let mut det =
-            Detector::calibrate(&packets(60, 0.0, 0), SubcarrierWeighting, cfg, 0.1).unwrap();
-        det.set_threshold(0.0);
-        // With a zero threshold any jitter fires.
-        let d = det.decide(&packets(10, 0.0, 900)).unwrap();
-        assert!(d.detected);
-        det.set_threshold(f64::INFINITY);
-        let d = det.decide(&packets(10, 10.0, 900)).unwrap();
-        assert!(!d.detected);
     }
 
     #[test]

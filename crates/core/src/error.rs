@@ -33,6 +33,14 @@ pub enum DetectError {
         /// The configured tolerance ([`crate::profile::DetectorConfig::gap_budget`]).
         budget: usize,
     },
+    /// Too few receive chains survived quarantine for angle estimation:
+    /// the window has no aperture to scan, however few packets it lost.
+    ApertureLost {
+        /// Antennas usable across the whole window.
+        usable: usize,
+        /// Antennas the scheme needs.
+        needed: usize,
+    },
     /// A constructor was handed parameters outside its documented domain
     /// (e.g. too few null scores, a non-positive shift, stickiness out of
     /// `[0.5, 1)`).
@@ -57,6 +65,22 @@ pub enum DetectError {
     Trace(TraceError),
 }
 
+impl DetectError {
+    /// Whether this error is an abstention — a window the receiver lost
+    /// outright ([`EmptyWindow`](DetectError::EmptyWindow)), the gap
+    /// budget aborted ([`DegradedBeyondBudget`](DetectError::DegradedBeyondBudget))
+    /// or that kept too few chains ([`ApertureLost`](DetectError::ApertureLost))
+    /// — which callers skip, rather than a failure they propagate.
+    pub fn is_abstention(&self) -> bool {
+        matches!(
+            self,
+            DetectError::EmptyWindow
+                | DetectError::DegradedBeyondBudget { .. }
+                | DetectError::ApertureLost { .. }
+        )
+    }
+}
+
 impl fmt::Display for DetectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -71,6 +95,10 @@ impl fmt::Display for DetectError {
             DetectError::DegradedBeyondBudget { lost, budget } => write!(
                 f,
                 "window degraded beyond budget: {lost} packets lost, budget {budget}"
+            ),
+            DetectError::ApertureLost { usable, needed } => write!(
+                f,
+                "window lost its aperture: {usable} usable antennas, {needed} needed"
             ),
             DetectError::InvalidConfig { what } => {
                 write!(f, "invalid configuration: {what}")
@@ -132,6 +160,11 @@ mod tests {
         let e = DetectError::DegradedBeyondBudget { lost: 7, budget: 5 };
         assert!(e.to_string().contains("7 packets lost"));
         assert!(e.to_string().contains("budget 5"));
+        let e = DetectError::ApertureLost {
+            usable: 1,
+            needed: 2,
+        };
+        assert!(e.to_string().contains("1 usable antennas, 2 needed"));
         let e = DetectError::InvalidConfig {
             what: "stickiness must be in [0.5, 1)".into(),
         };
@@ -144,6 +177,24 @@ mod tests {
         assert!(e.to_string().contains("rollback guard"));
         assert!(e.to_string().contains("0.4200"));
         assert!(e.to_string().contains("0.2000"));
+    }
+
+    #[test]
+    fn only_lost_degraded_and_apertureless_windows_abstain() {
+        assert!(DetectError::EmptyWindow.is_abstention());
+        assert!(DetectError::DegradedBeyondBudget { lost: 7, budget: 5 }.is_abstention());
+        assert!(DetectError::ApertureLost {
+            usable: 1,
+            needed: 2
+        }
+        .is_abstention());
+        assert!(!DetectError::InsufficientCalibration { got: 0, need: 1 }.is_abstention());
+        assert!(!DetectError::ShapeMismatch {
+            expected: (3, 30),
+            found: (2, 30),
+        }
+        .is_abstention());
+        assert!(!DetectError::Trace(TraceError::TxOutsideRoom).is_abstention());
     }
 
     #[test]
@@ -203,6 +254,12 @@ mod tests {
         assert!(DetectError::DegradedBeyondBudget { lost: 3, budget: 2 }
             .source()
             .is_none());
+        assert!(DetectError::ApertureLost {
+            usable: 0,
+            needed: 2
+        }
+        .source()
+        .is_none());
         assert!(DetectError::InvalidConfig { what: "x".into() }
             .source()
             .is_none());

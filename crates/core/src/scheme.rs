@@ -350,12 +350,11 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         let front = prepared.front()?;
         let (window, health) = (&front.packets, &front.health);
         // Angle estimation needs an aperture: with fewer than two
-        // surviving chains there is no spatial spectrum to compare, so
-        // the window counts as degraded beyond what this scheme absorbs.
+        // surviving chains there is no spatial spectrum to compare.
         if health.usable_antennas.len() < 2 {
-            return Err(DetectError::DegradedBeyondBudget {
-                lost: health.lost().max(1),
-                budget: config.gap_budget,
+            return Err(DetectError::ApertureLost {
+                usable: health.usable_antennas.len(),
+                needed: 2,
             });
         }
         let eff = effective_weights(front.weights(config), health);
@@ -638,7 +637,14 @@ mod tests {
         let err = SubcarrierAndPathWeighting
             .score_with_health(&profile, &window, &cfg)
             .unwrap_err();
-        assert!(matches!(err, DetectError::DegradedBeyondBudget { .. }));
+        assert_eq!(
+            err,
+            DetectError::ApertureLost {
+                usable: 1,
+                needed: 2
+            }
+        );
+        assert!(err.is_abstention());
     }
 
     #[test]

@@ -9,24 +9,6 @@
 use mpdf_rfmath::stats::variance;
 use mpdf_wifi::csi::CsiPacket;
 
-/// Motion score configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MotionDetectorConfig {
-    /// Packets per variance window.
-    pub window: usize,
-    /// Detection threshold on the mean subcarrier variance (dB²).
-    pub threshold: f64,
-}
-
-impl Default for MotionDetectorConfig {
-    fn default() -> Self {
-        MotionDetectorConfig {
-            window: 25,
-            threshold: 0.5,
-        }
-    }
-}
-
 /// Mean per-subcarrier RSS variance (dB²) within a packet window — the
 /// motion feature.
 ///
@@ -51,17 +33,6 @@ pub fn motion_score(window: &[CsiPacket]) -> f64 {
         total += variance(&series);
     }
     total / subcarriers as f64
-}
-
-/// Scores consecutive windows of a capture and flags motion.
-pub fn motion_decisions(packets: &[CsiPacket], config: &MotionDetectorConfig) -> Vec<(f64, bool)> {
-    packets
-        .chunks_exact(config.window)
-        .map(|w| {
-            let s = motion_score(w);
-            (s, s > config.threshold)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -97,17 +68,6 @@ mod tests {
     fn churn_scores_high() {
         let s = motion_score(&churning_packets(20));
         assert!(s > 1.0, "churn score {s}");
-    }
-
-    #[test]
-    fn decisions_flag_motion_windows() {
-        let mut packets = steady_packets(25);
-        packets.extend(churning_packets(25));
-        let cfg = MotionDetectorConfig::default();
-        let d = motion_decisions(&packets, &cfg);
-        assert_eq!(d.len(), 2);
-        assert!(!d[0].1, "steady window misflagged: {:?}", d[0]);
-        assert!(d[1].1, "motion window missed: {:?}", d[1]);
     }
 
     #[test]

@@ -409,19 +409,20 @@ fn run_experiment(name: &str, opts: &Options) -> Result<ExperimentOutput, String
         }
         "fig9" => {
             let r = exp::fig9::run(&opts.cfg).map_err(err)?;
-            let mut rows = vec![vec![
+            // As in the report, the abstention column only when one occurred.
+            let abstained = r.rows.iter().any(|row| row.4 > 0);
+            let mut header: Vec<String> = vec![
                 "distance_m".into(),
                 "baseline".into(),
                 "subcarrier".into(),
                 "combined".into(),
-            ]];
-            for (d, b, s2, c) in &r.rows {
-                rows.push(vec![
-                    d.to_string(),
-                    b.to_string(),
-                    s2.to_string(),
-                    c.to_string(),
-                ]);
+            ];
+            header.extend(abstained.then(|| "abstained".into()));
+            let mut rows = vec![header];
+            for (d, b, s2, c, n) in &r.rows {
+                let mut row = vec![d.to_string(), b.to_string(), s2.to_string(), c.to_string()];
+                row.extend(abstained.then(|| n.to_string()));
+                rows.push(row);
             }
             csvs.push(("fig9_distance".into(), mpdf_eval::report::csv(&rows)));
             exp::fig9::report(&r)
@@ -440,13 +441,15 @@ fn run_experiment(name: &str, opts: &Options) -> Result<ExperimentOutput, String
         }
         "fig11" => {
             let r = exp::fig11::run(&opts.cfg).map_err(err)?;
-            let mut rows = vec![vec![
-                "angle_deg".into(),
-                "subcarrier".into(),
-                "combined".into(),
-            ]];
-            for (a, s2, c) in &r.rows {
-                rows.push(vec![a.to_string(), s2.to_string(), c.to_string()]);
+            let abstained = r.rows.iter().any(|row| row.3 > 0);
+            let mut header: Vec<String> =
+                vec!["angle_deg".into(), "subcarrier".into(), "combined".into()];
+            header.extend(abstained.then(|| "abstained".into()));
+            let mut rows = vec![header];
+            for (a, s2, c, n) in &r.rows {
+                let mut row = vec![a.to_string(), s2.to_string(), c.to_string()];
+                row.extend(abstained.then(|| n.to_string()));
+                rows.push(row);
             }
             csvs.push(("fig11_angles".into(), mpdf_eval::report::csv(&rows)));
             exp::fig11::report(&r)

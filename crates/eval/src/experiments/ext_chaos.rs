@@ -38,7 +38,7 @@ pub struct ChaosRow {
     /// Windows scored through the degradation path (packets lost,
     /// rejected or antenna-reduced).
     pub degraded_windows: usize,
-    /// Windows aborted with [`DetectError::DegradedBeyondBudget`].
+    /// Windows the scheme abstained on ([`DetectError::is_abstention`]).
     pub aborted_windows: usize,
     /// Windows that produced a score.
     pub scored_windows: usize,
@@ -56,9 +56,8 @@ pub struct ExtChaosResult {
 /// Runs the chaos sweep.
 ///
 /// # Errors
-/// Propagates pipeline errors other than the expected
-/// [`DetectError::DegradedBeyondBudget`] aborts and fully-lost
-/// ([`DetectError::EmptyWindow`]) windows.
+/// Propagates pipeline errors other than the expected abstentions
+/// ([`DetectError::is_abstention`]).
 pub fn run(cfg: &CampaignConfig) -> Result<ExtChaosResult, DetectError> {
     let _stage = mpdf_obs::stage!("eval.ext_chaos");
     let cases = five_cases();

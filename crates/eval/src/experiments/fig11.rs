@@ -4,24 +4,24 @@
 //! path weighting helps most at large angles (NLOS directions), while
 //! the gain near the LOS direction (0°) is marginal.
 
-use mpdf_core::scheme::{
-    DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
-};
+use mpdf_core::scheme::{SubcarrierAndPathWeighting, SubcarrierWeighting};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
 use mpdf_wifi::receiver::Actor;
 
 use crate::metrics::detection_rate;
 use crate::scenario::{angle_fan_positions, five_cases};
-use crate::workload::{case_receiver, CampaignConfig};
+use crate::workload::{case_receiver, score_window, CampaignConfig};
 
 use super::fig7::{run_campaign_scores, CampaignScores};
 
 /// Detection rate by angle for the two weighted schemes.
 #[derive(Debug, Clone)]
 pub struct Fig11Result {
-    /// Rows of `(angle°, subcarrier-only, subcarrier+path)`.
-    pub rows: Vec<(f64, f64, f64)>,
+    /// Rows of `(angle°, subcarrier-only, subcarrier+path, abstained)`;
+    /// `abstained` counts the scheme scores left out of the row's rates
+    /// because the scheme abstained on the window (a faulted run).
+    pub rows: Vec<(f64, f64, f64, usize)>,
     /// Mean gain of path weighting at |angle| ≥ 45°.
     pub gain_large_angles: f64,
     /// Mean gain of path weighting at |angle| ≤ 15°.
@@ -31,7 +31,7 @@ pub struct Fig11Result {
 /// Runs Fig. 11 on the 4 m classroom link at 1.5 m radius.
 ///
 /// # Errors
-/// Propagates pipeline errors.
+/// Propagates pipeline errors other than abstentions.
 pub fn run(cfg: &CampaignConfig) -> Result<Fig11Result, mpdf_core::error::DetectError> {
     let shared = run_campaign_scores(cfg)?;
     let thr_s = CampaignScores::balanced_threshold(&shared.subcarrier);
@@ -45,8 +45,8 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig11Result, mpdf_core::error::Detect
     let fan: Vec<f64> = (-6..=6).map(|i| i as f64 * 15.0).collect();
     let mut rows = Vec::new();
     for (angle, pos) in angle_fan_positions(case, 1.5, &fan) {
-        let mut s_scores = Vec::new();
-        let mut c_scores = Vec::new();
+        let mut scores: [Vec<f64>; 2] = Default::default();
+        let mut abstained = 0;
         for _ in 0..cfg.episodes_per_position.max(3) {
             receiver.resample_drift();
             let sway = StaticSway::new(pos, cfg.sway_amplitude);
@@ -55,23 +55,33 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig11Result, mpdf_core::error::Detect
                 trajectory: &sway,
             }];
             let window = receiver.capture_actors(&actors, cfg.detector.window)?;
-            let prepared = PreparedWindow::new(&profile, &window, &cfg.detector);
-            s_scores.push(SubcarrierWeighting.score_prepared(&prepared)?.0);
-            c_scores.push(SubcarrierAndPathWeighting.score_prepared(&prepared)?.0);
+            let scored = score_window(
+                [&SubcarrierWeighting, &SubcarrierAndPathWeighting],
+                &profile,
+                &window,
+                &cfg.detector,
+            );
+            for (scores, score) in scores.iter_mut().zip(scored) {
+                match score? {
+                    Some(score) => scores.push(score),
+                    None => abstained += 1,
+                }
+            }
         }
         rows.push((
             angle,
-            detection_rate(&s_scores, thr_s),
-            detection_rate(&c_scores, thr_c),
+            detection_rate(&scores[0], thr_s),
+            detection_rate(&scores[1], thr_c),
+            abstained,
         ));
     }
 
     let mean_gain = |pred: &dyn Fn(f64) -> bool| -> f64 {
-        let sel: Vec<&(f64, f64, f64)> = rows.iter().filter(|(a, ..)| pred(*a)).collect();
+        let sel: Vec<_> = rows.iter().filter(|(a, ..)| pred(*a)).collect();
         if sel.is_empty() {
             return 0.0;
         }
-        sel.iter().map(|(_, s, c)| c - s).sum::<f64>() / sel.len() as f64
+        sel.iter().map(|(_, s, c, _)| c - s).sum::<f64>() / sel.len() as f64
     };
     Ok(Fig11Result {
         gain_large_angles: mean_gain(&|a: f64| a.abs() >= 45.0),
@@ -83,21 +93,25 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig11Result, mpdf_core::error::Detect
 /// Renders the report.
 pub fn report(r: &Fig11Result) -> String {
     let mut out = String::from("Fig. 11 — path weighting gain vs human angle (1.5 m radius)\n");
+    // The abstention column appears only in a run that has one, so a
+    // clean run's table is unchanged.
+    let abstained = r.rows.iter().any(|row| row.3 > 0);
     let rows: Vec<Vec<String>> = r
         .rows
         .iter()
-        .map(|(a, s, c)| {
-            vec![
+        .map(|(a, s, c, n)| {
+            let mut row = vec![
                 format!("{a:.0}°"),
                 crate::report::pct(*s),
                 crate::report::pct(*c),
-            ]
+            ];
+            row.extend(abstained.then(|| n.to_string()));
+            row
         })
         .collect();
-    out.push_str(&crate::report::table(
-        &["angle", "subcarrier", "sub+path"],
-        &rows,
-    ));
+    let mut header = vec!["angle", "subcarrier", "sub+path"];
+    header.extend(abstained.then_some("abstained"));
+    out.push_str(&crate::report::table(&header, &rows));
     out.push_str(&format!(
         "mean path-weighting gain: {:.1} pts at |angle|≥45°, {:.1} pts at |angle|≤15°\n",
         100.0 * r.gain_large_angles,

@@ -5,24 +5,23 @@
 //! humans — roughly doubling the usable detection range at a 90 %
 //! detection-rate requirement.
 
-use mpdf_core::scheme::{
-    Baseline, DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
-};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
 use mpdf_wifi::receiver::Actor;
 
 use crate::metrics::detection_rate;
 use crate::scenario::{distance_ring_positions, five_cases};
-use crate::workload::{case_receiver, CampaignConfig};
+use crate::workload::{case_receiver, score_window, CampaignConfig, PAPER_SCHEMES};
 
 use super::fig7::{run_campaign_scores, CampaignScores};
 
 /// Detection rates per distance bin.
 #[derive(Debug, Clone)]
 pub struct Fig9Result {
-    /// Rows of `(distance m, baseline, subcarrier, combined)`.
-    pub rows: Vec<(f64, f64, f64, f64)>,
+    /// Rows of `(distance m, baseline, subcarrier, combined, abstained)`;
+    /// `abstained` counts the scheme scores left out of the row's rates
+    /// because the scheme abstained on the window (a faulted run).
+    pub rows: Vec<(f64, f64, f64, f64, usize)>,
     /// Largest distance at which each scheme still reaches 90 %:
     /// `(baseline, subcarrier, combined)`.
     pub range_at_90: (f64, f64, f64),
@@ -32,7 +31,7 @@ pub struct Fig9Result {
 /// with the thresholds of the shared Fig. 7 campaign.
 ///
 /// # Errors
-/// Propagates pipeline errors.
+/// Propagates pipeline errors other than abstentions.
 pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectError> {
     let shared = run_campaign_scores(cfg)?;
     let thr_b = CampaignScores::balanced_threshold(&shared.baseline);
@@ -46,11 +45,12 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectE
     picked.sort_by(|a, b| b.link_length().total_cmp(&a.link_length()));
     let picked = &picked[..2];
 
-    /// Scores per distance bin: `(distance, baseline, subcarrier, combined)`.
-    type DistanceBin = (f64, Vec<f64>, Vec<f64>, Vec<f64>);
+    /// Scores per distance bin: `(distance, per-scheme scores in
+    /// PAPER_SCHEMES order, abstentions)`.
+    type DistanceBin = (f64, [Vec<f64>; 3], usize);
     let mut per_distance: Vec<DistanceBin> = distances
         .iter()
-        .map(|&d| (d, Vec::new(), Vec::new(), Vec::new()))
+        .map(|&d| (d, Default::default(), 0))
         .collect();
 
     for case in picked {
@@ -74,25 +74,27 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectE
                 else {
                     continue;
                 };
-                let prepared = PreparedWindow::new(&profile, &window, &cfg.detector);
-                slot.1.push(Baseline.score_prepared(&prepared)?.0);
-                slot.2
-                    .push(SubcarrierWeighting.score_prepared(&prepared)?.0);
-                slot.3
-                    .push(SubcarrierAndPathWeighting.score_prepared(&prepared)?.0);
+                let scored = score_window(PAPER_SCHEMES, &profile, &window, &cfg.detector);
+                for (scores, score) in slot.1.iter_mut().zip(scored) {
+                    match score? {
+                        Some(score) => scores.push(score),
+                        None => slot.2 += 1,
+                    }
+                }
                 let _ = episode;
             }
         }
     }
 
-    let rows: Vec<(f64, f64, f64, f64)> = per_distance
+    let rows: Vec<(f64, f64, f64, f64, usize)> = per_distance
         .iter()
-        .map(|(d, b, s, c)| {
+        .map(|(d, [b, s, c], abstained)| {
             (
                 *d,
                 detection_rate(b, thr_b),
                 detection_rate(s, thr_s),
                 detection_rate(c, thr_c),
+                *abstained,
             )
         })
         .collect();
@@ -115,22 +117,26 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectE
 /// Renders the report.
 pub fn report(r: &Fig9Result) -> String {
     let mut out = String::from("Fig. 9 — detection rate vs distance from the receiver\n");
+    // The abstention column appears only in a run that has one, so a
+    // clean run's table is unchanged.
+    let abstained = r.rows.iter().any(|row| row.4 > 0);
     let rows: Vec<Vec<String>> = r
         .rows
         .iter()
-        .map(|(d, b, s, c)| {
-            vec![
+        .map(|(d, b, s, c, n)| {
+            let mut row = vec![
                 format!("{d:.0} m"),
                 crate::report::pct(*b),
                 crate::report::pct(*s),
                 crate::report::pct(*c),
-            ]
+            ];
+            row.extend(abstained.then(|| n.to_string()));
+            row
         })
         .collect();
-    out.push_str(&crate::report::table(
-        &["distance", "baseline", "subcarrier", "sub+path"],
-        &rows,
-    ));
+    let mut header = vec!["distance", "baseline", "subcarrier", "sub+path"];
+    header.extend(abstained.then_some("abstained"));
+    out.push_str(&crate::report::table(&header, &rows));
     out.push_str(&format!(
         "range at ≥90% detection: baseline {:.0} m, subcarrier {:.0} m, sub+path {:.0} m\n",
         r.range_at_90.0, r.range_at_90.1, r.range_at_90.2

@@ -376,15 +376,14 @@ pub(crate) const PAPER_SCHEMES: [&(dyn DetectionScheme + Sync); 3] =
     [&Baseline, &SubcarrierWeighting, &SubcarrierAndPathWeighting];
 
 /// One window's scheme result as the campaign counts it: the result, `None`
-/// for an abstention — a window the gap budget aborted
-/// ([`DetectError::DegradedBeyondBudget`]) or the receiver lost outright
-/// ([`DetectError::EmptyWindow`]) — or any other scheme error.
+/// for an abstention ([`DetectError::is_abstention`]), or any other
+/// scheme error.
 pub(crate) fn scored_or_abstained<T>(
     result: Result<T, DetectError>,
 ) -> Result<Option<T>, DetectError> {
     match result {
         Ok(scored) => Ok(Some(scored)),
-        Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
+        Err(e) if e.is_abstention() => Ok(None),
         Err(e) => Err(e),
     }
 }
@@ -423,10 +422,9 @@ pub fn score_campaign<S: DetectionScheme + Sync>(
 /// ([`PreparedWindow`]), so the front end runs once per window, not once
 /// per scheme.
 ///
-/// Windows that the graceful-degradation path aborts with
-/// [`DegradedBeyondBudget`](DetectError::DegradedBeyondBudget)
-/// — or that the faulty receiver lost outright
-/// ([`EmptyWindow`](DetectError::EmptyWindow)) — are
+/// Windows a scheme abstains on ([`DetectError::is_abstention`]: the
+/// graceful-degradation path aborted them, the faulty receiver lost them
+/// outright, or they kept too few chains for angle estimation) are
 /// skipped: a detector facing a fault burst abstains on that window
 /// rather than failing the whole campaign. Abstentions are counted on
 /// `eval.aborted_windows_total`. Fault-free campaigns never abort, so
@@ -441,7 +439,7 @@ pub fn score_campaign<S: DetectionScheme + Sync>(
 ///
 /// # Errors
 /// Propagates the first scheme error — in scheme order, then window
-/// order — other than gap-budget aborts and lost windows.
+/// order — other than an abstention.
 pub fn score_campaign_schemes<const N: usize>(
     data: &[CaseData],
     schemes: [&(dyn DetectionScheme + Sync); N],

@@ -129,8 +129,9 @@ fn fig7_and_fig8_invariants() {
 fn fig9_invariants() {
     let r = exp::fig9::run(&tiny()).unwrap();
     assert_eq!(r.rows.len(), 5);
-    for (d, b, s, c) in &r.rows {
+    for (d, b, s, c, abstained) in &r.rows {
         assert!(*d >= 1.0 && *d <= 5.0);
+        assert_eq!(*abstained, 0, "a fault-free run never abstains");
         assert_prob(*b, "fig9 baseline");
         assert_prob(*s, "fig9 subcarrier");
         assert_prob(*c, "fig9 combined");
@@ -139,6 +140,23 @@ fn fig9_invariants() {
     for v in [rb, rs, rc] {
         assert!(v == 0.0 || (1.0..=5.0).contains(&v));
     }
+}
+
+#[test]
+fn fig9_and_fig11_abstain_instead_of_failing_under_chaos_faults() {
+    let cfg = CampaignConfig {
+        faults: mpdf_wifi::fault::FaultModel::chaos(),
+        ..tiny()
+    };
+    let fig9 = exp::fig9::run(&cfg).expect("fig9 abstains on unscorable windows");
+    let fig11 = exp::fig11::run(&cfg).expect("fig11 abstains on unscorable windows");
+    let abstained: usize = fig9.rows.iter().map(|r| r.4).sum::<usize>()
+        + fig11.rows.iter().map(|r| r.3).sum::<usize>();
+    assert!(
+        abstained > 0,
+        "the chaos preset leaves some window unscorable"
+    );
+    assert!(exp::fig9::report(&fig9).contains("abstained"));
 }
 
 #[test]
@@ -155,8 +173,9 @@ fn fig10_invariants() {
 fn fig11_invariants() {
     let r = exp::fig11::run(&tiny()).unwrap();
     assert!(r.rows.len() >= 9);
-    for (a, s, c) in &r.rows {
+    for (a, s, c, abstained) in &r.rows {
         assert!(a.abs() <= 90.0);
+        assert_eq!(*abstained, 0, "a fault-free run never abstains");
         assert_prob(*s, "fig11 subcarrier");
         assert_prob(*c, "fig11 combined");
     }

@@ -7,7 +7,8 @@
 //! and resyncing over corrupt ones — must perform **zero** heap
 //! allocations. Materializing packets (`to_packet`) allocates, by
 //! design; that cost is measured separately by the `stream/ingest_30sub`
-//! benchmark, not bounded here.
+//! benchmark, not bounded here. Likewise, a stored window whose packet
+//! count its bytes cannot hold is refused before anything is allocated.
 #![cfg(feature = "alloc-profile")]
 
 use mpdf_obs::allocs::{self, CountingAllocator, StageScope};
@@ -80,4 +81,23 @@ fn splitting_and_validating_frames_allocates_nothing() {
         0,
         "frame splitting/validation must not touch the heap"
     );
+}
+
+#[test]
+fn a_window_count_the_bytes_cannot_hold_allocates_nothing() {
+    // A stored window declaring u32::MAX packets in front of one real
+    // frame: the decoder must refuse it before sizing the packet vector.
+    let data = vec![Complex64::new(1.0, -1.0); 90];
+    let mut window = u32::MAX.to_le_bytes().to_vec();
+    wire::encode_frame(&CsiPacket::new(3, 30, data, 0, 0.0), 0, &mut window).expect("fits");
+
+    allocs::enable();
+    let refused = {
+        let _scope = StageScope::enter("test.window_count_probe");
+        wire::decode_window(&window).is_err()
+    };
+    allocs::disable();
+
+    assert!(refused);
+    assert_eq!(stage_allocs("test.window_count_probe"), 0);
 }

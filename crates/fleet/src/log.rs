@@ -24,7 +24,7 @@
 //!          crc      u64            8   CRC-64/WE over gen..payload
 //!
 //! snapshot    opaque, defined by the caller (see below)
-//! window      tick u64 ‖ packets u32 ‖ packets as mpdf_wifi::wire frames
+//! window      tick u64 ‖ mpdf_wifi::wire window (packets u32 ‖ frames)
 //! shape fault tick u64 ‖ got antennas u64 ‖ got subcarriers u64
 //! ```
 //!
@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use mpdf_wifi::csi::CsiPacket;
-use mpdf_wifi::wire::{self, WireError, WireRecord};
+use mpdf_wifi::wire::{self, WireError};
 
 /// Shard-log file magic.
 pub const LOG_MAGIC: &[u8; 4] = b"MPSL";
@@ -490,7 +490,7 @@ fn read_u64(data: &[u8]) -> u64 {
 
 impl<'a> Record<'a> {
     /// Decodes the payload. Window packets are parsed with the total
-    /// [`WireRecord::parse`], so no payload can panic.
+    /// [`wire::decode_window`], so no payload can panic.
     ///
     /// # Errors
     /// [`LogError::BadRecord`] when the payload does not decode as its
@@ -517,25 +517,18 @@ impl<'a> Record<'a> {
                 })
             }
             RecordKind::Window => {
-                if p.len() < 12 {
+                if p.len() < 8 {
                     return Err(bad(format!("window payload of {} bytes", p.len())));
                 }
-                let tick = read_u64(p);
-                let count = u32::from_le_bytes([p[8], p[9], p[10], p[11]]) as usize;
-                let mut rest = &p[12..];
-                // Each frame is at least a wire header, so a corrupt count
-                // cannot request more than the payload can hold.
-                let mut packets = Vec::with_capacity(count.min(rest.len() / wire::HEADER_LEN));
-                for i in 0..count {
-                    let frame =
-                        WireRecord::parse(rest).map_err(|e| bad(format!("packet {i}: {e}")))?;
-                    packets.push(frame.to_packet());
-                    rest = &rest[frame.frame_len()..];
+                let (packets, used) =
+                    wire::decode_window(&p[8..]).map_err(|e| bad(e.to_string()))?;
+                if 8 + used != p.len() {
+                    return Err(bad(format!("{} trailing bytes", p.len() - 8 - used)));
                 }
-                if !rest.is_empty() {
-                    return Err(bad(format!("{} trailing bytes", rest.len())));
-                }
-                Ok(Entry::Window { tick, packets })
+                Ok(Entry::Window {
+                    tick: read_u64(p),
+                    packets,
+                })
             }
         }
     }
@@ -890,26 +883,21 @@ impl<IO: LogIo> ShardLog<IO> {
         self.stage(link, RecordKind::Snapshot, write)
     }
 
-    /// Stages a window record: the tick and the packets as wire frames.
+    /// Stages a window record: the tick, then the packets as a wire
+    /// window ([`wire::encode_window`]).
     ///
     /// # Errors
-    /// [`LogError::Wire`] for a packet shape the wire header cannot
-    /// carry, [`LogError::TooLarge`]; nothing is staged on error.
+    /// [`LogError::Wire`] for a window the wire cannot carry,
+    /// [`LogError::TooLarge`]; nothing is staged on error.
     pub fn stage_window(
         &mut self,
         link: u64,
         tick: u64,
         packets: &[CsiPacket],
     ) -> Result<(), LogError> {
-        let count =
-            u32::try_from(packets.len()).map_err(|_| LogError::TooLarge { len: packets.len() })?;
         self.stage(link, RecordKind::Window, |out| {
             out.extend_from_slice(&tick.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-            for p in packets {
-                wire::encode_frame(p, 0, out)?;
-            }
-            Ok(())
+            Ok(wire::encode_window(packets, out)?)
         })
     }
 

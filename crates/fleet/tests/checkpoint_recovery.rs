@@ -166,11 +166,12 @@ fn a_missing_checkpoint_opens_empty_not_a_panic() {
     remove(&path);
 }
 
-/// A checkpoint as builds before the one-link log wrote it: the `MPSC`
-/// image (format v2) followed by its CRC-64 trailer.
+/// A checkpoint as builds before the one-link log wrote it: an `MPSC`
+/// image stamped format v2, followed by its CRC-64 trailer.
 fn mpsc_v2_checkpoint(snapshot: &SessionSnapshot) -> Vec<u8> {
     let mut file = Vec::new();
     encode_image_into(&snapshot.into(), &mut file).unwrap();
+    file[4..6].copy_from_slice(&2u16.to_le_bytes());
     assert_eq!(&file[..6], b"MPSC\x02\x00");
     let trailer = crc64(&file);
     file.extend_from_slice(&trailer.to_le_bytes());

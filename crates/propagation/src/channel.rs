@@ -366,18 +366,6 @@ impl ChannelSnapshot {
     pub fn power(&self, f: f64) -> f64 {
         self.cfr_at(f, Vec2::ZERO).norm_sqr()
     }
-
-    /// Arrival angles (radians, global frame) and amplitude factors of all
-    /// paths — ground truth for angle-estimation experiments (Fig. 10).
-    pub fn arrival_angles(&self) -> Vec<(f64, f64)> {
-        self.paths
-            .iter()
-            .filter_map(|p| {
-                p.arrival_direction()
-                    .map(|u| (u.angle(), p.amplitude_factor()))
-            })
-            .collect()
-    }
 }
 
 /// The CFR terms of a link's static paths that no person can change,
@@ -717,14 +705,5 @@ mod tests {
         let mut out = vec![Complex64::ONE];
         model.synthesize_into(&table, &[HumanBody::new(p(4.0, 3.0))], &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn arrival_angles_include_los_direction() {
-        let snap = link().snapshot(None).unwrap();
-        let angles = snap.arrival_angles();
-        // LOS arrives travelling in +x: angle ≈ 0.
-        assert!(angles.iter().any(|&(a, _)| a.abs() < 1e-9));
-        assert_eq!(angles.len(), snap.paths().len());
     }
 }

@@ -189,49 +189,6 @@ pub fn nudft_at_delay(h_f: &[Complex64], freqs_hz: &[f64], tau: f64) -> Complex6
         / k
 }
 
-/// Power-delay profile on a uniform delay grid from non-uniform CFR
-/// samples: `|ĥ(τ_m)|²` for `τ_m = m·Δτ`, `m = 0..bins`.
-///
-/// The delay grid is uniform, so each frequency's phasor advances by a
-/// constant step `e^{2πi f·Δτ}` per bin: one `cis` per frequency up
-/// front, then a multiply per (bin, frequency) — instead of a fresh
-/// trig evaluation for every pair.
-///
-/// # Panics
-/// Panics if `h_f` and `freqs_hz` have different lengths, or if `h_f` is
-/// empty while `bins > 0`.
-pub fn delay_power_profile(
-    h_f: &[Complex64],
-    freqs_hz: &[f64],
-    delta_tau: f64,
-    bins: usize,
-) -> Vec<f64> {
-    assert_eq!(
-        h_f.len(),
-        freqs_hz.len(),
-        "CFR samples and frequency grid must have equal length"
-    );
-    if bins == 0 {
-        return Vec::new();
-    }
-    assert!(!h_f.is_empty(), "CFR must be non-empty");
-    let k = h_f.len() as f64;
-    let steps: Vec<Complex64> = freqs_hz
-        .iter()
-        .map(|&f| Complex64::cis(2.0 * PI * f * delta_tau))
-        .collect();
-    let mut rotated: Vec<Complex64> = h_f.to_vec();
-    let mut out = Vec::with_capacity(bins);
-    for _ in 0..bins {
-        let acc = rotated.iter().copied().sum::<Complex64>() / k;
-        out.push(acc.norm_sqr());
-        for (h, s) in rotated.iter_mut().zip(&steps) {
-            *h *= *s;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,61 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn delay_profile_peaks_at_path_delay() {
-        // Two paths; profile evaluated on a 10 ns grid should have its
-        // global maximum at the stronger (first) path. A wide synthetic
-        // bandwidth (300 MHz) makes the 60 ns separation resolvable — on
-        // the 20 MHz WiFi grid it would not be, which is exactly why the
-        // paper falls back to the dominant-tap approximation.
-        let freqs: Vec<f64> = (0..30).map(|i| i as f64 * 10e6).collect();
-        let tau1 = 0.0;
-        let tau2 = 60e-9;
-        let h: Vec<Complex64> = freqs
-            .iter()
-            .map(|&f| {
-                Complex64::cis(-2.0 * PI * f * tau1) + Complex64::cis(-2.0 * PI * f * tau2) * 0.4
-            })
-            .collect();
-        // Stay inside one unambiguous delay range: 10 MHz spacing aliases
-        // with period 100 ns, so only scan bins 0..9.
-        let profile = delay_power_profile(&h, &freqs, 10e-9, 10);
-        let argmax = profile
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        assert_eq!(argmax, 0, "profile: {profile:?}");
-    }
-
-    #[test]
     #[should_panic(expected = "equal length")]
     fn nudft_length_mismatch_panics() {
         nudft_at_delay(&[Complex64::ONE], &[1.0, 2.0], 0.0);
-    }
-
-    #[test]
-    fn delay_profile_recurrence_matches_direct_nudft() {
-        let freqs: Vec<f64> = (0..30)
-            .map(|i| 2.462e9 + (i as f64 - 15.0) * 312.5e3)
-            .collect();
-        let h: Vec<Complex64> = freqs
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| Complex64::cis(-2.0 * PI * f * 35e-9) * (1.0 + 0.02 * i as f64))
-            .collect();
-        let profile = delay_power_profile(&h, &freqs, 5e-9, 24);
-        for (m, &p) in profile.iter().enumerate() {
-            let direct = nudft_at_delay(&h, &freqs, m as f64 * 5e-9).norm_sqr();
-            assert!(
-                (p - direct).abs() <= 1e-9 * direct.max(1.0),
-                "bin {m}: recurrence {p} vs direct {direct}"
-            );
-        }
-    }
-
-    #[test]
-    fn delay_profile_zero_bins_is_empty() {
-        assert!(delay_power_profile(&[Complex64::ONE], &[1.0], 1e-9, 0).is_empty());
     }
 }

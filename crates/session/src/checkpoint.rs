@@ -20,8 +20,11 @@
 //! static spectrum — path weights are *re-derived* at restore, which is
 //! bit-identical arithmetic), the HMM parameters and carried posterior,
 //! the sentinel snapshot, supervision state (mode, retries, backoff,
-//! watchdog strikes), and the reservoir + shadow packet windows in the
-//! `mpdf_wifi::trace` per-packet encoding.
+//! watchdog strikes), and the reservoir + shadow packet windows, each a
+//! `u32` window count followed by that many `mpdf_wifi::wire` windows
+//! (a `u32` packet count, then one wire frame per packet). Version 2
+//! images stored their packets in a layout of their own and are refused
+//! as [`CheckpointError::UnsupportedVersion`].
 //!
 //! This module is the codec only. [`encode_image_into`] appends an
 //! image to any buffer and [`decode_image`] decodes one whose integrity
@@ -41,6 +44,7 @@ use mpdf_music::music::Pseudospectrum;
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::csi::CsiPacket;
+use mpdf_wifi::wire::{self, WireError};
 
 use crate::runtime::{SessionMode, SessionSnapshot};
 use crate::sentinel::{DriftState, SentinelSnapshot};
@@ -48,7 +52,7 @@ use crate::sentinel::{DriftState, SentinelSnapshot};
 /// Image magic.
 pub const MAGIC: &[u8; 4] = b"MPSC";
 /// Current image format version.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Errors produced when encoding or decoding an image.
 #[derive(Debug)]
@@ -74,6 +78,9 @@ pub enum CheckpointError {
         /// Largest length the field can represent.
         max: u64,
     },
+    /// Encode-side: a retained window cannot be wire-encoded (a packet
+    /// shape the frame header's `u8` fields cannot carry).
+    Wire(WireError),
 }
 
 impl fmt::Display for CheckpointError {
@@ -90,6 +97,7 @@ impl fmt::Display for CheckpointError {
                 f,
                 "cannot checkpoint {what}: {len} entries exceed the format's limit of {max}"
             ),
+            CheckpointError::Wire(e) => write!(f, "cannot checkpoint a packet window: {e}"),
         }
     }
 }
@@ -98,6 +106,7 @@ impl Error for CheckpointError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CheckpointError::Invalid(e) => Some(e),
+            CheckpointError::Wire(e) => Some(e),
             _ => None,
         }
     }
@@ -128,34 +137,10 @@ fn len_u16(what: &'static str, len: usize) -> Result<u16, CheckpointError> {
     })
 }
 
-fn put_packets(
-    buf: &mut Vec<u8>,
-    windows: &[Vec<CsiPacket>],
-    antennas: usize,
-    subcarriers: usize,
-) -> Result<(), CheckpointError> {
+fn put_windows(buf: &mut Vec<u8>, windows: &[Vec<CsiPacket>]) -> Result<(), CheckpointError> {
     buf.extend_from_slice(&len_u32("packet windows", windows.len())?.to_le_bytes());
     for w in windows {
-        buf.extend_from_slice(&len_u32("packets in a window", w.len())?.to_le_bytes());
-        for p in w {
-            debug_assert!(
-                p.antennas() == antennas && p.subcarriers() == subcarriers,
-                "checkpointed packet shape diverges from profile"
-            );
-            buf.extend_from_slice(&p.seq.to_le_bytes());
-            buf.extend_from_slice(&p.timestamp.to_le_bytes());
-            // Each row is written into space sized up front: one length
-            // check per row instead of two per entry.
-            for a in 0..antennas {
-                let row = &p.antenna_row(a)[..subcarriers];
-                let start = buf.len();
-                buf.resize(start + 16 * row.len(), 0);
-                for (dst, z) in buf[start..].chunks_exact_mut(16).zip(row) {
-                    dst[..8].copy_from_slice(&z.re.to_le_bytes());
-                    dst[8..].copy_from_slice(&z.im.to_le_bytes());
-                }
-            }
-        }
+        wire::encode_window(w, buf).map_err(CheckpointError::Wire)?;
     }
     Ok(())
 }
@@ -209,12 +194,14 @@ const IMAGE_HEADER: usize = 4 + 2 + 8;
 ///
 /// All packet windows must share the profile's `(antennas,
 /// subcarriers)` shape — the runtime guarantees this (every window
-/// passed shape validation before being retained).
+/// passed shape validation before being retained), and the decoder
+/// refuses an image that breaks it.
 ///
 /// # Errors
 /// [`CheckpointError::TooLarge`] when a collection exceeds its length
-/// field's range (the format caps shapes at `u16` and window/packet
-/// counts at `u32`). `out` is left as it was.
+/// field's range (the format caps the profile shape at `u16` and
+/// window/packet counts at `u32`), [`CheckpointError::Wire`] for a
+/// packet shape a wire frame cannot carry. `out` is left as it was.
 pub fn encode_image_into(
     parts: &SnapshotParts<'_>,
     out: &mut Vec<u8>,
@@ -234,7 +221,7 @@ fn put_image(
 ) -> Result<(), CheckpointError> {
     let antennas = snapshot.profile.antennas();
     let subcarriers = snapshot.profile.subcarriers();
-    let packet_bytes = 16 + antennas * subcarriers * 16;
+    let packet_bytes = wire::HEADER_LEN + antennas * subcarriers * 16;
     let packets: usize = snapshot
         .reservoir
         .iter()
@@ -308,8 +295,8 @@ fn put_image(
     payload.extend_from_slice(&snapshot.watchdog_strikes.to_le_bytes());
 
     // Packet windows.
-    put_packets(payload, snapshot.reservoir, antennas, subcarriers)?;
-    put_packets(payload, snapshot.shadow, antennas, subcarriers)?;
+    put_windows(payload, snapshot.reservoir)?;
+    put_windows(payload, snapshot.shadow)?;
 
     let len = (payload.len() - start - IMAGE_HEADER) as u64;
     payload[start + IMAGE_HEADER - 8..start + IMAGE_HEADER].copy_from_slice(&len.to_le_bytes());
@@ -364,47 +351,38 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes 8 little-endian bytes (callers pass exactly 8).
-fn f64_le(bytes: &[u8]) -> f64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(bytes);
-    f64::from_le_bytes(raw)
-}
-
-fn read_windows(
+/// Reads a window count and that many wire windows, each of whose
+/// packets must have the profile's `shape`.
+fn get_windows(
     r: &mut Reader<'_>,
-    antennas: usize,
-    subcarriers: usize,
+    shape: (usize, usize),
 ) -> Result<Vec<Vec<CsiPacket>>, CheckpointError> {
     let count = r.u32()? as usize;
-    // Each window needs at least one length field; a count larger than
+    // Each window needs at least its packet count; a count larger than
     // the remaining bytes is corruption, not an allocation request.
-    if count > r.buf.len() {
+    if count.saturating_mul(4) > r.buf.len() {
         return Err(CheckpointError::Truncated);
     }
     let mut windows = Vec::with_capacity(count);
-    for _ in 0..count {
-        let n = r.u32()? as usize;
-        let entry_bytes = antennas * subcarriers * 16;
-        let per_packet = 16 + entry_bytes;
-        if n.saturating_mul(per_packet) > r.buf.len() {
-            return Err(CheckpointError::Truncated);
+    for i in 0..count {
+        let (window, used) = wire::decode_window(r.buf).map_err(|e| match e {
+            WireError::Truncated { .. } => CheckpointError::Truncated,
+            e => CheckpointError::Corrupt(format!("window {i}: {e}")),
+        })?;
+        if let Some(p) = window
+            .iter()
+            .find(|p| (p.antennas(), p.subcarriers()) != shape)
+        {
+            return Err(CheckpointError::Corrupt(format!(
+                "window {i} holds a {}×{} packet, the profile is {}×{}",
+                p.antennas(),
+                p.subcarriers(),
+                shape.0,
+                shape.1
+            )));
         }
-        let mut w = Vec::with_capacity(n);
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let timestamp = r.f64()?;
-            let data = r
-                .take(entry_bytes)?
-                .chunks_exact(16)
-                .map(|z| {
-                    let (re, im) = z.split_at(8);
-                    Complex64::new(f64_le(re), f64_le(im))
-                })
-                .collect();
-            w.push(CsiPacket::new(antennas, subcarriers, data, seq, timestamp));
-        }
-        windows.push(w);
+        r.take(used)?;
+        windows.push(window);
     }
     Ok(windows)
 }
@@ -550,8 +528,8 @@ pub fn decode_image(
     let backoff_remaining = r.u64()?;
     let watchdog_strikes = r.u32()?;
 
-    let reservoir = read_windows(&mut r, antennas, subcarriers)?;
-    let shadow = read_windows(&mut r, antennas, subcarriers)?;
+    let reservoir = get_windows(&mut r, (antennas, subcarriers))?;
+    let shadow = get_windows(&mut r, (antennas, subcarriers))?;
     if !r.buf.is_empty() {
         return Err(CheckpointError::Corrupt(format!(
             "{} trailing bytes after payload",
@@ -665,10 +643,40 @@ mod tests {
             edited(4, 9),
             Err(CheckpointError::UnsupportedVersion(9))
         ));
-        assert!(matches!(
-            edited(4, 1),
-            Err(CheckpointError::UnsupportedVersion(1))
-        ));
+        // Version 2 stored its packets in a layout of its own.
+        for old in [1, 2] {
+            assert!(matches!(
+                edited(4, old),
+                Err(CheckpointError::UnsupportedVersion(v)) if v == u16::from(old)
+            ));
+        }
+    }
+
+    #[test]
+    fn a_window_packet_whose_shape_disagrees_with_the_profile_is_corrupt() {
+        let mut snap = runtime().snapshot();
+        assert!(
+            !snap.reservoir[0].is_empty(),
+            "calibration seeds the reservoir"
+        );
+        snap.reservoir[0][0] = snap.reservoir[0][0].select_antennas(&[0, 1]);
+        let err = decode_image(&image(&snap), &DetectorConfig::default()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("2×30"), "{err}");
+    }
+
+    #[test]
+    fn a_packet_the_wire_cannot_carry_is_a_typed_encode_error() {
+        let mut snap = runtime().snapshot();
+        let wide = CsiPacket::new(1, 300, vec![Complex64::ZERO; 300], 0, 0.0);
+        snap.shadow = vec![vec![wide]];
+        let mut out = b"kept".to_vec();
+        let err = encode_image_into(&(&snap).into(), &mut out).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Wire(WireError::ShapeTooLarge { .. })),
+            "{err}"
+        );
+        assert_eq!(out, b"kept");
     }
 
     #[test]

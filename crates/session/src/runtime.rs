@@ -395,8 +395,8 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
     ///
     /// # Errors
     /// Unexpected pipeline errors only (shape mismatches, angle
-    /// estimation failures). Gap-budget aborts and fully-lost windows
-    /// abstain instead of erroring.
+    /// estimation failures). Abstentions
+    /// ([`DetectError::is_abstention`]) abstain instead of erroring.
     pub fn step(&mut self, window: &[CsiPacket]) -> Result<SessionDecision, DetectError> {
         let _stage = mpdf_obs::stage!("session.step");
         mpdf_obs::trajectory::tick();
@@ -410,7 +410,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                 self.watchdog_strikes = 0;
                 Some(d)
             }
-            Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => {
+            Err(e) if e.is_abstention() => {
                 self.watchdog_strikes += 1;
                 mpdf_obs::counter!("session.abstained_total").inc();
                 if self.watchdog_strikes >= self.session.watchdog_budget
@@ -521,12 +521,14 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                     new_threshold: threshold,
                 })
             }
-            Err(
-                err @ (DetectError::RecalibrationRejected { .. }
-                | DetectError::InsufficientCalibration { .. }
-                | DetectError::EmptyWindow
-                | DetectError::DegradedBeyondBudget { .. }),
-            ) => {
+            Err(err)
+                if err.is_abstention()
+                    || matches!(
+                        err,
+                        DetectError::RecalibrationRejected { .. }
+                            | DetectError::InsufficientCalibration { .. }
+                    ) =>
+            {
                 // Bounded retry with window-counted exponential backoff.
                 mpdf_obs::counter!("session.recal_rejected_total").inc();
                 self.retries += 1;
@@ -591,7 +593,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                         fired += 1;
                     }
                 }
-                Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => {}
+                Err(e) if e.is_abstention() => {}
                 Err(e) => return Err(e),
             }
         }

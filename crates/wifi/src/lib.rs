@@ -13,9 +13,9 @@
 //!   Ok / Degraded / Reject before it reaches the detector.
 //! - [`sanitize`] — linear-phase calibration (the paper's \[26\]).
 //! - [`receiver`] — the 50 pkt/s campaign driver, fully seeded.
-//! - [`trace`] — versioned binary capture files for record/replay.
-//! - [`wire`] — the streaming wire codec: zero-copy frame decoding with
-//!   typed errors and resync, for untrusted socket-shaped byte streams.
+//! - [`wire`] — the one CSI packet codec: zero-copy frame decoding with
+//!   typed errors and resync, for untrusted socket-shaped byte streams,
+//!   capture files and stored windows.
 //!
 //! ```
 //! use mpdf_geom::shapes::Rect;
@@ -45,7 +45,6 @@ pub mod impairments;
 pub mod quarantine;
 pub mod receiver;
 pub mod sanitize;
-pub mod trace;
 pub mod wire;
 
 pub use array::UniformLinearArray;

@@ -39,10 +39,16 @@
 //!
 //! `len` is always `20 + 16·antennas·subcarriers`; the decoder rejects
 //! any frame whose declared length disagrees with its declared shape, so
-//! a corrupt length field can never request an unbounded read. Unlike
-//! the capture-file format ([`crate::trace`]) there is no stream-level
-//! header: every frame is self-describing, so a receiver can join a
-//! stream mid-flight and lock on at the next sync byte.
+//! a corrupt length field can never request an unbounded read. There is
+//! no stream-level header: every frame is self-describing, so a receiver
+//! can join a stream mid-flight and lock on at the next sync byte.
+//!
+//! The frame is the only byte layout of a [`CsiPacket`] in the
+//! workspace. A capture file is a plain frame stream ([`encode_stream`]
+//! writes it, [`drain_frames`] reads it back), and a stored window —
+//! a shard-log window record, a session image's reservoir and shadow
+//! windows — is a `u32` packet count followed by that many frames
+//! ([`encode_window`] / [`decode_window`]).
 
 use std::error::Error;
 use std::fmt;
@@ -102,6 +108,12 @@ pub enum WireError {
         /// Packet subcarrier count.
         subcarriers: usize,
     },
+    /// Encode-side: a window holds more packets than its `u32` count
+    /// field can carry.
+    WindowTooLarge {
+        /// Packets in the window.
+        packets: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -128,6 +140,9 @@ impl fmt::Display for WireError {
                 f,
                 "packet shape {antennas}×{subcarriers} exceeds the wire header's u8 dimensions"
             ),
+            WireError::WindowTooLarge { packets } => {
+                write!(f, "window of {packets} packets exceeds the u32 count field")
+            }
         }
     }
 }
@@ -281,15 +296,11 @@ impl<'a> WireRecord<'a> {
     /// Materializes the frame as an owned [`CsiPacket`] (the one
     /// allocation on the ingest path, paid only for accepted frames).
     pub fn to_packet(&self) -> CsiPacket {
-        let n = self.antennas as usize * self.subcarriers as usize;
-        let mut data = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = i * 16;
-            data.push(Complex64::new(
-                read_f64_le(self.payload, off),
-                read_f64_le(self.payload, off + 8),
-            ));
-        }
+        let data = self
+            .payload
+            .chunks_exact(16)
+            .map(|z| Complex64::new(read_f64_le(z, 0), read_f64_le(z, 8)))
+            .collect();
         CsiPacket::new(
             self.antennas as usize,
             self.subcarriers as usize,
@@ -336,10 +347,15 @@ pub fn encode_frame(packet: &CsiPacket, agc: u8, out: &mut Vec<u8>) -> Result<()
     out.push(subcarriers);
     out.push(agc);
     out.push(0);
+    // The payload is written into space sized up front: one length
+    // check per row instead of two per sample.
     for a in 0..packet.antennas() {
-        for z in packet.antenna_row(a) {
-            out.extend_from_slice(&z.re.to_bits().to_le_bytes());
-            out.extend_from_slice(&z.im.to_bits().to_le_bytes());
+        let row = packet.antenna_row(a);
+        let start = out.len();
+        out.resize(start + 16 * row.len(), 0);
+        for (dst, z) in out[start..].chunks_exact_mut(16).zip(row) {
+            dst[..8].copy_from_slice(&z.re.to_bits().to_le_bytes());
+            dst[8..].copy_from_slice(&z.im.to_bits().to_le_bytes());
         }
     }
     Ok(())
@@ -355,6 +371,64 @@ pub fn encode_stream(packets: &[CsiPacket], agc: u8) -> Result<Vec<u8>, WireErro
         encode_frame(p, agc, &mut out)?;
     }
     Ok(out)
+}
+
+/// Appends one stored window to `out`: its packet count as a `u32`,
+/// then each packet as a frame with AGC 0.
+///
+/// # Errors
+/// [`WireError::ShapeTooLarge`] for a packet the header cannot carry,
+/// [`WireError::WindowTooLarge`] for more packets than the count field
+/// holds; `out` is left as it was.
+pub fn encode_window(packets: &[CsiPacket], out: &mut Vec<u8>) -> Result<(), WireError> {
+    let count = u32::try_from(packets.len()).map_err(|_| WireError::WindowTooLarge {
+        packets: packets.len(),
+    })?;
+    let start = out.len();
+    out.extend_from_slice(&count.to_le_bytes());
+    for p in packets {
+        if let Err(e) = encode_frame(p, 0, out) {
+            out.truncate(start);
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// Decodes the stored window at the front of `buf` (see
+/// [`encode_window`]): its packets and the bytes it spans. Total on any
+/// input, and every allocation is bounded by the bytes left: a count
+/// that many frame headers could not fit in is refused before the
+/// packet vector is allocated.
+///
+/// # Errors
+/// The first frame's [`WireError`]. [`WireError::Truncated`] counts
+/// from the start of the window; for a count the bytes cannot hold,
+/// `needed` is the least the declared frames could occupy.
+pub fn decode_window(buf: &[u8]) -> Result<(Vec<CsiPacket>, usize), WireError> {
+    let have = buf.len();
+    if have < 4 {
+        return Err(WireError::Truncated { needed: 4, have });
+    }
+    let count = read_u32_le(buf, 0) as usize;
+    let needed = count.saturating_mul(HEADER_LEN).saturating_add(4);
+    if needed > have {
+        return Err(WireError::Truncated { needed, have });
+    }
+    let mut packets = Vec::with_capacity(count);
+    let mut at = 4;
+    for _ in 0..count {
+        let frame = WireRecord::parse(&buf[at..]).map_err(|e| match e {
+            WireError::Truncated { needed, have } => WireError::Truncated {
+                needed: at + needed,
+                have: at + have,
+            },
+            e => e,
+        })?;
+        packets.push(frame.to_packet());
+        at += frame.frame_len();
+    }
+    Ok((packets, at))
 }
 
 /// One splitter step: a validated frame, or a run of bytes rejected
@@ -648,6 +722,84 @@ mod tests {
     }
 
     #[test]
+    fn capture_round_trip_is_bit_identical() {
+        // A capture file is a frame stream: mixed shapes are fine,
+        // because every frame carries its own.
+        let packets: Vec<CsiPacket> = (0..6).map(|i| packet(i, 1 + i as usize % 3, 30)).collect();
+        let file = encode_stream(&packets, 0).unwrap();
+        let mut decoded = Vec::new();
+        let stats = drain_frames(&file, &mut decoded);
+        assert_eq!(stats.rejects, 0);
+        assert_eq!(stats.consumed, file.len());
+        assert_eq!(decoded.len(), packets.len());
+        for (d, p) in decoded.iter().zip(&packets) {
+            assert!(d.bits_eq(p));
+        }
+    }
+
+    #[test]
+    fn window_is_a_count_then_frames_and_round_trips() {
+        let packets: Vec<CsiPacket> = (0..4).map(|i| packet(i, 3, 30)).collect();
+        let mut buf = b"head".to_vec();
+        encode_window(&packets, &mut buf).unwrap();
+        let window = &buf[4..];
+        assert_eq!(read_u32_le(window, 0), 4);
+        assert_eq!(&window[4..], &encode_stream(&packets, 0).unwrap()[..]);
+        let mut tail = window.to_vec();
+        tail.extend_from_slice(b"next");
+        let (decoded, used) = decode_window(&tail).unwrap();
+        assert_eq!(used, window.len());
+        assert_eq!(decoded.len(), packets.len());
+        for (d, p) in decoded.iter().zip(&packets) {
+            assert!(d.bits_eq(p));
+        }
+        assert_eq!(decode_window(&0u32.to_le_bytes()).unwrap(), (vec![], 4));
+    }
+
+    #[test]
+    fn window_errors_are_typed_and_count_from_the_window_start() {
+        let mut buf = Vec::new();
+        encode_window(&[packet(0, 2, 6), packet(1, 2, 6)], &mut buf).unwrap();
+        for cut in 0..buf.len() {
+            assert!(
+                matches!(
+                    decode_window(&buf[..cut]),
+                    Err(WireError::Truncated { have, .. }) if have == cut
+                ),
+                "cut at {cut}"
+            );
+        }
+        // A count no byte run could hold is refused before the packet
+        // vector is sized from it.
+        let mut hostile = u32::MAX.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&buf[4..]);
+        assert_eq!(
+            decode_window(&hostile).unwrap_err(),
+            WireError::Truncated {
+                needed: 4 + u32::MAX as usize * HEADER_LEN,
+                have: hostile.len()
+            }
+        );
+        let mut bad = buf.clone();
+        bad[4 + 1] = 9;
+        assert_eq!(
+            decode_window(&bad).unwrap_err(),
+            WireError::UnsupportedVersion(9)
+        );
+    }
+
+    #[test]
+    fn a_window_that_cannot_be_encoded_leaves_the_buffer_alone() {
+        let wide = CsiPacket::new(1, 300, vec![Complex64::ZERO; 300], 0, 0.0);
+        let mut out = b"kept".to_vec();
+        assert!(matches!(
+            encode_window(&[packet(0, 2, 6), wide], &mut out),
+            Err(WireError::ShapeTooLarge { .. })
+        ));
+        assert_eq!(out, b"kept");
+    }
+
+    #[test]
     fn decoder_is_total_on_handcrafted_hostile_inputs() {
         // A sync byte followed by a length field claiming u32::MAX must
         // be rejected by the shape/length cross-check, not read past the
@@ -682,6 +834,9 @@ mod tests {
         }
         .to_string()
         .contains("500"));
+        assert!(WireError::WindowTooLarge { packets: 9 }
+            .to_string()
+            .contains("9 packets"));
     }
 }
 

@@ -1,10 +1,12 @@
 //! Record a measurement campaign to a binary capture file, then replay it
 //! through a detector offline — the workflow the paper's MATLAB
 //! post-processing pipeline follows (capture once, analyze many times).
+//! A capture file is a plain stream of `mpdf_wifi::wire` frames, the
+//! same bytes a live receiver would send.
 //!
 //! Run with `cargo run --release --example record_replay [capture.mpdf]`.
 
-use mpdf_wifi::trace::{read_capture, write_capture};
+use mpdf_wifi::wire::{drain_frames, encode_stream};
 use multipath_hd::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,8 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     receiver.resample_drift();
     stream.extend(receiver.capture_static(Some(&person), 50)?); // 2 busy windows
 
-    let file = std::fs::File::create(&path)?;
-    write_capture(std::io::BufWriter::new(file), &stream)?;
+    std::fs::write(&path, encode_stream(&stream, 0)?)?;
     let size = std::fs::metadata(&path)?.len();
     println!(
         "recorded {} packets ({} antennas × {} subcarriers) → {path} ({size} bytes)",
@@ -38,7 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Replay: a fresh process would start here.
-    let packets = read_capture(std::fs::File::open(&path)?)?;
+    let bytes = std::fs::read(&path)?;
+    let mut packets = Vec::new();
+    let stats = drain_frames(&bytes, &mut packets);
+    if stats.rejects > 0 || stats.consumed != bytes.len() {
+        return Err(format!("{path}: not a clean capture ({stats:?})").into());
+    }
     assert_eq!(packets, stream, "capture must round-trip exactly");
     let (calibration, monitoring) = packets.split_at(500);
     let detector = Detector::calibrate(
