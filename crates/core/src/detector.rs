@@ -39,7 +39,8 @@ impl<S: DetectionScheme> Detector<S> {
     ///
     /// # Errors
     /// [`DetectError::InsufficientCalibration`] when the held-out half is
-    /// shorter than one window, plus profile/scheme errors.
+    /// shorter than one window or every held-out window abstained, plus
+    /// profile/scheme errors.
     ///
     /// # Panics
     /// Panics if `target_fp` is outside `(0, 1)`.

@@ -99,15 +99,19 @@ impl MuGrid {
         );
         let h0 = dominant_tap_power(csi_row, &self.freqs_hz);
         out.clear();
-        out.extend(csi_row.iter().zip(&self.split_prefix).map(|(h, &pre)| {
+        out.resize(csi_row.len(), 0.0);
+        for ((mu, h), &pre) in out.iter_mut().zip(csi_row).zip(&self.split_prefix) {
             let p = pre * h0;
             let power = h.norm_sqr();
-            if power <= f64::MIN_POSITIVE {
+            // Divide, then select: the branch-free loop vectorizes, and a
+            // dead tone's quotient is discarded, not used.
+            let ratio = p / power;
+            *mu = if power <= f64::MIN_POSITIVE {
                 0.0
             } else {
-                p / power
-            }
-        }));
+                ratio
+            };
+        }
         contract::assert_non_negative("multipath factors μ (row)", out);
     }
 

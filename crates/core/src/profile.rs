@@ -10,10 +10,15 @@
 //!   linearity argument of §IV-C), from the same estimator the combined
 //!   scheme runs on monitored windows,
 //! - the static angular pseudospectrum and the path weights derived from
-//!   it (Eq. 17).
+//!   it (Eq. 17),
+//! - the tables every monitored window on the calibration's band and
+//!   array reads: the μ_k grid of the band and the steering vectors of
+//!   the scan grid.
+
+use std::borrow::Cow;
 
 use mpdf_music::covariance::forward_backward;
-use mpdf_music::music::{pseudospectrum, AngleGrid, Pseudospectrum, UlaSteering};
+use mpdf_music::music::{pseudospectrum_on, AngleGrid, Pseudospectrum, SteeringTable, UlaSteering};
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::contract;
 use mpdf_rfmath::matrix::CMatrix;
@@ -23,7 +28,12 @@ use mpdf_wifi::quarantine::{classify, PacketClass, QuarantinePolicy};
 use mpdf_wifi::sanitize::{sanitize_packet_with, SanitizeScratch};
 
 use crate::error::DetectError;
+use crate::multipath_factor::MuGrid;
 use crate::path_weight::PathWeights;
+
+/// Most receive chains a profile (and the covariance kernel behind both
+/// sides of the §IV-C comparison) supports; the arrays here have 2–8.
+pub const MAX_CHAINS: usize = 8;
 
 /// Pipeline configuration shared by calibration and monitoring.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +91,11 @@ pub struct CalibrationProfile {
     static_spectrum: Pseudospectrum,
     /// Path weights derived from the static spectrum (Eq. 17).
     path_weights: PathWeights,
+    /// The band calibrated on, and its μ_k grid.
+    band: Band,
+    mu_grid: MuGrid,
+    /// Steering vectors of the calibration's array over its scan grid.
+    steering_table: SteeringTable,
 }
 
 impl CalibrationProfile {
@@ -103,6 +118,7 @@ impl CalibrationProfile {
         }
         let subcarriers = config.band.num_subcarriers();
         let antennas = packets[0].antennas();
+        check_chains(antennas)?;
         for p in packets {
             if p.subcarriers() != subcarriers || p.antennas() != antennas {
                 return Err(DetectError::ShapeMismatch {
@@ -162,10 +178,10 @@ impl CalibrationProfile {
         // Per-subcarrier covariances and the pooled static spectrum: the
         // estimator the combined scheme runs on monitored windows, so
         // both sides of the §IV-C comparison are the same computation.
-        let static_covariances = per_subcarrier_fb_covariances(&sanitized);
+        let static_covariances = fb_covariances(&sanitized);
         let pooled = pool_covariances(&static_covariances, None);
-        let static_spectrum =
-            pseudospectrum(&pooled, &config.steering, config.num_sources, &config.grid)?;
+        let steering_table = SteeringTable::new(&config.steering, &config.grid);
+        let static_spectrum = pseudospectrum_on(&pooled, &steering_table, config.num_sources)?;
         let path_weights = PathWeights::with_gate(
             &static_spectrum,
             config.theta_gate_deg.0,
@@ -180,6 +196,9 @@ impl CalibrationProfile {
             static_covariances,
             static_spectrum,
             path_weights,
+            band: config.band.clone(),
+            mu_grid: MuGrid::new(&config.band.frequencies()),
+            steering_table,
         })
     }
 
@@ -187,13 +206,15 @@ impl CalibrationProfile {
     /// restore).
     ///
     /// The Eq. 17 path weights are re-derived from the stored spectrum
-    /// under `config.theta_gate_deg` — the identical arithmetic
+    /// under `config.theta_gate_deg`, and the μ_k grid and steering table
+    /// are rebuilt from `config` — the identical arithmetic
     /// [`CalibrationProfile::build`] runs — so a restored profile compares
     /// equal to the one that was saved.
     ///
     /// # Errors
     /// [`DetectError::InvalidConfig`] if the part shapes disagree with the
-    /// declared `(antennas, subcarriers)` geometry.
+    /// declared `(antennas, subcarriers)` geometry, or `antennas` exceeds
+    /// [`MAX_CHAINS`].
     pub fn from_parts(
         antennas: usize,
         subcarriers: usize,
@@ -203,6 +224,7 @@ impl CalibrationProfile {
         static_spectrum: Pseudospectrum,
         config: &DetectorConfig,
     ) -> Result<CalibrationProfile, DetectError> {
+        check_chains(antennas)?;
         if static_amplitude.len() != antennas
             || static_amplitude.iter().any(|row| row.len() != subcarriers)
         {
@@ -240,6 +262,9 @@ impl CalibrationProfile {
             static_covariances,
             static_spectrum,
             path_weights,
+            band: config.band.clone(),
+            mu_grid: MuGrid::new(&config.band.frequencies()),
+            steering_table: SteeringTable::new(&config.steering, &config.grid),
         })
     }
 
@@ -283,6 +308,41 @@ impl CalibrationProfile {
     pub fn weighted_static_covariance(&self, weights: Option<&[f64]>) -> CMatrix {
         pool_covariances(&self.static_covariances, weights)
     }
+
+    /// The μ_k grid of `band`: the profile's own when `band` is the band
+    /// it was calibrated on, else one built for `band`.
+    pub fn mu_grid(&self, band: &Band) -> Cow<'_, MuGrid> {
+        if *band == self.band {
+            Cow::Borrowed(&self.mu_grid)
+        } else {
+            Cow::Owned(MuGrid::new(&band.frequencies()))
+        }
+    }
+
+    /// The steering table of `(steering, grid)`: the profile's own when
+    /// it is the calibration's pair, else one built on the spot (a
+    /// window scored on a surviving sub-array pays for its own).
+    pub fn steering_table(
+        &self,
+        steering: &UlaSteering,
+        grid: &AngleGrid,
+    ) -> Cow<'_, SteeringTable> {
+        if self.steering_table.is_for(steering, grid) {
+            Cow::Borrowed(&self.steering_table)
+        } else {
+            Cow::Owned(SteeringTable::new(steering, grid))
+        }
+    }
+}
+
+/// Rejects an array wider than the covariance kernel supports.
+fn check_chains(antennas: usize) -> Result<(), DetectError> {
+    if antennas > MAX_CHAINS {
+        return Err(DetectError::InvalidConfig {
+            what: format!("{antennas} receive chains exceed the supported {MAX_CHAINS}"),
+        });
+    }
+    Ok(())
 }
 
 /// Pools per-subcarrier covariances with optional weights.
@@ -305,97 +365,226 @@ pub fn pool_covariances(covs: &[CMatrix], weights: Option<&[f64]>) -> CMatrix {
         }
         Some(w) => {
             assert_eq!(w.len(), covs.len(), "weight length mismatch");
-            let total: f64 = w.iter().sum();
-            let total = if total.abs() <= f64::MIN_POSITIVE {
-                1.0
-            } else {
-                total
-            };
             for (r, &wk) in covs.iter().zip(w) {
                 acc.axpy(wk, r);
             }
-            acc.scale_in_place(1.0 / total);
+            acc.scale_in_place(1.0 / pool_total(w));
         }
     }
     acc
 }
 
-/// Per-subcarrier forward–backward covariances of a sanitized window —
-/// the one estimator behind both sides of the §IV-C comparison:
-/// [`CalibrationProfile::build`] stores its output for the static scene
-/// and the combined scheme runs it on every monitored window.
+/// Runs `$kernel::<M>($args)` for the window's chain count `M` in
+/// `1..=MAX_CHAINS`.
+macro_rules! by_chains {
+    ($chains:expr, $kernel:ident($($arg:expr),*)) => {
+        match $chains {
+            1 => $kernel::<1>($($arg),*),
+            2 => $kernel::<2>($($arg),*),
+            3 => $kernel::<3>($($arg),*),
+            4 => $kernel::<4>($($arg),*),
+            5 => $kernel::<5>($($arg),*),
+            6 => $kernel::<6>($($arg),*),
+            7 => $kernel::<7>($($arg),*),
+            8 => $kernel::<8>($($arg),*),
+            // lint: allow(no-panic) — profiles wider than MAX_CHAINS are refused at build and from_parts, and windows are shape-checked against their profile
+            m => panic!("{m} receive chains exceed the supported {MAX_CHAINS}"),
+        }
+    };
+}
+
+/// The per-subcarrier sample covariances of a sanitized window, the one
+/// estimator behind both sides of the §IV-C comparison: calls
+/// `finish(k, R_k)` for every subcarrier `k` in order, with
+/// `R_k = (1/N) Σ_n u_n u_nᴴ` over the window's `N` column snapshots
+/// `u_n` of subcarrier `k`.
 ///
-/// One pass over the packets rank-1-updates every subcarrier's
-/// accumulator, so each packet's CSI is read once in row order instead
-/// of one strided column gather per subcarrier. Per subcarrier the
-/// update sequence — `+= u_r·conj(u_c)` in packet order from zero, then
-/// one `1/N` scale — is the arithmetic
-/// [`sample_covariance`](mpdf_music::covariance::sample_covariance) runs
-/// on that subcarrier's column snapshots, so every matrix is bitwise
-/// `forward_backward(sample_covariance(columns))`.
+/// Per subcarrier, one pass over the packets accumulates the upper
+/// triangle `+= u_r·conj(u_c)`, `r ≤ c`, in packet order from zero
+/// ([`upper_triangles`]). The lower triangle is not accumulated: each of
+/// its terms `u_c·conj(u_r)` has the mirrored term's real part and the
+/// exact negation of its imaginary part, so its running sum is the
+/// mirrored sum with the imaginary part subtracted from `+0.0` (which
+/// also gives the `+0.0` an accumulator starting at zero holds where
+/// that sum is zero, where a plain conjugate would give `−0.0`). The
+/// `1/N` scale then runs on every entry. Every `R_k` is therefore
+/// bitwise `sample_covariance` of the subcarrier's column snapshots.
+fn sample_covariances<const M: usize>(
+    window: &[CsiPacket],
+    mut finish: impl FnMut(usize, &[[Complex64; M]; M]),
+) {
+    let subcarriers = window[0].subcarriers();
+    let rows: Vec<[&[Complex64]; M]> = window
+        .iter()
+        .map(|p| std::array::from_fn(|r| &p.antenna_row(r)[..subcarriers]))
+        .collect();
+    let scale = 1.0 / window.len() as f64;
+    let mut emit = |k: usize, upper: &[[Complex64; M]; M]| {
+        let cov: [[Complex64; M]; M] = std::array::from_fn(|r| {
+            std::array::from_fn(|c| {
+                let z = if c >= r {
+                    upper[r][c]
+                } else {
+                    let mirror = upper[c][r];
+                    Complex64::new(mirror.re, 0.0 - mirror.im)
+                };
+                z.scale(scale)
+            })
+        });
+        if cfg!(debug_assertions) {
+            let r = CMatrix::from_rows(M, M, cov.as_flattened());
+            contract::assert_hermitian("sample covariance", &r, 1e-9 * (1.0 + r.trace().norm()));
+        }
+        finish(k, &cov);
+    };
+    let mut k = 0;
+    while k + COVARIANCE_LANES <= subcarriers {
+        upper_triangles::<M, COVARIANCE_LANES>(&rows, k, &mut emit);
+        k += COVARIANCE_LANES;
+    }
+    for k in k..subcarriers {
+        upper_triangles::<M, 1>(&rows, k, &mut emit);
+    }
+}
+
+/// Subcarriers whose triangles [`upper_triangles`] accumulates side by
+/// side; 6 divides the 30-tone grid and measured fastest (6 independent
+/// accumulators per entry keep the adders busy).
+const COVARIANCE_LANES: usize = 6;
+
+/// Accumulates the upper triangles of subcarriers `k..k + L` side by
+/// side, lane `l` holding subcarrier `k + l`, and emits them in order.
+///
+/// Each lane runs, entry by entry and packet by packet from zero, the
+/// arithmetic of `acc += u_r * u_c.conj()` on [`Complex64`]: real part
+/// `u_r.re·u_c.re − u_r.im·(−u_c.im)`, imaginary part
+/// `u_r.re·(−u_c.im) + u_r.im·u_c.re`. Lanes never mix, so each triangle
+/// is bitwise the one subcarrier-at-a-time accumulation would build.
+fn upper_triangles<const M: usize, const L: usize>(
+    rows: &[[&[Complex64]; M]],
+    k: usize,
+    emit: &mut impl FnMut(usize, &[[Complex64; M]; M]),
+) {
+    let mut re = [[[0.0; L]; M]; M];
+    let mut im = [[[0.0; L]; M]; M];
+    for packet in rows {
+        let u_re: [[f64; L]; M] =
+            std::array::from_fn(|r| std::array::from_fn(|l| packet[r][k + l].re));
+        let u_im: [[f64; L]; M] =
+            std::array::from_fn(|r| std::array::from_fn(|l| packet[r][k + l].im));
+        // Plain index loops over the fixed shape unroll and vectorize
+        // across the lanes.
+        #[allow(clippy::needless_range_loop)]
+        for r in 0..M {
+            for c in r..M {
+                for l in 0..L {
+                    re[r][c][l] += u_re[r][l] * u_re[c][l] - u_im[r][l] * (-u_im[c][l]);
+                    im[r][c][l] += u_re[r][l] * (-u_im[c][l]) + u_im[r][l] * u_re[c][l];
+                }
+            }
+        }
+    }
+    for l in 0..L {
+        let upper = std::array::from_fn(|r| {
+            std::array::from_fn(|c| Complex64::new(re[r][c][l], im[r][c][l]))
+        });
+        emit(k + l, &upper);
+    }
+}
+
+/// The normalizer of a weighted pool: `Σw`, or 1 when it vanishes.
+fn pool_total(weights: &[f64]) -> f64 {
+    let total: f64 = weights.iter().sum();
+    if total.abs() <= f64::MIN_POSITIVE {
+        1.0
+    } else {
+        total
+    }
+}
+
+/// Per-subcarrier forward–backward covariances of a sanitized window:
+/// `forward_backward` of each [`sample_covariances`] matrix, the per-
+/// subcarrier matrices [`CalibrationProfile::build`] stores.
 ///
 /// # Panics
-/// Panics if `window` is empty.
-pub(crate) fn per_subcarrier_fb_covariances(window: &[CsiPacket]) -> Vec<CMatrix> {
+/// Panics if `window` is empty or has more than [`MAX_CHAINS`] chains.
+pub(crate) fn fb_covariances(window: &[CsiPacket]) -> Vec<CMatrix> {
+    fn kernel<const M: usize>(window: &[CsiPacket]) -> Vec<CMatrix> {
+        let mut out = Vec::with_capacity(window[0].subcarriers());
+        sample_covariances::<M>(window, |_, cov| {
+            out.push(forward_backward(&CMatrix::from_rows(
+                M,
+                M,
+                cov.as_flattened(),
+            )));
+        });
+        out
+    }
     let _stage = mpdf_obs::stage!("music.covariance");
-    let dim = window[0].antennas();
-    let subcarriers = window[0].subcarriers();
-    let scale = 1.0 / window.len() as f64;
-    let finish = |mut r: CMatrix| {
-        r.scale_in_place(scale);
-        contract::assert_hermitian("sample covariance", &r, 1e-9 * (1.0 + r.trace().norm()));
-        forward_backward(&r)
-    };
-    if dim == 3 {
-        // The paper's 3-chain array: fixed-size accumulators stay in
-        // registers across the packet loop instead of streaming a 30×9
-        // accumulator table through cache per packet.
-        let rows: Vec<[&[Complex64]; 3]> = window
-            .iter()
-            .map(|p| [p.antenna_row(0), p.antenna_row(1), p.antenna_row(2)])
-            .collect();
-        return (0..subcarriers)
-            .map(|k| {
-                let mut acc = [Complex64::ZERO; 9];
-                for r3 in &rows {
-                    let u = [r3[0][k], r3[1][k], r3[2][k]];
-                    for (r, &ur) in u.iter().enumerate() {
-                        for (c, &uc) in u.iter().enumerate() {
-                            acc[r * 3 + c] += ur * uc.conj();
-                        }
-                    }
-                }
-                finish(CMatrix::from_rows(3, 3, &acc))
-            })
-            .collect();
-    }
-    let mut acc = vec![Complex64::ZERO; subcarriers * dim * dim];
-    let mut cols = vec![Complex64::ZERO; subcarriers * dim];
-    for p in window {
-        // Transpose the packet to column-major once: columns become
-        // contiguous `dim`-element snapshots.
-        for r in 0..dim {
-            for (k, &h) in p.antenna_row(r).iter().enumerate() {
-                cols[k * dim + r] = h;
+    by_chains!(window[0].antennas(), kernel(window))
+}
+
+/// The window's forward–backward covariances pooled under the subcarrier
+/// `weights`: bitwise `pool_covariances(&fb_covariances(window),
+/// Some(weights))`, with no per-subcarrier matrix. Each subcarrier's
+/// forward–backward average `(R[i][j] + conj(R[M−1−i][M−1−j]))·½` is
+/// formed in registers and added as `+= fb·w_k` in subcarrier order;
+/// the pool is scaled by `1/Σw` (by 1 when `Σw` vanishes) at the end.
+///
+/// # Panics
+/// Panics if `window` is empty, has more than [`MAX_CHAINS`] chains, or
+/// `weights` is not one per subcarrier.
+pub(crate) fn pooled_fb_covariance(window: &[CsiPacket], weights: &[f64]) -> CMatrix {
+    fn kernel<const M: usize>(window: &[CsiPacket], weights: &[f64]) -> CMatrix {
+        let mut pooled = [[Complex64::ZERO; M]; M];
+        sample_covariances::<M>(window, |k, cov| {
+            let fb: [[Complex64; M]; M] = std::array::from_fn(|i| {
+                std::array::from_fn(|j| (cov[i][j] + cov[M - 1 - i][M - 1 - j].conj()).scale(0.5))
+            });
+            if cfg!(debug_assertions) {
+                let fb = CMatrix::from_rows(M, M, fb.as_flattened());
+                contract::assert_hermitian(
+                    "forward–backward covariance",
+                    &fb,
+                    1e-9 * (1.0 + fb.trace().norm()),
+                );
             }
-        }
-        for (a, u) in acc.chunks_exact_mut(dim * dim).zip(cols.chunks_exact(dim)) {
-            for (row, &ur) in a.chunks_exact_mut(dim).zip(u) {
-                for (slot, &uc) in row.iter_mut().zip(u) {
-                    *slot += ur * uc.conj();
-                }
+            for (acc, z) in pooled.as_flattened_mut().iter_mut().zip(fb.as_flattened()) {
+                *acc += z.scale(weights[k]);
             }
-        }
+        });
+        let mut out = CMatrix::from_rows(M, M, pooled.as_flattened());
+        out.scale_in_place(1.0 / pool_total(weights));
+        out
     }
-    acc.chunks_exact(dim * dim)
-        .map(|chunk| finish(CMatrix::from_rows(dim, dim, chunk)))
+    let _stage = mpdf_obs::stage!("music.covariance");
+    assert_eq!(
+        weights.len(),
+        window[0].subcarriers(),
+        "weight length mismatch"
+    );
+    by_chains!(window[0].antennas(), kernel(window, weights))
+}
+
+/// The per-subcarrier estimator as first written, kept as the reference
+/// the kernels are pinned against: `forward_backward(sample_covariance(
+/// columns))` of each subcarrier's column snapshots.
+#[cfg(test)]
+pub(crate) fn per_subcarrier_fb_covariances(window: &[CsiPacket]) -> Vec<CMatrix> {
+    (0..window[0].subcarriers())
+        .map(|k| {
+            let columns: Vec<Vec<Complex64>> =
+                window.iter().map(|p| p.subcarrier_column(k)).collect();
+            let r = mpdf_music::covariance::sample_covariance(&columns)
+                .expect("a non-empty window has snapshots");
+            forward_backward(&r)
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdf_music::covariance::sample_covariance;
 
     /// A LOS-dominated `antennas`×30 scene with a weak 35° side path and
     /// a touch of deterministic per-packet variation.
@@ -417,18 +606,6 @@ mod tests {
             .collect()
     }
 
-    /// The batch reference: `forward_backward(sample_covariance(columns))`
-    /// of each subcarrier's column snapshots.
-    fn batch_reference(window: &[CsiPacket]) -> Vec<CMatrix> {
-        (0..window[0].subcarriers())
-            .map(|k| {
-                let columns: Vec<Vec<Complex64>> =
-                    window.iter().map(|p| p.subcarrier_column(k)).collect();
-                forward_backward(&sample_covariance(&columns).unwrap())
-            })
-            .collect()
-    }
-
     fn assert_bitwise_eq(got: &[CMatrix], want: &[CMatrix], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}: subcarrier count");
         for (k, (a, b)) in got.iter().zip(want).enumerate() {
@@ -445,33 +622,136 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fb_covariances_match_batch_reference_bitwise() {
-        // Dim 3 takes the register branch; every other size the general
-        // one (ext-array runs 4, 6 and 8 elements).
-        for antennas in [2, 3, 4, 6, 8] {
-            // Per-packet phase noise so no two snapshots are collinear.
-            let window: Vec<CsiPacket> = array_packets(antennas, 25)
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let data = (0..antennas)
-                        .flat_map(|a| {
-                            (0..30).map(move |k| {
-                                p.get(a, k) + Complex64::from_polar(0.1, (i * 7 + a * 3 + k) as f64)
-                            })
+    /// `array_packets` with per-packet phase noise, so no two snapshots
+    /// are collinear.
+    fn noisy_window(antennas: usize, n: usize) -> Vec<CsiPacket> {
+        array_packets(antennas, n)
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let data = (0..antennas)
+                    .flat_map(|a| {
+                        (0..30).map(move |k| {
+                            p.get(a, k) + Complex64::from_polar(0.1, (i * 7 + a * 3 + k) as f64)
                         })
+                    })
+                    .collect();
+                CsiPacket::new(antennas, 30, data, i as u64, 0.0)
+            })
+            .collect()
+    }
+
+    /// Weights with a zero, a tiny and a repeated entry.
+    fn test_weights() -> Vec<f64> {
+        (0..30)
+            .map(|k| match k {
+                4 => 0.0,
+                9 => 1e-300,
+                _ => 0.01 + (k % 7) as f64 * 0.013,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernels_match_the_reference_bitwise_at_every_chain_count() {
+        // 2–8 chains: the paper's 3, ext-array's 4, 6 and 8, and a
+        // surviving 2-chain sub-array.
+        for antennas in 2..=MAX_CHAINS {
+            let window = noisy_window(antennas, 25);
+            let oracle = per_subcarrier_fb_covariances(&window);
+            let what = format!("{antennas} antennas");
+            assert_bitwise_eq(&fb_covariances(&window), &oracle, &what);
+            for weights in [test_weights(), vec![0.0; 30]] {
+                let pooled = pooled_fb_covariance(&window, &weights);
+                assert_bitwise_eq(
+                    &[pooled],
+                    &[pool_covariances(&oracle, Some(&weights))],
+                    &format!("{what}, pooled"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_reference_off_the_lane_grid() {
+        // 13 tones: two 6-lane blocks and a one-tone tail.
+        for antennas in [2, 3, 7] {
+            let window: Vec<CsiPacket> = (0..9)
+                .map(|i| {
+                    let data = (0..antennas * 13)
+                        .map(|j| {
+                            Complex64::from_polar(1.0 + (j % 5) as f64 * 0.1, (i * 13 + j) as f64)
+                        })
+                        .collect();
+                    CsiPacket::new(antennas, 13, data, i as u64, 0.0)
+                })
+                .collect();
+            let oracle = per_subcarrier_fb_covariances(&window);
+            assert_bitwise_eq(&fb_covariances(&window), &oracle, "13 tones");
+            let weights: Vec<f64> = (0..13).map(|k| 0.05 + k as f64 * 0.01).collect();
+            assert_bitwise_eq(
+                &[pooled_fb_covariance(&window, &weights)],
+                &[pool_covariances(&oracle, Some(&weights))],
+                "13 tones, pooled",
+            );
+        }
+    }
+
+    #[test]
+    fn kernels_keep_the_reference_zero_signs_on_real_valued_csi() {
+        // Real CSI makes every imaginary sum exactly zero: the lower
+        // triangle must hold the reference's +0.0, not the -0.0 a plain
+        // conjugate of the upper triangle would give.
+        for antennas in [2, 3, 5] {
+            let window: Vec<CsiPacket> = (0..6)
+                .map(|i| {
+                    let data = (0..antennas * 30)
+                        .map(|j| Complex64::new(((i * 31 + j) % 11) as f64 - 5.0, 0.0))
                         .collect();
                     CsiPacket::new(antennas, 30, data, i as u64, 0.0)
                 })
                 .collect();
-            let got = per_subcarrier_fb_covariances(&window);
+            let oracle = per_subcarrier_fb_covariances(&window);
+            assert_bitwise_eq(&fb_covariances(&window), &oracle, "real csi");
+            let weights = test_weights();
             assert_bitwise_eq(
-                &got,
-                &batch_reference(&window),
-                &format!("{antennas} antennas"),
+                &[pooled_fb_covariance(&window, &weights)],
+                &[pool_covariances(&oracle, Some(&weights))],
+                "real csi, pooled",
             );
         }
+    }
+
+    #[test]
+    fn more_chains_than_the_kernel_supports_is_a_typed_error() {
+        let cfg = DetectorConfig {
+            steering: UlaSteering::new(MAX_CHAINS + 1, 0.5),
+            ..DetectorConfig::default()
+        };
+        let err = CalibrationProfile::build(&array_packets(MAX_CHAINS + 1, 4), &cfg).unwrap_err();
+        assert!(matches!(err, DetectError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn profile_tables_serve_their_own_key_and_build_any_other() {
+        let cfg = DetectorConfig::default();
+        let p = CalibrationProfile::build(&array_packets(3, 10), &cfg).unwrap();
+        assert!(matches!(p.mu_grid(&cfg.band), Cow::Borrowed(_)));
+        assert!(matches!(
+            p.steering_table(&cfg.steering, &cfg.grid),
+            Cow::Borrowed(_)
+        ));
+        let shifted = Band::new(
+            mpdf_wifi::band::channel_center_hz(1),
+            cfg.band.indices().to_vec(),
+        );
+        let grid = p.mu_grid(&shifted);
+        assert!(matches!(grid, Cow::Owned(_)));
+        assert_eq!(*grid, MuGrid::new(&shifted.frequencies()));
+        let sub = cfg.steering.subset(&[0, 2]);
+        let table = p.steering_table(&sub, &cfg.grid);
+        assert!(matches!(table, Cow::Owned(_)));
+        assert_eq!(*table, SteeringTable::new(&sub, &cfg.grid));
     }
 
     #[test]
@@ -494,7 +774,7 @@ mod tests {
                 .collect();
             assert_bitwise_eq(
                 profile.static_covariances(),
-                &batch_reference(&sanitized),
+                &per_subcarrier_fb_covariances(&sanitized),
                 &format!("{antennas}-antenna calibration"),
             );
         }

@@ -12,15 +12,13 @@
 
 use std::cell::OnceCell;
 
-use mpdf_music::music::{check_bartlett, SteeringTable};
+use mpdf_music::music::check_bartlett;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::sanitize::{sanitize_packet_with, SanitizeScratch};
 
 use crate::degrade::{assess_window, WindowHealth};
 use crate::error::DetectError;
-use crate::profile::{
-    per_subcarrier_fb_covariances, pool_covariances, CalibrationProfile, DetectorConfig,
-};
+use crate::profile::{pooled_fb_covariance, CalibrationProfile, DetectorConfig};
 use crate::subcarrier_weight::SubcarrierWeights;
 
 /// A detection scheme: window of packets → anomaly score.
@@ -161,10 +159,11 @@ impl<'a> PreparedWindow<'a> {
 
 impl FrontEnd {
     /// The window's subcarrier weights on `config.band`, computed on
-    /// first use.
-    fn weights(&self, config: &DetectorConfig) -> &SubcarrierWeights {
+    /// first use (on the profile's μ_k grid when `config.band` is the
+    /// band it was calibrated on).
+    fn weights(&self, profile: &CalibrationProfile, config: &DetectorConfig) -> &SubcarrierWeights {
         self.weights.get_or_init(|| {
-            SubcarrierWeights::from_packets(&self.packets, &config.band.frequencies())
+            SubcarrierWeights::from_packets_on(&self.packets, &profile.mu_grid(&config.band))
         })
     }
 }
@@ -322,7 +321,7 @@ impl DetectionScheme for SubcarrierWeighting {
                 }
             })
             .collect();
-        let eff = effective_weights(front.weights(config), health);
+        let eff = effective_weights(front.weights(profile, config), health);
         let weighted: Vec<f64> = delta.iter().zip(&eff).map(|(d, w)| w * d).collect();
         Ok((
             weighted.iter().map(|d| d * d).sum::<f64>().sqrt(),
@@ -357,7 +356,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                 needed: 2,
             });
         }
-        let eff = effective_weights(front.weights(config), health);
+        let eff = effective_weights(front.weights(profile, config), health);
 
         // MUSIC 3→2 fallback: when a chain dropped for the whole window,
         // both sides of the comparison shrink to the surviving sub-array
@@ -386,7 +385,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         // weights at calibration), but the detection distance needs the
         // power-bearing angular profile of the paper's "subcarrier
         // weighted signal strengths".
-        let monitored_cov = pool_covariances(&per_subcarrier_fb_covariances(window), Some(&eff));
+        let monitored_cov = pooled_fb_covariance(window, &eff);
         // The calibration side is the same subcarrier weights applied to
         // the stored static covariances (the §IV-C linearity argument),
         // reduced to the same antennas, so it has the monitored shape.
@@ -398,29 +397,27 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         // *redistribute* angular power. The residual is boosted by the
         // Eq. 17 path weights and collapsed by the RMS norm. Only grid
         // points with a positive path weight enter the score, so only
-        // those are scanned.
-        let table = SteeringTable::cached(&steering, &config.grid);
-        let gated: Vec<(f64, f64)> = {
+        // those are scanned; Bartlett powers are clamped at 0 (a
+        // Hermitian `R` only goes negative by round-off).
+        let table = profile.steering_table(&steering, &config.grid);
+        let path_weights = profile.path_weights().weights();
+        let mut gated: Vec<(f64, f64)> = Vec::with_capacity(path_weights.len());
+        {
             let _stage = mpdf_obs::stage!("music.scan");
-            profile
-                .path_weights()
-                .weights()
-                .iter()
-                .take(table.len())
-                .enumerate()
-                .filter(|(_, w)| **w > 0.0)
-                .map(|(i, &w)| {
-                    let m = table.bartlett_power(&monitored_cov, i);
-                    let s = table.bartlett_power(&static_cov, i);
+            table.scan(
+                [&monitored_cov, &static_cov],
+                |i| path_weights.get(i).is_some_and(|w| *w > 0.0),
+                |i, [m, s]| {
+                    let (m, s) = (m.max(0.0), s.max(0.0));
                     let d = if m <= f64::MIN_POSITIVE || s <= f64::MIN_POSITIVE {
                         0.0
                     } else {
                         10.0 * (m / s).log10()
                     };
-                    (d, w)
-                })
-                .collect()
-        };
+                    gated.push((d, path_weights[i]));
+                },
+            );
+        }
         if gated.is_empty() {
             return Ok((0.0, health.clone()));
         }
@@ -787,15 +784,20 @@ mod tests {
         ));
     }
 
-    /// The combined score as two full Bartlett spectra over the grid,
-    /// compared inside the path-weight gate — the formulation the gated
-    /// scan replaced, kept as its reference.
-    fn combined_from_two_spectra(prepared: &PreparedWindow<'_>) -> f64 {
+    /// The combined score by the formulations the kernels replaced, kept
+    /// as their reference: weights on a μ_k grid built from the band,
+    /// per-subcarrier forward–backward matrices pooled by
+    /// `pool_covariances`, and two full Bartlett spectra (plain
+    /// `quadratic_form`s on a freshly built steering table) compared
+    /// inside the path-weight gate.
+    fn combined_oracle(prepared: &PreparedWindow<'_>) -> f64 {
+        use crate::profile::{per_subcarrier_fb_covariances, pool_covariances};
         use mpdf_music::music::bartlett_spectrum;
         let (profile, config) = (prepared.profile, prepared.config);
         let front = prepared.front().unwrap();
         let health = &front.health;
-        let eff = effective_weights(front.weights(config), health);
+        let weights = SubcarrierWeights::from_packets(&front.packets, &config.band.frequencies());
+        let eff = effective_weights(&weights, health);
         let (steering, static_cov) = if health.widened_uncertainty {
             (
                 config.steering.subset(&health.usable_antennas),
@@ -845,6 +847,134 @@ mod tests {
         (sum_sq / gated.len() as f64).sqrt()
     }
 
+    /// `scene_packets` on an `antennas`-element λ/2 array.
+    fn array_scene(antennas: usize, n: usize, perturb: f64, angle_deg: f64) -> Vec<CsiPacket> {
+        let steering = UlaSteering::new(antennas, 0.5);
+        (0..n)
+            .map(|i| {
+                let mut data = Vec::with_capacity(antennas * 30);
+                for a in 0..antennas {
+                    for k in 0..30 {
+                        let los = Complex64::from_polar(1.0, 0.02 * k as f64);
+                        let side = steering.vector(35f64.to_radians())[a]
+                            * Complex64::from_polar(0.3, 0.3 * k as f64 + 0.05 * i as f64);
+                        let human = steering.vector(angle_deg.to_radians())[a]
+                            * Complex64::from_polar(perturb, 0.9 * k as f64 + 0.4);
+                        data.push(los + side + human);
+                    }
+                }
+                CsiPacket::new(antennas, 30, data, i as u64, i as f64 * 0.02)
+            })
+            .collect()
+    }
+
+    /// Rebuilds `p` with every sample passed through `f(antenna, tone, h)`.
+    fn map_packet(p: &CsiPacket, f: impl Fn(usize, usize, Complex64) -> Complex64) -> CsiPacket {
+        let data = (0..p.antennas())
+            .flat_map(|a| (0..p.subcarriers()).map(move |k| (a, k)))
+            .map(|(a, k)| f(a, k, p.get(a, k)))
+            .collect();
+        CsiPacket::new(p.antennas(), p.subcarriers(), data, p.seq, p.timestamp)
+    }
+
+    #[test]
+    fn combined_score_is_bitwise_the_reference_formulation_at_every_chain_count() {
+        for antennas in [2, 3, 4, 6, 8] {
+            let cfg = DetectorConfig {
+                steering: UlaSteering::new(antennas, 0.5),
+                num_sources: (antennas - 1).min(2),
+                ..DetectorConfig::default()
+            };
+            let clip_cfg = DetectorConfig {
+                quarantine: mpdf_wifi::quarantine::QuarantinePolicy {
+                    saturation_amp: 1.6,
+                    ..cfg.quarantine
+                },
+                ..cfg.clone()
+            };
+            let profile =
+                CalibrationProfile::build(&array_scene(antennas, 30, 0.0, 0.0), &cfg).unwrap();
+            let calm = array_scene(antennas, 25, 0.0, 0.0);
+            let busy = array_scene(antennas, 25, 0.4, -20.0);
+            // Widened: the last chain dies in one packet, so the window
+            // scores on the surviving (still uniform) sub-array.
+            let mut widened = busy.clone();
+            widened[3] = with_dead_row(&widened[3], antennas - 1);
+            // Clipped: one tone of one packet sits on the rail.
+            let mut clipped = busy.clone();
+            clipped[7] = map_packet(&clipped[7], |a, k, h| {
+                if (a, k) == (0, 11) {
+                    Complex64::new(1.6, 0.0)
+                } else {
+                    h
+                }
+            });
+            // Chaos: two lost packets (within the gap budget), a
+            // duplicate, a swapped pair, a NaN chain and an AGC-clipped
+            // packet.
+            let mut chaos = busy.clone();
+            chaos.remove(17);
+            chaos.remove(5);
+            chaos.insert(9, chaos[8].clone());
+            chaos.swap(12, 13);
+            chaos[2] = with_dead_row(&chaos[2], antennas - 1);
+            chaos[20] = map_packet(&chaos[20], |_, _, h| {
+                let amp = h.norm();
+                if amp > 1.1 {
+                    h * (1.1 / amp)
+                } else {
+                    h
+                }
+            });
+            // Fleet-style: every packet turned by its own unit phase (the
+            // per-packet offset sanitization removes), so no two windows
+            // share bits.
+            let rotated: Vec<CsiPacket> = array_scene(antennas, 25, 0.25, 40.0)
+                .iter()
+                .enumerate()
+                .map(|(i, p)| map_packet(p, |_, _, h| h * Complex64::cis(0.731 * i as f64 + 0.2)))
+                .collect();
+            let cases: [(&str, &[CsiPacket], &DetectorConfig); 6] = [
+                ("calm", &calm, &cfg),
+                ("busy", &busy, &cfg),
+                ("widened", &widened, &cfg),
+                ("clipped", &clipped, &clip_cfg),
+                ("chaos", &chaos, &cfg),
+                ("rotated", &rotated, &cfg),
+            ];
+            for (label, window, config) in cases {
+                let prepared = PreparedWindow::new(&profile, window, config);
+                let what = format!("{antennas} chains, {label}");
+                match SubcarrierAndPathWeighting.score_prepared(&prepared) {
+                    Ok((score, _)) => {
+                        let reference = combined_oracle(&prepared);
+                        assert_eq!(score.to_bits(), reference.to_bits(), "{what}");
+                    }
+                    // Two chains less a dead one leave no aperture.
+                    Err(e) => assert!(
+                        antennas == 2 && matches!(label, "widened" | "chaos"),
+                        "{what}: {e}"
+                    ),
+                }
+            }
+            // The windows reach the paths they are named for.
+            let health = |w: &[CsiPacket], c: &DetectorConfig| {
+                PreparedWindow::new(&profile, w, c)
+                    .health()
+                    .cloned()
+                    .unwrap()
+            };
+            assert_eq!(health(&widened, &cfg).usable_antennas.len(), antennas - 1);
+            assert!(health(&clipped, &clip_cfg).clipped_subcarriers[11]);
+            let chaos_health = health(&chaos, &cfg);
+            assert!(
+                chaos_health.degraded,
+                "{antennas} chains: chaos window not degraded"
+            );
+            assert_eq!(chaos_health.usable_antennas.len(), antennas - 1);
+        }
+    }
+
     #[test]
     fn gated_combined_score_is_bitwise_the_two_spectrum_score() {
         let (profile, cfg) = profile_and_config();
@@ -862,7 +992,7 @@ mod tests {
             let (gated, _) = SubcarrierAndPathWeighting
                 .score_prepared(&prepared)
                 .unwrap();
-            let reference = combined_from_two_spectra(&prepared);
+            let reference = combined_oracle(&prepared);
             assert_eq!(gated.to_bits(), reference.to_bits(), "window {i}");
         }
     }

@@ -11,7 +11,7 @@
 //!   per-subcarrier RSS changes `Δs(f_k)`.
 
 use mpdf_rfmath::contract;
-use mpdf_rfmath::stats::median_in_place;
+use mpdf_rfmath::stats::median_with;
 use mpdf_wifi::csi::CsiPacket;
 
 use crate::multipath_factor::MuGrid;
@@ -104,16 +104,12 @@ impl SubcarrierWeights {
         // Eq. 13/14: per-packet medians and exceedance counts.
         let mut mean_mu = vec![0.0; k];
         let mut exceed = vec![0usize; k];
-        let mut scratch = Vec::with_capacity(k);
+        let mut keys = Vec::with_capacity(k);
         for mus in flat.chunks_exact(k) {
-            scratch.clear();
-            scratch.extend_from_slice(mus);
-            let med = median_in_place(&mut scratch);
-            for (i, &mu) in mus.iter().enumerate() {
-                mean_mu[i] += mu.min(Self::MU_CLIP);
-                if mu > med {
-                    exceed[i] += 1;
-                }
+            let med = median_with(mus, &mut keys);
+            for ((mean, count), &mu) in mean_mu.iter_mut().zip(&mut exceed).zip(mus) {
+                *mean += mu.min(Self::MU_CLIP);
+                *count += usize::from(mu > med);
             }
         }
         for v in &mut mean_mu {
@@ -149,10 +145,17 @@ impl SubcarrierWeights {
     /// # Panics
     /// Panics when the window is empty or the frequency grid mismatches.
     pub fn from_packets(window: &[CsiPacket], freqs_hz: &[f64]) -> Self {
+        SubcarrierWeights::from_packets_on(window, &MuGrid::new(freqs_hz))
+    }
+
+    /// [`SubcarrierWeights::from_packets`] on a prebuilt μ_k grid.
+    ///
+    /// # Panics
+    /// Panics when the window is empty or the grid mismatches.
+    pub fn from_packets_on(window: &[CsiPacket], grid: &MuGrid) -> Self {
         let _stage = mpdf_obs::stage!("core.subcarrier_weight");
         assert!(!window.is_empty(), "need at least one packet");
-        let grid = MuGrid::new(freqs_hz);
-        let k = freqs_hz.len();
+        let k = grid.freqs_hz().len();
         let mut flat = vec![0.0; window.len() * k];
         let mut row_buf = Vec::with_capacity(k);
         {

@@ -17,11 +17,16 @@ use crate::scheme::DetectionScheme;
 /// the null-score distribution.
 ///
 /// Windows are non-overlapping chunks of `config.window` packets; a
-/// trailing partial window is dropped.
+/// trailing partial window is dropped. A window the scheme abstains on
+/// ([`DetectError::is_abstention`]: lost, over the gap budget, or without
+/// an aperture) is left out of the distribution and counted on
+/// `core.calibration_abstained_windows_total`, as monitoring skips it.
 ///
 /// # Errors
-/// Propagates scheme errors; returns [`DetectError::InsufficientCalibration`]
-/// when fewer than one full window of packets is supplied.
+/// [`DetectError::InsufficientCalibration`] when fewer than one full
+/// window of packets is supplied or every window abstained (`got` counts
+/// the packets of the windows that scored); other scheme errors
+/// propagate.
 pub fn static_score_distribution<S: DetectionScheme + ?Sized>(
     profile: &CalibrationProfile,
     static_packets: &[CsiPacket],
@@ -34,10 +39,23 @@ pub fn static_score_distribution<S: DetectionScheme + ?Sized>(
             need: config.window,
         });
     }
-    static_packets
-        .chunks_exact(config.window)
-        .map(|w| scheme.score(profile, w, config))
-        .collect()
+    let mut scores = Vec::with_capacity(static_packets.len() / config.window);
+    for window in static_packets.chunks_exact(config.window) {
+        match scheme.score(profile, window, config) {
+            Ok(score) => scores.push(score),
+            Err(e) if e.is_abstention() => {
+                mpdf_obs::counter!("core.calibration_abstained_windows_total").inc();
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    if scores.is_empty() {
+        return Err(DetectError::InsufficientCalibration {
+            got: 0,
+            need: config.window,
+        });
+    }
+    Ok(scores)
 }
 
 /// Threshold achieving approximately the target false-positive rate on
@@ -108,6 +126,51 @@ mod tests {
             err,
             DetectError::InsufficientCalibration { got: 10, need: 25 }
         ));
+    }
+
+    /// Rebuilds `p` with every antenna row overwritten by NaN, so the
+    /// quarantine rejects it.
+    fn dead(p: &CsiPacket) -> CsiPacket {
+        CsiPacket::new(
+            3,
+            30,
+            vec![Complex64::new(f64::NAN, 0.0); 90],
+            p.seq,
+            p.timestamp,
+        )
+    }
+
+    #[test]
+    fn abstained_windows_are_skipped_not_fatal() {
+        let cfg = DetectorConfig {
+            window: 10,
+            ..DetectorConfig::default()
+        };
+        let profile = CalibrationProfile::build(&packets(30, 1.0), &cfg).unwrap();
+        let mut holdout = packets(40, 1.0);
+        // Window 1 loses every packet past the gap budget; the others
+        // score as before.
+        for p in &mut holdout[10..20] {
+            *p = dead(p);
+        }
+        let clean =
+            static_score_distribution(&profile, &packets(40, 1.0), &Baseline, &cfg).unwrap();
+        let scores = static_score_distribution(&profile, &holdout, &Baseline, &cfg).unwrap();
+        assert_eq!(scores.len(), 3);
+        for (kept, want) in scores.iter().zip([clean[0], clean[2], clean[3]]) {
+            assert_eq!(kept.to_bits(), want.to_bits());
+        }
+        // With every window abstaining nothing is left to set a threshold.
+        let all_dead: Vec<CsiPacket> = holdout.iter().map(dead).collect();
+        let err = static_score_distribution(&profile, &all_dead, &Baseline, &cfg).unwrap_err();
+        assert!(matches!(
+            err,
+            DetectError::InsufficientCalibration { got: 0, need: 10 }
+        ));
+        // A failure that is not an abstention still propagates.
+        let misshapen = vec![CsiPacket::new(2, 30, vec![Complex64::ONE; 60], 0, 0.0); 10];
+        let err = static_score_distribution(&profile, &misshapen, &Baseline, &cfg).unwrap_err();
+        assert!(matches!(err, DetectError::ShapeMismatch { .. }));
     }
 
     #[test]

@@ -399,9 +399,9 @@ fn run_experiment(name: &str, opts: &Options) -> Result<ExperimentOutput, String
             for (id, b, s2, c) in &r.rows {
                 rows.push(vec![
                     id.to_string(),
-                    b.to_string(),
-                    s2.to_string(),
-                    c.to_string(),
+                    mpdf_eval::report::value_or_na(*b),
+                    mpdf_eval::report::value_or_na(*s2),
+                    mpdf_eval::report::value_or_na(*c),
                 ]);
             }
             csvs.push(("fig8_cases".into(), mpdf_eval::report::csv(&rows)));
@@ -420,7 +420,12 @@ fn run_experiment(name: &str, opts: &Options) -> Result<ExperimentOutput, String
             header.extend(abstained.then(|| "abstained".into()));
             let mut rows = vec![header];
             for (d, b, s2, c, n) in &r.rows {
-                let mut row = vec![d.to_string(), b.to_string(), s2.to_string(), c.to_string()];
+                let mut row = vec![
+                    d.to_string(),
+                    mpdf_eval::report::value_or_na(*b),
+                    mpdf_eval::report::value_or_na(*s2),
+                    mpdf_eval::report::value_or_na(*c),
+                ];
                 row.extend(abstained.then(|| n.to_string()));
                 rows.push(row);
             }
@@ -447,7 +452,11 @@ fn run_experiment(name: &str, opts: &Options) -> Result<ExperimentOutput, String
             header.extend(abstained.then(|| "abstained".into()));
             let mut rows = vec![header];
             for (a, s2, c, n) in &r.rows {
-                let mut row = vec![a.to_string(), s2.to_string(), c.to_string()];
+                let mut row = vec![
+                    a.to_string(),
+                    mpdf_eval::report::value_or_na(*s2),
+                    mpdf_eval::report::value_or_na(*c),
+                ];
                 row.extend(abstained.then(|| n.to_string()));
                 rows.push(row);
             }

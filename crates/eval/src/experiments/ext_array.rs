@@ -147,7 +147,8 @@ fn study(elements: usize, cfg: &CampaignConfig) -> Result<ArrayOutcome, DetectEr
     Ok(ArrayOutcome {
         elements,
         median_angle_error_deg,
-        large_angle_tp: detection_rate(&scores, thr),
+        // At least two windows per fan position, each scored or an error.
+        large_angle_tp: detection_rate(&scores, thr).unwrap_or(0.0),
     })
 }
 

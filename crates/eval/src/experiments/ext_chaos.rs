@@ -97,8 +97,10 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtChaosResult, DetectError> {
         let thr = *threshold.get_or_insert_with(|| threshold_for_fp(&negatives, TARGET_FP));
         rows.push(ChaosRow {
             intensity,
-            detection_rate: detection_rate(&positives, thr),
-            fp_rate: detection_rate(&negatives, thr),
+            // The sweep's rows keep reading 0 % for a side whose every
+            // window aborted; `aborted_windows` says when that happened.
+            detection_rate: detection_rate(&positives, thr).unwrap_or(0.0),
+            fp_rate: detection_rate(&negatives, thr).unwrap_or(0.0),
             degraded_windows,
             aborted_windows,
             scored_windows: positives.len() + negatives.len(),

@@ -20,11 +20,13 @@ use super::fig7::{run_campaign_scores, CampaignScores};
 pub struct Fig11Result {
     /// Rows of `(angle°, subcarrier-only, subcarrier+path, abstained)`;
     /// `abstained` counts the scheme scores left out of the row's rates
-    /// because the scheme abstained on the window (a faulted run).
-    pub rows: Vec<(f64, f64, f64, usize)>,
-    /// Mean gain of path weighting at |angle| ≥ 45°.
+    /// because the scheme abstained on the window (a faulted run). A rate
+    /// is `None` when every window of its cell abstained.
+    pub rows: Vec<(f64, Option<f64>, Option<f64>, usize)>,
+    /// Mean gain of path weighting at |angle| ≥ 45°, over the angles
+    /// where both schemes have a rate.
     pub gain_large_angles: f64,
-    /// Mean gain of path weighting at |angle| ≤ 15°.
+    /// Mean gain of path weighting at |angle| ≤ 15°, likewise.
     pub gain_small_angles: f64,
 }
 
@@ -76,18 +78,25 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig11Result, mpdf_core::error::Detect
         ));
     }
 
-    let mean_gain = |pred: &dyn Fn(f64) -> bool| -> f64 {
-        let sel: Vec<_> = rows.iter().filter(|(a, ..)| pred(*a)).collect();
-        if sel.is_empty() {
-            return 0.0;
-        }
-        sel.iter().map(|(_, s, c, _)| c - s).sum::<f64>() / sel.len() as f64
-    };
     Ok(Fig11Result {
-        gain_large_angles: mean_gain(&|a: f64| a.abs() >= 45.0),
-        gain_small_angles: mean_gain(&|a: f64| a.abs() <= 15.0),
+        gain_large_angles: mean_gain(&rows, |a| a.abs() >= 45.0),
+        gain_small_angles: mean_gain(&rows, |a| a.abs() <= 15.0),
         rows,
     })
+}
+
+/// Mean path-weighting gain `combined − subcarrier` over the rows whose
+/// angle `pick` accepts and where both schemes have a rate; 0 with none.
+fn mean_gain(rows: &[(f64, Option<f64>, Option<f64>, usize)], pick: impl Fn(f64) -> bool) -> f64 {
+    let gains: Vec<f64> = rows
+        .iter()
+        .filter(|(a, ..)| pick(*a))
+        .filter_map(|(_, s, c, _)| Some((*c)? - (*s)?))
+        .collect();
+    if gains.is_empty() {
+        return 0.0;
+    }
+    gains.iter().sum::<f64>() / gains.len() as f64
 }
 
 /// Renders the report.
@@ -102,8 +111,8 @@ pub fn report(r: &Fig11Result) -> String {
         .map(|(a, s, c, n)| {
             let mut row = vec![
                 format!("{a:.0}°"),
-                crate::report::pct(*s),
-                crate::report::pct(*c),
+                crate::report::pct_or_na(*s),
+                crate::report::pct_or_na(*c),
             ];
             row.extend(abstained.then(|| n.to_string()));
             row
@@ -119,4 +128,28 @@ pub fn report(r: &Fig11Result) -> String {
     ));
     out.push_str("paper: notable improvement at large angles, marginal near the LOS\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_all_abstained_cell_has_no_rate_and_no_gain() {
+        let rows = vec![
+            (-45.0, Some(0.5), Some(0.75), 0),
+            (30.0, Some(0.25), None, 4),
+            (60.0, Some(0.5), Some(1.0), 1),
+        ];
+        assert_eq!(mean_gain(&rows, |a| a.abs() >= 45.0), 0.375);
+        // The 30° cell would read a −25-point "gain" as a 0 % rate.
+        assert_eq!(mean_gain(&rows, |a| a.abs() <= 30.0), 0.0);
+        let text = report(&Fig11Result {
+            rows,
+            gain_large_angles: 0.375,
+            gain_small_angles: 0.0,
+        });
+        let row = text.lines().find(|l| l.contains("30°")).unwrap();
+        assert!(row.contains("n/a") && !row.contains("0.0%"), "{row}");
+    }
 }

@@ -9,14 +9,19 @@ use crate::workload::{CampaignConfig, ScoredWindow};
 
 use super::fig7::{run_campaign_scores, CampaignScores};
 
+/// One case's row: `(case id, baseline, subcarrier, combined)`.
+pub type CaseRow = (usize, Option<f64>, Option<f64>, Option<f64>);
+
 /// Per-case detection rates of the three schemes.
 #[derive(Debug, Clone)]
 pub struct Fig8Result {
-    /// Rows of `(case id, baseline, subcarrier, combined)` detection rates.
-    pub rows: Vec<(usize, f64, f64, f64)>,
+    /// Rows of `(case id, baseline, subcarrier, combined)` detection
+    /// rates; `None` when every positive window of the case abstained (a
+    /// faulted run).
+    pub rows: Vec<CaseRow>,
 }
 
-fn per_case_rate(scores: &[ScoredWindow], case_id: usize, threshold: f64) -> f64 {
+fn per_case_rate(scores: &[ScoredWindow], case_id: usize, threshold: f64) -> Option<f64> {
     let positives: Vec<f64> = scores
         .iter()
         .filter(|s| s.case_id == case_id && s.human.is_some())
@@ -64,9 +69,9 @@ pub fn report(r: &Fig8Result) -> String {
         .map(|(id, b, s, c)| {
             vec![
                 format!("case {id}"),
-                crate::report::pct(*b),
-                crate::report::pct(*s),
-                crate::report::pct(*c),
+                crate::report::pct_or_na(*b),
+                crate::report::pct_or_na(*s),
+                crate::report::pct_or_na(*c),
             ]
         })
         .collect();

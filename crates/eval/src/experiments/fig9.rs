@@ -15,15 +15,21 @@ use crate::workload::{case_receiver, score_window, CampaignConfig, PAPER_SCHEMES
 
 use super::fig7::{run_campaign_scores, CampaignScores};
 
+/// One distance bin's row: `(distance m, baseline, subcarrier, combined,
+/// abstained)`.
+pub type DistanceRow = (f64, Option<f64>, Option<f64>, Option<f64>, usize);
+
 /// Detection rates per distance bin.
 #[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Rows of `(distance m, baseline, subcarrier, combined, abstained)`;
     /// `abstained` counts the scheme scores left out of the row's rates
-    /// because the scheme abstained on the window (a faulted run).
-    pub rows: Vec<(f64, f64, f64, f64, usize)>,
+    /// because the scheme abstained on the window (a faulted run). A rate
+    /// is `None` when every window of its cell abstained.
+    pub rows: Vec<DistanceRow>,
     /// Largest distance at which each scheme still reaches 90 %:
-    /// `(baseline, subcarrier, combined)`.
+    /// `(baseline, subcarrier, combined)`; a cell without a rate never
+    /// counts.
     pub range_at_90: (f64, f64, f64),
 }
 
@@ -86,7 +92,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectE
         }
     }
 
-    let rows: Vec<(f64, f64, f64, f64, usize)> = per_distance
+    let rows: Vec<DistanceRow> = per_distance
         .iter()
         .map(|(d, [b, s, c], abstained)| {
             (
@@ -100,10 +106,13 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectE
         .collect();
     let range = |idx: usize| -> f64 {
         rows.iter()
-            .filter(|r| match idx {
-                0 => r.1 >= 0.9,
-                1 => r.2 >= 0.9,
-                _ => r.3 >= 0.9,
+            .filter(|r| {
+                let rate = match idx {
+                    0 => r.1,
+                    1 => r.2,
+                    _ => r.3,
+                };
+                rate.is_some_and(|rate| rate >= 0.9)
             })
             .map(|r| r.0)
             .fold(0.0, f64::max)
@@ -126,9 +135,9 @@ pub fn report(r: &Fig9Result) -> String {
         .map(|(d, b, s, c, n)| {
             let mut row = vec![
                 format!("{d:.0} m"),
-                crate::report::pct(*b),
-                crate::report::pct(*s),
-                crate::report::pct(*c),
+                crate::report::pct_or_na(*b),
+                crate::report::pct_or_na(*s),
+                crate::report::pct_or_na(*c),
             ];
             row.extend(abstained.then(|| n.to_string()));
             row

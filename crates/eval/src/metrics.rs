@@ -122,12 +122,14 @@ impl RocCurve {
     }
 }
 
-/// Detection rate of positive scores at a fixed threshold.
-pub fn detection_rate(scores: &[f64], threshold: f64) -> f64 {
+/// Detection rate of positive scores at a fixed threshold; `None` for
+/// an empty list — a cell whose every window abstained has no rate, which
+/// is not a 0 % one.
+pub fn detection_rate(scores: &[f64], threshold: f64) -> Option<f64> {
     if scores.is_empty() {
-        return 0.0;
+        return None;
     }
-    scores.iter().filter(|&&s| s > threshold).count() as f64 / scores.len() as f64
+    Some(scores.iter().filter(|&&s| s > threshold).count() as f64 / scores.len() as f64)
 }
 
 /// Summary statistics for one scheme's campaign, reported like the
@@ -239,10 +241,10 @@ mod tests {
     #[test]
     fn detection_rate_thresholding() {
         let scores = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(detection_rate(&scores, 2.5), 0.5);
-        assert_eq!(detection_rate(&scores, 0.0), 1.0);
-        assert_eq!(detection_rate(&scores, 10.0), 0.0);
-        assert_eq!(detection_rate(&[], 1.0), 0.0);
+        assert_eq!(detection_rate(&scores, 2.5), Some(0.5));
+        assert_eq!(detection_rate(&scores, 0.0), Some(1.0));
+        assert_eq!(detection_rate(&scores, 10.0), Some(0.0));
+        assert_eq!(detection_rate(&[], 1.0), None);
     }
 
     #[test]

@@ -60,6 +60,18 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
+/// A rate cell of a report: [`pct`], or `n/a` when the cell has no rate
+/// (every window in it abstained).
+pub fn pct_or_na(x: Option<f64>) -> String {
+    x.map_or_else(|| "n/a".into(), pct)
+}
+
+/// A rate cell of a CSV: the full-precision value, or `n/a` when the
+/// cell has no rate.
+pub fn value_or_na(x: Option<f64>) -> String {
+    x.map_or_else(|| "n/a".into(), |v| v.to_string())
+}
+
 /// Renders rows as RFC-4180-style CSV (quotes fields containing commas,
 /// quotes or newlines). The first row should be the header.
 pub fn csv(rows: &[Vec<String>]) -> String {

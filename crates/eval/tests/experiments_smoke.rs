@@ -119,9 +119,9 @@ fn fig7_and_fig8_invariants() {
     assert_eq!(f8.rows.len(), 5);
     for (id, b, s, c) in &f8.rows {
         assert!((1..=5).contains(id));
-        assert_prob(*b, "case baseline");
-        assert_prob(*s, "case subcarrier");
-        assert_prob(*c, "case combined");
+        assert_prob(b.expect("a clean case has a rate"), "case baseline");
+        assert_prob(s.expect("a clean case has a rate"), "case subcarrier");
+        assert_prob(c.expect("a clean case has a rate"), "case combined");
     }
 }
 
@@ -132,9 +132,9 @@ fn fig9_invariants() {
     for (d, b, s, c, abstained) in &r.rows {
         assert!(*d >= 1.0 && *d <= 5.0);
         assert_eq!(*abstained, 0, "a fault-free run never abstains");
-        assert_prob(*b, "fig9 baseline");
-        assert_prob(*s, "fig9 subcarrier");
-        assert_prob(*c, "fig9 combined");
+        assert_prob(b.expect("a clean cell has a rate"), "fig9 baseline");
+        assert_prob(s.expect("a clean cell has a rate"), "fig9 subcarrier");
+        assert_prob(c.expect("a clean cell has a rate"), "fig9 combined");
     }
     let (rb, rs, rc) = r.range_at_90;
     for v in [rb, rs, rc] {
@@ -176,8 +176,8 @@ fn fig11_invariants() {
     for (a, s, c, abstained) in &r.rows {
         assert!(a.abs() <= 90.0);
         assert_eq!(*abstained, 0, "a fault-free run never abstains");
-        assert_prob(*s, "fig11 subcarrier");
-        assert_prob(*c, "fig11 combined");
+        assert_prob(s.expect("a clean cell has a rate"), "fig11 subcarrier");
+        assert_prob(c.expect("a clean cell has a rate"), "fig11 combined");
     }
     assert!(r.gain_large_angles.abs() <= 1.0);
     assert!(r.gain_small_angles.abs() <= 1.0);

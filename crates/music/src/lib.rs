@@ -38,5 +38,6 @@ pub mod music;
 
 pub use covariance::{forward_backward, sample_covariance, spatially_smoothed_covariance};
 pub use music::{
-    estimate_aoa, pseudospectrum, AngleGrid, MusicError, Pseudospectrum, SteeringTable, UlaSteering,
+    estimate_aoa, pseudospectrum, pseudospectrum_on, AngleGrid, MusicError, Pseudospectrum,
+    SteeringTable, UlaSteering,
 };

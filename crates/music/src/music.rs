@@ -11,7 +11,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::contract;
@@ -185,9 +184,9 @@ impl Default for AngleGrid {
 /// Every angle scan — MUSIC pseudospectrum or Bartlett spectrum — walks
 /// the same grid with the same array model, evaluating `elements` complex
 /// exponentials per grid point. This table hoists those `cis` calls out
-/// of the per-decision hot path: build (or fetch from the process-wide
-/// cache) once, then each scan is a pure quadratic form per angle with
-/// zero allocation and zero trig.
+/// of the scan: build it once (a calibration profile owns the one its
+/// windows are scored on), then each scan is a pure quadratic form per
+/// angle with zero allocation and zero trig.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SteeringTable {
     steering: UlaSteering,
@@ -196,16 +195,6 @@ pub struct SteeringTable {
     /// Flattened row-major `angles × elements` steering vectors.
     vectors: Vec<Complex64>,
 }
-
-/// Process-wide steering-table cache. Campaigns use a handful of
-/// `(steering, grid)` pairs, so a bounded linear-scan vector suffices;
-/// both key types are small `Copy` values compared by exact equality.
-static STEERING_CACHE: OnceLock<Mutex<Vec<Arc<SteeringTable>>>> = OnceLock::new();
-
-/// Cap on distinct cached tables; beyond this the oldest entry is
-/// evicted (protects long sweeps over many ad-hoc grids from unbounded
-/// growth).
-const STEERING_CACHE_CAP: usize = 16;
 
 impl SteeringTable {
     /// Builds the table for a steering model over a grid.
@@ -227,31 +216,10 @@ impl SteeringTable {
         }
     }
 
-    /// Fetches the shared table for `(steering, grid)`, building and
-    /// caching it on first use. Keys are compared by exact equality, so
-    /// a cached table is always bit-identical to a freshly built one.
-    ///
-    /// # Panics
-    /// Propagates [`SteeringTable::new`]'s panics on degenerate grids.
-    pub fn cached(steering: &UlaSteering, grid: &AngleGrid) -> Arc<SteeringTable> {
-        let cache = STEERING_CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        // Cached tables are immutable once inserted, so a poisoned lock
-        // cannot hold corrupt data — recover instead of panicking.
-        let mut tables = cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(t) = tables
-            .iter()
-            .find(|t| t.steering == *steering && t.grid == *grid)
-        {
-            return Arc::clone(t);
-        }
-        let t = Arc::new(SteeringTable::new(steering, grid));
-        if tables.len() >= STEERING_CACHE_CAP {
-            tables.remove(0);
-        }
-        tables.push(Arc::clone(&t));
-        t
+    /// Whether the table was built for exactly `(steering, grid)`, so it
+    /// is bit-identical to `SteeringTable::new(steering, grid)`.
+    pub fn is_for(&self, steering: &UlaSteering, grid: &AngleGrid) -> bool {
+        self.steering == *steering && self.grid == *grid
     }
 
     /// The steering model the table was built from.
@@ -289,15 +257,94 @@ impl SteeringTable {
         &self.vectors[idx * m..(idx + 1) * m]
     }
 
-    /// Bartlett power `a(θ)ᴴ R a(θ)` at grid index `idx`, clamped at 0
-    /// (a Hermitian `R` only goes negative by round-off). The covariance
-    /// must pass [`check_bartlett`].
+    /// Scans `N` covariances at once: for every grid index `i`, in grid
+    /// order, that `keep(i)` accepts, calls `visit(i, q)` with
+    /// `q[n] = Re(a(θ_i)ᴴ covs[n] a(θ_i))`.
+    ///
+    /// Each form runs the arithmetic of
+    /// [`CMatrix::quadratic_form`] — row sums `Σ_c R[r][c]·a[c]`, then
+    /// `Σ_r conj(a[r])·row_r` — in the same order, so every value is
+    /// bitwise `covs[n].quadratic_form(self.vector(i)).re`. Arrays of up
+    /// to 8 elements (the receivers here have 2–8 chains) run a
+    /// fixed-shape kernel with the matrices copied out once per call; a
+    /// larger array falls back to `quadratic_form` itself.
     ///
     /// # Panics
-    /// Panics if `idx` is out of bounds.
-    pub fn bartlett_power(&self, covariance: &CMatrix, idx: usize) -> f64 {
-        covariance.quadratic_form(self.vector(idx)).re.max(0.0)
+    /// Panics if a covariance is not square over the table's array.
+    pub fn scan<const N: usize>(
+        &self,
+        covs: [&CMatrix; N],
+        keep: impl FnMut(usize) -> bool,
+        visit: impl FnMut(usize, [f64; N]),
+    ) {
+        let m = self.steering.elements();
+        for c in &covs {
+            assert!(
+                c.is_square() && c.rows() == m,
+                "covariance must be {m}x{m} to scan a {m}-element table"
+            );
+        }
+        match m {
+            2 => self.scan_fixed::<2, N>(covs, keep, visit),
+            3 => self.scan_fixed::<3, N>(covs, keep, visit),
+            4 => self.scan_fixed::<4, N>(covs, keep, visit),
+            5 => self.scan_fixed::<5, N>(covs, keep, visit),
+            6 => self.scan_fixed::<6, N>(covs, keep, visit),
+            7 => self.scan_fixed::<7, N>(covs, keep, visit),
+            8 => self.scan_fixed::<8, N>(covs, keep, visit),
+            _ => self.scan_any(covs, keep, visit),
+        }
     }
+
+    fn scan_fixed<const M: usize, const N: usize>(
+        &self,
+        covs: [&CMatrix; N],
+        mut keep: impl FnMut(usize) -> bool,
+        mut visit: impl FnMut(usize, [f64; N]),
+    ) {
+        let fixed: [[[Complex64; M]; M]; N] = covs.map(|c| {
+            let mut r = [[Complex64::ZERO; M]; M];
+            for (row, src) in r.iter_mut().zip(c.as_slice().chunks_exact(M)) {
+                row.copy_from_slice(src);
+            }
+            r
+        });
+        for (i, a) in self.vectors.chunks_exact(M).enumerate() {
+            if !keep(i) {
+                continue;
+            }
+            let mut v = [Complex64::ZERO; M];
+            v.copy_from_slice(a);
+            visit(i, fixed.each_ref().map(|r| quadratic_form_re(r, &v)));
+        }
+    }
+
+    fn scan_any<const N: usize>(
+        &self,
+        covs: [&CMatrix; N],
+        mut keep: impl FnMut(usize) -> bool,
+        mut visit: impl FnMut(usize, [f64; N]),
+    ) {
+        for i in (0..self.len()).filter(|&i| keep(i)) {
+            visit(i, covs.map(|c| c.quadratic_form(self.vector(i)).re));
+        }
+    }
+}
+
+/// `Re(vᴴ R v)` on a fixed shape: the operations of
+/// [`CMatrix::quadratic_form`], in its order, without its per-call shape
+/// checks and row slicing.
+#[inline(always)]
+fn quadratic_form_re<const M: usize>(r: &[[Complex64; M]; M], v: &[Complex64; M]) -> f64 {
+    let mut acc = Complex64::ZERO;
+    for (row, &vr) in r.iter().zip(v) {
+        let mut row_acc = Complex64::ZERO;
+        for (&a, &vc) in row.iter().zip(v) {
+            row_acc += a * vc;
+        }
+        acc += vr.conj() * row_acc;
+    }
+    acc.re
 }
 
 /// A MUSIC pseudospectrum: paired angles (degrees) and values.
@@ -408,6 +455,18 @@ pub fn pseudospectrum(
     num_sources: usize,
     grid: &AngleGrid,
 ) -> Result<Pseudospectrum, MusicError> {
+    pseudospectrum_on(covariance, &SteeringTable::new(steering, grid), num_sources)
+}
+
+/// [`pseudospectrum`] over a prebuilt steering table.
+///
+/// # Errors
+/// Same as [`pseudospectrum`].
+pub fn pseudospectrum_on(
+    covariance: &CMatrix,
+    table: &SteeringTable,
+    num_sources: usize,
+) -> Result<Pseudospectrum, MusicError> {
     let m = covariance.rows();
     if num_sources >= m {
         return Err(MusicError::SignalDimTooLarge {
@@ -427,18 +486,17 @@ pub fn pseudospectrum(
     let en = eig.noise_subspace(num_sources);
     // Noise projector `E_N E_Nᴴ`, computed once per call: every grid
     // point then costs one allocation-free quadratic form against the
-    // cached steering table.
+    // steering table.
     let projector = &en * &en.hermitian();
-    let table = SteeringTable::cached(steering, grid);
-    let values: Vec<f64> = {
+    let mut values = Vec::with_capacity(table.len());
+    {
         let _stage = mpdf_obs::stage!("music.scan");
-        (0..table.len())
-            .map(|i| {
-                let denom = projector.quadratic_form(table.vector(i)).re.max(1e-12);
-                1.0 / denom
-            })
-            .collect()
-    };
+        table.scan(
+            [&projector],
+            |_| true,
+            |_, [q]| values.push(1.0 / q.max(1e-12)),
+        );
+    }
     // The denominator is clamped away from zero, so the pseudospectrum
     // must come out strictly positive and finite.
     contract::assert_positive("MUSIC pseudospectrum", &values);
@@ -466,6 +524,10 @@ pub fn check_bartlett(covariance: &CMatrix, steering: &UlaSteering) -> Result<()
 /// remain visible. The detection pipeline compares Bartlett profiles;
 /// MUSIC supplies the angles and the path weights.
 ///
+/// This full-grid spectrum of plain [`CMatrix::quadratic_form`]s is the
+/// reference the combined scheme's gated [`SteeringTable::scan`] is
+/// pinned against, so it does not run through the scan itself.
+///
 /// # Errors
 /// Returns [`MusicError::SignalDimTooLarge`] never; present for parity —
 /// the only failure is a non-square covariance, reported via
@@ -476,12 +538,14 @@ pub fn bartlett_spectrum(
     grid: &AngleGrid,
 ) -> Result<Pseudospectrum, MusicError> {
     check_bartlett(covariance, steering)?;
-    let table = SteeringTable::cached(steering, grid);
+    let table = SteeringTable::new(steering, grid);
     let values: Vec<f64> = {
         // Same stage as the MUSIC scan: both walk the steering table.
+        // Powers are clamped at 0 (a Hermitian `R` only goes negative by
+        // round-off).
         let _stage = mpdf_obs::stage!("music.scan");
         (0..table.len())
-            .map(|i| table.bartlett_power(covariance, i))
+            .map(|i| covariance.quadratic_form(table.vector(i)).re.max(0.0))
             .collect()
     };
     contract::assert_non_negative("Bartlett spectrum", &values);
@@ -685,16 +749,42 @@ mod tests {
     }
 
     #[test]
-    fn steering_cache_returns_identical_tables() {
+    fn scan_is_bitwise_quadratic_form_at_every_order() {
+        // Orders 2–8 take the fixed-shape kernel, 9 the fallback.
+        for m in 2..=9 {
+            let steering = UlaSteering::new(m, 0.5);
+            let table = SteeringTable::new(&steering, &AngleGrid::full_front(3.0));
+            let a = CMatrix::from_fn(m, m, |r, c| {
+                Complex64::new((r * 7 + c) as f64 * 0.31 - 1.0, (c * 3 + r) as f64 * 0.17)
+            });
+            let b = CMatrix::from_fn(m, m, |r, c| Complex64::cis((r * m + c) as f64));
+            let mut seen = Vec::new();
+            table.scan(
+                [&a, &b],
+                |i| i % 3 != 1,
+                |i, [qa, qb]| {
+                    seen.push(i);
+                    let (ra, rb) = (
+                        a.quadratic_form(table.vector(i)).re,
+                        b.quadratic_form(table.vector(i)).re,
+                    );
+                    assert_eq!(qa.to_bits(), ra.to_bits(), "order {m}, index {i}");
+                    assert_eq!(qb.to_bits(), rb.to_bits(), "order {m}, index {i}");
+                },
+            );
+            let want: Vec<usize> = (0..table.len()).filter(|i| i % 3 != 1).collect();
+            assert_eq!(seen, want, "order {m}: gated indices in grid order");
+        }
+    }
+
+    #[test]
+    fn table_knows_its_key() {
         let steering = UlaSteering::three_half_wavelength();
         let grid = AngleGrid::full_front(0.25);
-        let a = SteeringTable::cached(&steering, &grid);
-        let b = SteeringTable::cached(&steering, &grid);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "second lookup must hit");
-        assert_eq!(*a, SteeringTable::new(&steering, &grid));
-        // A different key gets a different table.
-        let other = SteeringTable::cached(&UlaSteering::new(4, 0.5), &grid);
-        assert_eq!(other.vector(0).len(), 4);
+        let table = SteeringTable::new(&steering, &grid);
+        assert!(table.is_for(&steering, &grid));
+        assert!(!table.is_for(&UlaSteering::new(4, 0.5), &grid));
+        assert!(!table.is_for(&steering, &AngleGrid::full_front(0.5)));
     }
 
     #[test]

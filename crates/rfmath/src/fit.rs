@@ -79,6 +79,66 @@ pub fn linear_trend(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), FitError> {
     Ok((slope, my - slope * mx))
 }
 
+/// A fixed abscissa for repeated [`linear_trend`] fits, with `x̄` and
+/// `Sxx` computed once.
+///
+/// The phase sanitizer fits every packet against the same OFDM indices,
+/// so [`linear_trend`]'s x-side passes recompute constants. When every
+/// `x` and every `y` of a fit is finite, the finite pairs are all pairs
+/// in order, so `x̄` and `Sxx` are the sums [`linear_trend`] would form
+/// and [`TrendAxis::trend`] is bitwise its result; any other fit runs
+/// [`linear_trend`] itself.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TrendAxis {
+    xs: Vec<f64>,
+    /// `(x̄, Sxx)` when every `x` is finite and there are at least two.
+    stats: Option<(f64, f64)>,
+}
+
+impl TrendAxis {
+    /// Precomputes the x-side statistics of `xs`.
+    pub fn new(xs: Vec<f64>) -> Self {
+        let stats = (xs.len() >= 2 && xs.iter().all(|x| x.is_finite())).then(|| {
+            let n = xs.len() as f64;
+            let mx = xs.iter().sum::<f64>() / n;
+            let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+            (mx, sxx)
+        });
+        TrendAxis { xs, stats }
+    }
+
+    /// The abscissa.
+    pub fn xs(&self) -> &[f64] {
+        &self.xs
+    }
+
+    /// `linear_trend(self.xs(), ys)`, bitwise.
+    ///
+    /// # Errors
+    /// Same as [`linear_trend`].
+    pub fn trend(&self, ys: &[f64]) -> Result<(f64, f64), FitError> {
+        let n = self.xs.len() as f64;
+        match self.stats {
+            Some((mx, sxx))
+                if ys.len() == self.xs.len()
+                    && sxx > f64::EPSILON * n
+                    && ys.iter().all(|y| y.is_finite()) =>
+            {
+                let my = ys.iter().sum::<f64>() / n;
+                let sxy: f64 = self
+                    .xs
+                    .iter()
+                    .zip(ys)
+                    .map(|(x, y)| (x - mx) * (y - my))
+                    .sum();
+                let slope = sxy / sxx;
+                Ok((slope, my - slope * mx))
+            }
+            _ => linear_trend(&self.xs, ys),
+        }
+    }
+}
+
 /// The finite `(x, y)` pairs of two columns.
 fn finite_pairs<'a>(xs: &'a [f64], ys: &'a [f64]) -> impl Iterator<Item = (f64, f64)> + 'a {
     xs.iter()
@@ -160,6 +220,37 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trend_axis_is_bitwise_linear_trend() {
+        let idx = [
+            -28, -26, -24, -22, -20, -18, -16, -14, -12, -10, -8, -6, -4, -2, -1, 1, 3, 5, 7, 9,
+            11, 13, 15, 17, 19, 21, 23, 25, 27, 28,
+        ];
+        let axis = TrendAxis::new(idx.iter().map(|&i| f64::from(i)).collect());
+        let bits = |r: Result<(f64, f64), FitError>| r.map(|(a, b)| (a.to_bits(), b.to_bits()));
+        let mut cases: Vec<Vec<f64>> = (0..40)
+            .map(|p| {
+                (0..30)
+                    .map(|k| (p * 30 + k) as f64 * 0.0137 - 3.0 + ((p * k) % 7) as f64 * 0.1)
+                    .collect()
+            })
+            .collect();
+        let mut nan = cases[0].clone();
+        nan[4] = f64::NAN;
+        let mut inf = cases[1].clone();
+        inf[29] = f64::NEG_INFINITY;
+        cases.extend([nan, inf, vec![1.0; 29], vec![f64::NAN; 30]]);
+        for ys in &cases {
+            assert_eq!(bits(axis.trend(ys)), bits(linear_trend(axis.xs(), ys)));
+        }
+        // Degenerate and non-finite axes take the general path too.
+        for xs in [vec![2.0; 30], vec![f64::NAN; 30], vec![1.0]] {
+            let axis = TrendAxis::new(xs);
+            let ys = vec![0.5; axis.xs().len()];
+            assert_eq!(bits(axis.trend(&ys)), bits(linear_trend(axis.xs(), &ys)));
+        }
+    }
 
     #[test]
     fn exact_line_recovered() {

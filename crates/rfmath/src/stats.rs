@@ -59,6 +59,34 @@ pub fn median_in_place(xs: &mut [f64]) -> f64 {
     0.5 * (lo + upper)
 }
 
+/// Median under [`f64::total_cmp`] order through a reusable key buffer,
+/// leaving `xs` untouched: bitwise [`median_in_place`].
+///
+/// Each value maps to the `i64` whose integer order is `total_cmp`
+/// order (the map `total_cmp` itself applies per comparison, inverted
+/// exactly on the way back), and the keys are sorted as integers — for
+/// the 30-value rows the Eq. 13 weights take one median of per packet,
+/// about twice as fast as selecting under `total_cmp`.
+pub fn median_with(xs: &[f64], keys: &mut Vec<i64>) -> f64 {
+    /// `total_cmp`'s key: flips the magnitude bits of negative values.
+    /// The same map inverts it (the sign bit is unchanged).
+    fn flip(bits: i64) -> i64 {
+        bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+    }
+    let n = xs.len();
+    if n == 0 {
+        return 0.0;
+    }
+    keys.clear();
+    keys.extend(xs.iter().map(|x| flip(x.to_bits() as i64)));
+    keys.sort_unstable();
+    let value = |key: i64| f64::from_bits(flip(key) as u64);
+    if n % 2 == 1 {
+        return value(keys[n / 2]);
+    }
+    0.5 * (value(keys[n / 2 - 1]) + value(keys[n / 2]))
+}
+
 /// Linear-interpolated percentile, `p ∈ [0, 100]`.
 ///
 /// # Panics

@@ -5,7 +5,9 @@ use mpdf_rfmath::dft::{dft, fft, idft, ifft, nudft_at_delay};
 use mpdf_rfmath::eig::hermitian_eig;
 use mpdf_rfmath::fit::{linear_fit, linear_trend, log_fit, FitError};
 use mpdf_rfmath::matrix::CMatrix;
-use mpdf_rfmath::stats::{mean, median, median_in_place, moving_variance, variance, Ecdf};
+use mpdf_rfmath::stats::{
+    mean, median, median_in_place, median_with, moving_variance, variance, Ecdf,
+};
 use proptest::prelude::*;
 
 fn finite() -> impl Strategy<Value = f64> {
@@ -258,6 +260,7 @@ proptest! {
     ) {
         let expect = sorted_median(&xs).to_bits();
         prop_assert_eq!(median(&xs).to_bits(), expect);
+        prop_assert_eq!(median_with(&xs, &mut Vec::new()).to_bits(), expect);
         let mut scratch = xs.clone();
         prop_assert_eq!(median_in_place(&mut scratch).to_bits(), expect);
         // Reordered, not altered: the same multiset of bit patterns.

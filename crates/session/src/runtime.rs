@@ -290,7 +290,8 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
     /// # Errors
     /// [`DetectError::InvalidConfig`] on a bad session config,
     /// [`DetectError::InsufficientCalibration`] when the holdout is
-    /// shorter than one window, plus profile/scheme errors.
+    /// shorter than one window or every holdout window abstained, plus
+    /// profile/scheme errors.
     pub fn calibrate(
         calibration_packets: &[CsiPacket],
         scheme: S,
@@ -308,12 +309,6 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
         let (train, holdout) = calibration_packets.split_at(half);
         let profile = CalibrationProfile::build(train, &config)?;
         let null_scores = static_score_distribution(&profile, holdout, &scheme, &config)?;
-        if null_scores.is_empty() {
-            return Err(DetectError::InsufficientCalibration {
-                got: holdout.len(),
-                need: config.window,
-            });
-        }
         let threshold = threshold_for_fp(&null_scores, session.target_fp);
         let hmm = HmmSmoother::with_defaults(&null_scores)?;
         let sentinel = DriftSentinel::from_null_scores(&null_scores, session.sentinel.clone())?;
@@ -442,7 +437,24 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             let gate_open = prev < self.session.vacancy_eps;
             vacant = gate_open && self.posterior < self.session.vacancy_eps;
             if gate_open && !d.degraded {
+                let before = self.sentinel.state();
                 self.sentinel.observe(d.score);
+                // Entries, not the state: counters sum across a fleet's
+                // links, where a process-global state gauge would hold
+                // whichever link wrote last. Only `observe` leaves
+                // `Stable` (a recalibration rebases back to it).
+                let after = self.sentinel.state();
+                if after != before {
+                    match after {
+                        DriftState::Drifting => {
+                            mpdf_obs::counter!("session.drifting_entries_total").inc();
+                        }
+                        DriftState::Broken => {
+                            mpdf_obs::counter!("session.broken_entries_total").inc();
+                        }
+                        DriftState::Stable => {}
+                    }
+                }
             }
             // Only clean (non-degraded) strictly-vacant windows feed the
             // baseline: a window that lost packets or antennas is not a
@@ -478,7 +490,6 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             }
         }
 
-        mpdf_obs::gauge!("session.drift_state").set(i64::from(self.sentinel.state().as_u8()));
         mpdf_obs::gauge!("session.backoff_remaining").set(self.backoff_remaining as i64);
         Ok(SessionDecision {
             window: widx,
@@ -574,10 +585,13 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
         let (train, holdout) = shadow.split_at(half);
         let profile = CalibrationProfile::build(train, config)?;
         let null_scores = static_score_distribution(&profile, holdout, &self.scheme, config)?;
-        if null_scores.is_empty() {
+        // Accepting refits the smoother and the sentinel on these scores,
+        // which takes two; a holdout that abstained down to fewer is a
+        // candidate to retry, not a failure.
+        if null_scores.len() < 2 {
             return Err(DetectError::InsufficientCalibration {
-                got: holdout.len(),
-                need: config.window,
+                got: null_scores.len() * config.window,
+                need: 2 * config.window,
             });
         }
         let threshold = threshold_for_fp(&null_scores, self.session.target_fp);

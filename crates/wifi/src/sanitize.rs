@@ -11,6 +11,7 @@
 //! correction preserves the inter-antenna phase differences MUSIC needs.
 
 use mpdf_rfmath::complex::Complex64;
+use mpdf_rfmath::fit::TrendAxis;
 
 use crate::csi::CsiPacket;
 
@@ -59,15 +60,16 @@ pub struct PhaseCorrection {
 /// Sanitizing a monitoring window runs the same fixed-size intermediate
 /// computations once per packet; a scratch carried across packets (and
 /// windows) removes every per-call allocation, and caches the OFDM
-/// indices converted to `f64` — constant across a window, previously
-/// rebuilt per packet. All arithmetic is untouched: corrections and
-/// sanitized CSI are bit-identical to the allocating formulation.
+/// indices converted to `f64` as a [`TrendAxis`] — constant across a
+/// window, so the fit's x-side sums are formed once. All arithmetic is
+/// untouched: corrections and sanitized CSI are bit-identical to the
+/// allocating formulation.
 #[derive(Debug, Clone, Default)]
 pub struct SanitizeScratch {
     sums: Vec<Complex64>,
     phases: Vec<f64>,
     unwrapped: Vec<f64>,
-    xs: Vec<f64>,
+    axis: TrendAxis,
     rots: Vec<Complex64>,
 }
 
@@ -77,18 +79,17 @@ impl SanitizeScratch {
         Self::default()
     }
 
-    /// Refills the cached `f64` index grid when `indices` changed since
-    /// the last call (cheap length+value check, usually a no-op).
-    fn prepare_xs(&mut self, indices: &[i32]) {
-        let up_to_date = self.xs.len() == indices.len()
-            && self
-                .xs
+    /// Rebuilds the cached index axis when `indices` changed since the
+    /// last call (cheap length+value check, usually a no-op).
+    fn prepare_axis(&mut self, indices: &[i32]) {
+        let xs = self.axis.xs();
+        let up_to_date = xs.len() == indices.len()
+            && xs
                 .iter()
                 .zip(indices)
-                .all(|(&x, &i)| x.to_bits() == (i as f64).to_bits());
+                .all(|(&x, &i)| x.to_bits() == f64::from(i).to_bits());
         if !up_to_date {
-            self.xs.clear();
-            self.xs.extend(indices.iter().map(|&i| i as f64));
+            self.axis = TrendAxis::new(indices.iter().map(|&i| f64::from(i)).collect());
         }
     }
 }
@@ -110,12 +111,12 @@ pub fn estimate_linear_phase_with(
         packet.subcarriers(),
         "index list must match packet subcarriers"
     );
-    scratch.prepare_xs(indices);
+    scratch.prepare_axis(indices);
     let SanitizeScratch {
         sums,
         phases,
         unwrapped,
-        xs,
+        axis,
         ..
     } = scratch;
     // Antenna sums accumulated row-major (cache order); per subcarrier
@@ -131,7 +132,7 @@ pub fn estimate_linear_phase_with(
     phases.clear();
     phases.extend(sums.iter().map(|s| s.arg()));
     unwrap_phases_into(phases, unwrapped);
-    let (slope, intercept) = mpdf_rfmath::fit::linear_trend(xs, unwrapped).unwrap_or((0.0, 0.0));
+    let (slope, intercept) = axis.trend(unwrapped).unwrap_or((0.0, 0.0));
     PhaseCorrection { slope, intercept }
 }
 
