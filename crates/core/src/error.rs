@@ -41,6 +41,13 @@ pub enum DetectError {
         /// Antennas the scheme needs.
         needed: usize,
     },
+    /// The receive chains that survived quarantine are not equispaced
+    /// (a 4-chain array that lost an interior chain), so they form no
+    /// uniform sub-array to scan.
+    ApertureIrregular {
+        /// Physical indices of the surviving chains, ascending.
+        usable: Vec<usize>,
+    },
     /// A constructor was handed parameters outside its documented domain
     /// (e.g. too few null scores, a non-positive shift, stickiness out of
     /// `[0.5, 1)`).
@@ -70,6 +77,7 @@ impl DetectError {
     /// outright ([`EmptyWindow`](DetectError::EmptyWindow)), the gap
     /// budget aborted ([`DegradedBeyondBudget`](DetectError::DegradedBeyondBudget))
     /// or that kept too few chains ([`ApertureLost`](DetectError::ApertureLost))
+    /// or no uniform sub-array of them ([`ApertureIrregular`](DetectError::ApertureIrregular))
     /// — which callers skip, rather than a failure they propagate.
     pub fn is_abstention(&self) -> bool {
         matches!(
@@ -77,6 +85,7 @@ impl DetectError {
             DetectError::EmptyWindow
                 | DetectError::DegradedBeyondBudget { .. }
                 | DetectError::ApertureLost { .. }
+                | DetectError::ApertureIrregular { .. }
         )
     }
 }
@@ -99,6 +108,10 @@ impl fmt::Display for DetectError {
             DetectError::ApertureLost { usable, needed } => write!(
                 f,
                 "window lost its aperture: {usable} usable antennas, {needed} needed"
+            ),
+            DetectError::ApertureIrregular { usable } => write!(
+                f,
+                "window lost its aperture: antennas {usable:?} are not equispaced"
             ),
             DetectError::InvalidConfig { what } => {
                 write!(f, "invalid configuration: {what}")

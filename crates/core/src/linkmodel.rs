@@ -2,8 +2,9 @@
 //!
 //! These closed forms describe a link carrying a LOS path and one
 //! reflection with amplitude ratio `γ = a_L/a_R > 1` and relative phase
-//! `φ`. They are used to generate theory overlays for the Fig. 3
-//! experiments and as oracles in tests of the measured multipath factor.
+//! `φ`. No experiment calls them: they are the oracles the tests of the
+//! measured multipath factor and of the channel simulator check against
+//! (`tests/linkmodel_vs_simulator.rs`, `tests/properties.rs`).
 
 /// Parameters of the two-path analysis channel.
 #[derive(Debug, Clone, Copy, PartialEq)]

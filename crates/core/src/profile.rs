@@ -748,7 +748,7 @@ mod tests {
         let grid = p.mu_grid(&shifted);
         assert!(matches!(grid, Cow::Owned(_)));
         assert_eq!(*grid, MuGrid::new(&shifted.frequencies()));
-        let sub = cfg.steering.subset(&[0, 2]);
+        let sub = cfg.steering.subset(&[0, 2]).unwrap();
         let table = p.steering_table(&sub, &cfg.grid);
         assert!(matches!(table, Cow::Owned(_)));
         assert_eq!(*table, SteeringTable::new(&sub, &cfg.grid));

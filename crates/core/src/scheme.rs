@@ -364,9 +364,16 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         // takes the matching principal submatrix, and the steering model
         // collapses to the surviving (still uniform) sub-ULA. The health
         // report carries `widened_uncertainty` for downstream consumers.
+        // Survivors that are not equispaced have no sub-ULA to scan: the
+        // window abstains.
         let (steering, static_cov) = if health.widened_uncertainty {
             (
-                config.steering.subset(&health.usable_antennas),
+                config
+                    .steering
+                    .subset(&health.usable_antennas)
+                    .ok_or_else(|| DetectError::ApertureIrregular {
+                        usable: health.usable_antennas.clone(),
+                    })?,
                 profile
                     .weighted_static_covariance(Some(&eff))
                     .principal_submatrix(&health.usable_antennas),
@@ -789,8 +796,9 @@ mod tests {
     /// per-subcarrier forward–backward matrices pooled by
     /// `pool_covariances`, and two full Bartlett spectra (plain
     /// `quadratic_form`s on a freshly built steering table) compared
-    /// inside the path-weight gate.
-    fn combined_oracle(prepared: &PreparedWindow<'_>) -> f64 {
+    /// inside the path-weight gate. `None` when the surviving chains
+    /// form no uniform sub-array.
+    fn combined_oracle(prepared: &PreparedWindow<'_>) -> Option<f64> {
         use crate::profile::{per_subcarrier_fb_covariances, pool_covariances};
         use mpdf_music::music::bartlett_spectrum;
         let (profile, config) = (prepared.profile, prepared.config);
@@ -800,7 +808,7 @@ mod tests {
         let eff = effective_weights(&weights, health);
         let (steering, static_cov) = if health.widened_uncertainty {
             (
-                config.steering.subset(&health.usable_antennas),
+                config.steering.subset(&health.usable_antennas)?,
                 profile
                     .weighted_static_covariance(Some(&eff))
                     .principal_submatrix(&health.usable_antennas),
@@ -834,7 +842,7 @@ mod tests {
             .map(|(d, w)| (*d, *w))
             .collect();
         if gated.is_empty() {
-            return 0.0;
+            return Some(0.0);
         }
         let mean = gated.iter().map(|(d, _)| d).sum::<f64>() / gated.len() as f64;
         let sum_sq: f64 = gated
@@ -844,7 +852,7 @@ mod tests {
                 v * v
             })
             .sum();
-        (sum_sq / gated.len() as f64).sqrt()
+        Some((sum_sq / gated.len() as f64).sqrt())
     }
 
     /// `scene_packets` on an `antennas`-element λ/2 array.
@@ -948,7 +956,7 @@ mod tests {
                 match SubcarrierAndPathWeighting.score_prepared(&prepared) {
                     Ok((score, _)) => {
                         let reference = combined_oracle(&prepared);
-                        assert_eq!(score.to_bits(), reference.to_bits(), "{what}");
+                        assert_eq!(Some(score.to_bits()), reference.map(f64::to_bits), "{what}");
                     }
                     // Two chains less a dead one leave no aperture.
                     Err(e) => assert!(
@@ -993,8 +1001,34 @@ mod tests {
                 .score_prepared(&prepared)
                 .unwrap();
             let reference = combined_oracle(&prepared);
-            assert_eq!(gated.to_bits(), reference.to_bits(), "window {i}");
+            assert_eq!(
+                Some(gated.to_bits()),
+                reference.map(f64::to_bits),
+                "window {i}"
+            );
         }
+    }
+
+    #[test]
+    fn interior_chain_loss_abstains_instead_of_panicking() {
+        let cfg = DetectorConfig {
+            steering: UlaSteering::new(4, 0.5),
+            ..DetectorConfig::default()
+        };
+        let profile = CalibrationProfile::build(&array_scene(4, 30, 0.0, 0.0), &cfg).unwrap();
+        // Chain 1 is NaN in one packet, so chains [0, 2, 3] survive: no
+        // uniform sub-array is left to scan.
+        let mut window = array_scene(4, 25, 0.4, -20.0);
+        window[6] = with_dead_row(&window[6], 1);
+        let prepared = PreparedWindow::new(&profile, &window, &cfg);
+        assert_eq!(prepared.health().unwrap().usable_antennas, [0, 2, 3]);
+        match SubcarrierAndPathWeighting.score_prepared(&prepared) {
+            Err(e) => assert!(e.is_abstention(), "{e}"),
+            Ok((score, _)) => panic!("scored {score} on an irregular aperture"),
+        }
+        assert_eq!(combined_oracle(&prepared), None);
+        // The schemes that never scan angles still score the window.
+        assert!(SubcarrierWeighting.score_prepared(&prepared).is_ok());
     }
 
     #[test]

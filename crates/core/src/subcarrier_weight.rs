@@ -4,7 +4,8 @@
 //! sensitive to human presence; the weighting scheme boosts them and
 //! penalizes unstable or insensitive ones:
 //!
-//! - Eq. 12 — single-packet weights `|μ_k / Σμ_k|`.
+//! - Eq. 12 — single-packet weights `|μ_k / Σμ_k|`; the window weights
+//!   below replace μ_k with its temporal mean μ̄_k.
 //! - Eq. 13/14 — the stability ratio `r_k`: the fraction of packets in
 //!   which subcarrier `k`'s factor exceeds that packet's median factor.
 //! - Eq. 15 — combined weights `|μ̄_k·r_k / (Σμ̄ · Σr)|` applied to the
@@ -15,21 +16,6 @@ use mpdf_rfmath::stats::median_with;
 use mpdf_wifi::csi::CsiPacket;
 
 use crate::multipath_factor::MuGrid;
-
-/// Single-packet subcarrier weights (Eq. 12): `w_k = |μ_k / Σ_j μ_j|`.
-///
-/// Returns uniform weights when the factors sum to zero (all-dead packet).
-pub fn single_packet_weights(mus: &[f64]) -> Vec<f64> {
-    let total: f64 = mus.iter().sum();
-    if total.abs() <= f64::MIN_POSITIVE {
-        return vec![1.0 / mus.len().max(1) as f64; mus.len()];
-    }
-    let weights: Vec<f64> = mus.iter().map(|&m| (m / total).abs()).collect();
-    // Eq. 12 divides by Σμ, so for the pipeline's non-negative factors
-    // the weights must partition unity.
-    contract::assert_normalized("single-packet weights (Eq. 12)", &weights, 1e-9);
-    weights
-}
 
 /// Multi-packet subcarrier weights (Eq. 13–15).
 #[derive(Debug, Clone, PartialEq)]
@@ -204,21 +190,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_packet_weights_normalize() {
-        let mus = vec![1.0, 2.0, 3.0, 4.0];
-        let w = single_packet_weights(&mus);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(w[3] > w[0]);
-        assert!((w[1] - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_packet_weights_handle_all_zero() {
-        let w = single_packet_weights(&[0.0, 0.0]);
-        assert_eq!(w, vec![0.5, 0.5]);
-    }
-
-    #[test]
     fn stability_ratio_counts_median_exceedances() {
         // 3 subcarriers, 4 packets. Subcarrier 2 always above the median,
         // subcarrier 0 never.
@@ -348,8 +319,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Random non-negative factor windows satisfy the contracts
-            /// wired into the constructors: Eq. 12 weights partition
-            /// unity, r_k ∈ [0, 1], Eq. 15 weights finite non-negative.
+            /// wired into the constructor: r_k ∈ [0, 1], Eq. 15 weights
+            /// finite non-negative.
             #[test]
             fn random_windows_satisfy_weight_contracts(
                 vals in proptest::collection::vec(0.0f64..20.0, 24),
@@ -361,10 +332,6 @@ mod tests {
                 let w = SubcarrierWeights::from_factors(&window);
                 prop_assert!(w.stability.iter().all(|r| (0.0..=1.0).contains(r)));
                 prop_assert!(w.weights.iter().all(|x| x.is_finite() && *x >= 0.0));
-
-                let sw = single_packet_weights(&vals[..k]);
-                let sum: f64 = sw.iter().sum();
-                prop_assert!((sum - 1.0).abs() < 1e-9, "Eq. 12 sum {sum}");
             }
         }
     }

@@ -3,7 +3,7 @@
 use mpdf_core::linkmodel::TwoPathLink;
 use mpdf_core::multipath_factor::{los_power_split, multipath_factors_row};
 use mpdf_core::path_weight::PathWeights;
-use mpdf_core::subcarrier_weight::{single_packet_weights, SubcarrierWeights};
+use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_music::music::Pseudospectrum;
 use mpdf_rfmath::complex::Complex64;
 use mpdf_wifi::band::Band;
@@ -78,15 +78,6 @@ proptest! {
     }
 
     // ---- Subcarrier weighting ----
-
-    #[test]
-    fn single_packet_weights_sum_to_one(mus in proptest::collection::vec(0.0f64..10.0, 1..64)) {
-        let w = single_packet_weights(&mus);
-        prop_assert_eq!(w.len(), mus.len());
-        let sum: f64 = w.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
-        prop_assert!(w.iter().all(|&x| x >= 0.0));
-    }
 
     #[test]
     fn combined_weights_are_valid(rows in mu_rows()) {

@@ -13,6 +13,7 @@
 //!    1/6/11 (paying a 3× probing overhead per decision);
 //! 3. the paper's subcarrier weighting, fixed on channel 11, no sweep.
 
+use mpdf_core::error::DetectError;
 use mpdf_core::fade_level::fade_level_db;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
 use mpdf_core::scheme::{Baseline, DetectionScheme, PreparedWindow, SubcarrierWeighting};
@@ -26,7 +27,7 @@ use mpdf_wifi::{ImpairmentModel, UniformLinearArray};
 
 use crate::metrics::{LabeledScore, SchemeSummary};
 use crate::scenario::five_cases;
-use crate::workload::CampaignConfig;
+use crate::workload::{scored_or_abstained, CampaignConfig};
 
 /// One detector's outcome plus its airtime overhead.
 #[derive(Debug, Clone)]
@@ -64,11 +65,7 @@ fn study_case() -> crate::scenario::LinkCase {
     cases.remove(0)
 }
 
-fn channel_ctx(
-    channel: u8,
-    cfg: &CampaignConfig,
-    seed: u64,
-) -> Result<ChannelCtx, mpdf_core::error::DetectError> {
+fn channel_ctx(channel: u8, cfg: &CampaignConfig, seed: u64) -> Result<ChannelCtx, DetectError> {
     let case = study_case();
     let link = ChannelModel::new(case.environment.clone(), case.tx, case.rx)?;
     let band = Band::new(
@@ -123,7 +120,7 @@ fn window_power(window: &[mpdf_wifi::CsiPacket]) -> f64 {
 ///
 /// # Errors
 /// Propagates pipeline errors.
-pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, mpdf_core::error::DetectError> {
+pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, DetectError> {
     let case = study_case();
     let mut channels: Vec<ChannelCtx> = [1u8, 6, 11]
         .iter()
@@ -176,11 +173,17 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, mpdf_core::error::Det
             .map(|(ctx, window)| PreparedWindow::new(&ctx.profile, window, &ctx.detector))
             .collect();
 
+        // A window a detector abstains on (a faulted run) is left out of
+        // that detector's row, as the campaign path leaves it out.
+        let push = |scores: &mut Vec<LabeledScore>, result| -> Result<(), DetectError> {
+            match scored_or_abstained(result)? {
+                Some((score, _)) => scores.push(LabeledScore { score, positive }),
+                None => mpdf_obs::counter!("eval.aborted_windows_total").inc(),
+            }
+            Ok(())
+        };
         // 1. Fixed channel 11.
-        fixed.push(LabeledScore {
-            score: Baseline.score_prepared(&prepared[2])?.0,
-            positive,
-        });
+        push(&mut fixed, Baseline.score_prepared(&prepared[2]))?;
         // 2. Fade-level selection: the *calibration-time* fade level picks
         //    the most multipath-sensitive channel (deepest fade). The probe
         //    airtime is modelled, not charged, but counted as overhead.
@@ -193,15 +196,12 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, mpdf_core::error::Det
                 fa.total_cmp(&fb)
             })
             .unwrap_or(0);
-        swept.push(LabeledScore {
-            score: Baseline.score_prepared(&prepared[deepest])?.0,
-            positive,
-        });
+        push(&mut swept, Baseline.score_prepared(&prepared[deepest]))?;
         // 3. The paper's subcarrier weighting, single channel.
-        weighted.push(LabeledScore {
-            score: SubcarrierWeighting.score_prepared(&prepared[2])?.0,
-            positive,
-        });
+        push(
+            &mut weighted,
+            SubcarrierWeighting.score_prepared(&prepared[2]),
+        )?;
         let _ = w;
     }
 

@@ -20,8 +20,6 @@ pub enum CovarianceError {
     NoSnapshots,
     /// Snapshots have inconsistent lengths.
     RaggedSnapshots,
-    /// A subarray length was invalid for smoothing.
-    BadSubarrayLength,
 }
 
 impl fmt::Display for CovarianceError {
@@ -29,9 +27,6 @@ impl fmt::Display for CovarianceError {
         match self {
             CovarianceError::NoSnapshots => write!(f, "no snapshots provided"),
             CovarianceError::RaggedSnapshots => write!(f, "snapshots have differing lengths"),
-            CovarianceError::BadSubarrayLength => {
-                write!(f, "subarray length must be in 2..=elements")
-            }
         }
     }
 }
@@ -79,46 +74,6 @@ pub fn forward_backward(r: &CMatrix) -> CMatrix {
         1e-9 * (1.0 + fb.trace().norm()),
     );
     fb
-}
-
-/// Spatially smoothed covariance: averages the covariances of all
-/// contiguous subarrays of length `subarray_len`. The paper (§IV-B1)
-/// notes this "relegates three antennas to only two" — the output order
-/// is `subarray_len`, trading aperture for coherence handling.
-///
-/// # Errors
-/// [`CovarianceError::BadSubarrayLength`] unless
-/// `2 ≤ subarray_len ≤ element count`, plus the [`sample_covariance`]
-/// conditions.
-pub fn spatially_smoothed_covariance(
-    snapshots: &[Vec<Complex64>],
-    subarray_len: usize,
-) -> Result<CMatrix, CovarianceError> {
-    let first = snapshots.first().ok_or(CovarianceError::NoSnapshots)?;
-    let m = first.len();
-    if subarray_len < 2 || subarray_len > m {
-        return Err(CovarianceError::BadSubarrayLength);
-    }
-    let num_sub = m - subarray_len + 1;
-    let mut acc = CMatrix::zeros(subarray_len, subarray_len);
-    for start in 0..num_sub {
-        let sub: Vec<Vec<Complex64>> = snapshots
-            .iter()
-            .map(|s| {
-                if s.len() != m {
-                    Vec::new()
-                } else {
-                    s[start..start + subarray_len].to_vec()
-                }
-            })
-            .collect();
-        if sub.iter().any(|s| s.len() != subarray_len) {
-            return Err(CovarianceError::RaggedSnapshots);
-        }
-        let r = sample_covariance(&sub)?;
-        acc = &acc + &r;
-    }
-    Ok(acc.scale(1.0 / num_sub as f64))
 }
 
 #[cfg(test)]
@@ -190,36 +145,6 @@ mod tests {
         assert!((fb.trace().re - r.trace().re).abs() < 1e-9);
     }
 
-    #[test]
-    fn smoothing_reduces_order() {
-        let snaps: Vec<Vec<Complex64>> = (0..16)
-            .map(|i| {
-                let t = i as f64;
-                vec![
-                    Complex64::cis(t),
-                    Complex64::cis(t + 1.0),
-                    Complex64::cis(t + 2.0),
-                ]
-            })
-            .collect();
-        let r = spatially_smoothed_covariance(&snaps, 2).unwrap();
-        assert_eq!(r.rows(), 2);
-        assert!(r.is_hermitian(1e-12));
-    }
-
-    #[test]
-    fn smoothing_rejects_bad_lengths() {
-        let snaps = vec![vec![c(1.0, 0.0); 3]];
-        assert_eq!(
-            spatially_smoothed_covariance(&snaps, 1),
-            Err(CovarianceError::BadSubarrayLength)
-        );
-        assert_eq!(
-            spatially_smoothed_covariance(&snaps, 4),
-            Err(CovarianceError::BadSubarrayLength)
-        );
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -283,34 +208,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn smoothing_decorrelates_coherent_sources() {
-        // Two fully coherent plane waves on a 3-element λ/2 ULA: the plain
-        // covariance is rank-1; smoothing restores rank 2.
-        let theta1: f64 = 0.2;
-        let theta2: f64 = -0.7;
-        let steer =
-            |theta: f64, m: usize| Complex64::cis(-std::f64::consts::PI * m as f64 * theta.sin());
-        let snaps: Vec<Vec<Complex64>> = (0..32)
-            .map(|i| {
-                let s = Complex64::cis(i as f64 * 0.9); // same symbol on both paths (coherent)
-                (0..3)
-                    .map(|m| s * steer(theta1, m) + s * steer(theta2, m) * 0.8)
-                    .collect()
-            })
-            .collect();
-        let plain = sample_covariance(&snaps).unwrap();
-        let eig_plain = mpdf_rfmath::eig::hermitian_eig(&plain, 1e-12).unwrap();
-        // Coherent: second eigenvalue collapses.
-        assert!(eig_plain.values[1] < 1e-6 * eig_plain.values[0]);
-        let smooth = spatially_smoothed_covariance(&snaps, 2).unwrap();
-        let eig_smooth = mpdf_rfmath::eig::hermitian_eig(&smooth, 1e-12).unwrap();
-        assert!(
-            eig_smooth.values[1] > 1e-3 * eig_smooth.values[0],
-            "smoothing must restore rank: {:?}",
-            eig_smooth.values
-        );
     }
 }

@@ -1,8 +1,7 @@
 //! # mpdf-music — angle-of-arrival estimation
 //!
 //! The spatial-diversity substrate of the paper (§IV-B): sample covariance
-//! estimation with forward–backward averaging and spatial smoothing
-//! ([`covariance`]), and the MUSIC pseudospectrum with peak extraction
+//! estimation with forward–backward averaging ([`covariance`]), and the MUSIC pseudospectrum with peak extraction
 //! ([`music`]).
 //!
 //! ```
@@ -36,7 +35,7 @@
 pub mod covariance;
 pub mod music;
 
-pub use covariance::{forward_backward, sample_covariance, spatially_smoothed_covariance};
+pub use covariance::{forward_backward, sample_covariance};
 pub use music::{
     estimate_aoa, pseudospectrum, pseudospectrum_on, AngleGrid, MusicError, Pseudospectrum,
     SteeringTable, UlaSteering,

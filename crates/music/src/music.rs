@@ -100,25 +100,24 @@ impl UlaSteering {
     }
 
     /// Steering model of the sub-array keeping the elements in `idx`
-    /// (ascending physical indices). Only an equispaced subset of a ULA is
-    /// itself a ULA — the survivors of a single antenna-chain dropout on
-    /// the 3-element array always are.
-    ///
-    /// # Panics
-    /// Panics if `idx` has fewer than two elements, is not strictly
-    /// ascending and equispaced, or indexes past the array.
-    pub fn subset(&self, idx: &[usize]) -> UlaSteering {
-        assert!(idx.len() >= 2, "need at least two elements");
-        assert!(
-            idx[idx.len() - 1] < self.elements,
-            "subset index out of range"
-        );
-        assert!(idx[1] > idx[0], "indices must be strictly ascending");
-        let gap = idx[1] - idx[0];
-        for w in idx.windows(2) {
-            assert_eq!(w[1] - w[0], gap, "subset must remain equispaced");
+    /// (ascending physical indices), or `None` when they form no ULA:
+    /// fewer than two elements, not strictly ascending and equispaced, or
+    /// an index past the array. The survivors of a single antenna-chain
+    /// dropout on the 3-element array always form one; a 4-element array
+    /// that lost an interior chain does not.
+    pub fn subset(&self, idx: &[usize]) -> Option<UlaSteering> {
+        let (&first, &last) = (idx.first()?, idx.last()?);
+        let gap = idx.get(1)?.checked_sub(first)?;
+        if gap == 0
+            || last >= self.elements
+            || idx.windows(2).any(|w| w[1].checked_sub(w[0]) != Some(gap))
+        {
+            return None;
         }
-        UlaSteering::new(idx.len(), self.spacing_wavelengths * gap as f64)
+        Some(UlaSteering::new(
+            idx.len(),
+            self.spacing_wavelengths * gap as f64,
+        ))
     }
 
     /// Steering vector at incidence angle `theta` radians (from broadside),
@@ -524,9 +523,10 @@ pub fn check_bartlett(covariance: &CMatrix, steering: &UlaSteering) -> Result<()
 /// remain visible. The detection pipeline compares Bartlett profiles;
 /// MUSIC supplies the angles and the path weights.
 ///
-/// This full-grid spectrum of plain [`CMatrix::quadratic_form`]s is the
-/// reference the combined scheme's gated [`SteeringTable::scan`] is
-/// pinned against, so it does not run through the scan itself.
+/// No detector calls this: the full-grid spectrum of plain
+/// [`CMatrix::quadratic_form`]s is the oracle the combined scheme's gated
+/// [`SteeringTable::scan`] is pinned against in `mpdf-core`'s tests, so
+/// it does not run through the scan itself.
 ///
 /// # Errors
 /// Returns [`MusicError::SignalDimTooLarge`] never; present for parity —
@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn ula_subset_keeps_relative_phases() {
         let full = UlaSteering::three_half_wavelength();
-        let sub = full.subset(&[0, 2]);
+        let sub = full.subset(&[0, 2]).unwrap();
         assert_eq!(sub.elements(), 2);
         assert!((sub.spacing_wavelengths() - 1.0).abs() < 1e-15);
         // Relative phase between the surviving elements must match the
@@ -594,9 +594,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equispaced")]
     fn ula_subset_rejects_non_equispaced() {
-        UlaSteering::new(4, 0.5).subset(&[0, 1, 3]);
+        let ula = UlaSteering::new(4, 0.5);
+        for idx in [
+            &[0, 1, 3][..],
+            &[0, 2, 3],
+            &[1, 1],
+            &[2, 1],
+            &[0],
+            &[],
+            &[0, 4],
+        ] {
+            assert_eq!(ula.subset(idx), None, "{idx:?}");
+        }
+        assert_eq!(ula.subset(&[1, 3]), Some(UlaSteering::new(2, 1.0)));
     }
 
     use super::*;

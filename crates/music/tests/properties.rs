@@ -1,6 +1,6 @@
 //! Property-based tests for the AoA estimation substrate.
 
-use mpdf_music::covariance::{forward_backward, sample_covariance, spatially_smoothed_covariance};
+use mpdf_music::covariance::{forward_backward, sample_covariance};
 use mpdf_music::music::{bartlett_spectrum, pseudospectrum, AngleGrid, UlaSteering};
 use mpdf_rfmath::complex::Complex64;
 use proptest::prelude::*;
@@ -59,14 +59,6 @@ proptest! {
         let fb = forward_backward(&r);
         prop_assert!(fb.is_hermitian(1e-9));
         prop_assert!((fb.trace().re - r.trace().re).abs() < 1e-9 * r.trace().re.abs().max(1.0));
-    }
-
-    #[test]
-    fn smoothing_output_is_valid_covariance(snaps in snapshots_strategy()) {
-        let s = spatially_smoothed_covariance(&snaps, 2).unwrap();
-        prop_assert_eq!(s.rows(), 2);
-        prop_assert!(s.is_hermitian(1e-9));
-        prop_assert!(s[(0, 0)].re >= -1e-12);
     }
 
     #[test]

@@ -290,6 +290,10 @@ impl ChannelSnapshot {
     }
 
     /// CFR over a frequency grid at a displaced observation point.
+    ///
+    /// No receiver calls this: it is the straight-line reference that
+    /// [`ChannelModel::synthesize_into`] is pinned against bit for bit,
+    /// per antenna offset, in this module's tests.
     pub fn cfr_with_offset(&self, freqs: &[f64], offset: Vec2) -> Vec<Complex64> {
         let mut out = Vec::new();
         self.cfr_with_offset_into(freqs, offset, &mut out);

@@ -11,7 +11,7 @@
 //!   Hermitian symmetry).
 //! - [`matrix`] — dense complex matrices (antenna covariance).
 //! - [`eig`] — Hermitian Jacobi eigendecomposition (MUSIC subspaces).
-//! - [`dft`] — uniform and non-uniform Fourier transforms (dominant-tap
+//! - [`dft`] — non-uniform Fourier evaluation (dominant-tap
 //!   power `|ĥ(0)|²` of paper Eq. 10 on the Intel 5300's non-uniform
 //!   subcarrier grid).
 //! - [`stats`] — descriptive statistics, ECDFs and histograms (Figs. 2–4).

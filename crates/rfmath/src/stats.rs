@@ -2,8 +2,7 @@
 //!
 //! These back the paper's evaluation: CDFs of RSS change (Fig. 2a) and of
 //! multipath factor (Fig. 3a), medians for the stability ratio `r_k`
-//! (Eq. 13–14), and variances for threshold selection and the
-//! moving-variance detector.
+//! (Eq. 13–14), and variances for threshold selection.
 
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -267,22 +266,6 @@ impl Histogram {
     }
 }
 
-/// Sliding-window variance over a series — the detector feature the paper
-/// cites for mobile targets (§III, \[18\]).
-///
-/// Returns one variance per full window (length `xs.len() - window + 1`);
-/// empty when the series is shorter than the window.
-///
-/// # Panics
-/// Panics if `window == 0`.
-pub fn moving_variance(xs: &[f64], window: usize) -> Vec<f64> {
-    assert!(window > 0, "window must be positive");
-    if xs.len() < window {
-        return Vec::new();
-    }
-    xs.windows(window).map(variance).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,19 +355,6 @@ mod tests {
         let d = h.densities();
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moving_variance_detects_bursts() {
-        let mut xs = vec![1.0; 20];
-        for (i, x) in xs.iter_mut().enumerate().take(14).skip(10) {
-            *x = if i % 2 == 0 { 5.0 } else { -3.0 };
-        }
-        let mv = moving_variance(&xs, 5);
-        let calm: f64 = mv[..3].iter().sum();
-        let burst = mv.iter().cloned().fold(0.0f64, f64::max);
-        assert!(calm < 1e-12);
-        assert!(burst > 1.0);
     }
 
     #[test]

@@ -490,7 +490,6 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             }
         }
 
-        mpdf_obs::gauge!("session.backoff_remaining").set(self.backoff_remaining as i64);
         Ok(SessionDecision {
             window: widx,
             decision,

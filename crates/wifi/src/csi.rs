@@ -236,26 +236,6 @@ impl CsiPacket {
             })
             .collect()
     }
-
-    /// Mean per-subcarrier *power* profile of a packet collection
-    /// (amplitude-domain mean would understate noisy captures).
-    ///
-    /// # Panics
-    /// Panics when `packets` is empty.
-    pub fn mean_power_profile(packets: &[CsiPacket]) -> Vec<f64> {
-        assert!(!packets.is_empty(), "cannot average zero packets");
-        let s = packets[0].subcarriers;
-        let mut acc = vec![0.0; s];
-        for p in packets {
-            for (slot, v) in acc.iter_mut().zip(p.mean_power_per_subcarrier()) {
-                *slot += v;
-            }
-        }
-        for v in &mut acc {
-            *v /= packets.len() as f64;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -316,13 +296,6 @@ mod tests {
         let m = CsiPacket::mean_of(&[p1.clone(), p2]);
         assert_eq!(m.get(0, 0), c(2.0, 0.0));
         assert_eq!(m.get(0, 1), c(0.0, 1.0));
-    }
-
-    #[test]
-    fn mean_power_profile_averages_in_power_domain() {
-        let p = sample_packet();
-        let prof = CsiPacket::mean_power_profile(&[p.clone(), p]);
-        assert_eq!(prof, vec![1.0, 4.0, 9.0]);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! `OBS_metrics.json` snapshots against the `OBS_budgets.txt` manifest)
 //! and [`tracereport`] (span-tree profiling of `repro --trace`
 //! captures, built on `mpdf_obs::profile`), all reading JSON through
-//! `mpdf_obs::json`, the workspace's one JSON format module.
+//! `mpdf_obs::json`, the workspace's one JSON format module; and
+//! [`results`], which diffs what `repro` prints against the committed
+//! `results/`.
 //!
 //! It is a library (not just a binary) so `crates/bench` can measure
 //! full-workspace lint wall time, and so fixture tests can drive the
@@ -34,6 +36,7 @@ pub mod lint;
 pub mod metrics;
 pub mod obsdiff;
 pub mod report;
+pub mod results;
 pub mod rules;
 pub mod stream;
 pub mod tracereport;

@@ -16,9 +16,11 @@
 //! - `cargo xtask rules` — print the rule names and one-line policies.
 //! - `cargo xtask bench-diff <old.json> <new.json> [--threshold <pct>]`
 //!   — compare two `BENCH_*.json` reports by benchmark name and exit 1
-//!   if any mean regressed beyond the threshold (default 25%). CI's
-//!   bench job diffs freshly generated numbers against the committed
-//!   reference so hot-path regressions fail loudly.
+//!   if any median is worse by more than the threshold (default 25%);
+//!   a bench whose interquartile range exceeds the threshold is
+//!   reported unresolved and does not fail. CI's bench job diffs freshly
+//!   generated numbers against the committed reference so hot-path
+//!   regressions fail loudly.
 //! - `cargo xtask trace-report <trace.ndjson> [--top <n>] [--json]
 //!   [--collapse <path>] [--strict]` — reconstruct the span trees of a
 //!   `repro --trace` capture and print the hotspot table and critical
@@ -29,6 +31,10 @@
 //!   — gate two `OBS_metrics.json` snapshots against the per-metric
 //!   latency/allocation budgets in `OBS_budgets.txt`; exit 1 on any
 //!   violated budget, mirroring `bench-diff` in CI.
+//! - `cargo xtask results --check | --write` — build the release
+//!   `repro`, run the exhibits of record ([`xtask::results::EXHIBITS`])
+//!   and diff their output against `results/` (exit 1 on any difference)
+//!   or rewrite `results/` with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,10 +44,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::benchdiff;
+use xtask::benchdiff::{self, Verdict};
 use xtask::lint;
 use xtask::obsdiff;
 use xtask::report::{self, Rule};
+use xtask::results;
 use xtask::tracereport;
 
 /// Exit code for violations found (distinct from usage/I/O errors).
@@ -60,13 +67,15 @@ fn main() -> ExitCode {
         Some("bench-diff") => run_bench_diff(&args[1..]),
         Some("trace-report") => run_trace_report(&args[1..]),
         Some("obs-diff") => run_obs_diff(&args[1..]),
+        Some("results") => run_results(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask <lint [--root <path>] [--json [<path>]] | rules | \
                  bench-diff <old.json> <new.json> [--threshold <pct>] | \
                  trace-report <trace.ndjson> [--top <n>] [--json] [--collapse <path>] \
                  [--strict] | \
-                 obs-diff <old.json> <new.json> --budgets <manifest>>"
+                 obs-diff <old.json> <new.json> --budgets <manifest> | \
+                 results --check | --write>"
             );
             ExitCode::from(EXIT_ERROR)
         }
@@ -178,11 +187,8 @@ fn run_bench_diff(args: &[String]) -> ExitCode {
         }
     };
     let d = benchdiff::diff(&old, &new, threshold_pct);
-    for entry in &d.improvements {
-        println!("improved   {entry}");
-    }
-    for entry in &d.regressions {
-        println!("REGRESSED  {entry}");
+    for entry in d.entries.iter().filter(|e| e.verdict != Verdict::Unchanged) {
+        println!("{entry}");
     }
     for name in &d.missing {
         println!("missing    {name} (in {old_path} only)");
@@ -190,16 +196,18 @@ fn run_bench_diff(args: &[String]) -> ExitCode {
     for name in &d.added {
         println!("added      {name} (in {new_path} only)");
     }
+    let count = |v| d.with(v).count();
     println!(
-        "xtask bench-diff: {} regressed, {} improved, {} within ±{threshold_pct}% \
-         ({} missing, {} added)",
-        d.regressions.len(),
-        d.improvements.len(),
-        d.unchanged.len(),
+        "xtask bench-diff: {} worse, {} unresolved, {} improved, {} unchanged at ±{threshold_pct}% \
+         of the median ({} missing, {} added)",
+        count(Verdict::Worse),
+        count(Verdict::Unresolved),
+        count(Verdict::Improved),
+        count(Verdict::Unchanged),
         d.missing.len(),
         d.added.len()
     );
-    if d.regressions.is_empty() {
+    if count(Verdict::Worse) == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_FINDINGS)
@@ -354,6 +362,80 @@ fn run_obs_diff(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_FINDINGS)
+    }
+}
+
+/// Runs `results --check | --write`.
+fn run_results(args: &[String]) -> ExitCode {
+    let write = match args {
+        [flag] if flag == "--check" => false,
+        [flag] if flag == "--write" => true,
+        _ => {
+            eprintln!("usage: cargo xtask results --check | --write");
+            return ExitCode::from(EXIT_ERROR);
+        }
+    };
+    let root = match default_root() {
+        Ok(root) => root,
+        Err(err) => {
+            eprintln!("xtask results: {err}");
+            return ExitCode::from(EXIT_ERROR);
+        }
+    };
+    let cargo = env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let built = std::process::Command::new(cargo)
+        .args([
+            "build",
+            "--release",
+            "--quiet",
+            "-p",
+            "mpdf-eval",
+            "--bin",
+            "repro",
+        ])
+        .current_dir(&root)
+        .status();
+    if !matches!(built, Ok(status) if status.success()) {
+        eprintln!("xtask results: building the release repro failed: {built:?}");
+        return ExitCode::from(EXIT_ERROR);
+    }
+    let target =
+        env::var_os("CARGO_TARGET_DIR").map_or_else(|| root.join("target"), |dir| root.join(dir));
+    let recorded = root.join("results");
+    let out = if write {
+        recorded.clone()
+    } else {
+        target.join("results-check")
+    };
+    if let Err(err) = results::generate(&target.join("release").join("repro"), &out) {
+        eprintln!("xtask results: {err}");
+        return ExitCode::from(EXIT_ERROR);
+    }
+    if write {
+        println!("xtask results: wrote {}", recorded.display());
+        return ExitCode::SUCCESS;
+    }
+    match results::compare(&recorded, &out) {
+        Ok(diffs) if diffs.is_empty() => {
+            println!("xtask results: output matches {}", recorded.display());
+            ExitCode::SUCCESS
+        }
+        Ok(diffs) => {
+            for d in &diffs {
+                println!("{d}");
+            }
+            println!(
+                "xtask results: {} difference(s) against {}; a change that moves output on \
+                 purpose regenerates it with `cargo xtask results --write`",
+                diffs.len(),
+                recorded.display()
+            );
+            ExitCode::from(EXIT_FINDINGS)
+        }
+        Err(err) => {
+            eprintln!("xtask results: {err}");
+            ExitCode::from(EXIT_ERROR)
+        }
     }
 }
 
