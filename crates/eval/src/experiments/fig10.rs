@@ -12,12 +12,12 @@ use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::stats::Ecdf;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::receiver::Actor;
-use mpdf_wifi::sanitize::sanitize_packet;
 
 use crate::scenario::angle_fan_positions;
 use crate::workload::{annotate, case_receiver, CampaignConfig};
 
 use super::fig5::wall_adjacent_case;
+use super::sweeps::healthy_sanitized;
 
 /// Result of the angle-error experiment.
 #[derive(Debug, Clone)]
@@ -32,17 +32,11 @@ pub struct Fig10Result {
     pub p90: (f64, f64),
 }
 
-/// Extracts MUSIC snapshots (subcarrier columns) from packets.
-fn snapshots(packets: &[CsiPacket], indices: &[i32]) -> Vec<Vec<Complex64>> {
+/// Extracts MUSIC snapshots (subcarrier columns) from sanitized packets.
+fn snapshots(packets: &[CsiPacket]) -> Vec<Vec<Complex64>> {
     packets
         .iter()
-        .flat_map(|p| {
-            let mut q = p.clone();
-            sanitize_packet(&mut q, indices);
-            (0..q.subcarriers())
-                .map(|k| q.subcarrier_column(k))
-                .collect::<Vec<_>>()
-        })
+        .flat_map(|q| (0..q.subcarriers()).map(|k| q.subcarrier_column(k)))
         .collect()
 }
 
@@ -72,12 +66,18 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig10Result, mpdf_core::error::Detect
             trajectory: &sway,
         }];
         for episode in 0..cfg.episodes_per_position {
-            let window = receiver.capture_actors(&actors, cfg.detector.window)?;
+            let captured = receiver.capture_actors(&actors, cfg.detector.window)?;
+            // Only healthy packets: a faulted row would poison the
+            // covariance. A window with none has no estimate.
+            let window = healthy_sanitized(&captured, &cfg.detector);
+            if window.is_empty() {
+                continue;
+            }
             // MUSIC with 2 sources: the LOS (0°) and the human's scatter.
             // Error = distance from the truth to the *closest* estimate,
             // as the paper matches peaks to paths.
             let err_of = |packets: &[CsiPacket]| -> Option<f64> {
-                let snaps = snapshots(packets, cfg.detector.band.indices());
+                let snaps = snapshots(packets);
                 let angles = estimate_aoa(&snaps, &steering, 2, &grid).ok()?;
                 angles
                     .iter()

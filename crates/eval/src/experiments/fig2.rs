@@ -14,11 +14,10 @@ use mpdf_propagation::trajectory::LinearWalk;
 use mpdf_rfmath::stats::Ecdf;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::receiver::Actor;
-use mpdf_wifi::sanitize::sanitize_packet;
 
 use crate::workload::{case_receiver, CampaignConfig};
 
-use super::sweeps::{location_sweep, measurement_case};
+use super::sweeps::{healthy_sanitized, location_sweep, measurement_case};
 
 /// Result of Fig. 2a.
 #[derive(Debug, Clone)]
@@ -98,15 +97,8 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
     let case = measurement_case();
     let mut receiver = case_receiver(&case, cfg, cfg.seed ^ 0xF1B)?;
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
-    let sanitized_cal: Vec<CsiPacket> = calibration
-        .iter()
-        .map(|p| {
-            let mut q = p.clone();
-            sanitize_packet(&mut q, cfg.detector.band.indices());
-            q
-        })
-        .collect();
-    let static_power = CsiPacket::median_power_profile(&sanitized_cal);
+    let static_power =
+        CsiPacket::median_power_profile(&healthy_sanitized(&calibration, &cfg.detector));
 
     // Crossing: walk perpendicular through the link midpoint, 4 m wide,
     // for the duration of the capture.
@@ -130,11 +122,13 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
     }];
     let stream = receiver.capture_actors(&actors, packets)?;
 
-    // Per-packet Δs per subcarrier.
-    let mut series: Vec<Vec<f64>> = (0..30).map(|_| Vec::with_capacity(packets)).collect();
-    for p in &stream {
-        let mut q = p.clone();
-        sanitize_packet(&mut q, cfg.detector.band.indices());
+    // Per-packet Δs per subcarrier, keyed by packet index; a packet the
+    // quarantine does not pass is left out.
+    let mut series: Vec<Vec<(usize, f64)>> = (0..30).map(|_| Vec::with_capacity(packets)).collect();
+    for (i, p) in stream.iter().enumerate() {
+        let Some(q) = healthy_sanitized(std::slice::from_ref(p), &cfg.detector).pop() else {
+            continue;
+        };
         for (k, slot) in series.iter_mut().enumerate() {
             let power = (0..q.antennas()).map(|a| q.power(a, k)).sum::<f64>() / q.antennas() as f64;
             let ds = if power <= f64::MIN_POSITIVE || static_power[k] <= f64::MIN_POSITIVE {
@@ -142,14 +136,14 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
             } else {
                 10.0 * (power / static_power[k]).log10()
             };
-            slot.push(ds);
+            slot.push((i, ds));
         }
     }
 
     // Showcase the two subcarriers with the most distinct behaviours:
     // the one with the deepest drop and the one with the highest rise.
-    let min_of = |v: &Vec<f64>| v.iter().cloned().fold(f64::MAX, f64::min);
-    let max_of = |v: &Vec<f64>| v.iter().cloned().fold(f64::MIN, f64::max);
+    let min_of = |v: &Vec<(usize, f64)>| v.iter().map(|p| p.1).fold(f64::MAX, f64::min);
+    let max_of = |v: &Vec<(usize, f64)>| v.iter().map(|p| p.1).fold(f64::MIN, f64::max);
     let slot_a = (0..30)
         .min_by(|&a, &b| min_of(&series[a]).total_cmp(&min_of(&series[b])))
         .unwrap_or(0);
@@ -161,12 +155,12 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
         .filter(|v| min_of(v) < -1.0 && max_of(v) > 1.0)
         .count();
 
+    let step = (packets / 40).max(1);
     let down = |slot: usize| {
         series[slot]
             .iter()
-            .enumerate()
-            .step_by((packets / 40).max(1))
-            .map(|(i, &d)| (i as f64, d))
+            .filter(|(i, _)| i % step == 0)
+            .map(|&(i, d)| (i as f64, d))
             .collect()
     };
     Ok(Fig2bResult {

@@ -13,10 +13,11 @@ use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
 use mpdf_wifi::receiver::Actor;
-use mpdf_wifi::sanitize::sanitize_packet;
 
 use crate::scenario::five_cases;
 use crate::workload::{case_receiver, CampaignConfig};
+
+use super::sweeps::healthy_sanitized;
 
 /// Per-location stability measurements.
 #[derive(Debug, Clone)]
@@ -60,13 +61,9 @@ fn measure(
     let stream = receiver.capture_actors(&actors, packets)?;
     let freqs = cfg.detector.band.frequencies();
 
-    let per_packet: Vec<Vec<f64>> = stream
+    let per_packet: Vec<Vec<f64>> = healthy_sanitized(&stream, &cfg.detector)
         .iter()
-        .map(|p| {
-            let mut q = p.clone();
-            sanitize_packet(&mut q, cfg.detector.band.indices());
-            multipath_factors(&q, &freqs)
-        })
+        .map(|q| multipath_factors(q, &freqs))
         .collect();
 
     let k = freqs.len();

@@ -15,10 +15,11 @@ use mpdf_propagation::path::PathKind;
 use mpdf_propagation::trajectory::StaticSway;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::receiver::Actor;
-use mpdf_wifi::sanitize::sanitize_packet;
 
 use crate::scenario::{classroom, classroom_room, LinkCase};
 use crate::workload::{annotate, case_receiver, CampaignConfig};
+
+use super::sweeps::healthy_sanitized;
 
 /// The Fig. 5 scenario: a 3 m link 1 m from the bottom wall, which casts
 /// a strong distinct-angle reflection (paper: "placed in the proximity to
@@ -137,15 +138,8 @@ pub fn run_fig5c(cfg: &CampaignConfig) -> Result<Fig5cResult, DetectError> {
     let case = wall_adjacent_case();
     let mut receiver = case_receiver(&case, cfg, cfg.seed ^ 0x5C)?;
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
-    let sanitized: Vec<CsiPacket> = calibration
-        .iter()
-        .map(|p| {
-            let mut q = p.clone();
-            sanitize_packet(&mut q, cfg.detector.band.indices());
-            q
-        })
-        .collect();
-    let static_power = CsiPacket::median_power_profile(&sanitized);
+    let static_power =
+        CsiPacket::median_power_profile(&healthy_sanitized(&calibration, &cfg.detector));
 
     let angles: Vec<f64> = (0..16).map(|i| -90.0 + 180.0 * i as f64 / 15.0).collect();
     let positions = crate::scenario::angle_fan_positions(&case, 1.0, &angles);
@@ -157,14 +151,11 @@ pub fn run_fig5c(cfg: &CampaignConfig) -> Result<Fig5cResult, DetectError> {
             trajectory: &sway,
         }];
         let window = receiver.capture_actors(&actors, cfg.detector.window)?;
-        let sanitized: Vec<CsiPacket> = window
-            .iter()
-            .map(|p| {
-                let mut q = p.clone();
-                sanitize_packet(&mut q, cfg.detector.band.indices());
-                q
-            })
-            .collect();
+        // An angle whose window has no healthy packet has no reading.
+        let sanitized = healthy_sanitized(&window, &cfg.detector);
+        if sanitized.is_empty() {
+            continue;
+        }
         let monitored = CsiPacket::median_power_profile(&sanitized);
         let mean_abs: f64 = monitored
             .iter()

@@ -8,6 +8,7 @@ use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
 use mpdf_wifi::csi::CsiPacket;
+use mpdf_wifi::quarantine::{classify, PacketClass};
 use mpdf_wifi::receiver::Actor;
 use mpdf_wifi::sanitize::sanitize_packet;
 
@@ -58,8 +59,30 @@ fn location(case: &LinkCase, i: usize) -> Point {
     )
 }
 
+/// The packets of a capture the quarantine passes as healthy
+/// ([`PacketClass::Ok`]), each sanitized. The link-characterization
+/// experiments measure the channel itself, so a packet with a faulted
+/// row (non-finite samples, a dead chain, the AGC rail) is left out, not
+/// repaired; on a fault-free capture every packet passes.
+pub(crate) fn healthy_sanitized(
+    packets: &[CsiPacket],
+    detector: &DetectorConfig,
+) -> Vec<CsiPacket> {
+    packets
+        .iter()
+        .filter(|p| matches!(classify(p, &detector.quarantine), PacketClass::Ok))
+        .map(|p| {
+            let mut q = p.clone();
+            sanitize_packet(&mut q, detector.band.indices());
+            q
+        })
+        .collect()
+}
+
 /// Captures the static profile plus `n_locations` human-presence windows
-/// on a link, returning per-location `Δs` (dB) and `μ` vectors.
+/// on a link, returning per-location `Δs` (dB) and `μ` vectors. A
+/// location whose window has no healthy packet ([`healthy_sanitized`])
+/// is left out.
 ///
 /// # Errors
 /// Propagates trace and calibration errors for invalid links.
@@ -76,22 +99,21 @@ pub fn location_sweep(
     let freqs = detector.band.frequencies();
 
     let samples = (0..n_locations)
-        .map(|i| {
+        .filter_map(|i| {
             let position = location(case, i);
             let sway = StaticSway::new(position, cfg.sway_amplitude);
             let actors = [Actor {
                 body: HumanBody::new(position),
                 trajectory: &sway,
             }];
-            let packets = receiver.capture_actors(&actors, window)?;
-            let sanitized: Vec<CsiPacket> = packets
-                .iter()
-                .map(|p| {
-                    let mut q = p.clone();
-                    sanitize_packet(&mut q, detector.band.indices());
-                    q
-                })
-                .collect();
+            let packets = match receiver.capture_actors(&actors, window) {
+                Ok(packets) => packets,
+                Err(e) => return Some(Err(e.into())),
+            };
+            let sanitized = healthy_sanitized(&packets, detector);
+            if sanitized.is_empty() {
+                return None;
+            }
             let monitored = CsiPacket::median_power_profile(&sanitized);
             let delta_s_db: Vec<f64> = monitored
                 .iter()
@@ -114,11 +136,11 @@ pub fn location_sweep(
             for v in &mut mu {
                 *v /= sanitized.len() as f64;
             }
-            Ok(LocationSample {
+            Some(Ok(LocationSample {
                 position,
                 delta_s_db,
                 mu,
-            })
+            }))
         })
         .collect::<Result<Vec<_>, DetectError>>()?;
     Ok((profile, samples))

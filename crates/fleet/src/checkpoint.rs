@@ -5,7 +5,9 @@
 //! [`mpdf_session::checkpoint`], with no `LinkMeta` prefix. A save is a
 //! compaction, so it gets the log's staged write, `.bak` rotation and
 //! fallback; a load is a recovery and a decode of the last record. Files
-//! from before this format (`MPSC` magic) are refused as a bad header.
+//! from before this format (`MPSC` magic) are refused as a bad header,
+//! and a checkpoint written as an older log version (v3 framed its
+//! record with a CRC-64) as [`crate::LogError::UnsupportedVersion`].
 
 use std::path::PathBuf;
 

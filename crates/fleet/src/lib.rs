@@ -13,7 +13,7 @@
 //!   whose windows arrive mis-shaped, or that trips the fleet watchdog
 //!   is quarantined with a typed [`link::LinkFault`] and deterministic
 //!   exponential backoff; it never takes down its shard.
-//! - **Crash-recoverable shard logs** — one append-only, CRC-framed,
+//! - **Crash-recoverable shard logs** — one append-only, checksum-framed,
 //!   generation-numbered [`log::ShardLog`] per shard multiplexes all of
 //!   its sessions (replacing file-per-session at fleet scale) as a
 //!   write-ahead log of delivered windows, with session snapshots only

@@ -1,4 +1,5 @@
-//! Append-only, CRC-framed, generation-numbered shard write-ahead logs.
+//! Append-only, checksum-framed, generation-numbered shard write-ahead
+//! logs.
 //!
 //! One log per shard multiplexes every session the shard runs — at
 //! fleet scale this replaces file-per-session checkpointing (thousands
@@ -13,7 +14,7 @@
 //!
 //! ```text
 //! header   magic    b"MPSL"        4 bytes
-//!          version  u16            2   (LOG_VERSION = 3)
+//!          version  u16            2   (LOG_VERSION = 4)
 //!          shard    u32            4
 //! record   sync     b"RC"          2
 //!          gen      u64            8   (log-wide generation number)
@@ -21,7 +22,7 @@
 //!          kind     u8             1   (1 snapshot, 2 window, 3 shape fault)
 //!          len      u32            4   (payload byte count)
 //!          payload  [len bytes]
-//!          crc      u64            8   CRC-64/WE over gen..payload
+//!          checksum u64            8   XXH64 (seed 0) over gen..payload
 //!
 //! snapshot    opaque, defined by the caller (see below)
 //! window      tick u64 ‖ mpdf_wifi::wire window (packets u32 ‖ frames)
@@ -32,16 +33,16 @@
 //! own. A fleet shard ([`crate::shard`]) writes `LinkMeta ‖ session
 //! image`; a single-session checkpoint ([`crate::checkpoint`]), a log
 //! holding one link, writes the bare session image. Either way the
-//! record CRC is the only checksum on the image: it is encoded straight
+//! record checksum is the only one on the image: it is encoded straight
 //! into its frame (`encode_image_into`) and decoded with
 //! `mpdf_session::checkpoint::decode_image` once the frame checks out.
 //!
 //! Recovery scans records in file order; the first frame that fails its
-//! sync marker, length bound, kind byte, CRC, or whose generation is not
-//! above its predecessor's ends the scan, and everything from there on
-//! is truncated as a torn tail (a crash mid-append can only damage the
-//! suffix). If the header itself is damaged, or no record survives
-//! (a torn first record, or a file cut back to its header), the
+//! sync marker, length bound, kind byte, checksum, or whose generation
+//! is not above its predecessor's ends the scan, and everything from
+//! there on is truncated as a torn tail (a crash mid-append can only
+//! damage the suffix). If the header itself is damaged, or no record
+//! survives (a torn first record, or a file cut back to its header), the
 //! previous-good `.bak` rotation — written by compaction — is recovered
 //! instead, as long as it holds a record.
 //!
@@ -55,20 +56,20 @@ use std::fmt;
 use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire::{self, WireError};
 
 /// Shard-log file magic.
 pub const LOG_MAGIC: &[u8; 4] = b"MPSL";
-/// Current shard-log format version. Version 2 snapshot records carried
-/// the checkpoint file's own trailer; version 1 logged a snapshot per
-/// delivery. Both are refused as [`LogError::UnsupportedVersion`].
-pub const LOG_VERSION: u16 = 3;
+/// Current shard-log format version. Version 3 framed records with a
+/// CRC-64; version 2 snapshot records carried the checkpoint file's own
+/// trailer; version 1 logged a snapshot per delivery. All are refused as
+/// [`LogError::UnsupportedVersion`].
+pub const LOG_VERSION: u16 = 4;
 /// Byte length of the file header.
 pub const HEADER_LEN: usize = 10;
-/// Per-record framing overhead (sync + gen + link + kind + len + crc).
+/// Per-record framing overhead (sync + gen + link + kind + len + checksum).
 pub const RECORD_OVERHEAD: usize = 2 + 8 + 8 + 1 + 4 + 8;
 /// Largest admissible record payload; larger lengths in a frame are
 /// treated as corruption, not allocation requests.
@@ -101,7 +102,7 @@ pub enum LogError {
     },
     /// Append-side: a window's packets cannot be wire-encoded.
     Wire(WireError),
-    /// A CRC-valid record whose payload does not decode as its kind.
+    /// A checksum-valid record whose payload does not decode as its kind.
     BadRecord {
         /// Generation of the offending record.
         gen: u64,
@@ -153,149 +154,93 @@ impl From<WireError> for LogError {
     }
 }
 
-/// Bytes each of [`crc64`]'s interleaved lanes covers per block.
-pub const CRC_LANE_BYTES: usize = 1024;
-/// Independent lanes [`crc64`] runs side by side within one block of
-/// `CRC_LANES * CRC_LANE_BYTES` input bytes (its loop is written out
-/// for four).
-pub const CRC_LANES: usize = 4;
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// The ECMA-182 generator polynomial, MSB-first.
-const CRC_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
-
-struct CrcTables {
-    /// `slice[k][b]`: byte `b` followed by `k` zero bytes (slicing-by-8).
-    slice: [[u64; 256]; 8],
-    /// `shift[k][b]`: the register `b << 8k` advanced over
-    /// [`CRC_LANE_BYTES`] zero bytes, i.e. multiplied by
-    /// x^(8·CRC_LANE_BYTES) mod P.
-    shift: [[u64; 256]; 8],
-}
-
-/// `x` through eight byte-indexed tables, row `k` taking byte `k` of `x`
-/// counted from the least significant end.
-#[inline(always)]
-fn slice8(t: &[[u64; 256]; 8], x: u64) -> u64 {
-    t[7][(x >> 56) as usize]
-        ^ t[6][(x >> 48) as usize & 0xFF]
-        ^ t[5][(x >> 40) as usize & 0xFF]
-        ^ t[4][(x >> 32) as usize & 0xFF]
-        ^ t[3][(x >> 24) as usize & 0xFF]
-        ^ t[2][(x >> 16) as usize & 0xFF]
-        ^ t[1][(x >> 8) as usize & 0xFF]
-        ^ t[0][x as usize & 0xFF]
-}
-
-impl CrcTables {
-    fn get() -> &'static CrcTables {
-        static TABLES: OnceLock<CrcTables> = OnceLock::new();
-        TABLES.get_or_init(|| {
-            let mut slice = [[0u64; 256]; 8];
-            for (i, entry) in slice[0].iter_mut().enumerate() {
-                let mut crc = (i as u64) << 56;
-                for _ in 0..8 {
-                    crc = if crc & (1 << 63) != 0 {
-                        (crc << 1) ^ CRC_POLY
-                    } else {
-                        crc << 1
-                    };
-                }
-                *entry = crc;
-            }
-            let mut t = CrcTables {
-                slice,
-                shift: [[0u64; 256]; 8],
-            };
-            // Row k of either table is row k - 1 advanced over one more
-            // zero byte; the shift table's first row needs the whole
-            // slicing table.
-            for k in 1..8 {
-                for i in 0..256 {
-                    t.slice[k][i] = t.zero_byte(t.slice[k - 1][i]);
-                }
-            }
-            for i in 0..256 {
-                t.shift[0][i] = t.serial(i as u64, &[0; CRC_LANE_BYTES]);
-            }
-            for k in 1..8 {
-                for i in 0..256 {
-                    t.shift[k][i] = t.zero_byte(t.shift[k - 1][i]);
-                }
-            }
-            t
-        })
-    }
-
-    /// The register advanced over one zero byte.
-    fn zero_byte(&self, crc: u64) -> u64 {
-        (crc << 8) ^ self.slice[0][(crc >> 56) as usize]
-    }
-
-    /// The register advanced over one 8-byte word.
-    #[inline(always)]
-    fn word(&self, crc: u64, word: &[u8]) -> u64 {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(word);
-        slice8(&self.slice, crc ^ u64::from_be_bytes(bytes))
-    }
-
-    /// The register advanced over [`CRC_LANE_BYTES`] zero bytes.
-    #[inline(always)]
-    fn shift(&self, crc: u64) -> u64 {
-        slice8(&self.shift, crc)
-    }
-
-    /// The serial loop: one dependency chain, eight bytes per step, then
-    /// the remainder byte by byte.
-    fn serial(&self, mut crc: u64, data: &[u8]) -> u64 {
-        let mut words = data.chunks_exact(8);
-        for word in &mut words {
-            crc = self.word(crc, word);
-        }
-        for &byte in words.remainder() {
-            crc = self.zero_byte(crc ^ (u64::from(byte) << 56));
-        }
-        crc
-    }
-}
-
-/// CRC-64 over the ECMA-182 polynomial (`0x42F0E1EBA9EA3693`),
-/// MSB-first, with all-ones init and xorout (the CRC-64/WE profile) so
-/// leading-zero damage and the empty input are distinguishable.
+/// The record checksum: XXH64 with seed 0 (see [`xxh64`]), timed on the
+/// `fleet.log.checksum` span.
 ///
-/// The input is walked in blocks of [`CRC_LANES`] × [`CRC_LANE_BYTES`]
-/// bytes. Within a block four slicing-by-8 lanes run in one loop as
-/// independent dependency chains: lane 0 carries the running CRC, lanes
-/// 1–3 start from zero. CRC is linear, so the block's CRC is the lanes
-/// merged with a precomputed table that multiplies by
-/// x^(8·CRC_LANE_BYTES) mod P (`crc = shift(crc) ^ lane`, lane by lane).
-/// The tail shorter than a block runs the serial slicing-by-8 loop.
-pub fn crc64(data: &[u8]) -> u64 {
+/// The log guards against torn appends and random media corruption, not
+/// against an adversary. A torn tail fails its length bound or sync
+/// marker before any checksum runs, and a 64-bit full-avalanche hash
+/// misses random corruption with probability 2⁻⁶⁴.
+pub fn checksum(data: &[u8]) -> u64 {
     let _stage = mpdf_obs::stage!("fleet.log.checksum");
-    let t = CrcTables::get();
-    let mut crc = !0u64;
-    let mut blocks = data.chunks_exact(CRC_LANES * CRC_LANE_BYTES);
-    for block in &mut blocks {
-        let (l0, rest) = block.split_at(CRC_LANE_BYTES);
-        let (l1, rest) = rest.split_at(CRC_LANE_BYTES);
-        let (l2, l3) = rest.split_at(CRC_LANE_BYTES);
-        let mut lanes = [crc, 0, 0, 0];
-        let words = l0
-            .chunks_exact(8)
-            .zip(l1.chunks_exact(8))
-            .zip(l2.chunks_exact(8))
-            .zip(l3.chunks_exact(8));
-        for (((w0, w1), w2), w3) in words {
-            lanes = [
-                t.word(lanes[0], w0),
-                t.word(lanes[1], w1),
-                t.word(lanes[2], w2),
-                t.word(lanes[3], w3),
-            ];
+    xxh64(data, 0)
+}
+
+fn read_u32(data: &[u8]) -> u32 {
+    u32::from_le_bytes([data[0], data[1], data[2], data[3]])
+}
+
+/// One XXH64 lane step: multiply, rotate, multiply.
+#[inline(always)]
+fn xxh64_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+/// XXH64 exactly as the xxHash specification defines it: four lanes
+/// over 32-byte stripes, the lanes merged, then the 8-, 4- and 1-byte
+/// tail and the final avalanche. Safe Rust with no tables.
+fn xxh64(data: &[u8], seed: u64) -> u64 {
+    let mut stripes = data.chunks_exact(32);
+    let mut h = if data.len() >= 32 {
+        let mut v = [
+            seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2),
+            seed.wrapping_add(PRIME64_2),
+            seed,
+            seed.wrapping_sub(PRIME64_1),
+        ];
+        for stripe in &mut stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh64_round(*lane, read_u64(word));
+            }
         }
-        crc = t.shift(t.shift(t.shift(lanes[0]) ^ lanes[1]) ^ lanes[2]) ^ lanes[3];
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ xxh64_round(0, lane))
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+        }
+        h
+    } else {
+        seed.wrapping_add(PRIME64_5)
+    };
+    h = h.wrapping_add(data.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h = (h ^ xxh64_round(0, read_u64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+        tail = &tail[8..];
     }
-    !t.serial(crc, blocks.remainder())
+    if tail.len() >= 4 {
+        h = (h ^ u64::from(read_u32(tail)).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        h = (h ^ u64::from(byte).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
 /// Transient-IO retry budget: total attempts per operation before the
@@ -417,7 +362,7 @@ pub struct LogRecovery {
     pub used_bak: bool,
 }
 
-/// The three record kinds of a v3 shard log.
+/// The three record kinds of a shard log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
     /// A caller-defined snapshot payload (see the module docs): a
@@ -448,7 +393,7 @@ impl RecordKind {
     }
 }
 
-/// One CRC-valid record of a recovered log.
+/// One checksum-valid record of a recovered log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record<'a> {
     /// Log-wide generation number.
@@ -608,8 +553,8 @@ pub(crate) fn frame_record<E: From<LogError>>(
         }
     };
     out[body - 4..body].copy_from_slice(&len.to_le_bytes());
-    let crc = crc64(&out[start + 2..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let sum = checksum(&out[start + 2..]);
+    out.extend_from_slice(&sum.to_le_bytes());
     Ok(())
 }
 
@@ -661,7 +606,7 @@ fn scan(data: &[u8], shard: u32) -> Result<Scan, LogError> {
             break;
         }
         let payload_end = PAYLOAD_AT + len;
-        if read_u64(&rest[payload_end..]) != crc64(&rest[2..payload_end]) {
+        if read_u64(&rest[payload_end..]) != checksum(&rest[2..payload_end]) {
             break;
         }
         // Generations strictly increase across appends; a stale one is
@@ -1042,7 +987,7 @@ mod tests {
         }
     }
 
-    /// Appends a CRC-valid record with an explicit generation.
+    /// Appends a checksum-valid record with an explicit generation.
     fn raw_append(log: &mut ShardLog<MemIo>, gen: u64, link: u64) -> usize {
         let mut rec = Vec::new();
         frame_record(&mut rec, gen, link, RecordKind::Snapshot, bytes(b"stale")).unwrap();
@@ -1132,7 +1077,7 @@ mod tests {
         log.stage_snapshot(1, bytes(b"a")).unwrap();
         log.stage_snapshot(2, bytes(b"b")).unwrap();
         log.flush().unwrap();
-        // CRC-valid, but generation 2 was already used: a leftover from
+        // Checksum-valid, but generation 2 was already used: a leftover from
         // before a rewrite, not part of this log.
         let stale = raw_append(&mut log, 2, 3);
         let (rec, image) = reopen(&log);
@@ -1230,8 +1175,9 @@ mod tests {
             })
         ));
         // Earlier formats are refused: version 1 logged a snapshot per
-        // window, version 2 kept each snapshot's own checksum trailer.
-        for version in [1u16, 2] {
+        // window, version 2 kept each snapshot's own checksum trailer,
+        // version 3 framed records with a CRC-64.
+        for version in [1u16, 2, 3] {
             let mut old = io.clone();
             let mut data = old.read(Path::new("shard0.mpsl")).unwrap();
             data[4..6].copy_from_slice(&version.to_le_bytes());
@@ -1314,105 +1260,82 @@ mod tests {
         assert_eq!(log.compacted.capacity(), capacity, "kept after a failure");
     }
 
-    /// The CRC-64/WE register advanced over `data` one bit at a time —
-    /// the definition `crc64` must reproduce, with no table in sight.
-    fn bytewise_register(mut crc: u64, data: &[u8]) -> u64 {
-        for &byte in data {
-            crc ^= u64::from(byte) << 56;
-            for _ in 0..8 {
-                crc = if crc & (1 << 63) != 0 {
-                    (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
-                } else {
-                    crc << 1
-                };
-            }
+    #[test]
+    fn checksum_is_xxh64_with_seed_0() {
+        for (input, want) in [
+            (&b""[..], 0xEF46_DB37_51D8_E999),
+            (b"a", 0xD24E_C4F1_A98C_6E5B),
+            (b"abc", 0x44BC_2CF5_AD77_0999),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xFBCE_A83C_8A37_8BF1,
+            ),
+        ] {
+            assert_eq!(checksum(input), want, "{input:?}");
         }
-        crc
     }
 
-    fn bytewise(data: &[u8]) -> u64 {
-        !bytewise_register(!0, data)
-    }
-
-    /// `len` seeded pseudo-random bytes (xorshift64).
-    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
-        let mut s = seed | 1;
-        (0..len)
+    /// The xxHash sanity buffer: byte `i` is the top byte of
+    /// `2654435761^(2^i) mod 2^32`.
+    fn sanity_buffer() -> Vec<u8> {
+        let mut g = 2_654_435_761u32;
+        (0..2367)
             .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 32) as u8
+                let byte = (g >> 24) as u8;
+                g = g.wrapping_mul(g);
+                byte
             })
             .collect()
     }
 
-    const CRC_BLOCK: usize = CRC_LANES * CRC_LANE_BYTES;
-
     #[test]
-    fn crc64_is_stable_sensitive_and_matches_the_bytewise_definition() {
-        let a = crc64(b"123456789");
-        assert_eq!(a, crc64(b"123456789"), "deterministic");
-        assert_ne!(a, crc64(b"123456780"), "sensitive to content");
-        assert_ne!(crc64(b""), crc64(b"\0"), "length-extension guarded");
-        // The CRC-64/WE check value.
-        assert_eq!(a, 0x62EC_59E3_F1A4_F00A);
-
-        // Every length through three blocks plus a remainder: serial
-        // inputs, whole blocks, and blocks followed by every tail.
-        let data = seeded_bytes(1, 3 * CRC_BLOCK + CRC_LANE_BYTES + 9);
-        let mut register = !0u64;
-        for len in 0..=data.len() {
-            assert_eq!(crc64(&data[..len]), !register, "len {len}");
-            if let Some(&byte) = data.get(len) {
-                register = bytewise_register(register, &[byte]);
-            }
-        }
-
-        // Unaligned sub-slices: start offsets 1-7, lengths on either
-        // side of every block boundary and a stride through the rest.
-        for start in 1..8 {
-            let data = &data[start..];
-            let mut lens: Vec<usize> = (0..data.len()).step_by(61).collect();
-            for blocks in 1..=3 {
-                let edge = blocks * CRC_BLOCK;
-                lens.extend([edge - 1, edge, edge + 1, edge + 7, edge + 8]);
-            }
-            for len in lens {
-                let data = &data[..len];
-                assert_eq!(crc64(data), bytewise(data), "start {start} len {len}");
-            }
-        }
-
-        let mib = seeded_bytes(2, 1 << 20);
-        assert_eq!(crc64(&mib), bytewise(&mib), "1 MiB");
-    }
-
-    #[test]
-    fn the_shift_table_advances_the_register_over_one_lane_of_zeros() {
-        let t = CrcTables::get();
-        for (k, row) in t.shift.iter().enumerate() {
-            for (b, &entry) in row.iter().enumerate() {
-                let register = (b as u64) << (8 * k);
-                assert_eq!(
-                    entry,
-                    t.serial(register, &[0; CRC_LANE_BYTES]),
-                    "shift[{k}][{b}]"
-                );
+    fn xxh64_matches_the_reference_sanity_values() {
+        let buffer = sanity_buffer();
+        // Length 222 runs six stripes, three 8-byte words, a 4-byte word
+        // and two single bytes: every code path.
+        for (seed, want) in [
+            (
+                0,
+                [
+                    0xEF46_DB37_51D8_E999,
+                    0x4FCE_394C_C889_52D8,
+                    0xCFFA_8DB8_81BC_3A3D,
+                    0x9DD5_0788_0DEB_B03D,
+                ],
+            ),
+            (
+                2_654_435_761,
+                [
+                    0xAC75_FDA2_929B_17EF,
+                    0x7398_40CB_819F_A723,
+                    0x5B96_1158_5EFC_C9CB,
+                    0xDC51_5172_B8EE_0600,
+                ],
+            ),
+        ] {
+            for (len, want) in [0, 1, 14, 222].into_iter().zip(want) {
+                assert_eq!(xxh64(&buffer[..len], seed), want, "seed {seed} len {len}");
             }
         }
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         #[test]
-        fn crc64_matches_the_bytewise_definition_on_random_input(
-            data in proptest::collection::vec(0u8..=255, 0..=(64 << 10) + 7),
-            start in 0usize..8,
+        fn every_bit_flip_and_truncation_changes_the_checksum(
+            data in proptest::collection::vec(0u8..=255, 0..=4 * 32 + 31),
         ) {
-            let data = &data[start.min(data.len())..];
-            proptest::prop_assert_eq!(crc64(data), bytewise(data), "len {}", data.len());
+            let whole = checksum(&data);
+            let mut flipped = data.clone();
+            for bit in 0..8 * data.len() {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                proptest::prop_assert!(checksum(&flipped) != whole, "bit {}", bit);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            for len in 0..data.len() {
+                proptest::prop_assert!(checksum(&data[..len]) != whole, "cut to {}", len);
+            }
         }
     }
 

@@ -18,7 +18,7 @@ use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::SubcarrierWeighting;
 use mpdf_fleet::chaos::MemIo;
 use mpdf_fleet::checkpoint::{load, save};
-use mpdf_fleet::log::{crc64, HEADER_LEN};
+use mpdf_fleet::log::HEADER_LEN;
 use mpdf_fleet::{FleetError, LogError, LogIo, StdIo};
 use mpdf_geom::shapes::Rect;
 use mpdf_geom::vec2::Vec2;
@@ -167,15 +167,37 @@ fn a_missing_checkpoint_opens_empty_not_a_panic() {
 }
 
 /// A checkpoint as builds before the one-link log wrote it: an `MPSC`
-/// image stamped format v2, followed by its CRC-64 trailer.
+/// image stamped format v2, followed by an 8-byte checksum trailer
+/// (zeros here: the magic alone refuses the file, the trailer is never
+/// read).
 fn mpsc_v2_checkpoint(snapshot: &SessionSnapshot) -> Vec<u8> {
     let mut file = Vec::new();
     encode_image_into(&snapshot.into(), &mut file).unwrap();
     file[4..6].copy_from_slice(&2u16.to_le_bytes());
     assert_eq!(&file[..6], b"MPSC\x02\x00");
-    let trailer = crc64(&file);
-    file.extend_from_slice(&trailer.to_le_bytes());
+    file.extend_from_slice(&[0; 8]);
     file
+}
+
+/// A checkpoint written as a v3 log (records framed with a CRC-64) is
+/// refused by its version field, and the file is left as it was.
+#[test]
+fn a_v3_checkpoint_is_refused() {
+    let [first, ..] = snapshots();
+    let path = temp_path("v3");
+    remove(&path);
+    save_file(&path, first);
+    std::fs::remove_file(bak_of(&path)).ok();
+    let mut old = std::fs::read(&path).unwrap();
+    old[4..6].copy_from_slice(&3u16.to_le_bytes());
+    std::fs::write(&path, &old).unwrap();
+    let err = load_file(&path).unwrap_err();
+    assert!(
+        matches!(err, FleetError::Log(LogError::UnsupportedVersion(3))),
+        "got {err}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), old);
+    remove(&path);
 }
 
 #[test]

@@ -3,14 +3,15 @@
 //! never a half-record), header-level damage — or damage that leaves no
 //! record, down to a bare header — falls back to the `.bak` rotation,
 //! empty or zero-length files are typed errors, and a bit flip anywhere
-//! in a full-size window record — every lane and block edge of the
-//! interleaved CRC included — drops that record.
+//! in a full-size window record — the first and last byte of every
+//! 32-byte stripe of the checksum and of its tail included — drops that
+//! record.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use mpdf_fleet::log::{LogIo, CRC_LANES, CRC_LANE_BYTES, HEADER_LEN, RECORD_OVERHEAD};
+use mpdf_fleet::log::{LogIo, HEADER_LEN, RECORD_OVERHEAD};
 use mpdf_fleet::{LogError, ShardLog, StdIo};
 use mpdf_rfmath::complex::Complex64;
 use mpdf_wifi::csi::CsiPacket;
@@ -253,21 +254,18 @@ fn a_bit_flip_anywhere_in_a_full_window_record_drops_it() {
     let record_len = intact.len() - before;
     assert_eq!(record_len, 36_693, "a 25 x 3 x 30 window record");
 
-    // The CRC covers the frame from the generation (after the 2-byte
-    // sync marker) to the end of the payload; aim at every lane start
-    // and end and both sides of every block boundary in that range.
-    let (crc_at, crc_len) = (before + 2, record_len - 2 - 8);
-    let block = CRC_LANES * CRC_LANE_BYTES;
-    assert!(crc_len > 2 * block, "the record spans several blocks");
-    let mut offsets = Vec::new();
-    for start in (0..crc_len - crc_len % block).step_by(block) {
-        for lane in 0..CRC_LANES {
-            let lane_at = start + lane * CRC_LANE_BYTES;
-            offsets.extend([lane_at, lane_at + CRC_LANE_BYTES - 1]);
-        }
-        offsets.extend([start + block - 1, start + block]);
-    }
-    let mut offsets: Vec<usize> = offsets.into_iter().map(|o| crc_at + o).collect();
+    // The checksum covers the frame from the generation (after the
+    // 2-byte sync marker) to the end of the payload. XXH64 reads it in
+    // 32-byte stripes, one 8-byte word per lane, then a shorter tail; aim
+    // at the first and last byte of every stripe and of the tail.
+    const STRIPE: usize = 32;
+    let (sum_at, sum_len) = (before + 2, record_len - 2 - 8);
+    assert!(sum_len % STRIPE > 0, "the record has a tail");
+    let mut offsets: Vec<usize> = (0..sum_len)
+        .step_by(STRIPE)
+        .flat_map(|start| [start, (start + STRIPE).min(sum_len) - 1])
+        .map(|o| sum_at + o)
+        .collect();
     // Plus a seeded sample of the whole record, sync and trailer included.
     let mut s = 0x5EED_u64;
     for _ in 0..48 {

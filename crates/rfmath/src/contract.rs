@@ -113,6 +113,9 @@ mod tests {
 
     /// Runs `f` and reports whether it panicked (contracts are
     /// `debug_assert`-backed, so violations must panic under test).
+    /// Only debug builds keep the asserts live, so the tests that expect
+    /// a panic are compiled there alone.
+    #[cfg(debug_assertions)]
     fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // keep test output clean
@@ -133,6 +136,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     fn rejects_violations() {
         assert!(panics(|| assert_finite("x", &[1.0, f64::NAN])));
         assert!(panics(|| assert_finite("x", &[f64::INFINITY])));
@@ -152,6 +156,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     fn panic_message_names_label_and_offender() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -193,6 +198,7 @@ mod tests {
         }
 
         #[test]
+        #[cfg(debug_assertions)]
         fn any_nan_position_is_caught(
             v in proptest::collection::vec(-5.0f64..5.0, 1..8usize),
             idx in 0usize..8,

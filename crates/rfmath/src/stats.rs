@@ -173,6 +173,7 @@ impl Ecdf {
 
     /// Samples the CDF at `n` evenly spaced points spanning the data range,
     /// returning `(x, F(x))` pairs — the series plotted in Fig. 2a / 3a.
+    /// The last point is the sample maximum, so the curve ends at `F = 1`.
     ///
     /// A degenerate all-equal sample has zero span; its true CDF is a
     /// single step 0 → 1 at that value, so the vertical step is emitted
@@ -194,7 +195,12 @@ impl Ecdf {
         let span = hi - lo;
         (0..n)
             .map(|i| {
-                let x = lo + span * i as f64 / (n - 1).max(1) as f64;
+                // The grid formula can round off the maximum.
+                let x = if i + 1 == n {
+                    hi
+                } else {
+                    lo + span * i as f64 / (n - 1) as f64
+                };
                 (x, self.eval(x))
             })
             .collect()

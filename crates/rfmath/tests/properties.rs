@@ -214,11 +214,21 @@ proptest! {
     fn selected_median_is_bitwise_the_sorted_median(
         xs in proptest::collection::vec(awkward(), 0..48)
     ) {
-        let expect = sorted_median(&xs).to_bits();
-        prop_assert_eq!(median(&xs).to_bits(), expect);
-        prop_assert_eq!(median_with(&xs, &mut Vec::new()).to_bits(), expect);
+        // Which NaN payload `0.5 * (a + b)` keeps depends on how the
+        // optimizer orders the operands, so a NaN median matches any NaN;
+        // every other median must match bit for bit.
+        let expect = sorted_median(&xs);
+        let same = |got: f64| {
+            if expect.is_nan() {
+                got.is_nan()
+            } else {
+                got.to_bits() == expect.to_bits()
+            }
+        };
+        prop_assert!(same(median(&xs)));
+        prop_assert!(same(median_with(&xs, &mut Vec::new())));
         let mut scratch = xs.clone();
-        prop_assert_eq!(median_in_place(&mut scratch).to_bits(), expect);
+        prop_assert!(same(median_in_place(&mut scratch)));
         // Reordered, not altered: the same multiset of bit patterns.
         let mut before: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
         let mut after: Vec<u64> = scratch.iter().map(|x| x.to_bits()).collect();
@@ -234,6 +244,7 @@ proptest! {
         for w in curve.windows(2) {
             prop_assert!(w[1].1 >= w[0].1 - 1e-12);
         }
+        prop_assert!(curve.last().map(|p| p.1) == Some(1.0), "ends at {:?}", curve.last());
         prop_assert!(e.eval(f64::INFINITY) == 1.0);
         prop_assert!(e.eval(f64::NEG_INFINITY) == 0.0);
     }

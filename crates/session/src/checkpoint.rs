@@ -31,8 +31,8 @@
 //! the caller has already checked. Durability — the checksum, the
 //! staged write, the `.bak` rotation and the fallback to it — belongs
 //! to the store that holds the image: `mpdf-fleet`'s shard log, which
-//! frames each image in a CRC-64 record, and whose one-link form is the
-//! single-session checkpoint file.
+//! frames each image in a record under an XXH64 checksum (log format
+//! v4), and whose one-link form is the single-session checkpoint file.
 
 use std::error::Error;
 use std::fmt;

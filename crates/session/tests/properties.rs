@@ -2,7 +2,7 @@
 //! exact (restored detectors score to 0 ULP of the original), and the
 //! decoder is total: arbitrary bytes and every truncation of a valid
 //! image are typed errors, never a panic. Corruption of a stored image
-//! is caught by the shard-log record CRC (`mpdf-fleet`'s tests).
+//! is caught by the shard-log record checksum (`mpdf-fleet`'s tests).
 
 use proptest::prelude::*;
 

@@ -33,8 +33,9 @@
 //!   violated budget, mirroring `bench-diff` in CI.
 //! - `cargo xtask results --check | --write` — build the release
 //!   `repro`, run the exhibits of record ([`xtask::results::EXHIBITS`])
-//!   and diff their output against `results/` (exit 1 on any difference)
-//!   or rewrite `results/` with it.
+//!   and diff their output against `results/` (exit 1 on any difference,
+//!   or on a number in a Measured column of EXPERIMENTS.md that
+//!   `results/all.txt` does not print) or rewrite `results/` with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -415,7 +416,21 @@ fn run_results(args: &[String]) -> ExitCode {
         println!("xtask results: wrote {}", recorded.display());
         return ExitCode::SUCCESS;
     }
-    match results::compare(&recorded, &out) {
+    let checked = results::compare(&recorded, &out).and_then(|mut diffs| {
+        let read = |path: PathBuf| {
+            fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+        };
+        let (doc, all) = (
+            read(root.join("EXPERIMENTS.md"))?,
+            read(recorded.join("all.txt"))?,
+        );
+        let stale = results::unrecorded_numbers(&doc, &all)?;
+        diffs.extend(stale.iter().map(|s| {
+            format!("EXPERIMENTS.md: {s} is in a Measured column but not in results/all.txt")
+        }));
+        Ok(diffs)
+    });
+    match checked {
         Ok(diffs) if diffs.is_empty() => {
             println!("xtask results: output matches {}", recorded.display());
             ExitCode::SUCCESS
@@ -426,7 +441,8 @@ fn run_results(args: &[String]) -> ExitCode {
             }
             println!(
                 "xtask results: {} difference(s) against {}; a change that moves output on \
-                 purpose regenerates it with `cargo xtask results --write`",
+                 purpose regenerates it with `cargo xtask results --write`, and EXPERIMENTS.md \
+                 quotes only what results/all.txt prints",
                 diffs.len(),
                 recorded.display()
             );

@@ -1,14 +1,17 @@
 //! Results of record: what `repro` prints, committed under `results/`.
 //!
 //! [`EXHIBITS`] lists the runs of record: `repro all` with its CSVs, the
-//! stream replay, the fleet chaos demo and the supervised session, all at
-//! four threads. [`generate`] runs a `repro` binary for each into a
-//! directory; [`compare`] diffs two such directories file by file.
-//! `cargo xtask results --write` regenerates `results/` with the release
-//! build; `cargo xtask results --check` generates into the target
-//! directory and fails on any difference, so a refactor that moves one
-//! output byte shows, and a change that moves output on purpose carries
-//! the regenerated files.
+//! stream replay, the fleet chaos demo, the supervised session and
+//! `repro all` under each fault preset, all at four threads. [`generate`]
+//! runs a `repro` binary for each into a directory; [`compare`] diffs two
+//! such directories file by file. `cargo xtask results --write`
+//! regenerates `results/` with the release build; `cargo xtask results
+//! --check` generates into the target directory and fails on any
+//! difference, so a refactor that moves one output byte shows, and a
+//! change that moves output on purpose carries the regenerated files.
+//! `--check` also runs [`unrecorded_numbers`]: every number a Measured
+//! column of EXPERIMENTS.md quotes must appear in `results/all.txt`, so
+//! the document cannot drift from the output.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,11 +22,31 @@ const CSV_DIR: &str = "csv";
 
 /// The runs of record: the file their stdout goes to and `repro`'s
 /// arguments (the `all` run also writes its CSVs into [`CSV_DIR`]).
-pub const EXHIBITS: [(&str, &[&str]); 4] = [
+pub const EXHIBITS: [(&str, &[&str]); 9] = [
     ("all.txt", &["--threads", "4", "--csvdir", CSV_DIR, "all"]),
     ("stream.txt", &["--threads", "4", "stream"]),
     ("fleet_chaos.txt", &["--threads", "4", "fleet", "--chaos"]),
     ("session.txt", &["--threads", "4", "--session"]),
+    (
+        "faults_loss.txt",
+        &["--threads", "4", "--faults", "loss", "all"],
+    ),
+    (
+        "faults_dropout.txt",
+        &["--threads", "4", "--faults", "dropout", "all"],
+    ),
+    (
+        "faults_agc.txt",
+        &["--threads", "4", "--faults", "agc", "all"],
+    ),
+    (
+        "faults_glitch.txt",
+        &["--threads", "4", "--faults", "glitch", "all"],
+    ),
+    (
+        "faults_chaos.txt",
+        &["--threads", "4", "--faults", "chaos", "all"],
+    ),
 ];
 
 /// Runs `repro` for every exhibit with `out` (emptied first) as the
@@ -122,6 +145,81 @@ pub fn compare(expected: &Path, actual: &Path) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
+/// The numbers in `text` as printed: digits with an optional fraction,
+/// negative when a minus sign (`-` or U+2212) comes right before them. A
+/// bare fraction such as `.863` reads as `0.863`.
+fn numbers(text: &str) -> Vec<String> {
+    let chars: Vec<char> = text.chars().collect();
+    let digit_at = |i: usize| chars.get(i).is_some_and(char::is_ascii_digit);
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let starts = digit_at(i) || (chars[i] == '.' && digit_at(i + 1));
+        if !starts {
+            i += 1;
+            continue;
+        }
+        let negative = i > 0 && matches!(chars[i - 1], '-' | '\u{2212}');
+        let mut number = String::from(if negative { "-" } else { "" });
+        if chars[i] == '.' {
+            number.push('0');
+        }
+        let mut seen_point = false;
+        while i < chars.len()
+            && (digit_at(i) || (chars[i] == '.' && !seen_point && digit_at(i + 1)))
+        {
+            seen_point |= chars[i] == '.';
+            number.push(chars[i]);
+            i += 1;
+        }
+        out.push(number);
+    }
+    out
+}
+
+/// Every number in a Measured column of `experiments` (a Markdown table
+/// column whose header starts with "Measured") that `all` does not
+/// print, as `exhibit: number` lines. Numbers are compared as printed,
+/// so `83.3` does not match a printed `83.30`.
+///
+/// # Errors
+/// `experiments` has no Measured column.
+pub fn unrecorded_numbers(experiments: &str, all: &str) -> Result<Vec<String>, String> {
+    let printed = numbers(all);
+    let mut tables = 0;
+    let mut out = Vec::new();
+    // `None` until the current table's header row is read, then the
+    // index of its Measured column (`Some(None)` when it has none).
+    let mut column: Option<Option<usize>> = None;
+    for line in experiments.lines() {
+        if !line.trim_start().starts_with('|') {
+            column = None;
+            continue;
+        }
+        let inner = line.trim().trim_start_matches('|').trim_end_matches('|');
+        let cells: Vec<&str> = inner.split('|').map(str::trim).collect();
+        let Some(measured) = column else {
+            let at = cells.iter().position(|c| c.starts_with("Measured"));
+            tables += usize::from(at.is_some());
+            column = Some(at);
+            continue;
+        };
+        let (Some(exhibit), Some(cell)) = (cells.first(), measured.and_then(|m| cells.get(m)))
+        else {
+            continue;
+        };
+        for number in numbers(cell) {
+            if !printed.contains(&number) {
+                out.push(format!("{exhibit}: {number}"));
+            }
+        }
+    }
+    if tables == 0 {
+        return Err("EXPERIMENTS.md has no Measured column".to_string());
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +277,35 @@ mod tests {
         for d in [a, b] {
             fs::remove_dir_all(d).unwrap();
         }
+    }
+
+    #[test]
+    fn numbers_are_read_as_printed() {
+        assert_eq!(
+            numbers("p10 \u{2212}1.55 dB, 56.3% @ 3.7 % (AUC .863); 1\u{2192}5 m, v2.0. -0.0"),
+            ["10", "-1.55", "56.3", "3.7", "0.863", "1", "5", "2.0", "-0.0"]
+        );
+    }
+
+    #[test]
+    fn every_measured_number_must_be_printed() {
+        let doc = "intro 99.9\n\n\
+                   | Exhibit | Paper | Measured | Verdict |\n\
+                   |---|---|---|---|\n\
+                   | Fig. 7 | 70 % | baseline 56.3 % (AUC .863) | ok 12 |\n\
+                   | Fig. 9 | 60 % | 83.3 % at 5 m, \u{2212}2.5 dB | ok |\n\
+                   \n\
+                   | Id | Command |\n|---|---|\n| fig7 | repro 4242 |\n\
+                   \n\
+                   | Extension | Hook | Measured |\n|---|---|---|\n| ext | 5 | FP 9.6 % |\n";
+        let all = "baseline 56.3% 0.863 9.6\n| 5 m | 83.3% | -2.5 |\n";
+        assert_eq!(unrecorded_numbers(doc, all).unwrap(), Vec::<String>::new());
+        let drifted = all.replace("83.3%", "83.4%").replace("9.6", "9.7");
+        assert_eq!(
+            unrecorded_numbers(doc, &drifted).unwrap(),
+            ["Fig. 9: 83.3", "ext: 9.6"]
+        );
+        assert!(unrecorded_numbers("no table here", all).is_err());
     }
 
     #[test]
