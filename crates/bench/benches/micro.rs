@@ -34,7 +34,6 @@ use mpdf_rfmath::matrix::CMatrix;
 use mpdf_session::runtime::{SessionConfig, SessionRuntime};
 use mpdf_wifi::band::Band;
 use mpdf_wifi::receiver::CsiReceiver;
-use mpdf_wifi::sanitize::sanitize_packet;
 use mpdf_wifi::wire;
 
 fn bench_numerics(h: &mut Harness) {
@@ -76,18 +75,14 @@ fn bench_physics(h: &mut Harness) {
 
 fn bench_detection(h: &mut Harness) {
     let (profile, window, config) = bench_fixture();
-    let freqs = config.band.frequencies();
-    let mut pkt = window[0].clone();
-    h.bench("detection/sanitize_packet", || {
-        let mut q = pkt.clone();
-        sanitize_packet(&mut q, config.band.indices())
-    });
-    sanitize_packet(&mut pkt, config.band.indices());
+    // μ_k of one packet as captured: the linear-phase fit, the rotor and
+    // Eq. 9–11 on each rotated antenna row.
+    let pkt = &window[0];
     h.bench("detection/multipath_factors_packet", || {
-        multipath_factors(black_box(&pkt), &freqs)
+        multipath_factors(black_box(pkt), &config.band)
     });
     h.bench("detection/subcarrier_weights_25pkt", || {
-        SubcarrierWeights::from_packets(black_box(&window), &freqs)
+        SubcarrierWeights::from_packets(black_box(&window), &config.band)
     });
     let snaps: Vec<Vec<Complex64>> = (0..30).map(|k| pkt.subcarrier_column(k)).collect();
     let r = sample_covariance(&snaps).unwrap();
@@ -102,17 +97,18 @@ fn bench_detection(h: &mut Harness) {
         let fb = mpdf_music::covariance::forward_backward(&r);
         pseudospectrum(&fb, &steering, 2, &grid).unwrap()
     });
-    // The shared front end of one window: quarantine, validation and
-    // phase sanitization of its 25 packets (the subcarrier weights are
-    // computed later, by the first scheme that reads them).
+    // The shared front end of one window: quarantine and validation of
+    // its 25 packets, kept as captured (the subcarrier weights, and with
+    // them the phase fit inside μ_k, are computed later, by the first
+    // scheme that reads them).
     h.bench("detection/prepare_25pkt", || {
         let prepared = PreparedWindow::new(&profile, black_box(&window), &config);
         prepared.health().is_ok()
     });
     // The three per-window decisions — the §V-B4 latency story. Each
     // bench scores one window prepared outside the loop, so these time
-    // the scheme alone: no quarantine or sanitization, and for the
-    // subcarrier and combined schemes no μ_k or subcarrier weights
+    // the scheme alone: no quarantine, and for the subcarrier and
+    // combined schemes no μ_k (phase fit included) or subcarrier weights
     // either (the first call computes them, the rest reuse them).
     let prepared = PreparedWindow::new(&profile, &window, &config);
     h.bench("detection/score_baseline_25pkt", || {

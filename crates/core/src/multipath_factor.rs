@@ -13,11 +13,21 @@
 //! estimator with the theoretical `μ` of Eq. 3. The paper's weighting
 //! scheme is invariant to this overall scale (weights are normalized),
 //! so the convention only affects readability.
+//!
+//! Phase calibration: `ĥ(0)` is the one quantity of the detector that
+//! reads CSI phase across subcarriers, so the packet-level estimator
+//! owns the paper's linear-phase fit ("as in \[26\]", §IV-C): it fits
+//! each packet as captured ([`estimate_linear_phase_with`]) and forms
+//! `ĥ(0)` and `|H(f_k)|²` from the rotated samples `h·rot_k` in a row
+//! buffer. Packets themselves are never rewritten; the factors are
+//! bitwise those of the sanitized copy ([`mpdf_wifi::sanitize`]).
 
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::contract;
 use mpdf_rfmath::dft::nudft_at_delay;
+use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
+use mpdf_wifi::sanitize::{estimate_linear_phase_with, SanitizeScratch};
 
 /// Dominant-tap power `|ĥ(0)|²` of one antenna's CFR row.
 ///
@@ -36,16 +46,62 @@ pub fn dominant_tap_power(csi_row: &[Complex64], freqs_hz: &[f64]) -> f64 {
 /// # Panics
 /// Panics if inputs are empty or lengths differ.
 pub fn los_power_split(h0_power: f64, freqs_hz: &[f64]) -> Vec<f64> {
+    split_prefix(freqs_hz)
+        .into_iter()
+        .map(|pre| pre * h0_power)
+        .collect()
+}
+
+/// Everything of Eq. 10's split left of `|ĥ(0)|²`: `K·f_k⁻²/Σ_j f_j⁻²`
+/// per subcarrier.
+///
+/// # Panics
+/// Panics if the grid is empty.
+fn split_prefix(freqs_hz: &[f64]) -> Vec<f64> {
     assert!(!freqs_hz.is_empty(), "frequency grid must be non-empty");
     let k = freqs_hz.len() as f64;
     let inv_sq_sum: f64 = freqs_hz.iter().map(|f| f.powi(-2)).sum();
     freqs_hz
         .iter()
-        .map(|f| k * f.powi(-2) / inv_sq_sum * h0_power)
+        .map(|f| k * f.powi(-2) / inv_sq_sum)
         .collect()
 }
 
-/// Precomputed per-grid state for the μ_k estimator.
+/// Multipath factors `μ_k` of one antenna row (Eq. 11) under a
+/// precomputed split prefix, written into `out` (cleared and refilled).
+///
+/// # Panics
+/// Panics if the row length differs from the grid length.
+fn row_factors_into(
+    csi_row: &[Complex64],
+    freqs_hz: &[f64],
+    split_prefix: &[f64],
+    out: &mut Vec<f64>,
+) {
+    assert_eq!(
+        csi_row.len(),
+        freqs_hz.len(),
+        "CSI row and frequency grid must have equal length"
+    );
+    let h0 = dominant_tap_power(csi_row, freqs_hz);
+    out.clear();
+    out.resize(csi_row.len(), 0.0);
+    for ((mu, h), &pre) in out.iter_mut().zip(csi_row).zip(split_prefix) {
+        let p = pre * h0;
+        let power = h.norm_sqr();
+        // Divide, then select: the branch-free loop vectorizes, and a
+        // dead tone's quotient is discarded, not used.
+        let ratio = p / power;
+        *mu = if power <= f64::MIN_POSITIVE {
+            0.0
+        } else {
+            ratio
+        };
+    }
+    contract::assert_non_negative("multipath factors μ (row)", out);
+}
+
+/// Precomputed per-band state for the μ_k estimator.
 ///
 /// Eq. 10's LOS split is `P_L(f_k) = (K·f_k⁻²/Σ_j f_j⁻²) · |ĥ(0)|²`:
 /// everything left of `|ĥ(0)|²` depends only on the frequency grid, so a
@@ -53,30 +109,38 @@ pub fn los_power_split(h0_power: f64, freqs_hz: &[f64]) -> Vec<f64> {
 /// recomputed it 75 times. The grid hoists that prefix once; per row the
 /// split is one multiply. Factor values are bit-identical to the free
 /// functions below — the prefix is the identical left-associated
-/// sub-expression of Eq. 10's original formulation.
+/// sub-expression of Eq. 10's original formulation. The band's OFDM
+/// indices are the abscissa of the per-packet linear-phase fit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MuGrid {
+    indices: Vec<i32>,
     freqs_hz: Vec<f64>,
     /// `K·f_k⁻²/Σ_j f_j⁻²` per subcarrier.
     split_prefix: Vec<f64>,
 }
 
+/// Reusable buffers of the per-packet μ_k pass (the phase fit's, the
+/// rotor `e^{-j(slope·idx_k + intercept)}`, one rotated antenna row and
+/// its factors), carried across the packets a grid scores.
+#[derive(Debug, Clone, Default)]
+pub struct MuScratch {
+    fit: SanitizeScratch,
+    rots: Vec<Complex64>,
+    row: Vec<Complex64>,
+    mus: Vec<f64>,
+}
+
 impl MuGrid {
-    /// Precomputes the split prefix for a frequency grid.
+    /// Precomputes the split prefix for a band plan.
     ///
     /// # Panics
-    /// Panics if the grid is empty.
-    pub fn new(freqs_hz: &[f64]) -> Self {
-        assert!(!freqs_hz.is_empty(), "frequency grid must be non-empty");
-        let k = freqs_hz.len() as f64;
-        let inv_sq_sum: f64 = freqs_hz.iter().map(|f| f.powi(-2)).sum();
-        let split_prefix = freqs_hz
-            .iter()
-            .map(|f| k * f.powi(-2) / inv_sq_sum)
-            .collect();
+    /// Panics if the band has no subcarriers.
+    pub fn new(band: &Band) -> Self {
+        let freqs_hz = band.frequencies();
         MuGrid {
-            freqs_hz: freqs_hz.to_vec(),
-            split_prefix,
+            indices: band.indices().to_vec(),
+            split_prefix: split_prefix(&freqs_hz),
+            freqs_hz,
         }
     }
 
@@ -85,44 +149,21 @@ impl MuGrid {
         &self.freqs_hz
     }
 
-    /// Multipath factors `μ_k` of one antenna row (Eq. 11), written into
-    /// `out` (cleared and refilled) — the allocation-free core of
-    /// [`multipath_factors_row`].
-    ///
-    /// # Panics
-    /// Panics if the row length differs from the grid length.
-    pub fn row_factors_into(&self, csi_row: &[Complex64], out: &mut Vec<f64>) {
-        assert_eq!(
-            csi_row.len(),
-            self.freqs_hz.len(),
-            "CSI row and frequency grid must have equal length"
-        );
-        let h0 = dominant_tap_power(csi_row, &self.freqs_hz);
-        out.clear();
-        out.resize(csi_row.len(), 0.0);
-        for ((mu, h), &pre) in out.iter_mut().zip(csi_row).zip(&self.split_prefix) {
-            let p = pre * h0;
-            let power = h.norm_sqr();
-            // Divide, then select: the branch-free loop vectorizes, and a
-            // dead tone's quotient is discarded, not used.
-            let ratio = p / power;
-            *mu = if power <= f64::MIN_POSITIVE {
-                0.0
-            } else {
-                ratio
-            };
-        }
-        contract::assert_non_negative("multipath factors μ (row)", out);
-    }
-
-    /// Antenna-averaged packet factors (Eq. 11), written into the `out`
-    /// slice — the allocation-free core of [`multipath_factors`].
-    /// `row_buf` is caller-provided scratch reused across packets.
+    /// Antenna-averaged packet factors (Eq. 11) of a packet as captured,
+    /// written into the `out` slice — the allocation-free core of
+    /// [`multipath_factors`]. The packet's linear phase is fitted and
+    /// its rotor applied to each antenna row in `scratch`, so the
+    /// factors are bitwise those of the packet's sanitized copy.
     ///
     /// # Panics
     /// Panics if the packet's subcarrier count or `out.len()` differs
     /// from the grid length.
-    pub fn packet_factors_into(&self, packet: &CsiPacket, row_buf: &mut Vec<f64>, out: &mut [f64]) {
+    pub fn packet_factors_into(
+        &self,
+        packet: &CsiPacket,
+        scratch: &mut MuScratch,
+        out: &mut [f64],
+    ) {
         assert_eq!(
             packet.subcarriers(),
             self.freqs_hz.len(),
@@ -133,12 +174,33 @@ impl MuGrid {
             self.freqs_hz.len(),
             "output length must match the frequency grid"
         );
-        for v in out.iter_mut() {
-            *v = 0.0;
-        }
+        let corr = estimate_linear_phase_with(&mut scratch.fit, packet, &self.indices);
+        // The rotor depends only on the subcarrier index: one `cis` per
+        // tone, shared by every antenna.
+        scratch.rots.clear();
+        scratch.rots.extend(
+            self.indices
+                .iter()
+                .map(|&idx| Complex64::cis(-(corr.slope * idx as f64 + corr.intercept))),
+        );
+        out.fill(0.0);
+        scratch.row.resize(self.indices.len(), Complex64::ZERO);
         for a in 0..packet.antennas() {
-            self.row_factors_into(packet.antenna_row(a), row_buf);
-            for (slot, &v) in out.iter_mut().zip(row_buf.iter()) {
+            let rotated = scratch
+                .row
+                .iter_mut()
+                .zip(packet.antenna_row(a))
+                .zip(&scratch.rots);
+            for ((slot, &h), &rot) in rotated {
+                *slot = h * rot;
+            }
+            row_factors_into(
+                &scratch.row,
+                &self.freqs_hz,
+                &self.split_prefix,
+                &mut scratch.mus,
+            );
+            for (slot, &v) in out.iter_mut().zip(&scratch.mus) {
                 *slot += v;
             }
         }
@@ -149,7 +211,9 @@ impl MuGrid {
     }
 }
 
-/// Multipath factors `μ_k` for one antenna row (Eq. 11).
+/// Multipath factors `μ_k` for one antenna row (Eq. 11), taken as given:
+/// a single row carries no packet-wide phase fit, so a caller with raw
+/// CSI reads [`multipath_factors`].
 ///
 /// Subcarriers with (numerically) zero power get `μ_k = 0` rather than an
 /// infinity — a dead subcarrier carries no usable sensitivity signal.
@@ -157,32 +221,29 @@ impl MuGrid {
 /// # Panics
 /// Panics if the row and frequency grid lengths differ or are empty.
 pub fn multipath_factors_row(csi_row: &[Complex64], freqs_hz: &[f64]) -> Vec<f64> {
-    let grid = MuGrid::new(freqs_hz);
     let mut out = Vec::with_capacity(csi_row.len());
-    grid.row_factors_into(csi_row, &mut out);
+    row_factors_into(csi_row, freqs_hz, &split_prefix(freqs_hz), &mut out);
     out
 }
 
-/// Multipath factors for a whole packet, averaged over antennas —
-/// the per-packet measurement the weighting scheme consumes (the paper
-/// notes μ is "directly measurable at runtime from one packet").
+/// Multipath factors for a whole packet as captured, phase-calibrated
+/// and averaged over antennas — the per-packet measurement the weighting
+/// scheme consumes (the paper notes μ is "directly measurable at runtime
+/// from one packet").
 ///
 /// # Panics
-/// Panics if the frequency grid length differs from the packet's
-/// subcarrier count.
-pub fn multipath_factors(packet: &CsiPacket, freqs_hz: &[f64]) -> Vec<f64> {
+/// Panics if the band's subcarrier count differs from the packet's.
+pub fn multipath_factors(packet: &CsiPacket, band: &Band) -> Vec<f64> {
     let _stage = mpdf_obs::stage!("core.mu_k");
-    let grid = MuGrid::new(freqs_hz);
     let mut out = vec![0.0; packet.subcarriers()];
-    let mut row_buf = Vec::with_capacity(packet.subcarriers());
-    grid.packet_factors_into(packet, &mut row_buf, &mut out);
+    MuGrid::new(band).packet_factors_into(packet, &mut MuScratch::default(), &mut out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdf_wifi::band::Band;
+    use mpdf_wifi::sanitize::sanitize_packet;
 
     fn band_freqs() -> Vec<f64> {
         Band::wifi_2_4ghz_channel11().frequencies()
@@ -275,7 +336,6 @@ mod tests {
 
     #[test]
     fn packet_average_over_antennas() {
-        let freqs = band_freqs();
         // Antenna 0 flat ×1, antenna 1 flat ×3: both have μ=1 per
         // subcarrier, so the average is 1.
         let mut data = vec![Complex64::ONE; 60];
@@ -283,7 +343,7 @@ mod tests {
             *z = Complex64::from_re(3.0);
         }
         let p = CsiPacket::new(2, 30, data, 0, 0.0);
-        let mus = multipath_factors(&p, &freqs);
+        let mus = multipath_factors(&p, &Band::wifi_2_4ghz_channel11());
         for &mu in &mus {
             assert!((mu - 1.0).abs() < 0.01);
         }
@@ -295,13 +355,32 @@ mod tests {
         let _ = multipath_factors_row(&[Complex64::ONE], &[1.0, 2.0]);
     }
 
+    /// Eq. 10–11 per row as first written: the allocating split, then
+    /// `P_L/|H|²` with dead tones at zero.
+    fn direct_row_factors(row: &[Complex64], freqs: &[f64]) -> Vec<f64> {
+        let pl = los_power_split(dominant_tap_power(row, freqs), freqs);
+        row.iter()
+            .zip(pl)
+            .map(|(h, p)| {
+                let power = h.norm_sqr();
+                if power <= f64::MIN_POSITIVE {
+                    0.0
+                } else {
+                    p / power
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn grid_factors_are_bitwise_identical_to_direct_formulation() {
-        // The hoisted split prefix must not perturb a single bit: it is
-        // the same left-associated sub-expression Eq. 10 evaluated
-        // per call before the hoist.
-        let freqs = band_freqs();
-        let grid = MuGrid::new(&freqs);
+        // The hoisted split prefix and the in-estimator phase fit must not
+        // perturb a single bit: the prefix is the same left-associated
+        // sub-expression Eq. 10 evaluated per call before the hoist, and
+        // the rotor is the one `sanitize_packet` applies.
+        let band = Band::wifi_2_4ghz_channel11();
+        let freqs = band.frequencies();
+        let grid = MuGrid::new(&band);
         let row: Vec<Complex64> = freqs
             .iter()
             .enumerate()
@@ -311,32 +390,57 @@ mod tests {
                     + Complex64::from_polar(0.6, 0.37 * i as f64)
             })
             .collect();
-        // Row level: grid vs reference split arithmetic.
-        let h0 = dominant_tap_power(&row, &freqs);
-        let pl = los_power_split(h0, &freqs);
-        let mut out = Vec::new();
-        grid.row_factors_into(&row, &mut out);
-        for (i, (&mu, (h, p))) in out.iter().zip(row.iter().zip(pl)).enumerate() {
-            let reference = {
-                let power = h.norm_sqr();
-                if power <= f64::MIN_POSITIVE {
-                    0.0
-                } else {
-                    p / power
-                }
-            };
+        // Row level: hoisted prefix vs reference split arithmetic.
+        let direct = direct_row_factors(&row, &freqs);
+        for (i, (mu, reference)) in multipath_factors_row(&row, &freqs)
+            .iter()
+            .zip(&direct)
+            .enumerate()
+        {
             assert_eq!(mu.to_bits(), reference.to_bits(), "subcarrier {i}");
         }
-        // Packet level: buffered path vs the allocating wrapper.
+        // Packet level, as captured and with an injected slope and
+        // intercept: grid vs the direct formulation on the sanitized copy.
         let mut data = row.clone();
         data.extend(row.iter().map(|&z| z * Complex64::new(0.2, 0.8)));
-        let packet = CsiPacket::new(2, 30, data, 0, 0.0);
-        let wrapper = multipath_factors(&packet, &freqs);
-        let mut row_buf = Vec::new();
-        let mut buffered = vec![0.0; 30];
-        grid.packet_factors_into(&packet, &mut row_buf, &mut buffered);
-        for (i, (a, b)) in wrapper.iter().zip(&buffered).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "subcarrier {i}");
+        let flat = CsiPacket::new(2, 30, data, 0, 0.0);
+        let tilted = CsiPacket::new(
+            2,
+            30,
+            (0..2)
+                .flat_map(|a| {
+                    let flat = &flat;
+                    band.indices().iter().enumerate().map(move |(k, &idx)| {
+                        flat.get(a, k) * Complex64::cis(0.043 * f64::from(idx) - 1.7)
+                    })
+                })
+                .collect(),
+            1,
+            0.0,
+        );
+        let mut scratch = MuScratch::default();
+        for (n, packet) in [flat, tilted].into_iter().enumerate() {
+            let mut sanitized = packet.clone();
+            sanitize_packet(&mut sanitized, band.indices());
+            let mut reference = vec![0.0; 30];
+            for a in 0..2 {
+                for (slot, v) in reference
+                    .iter_mut()
+                    .zip(direct_row_factors(sanitized.antenna_row(a), &freqs))
+                {
+                    *slot += v;
+                }
+            }
+            for v in &mut reference {
+                *v /= 2.0;
+            }
+            let mut buffered = vec![0.0; 30];
+            grid.packet_factors_into(&packet, &mut scratch, &mut buffered);
+            let wrapper = multipath_factors(&packet, &band);
+            for (i, ((a, b), r)) in buffered.iter().zip(&wrapper).zip(&reference).enumerate() {
+                assert_eq!(a.to_bits(), r.to_bits(), "packet {n}, subcarrier {i}");
+                assert_eq!(b.to_bits(), r.to_bits(), "packet {n}, subcarrier {i}");
+            }
         }
     }
 

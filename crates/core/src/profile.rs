@@ -15,7 +15,7 @@
 //!   array reads: the μ_k grid of the band and the steering vectors of
 //!   the scan grid.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 use mpdf_music::covariance::forward_backward;
 use mpdf_music::music::{pseudospectrum_on, AngleGrid, Pseudospectrum, SteeringTable, UlaSteering};
@@ -25,7 +25,6 @@ use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::quarantine::{classify, PacketClass, QuarantinePolicy};
-use mpdf_wifi::sanitize::{sanitize_packet_with, SanitizeScratch};
 
 use crate::error::DetectError;
 use crate::multipath_factor::MuGrid;
@@ -99,10 +98,13 @@ pub struct CalibrationProfile {
 }
 
 impl CalibrationProfile {
-    /// Builds a profile from calibration packets.
+    /// Builds a profile from calibration packets, kept as captured.
     ///
-    /// Packets are sanitized (linear-phase removal per \[26\]) before any
-    /// statistics are taken.
+    /// The linear-phase calibration of \[26\] rotates every antenna of a
+    /// (packet, subcarrier) by one common phase, which leaves the stored
+    /// amplitudes, powers and covariances unchanged; the one quantity it
+    /// matters to, μ_k, is formed by the estimator that owns the fit
+    /// ([`MuGrid::packet_factors_into`]), so calibration rotates nothing.
     ///
     /// # Errors
     /// - [`DetectError::EmptyWindow`] with no packets,
@@ -144,22 +146,10 @@ impl CalibrationProfile {
             return Err(DetectError::EmptyWindow);
         }
 
-        // Sanitize copies (one scratch carried across the capture).
-        let indices = config.band.indices();
-        let mut scratch = SanitizeScratch::new();
-        let sanitized: Vec<CsiPacket> = kept
-            .iter()
-            .map(|p| {
-                let mut q = (*p).clone();
-                sanitize_packet_with(&mut scratch, &mut q, indices);
-                q
-            })
-            .collect();
-
         // Amplitude / power statistics.
-        let n = sanitized.len() as f64;
+        let n = kept.len() as f64;
         let mut static_amplitude = vec![vec![0.0; subcarriers]; antennas];
-        for p in &sanitized {
+        for p in &kept {
             for (a, row) in static_amplitude.iter_mut().enumerate() {
                 for (k, slot) in row.iter_mut().enumerate() {
                     *slot += p.get(a, k).norm();
@@ -173,12 +163,12 @@ impl CalibrationProfile {
         }
         // Median, not mean: robust to bursty narrowband interference in the
         // calibration capture.
-        let static_power = CsiPacket::median_power_profile(&sanitized);
+        let static_power = CsiPacket::median_power_profile(&kept);
 
         // Per-subcarrier covariances and the pooled static spectrum: the
         // estimator the combined scheme runs on monitored windows, so
         // both sides of the §IV-C comparison are the same computation.
-        let static_covariances = fb_covariances(&sanitized);
+        let static_covariances = fb_covariances(&kept);
         let pooled = pool_covariances(&static_covariances, None);
         let steering_table = SteeringTable::new(&config.steering, &config.grid);
         let static_spectrum = pseudospectrum_on(&pooled, &steering_table, config.num_sources)?;
@@ -197,7 +187,7 @@ impl CalibrationProfile {
             static_spectrum,
             path_weights,
             band: config.band.clone(),
-            mu_grid: MuGrid::new(&config.band.frequencies()),
+            mu_grid: MuGrid::new(&config.band),
             steering_table,
         })
     }
@@ -263,7 +253,7 @@ impl CalibrationProfile {
             static_spectrum,
             path_weights,
             band: config.band.clone(),
-            mu_grid: MuGrid::new(&config.band.frequencies()),
+            mu_grid: MuGrid::new(&config.band),
             steering_table: SteeringTable::new(&config.steering, &config.grid),
         })
     }
@@ -315,7 +305,7 @@ impl CalibrationProfile {
         if *band == self.band {
             Cow::Borrowed(&self.mu_grid)
         } else {
-            Cow::Owned(MuGrid::new(&band.frequencies()))
+            Cow::Owned(MuGrid::new(band))
         }
     }
 
@@ -393,7 +383,7 @@ macro_rules! by_chains {
     };
 }
 
-/// The per-subcarrier sample covariances of a sanitized window, the one
+/// The per-subcarrier sample covariances of a window, the one
 /// estimator behind both sides of the §IV-C comparison: calls
 /// `finish(k, R_k)` for every subcarrier `k` in order, with
 /// `R_k = (1/N) Σ_n u_n u_nᴴ` over the window's `N` column snapshots
@@ -410,13 +400,13 @@ macro_rules! by_chains {
 /// `1/N` scale then runs on every entry. Every `R_k` is therefore
 /// bitwise `sample_covariance` of the subcarrier's column snapshots.
 fn sample_covariances<const M: usize>(
-    window: &[CsiPacket],
+    window: &[impl Borrow<CsiPacket>],
     mut finish: impl FnMut(usize, &[[Complex64; M]; M]),
 ) {
-    let subcarriers = window[0].subcarriers();
+    let subcarriers = window[0].borrow().subcarriers();
     let rows: Vec<[&[Complex64]; M]> = window
         .iter()
-        .map(|p| std::array::from_fn(|r| &p.antenna_row(r)[..subcarriers]))
+        .map(|p| std::array::from_fn(|r| &p.borrow().antenna_row(r)[..subcarriers]))
         .collect();
     let scale = 1.0 / window.len() as f64;
     let mut emit = |k: usize, upper: &[[Complex64; M]; M]| {
@@ -502,15 +492,16 @@ fn pool_total(weights: &[f64]) -> f64 {
     }
 }
 
-/// Per-subcarrier forward–backward covariances of a sanitized window:
-/// `forward_backward` of each [`sample_covariances`] matrix, the per-
-/// subcarrier matrices [`CalibrationProfile::build`] stores.
+/// Per-subcarrier forward–backward covariances of a window (owned or
+/// borrowed packets): `forward_backward` of each [`sample_covariances`]
+/// matrix, the per-subcarrier matrices [`CalibrationProfile::build`]
+/// stores.
 ///
 /// # Panics
 /// Panics if `window` is empty or has more than [`MAX_CHAINS`] chains.
-pub(crate) fn fb_covariances(window: &[CsiPacket]) -> Vec<CMatrix> {
-    fn kernel<const M: usize>(window: &[CsiPacket]) -> Vec<CMatrix> {
-        let mut out = Vec::with_capacity(window[0].subcarriers());
+pub(crate) fn fb_covariances(window: &[impl Borrow<CsiPacket>]) -> Vec<CMatrix> {
+    fn kernel<const M: usize>(window: &[impl Borrow<CsiPacket>]) -> Vec<CMatrix> {
+        let mut out = Vec::with_capacity(window[0].borrow().subcarriers());
         sample_covariances::<M>(window, |_, cov| {
             out.push(forward_backward(&CMatrix::from_rows(
                 M,
@@ -521,7 +512,7 @@ pub(crate) fn fb_covariances(window: &[CsiPacket]) -> Vec<CMatrix> {
         out
     }
     let _stage = mpdf_obs::stage!("music.covariance");
-    by_chains!(window[0].antennas(), kernel(window))
+    by_chains!(window[0].borrow().antennas(), kernel(window))
 }
 
 /// The window's forward–backward covariances pooled under the subcarrier
@@ -747,7 +738,7 @@ mod tests {
         );
         let grid = p.mu_grid(&shifted);
         assert!(matches!(grid, Cow::Owned(_)));
-        assert_eq!(*grid, MuGrid::new(&shifted.frequencies()));
+        assert_eq!(*grid, MuGrid::new(&shifted));
         let sub = cfg.steering.subset(&[0, 2]).unwrap();
         let table = p.steering_table(&sub, &cfg.grid);
         assert!(matches!(table, Cow::Owned(_)));
@@ -755,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn static_covariances_are_the_batch_reference_of_the_sanitized_capture() {
+    fn static_covariances_are_the_batch_reference_of_the_capture_as_captured() {
         for antennas in [3, 4] {
             let cfg = DetectorConfig {
                 steering: UlaSteering::new(antennas, 0.5),
@@ -763,18 +754,15 @@ mod tests {
             };
             let packets = array_packets(antennas, 20);
             let profile = CalibrationProfile::build(&packets, &cfg).unwrap();
-            let mut scratch = SanitizeScratch::new();
-            let sanitized: Vec<CsiPacket> = packets
-                .iter()
-                .map(|p| {
-                    let mut q = p.clone();
-                    sanitize_packet_with(&mut scratch, &mut q, cfg.band.indices());
-                    q
-                })
-                .collect();
+            assert!(
+                packets
+                    .iter()
+                    .all(|p| matches!(classify(p, &cfg.quarantine), PacketClass::Ok)),
+                "a clean capture passes the quarantine whole"
+            );
             assert_bitwise_eq(
                 profile.static_covariances(),
-                &per_subcarrier_fb_covariances(&sanitized),
+                &per_subcarrier_fb_covariances(&packets),
                 &format!("{antennas}-antenna calibration"),
             );
         }

@@ -14,7 +14,6 @@ use std::cell::OnceCell;
 
 use mpdf_music::music::check_bartlett;
 use mpdf_wifi::csi::CsiPacket;
-use mpdf_wifi::sanitize::{sanitize_packet_with, SanitizeScratch};
 
 use crate::degrade::{assess_window, WindowHealth};
 use crate::error::DetectError;
@@ -75,14 +74,18 @@ pub trait DetectionScheme {
 /// One monitoring window, scored against one profile under one detector
 /// configuration, with the front end every scheme shares.
 ///
-/// The front end — quarantine and validation ([`assess_window`]), then
-/// phase sanitization of the survivors — runs the first time a scheme
-/// reads the window; the Eq. 12–15 subcarrier weights, which schemes 2
-/// and 3 both read (§IV-C reuses scheme 2's weights), the first time a
-/// scheme needs them. Every later scheme reuses both, and a front-end
-/// error is returned to every scheme that reads the window. The
-/// counters `core.sanitize_memo.misses` and `.hits` count the reads that
-/// built the front end and the reads that reused it.
+/// The front end — quarantine and validation ([`assess_window`]) —
+/// runs the first time a scheme reads the window and keeps the surviving
+/// packets as captured; the Eq. 12–15 subcarrier weights, which schemes
+/// 2 and 3 both read (§IV-C reuses scheme 2's weights), the first time a
+/// scheme needs them. Phase sanitization happens only inside the μ_k
+/// estimator behind those weights ([`crate::multipath_factor`]): every
+/// other quantity a scheme reads is invariant to it, so a baseline-only
+/// window never fits a phase. Every later scheme reuses both, and a
+/// front-end error is returned to every scheme that reads the window.
+/// The counters `core.sanitize_memo.misses` and `.hits` (names kept for
+/// the end-to-end harness that reads them) count the reads that built
+/// the front end and the reads that reused it.
 ///
 /// A prepared window caches only what its own inputs determine, so a
 /// score from it is bitwise the score of a fresh preparation.
@@ -93,8 +96,8 @@ pub struct PreparedWindow<'a> {
     front: OnceCell<Result<FrontEnd, DetectError>>,
 }
 
-/// The quarantined, sanitized packets of a window, their health, and the
-/// window's subcarrier weights once a scheme asked for them.
+/// The quarantined packets of a window (as captured), their health, and
+/// the window's subcarrier weights once a scheme asked for them.
 struct FrontEnd {
     packets: Vec<CsiPacket>,
     health: WindowHealth,
@@ -136,16 +139,7 @@ impl<'a> PreparedWindow<'a> {
         }
         self.front
             .get_or_init(|| {
-                let (kept, health) = assess_window(self.profile, self.window, self.config)?;
-                let indices = self.config.band.indices();
-                let mut scratch = SanitizeScratch::new();
-                let packets = kept
-                    .into_iter()
-                    .map(|mut q| {
-                        sanitize_packet_with(&mut scratch, &mut q, indices);
-                        q
-                    })
-                    .collect();
+                let (packets, health) = assess_window(self.profile, self.window, self.config)?;
                 Ok(FrontEnd {
                     packets,
                     health,
@@ -804,7 +798,7 @@ mod tests {
         let (profile, config) = (prepared.profile, prepared.config);
         let front = prepared.front().unwrap();
         let health = &front.health;
-        let weights = SubcarrierWeights::from_packets(&front.packets, &config.band.frequencies());
+        let weights = SubcarrierWeights::from_packets(&front.packets, &config.band);
         let eff = effective_weights(&weights, health);
         let (steering, static_cov) = if health.widened_uncertainty {
             (

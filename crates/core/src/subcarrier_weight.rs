@@ -13,9 +13,10 @@
 
 use mpdf_rfmath::contract;
 use mpdf_rfmath::stats::median_with;
+use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
 
-use crate::multipath_factor::MuGrid;
+use crate::multipath_factor::{MuGrid, MuScratch};
 
 /// Multi-packet subcarrier weights (Eq. 13–15).
 #[derive(Debug, Clone, PartialEq)]
@@ -126,12 +127,13 @@ impl SubcarrierWeights {
         }
     }
 
-    /// Computes the weights directly from a window of CSI packets.
+    /// Computes the weights directly from a window of CSI packets as
+    /// captured (the μ_k estimator phase-calibrates each packet).
     ///
     /// # Panics
-    /// Panics when the window is empty or the frequency grid mismatches.
-    pub fn from_packets(window: &[CsiPacket], freqs_hz: &[f64]) -> Self {
-        SubcarrierWeights::from_packets_on(window, &MuGrid::new(freqs_hz))
+    /// Panics when the window is empty or the band mismatches.
+    pub fn from_packets(window: &[CsiPacket], band: &Band) -> Self {
+        SubcarrierWeights::from_packets_on(window, &MuGrid::new(band))
     }
 
     /// [`SubcarrierWeights::from_packets`] on a prebuilt μ_k grid.
@@ -143,13 +145,13 @@ impl SubcarrierWeights {
         assert!(!window.is_empty(), "need at least one packet");
         let k = grid.freqs_hz().len();
         let mut flat = vec![0.0; window.len() * k];
-        let mut row_buf = Vec::with_capacity(k);
+        let mut scratch = MuScratch::default();
         {
             // One μ_k stage per window: the per-packet loop is too hot
             // for per-call spans, but the phase still shows up in traces.
             let _mu_stage = mpdf_obs::stage!("core.mu_k");
             for (p, seg) in window.iter().zip(flat.chunks_exact_mut(k)) {
-                grid.packet_factors_into(p, &mut row_buf, seg);
+                grid.packet_factors_into(p, &mut scratch, seg);
             }
         }
         SubcarrierWeights::from_flat_factors(&flat, k)
@@ -253,15 +255,13 @@ mod tests {
     #[test]
     fn from_packets_smoke() {
         use mpdf_rfmath::complex::Complex64;
-        use mpdf_wifi::band::Band;
         let band = Band::wifi_2_4ghz_channel11();
-        let freqs = band.frequencies();
         let data = vec![Complex64::ONE; 3 * 30];
         let packets = vec![
             CsiPacket::new(3, 30, data.clone(), 0, 0.0),
             CsiPacket::new(3, 30, data, 1, 0.02),
         ];
-        let w = SubcarrierWeights::from_packets(&packets, &freqs);
+        let w = SubcarrierWeights::from_packets(&packets, &band);
         assert_eq!(w.len(), 30);
         assert!(!w.is_empty());
         assert!(w.weights.iter().all(|&x| x.is_finite() && x >= 0.0));

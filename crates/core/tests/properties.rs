@@ -1,12 +1,23 @@
 //! Property-based tests for the detection core.
 
+use std::f64::consts::PI;
+
 use mpdf_core::linkmodel::TwoPathLink;
-use mpdf_core::multipath_factor::{los_power_split, multipath_factors_row};
+use mpdf_core::multipath_factor::{los_power_split, multipath_factors, multipath_factors_row};
 use mpdf_core::path_weight::PathWeights;
+use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
+use mpdf_core::scheme::{Baseline, DetectionScheme, PreparedWindow, SubcarrierWeighting};
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
+use mpdf_geom::shapes::Rect;
+use mpdf_geom::vec2::Vec2;
 use mpdf_music::music::Pseudospectrum;
+use mpdf_propagation::channel::ChannelModel;
+use mpdf_propagation::environment::Environment;
+use mpdf_propagation::human::HumanBody;
 use mpdf_rfmath::complex::Complex64;
 use mpdf_wifi::band::Band;
+use mpdf_wifi::csi::CsiPacket;
+use mpdf_wifi::receiver::CsiReceiver;
 use proptest::prelude::*;
 
 fn mu_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -147,6 +158,159 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A calibration capture and a 25-packet window with a person near the
+/// link, from a seeded receiver with default impairments.
+fn captures(seed: u64) -> (Vec<CsiPacket>, Vec<CsiPacket>) {
+    let env = Environment::empty_room(Rect::new(Vec2::ZERO, Vec2::new(8.0, 6.0)));
+    let link = ChannelModel::new(env, Vec2::new(2.0, 3.0), Vec2::new(6.0, 3.0)).unwrap();
+    let mut rx = CsiReceiver::new(link, seed).unwrap();
+    let calibration = rx.capture_static(None, 40).unwrap();
+    let person = HumanBody::new(Vec2::new(4.4, 3.7));
+    let window = rx.capture_static(Some(&person), 25).unwrap();
+    (calibration, window)
+}
+
+/// Every antenna of packet `n`, subcarrier `k` turned by one common
+/// phase `theta(n, k)`.
+fn turned(packets: &[CsiPacket], theta: impl Fn(usize, usize) -> f64) -> Vec<CsiPacket> {
+    packets
+        .iter()
+        .enumerate()
+        .map(|(n, p)| {
+            let data = (0..p.antennas())
+                .flat_map(|a| (0..p.subcarriers()).map(move |k| (a, k)))
+                .map(|(a, k)| p.get(a, k) * Complex64::cis(theta(n, k)))
+                .collect();
+            CsiPacket::new(p.antennas(), p.subcarriers(), data, p.seq, p.timestamp)
+        })
+        .collect()
+}
+
+/// `|a − b| ≤ 1e-12·scale`.
+fn within(a: f64, b: f64, scale: f64) -> bool {
+    (a - b).abs() <= 1e-12 * scale
+}
+
+fn rel_within(a: f64, b: f64) -> bool {
+    within(a, b, a.abs().max(b.abs()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // ---- Phase calibration (the rotor of [26]) ----
+
+    /// A common phase per (packet, subcarrier) — the shape of the rotor
+    /// phase calibration applies — moves nothing calibration stores nor
+    /// the baseline score, whatever the phases; with the rotor's own
+    /// linear-in-index shape on the window it moves the subcarrier score
+    /// by rounding only. This is why only μ_k runs the fit.
+    #[test]
+    fn a_common_phase_per_packet_and_subcarrier_moves_only_rounding(
+        seed in 0u64..10_000,
+        table in proptest::collection::vec(-PI..PI, 97),
+        slope in -0.05f64..0.05,
+        intercept in -PI..PI,
+    ) {
+        let cfg = DetectorConfig::default();
+        let (calibration, window) = captures(seed);
+        let theta = |n: usize, k: usize| table[(n * 30 + k) % table.len()];
+        let indices = cfg.band.indices();
+        let linear = |n: usize, k: usize| {
+            (slope + 0.003 * n as f64) * f64::from(indices[k]) + intercept + n as f64
+        };
+        let p0 = CalibrationProfile::build(&calibration, &cfg).unwrap();
+        let p1 = CalibrationProfile::build(&turned(&calibration, theta), &cfg).unwrap();
+        for (r0, r1) in p0.static_amplitude().iter().zip(p1.static_amplitude()) {
+            for (&a, &b) in r0.iter().zip(r1) {
+                prop_assert!(rel_within(a, b), "static amplitude {a} vs {b}");
+            }
+        }
+        for (&a, &b) in p0.static_power().iter().zip(p1.static_power()) {
+            prop_assert!(rel_within(a, b), "static power {a} vs {b}");
+        }
+        for (k, (c0, c1)) in p0.static_covariances().iter().zip(p1.static_covariances()).enumerate() {
+            let scale = c0.trace().norm();
+            for r in 0..c0.rows() {
+                for c in 0..c0.cols() {
+                    let (x, y) = (c0[(r, c)], c1[(r, c)]);
+                    prop_assert!(
+                        within(x.re, y.re, scale) && within(x.im, y.im, scale),
+                        "static covariance {k} ({r},{c}): {x:?} vs {y:?}"
+                    );
+                }
+            }
+        }
+        let score = |scheme: &dyn DetectionScheme, profile: &CalibrationProfile, packets: &[CsiPacket]| {
+            scheme.score_prepared(&PreparedWindow::new(profile, packets, &cfg)).unwrap().0
+        };
+        let (a, b) = (score(&Baseline, &p0, &window), score(&Baseline, &p1, &turned(&window, theta)));
+        prop_assert!(rel_within(a, b), "baseline score {a} vs {b}");
+        let (a, b) = (
+            score(&SubcarrierWeighting, &p0, &window),
+            score(&SubcarrierWeighting, &p1, &turned(&window, linear)),
+        );
+        prop_assert!(rel_within(a, b), "subcarrier score {a} vs {b}");
+    }
+
+    /// μ_k reads a packet's shape, not its gain or its linear phase: a
+    /// common complex gain and an injected slope and intercept move it
+    /// by rounding only.
+    #[test]
+    fn mu_ignores_a_common_gain_and_an_injected_linear_phase(
+        seed in 0u64..10_000,
+        gain in 0.05f64..20.0,
+        turn in -PI..PI,
+        slope in -0.05f64..0.05,
+        intercept in -PI..PI,
+    ) {
+        let band = Band::wifi_2_4ghz_channel11();
+        let indices = band.indices();
+        let (_, window) = captures(seed);
+        let packets = &window[..5];
+        let scaled: Vec<CsiPacket> = turned(packets, |_, _| turn)
+            .iter()
+            .map(|p| {
+                let data = (0..p.antennas())
+                    .flat_map(|a| p.antenna_row(a).iter().map(|&h| h * gain))
+                    .collect();
+                CsiPacket::new(p.antennas(), p.subcarriers(), data, p.seq, p.timestamp)
+            })
+            .collect();
+        let tilted = turned(packets, |_, k| slope * f64::from(indices[k]) + intercept);
+        for (n, p) in packets.iter().enumerate() {
+            let want = multipath_factors(p, &band);
+            for (what, other) in [("gain", &scaled[n]), ("linear phase", &tilted[n])] {
+                for (k, (&a, &b)) in want.iter().zip(&multipath_factors(other, &band)).enumerate() {
+                    prop_assert!(rel_within(a, b), "{what}: packet {n}, subcarrier {k}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    /// The window weights do not depend on packet order: r_k counts
+    /// exceedances, so it is exact; μ̄_k and the weights sum in another
+    /// order, so they move by rounding only.
+    #[test]
+    fn window_weights_ignore_packet_order(
+        seed in 0u64..10_000,
+        keys in proptest::collection::vec(0u64..1_000_000, 25),
+    ) {
+        let band = Band::wifi_2_4ghz_channel11();
+        let (_, window) = captures(seed);
+        let mut order: Vec<usize> = (0..window.len()).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        let shuffled: Vec<CsiPacket> = order.iter().map(|&i| window[i].clone()).collect();
+        let w0 = SubcarrierWeights::from_packets(&window, &band);
+        let w1 = SubcarrierWeights::from_packets(&shuffled, &band);
+        for k in 0..band.num_subcarriers() {
+            prop_assert_eq!(w0.stability[k].to_bits(), w1.stability[k].to_bits());
+            prop_assert!(rel_within(w0.mean_mu[k], w1.mean_mu[k]), "μ̄ {k}");
+            prop_assert!(rel_within(w0.weights[k], w1.weights[k]), "weight {k}");
         }
     }
 }

@@ -19,7 +19,6 @@ use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
 use mpdf_rfmath::stats::median;
 use mpdf_wifi::receiver::{Actor, CsiReceiver, ReceiverConfig};
-use mpdf_wifi::sanitize::sanitize_packet;
 use mpdf_wifi::{ImpairmentModel, UniformLinearArray};
 
 use crate::metrics::detection_rate;
@@ -100,13 +99,7 @@ fn study(elements: usize, cfg: &CampaignConfig) -> Result<ArrayOutcome, DetectEr
         let window = receiver.capture_actors(&actors, detector.window)?;
         let snaps: Vec<Vec<mpdf_rfmath::Complex64>> = window
             .iter()
-            .flat_map(|p| {
-                let mut q = p.clone();
-                sanitize_packet(&mut q, detector.band.indices());
-                (0..q.subcarriers())
-                    .map(|k| q.subcarrier_column(k))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|p| (0..p.subcarriers()).map(|k| p.subcarrier_column(k)))
             .collect();
         if let Ok(angles) = estimate_aoa(&snaps, &steering, detector.num_sources, &grid) {
             if let Some(best) = angles

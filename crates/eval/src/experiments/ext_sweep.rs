@@ -165,7 +165,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, DetectError> {
             windows.push(window);
         }
         let positive = maybe_pos.is_some();
-        // Prepared lazily: only the channels a scheme reads are sanitized,
+        // Prepared lazily: only the channels a scheme reads are quarantined,
         // and channel 11's front end is shared by schemes 1 and 3.
         let prepared: Vec<PreparedWindow<'_>> = channels
             .iter()

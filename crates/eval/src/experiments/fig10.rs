@@ -17,7 +17,7 @@ use crate::scenario::angle_fan_positions;
 use crate::workload::{annotate, case_receiver, CampaignConfig};
 
 use super::fig5::wall_adjacent_case;
-use super::sweeps::healthy_sanitized;
+use super::sweeps::healthy;
 
 /// Result of the angle-error experiment.
 #[derive(Debug, Clone)]
@@ -32,7 +32,7 @@ pub struct Fig10Result {
     pub p90: (f64, f64),
 }
 
-/// Extracts MUSIC snapshots (subcarrier columns) from sanitized packets.
+/// Extracts MUSIC snapshots (subcarrier columns) from packets.
 fn snapshots(packets: &[CsiPacket]) -> Vec<Vec<Complex64>> {
     packets
         .iter()
@@ -69,7 +69,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig10Result, mpdf_core::error::Detect
             let captured = receiver.capture_actors(&actors, cfg.detector.window)?;
             // Only healthy packets: a faulted row would poison the
             // covariance. A window with none has no estimate.
-            let window = healthy_sanitized(&captured, &cfg.detector);
+            let window = healthy(&captured, &cfg.detector);
             if window.is_empty() {
                 continue;
             }

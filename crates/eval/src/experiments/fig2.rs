@@ -17,7 +17,7 @@ use mpdf_wifi::receiver::Actor;
 
 use crate::workload::{case_receiver, CampaignConfig};
 
-use super::sweeps::{healthy_sanitized, location_sweep, measurement_case};
+use super::sweeps::{healthy, location_sweep, measurement_case};
 
 /// Result of Fig. 2a.
 #[derive(Debug, Clone)]
@@ -97,8 +97,7 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
     let case = measurement_case();
     let mut receiver = case_receiver(&case, cfg, cfg.seed ^ 0xF1B)?;
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
-    let static_power =
-        CsiPacket::median_power_profile(&healthy_sanitized(&calibration, &cfg.detector));
+    let static_power = CsiPacket::median_power_profile(&healthy(&calibration, &cfg.detector));
 
     // Crossing: walk perpendicular through the link midpoint, 4 m wide,
     // for the duration of the capture.
@@ -126,7 +125,7 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
     // quarantine does not pass is left out.
     let mut series: Vec<Vec<(usize, f64)>> = (0..30).map(|_| Vec::with_capacity(packets)).collect();
     for (i, p) in stream.iter().enumerate() {
-        let Some(q) = healthy_sanitized(std::slice::from_ref(p), &cfg.detector).pop() else {
+        let Some(q) = healthy(std::slice::from_ref(p), &cfg.detector).pop() else {
             continue;
         };
         for (k, slot) in series.iter_mut().enumerate() {

@@ -17,7 +17,7 @@ use mpdf_wifi::receiver::Actor;
 use crate::scenario::five_cases;
 use crate::workload::{case_receiver, CampaignConfig};
 
-use super::sweeps::healthy_sanitized;
+use super::sweeps::healthy;
 
 /// Per-location stability measurements.
 #[derive(Debug, Clone)]
@@ -59,14 +59,14 @@ fn measure(
         trajectory: &sway,
     }];
     let stream = receiver.capture_actors(&actors, packets)?;
-    let freqs = cfg.detector.band.frequencies();
+    let band = &cfg.detector.band;
 
-    let per_packet: Vec<Vec<f64>> = healthy_sanitized(&stream, &cfg.detector)
+    let per_packet: Vec<Vec<f64>> = healthy(&stream, &cfg.detector)
         .iter()
-        .map(|q| multipath_factors(q, &freqs))
+        .map(|q| multipath_factors(q, band))
         .collect();
 
-    let k = freqs.len();
+    let k = band.num_subcarriers();
     let n = per_packet.len() as f64;
     let mut mean_mu = vec![0.0; k];
     for mus in &per_packet {

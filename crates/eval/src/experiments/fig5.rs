@@ -19,7 +19,7 @@ use mpdf_wifi::receiver::Actor;
 use crate::scenario::{classroom, classroom_room, LinkCase};
 use crate::workload::{annotate, case_receiver, CampaignConfig};
 
-use super::sweeps::healthy_sanitized;
+use super::sweeps::healthy;
 
 /// The Fig. 5 scenario: a 3 m link 1 m from the bottom wall, which casts
 /// a strong distinct-angle reflection (paper: "placed in the proximity to
@@ -138,8 +138,7 @@ pub fn run_fig5c(cfg: &CampaignConfig) -> Result<Fig5cResult, DetectError> {
     let case = wall_adjacent_case();
     let mut receiver = case_receiver(&case, cfg, cfg.seed ^ 0x5C)?;
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
-    let static_power =
-        CsiPacket::median_power_profile(&healthy_sanitized(&calibration, &cfg.detector));
+    let static_power = CsiPacket::median_power_profile(&healthy(&calibration, &cfg.detector));
 
     let angles: Vec<f64> = (0..16).map(|i| -90.0 + 180.0 * i as f64 / 15.0).collect();
     let positions = crate::scenario::angle_fan_positions(&case, 1.0, &angles);
@@ -152,11 +151,11 @@ pub fn run_fig5c(cfg: &CampaignConfig) -> Result<Fig5cResult, DetectError> {
         }];
         let window = receiver.capture_actors(&actors, cfg.detector.window)?;
         // An angle whose window has no healthy packet has no reading.
-        let sanitized = healthy_sanitized(&window, &cfg.detector);
-        if sanitized.is_empty() {
+        let kept = healthy(&window, &cfg.detector);
+        if kept.is_empty() {
             continue;
         }
-        let monitored = CsiPacket::median_power_profile(&sanitized);
+        let monitored = CsiPacket::median_power_profile(&kept);
         let mean_abs: f64 = monitored
             .iter()
             .zip(&static_power)

@@ -10,7 +10,6 @@ use mpdf_propagation::trajectory::StaticSway;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::quarantine::{classify, PacketClass};
 use mpdf_wifi::receiver::Actor;
-use mpdf_wifi::sanitize::sanitize_packet;
 
 use crate::scenario::LinkCase;
 use crate::workload::{case_receiver, CampaignConfig};
@@ -60,28 +59,23 @@ fn location(case: &LinkCase, i: usize) -> Point {
 }
 
 /// The packets of a capture the quarantine passes as healthy
-/// ([`PacketClass::Ok`]), each sanitized. The link-characterization
+/// ([`PacketClass::Ok`]), as captured. The link-characterization
 /// experiments measure the channel itself, so a packet with a faulted
 /// row (non-finite samples, a dead chain, the AGC rail) is left out, not
-/// repaired; on a fault-free capture every packet passes.
-pub(crate) fn healthy_sanitized(
-    packets: &[CsiPacket],
-    detector: &DetectorConfig,
-) -> Vec<CsiPacket> {
+/// repaired; on a fault-free capture every packet passes. Powers and
+/// covariances are invariant to the phase calibration of \[26\], and
+/// [`multipath_factors`] runs it itself.
+pub(crate) fn healthy(packets: &[CsiPacket], detector: &DetectorConfig) -> Vec<CsiPacket> {
     packets
         .iter()
         .filter(|p| matches!(classify(p, &detector.quarantine), PacketClass::Ok))
-        .map(|p| {
-            let mut q = p.clone();
-            sanitize_packet(&mut q, detector.band.indices());
-            q
-        })
+        .cloned()
         .collect()
 }
 
 /// Captures the static profile plus `n_locations` human-presence windows
 /// on a link, returning per-location `Δs` (dB) and `μ` vectors. A
-/// location whose window has no healthy packet ([`healthy_sanitized`])
+/// location whose window has no healthy packet ([`healthy`])
 /// is left out.
 ///
 /// # Errors
@@ -96,7 +90,7 @@ pub fn location_sweep(
     let detector = &cfg.detector;
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
     let profile = CalibrationProfile::build(&calibration, detector)?;
-    let freqs = detector.band.frequencies();
+    let subcarriers = detector.band.num_subcarriers();
 
     let samples = (0..n_locations)
         .filter_map(|i| {
@@ -110,11 +104,11 @@ pub fn location_sweep(
                 Ok(packets) => packets,
                 Err(e) => return Some(Err(e.into())),
             };
-            let sanitized = healthy_sanitized(&packets, detector);
-            if sanitized.is_empty() {
+            let kept = healthy(&packets, detector);
+            if kept.is_empty() {
                 return None;
             }
-            let monitored = CsiPacket::median_power_profile(&sanitized);
+            let monitored = CsiPacket::median_power_profile(&kept);
             let delta_s_db: Vec<f64> = monitored
                 .iter()
                 .zip(profile.static_power())
@@ -127,14 +121,14 @@ pub fn location_sweep(
                 })
                 .collect();
             // Window-mean μ per subcarrier.
-            let mut mu = vec![0.0; freqs.len()];
-            for p in &sanitized {
-                for (slot, v) in mu.iter_mut().zip(multipath_factors(p, &freqs)) {
+            let mut mu = vec![0.0; subcarriers];
+            for p in &kept {
+                for (slot, v) in mu.iter_mut().zip(multipath_factors(p, &detector.band)) {
                     *slot += v;
                 }
             }
             for v in &mut mu {
-                *v /= sanitized.len() as f64;
+                *v /= kept.len() as f64;
             }
             Some(Ok(LocationSample {
                 position,

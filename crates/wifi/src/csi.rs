@@ -5,6 +5,8 @@
 //! sequence number and timestamp. Helpers convert to the amplitude/power
 //! features the detection schemes consume.
 
+use std::borrow::Borrow;
+
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::db::power_to_db;
 use mpdf_rfmath::stats::median_in_place;
@@ -112,6 +114,7 @@ impl CsiPacket {
     ///
     /// # Panics
     /// Panics on out-of-range indices.
+    #[inline]
     pub fn get(&self, antenna: usize, subcarrier: usize) -> Complex64 {
         assert!(antenna < self.antennas && subcarrier < self.subcarriers);
         self.data[antenna * self.subcarriers + subcarrier]
@@ -144,6 +147,7 @@ impl CsiPacket {
     }
 
     /// Subcarrier power `|H|²` for one antenna.
+    #[inline]
     pub fn power(&self, antenna: usize, subcarrier: usize) -> f64 {
         self.get(antenna, subcarrier).norm_sqr()
     }
@@ -186,35 +190,8 @@ impl CsiPacket {
         self.data.iter().map(|z| z.norm_sqr()).sum()
     }
 
-    /// Element-wise complex mean of a packet collection — the static
-    /// profile `s(0)` stored at calibration time.
-    ///
-    /// # Panics
-    /// Panics when `packets` is empty or shapes disagree.
-    pub fn mean_of(packets: &[CsiPacket]) -> CsiPacket {
-        assert!(!packets.is_empty(), "cannot average zero packets");
-        let a = packets[0].antennas;
-        let s = packets[0].subcarriers;
-        assert!(
-            packets
-                .iter()
-                .all(|p| p.antennas == a && p.subcarriers == s),
-            "all packets must share a shape"
-        );
-        let n = packets.len() as f64;
-        let mut data = vec![Complex64::ZERO; a * s];
-        for p in packets {
-            for (acc, &z) in data.iter_mut().zip(&p.data) {
-                *acc += z;
-            }
-        }
-        for z in &mut data {
-            *z /= n;
-        }
-        CsiPacket::new(a, s, data, 0, packets[0].timestamp)
-    }
-
-    /// Median per-subcarrier *power* profile of a packet collection.
+    /// Median per-subcarrier *power* profile of a packet collection
+    /// (owned or borrowed packets).
     ///
     /// Robust to bursty narrowband interference: a burst present in a
     /// minority of packets inflates the mean but leaves the median
@@ -222,14 +199,15 @@ impl CsiPacket {
     ///
     /// # Panics
     /// Panics when `packets` is empty.
-    pub fn median_power_profile(packets: &[CsiPacket]) -> Vec<f64> {
+    pub fn median_power_profile<P: Borrow<CsiPacket>>(packets: &[P]) -> Vec<f64> {
         assert!(!packets.is_empty(), "cannot average zero packets");
-        let s = packets[0].subcarriers();
+        let s = packets[0].borrow().subcarriers();
         let mut powers = Vec::with_capacity(packets.len());
         (0..s)
             .map(|k| {
                 powers.clear();
                 powers.extend(packets.iter().map(|p| {
+                    let p = p.borrow();
                     (0..p.antennas).map(|a| p.power(a, k)).sum::<f64>() / p.antennas as f64
                 }));
                 median_in_place(&mut powers)
@@ -288,25 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_of_packets() {
-        let p1 = sample_packet();
-        let mut data2 = vec![Complex64::ZERO; 6];
-        data2[0] = c(3.0, 0.0);
-        let p2 = CsiPacket::new(2, 3, data2, 8, 0.04);
-        let m = CsiPacket::mean_of(&[p1.clone(), p2]);
-        assert_eq!(m.get(0, 0), c(2.0, 0.0));
-        assert_eq!(m.get(0, 1), c(0.0, 1.0));
-    }
-
-    #[test]
     #[should_panic(expected = "antennas × subcarriers")]
     fn shape_mismatch_panics() {
         let _ = CsiPacket::new(2, 3, vec![Complex64::ZERO; 5], 0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot average zero packets")]
-    fn empty_mean_panics() {
-        let _ = CsiPacket::mean_of(&[]);
     }
 }

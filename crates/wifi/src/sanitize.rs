@@ -9,6 +9,12 @@
 //! antenna-averaged phase) and the *same* correction is applied to every
 //! antenna: the impairments are common-oscillator artefacts, so a shared
 //! correction preserves the inter-antenna phase differences MUSIC needs.
+//!
+//! That shared rotor leaves amplitudes, powers and every per-subcarrier
+//! covariance `Σ u·uᴴ` unchanged, so the one quantity it matters to is
+//! the dominant tap `|ĥ(0)|²` of the μ_k estimator (Eq. 10). The fit is
+//! therefore run inside that estimator (`mpdf_core::multipath_factor`),
+//! on packets as captured; nothing else in the pipeline rotates packets.
 
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::fit::TrendAxis;
@@ -55,22 +61,21 @@ pub struct PhaseCorrection {
     pub intercept: f64,
 }
 
-/// Reusable buffers for the per-packet sanitization pass.
+/// Reusable buffers for the per-packet linear-phase fit.
 ///
-/// Sanitizing a monitoring window runs the same fixed-size intermediate
+/// Fitting a monitoring window runs the same fixed-size intermediate
 /// computations once per packet; a scratch carried across packets (and
 /// windows) removes every per-call allocation, and caches the OFDM
 /// indices converted to `f64` as a [`TrendAxis`] — constant across a
 /// window, so the fit's x-side sums are formed once. All arithmetic is
-/// untouched: corrections and sanitized CSI are bit-identical to the
-/// allocating formulation.
+/// untouched: corrections are bit-identical to the allocating
+/// formulation.
 #[derive(Debug, Clone, Default)]
 pub struct SanitizeScratch {
     sums: Vec<Complex64>,
     phases: Vec<f64>,
     unwrapped: Vec<f64>,
     axis: TrendAxis,
-    rots: Vec<Complex64>,
 }
 
 impl SanitizeScratch {
@@ -117,7 +122,6 @@ pub fn estimate_linear_phase_with(
         phases,
         unwrapped,
         axis,
-        ..
     } = scratch;
     // Antenna sums accumulated row-major (cache order); per subcarrier
     // the additions happen in the same antenna order as the previous
@@ -149,45 +153,25 @@ pub fn estimate_linear_phase(packet: &CsiPacket, indices: &[i32]) -> PhaseCorrec
     estimate_linear_phase_with(&mut SanitizeScratch::new(), packet, indices)
 }
 
-/// Removes the estimated linear phase from every antenna of a packet in
-/// place, reusing the caller's scratch buffers (the allocation-free core
-/// of [`sanitize_packet`] — window loops carry one scratch across all
-/// packets).
-///
-/// # Panics
-/// Panics if the index list length differs from the packet's subcarrier
-/// count.
-pub fn sanitize_packet_with(
-    scratch: &mut SanitizeScratch,
-    packet: &mut CsiPacket,
-    indices: &[i32],
-) -> PhaseCorrection {
-    let corr = estimate_linear_phase_with(scratch, packet, indices);
-    // The rotor depends only on the subcarrier index: compute the grid
-    // once instead of once per (antenna, subcarrier) — each element
-    // still sees the bit-identical `cis` value and product.
-    scratch.rots.clear();
-    scratch.rots.extend(
-        indices
-            .iter()
-            .map(|&idx| Complex64::cis(-(corr.slope * idx as f64 + corr.intercept))),
-    );
-    for a in 0..packet.antennas() {
-        for (h, rot) in packet.antenna_row_mut(a).iter_mut().zip(&scratch.rots) {
-            *h *= *rot;
-        }
-    }
-    corr
-}
-
 /// Removes the estimated linear phase from every antenna of a packet,
 /// in place, and returns the applied correction.
+///
+/// No pipeline stage rewrites packets: the μ_k estimator
+/// (`mpdf_core::multipath_factor`) applies the same rotor to a row
+/// buffer, and every other quantity the detector reads is invariant to
+/// it. This is the sanitized copy that estimator is pinned against.
 ///
 /// # Panics
 /// Panics if the index list length differs from the packet's subcarrier
 /// count.
 pub fn sanitize_packet(packet: &mut CsiPacket, indices: &[i32]) -> PhaseCorrection {
-    sanitize_packet_with(&mut SanitizeScratch::new(), packet, indices)
+    let corr = estimate_linear_phase(packet, indices);
+    for a in 0..packet.antennas() {
+        for (h, &idx) in packet.antenna_row_mut(a).iter_mut().zip(indices) {
+            *h *= Complex64::cis(-(corr.slope * idx as f64 + corr.intercept));
+        }
+    }
+    corr
 }
 
 #[cfg(test)]

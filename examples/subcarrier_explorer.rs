@@ -7,7 +7,6 @@
 use mpdf_core::multipath_factor::multipath_factors;
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_wifi::csi::CsiPacket;
-use mpdf_wifi::sanitize::sanitize_packet;
 use multipath_hd::prelude::*;
 
 fn bar(x: f64, scale: f64) -> String {
@@ -20,39 +19,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let link = ChannelModel::new(room, Vec2::new(2.0, 3.0), Vec2::new(6.0, 3.0))?;
     let mut receiver = CsiReceiver::new(link, 5)?;
     let config = DetectorConfig::default();
-    let freqs = config.band.frequencies();
-    let indices = config.band.indices().to_vec();
+    let indices = config.band.indices();
 
-    // Static profile.
+    // Static profile. Powers need no phase calibration; μ_k and the
+    // weights run it themselves.
     let calibration = receiver.capture_sessions(None, 50, 4)?;
-    let sanitized: Vec<CsiPacket> = calibration
-        .iter()
-        .map(|p| {
-            let mut q = p.clone();
-            sanitize_packet(&mut q, &indices);
-            q
-        })
-        .collect();
-    let static_power = CsiPacket::median_power_profile(&sanitized);
+    let static_power = CsiPacket::median_power_profile(&calibration);
 
     // A person well off the link — the regime where weighting matters.
     let person = HumanBody::new(Vec2::new(6.4, 4.8));
     receiver.resample_drift();
     let window = receiver.capture_static(Some(&person), 25)?;
-    let sanitized_win: Vec<CsiPacket> = window
-        .iter()
-        .map(|p| {
-            let mut q = p.clone();
-            sanitize_packet(&mut q, &indices);
-            q
-        })
-        .collect();
-    let monitored = CsiPacket::median_power_profile(&sanitized_win);
-    let mus = multipath_factors(&sanitized_win[0], &freqs);
-    let weights = SubcarrierWeights::from_packets(&sanitized_win, &freqs);
+    let monitored = CsiPacket::median_power_profile(&window);
+    let mus = multipath_factors(&window[0], &config.band);
+    let weights = SubcarrierWeights::from_packets(&window, &config.band);
 
     println!("slot  idx   μ (1 pkt)  μ̄·r weight  Δs [dB]   |Δs| bar");
-    for k in 0..freqs.len() {
+    for k in 0..indices.len() {
         let ds = 10.0 * (monitored[k] / static_power[k]).log10();
         println!(
             "{k:>4}  {idx:>4}  {mu:>8.3}  {w:>10.5}  {ds:>7.2}   {bar}",
