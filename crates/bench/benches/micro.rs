@@ -131,10 +131,8 @@ fn bench_wire(h: &mut Harness) {
     // One 3×30 frame: split + header validation + borrow, no packet
     // materialization — the zero-alloc hot path of the ingest loop.
     let mut frame = Vec::new();
-    // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
     wire::encode_frame(&window[0], 40, &mut frame).expect("3x30 fits the wire");
     h.bench("wire/decode_frame", || {
-        // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
         wire::WireRecord::parse(black_box(&frame)).expect("valid frame")
     });
 
@@ -143,7 +141,6 @@ fn bench_wire(h: &mut Harness) {
     // packets/sec/core is `window.len() / median_ns`.
     let mut burst = Vec::new();
     for packet in &window {
-        // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
         wire::encode_frame(packet, 40, &mut burst).expect("3x30 fits the wire");
     }
     let mut out = Vec::with_capacity(window.len());
@@ -270,7 +267,7 @@ fn bench_obs(h: &mut Harness) {
 
 fn bench_xtask(h: &mut Harness) {
     // Full-workspace static analysis: lex every first-party file and run
-    // all fifteen rules. This is the pre-commit/CI latency developers
+    // every rule. This is the pre-commit/CI latency developers
     // actually feel, so it is pinned alongside the pipeline numbers.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()

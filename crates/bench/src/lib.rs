@@ -14,8 +14,12 @@
 //! q3_ns, iters_per_sample, samples}` objects, which `cargo xtask
 //! bench-diff` compares.
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a timing harness reads the wall clock by design"
+)]
 
 use std::fmt::{self, Write as _};
 use std::hint::black_box;
@@ -153,6 +157,10 @@ fn render_report(records: &[Record]) -> String {
 
 /// The standard benchmark link: the paper's 4 m classroom link inside the
 /// evaluation building shell.
+#[expect(
+    clippy::expect_used,
+    reason = "bench fixture; aborting on a broken fixture is the desired behaviour"
+)]
 pub fn bench_link() -> ChannelModel {
     let env = mpdf_eval::scenario::classroom();
     ChannelModel::new(
@@ -160,22 +168,21 @@ pub fn bench_link() -> ChannelModel {
         mpdf_geom::vec2::Point::new(2.0, 3.0),
         mpdf_geom::vec2::Point::new(6.0, 3.0),
     )
-    // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
     .expect("valid link")
 }
 
 /// A calibrated profile plus a 25-packet monitoring window with a human
 /// present — the per-decision workload.
+#[expect(
+    clippy::expect_used,
+    reason = "bench fixture; aborting on a broken fixture is the desired behaviour"
+)]
 pub fn bench_fixture() -> (CalibrationProfile, Vec<CsiPacket>, DetectorConfig) {
     let config = DetectorConfig::default();
-    // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
     let mut rx = CsiReceiver::new(bench_link(), 1234).expect("receiver");
-    // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
     let calibration = rx.capture_static(None, 200).expect("capture");
-    // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
     let profile = CalibrationProfile::build(&calibration, &config).expect("profile");
     let human = HumanBody::new(mpdf_geom::vec2::Point::new(4.0, 3.5));
-    // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
     let window = rx.capture_static(Some(&human), 25).expect("capture");
     (profile, window, config)
 }

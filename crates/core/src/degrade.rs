@@ -113,7 +113,6 @@ pub fn assess_window(
 
     let gaps = match (kept.first(), kept.last()) {
         (Some(first), Some(last)) => {
-            // lint: allow(lossy-cast) — window spans are tiny (≤ thousands)
             let span = (last.seq - first.seq + 1) as usize;
             span.saturating_sub(kept.len())
         }

@@ -29,7 +29,6 @@
 //! assert!(link.shadow_sensitivity_db(0.5).abs() > 0.0);
 //! ```
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod degrade;

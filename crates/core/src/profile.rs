@@ -377,10 +377,20 @@ macro_rules! by_chains {
             6 => $kernel::<6>($($arg),*),
             7 => $kernel::<7>($($arg),*),
             8 => $kernel::<8>($($arg),*),
-            // lint: allow(no-panic) — profiles wider than MAX_CHAINS are refused at build and from_parts, and windows are shape-checked against their profile
-            m => panic!("{m} receive chains exceed the supported {MAX_CHAINS}"),
+            m => unsupported_chains(m),
         }
     };
+}
+
+/// `by_chains!`'s fallthrough, out of line: clippy does not see a
+/// `panic!` expanded from a local macro, so the panic lives here.
+#[cold]
+#[expect(
+    clippy::panic,
+    reason = "profiles wider than MAX_CHAINS are refused at build and from_parts, and windows are shape-checked against their profile"
+)]
+fn unsupported_chains(m: usize) -> ! {
+    panic!("{m} receive chains exceed the supported {MAX_CHAINS}")
 }
 
 /// The per-subcarrier sample covariances of a window, the one

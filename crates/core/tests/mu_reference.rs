@@ -1,10 +1,12 @@
-//! A straight-line reference for the μ_k estimator (Eq. 9–11), written
-//! from the equations alone — no `MuGrid`, no `TrendAxis`, no
-//! `mpdf_wifi::sanitize` — and differential-tested against production
-//! on receiver packets as captured, full arrays and surviving
-//! sub-arrays alike.
+//! A straight-line reference for the μ_k estimator (Eq. 9–11) and the
+//! subcarrier weights built on it (Eq. 12–15), written from the
+//! equations alone — no `MuGrid`, no `TrendAxis`, no
+//! `mpdf_wifi::sanitize`, no `median_with` — and differential-tested
+//! against production on receiver packets as captured, full arrays and
+//! surviving sub-arrays alike.
 
 use mpdf_core::multipath_factor::{multipath_factors, multipath_factors_row, MuGrid, MuScratch};
+use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_geom::shapes::Rect;
 use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::channel::ChannelModel;
@@ -95,6 +97,40 @@ fn reference_mu(packet: &CsiPacket, band: &Band) -> Vec<f64> {
     mu
 }
 
+/// Eq. 12–15 over a window, from the reference μ_k: the temporal mean
+/// μ̄_k of the factors winsorized at `MU_CLIP`, the stability ratio r_k
+/// (the share of packets in which μ_k exceeds that packet's median) and
+/// the combined weights `|μ̄_k·r_k / (Σμ̄·Σr)|`. Returns `(μ̄, r, w)`.
+fn reference_weights(window: &[CsiPacket], band: &Band) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let k_count = band.num_subcarriers();
+    let m = window.len() as f64;
+    let mut mean_mu = vec![0.0; k_count];
+    let mut stability = vec![0.0; k_count];
+    for packet in window {
+        let mu = reference_mu(packet, band);
+        let mut sorted = mu.clone();
+        sorted.sort_by(f64::total_cmp);
+        let half = k_count / 2;
+        let median = if k_count % 2 == 1 {
+            sorted[half]
+        } else {
+            (sorted[half - 1] + sorted[half]) / 2.0
+        };
+        for k in 0..k_count {
+            mean_mu[k] += mu[k].min(SubcarrierWeights::MU_CLIP) / m;
+            if mu[k] > median {
+                stability[k] += 1.0 / m;
+            }
+        }
+    }
+    let sum_mu: f64 = mean_mu.iter().sum();
+    let sum_r: f64 = stability.iter().sum();
+    let weights = (0..k_count)
+        .map(|k| (mean_mu[k] * stability[k] / (sum_mu * sum_r)).abs())
+        .collect();
+    (mean_mu, stability, weights)
+}
+
 fn close(got: f64, want: f64) -> bool {
     (got - want).abs() <= TOLERANCE * got.abs().max(want.abs())
 }
@@ -153,4 +189,42 @@ fn production_mu_matches_the_straight_line_reference() {
         uncalibrated_differs,
         "the captures carry no phase to calibrate"
     );
+}
+
+#[test]
+fn production_weights_match_the_straight_line_reference() {
+    let band = Band::wifi_2_4ghz_channel11();
+    let grid = MuGrid::new(&band);
+    let uniform = 1.0 / band.num_subcarriers() as f64;
+    for seed in [3, 41, 977] {
+        let packets = captured(seed);
+        // The static and the occupied half of the capture, each on the
+        // whole array and on the sub-arrays a dead chain leaves.
+        for window in packets.chunks(12) {
+            for chains in [&[0, 1][..], &[0, 2], &[1, 2], &[0, 1, 2]] {
+                let window: Vec<CsiPacket> =
+                    window.iter().map(|p| p.select_antennas(chains)).collect();
+                let got = SubcarrierWeights::from_packets_on(&window, &grid);
+                let (mean_mu, stability, weights) = reference_weights(&window, &band);
+                for (name, got, want) in [
+                    ("μ̄", &got.mean_mu, &mean_mu),
+                    ("r", &got.stability, &stability),
+                    ("weight", &got.weights, &weights),
+                ] {
+                    for (k, (&g, &w)) in got.iter().zip(want).enumerate() {
+                        assert!(
+                            close(g, w),
+                            "seed {seed}, chains {chains:?}, {name}_{k}: {g} vs reference {w}"
+                        );
+                    }
+                }
+                // Not the degenerate uniform fallback: the weights carry
+                // the window's μ and r.
+                assert!(
+                    weights.iter().any(|w| (w - uniform).abs() > 1e-3 * uniform),
+                    "seed {seed}, chains {chains:?}: uniform weights"
+                );
+            }
+        }
+    }
 }

@@ -6,6 +6,17 @@
 //! order, so `repro all --threads 8` is byte-identical on stdout (and in
 //! `--csvdir` artifacts) to `repro all --threads 1`.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool owns the process streams"
+)]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "wall time is reported on stderr, never in the byte-identical stdout"
+)]
+
 use mpdf_eval::experiments as exp;
 use mpdf_eval::workload::CampaignConfig;
 

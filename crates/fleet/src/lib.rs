@@ -34,7 +34,6 @@
 //! inputs and the seeds — no clocks, no unordered maps, no unseeded
 //! randomness.
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod chaos;

@@ -19,7 +19,6 @@
 //! assert_eq!(wall.mirror(tx), Vec2::new(1.0, -2.0));
 //! ```
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod line;

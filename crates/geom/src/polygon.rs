@@ -65,6 +65,10 @@ impl ConvexPolygon {
     }
 
     /// An axis-aligned rectangle as a polygon.
+    #[expect(
+        clippy::expect_used,
+        reason = "four axis-aligned corners in CCW order are always convex"
+    )]
     pub fn rectangle(min: Point, max: Point) -> Self {
         ConvexPolygon::new(vec![
             min,
@@ -72,7 +76,6 @@ impl ConvexPolygon {
             max,
             Point::new(min.x, max.y),
         ])
-        // lint: allow(no-panic) — four axis-aligned corners in CCW order are always convex
         .expect("rectangle corners are convex CCW")
     }
 
@@ -81,6 +84,10 @@ impl ConvexPolygon {
     ///
     /// # Panics
     /// Panics if the extents are not positive.
+    #[expect(
+        clippy::expect_used,
+        reason = "rotation preserves convexity; extents asserted positive"
+    )]
     pub fn rotated_rectangle(center: Point, width: f64, height: f64, angle: f64) -> Self {
         assert!(width > 0.0 && height > 0.0, "extents must be positive");
         let hx = Vec2::new(width / 2.0, 0.0).rotated(angle);
@@ -91,7 +98,6 @@ impl ConvexPolygon {
             center + hx + hy,
             center - hx + hy,
         ])
-        // lint: allow(no-panic) — rotation preserves convexity; extents asserted positive
         .expect("rotated rectangle is convex CCW")
     }
 

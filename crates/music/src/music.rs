@@ -164,7 +164,11 @@ impl AngleGrid {
     pub fn angles_deg(&self) -> Vec<f64> {
         assert!(self.step_deg > 0.0, "grid step must be positive");
         assert!(self.end_deg >= self.start_deg, "grid range inverted");
-        // lint: allow(lossy-cast) — span/step is non-negative and small (asserted above)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "span/step is non-negative and small (asserted above)"
+        )]
         let n = ((self.end_deg - self.start_deg) / self.step_deg).round() as usize + 1;
         (0..n)
             .map(|i| self.start_deg + i as f64 * self.step_deg)
@@ -397,7 +401,11 @@ impl Pseudospectrum {
         let idx = ((angle_deg - start) / step)
             .round()
             .clamp(0.0, (n - 1) as f64);
-        // lint: allow(lossy-cast) — clamped to [0, n-1] on the line above
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "clamped to [0, n-1] on the line above"
+        )]
         self.values[idx as usize]
     }
 

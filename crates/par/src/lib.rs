@@ -20,7 +20,6 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::any::Any;
@@ -72,11 +71,14 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Number of worker threads the machine supports; falls back to 1 when
 /// the parallelism degree cannot be queried.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sizing default; output is thread-count-invariant"
+)]
 pub fn available_threads() -> usize {
     // Sizing default only: pool results are thread-count-invariant
     // (pinned by tests/determinism.rs), so the queried degree can never
     // influence what the pool computes.
-    // lint: allow(det-thread-id) — sizing default; output is thread-count-invariant
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)

@@ -1,5 +1,6 @@
-//! Regression tests for the determinism contract the `det-thread-id`
-//! lint annotation in `src/lib.rs` relies on: the pool's output is a
+//! Regression tests for the determinism contract that the
+//! `#[expect(clippy::disallowed_methods)]` on `available_threads` in
+//! `src/lib.rs` relies on: the pool's output is a
 //! pure, input-order function of `(items, f)` — bit-identical no matter
 //! how many worker threads execute, including the
 //! `available_parallelism`-derived default (`threads = 0`).

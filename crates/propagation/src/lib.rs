@@ -26,8 +26,12 @@
 //! # }
 //! ```
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod channel;
 pub mod environment;

@@ -28,8 +28,12 @@
 //! assert!((nudft_at_delay(&h, &freqs, 0.0).norm() - 1.0).abs() < 1e-12);
 //! ```
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod complex;
 pub mod contract;

@@ -70,16 +70,16 @@ pub fn median_with(xs: &[f64], keys: &mut Vec<i64>) -> f64 {
     /// `total_cmp`'s key: flips the magnitude bits of negative values.
     /// The same map inverts it (the sign bit is unchanged).
     fn flip(bits: i64) -> i64 {
-        bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+        bits ^ ((bits >> 63).cast_unsigned() >> 1).cast_signed()
     }
     let n = xs.len();
     if n == 0 {
         return 0.0;
     }
     keys.clear();
-    keys.extend(xs.iter().map(|x| flip(x.to_bits() as i64)));
+    keys.extend(xs.iter().map(|x| flip(x.to_bits().cast_signed())));
     keys.sort_unstable();
-    let value = |key: i64| f64::from_bits(flip(key) as u64);
+    let value = |key: i64| f64::from_bits(flip(key).cast_unsigned());
     if n % 2 == 1 {
         return value(keys[n / 2]);
     }
@@ -96,10 +96,12 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     let mut v = xs.to_vec();
     v.sort_by(f64::total_cmp);
     let rank = p / 100.0 * (v.len() - 1) as f64;
-    // lint: allow(lossy-cast) — rank ∈ [0, len-1] by the asserted p range
-    let lo = rank.floor() as usize;
-    // lint: allow(lossy-cast) — rank ∈ [0, len-1] by the asserted p range
-    let hi = rank.ceil() as usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "rank ∈ [0, len-1] by the asserted p range"
+    )]
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
     if lo == hi {
         v[lo]
     } else {
@@ -166,7 +168,11 @@ impl Ecdf {
     pub fn quantile(&self, q: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty ECDF");
         assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1]");
-        // lint: allow(lossy-cast) — q ≤ 1 so the product is bounded by len
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q ∈ (0, 1] so the product is bounded by len"
+        )]
         let idx = ((q * self.sorted.len() as f64).ceil() as usize).saturating_sub(1);
         self.sorted[idx.min(self.sorted.len() - 1)]
     }
@@ -239,6 +245,11 @@ impl Histogram {
         }
         let bins = self.counts.len();
         let t = ((x - self.lo) / (self.hi - self.lo) * bins as f64).floor();
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "t ≥ 0 after the max; a saturated cast of a huge t is clamped to the last bin"
+        )]
         let idx = (t.max(0.0) as usize).min(bins - 1);
         self.counts[idx] += 1;
         self.total += 1;

@@ -408,8 +408,8 @@ pub fn decode_image(
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let paylen = r.u64()? as usize;
-    if paylen != r.buf.len() {
+    let paylen = r.u64()?;
+    if usize::try_from(paylen) != Ok(r.buf.len()) {
         return Err(CheckpointError::Truncated);
     }
 
@@ -687,6 +687,28 @@ mod tests {
             assert!(
                 matches!(err, CheckpointError::Truncated),
                 "cut {cut}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_length_field_past_the_body_is_truncated_on_every_pointer_width() {
+        // Magic (4) and version (2) precede the u64 payload length. The
+        // field is compared in full width: a value that agrees with the
+        // body length only in its low 32 bits (a 32-bit `as usize`) or
+        // that no `usize` can hold must not pass.
+        let bytes = image(&runtime().snapshot());
+        let body = u64::try_from(bytes.len() - 14).unwrap();
+        let with_len = |len: u64| {
+            let mut edited = bytes.clone();
+            edited[6..14].copy_from_slice(&len.to_le_bytes());
+            decode_image(&edited, &DetectorConfig::default())
+        };
+        assert!(with_len(body).is_ok());
+        for len in [body + (1 << 32), u64::MAX] {
+            assert!(
+                matches!(with_len(len), Err(CheckpointError::Truncated)),
+                "length field {len:#x}"
             );
         }
     }

@@ -25,7 +25,11 @@
 //! session replayed from a checkpoint emits byte-identical decisions.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod checkpoint;
 pub mod runtime;

@@ -39,7 +39,10 @@ impl UniformLinearArray {
             spacing_m > 0.0 && spacing_m.is_finite(),
             "element spacing must be positive"
         );
-        // lint: allow(no-panic) — validating constructor with a documented `# Panics` contract
+        #[expect(
+            clippy::expect_used,
+            reason = "validating constructor with a documented `# Panics` contract"
+        )]
         let axis = axis.normalized().expect("array axis must be non-zero");
         UniformLinearArray {
             elements,

@@ -321,7 +321,6 @@ fn sample_burst_len<R: Rng>(mean: f64, rng: &mut R) -> u64 {
     let mean = mean.max(1.0);
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let len = (-mean * u.ln()).ceil();
-    // lint: allow(lossy-cast) — len clamped to [1, 10·mean+10], far below 2^53
     len.clamp(1.0, 10.0 * mean + 10.0) as u64
 }
 
@@ -519,7 +518,6 @@ mod tests {
             for _ in 0..200 {
                 let len = sample_burst_len(mean, &mut rng);
                 assert!(len >= 1);
-                // lint: allow(lossy-cast) — small test constant
                 assert!(len <= (10.0 * mean.max(1.0) + 10.0) as u64);
             }
         }

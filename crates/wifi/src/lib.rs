@@ -34,7 +34,6 @@
 //! # }
 //! ```
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod array;

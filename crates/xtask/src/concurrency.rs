@@ -1,7 +1,7 @@
-//! Concurrency audit for the crates that own threads, locks and
-//! channels (`mpdf-par`, `mpdf-obs`, `mpdf-session`).
+//! Concurrency audit for the crates that own threads and locks
+//! (`mpdf-par`, `mpdf-obs`, `mpdf-session`).
 //!
-//! Three policies:
+//! Two policies:
 //!
 //! - `lock-order` — every syntactic `.lock()` acquisition in an audited
 //!   crate must name a lock declared in the workspace manifest
@@ -16,18 +16,12 @@
 //!   (`PoisonError::into_inner`) or surfaced as a typed error, because a
 //!   panicking worker must not cascade into every sibling that touches
 //!   the same mutex.
-//! - `chan-discipline` — a send into a channel (`.send()`, `.try_send()`,
-//!   or `.push()` on a receiver declared as a channel in the manifest)
-//!   must carry a comment within the preceding three lines documenting
-//!   its backpressure and/or disconnect story (the words "backpressure"
-//!   or "disconnect" must appear).
 //!
 //! Manifest format (`LOCK_ORDER.txt` at the workspace root): one
 //! declaration per line, `lock <crate>.<receiver-ident>` in acquisition
-//! order (rank = line position), or `channel <crate>.<receiver-ident>`;
-//! `#` comments and blank lines are ignored.
+//! order (rank = line position); `#` comments and blank lines are
+//! ignored.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 
 use crate::lexer::{SourceFile, TokenKind};
@@ -35,7 +29,7 @@ use crate::report::{Rule, Violation};
 use crate::rules::{emit, FileCtx};
 use crate::stream::{after_call, is_method_call, receiver_of};
 
-/// Crates subject to the `lock-order` and `chan-discipline` audits.
+/// Crates subject to the `lock-order` audit.
 pub const AUDIT_CRATES: &[&str] = &["par", "obs", "session"];
 
 /// Parsed `LOCK_ORDER.txt`.
@@ -43,8 +37,6 @@ pub const AUDIT_CRATES: &[&str] = &["par", "obs", "session"];
 pub struct Manifest {
     /// Qualified lock names (`crate.receiver`) in acquisition order.
     locks: Vec<String>,
-    /// Qualified channel names (`crate.receiver`).
-    channels: BTreeSet<String>,
 }
 
 impl Manifest {
@@ -70,14 +62,9 @@ impl Manifest {
                         m.locks.push(name.to_owned());
                     }
                 }
-                (Some("channel"), Some(name), None) if name.contains('.') => {
-                    if !m.channels.insert(name.to_owned()) {
-                        errors.push((lineno, format!("duplicate channel `{name}`")));
-                    }
-                }
                 _ => errors.push((
                     lineno,
-                    format!("unrecognized manifest line `{line}` (want `lock crate.name` or `channel crate.name`)"),
+                    format!("unrecognized manifest line `{line}` (want `lock crate.name`)"),
                 )),
             }
         }
@@ -89,28 +76,14 @@ impl Manifest {
     pub fn lock_rank(&self, qualified: &str) -> Option<usize> {
         self.locks.iter().position(|l| l == qualified)
     }
-
-    /// Whether a qualified name is declared as a channel.
-    #[must_use]
-    pub fn is_channel(&self, qualified: &str) -> bool {
-        self.channels.contains(qualified)
-    }
 }
 
-/// Words that satisfy the channel-send documentation requirement.
-const CHAN_DOC_WORDS: &[&str] = &["backpressure", "disconnect"];
-/// How many lines above a send the documentation may sit.
-const CHAN_DOC_WINDOW: u32 = 3;
-
-/// Runs the concurrency audit over one file. `claimed` receives the
-/// token indices of `unwrap`/`expect` calls reported as `lock-unwrap`,
-/// so `no-panic` does not double-report them.
+/// Runs the concurrency audit over one file.
 pub fn check(
     file: &SourceFile,
     rel: &Path,
     ctx: FileCtx<'_>,
     manifest: Option<&Manifest>,
-    claimed: &mut BTreeSet<usize>,
     out: &mut Vec<Violation>,
 ) {
     let audited = AUDIT_CRATES.contains(&ctx.crate_name);
@@ -130,28 +103,17 @@ pub fn check(
             continue;
         }
         if t.is_ident("lock") && is_method_call(toks, i) {
-            check_lock_unwrap(file, rel, ctx, i, claimed, out);
+            if ctx.is_library {
+                check_lock_unwrap(file, rel, i, out);
+            }
             if audited {
                 check_lock_order(file, rel, ctx, manifest, i, &mut fn_acquisitions, out);
             }
         }
-        if audited && is_method_call(toks, i) {
-            check_chan_discipline(file, rel, ctx, manifest, i, out);
-        }
     }
 }
 
-fn check_lock_unwrap(
-    file: &SourceFile,
-    rel: &Path,
-    ctx: FileCtx<'_>,
-    i: usize,
-    claimed: &mut BTreeSet<usize>,
-    out: &mut Vec<Violation>,
-) {
-    if !ctx.is_library {
-        return;
-    }
+fn check_lock_unwrap(file: &SourceFile, rel: &Path, i: usize, out: &mut Vec<Violation>) {
     let toks = &file.tokens;
     let Some(after) = after_call(toks, i) else {
         return;
@@ -166,9 +128,7 @@ fn check_lock_unwrap(
     if (term.is_ident("unwrap") || term.is_ident("expect"))
         && toks.get(m + 1).is_some_and(|t| t.is_punct('('))
     {
-        claimed.insert(m);
         emit(
-            file,
             rel,
             term,
             Rule::LockUnwrap,
@@ -196,7 +156,6 @@ fn check_lock_order(
     let receiver = receiver_of(toks, i).map(|r| toks[r].text.clone());
     let Some(receiver) = receiver else {
         emit(
-            file,
             rel,
             &toks[i],
             Rule::LockOrder,
@@ -211,7 +170,6 @@ fn check_lock_order(
     let qualified = format!("{}.{receiver}", ctx.crate_name);
     let Some(manifest) = manifest else {
         emit(
-            file,
             rel,
             &toks[i],
             Rule::LockOrder,
@@ -225,7 +183,6 @@ fn check_lock_order(
     };
     let Some(rank) = manifest.lock_rank(&qualified) else {
         emit(
-            file,
             rel,
             &toks[i],
             Rule::LockOrder,
@@ -238,7 +195,6 @@ fn check_lock_order(
         if rank < prev_rank {
             let prev = &toks[prev_idx];
             emit(
-                file,
                 rel,
                 &toks[i],
                 Rule::LockOrder,
@@ -255,63 +211,17 @@ fn check_lock_order(
     fn_acquisitions.push((rank, i));
 }
 
-fn check_chan_discipline(
-    file: &SourceFile,
-    rel: &Path,
-    ctx: FileCtx<'_>,
-    manifest: Option<&Manifest>,
-    i: usize,
-    out: &mut Vec<Violation>,
-) {
-    let toks = &file.tokens;
-    let name = toks[i].text.as_str();
-    let is_send = matches!(name, "send" | "try_send");
-    let is_declared_push = name == "push"
-        && manifest.is_some_and(|m| {
-            receiver_of(toks, i)
-                .map(|r| format!("{}.{}", ctx.crate_name, toks[r].text))
-                .is_some_and(|q| m.is_channel(&q))
-        });
-    if !(is_send || is_declared_push) {
-        return;
-    }
-    let line = toks[i].line;
-    let documented = (line.saturating_sub(CHAN_DOC_WINDOW)..=line)
-        .filter_map(|l| file.comment(l))
-        .any(|c| {
-            let lower = c.to_ascii_lowercase();
-            CHAN_DOC_WORDS.iter().any(|w| lower.contains(w))
-        });
-    if !documented {
-        emit(
-            file,
-            rel,
-            &toks[i],
-            Rule::ChanDiscipline,
-            format!(
-                "channel send `.{name}(…)` without a documented backpressure/\
-                 disconnect story — add a comment within {CHAN_DOC_WINDOW} \
-                 lines above saying what happens when the queue is full and \
-                 when the other side is gone",
-            ),
-            out,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::{check, Manifest};
     use crate::lexer::SourceFile;
     use crate::report::Rule;
     use crate::rules::FileCtx;
-    use std::collections::BTreeSet;
     use std::path::Path;
 
     fn manifest() -> Manifest {
-        let (m, errs) = Manifest::parse(
-            "# order matters\nlock par.state\nlock par.slots\nlock obs.out\nchannel par.work\n",
-        );
+        let (m, errs) =
+            Manifest::parse("# order matters\nlock par.state\nlock par.slots\nlock obs.out\n");
         assert!(errs.is_empty(), "{errs:?}");
         m
     }
@@ -321,11 +231,9 @@ mod tests {
         let ctx = FileCtx {
             crate_name,
             is_library: true,
-            is_crate_root: false,
         };
-        let mut claimed = BTreeSet::new();
         let mut out = Vec::new();
-        check(&file, Path::new("x.rs"), ctx, m, &mut claimed, &mut out);
+        check(&file, Path::new("x.rs"), ctx, m, &mut out);
         out.into_iter().map(|v| v.rule).collect()
     }
 
@@ -334,8 +242,9 @@ mod tests {
         let (m, errs) =
             Manifest::parse("lock par.state\nchannel par.work\nbogus line\nlock par.state\n");
         assert_eq!(m.lock_rank("par.state"), Some(0));
-        assert!(m.is_channel("par.work"));
-        assert_eq!(errs.len(), 2, "{errs:?}");
+        // Channels are no longer declared: the line is refused.
+        let lines: Vec<u32> = errs.iter().map(|e| e.0).collect();
+        assert_eq!(lines, [2, 3, 4], "{errs:?}");
     }
 
     #[test]
@@ -377,29 +286,5 @@ mod tests {
         let recovered =
             "fn f(&self) { let g = self.state.lock().unwrap_or_else(PoisonError::into_inner); drop(g); }\n";
         assert!(rules_of(recovered, "par", Some(&m)).is_empty());
-    }
-
-    #[test]
-    fn channel_sends_need_documented_stories() {
-        let m = manifest();
-        let bare = "fn f(&self) {\n    self.work.push(1);\n}\n";
-        assert_eq!(rules_of(bare, "par", Some(&m)), vec![Rule::ChanDiscipline]);
-        let documented = "fn f(&self) {\n    // Backpressure: push blocks while full; on disconnect the\n    // queue is closed and push returns Err.\n    self.work.push(1);\n}\n";
-        assert!(rules_of(documented, "par", Some(&m)).is_empty());
-        // Vec pushes are not channel sends.
-        let vec_push = "fn f(out: &mut Vec<u32>) { out.push(1); }\n";
-        assert!(rules_of(vec_push, "par", Some(&m)).is_empty());
-        // send/try_send always count as channel sends in audited crates.
-        let send = "fn f(&self) { self.tx.send(1); }\n";
-        assert_eq!(rules_of(send, "obs", Some(&m)), vec![Rule::ChanDiscipline]);
-        // …but not outside them.
-        assert!(rules_of(send, "eval", Some(&m)).is_empty());
-    }
-
-    #[test]
-    fn escape_hatch_applies() {
-        let m = manifest();
-        let src = "fn f(&self) {\n    // lint: allow(chan-discipline) — fixture: send is infallible here\n    self.tx.send(1);\n}\n";
-        assert!(rules_of(src, "obs", Some(&m)).is_empty());
     }
 }

@@ -5,17 +5,14 @@
 //! literals, char literals, raw strings and comments can never produce
 //! false positives, and multi-line constructs (a `partial_cmp` whose
 //! `.unwrap()` lands four rustfmt-wrapped lines later) can never produce
-//! false negatives. The lexer also derives two side tables the rules
-//! need: per-line comment text (for `lint: allow(...)` escape hatches)
-//! and the line ranges covered by `#[cfg(test)]` items.
+//! false negatives. The lexer also derives the one side table the rules
+//! need: the line ranges covered by `#[cfg(test)]` items.
 //!
 //! The grammar subset is deliberately small — identifiers, lifetimes,
 //! string/raw-string/byte-string/char/numeric literals, single-character
 //! punctuation, line and (nested) block comments. Multi-character
 //! operators arrive as adjacent punct tokens (`::` is `:` `:`), which is
 //! sufficient for every rule and keeps the lexer total: any input lexes.
-
-use std::collections::BTreeMap;
 
 /// Token classification. The lint rules only branch on this plus the
 /// token text, so the set is intentionally coarse.
@@ -64,15 +61,12 @@ impl Token {
     }
 }
 
-/// A lexed source file: the token stream plus the two per-line side
-/// tables every rule pass shares.
+/// A lexed source file: the token stream plus the `#[cfg(test)]` line
+/// ranges every rule pass shares.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// All tokens in source order. Comments are not tokens; they live in
-    /// the comment table.
+    /// All tokens in source order. Comments are skipped.
     pub tokens: Vec<Token>,
-    /// Concatenated comment text per 1-based line (line + block + doc).
-    comments: BTreeMap<u32, String>,
     /// Inclusive line ranges covered by `#[cfg(test)]` items.
     test_ranges: Vec<(u32, u32)>,
 }
@@ -87,15 +81,8 @@ impl SourceFile {
         let test_ranges = cfg_test_ranges(&lx.tokens);
         SourceFile {
             tokens: lx.tokens,
-            comments: lx.comments,
             test_ranges,
         }
-    }
-
-    /// Comment text recorded on `line` (1-based), if any.
-    #[must_use]
-    pub fn comment(&self, line: u32) -> Option<&str> {
-        self.comments.get(&line).map(String::as_str)
     }
 
     /// Whether `line` falls inside a `#[cfg(test)]` item.
@@ -105,43 +92,6 @@ impl SourceFile {
             .iter()
             .any(|&(lo, hi)| (lo..=hi).contains(&line))
     }
-
-    /// Whether `rule` is suppressed at `line` by a `lint: allow(<rule>)
-    /// — <reason>` annotation on the same line or the line above.
-    #[must_use]
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
-        [Some(line), line.checked_sub(1)]
-            .into_iter()
-            .flatten()
-            .filter_map(|l| self.comment(l))
-            .any(|c| allow_matches(c, rule))
-    }
-
-    /// Whether any comment in the first `n` lines suppresses `rule`
-    /// (used for file-granularity rules like `crate-root-attrs`).
-    #[must_use]
-    pub fn allowed_in_header(&self, rule: &str, n: u32) -> bool {
-        self.comments
-            .range(..=n)
-            .any(|(_, c)| allow_matches(c, rule))
-    }
-}
-
-/// Parses one `lint: allow(a, b) — reason` annotation out of comment
-/// text. The reason is mandatory: a bare allow is not a justification.
-#[must_use]
-pub fn allow_matches(comment: &str, rule: &str) -> bool {
-    let Some(pos) = comment.find("lint: allow(") else {
-        return false;
-    };
-    let rest = &comment[pos + "lint: allow(".len()..];
-    let Some(close) = rest.find(')') else {
-        return false;
-    };
-    let names = &rest[..close];
-    let reason = rest[close + 1..]
-        .trim_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '-' | '–' | ':' | ','));
-    names.split(',').any(|n| n.trim() == rule) && !reason.is_empty()
 }
 
 struct Lexer {
@@ -150,7 +100,6 @@ struct Lexer {
     line: u32,
     col: u32,
     tokens: Vec<Token>,
-    comments: BTreeMap<u32, String>,
 }
 
 impl Lexer {
@@ -161,7 +110,6 @@ impl Lexer {
             line: 1,
             col: 1,
             tokens: Vec::new(),
-            comments: BTreeMap::new(),
         }
     }
 
@@ -191,10 +139,6 @@ impl Lexer {
         });
     }
 
-    fn comment_push(&mut self, line: u32, c: char) {
-        self.comments.entry(line).or_default().push(c);
-    }
-
     fn run(&mut self) {
         while let Some(c) = self.peek(0) {
             let (line, col) = (self.line, self.col);
@@ -218,15 +162,8 @@ impl Lexer {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        self.bump();
-        self.bump();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
-            self.comment_push(line, c);
         }
     }
 
@@ -235,7 +172,6 @@ impl Lexer {
         self.bump();
         let mut depth = 1u32;
         while depth > 0 {
-            let line = self.line;
             match (self.peek(0), self.peek(1)) {
                 (Some('/'), Some('*')) => {
                     depth += 1;
@@ -247,11 +183,8 @@ impl Lexer {
                     self.bump();
                     self.bump();
                 }
-                (Some(c), _) => {
+                (Some(_), _) => {
                     self.bump();
-                    if c != '\n' {
-                        self.comment_push(line, c);
-                    }
                 }
                 (None, _) => break,
             }
@@ -495,9 +428,8 @@ mod tests {
 
     #[test]
     fn strings_and_comments_are_not_tokens() {
-        let f = SourceFile::lex("let x = \"a.unwrap()\"; // trailing .unwrap()\n");
-        assert!(!idents("let x = \"a.unwrap()\";").contains(&"unwrap".to_owned()));
-        assert!(f.comment(1).unwrap().contains("trailing .unwrap()"));
+        let ids = idents("let x = \"a.unwrap()\"; // trailing .unwrap()\nlet y = 1;\n");
+        assert_eq!(ids, ["let", "x", "let", "y"]);
     }
 
     #[test]
@@ -549,7 +481,6 @@ mod tests {
         assert!(f.tokens.iter().any(|t| t.is_ident("b")));
         assert!(f.tokens.iter().any(|t| t.is_ident("c")));
         assert!(!f.tokens.iter().any(|t| t.is_ident("unwrap")));
-        assert!(f.comment(3).unwrap().contains("unwrap()"));
     }
 
     #[test]
@@ -585,14 +516,5 @@ mod tests {
     fn cfg_all_test_counts_as_test() {
         let f = SourceFile::lex("#[cfg(all(test, feature = \"x\"))]\nmod t {\n fn a() {}\n}\n");
         assert!(f.in_test(3));
-    }
-
-    #[test]
-    fn allow_annotations_parse_with_reason() {
-        let f = SourceFile::lex("x.unwrap(); // lint: allow(no-panic) — checked above\n");
-        assert!(f.allowed("no-panic", 1));
-        assert!(!f.allowed("lossy-cast", 1));
-        let bare = SourceFile::lex("x.unwrap(); // lint: allow(no-panic)\n");
-        assert!(!bare.allowed("no-panic", 1));
     }
 }

@@ -1,10 +1,12 @@
 //! Workspace automation library behind the `cargo xtask` binary.
 //!
 //! The core is a std-only static-analysis suite for the repo's
-//! first-party Rust source: a string/comment-aware lexer
-//! ([`lexer`]), token-stream navigation helpers ([`stream`]), and four
-//! rule families — the original safety/unit policies ([`rules`]),
-//! determinism taint ([`determinism`]), the concurrency audit
+//! first-party Rust source, holding the rules clippy cannot express
+//! (clippy itself enforces the panic, print, cast and determinism bans
+//! through the root `clippy.toml` and `[workspace.lints]`): a
+//! string/comment-aware lexer ([`lexer`]), token-stream navigation
+//! helpers ([`stream`]), and three rule families — NaN ordering, dB/linear
+//! units and local-macro bodies ([`rules`]), the concurrency audit
 //! ([`concurrency`]) and the metrics/obs contract ([`metrics`]) — all
 //! orchestrated by [`lint`] and reported through [`report`] (human
 //! lines or the `--json` machine report).
@@ -26,11 +28,9 @@
 //! fully offline build container with no crate registry.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod benchdiff;
 pub mod concurrency;
-pub mod determinism;
 pub mod lexer;
 pub mod lint;
 pub mod metrics;

@@ -2,44 +2,36 @@
 //! every file once ([`crate::lexer`]), and runs all rule passes over the
 //! shared token stream.
 //!
-//! These complement `clippy` (configured through `[workspace.lints]` in
-//! the root manifest) with policies clippy cannot express for this
-//! codebase. Detection here rides on sub-dB per-subcarrier RSS changes
-//! and every scientific result is pinned by bit-identity tests, so the
-//! rules target the failure modes that silently flip presence verdicts:
-//! panics, NaN-swallowing ordering, precision-losing casts, dB/linear
-//! unit confusion, ambient nondeterminism, lock-order drift, and metric
-//! namespace rot. See [`crate::report::Rule`] for the full rule set and
-//! the per-family modules ([`crate::rules`], [`crate::determinism`],
-//! [`crate::concurrency`], [`crate::metrics`]) for the policies.
+//! Clippy is the workspace's lint gate: the root `clippy.toml` bans
+//! ambient nondeterminism, `[workspace.lints]` bans panics and process
+//! output in library code, and the kernel crates warn on lossy casts.
+//! The rules here are the ones clippy cannot express: NaN-swallowing
+//! ordering across wrapped method chains, dB/linear unit confusion read
+//! from identifier suffixes, panics and prints inside local
+//! `macro_rules!` bodies, lock-order drift against `LOCK_ORDER.txt`,
+//! poisoned-lock unwraps, and metric namespace rot against
+//! `OBS_registry.txt`. See [`crate::report::Rule`] for the rule set and
+//! the per-family modules ([`crate::rules`], [`crate::concurrency`],
+//! [`crate::metrics`]) for the policies.
 //!
 //! Library code means files under a crate's `src/` tree minus binary
 //! entry points (`src/bin/`, `main.rs`) and `#[cfg(test)]` modules;
 //! integration tests, benches and examples are never walked, and
-//! third-party stand-ins under `vendor/` are not visited.
-//!
-//! ## Escape hatch
-//!
-//! A violation is suppressed by an annotation on the same line or the
-//! line above, carrying the rule name and a non-empty justification:
-//!
-//! ```text
-//! // lint: allow(no-panic) — mutex poisoning is unrecoverable here
-//! ```
+//! third-party stand-ins under `vendor/` are not visited. No rule has
+//! an escape hatch: a finding is fixed, or the manifest it checks
+//! against is edited.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::concurrency::{self, Manifest};
-use crate::determinism;
 use crate::lexer::SourceFile;
 use crate::metrics::{self, MetricUse, Registry};
 use crate::report::{self, Rule, Violation};
 use crate::rules::{self, FileCtx};
 
-/// Workspace-root file declaring lock acquisition order and channels.
+/// Workspace-root file declaring lock acquisition order.
 pub const LOCK_MANIFEST: &str = "LOCK_ORDER.txt";
 /// Workspace-root file registering every metric name and kind.
 pub const METRIC_REGISTRY: &str = "OBS_registry.txt";
@@ -58,15 +50,9 @@ pub fn lint_source(
 ) -> Vec<Violation> {
     let file = SourceFile::lex(source);
     let mut out = Vec::new();
-    // `claimed` carries token indices already reported by a more
-    // specific rule (nan-ordering's terminal unwrap, lock-unwrap's
-    // unwrap/expect) so no-panic does not double-report them — the
-    // concurrency pass therefore runs before the legacy rules.
-    let mut claimed: BTreeSet<usize> = BTreeSet::new();
-    concurrency::check(&file, rel, ctx, manifest, &mut claimed, &mut out);
-    rules::check(&file, rel, ctx, &mut claimed, &mut out);
-    determinism::check(&file, rel, ctx, &mut out);
-    metrics::collect(&file, rel, ctx, uses, &mut out);
+    rules::check(&file, rel, ctx, &mut out);
+    concurrency::check(&file, rel, ctx, manifest, &mut out);
+    metrics::collect(&file, rel, uses, &mut out);
     out
 }
 
@@ -204,7 +190,6 @@ fn lint_src_tree(
         let ctx = FileCtx {
             crate_name,
             is_library: !in_bin_dir && file_name != "main.rs",
-            is_crate_root: matches!(file_name, "lib.rs" | "main.rs") && !in_bin_dir,
         };
         out.extend(lint_source(&rel, &source, ctx, manifest, uses));
     }
@@ -235,7 +220,6 @@ mod tests {
         FileCtx {
             crate_name,
             is_library: true,
-            is_crate_root: false,
         }
     }
 
@@ -245,9 +229,9 @@ mod tests {
         assert!(errs.is_empty());
         let src = "fn f(&self) {\n\
                    \x20   let g = self.state.lock().unwrap();\n\
-                   \x20   let t = Instant::now();\n\
+                   \x20   let o = a.partial_cmp(&b).unwrap();\n\
                    \x20   counter!(\"badName\");\n\
-                   \x20   drop((g, t));\n\
+                   \x20   drop((g, o));\n\
                    }\n";
         let mut uses = Vec::new();
         let v = lint_source(
@@ -258,11 +242,11 @@ mod tests {
             &mut uses,
         );
         let rules: Vec<Rule> = v.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&Rule::LockUnwrap), "{v:?}");
-        assert!(rules.contains(&Rule::DetWallClock), "{v:?}");
-        assert!(rules.contains(&Rule::MetricName), "{v:?}");
-        // lock-unwrap claimed the unwrap token: no-panic stays silent.
-        assert!(!rules.contains(&Rule::NoPanic), "{v:?}");
+        assert_eq!(
+            rules,
+            [Rule::NanOrdering, Rule::LockUnwrap, Rule::MetricName],
+            "{v:?}"
+        );
         assert!(
             uses.is_empty(),
             "malformed names are not registry candidates"
@@ -271,13 +255,10 @@ mod tests {
 
     #[test]
     fn clean_file_reports_nothing_and_collects_uses() {
-        let (manifest, errs) = Manifest::parse("lock par.state\nchannel par.work\n");
+        let (manifest, errs) = Manifest::parse("lock par.state\n");
         assert!(errs.is_empty());
         let src = "fn f(&self) {\n\
                    \x20   let g = self.state.lock().unwrap_or_else(PoisonError::into_inner);\n\
-                   \x20   // Backpressure: bounded queue, push blocks when full; on\n\
-                   \x20   // disconnect the pop side drains and returns None.\n\
-                   \x20   self.work.push(1);\n\
                    \x20   counter!(\"par.jobs_total\");\n\
                    \x20   drop(g);\n\
                    }\n";

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 use crate::lexer::{SourceFile, TokenKind};
 use crate::report::{Rule, Violation};
-use crate::rules::{emit, FileCtx};
+use crate::rules::emit;
 use crate::stream::matching_close;
 
 /// A metric macro family.
@@ -132,14 +132,7 @@ pub fn well_formed(name: &str) -> bool {
 /// inline; well-formed literal uses are appended to `uses` for the
 /// workspace-level registry pass (a style violation suppresses the
 /// registry check for that site, so one bad name yields one finding).
-pub fn collect(
-    file: &SourceFile,
-    rel: &Path,
-    ctx: FileCtx<'_>,
-    uses: &mut Vec<MetricUse>,
-    out: &mut Vec<Violation>,
-) {
-    let _ = ctx;
+pub fn collect(file: &SourceFile, rel: &Path, uses: &mut Vec<MetricUse>, out: &mut Vec<Violation>) {
     let toks = &file.tokens;
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -161,7 +154,6 @@ pub fn collect(
         };
         if first_arg.kind != TokenKind::Str {
             emit(
-                file,
                 rel,
                 t,
                 Rule::MetricName,
@@ -179,7 +171,6 @@ pub fn collect(
         let name = first_arg.text.clone();
         if !well_formed(&name) {
             emit(
-                file,
                 rel,
                 t,
                 Rule::MetricName,
@@ -190,9 +181,6 @@ pub fn collect(
                 ),
                 out,
             );
-            continue;
-        }
-        if file.allowed(Rule::MetricRegistry.name(), t.line) {
             continue;
         }
         uses.push(MetricUse {
@@ -284,19 +272,13 @@ mod tests {
     use super::{check_registry, collect, well_formed, MetricKind, Registry};
     use crate::lexer::SourceFile;
     use crate::report::{Rule, Violation};
-    use crate::rules::FileCtx;
     use std::path::Path;
 
     fn run(source: &str, registry: Option<&str>) -> Vec<(Rule, String)> {
         let file = SourceFile::lex(source);
-        let ctx = FileCtx {
-            crate_name: "core",
-            is_library: true,
-            is_crate_root: false,
-        };
         let mut uses = Vec::new();
         let mut out: Vec<Violation> = Vec::new();
-        collect(&file, Path::new("x.rs"), ctx, &mut uses, &mut out);
+        collect(&file, Path::new("x.rs"), &mut uses, &mut out);
         let parsed = registry.map(|text| {
             let (reg, errs) = Registry::parse(text);
             assert!(errs.is_empty(), "{errs:?}");
@@ -377,12 +359,6 @@ mod tests {
         assert!(run("macro_rules! counter { ($n:expr) => {} }\n", Some("")).is_empty());
         // Doc/comment mentions never fire.
         assert!(run("// counter!(\"a.b\") increments a.b\n", Some("")).is_empty());
-    }
-
-    #[test]
-    fn allow_hatch_suppresses_registry_not_style() {
-        let src = "fn f() {\n    // lint: allow(metric-registry) — experimental, not yet on dashboards\n    counter!(\"lab.experimental_total\");\n}\n";
-        assert!(run(src, Some("")).is_empty());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Fixture observability crate: metrics/obs contract seeds — malformed
 //! and unregistered metric names, a kind mismatch, registered uses that
-//! must stay quiet, plus the obs-side lock-order checks and the
-//! determinism false-positive guard (obs is outside the taint scope).
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! must stay quiet — plus the obs-side lock-order checks. A metric
+//! missing from the registry has no escape hatch: it is registered or
+//! it is reported.
+//!
+//!
 
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+// Lock ranks come from the fixture's LOCK_ORDER.txt.
 
 /// Sink with two ranked locks.
 pub struct Sink {
@@ -33,10 +33,10 @@ impl Sink {
     }
 }
 
-/// obs is outside the determinism taint scope: wall-clock reads here
-/// must stay quiet (false-positive guard for `det-wall-clock`).
-pub fn timestamp() -> Instant {
-    Instant::now()
+/// One declared lock, poisoning recovered: quiet.
+/// (Wall-clock reads are clippy's concern, not the lexer's.)
+pub fn first_only(s: &Sink) -> u32 {
+    *s.first.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Registered metric uses: quiet.
@@ -60,10 +60,4 @@ pub fn unregistered() {
 /// mismatch.
 pub fn mismatched() {
     counter!("obs.wrong_kind_total");
-}
-
-/// Annotated escape hatch: quiet.
-pub fn experimental() {
-    // lint: allow(metric-registry) — fixture: staging metric, not yet on dashboards
-    counter!("obs.experimental_total");
 }

@@ -1,34 +1,34 @@
-//! Fixture parallel-layer crate: concurrency-audit seeds — a claimed
-//! `lock-unwrap`, `lock-order` rank inversions against the fixture
-//! `LOCK_ORDER.txt`, and channel sends with and without a documented
-//! backpressure story.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! Fixture parallel-layer crate: concurrency-audit seeds — a
+//! `lock-unwrap` (reported once: clippy's `unwrap_used` is not the
+//! lexer's business), `lock-order` rank inversions against the fixture
+//! `LOCK_ORDER.txt`, and the quiet cases: recovered poisoning,
+//! acquisitions in manifest order, and pushes onto plain buffers (no
+//! channel declarations exist any more).
+//!
 
 use std::sync::{Mutex, PoisonError};
 
-/// `lock-unwrap` must fire here — and must claim the token so
-/// `no-panic` stays quiet (exactly one finding for this line).
+/// `lock-unwrap` must fire here, exactly once for this line.
+///
 pub fn locks_carelessly(m: &Mutex<u32>) -> u32 {
     *m.lock().unwrap()
 }
 
-/// Vetted escape hatch: the annotated `lock-unwrap` stays quiet.
+/// Recovered poisoning: quiet.
 pub fn locks_deliberately(m: &Mutex<u32>) -> u32 {
-    // lint: allow(lock-unwrap) — fixture: poisoning recovered by the caller
-    *m.lock().expect("fixture lock")
+    // There is no escape hatch; the fix is to recover.
+    *m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Ranked locks plus a declared channel, mirroring the real pool.
+/// Ranked locks plus two plain buffers, mirroring the real pool.
 pub struct Pool {
     /// Declared `lock par.a` (ranked before `b`).
     pub a: Mutex<u32>,
     /// Declared `lock par.b`.
     pub b: Mutex<u32>,
-    /// Declared `channel par.jobs`.
+    /// Plain buffer.
     pub jobs: Vec<u32>,
-    /// Plain buffer — pushes here are not channel sends.
+    /// Plain buffer.
     pub scratch: Vec<u32>,
 }
 
@@ -52,26 +52,9 @@ impl Pool {
         *extra.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Undocumented channel send: `chan-discipline` must fire.
+    /// Pushes are not lock acquisitions: quiet.
     pub fn feed(&mut self, job: u32) {
         self.jobs.push(job);
-    }
-
-    /// Documented channel send: quiet.
-    pub fn feed_documented(&mut self, job: u32) {
-        // Backpressure: bounded upstream; on disconnect the queue is
-        // dropped and pending jobs are discarded.
-        self.jobs.push(job);
-    }
-
-    /// Annotated channel send: quiet.
-    pub fn feed_vetted(&mut self, job: u32) {
-        // lint: allow(chan-discipline) — fixture: infallible in-memory queue
-        self.jobs.push(job);
-    }
-
-    /// Vec push on an undeclared receiver: quiet (false-positive guard).
-    pub fn note(&mut self, v: u32) {
-        self.scratch.push(v);
+        self.scratch.push(job);
     }
 }

@@ -1,5 +1,5 @@
-//! Fixture crate root that is missing both required inner attributes, so
-//! the `crate-root-attrs` rule must fire twice on this file.
+//! Fixture umbrella crate: seeds for `nan-ordering`, `db-linear` and
+//! `macro-body`. Clippy owns the panic and print bans outside macros.
 
 pub fn panics(x: Option<u32>) -> u32 {
     x.unwrap()
@@ -13,16 +13,37 @@ pub fn unit_confused(gain_db: f64, noise_power: f64) -> f64 {
     gain_db * noise_power
 }
 
-pub fn suppressed(x: Option<u32>) -> u32 {
-    // lint: allow(no-panic) — fixture: annotated escape hatch must suppress
-    x.unwrap()
+/// `macro-body` must fire on each of the three calls below: clippy's
+/// `print_stdout`, `panic` and `unwrap_used` do not see them expanded.
+macro_rules! seeded {
+    ($x:expr) => {{
+        println!("expanding");
+        if $x.is_none() {
+            panic!("seeded");
+        }
+        $x.unwrap()
+    }};
 }
 
+pub fn expands(x: Option<u32>) -> u32 {
+    seeded!(x)
+}
+
+/// Outside a macro body the print is clippy's to report: quiet here.
 pub fn prints_status() {
     eprintln!("calibrating");
 }
 
-pub fn suppressed_print() {
-    // lint: allow(no-raw-stderr) — fixture: annotated escape hatch must suppress
-    println!("ok");
+#[cfg(test)]
+mod tests {
+    macro_rules! test_only {
+        ($x:expr) => {
+            $x.unwrap()
+        };
+    }
+
+    #[test]
+    fn test_macros_may_panic() {
+        assert_eq!(test_only!(Some(1)), 1);
+    }
 }

@@ -45,7 +45,6 @@
 //! # }
 //! ```
 
-#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub use mpdf_core as core;
