@@ -8,6 +8,14 @@
 //! `cargo bench -p mpdf-bench --bench micro` times every bench with
 //! [`mpdf_bench::Harness`] and writes `BENCH_micro.json`.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the bench binary reports on stdout and stderr and stops on a setup failure, as clippy.toml's allow-*-in-tests lets test code"
+)]
+
 use std::hint::black_box;
 
 use mpdf_bench::{bench_fixture, bench_link, Harness};

@@ -1,10 +1,10 @@
 //! Window-level graceful degradation (fault tolerance).
 //!
 //! Monitoring windows captured under injected receiver faults (see
-//! `mpdf_wifi::fault`) arrive with NaN rows, rail-stuck chains, sequence
-//! gaps and duplicated packets. [`assess_window`] runs the quarantine
-//! pass over a window, drops unusable packets, reduces the survivors to
-//! the common usable antenna subset, and reports the damage as a
+//! `mpdf_wifi::fault`) arrive with NaN rows, dead chains, sequence gaps
+//! and duplicated packets. [`assess_window`] runs the quarantine pass
+//! over a window, drops unusable packets, reduces the survivors to the
+//! common usable antenna subset, and reports the damage as a
 //! [`WindowHealth`] the detection schemes use to adapt their scoring.
 //!
 //! On a pristine window the pass is a pure no-op: the returned packets
@@ -15,7 +15,12 @@ use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::quarantine::{PacketClass, Quarantine};
 
 use crate::error::DetectError;
-use crate::profile::{CalibrationProfile, DetectorConfig};
+use crate::profile::CalibrationProfile;
+
+/// Most packets a monitoring window may lose (sequence gaps plus
+/// quarantine rejects) before scoring aborts with
+/// [`DetectError::DegradedBeyondBudget`]: 5 of a 25-packet window.
+pub(crate) const GAP_BUDGET: usize = 5;
 
 /// The damage report of one monitoring window.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,14 +29,11 @@ pub struct WindowHealth {
     /// After antenna reduction, row `r` of a returned packet is the
     /// physical chain `usable_antennas[r]`.
     pub usable_antennas: Vec<usize>,
-    /// Per-subcarrier clip mask: `true` where at least one packet was
-    /// AGC-saturated, so the tone carries no usable amplitude change.
-    pub clipped_subcarriers: Vec<bool>,
     /// Sequence gaps inside the window (packets lost upstream).
     pub gaps: usize,
     /// Packets rejected by quarantine (duplicates, no usable antennas).
     pub rejects: usize,
-    /// True when any packet was dropped, reduced or clipped.
+    /// True when any packet was dropped or reduced.
     pub degraded: bool,
     /// True when the antenna subset shrank: angle estimates run on a
     /// shorter aperture and carry widened uncertainty.
@@ -39,11 +41,10 @@ pub struct WindowHealth {
 }
 
 impl WindowHealth {
-    /// A pristine window over `antennas` chains and `subcarriers` tones.
-    pub fn clean(antennas: usize, subcarriers: usize) -> Self {
+    /// A pristine window over `antennas` chains.
+    pub fn clean(antennas: usize) -> Self {
         WindowHealth {
             usable_antennas: (0..antennas).collect(),
-            clipped_subcarriers: vec![false; subcarriers],
             gaps: 0,
             rejects: 0,
             degraded: false,
@@ -63,11 +64,10 @@ impl WindowHealth {
 /// - [`DetectError::EmptyWindow`] with no packets, or none surviving,
 /// - [`DetectError::ShapeMismatch`] if packets disagree with the profile,
 /// - [`DetectError::DegradedBeyondBudget`] when gaps + rejects exceed
-///   [`DetectorConfig::gap_budget`], or no antenna survives every packet.
+///   the gap budget (5 packets), or no antenna survives every packet.
 pub fn assess_window(
     profile: &CalibrationProfile,
     window: &[CsiPacket],
-    config: &DetectorConfig,
 ) -> Result<(Vec<CsiPacket>, WindowHealth), DetectError> {
     if window.is_empty() {
         return Err(DetectError::EmptyWindow);
@@ -80,24 +80,17 @@ pub fn assess_window(
         }
     }
 
-    let mut quarantine = Quarantine::new(config.quarantine);
+    let mut quarantine = Quarantine::new();
     let mut kept: Vec<CsiPacket> = Vec::with_capacity(window.len());
     let mut usable: Vec<usize> = (0..profile.antennas()).collect();
-    let mut clipped = vec![false; profile.subcarriers()];
     let mut rejects = 0usize;
     let mut any_packet_degraded = false;
     for p in window {
         match quarantine.classify(p) {
             PacketClass::Ok => kept.push(p.clone()),
-            PacketClass::Degraded {
-                usable_antennas,
-                clipped_subcarriers,
-            } => {
+            PacketClass::Degraded { usable_antennas } => {
                 any_packet_degraded = true;
                 usable.retain(|a| usable_antennas.contains(a));
-                for (mask, c) in clipped.iter_mut().zip(&clipped_subcarriers) {
-                    *mask |= *c;
-                }
                 kept.push(p.clone());
             }
             PacketClass::Reject { .. } => rejects += 1,
@@ -119,11 +112,11 @@ pub fn assess_window(
         _ => 0,
     };
     let lost = gaps + rejects;
-    if lost > config.gap_budget {
+    if lost > GAP_BUDGET {
         mpdf_obs::counter!("core.degraded_windows_total").inc();
         return Err(DetectError::DegradedBeyondBudget {
             lost,
-            budget: config.gap_budget,
+            budget: GAP_BUDGET,
         });
     }
     if kept.is_empty() {
@@ -135,7 +128,7 @@ pub fn assess_window(
         mpdf_obs::counter!("core.degraded_windows_total").inc();
         return Err(DetectError::DegradedBeyondBudget {
             lost: window.len(),
-            budget: config.gap_budget,
+            budget: GAP_BUDGET,
         });
     }
 
@@ -153,7 +146,6 @@ pub fn assess_window(
         kept,
         WindowHealth {
             usable_antennas: usable,
-            clipped_subcarriers: clipped,
             gaps,
             rejects,
             degraded,
@@ -165,6 +157,7 @@ pub fn assess_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::DetectorConfig;
     use mpdf_rfmath::complex::Complex64;
 
     /// A calm 3×30 packet; `dead_rows` lists antennas overwritten with NaN.
@@ -186,29 +179,27 @@ mod tests {
         packet_with(seq, &[])
     }
 
-    fn profile_and_config() -> (CalibrationProfile, DetectorConfig) {
-        let cfg = DetectorConfig::default();
+    fn profile() -> CalibrationProfile {
         let packets: Vec<CsiPacket> = (0..20).map(packet).collect();
-        let profile = CalibrationProfile::build(&packets, &cfg).unwrap();
-        (profile, cfg)
+        CalibrationProfile::build(&packets, &DetectorConfig::default()).unwrap()
     }
 
     #[test]
     fn clean_window_passes_through_unchanged() {
-        let (profile, cfg) = profile_and_config();
+        let profile = profile();
         let window: Vec<CsiPacket> = (100..110).map(packet).collect();
-        let (kept, health) = assess_window(&profile, &window, &cfg).unwrap();
+        let (kept, health) = assess_window(&profile, &window).unwrap();
         assert_eq!(kept, window);
-        assert_eq!(health, WindowHealth::clean(3, 30));
+        assert_eq!(health, WindowHealth::clean(3));
         assert!(!health.degraded);
     }
 
     #[test]
     fn nan_row_shrinks_the_antenna_subset() {
-        let (profile, cfg) = profile_and_config();
+        let profile = profile();
         let mut window: Vec<CsiPacket> = (0..10).map(packet).collect();
         window[3] = packet_with(3, &[1]);
-        let (kept, health) = assess_window(&profile, &window, &cfg).unwrap();
+        let (kept, health) = assess_window(&profile, &window).unwrap();
         assert_eq!(health.usable_antennas, vec![0, 2]);
         assert!(health.widened_uncertainty);
         assert!(health.degraded);
@@ -225,13 +216,13 @@ mod tests {
 
     #[test]
     fn sequence_gaps_within_budget_are_tolerated() {
-        let (profile, cfg) = profile_and_config();
-        // 10 slots, 3 missing: gaps = 3 ≤ default budget 5.
+        let profile = profile();
+        // 10 slots, 3 missing: gaps = 3 ≤ budget 5.
         let window: Vec<CsiPacket> = [0u64, 1, 2, 4, 6, 8, 9]
             .iter()
             .map(|&s| packet(s))
             .collect();
-        let (kept, health) = assess_window(&profile, &window, &cfg).unwrap();
+        let (kept, health) = assess_window(&profile, &window).unwrap();
         assert_eq!(kept.len(), 7);
         assert_eq!(health.gaps, 3);
         assert!(health.degraded);
@@ -240,24 +231,24 @@ mod tests {
 
     #[test]
     fn gaps_beyond_budget_abort_with_typed_error() {
-        let (profile, cfg) = profile_and_config();
+        let profile = profile();
         // Sequence span 20 with only 5 packets: 16 gaps > budget 5.
         let window: Vec<CsiPacket> = [0u64, 5, 10, 15, 20].iter().map(|&s| packet(s)).collect();
-        let err = assess_window(&profile, &window, &cfg).unwrap_err();
+        let err = assess_window(&profile, &window).unwrap_err();
         assert_eq!(
             err,
             DetectError::DegradedBeyondBudget {
                 lost: 16,
-                budget: 5
+                budget: GAP_BUDGET
             }
         );
     }
 
     #[test]
     fn out_of_order_windows_are_resorted_and_deduped() {
-        let (profile, cfg) = profile_and_config();
+        let profile = profile();
         let window: Vec<CsiPacket> = [2u64, 0, 1, 3, 1].iter().map(|&s| packet(s)).collect();
-        let (kept, health) = assess_window(&profile, &window, &cfg).unwrap();
+        let (kept, health) = assess_window(&profile, &window).unwrap();
         let seqs: Vec<u64> = kept.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
         assert_eq!(health.rejects, 1, "late duplicate dropped");
@@ -266,23 +257,20 @@ mod tests {
 
     #[test]
     fn all_chains_corrupt_is_beyond_budget() {
-        let (profile, cfg) = profile_and_config();
+        let profile = profile();
         // A different chain dies in each packet: empty intersection.
         let window = vec![
             packet_with(0, &[0]),
             packet_with(1, &[1]),
             packet_with(2, &[2]),
         ];
-        let err = assess_window(&profile, &window, &cfg).unwrap_err();
+        let err = assess_window(&profile, &window).unwrap_err();
         assert!(matches!(err, DetectError::DegradedBeyondBudget { .. }));
     }
 
     #[test]
     fn empty_window_is_an_error() {
-        let (profile, cfg) = profile_and_config();
-        assert_eq!(
-            assess_window(&profile, &[], &cfg),
-            Err(DetectError::EmptyWindow)
-        );
+        let profile = profile();
+        assert_eq!(assess_window(&profile, &[]), Err(DetectError::EmptyWindow));
     }
 }

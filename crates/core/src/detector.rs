@@ -17,7 +17,7 @@ pub struct Decision {
     /// `score > threshold`.
     pub detected: bool,
     /// The window was scored under graceful degradation (packets lost,
-    /// rejected, antenna-reduced or clipped) — trust accordingly.
+    /// rejected or antenna-reduced) — trust accordingly.
     pub degraded: bool,
 }
 

@@ -25,12 +25,12 @@ pub enum DetectError {
         /// Minimum required.
         need: usize,
     },
-    /// Fault-degraded window lost more packets than the configured
-    /// gap budget allows; the window must be aborted, not scored.
+    /// Fault-degraded window lost more packets than the gap budget
+    /// allows; the window must be aborted, not scored.
     DegradedBeyondBudget {
         /// Packets lost or rejected within the window.
         lost: usize,
-        /// The configured tolerance ([`crate::profile::DetectorConfig::gap_budget`]).
+        /// The tolerance: the gap budget of 5 packets per window.
         budget: usize,
     },
     /// Too few receive chains survived quarantine for angle estimation:

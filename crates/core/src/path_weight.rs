@@ -7,8 +7,8 @@
 //!
 //! `w(θ) = 1/Ps(θ)` for `θ_min < θ < θ_max`, `0` otherwise,
 //!
-//! with the angular gate (±60° in the paper's implementation) excluding
-//! the error-prone large-angle region of a short linear array.
+//! with the paper's fixed angular gate `(θ_min, θ_max) = (−60°, 60°)`
+//! excluding the error-prone large-angle region of a short linear array.
 
 use mpdf_music::music::Pseudospectrum;
 
@@ -17,60 +17,24 @@ use mpdf_music::music::Pseudospectrum;
 pub struct PathWeights {
     angles_deg: Vec<f64>,
     weights: Vec<f64>,
-    theta_min_deg: f64,
-    theta_max_deg: f64,
 }
 
 impl PathWeights {
-    /// The paper's angular gate: ±60°.
-    pub const DEFAULT_THETA_MIN_DEG: f64 = -60.0;
-    /// See [`PathWeights::DEFAULT_THETA_MIN_DEG`].
-    pub const DEFAULT_THETA_MAX_DEG: f64 = 60.0;
-    /// Default cap on the inverse-spectrum weights. MUSIC pseudospectra
-    /// have deep, noisy nulls; an uncapped `1/Ps(θ)` amplifies exactly
-    /// the angles where the estimate is least reliable (the same
-    /// reliability concern that motivates the paper's angular gate).
-    pub const DEFAULT_WEIGHT_CAP: f64 = 30.0;
+    /// Lower edge `θ_min` of the paper's angular gate (§IV-B2), exclusive.
+    pub const THETA_MIN_DEG: f64 = -60.0;
+    /// Upper edge `θ_max` of the paper's angular gate, exclusive.
+    pub const THETA_MAX_DEG: f64 = 60.0;
+    /// Cap on the inverse-spectrum weights. MUSIC pseudospectra have
+    /// deep, noisy nulls; an uncapped `1/Ps(θ)` amplifies exactly the
+    /// angles where the estimate is least reliable (the same reliability
+    /// concern that motivates the paper's angular gate).
+    pub const WEIGHT_CAP: f64 = 30.0;
 
-    /// Builds weights from the static-environment pseudospectrum with the
-    /// paper's default ±60° gate and the default weight cap.
+    /// Builds the Eq. 17 weights from the static-environment
+    /// pseudospectrum: normalized `1/Ps(θ)` strictly inside the gate,
+    /// capped at [`PathWeights::WEIGHT_CAP`], and 0 outside.
     pub fn from_static_spectrum(spectrum: &Pseudospectrum) -> Self {
-        PathWeights::with_gate(
-            spectrum,
-            Self::DEFAULT_THETA_MIN_DEG,
-            Self::DEFAULT_THETA_MAX_DEG,
-        )
-    }
-
-    /// Builds weights with an explicit angular gate and the default cap.
-    ///
-    /// # Panics
-    /// Panics if `theta_min_deg >= theta_max_deg`.
-    pub fn with_gate(spectrum: &Pseudospectrum, theta_min_deg: f64, theta_max_deg: f64) -> Self {
-        PathWeights::with_gate_and_cap(
-            spectrum,
-            theta_min_deg,
-            theta_max_deg,
-            Self::DEFAULT_WEIGHT_CAP,
-        )
-    }
-
-    /// Builds weights with an explicit angular gate and weight cap.
-    ///
-    /// # Panics
-    /// Panics if `theta_min_deg >= theta_max_deg` or `cap <= 0`.
-    pub fn with_gate_and_cap(
-        spectrum: &Pseudospectrum,
-        theta_min_deg: f64,
-        theta_max_deg: f64,
-        cap: f64,
-    ) -> Self {
         let _stage = mpdf_obs::stage!("core.path_weight");
-        assert!(
-            theta_min_deg < theta_max_deg,
-            "angular gate must be non-empty"
-        );
-        assert!(cap > 0.0, "weight cap must be positive");
         // Normalize first so weights are invariant to the pseudospectrum's
         // arbitrary scale.
         let norm = spectrum.normalized();
@@ -79,8 +43,8 @@ impl PathWeights {
             .iter()
             .zip(norm.values())
             .map(|(&deg, &v)| {
-                if deg > theta_min_deg && deg < theta_max_deg {
-                    (1.0 / v.max(1e-9)).min(cap)
+                if deg > Self::THETA_MIN_DEG && deg < Self::THETA_MAX_DEG {
+                    (1.0 / v.max(1e-9)).min(Self::WEIGHT_CAP)
                 } else {
                     0.0
                 }
@@ -89,8 +53,6 @@ impl PathWeights {
         PathWeights {
             angles_deg: norm.angles_deg().to_vec(),
             weights,
-            theta_min_deg,
-            theta_max_deg,
         }
     }
 
@@ -102,30 +64,6 @@ impl PathWeights {
     /// The weight values (zero outside the gate).
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// The angular gate `(θ_min, θ_max)` in degrees.
-    pub fn gate_deg(&self) -> (f64, f64) {
-        (self.theta_min_deg, self.theta_max_deg)
-    }
-
-    /// Applies the weights to a pseudospectrum sampled on the *same* grid,
-    /// returning the weighted angular profile.
-    ///
-    /// # Panics
-    /// Panics if the spectrum's grid differs from the weights' grid.
-    pub fn apply(&self, spectrum: &Pseudospectrum) -> Vec<f64> {
-        assert_eq!(
-            spectrum.angles_deg(),
-            self.angles_deg.as_slice(),
-            "pseudospectrum grid must match path-weight grid"
-        );
-        let norm = spectrum.normalized();
-        norm.values()
-            .iter()
-            .zip(&self.weights)
-            .map(|(&v, &w)| v * w)
-            .collect()
     }
 }
 
@@ -176,15 +114,6 @@ mod tests {
                 assert!(wt > 0.0, "angle {a} must be weighted");
             }
         }
-        assert_eq!(w.gate_deg(), (-60.0, 60.0));
-    }
-
-    #[test]
-    fn custom_gate() {
-        let spec = spectrum_with_peak();
-        let w = PathWeights::with_gate(&spec, -30.0, 30.0);
-        let idx45 = w.angles_deg().iter().position(|&a| a == 45.0).unwrap();
-        assert_eq!(w.weights()[idx45], 0.0);
     }
 
     #[test]
@@ -202,15 +131,17 @@ mod tests {
     }
 
     #[test]
-    fn applying_weights_to_static_spectrum_flattens_it() {
-        // w(θ)·Ps(θ) = 1 inside the gate by construction, except where
-        // the cap bounds the weight (deep spectrum floor).
+    fn weights_flatten_the_static_spectrum() {
+        // w(θ)·Ps(θ) = 1 inside the gate by construction (on the
+        // normalized spectrum), except where the cap bounds the weight
+        // (deep spectrum floor).
         let spec = spectrum_with_peak();
         let w = PathWeights::from_static_spectrum(&spec);
-        let applied = w.apply(&spec);
-        let cap = PathWeights::DEFAULT_WEIGHT_CAP;
+        let norm = spec.normalized();
+        let cap = PathWeights::WEIGHT_CAP;
         let mut flat = 0;
-        for ((&a, &v), &wt) in spec.angles_deg().iter().zip(&applied).zip(w.weights()) {
+        for ((&a, &ps), &wt) in spec.angles_deg().iter().zip(norm.values()).zip(w.weights()) {
+            let v = ps * wt;
             if wt == 0.0 {
                 assert_eq!(v, 0.0);
             } else if (wt - cap).abs() < 1e-9 {
@@ -221,46 +152,5 @@ mod tests {
             }
         }
         assert!(flat > 10, "some angles must invert exactly");
-    }
-
-    #[test]
-    fn applying_weights_amplifies_nlos_changes() {
-        // A change of equal absolute size at the LOS peak and at the NLOS
-        // bump must register larger after weighting at the NLOS angle.
-        let base = spectrum_with_peak();
-        let w = PathWeights::from_static_spectrum(&base);
-        let bump = |center: f64| {
-            Pseudospectrum::new(
-                base.angles_deg().to_vec(),
-                base.angles_deg()
-                    .iter()
-                    .zip(base.values())
-                    .map(|(&a, &v)| v + 1.0 * (-((a - center) / 5.0_f64).powi(2)).exp())
-                    .collect(),
-            )
-        };
-        let w_base = w.apply(&base);
-        let w_los = w.apply(&bump(0.0));
-        let w_nlos = w.apply(&bump(40.0));
-        let dist = |a: &[f64], b: &[f64]| -> f64 {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt()
-        };
-        assert!(
-            dist(&w_nlos, &w_base) > dist(&w_los, &w_base),
-            "NLOS change must be amplified more"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "grid must match")]
-    fn mismatched_grid_panics() {
-        let spec = spectrum_with_peak();
-        let w = PathWeights::from_static_spectrum(&spec);
-        let other = Pseudospectrum::new(vec![0.0, 1.0], vec![1.0, 1.0]);
-        let _ = w.apply(&other);
     }
 }

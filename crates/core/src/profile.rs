@@ -24,7 +24,7 @@ use mpdf_rfmath::contract;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
-use mpdf_wifi::quarantine::{classify, PacketClass, QuarantinePolicy};
+use mpdf_wifi::quarantine::{classify, PacketClass};
 
 use crate::error::DetectError;
 use crate::multipath_factor::MuGrid;
@@ -45,16 +45,8 @@ pub struct DetectorConfig {
     pub num_sources: usize,
     /// Angular scan grid.
     pub grid: AngleGrid,
-    /// Path-weight angular gate in degrees (paper: ±60°).
-    pub theta_gate_deg: (f64, f64),
     /// Monitoring window length in packets (25 ≈ 0.5 s at 50 pkt/s).
     pub window: usize,
-    /// Maximum packets a monitoring window may lose (sequence gaps plus
-    /// quarantine rejects) before scoring aborts with
-    /// [`DetectError::DegradedBeyondBudget`].
-    pub gap_budget: usize,
-    /// Per-packet validation policy applied before scoring.
-    pub quarantine: QuarantinePolicy,
 }
 
 impl Default for DetectorConfig {
@@ -64,13 +56,7 @@ impl Default for DetectorConfig {
             steering: UlaSteering::three_half_wavelength(),
             num_sources: 2,
             grid: AngleGrid::full_front(1.0),
-            theta_gate_deg: (
-                PathWeights::DEFAULT_THETA_MIN_DEG,
-                PathWeights::DEFAULT_THETA_MAX_DEG,
-            ),
             window: 25,
-            gap_budget: 5,
-            quarantine: QuarantinePolicy::default(),
         }
     }
 }
@@ -135,7 +121,7 @@ impl CalibrationProfile {
         let kept: Vec<&CsiPacket> = packets
             .iter()
             .filter(|p| {
-                let ok = matches!(classify(p, &config.quarantine), PacketClass::Ok);
+                let ok = matches!(classify(p), PacketClass::Ok);
                 if !ok {
                     mpdf_obs::counter!("core.calibration_quarantined_total").inc();
                 }
@@ -172,11 +158,7 @@ impl CalibrationProfile {
         let pooled = pool_covariances(&static_covariances, None);
         let steering_table = SteeringTable::new(&config.steering, &config.grid);
         let static_spectrum = pseudospectrum_on(&pooled, &steering_table, config.num_sources)?;
-        let path_weights = PathWeights::with_gate(
-            &static_spectrum,
-            config.theta_gate_deg.0,
-            config.theta_gate_deg.1,
-        );
+        let path_weights = PathWeights::from_static_spectrum(&static_spectrum);
 
         Ok(CalibrationProfile {
             antennas,
@@ -195,11 +177,10 @@ impl CalibrationProfile {
     /// Reassembles a profile from previously stored parts (checkpoint
     /// restore).
     ///
-    /// The Eq. 17 path weights are re-derived from the stored spectrum
-    /// under `config.theta_gate_deg`, and the μ_k grid and steering table
-    /// are rebuilt from `config` — the identical arithmetic
-    /// [`CalibrationProfile::build`] runs — so a restored profile compares
-    /// equal to the one that was saved.
+    /// The Eq. 17 path weights are re-derived from the stored spectrum,
+    /// and the μ_k grid and steering table are rebuilt from `config` —
+    /// the identical arithmetic [`CalibrationProfile::build`] runs — so a
+    /// restored profile compares equal to the one that was saved.
     ///
     /// # Errors
     /// [`DetectError::InvalidConfig`] if the part shapes disagree with the
@@ -239,11 +220,7 @@ impl CalibrationProfile {
                 what: format!("expected {subcarriers} static covariances of {antennas}x{antennas}"),
             });
         }
-        let path_weights = PathWeights::with_gate(
-            &static_spectrum,
-            config.theta_gate_deg.0,
-            config.theta_gate_deg.1,
-        );
+        let path_weights = PathWeights::from_static_spectrum(&static_spectrum);
         Ok(CalibrationProfile {
             antennas,
             subcarriers,
@@ -767,7 +744,7 @@ mod tests {
             assert!(
                 packets
                     .iter()
-                    .all(|p| matches!(classify(p, &cfg.quarantine), PacketClass::Ok)),
+                    .all(|p| matches!(classify(p), PacketClass::Ok)),
                 "a clean capture passes the quarantine whole"
             );
             assert_bitwise_eq(

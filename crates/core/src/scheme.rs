@@ -139,7 +139,7 @@ impl<'a> PreparedWindow<'a> {
         }
         self.front
             .get_or_init(|| {
-                let (packets, health) = assess_window(self.profile, self.window, self.config)?;
+                let (packets, health) = assess_window(self.profile, self.window)?;
                 Ok(FrontEnd {
                     packets,
                     health,
@@ -159,37 +159,6 @@ impl FrontEnd {
         self.weights.get_or_init(|| {
             SubcarrierWeights::from_packets_on(&self.packets, &profile.mu_grid(&config.band))
         })
-    }
-}
-
-/// Zeroes the weights of clipped subcarriers and rescales the survivors
-/// so the total weight mass is preserved (a rail-stuck tone reports a
-/// meaningless amplitude change, not a small one).
-fn renormalize_clipped(weights: &[f64], clipped: &[bool]) -> Vec<f64> {
-    let mut w: Vec<f64> = weights
-        .iter()
-        .zip(clipped)
-        .map(|(&wk, &c)| if c { 0.0 } else { wk })
-        .collect();
-    let surviving: f64 = w.iter().sum();
-    let original: f64 = weights.iter().sum();
-    if surviving > f64::MIN_POSITIVE {
-        let scale = original / surviving;
-        for wk in &mut w {
-            *wk *= scale;
-        }
-    }
-    w
-}
-
-/// Effective subcarrier weights: untouched on a clean window, clip-
-/// renormalized on a degraded one (the zero-fault byte-identity hinges
-/// on the clean branch returning the input weights verbatim).
-fn effective_weights(weights: &SubcarrierWeights, health: &WindowHealth) -> Vec<f64> {
-    if health.clipped_subcarriers.iter().any(|&c| c) {
-        renormalize_clipped(&weights.weights, &health.clipped_subcarriers)
-    } else {
-        weights.weights.clone()
     }
 }
 
@@ -315,8 +284,8 @@ impl DetectionScheme for SubcarrierWeighting {
                 }
             })
             .collect();
-        let eff = effective_weights(front.weights(profile, config), health);
-        let weighted: Vec<f64> = delta.iter().zip(&eff).map(|(d, w)| w * d).collect();
+        let weights = &front.weights(profile, config).weights;
+        let weighted: Vec<f64> = delta.iter().zip(weights).map(|(d, w)| w * d).collect();
         Ok((
             weighted.iter().map(|d| d * d).sum::<f64>().sqrt(),
             health.clone(),
@@ -350,7 +319,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                 needed: 2,
             });
         }
-        let eff = effective_weights(front.weights(profile, config), health);
+        let eff: &[f64] = &front.weights(profile, config).weights;
 
         // MUSIC 3→2 fallback: when a chain dropped for the whole window,
         // both sides of the comparison shrink to the surviving sub-array
@@ -369,13 +338,13 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                         usable: health.usable_antennas.clone(),
                     })?,
                 profile
-                    .weighted_static_covariance(Some(&eff))
+                    .weighted_static_covariance(Some(eff))
                     .principal_submatrix(&health.usable_antennas),
             )
         } else {
             (
                 config.steering,
-                profile.weighted_static_covariance(Some(&eff)),
+                profile.weighted_static_covariance(Some(eff)),
             )
         };
 
@@ -386,7 +355,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         // weights at calibration), but the detection distance needs the
         // power-bearing angular profile of the paper's "subcarrier
         // weighted signal strengths".
-        let monitored_cov = pooled_fb_covariance(window, &eff);
+        let monitored_cov = pooled_fb_covariance(window, eff);
         // The calibration side is the same subcarrier weights applied to
         // the stored static covariances (the §IV-C linearity argument),
         // reduced to the same antennas, so it has the monitored shape.
@@ -657,7 +626,7 @@ mod tests {
             err,
             DetectError::DegradedBeyondBudget {
                 lost: 18,
-                budget: cfg.gap_budget
+                budget: crate::degrade::GAP_BUDGET
             }
         );
     }
@@ -719,13 +688,6 @@ mod tests {
     #[test]
     fn score_prepared_is_bitwise_score_with_health_on_every_window_kind() {
         let (profile, cfg) = profile_and_config();
-        let clip_cfg = DetectorConfig {
-            quarantine: mpdf_wifi::quarantine::QuarantinePolicy {
-                saturation_amp: 2.0,
-                ..cfg.quarantine
-            },
-            ..cfg.clone()
-        };
         let busy = scene_packets(10, 0.4, -20.0);
         let mut dead_row = busy.clone();
         dead_row[2] = with_dead_row(&dead_row[2], 1);
@@ -744,13 +706,15 @@ mod tests {
         let over_budget: Vec<CsiPacket> =
             scene_packets(30, 0.0, 0.0).into_iter().step_by(3).collect();
         let mismatched = vec![CsiPacket::new(2, 30, vec![Complex64::ONE; 60], 0, 0.0)];
-        let cases: [(&str, &[CsiPacket], &DetectorConfig); 6] = [
-            ("clean", &busy, &cfg),
-            ("dead row", &dead_row, &cfg),
-            ("clipped", &clipped, &clip_cfg),
-            ("over budget", &over_budget, &cfg),
-            ("empty", &[], &cfg),
-            ("shape mismatch", &mismatched, &cfg),
+        // `clipped` holds one AGC-clipped tone: a finite sample, so the
+        // quarantine passes it as captured.
+        let cases: [(&str, &[CsiPacket]); 6] = [
+            ("clean", &busy),
+            ("dead row", &dead_row),
+            ("clipped", &clipped),
+            ("over budget", &over_budget),
+            ("empty", &[]),
+            ("shape mismatch", &mismatched),
         ];
         let schemes = [
             &Baseline as &dyn DetectionScheme,
@@ -758,29 +722,26 @@ mod tests {
             &SubcarrierWeighting,
             &SubcarrierAndPathWeighting,
         ];
-        for (label, window, config) in cases {
+        for (label, window) in cases {
             // All four schemes share one preparation, as a replay scores
             // them; each must match a preparation of its own.
-            let prepared = PreparedWindow::new(&profile, window, config);
+            let prepared = PreparedWindow::new(&profile, window, &cfg);
             for scheme in schemes {
                 let shared = outcome(scheme.score_prepared(&prepared));
-                let fresh = outcome(scheme.score_with_health(&profile, window, config));
+                let fresh = outcome(scheme.score_with_health(&profile, window, &cfg));
                 assert_eq!(shared, fresh, "{label}: {}", scheme.name());
             }
         }
         // The windows do reach the paths they are named for.
-        let health = |w: &[CsiPacket], c: &DetectorConfig| {
-            PreparedWindow::new(&profile, w, c).health().cloned()
-        };
-        assert!(health(&dead_row, &cfg).unwrap().widened_uncertainty);
-        assert!(health(&clipped, &clip_cfg).unwrap().clipped_subcarriers[5]);
+        let health = |w: &[CsiPacket]| PreparedWindow::new(&profile, w, &cfg).health().cloned();
+        assert!(health(&dead_row).unwrap().widened_uncertainty);
         assert!(matches!(
-            health(&over_budget, &cfg),
+            health(&over_budget),
             Err(DetectError::DegradedBeyondBudget { .. })
         ));
-        assert_eq!(health(&[], &cfg), Err(DetectError::EmptyWindow));
+        assert_eq!(health(&[]), Err(DetectError::EmptyWindow));
         assert!(matches!(
-            health(&mismatched, &cfg),
+            health(&mismatched),
             Err(DetectError::ShapeMismatch { .. })
         ));
     }
@@ -799,22 +760,22 @@ mod tests {
         let front = prepared.front().unwrap();
         let health = &front.health;
         let weights = SubcarrierWeights::from_packets(&front.packets, &config.band);
-        let eff = effective_weights(&weights, health);
+        let eff: &[f64] = &weights.weights;
         let (steering, static_cov) = if health.widened_uncertainty {
             (
                 config.steering.subset(&health.usable_antennas)?,
                 profile
-                    .weighted_static_covariance(Some(&eff))
+                    .weighted_static_covariance(Some(eff))
                     .principal_submatrix(&health.usable_antennas),
             )
         } else {
             (
                 config.steering,
-                profile.weighted_static_covariance(Some(&eff)),
+                profile.weighted_static_covariance(Some(eff)),
             )
         };
         let monitored_cov =
-            pool_covariances(&per_subcarrier_fb_covariances(&front.packets), Some(&eff));
+            pool_covariances(&per_subcarrier_fb_covariances(&front.packets), Some(eff));
         let monitored = bartlett_spectrum(&monitored_cov, &steering, &config.grid).unwrap();
         let stat = bartlett_spectrum(&static_cov, &steering, &config.grid).unwrap();
         let raw: Vec<f64> = monitored
@@ -887,13 +848,6 @@ mod tests {
                 num_sources: (antennas - 1).min(2),
                 ..DetectorConfig::default()
             };
-            let clip_cfg = DetectorConfig {
-                quarantine: mpdf_wifi::quarantine::QuarantinePolicy {
-                    saturation_amp: 1.6,
-                    ..cfg.quarantine
-                },
-                ..cfg.clone()
-            };
             let profile =
                 CalibrationProfile::build(&array_scene(antennas, 30, 0.0, 0.0), &cfg).unwrap();
             let calm = array_scene(antennas, 25, 0.0, 0.0);
@@ -936,16 +890,16 @@ mod tests {
                 .enumerate()
                 .map(|(i, p)| map_packet(p, |_, _, h| h * Complex64::cis(0.731 * i as f64 + 0.2)))
                 .collect();
-            let cases: [(&str, &[CsiPacket], &DetectorConfig); 6] = [
-                ("calm", &calm, &cfg),
-                ("busy", &busy, &cfg),
-                ("widened", &widened, &cfg),
-                ("clipped", &clipped, &clip_cfg),
-                ("chaos", &chaos, &cfg),
-                ("rotated", &rotated, &cfg),
+            let cases: [(&str, &[CsiPacket]); 6] = [
+                ("calm", &calm),
+                ("busy", &busy),
+                ("widened", &widened),
+                ("clipped", &clipped),
+                ("chaos", &chaos),
+                ("rotated", &rotated),
             ];
-            for (label, window, config) in cases {
-                let prepared = PreparedWindow::new(&profile, window, config);
+            for (label, window) in cases {
+                let prepared = PreparedWindow::new(&profile, window, &cfg);
                 let what = format!("{antennas} chains, {label}");
                 match SubcarrierAndPathWeighting.score_prepared(&prepared) {
                     Ok((score, _)) => {
@@ -960,15 +914,14 @@ mod tests {
                 }
             }
             // The windows reach the paths they are named for.
-            let health = |w: &[CsiPacket], c: &DetectorConfig| {
-                PreparedWindow::new(&profile, w, c)
+            let health = |w: &[CsiPacket]| {
+                PreparedWindow::new(&profile, w, &cfg)
                     .health()
                     .cloned()
                     .unwrap()
             };
-            assert_eq!(health(&widened, &cfg).usable_antennas.len(), antennas - 1);
-            assert!(health(&clipped, &clip_cfg).clipped_subcarriers[11]);
-            let chaos_health = health(&chaos, &cfg);
+            assert_eq!(health(&widened).usable_antennas.len(), antennas - 1);
+            let chaos_health = health(&chaos);
             assert!(
                 chaos_health.degraded,
                 "{antennas} chains: chaos window not degraded"
@@ -1023,17 +976,5 @@ mod tests {
         assert_eq!(combined_oracle(&prepared), None);
         // The schemes that never scan angles still score the window.
         assert!(SubcarrierWeighting.score_prepared(&prepared).is_ok());
-    }
-
-    #[test]
-    fn clipped_subcarriers_renormalize_weight_mass() {
-        let w = [0.1, 0.2, 0.3, 0.4];
-        let clipped = [false, true, false, false];
-        let r = renormalize_clipped(&w, &clipped);
-        assert_eq!(r[1], 0.0);
-        let total: f64 = r.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12, "mass preserved, got {total}");
-        // Survivors keep their relative proportions.
-        assert!((r[3] / r[0] - 4.0).abs() < 1e-12);
     }
 }

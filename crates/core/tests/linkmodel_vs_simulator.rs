@@ -8,6 +8,11 @@
 //! physics layer and the analysis layer ever drift apart, this test
 //! fails.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_core::linkmodel::TwoPathLink;
 use mpdf_geom::shapes::Rect;
 use mpdf_geom::vec2::Vec2;

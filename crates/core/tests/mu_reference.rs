@@ -1,18 +1,31 @@
-//! A straight-line reference for the μ_k estimator (Eq. 9–11) and the
-//! subcarrier weights built on it (Eq. 12–15), written from the
-//! equations alone — no `MuGrid`, no `TrendAxis`, no
-//! `mpdf_wifi::sanitize`, no `median_with` — and differential-tested
-//! against production on receiver packets as captured, full arrays and
-//! surviving sub-arrays alike.
+//! A straight-line reference for the μ_k estimator (Eq. 9–11), the
+//! subcarrier weights built on it (Eq. 12–15), the calibration's MUSIC
+//! pseudospectrum and path weights (Eq. 16–17) and the combined score's
+//! weighted distance (§IV-C), written from the equations alone — no
+//! `MuGrid`, no `TrendAxis`, no `mpdf_wifi::sanitize`, no `median_with`,
+//! no `SteeringTable`, no `scan` kernel, no const generics — and
+//! differential-tested against production on receiver packets as
+//! captured, full arrays and surviving sub-arrays alike.
+
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
 
 use mpdf_core::multipath_factor::{multipath_factors, multipath_factors_row, MuGrid, MuScratch};
+use mpdf_core::path_weight::PathWeights;
+use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
+use mpdf_core::scheme::{DetectionScheme, SubcarrierAndPathWeighting};
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_geom::shapes::Rect;
 use mpdf_geom::vec2::Vec2;
+use mpdf_music::music::UlaSteering;
 use mpdf_propagation::channel::ChannelModel;
 use mpdf_propagation::environment::Environment;
 use mpdf_propagation::human::HumanBody;
 use mpdf_rfmath::complex::Complex64;
+use mpdf_rfmath::eig::hermitian_eig;
+use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::receiver::CsiReceiver;
@@ -225,6 +238,282 @@ fn production_weights_match_the_straight_line_reference() {
                     "seed {seed}, chains {chains:?}: uniform weights"
                 );
             }
+        }
+    }
+}
+
+/// Relative agreement the Eq. 16–17 reference must reach (the largest
+/// difference seen is 5·10⁻⁹, at a MUSIC peak). Looser than
+/// [`TOLERANCE`]: the reference sums noise-subspace projections
+/// `Σ|eᴴa|²` and pools covariances in its own order, and a peak divides
+/// by a near-zero projection, which magnifies the last-bit differences.
+const SPECTRUM_TOLERANCE: f64 = 1e-7;
+
+/// Relative agreement of the combined score (the largest difference
+/// seen is below 10⁻¹³): Bartlett powers sit far from zero, so nothing
+/// magnifies the pooling order.
+const SCORE_TOLERANCE: f64 = 1e-10;
+
+/// The chain subsets scored: every 2-chain sub-array a dead chain
+/// leaves, then the whole 3-element λ/2 array.
+const CHAIN_SETS: [&[usize]; 4] = [&[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
+
+/// A square complex matrix as plain rows.
+type Matrix = Vec<Vec<Complex64>>;
+
+/// The scan grid of the paper: −90° to 90° in 1° steps.
+fn angles_deg() -> Vec<f64> {
+    (-90..=90).map(f64::from).collect()
+}
+
+/// Response of an `elements`-element ULA with `spacing` wavelengths
+/// between elements, centred on the array, at `theta_deg` from
+/// broadside: element `m` turns by `−2π·spacing·(m − (M−1)/2)·sin θ`.
+fn steering(elements: usize, spacing: f64, theta_deg: f64) -> Vec<Complex64> {
+    let mid = (elements as f64 - 1.0) / 2.0;
+    (0..elements)
+        .map(|m| Complex64::cis(-TAU * spacing * (m as f64 - mid) * theta_deg.to_radians().sin()))
+        .collect()
+}
+
+/// Forward–backward covariance of subcarrier `k`: `(R + J·R*·J)/2` of
+/// the sample covariance `R = (1/N) Σ_n u_n u_nᴴ` over the packets'
+/// column snapshots `u_n`.
+fn fb_covariance(packets: &[CsiPacket], k: usize) -> Matrix {
+    let m = packets[0].antennas();
+    let n = packets.len() as f64;
+    let mut r = vec![vec![Complex64::ZERO; m]; m];
+    for p in packets {
+        for (i, row) in r.iter_mut().enumerate() {
+            for (j, entry) in row.iter_mut().enumerate() {
+                *entry += p.get(i, k) * p.get(j, k).conj();
+            }
+        }
+    }
+    (0..m)
+        .map(|i| {
+            (0..m)
+                .map(|j| (r[i][j] + r[m - 1 - i][m - 1 - j].conj()).scale(0.5 / n))
+                .collect()
+        })
+        .collect()
+}
+
+/// The subcarrier-weighted pool `Σ_k w_k·FB(R_k) / Σ_k w_k`.
+fn pooled_covariance(packets: &[CsiPacket], weights: &[f64]) -> Matrix {
+    let m = packets[0].antennas();
+    let total: f64 = weights.iter().sum();
+    let mut out = vec![vec![Complex64::ZERO; m]; m];
+    for (k, &w) in weights.iter().enumerate() {
+        let r = fb_covariance(packets, k);
+        for i in 0..m {
+            for j in 0..m {
+                out[i][j] += r[i][j].scale(w / total);
+            }
+        }
+    }
+    out
+}
+
+/// Eq. 16: the MUSIC pseudospectrum `Ps(θ) = 1 / Σ_{e ∈ E_N} |eᴴa(θ)|²`
+/// over the noise subspace `E_N` (the eigenvectors past the `sources`
+/// largest eigenvalues), the projection floored at 10⁻¹².
+fn music_spectrum(cov: &Matrix, sources: usize, spacing: f64) -> Vec<f64> {
+    let m = cov.len();
+    let flat: Vec<Complex64> = cov.iter().flatten().copied().collect();
+    let eig = hermitian_eig(&CMatrix::from_rows(m, m, &flat), 1e-10).unwrap();
+    angles_deg()
+        .into_iter()
+        .map(|theta| {
+            let a = steering(m, spacing, theta);
+            let projection: f64 = (sources..m)
+                .map(|c| {
+                    (0..m)
+                        .fold(Complex64::ZERO, |acc, r| {
+                            acc + eig.vectors[(r, c)].conj() * a[r]
+                        })
+                        .norm_sqr()
+                })
+                .sum();
+            1.0 / projection.max(1e-12)
+        })
+        .collect()
+}
+
+/// Eq. 17: `w(θ) = 1/Ps(θ)` on the peak-normalized spectrum strictly
+/// inside the gate `(θ_min, θ_max)`, capped, and 0 outside.
+fn path_weights(spectrum: &[f64]) -> Vec<f64> {
+    let peak = spectrum.iter().copied().fold(f64::MIN_POSITIVE, f64::max);
+    angles_deg()
+        .into_iter()
+        .zip(spectrum)
+        .map(|(theta, &ps)| {
+            if theta > PathWeights::THETA_MIN_DEG && theta < PathWeights::THETA_MAX_DEG {
+                (1.0 / (ps / peak).max(1e-9)).min(PathWeights::WEIGHT_CAP)
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// Bartlett power `aᴴ·R·a`.
+fn bartlett(cov: &Matrix, a: &[Complex64]) -> f64 {
+    let mut power = Complex64::ZERO;
+    for (i, row) in cov.iter().enumerate() {
+        for (j, &r) in row.iter().enumerate() {
+            power += a[i].conj() * r * a[j];
+        }
+    }
+    power.re
+}
+
+/// The combined score of §IV-C: per gated angle, the dB ratio of the
+/// Bartlett powers (clamped at 0) of the Eq. 15-weighted monitored and
+/// static covariances; the gate mean removed; the path-weighted RMS.
+fn combined_score(
+    calibration: &[CsiPacket],
+    window: &[CsiPacket],
+    weights_by_angle: &[f64],
+    spacing: f64,
+    band: &Band,
+) -> f64 {
+    let (_, _, weights) = reference_weights(window, band);
+    let monitored = pooled_covariance(window, &weights);
+    let stored = pooled_covariance(calibration, &weights);
+    let m = monitored.len();
+    let mut gated = Vec::new();
+    for (theta, &w) in angles_deg().into_iter().zip(weights_by_angle) {
+        if w <= 0.0 {
+            continue;
+        }
+        let a = steering(m, spacing, theta);
+        let (pm, ps) = (
+            bartlett(&monitored, &a).max(0.0),
+            bartlett(&stored, &a).max(0.0),
+        );
+        let d = if pm <= f64::MIN_POSITIVE || ps <= f64::MIN_POSITIVE {
+            0.0
+        } else {
+            10.0 * (pm / ps).log10()
+        };
+        gated.push((d, w));
+    }
+    let n = gated.len() as f64;
+    let mean = gated.iter().map(|(d, _)| d).sum::<f64>() / n;
+    let sum_sq: f64 = gated.iter().map(|(d, w)| (w * (d - mean)).powi(2)).sum();
+    (sum_sq / n).sqrt()
+}
+
+/// A seeded receiver's clean 40-packet calibration capture and a
+/// 25-packet window with a person near the link.
+fn calibration_and_window(seed: u64) -> (Vec<CsiPacket>, Vec<CsiPacket>) {
+    let env = Environment::empty_room(Rect::new(Vec2::ZERO, Vec2::new(8.0, 6.0)));
+    let link = ChannelModel::new(env, Vec2::new(2.0, 3.0), Vec2::new(6.0, 3.0)).unwrap();
+    let mut rx = CsiReceiver::new(link, seed).unwrap();
+    let calibration = rx.capture_static(None, 40).unwrap();
+    let person = HumanBody::new(Vec2::new(4.4, 3.7));
+    let window = rx.capture_static(Some(&person), 25).unwrap();
+    (calibration, window)
+}
+
+/// `chains` of every packet.
+fn sub_array(packets: &[CsiPacket], chains: &[usize]) -> Vec<CsiPacket> {
+    packets.iter().map(|p| p.select_antennas(chains)).collect()
+}
+
+/// The detector configuration of the sub-array `chains` of the paper's
+/// array, resolving one path fewer than it has elements (at most 2), and
+/// its element spacing in wavelengths.
+fn sub_array_config(chains: &[usize]) -> (DetectorConfig, f64) {
+    let steering = UlaSteering::three_half_wavelength().subset(chains).unwrap();
+    let spacing = steering.spacing_wavelengths();
+    let config = DetectorConfig {
+        steering,
+        num_sources: (chains.len() - 1).min(2),
+        ..DetectorConfig::default()
+    };
+    (config, spacing)
+}
+
+fn close_within(got: f64, want: f64, tolerance: f64) -> bool {
+    (got - want).abs() <= tolerance * got.abs().max(want.abs())
+}
+
+#[test]
+fn production_spectrum_and_path_weights_match_the_straight_line_reference() {
+    let band = Band::wifi_2_4ghz_channel11();
+    let uniform = vec![1.0; band.num_subcarriers()];
+    let (mut capped, mut inverted) = (false, false);
+    for seed in [3, 41, 977] {
+        let (calibration, _) = calibration_and_window(seed);
+        for chains in CHAIN_SETS {
+            let (config, spacing) = sub_array_config(chains);
+            let packets = sub_array(&calibration, chains);
+            let profile = CalibrationProfile::build(&packets, &config).unwrap();
+            let spectrum = music_spectrum(
+                &pooled_covariance(&packets, &uniform),
+                config.num_sources,
+                spacing,
+            );
+            let weights = path_weights(&spectrum);
+            let got_spectrum = profile.static_spectrum().values();
+            let got_weights = profile.path_weights().weights();
+            assert_eq!(profile.static_spectrum().angles_deg(), angles_deg());
+            for (i, theta) in angles_deg().into_iter().enumerate() {
+                assert!(
+                    close_within(got_spectrum[i], spectrum[i], SPECTRUM_TOLERANCE),
+                    "seed {seed}, chains {chains:?}, Ps({theta}°): {} vs reference {}",
+                    got_spectrum[i],
+                    spectrum[i]
+                );
+                assert!(
+                    close_within(got_weights[i], weights[i], SPECTRUM_TOLERANCE),
+                    "seed {seed}, chains {chains:?}, w({theta}°): {} vs reference {}",
+                    got_weights[i],
+                    weights[i]
+                );
+            }
+            // The gate shapes the weights: zero outside, positive inside.
+            let inside = weights.iter().filter(|&&w| w > 0.0).count();
+            assert_eq!(inside, 119, "seed {seed}, chains {chains:?}");
+            capped |= weights.contains(&PathWeights::WEIGHT_CAP);
+            inverted |= weights
+                .iter()
+                .any(|&w| w > 0.0 && w < PathWeights::WEIGHT_CAP);
+        }
+    }
+    // The cap and the inversion both shape some of the weights.
+    assert!(capped && inverted, "capped {capped}, inverted {inverted}");
+}
+
+#[test]
+fn production_combined_score_matches_the_straight_line_reference() {
+    let band = Band::wifi_2_4ghz_channel11();
+    for seed in [3, 41, 977] {
+        let (calibration, window) = calibration_and_window(seed);
+        for chains in CHAIN_SETS {
+            let (config, spacing) = sub_array_config(chains);
+            let calibration = sub_array(&calibration, chains);
+            let window = sub_array(&window, chains);
+            let profile = CalibrationProfile::build(&calibration, &config).unwrap();
+            let got = SubcarrierAndPathWeighting
+                .score(&profile, &window, &config)
+                .unwrap();
+            let weights_by_angle = path_weights(&music_spectrum(
+                &pooled_covariance(&calibration, &vec![1.0; band.num_subcarriers()]),
+                config.num_sources,
+                spacing,
+            ));
+            let want = combined_score(&calibration, &window, &weights_by_angle, spacing, &band);
+            assert!(
+                want > 1e-3,
+                "seed {seed}, chains {chains:?}: the person moves no power ({want})"
+            );
+            assert!(
+                close_within(got, want, SCORE_TOLERANCE),
+                "seed {seed}, chains {chains:?}: score {got} vs reference {want}"
+            );
         }
     }
 }

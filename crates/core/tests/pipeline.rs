@@ -2,6 +2,11 @@
 //! detection, exercising all three schemes on the paper's classroom
 //! geometry.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_core::detector::Detector;
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::{

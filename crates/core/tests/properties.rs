@@ -1,5 +1,10 @@
 //! Property-based tests for the detection core.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::f64::consts::PI;
 
 use mpdf_core::linkmodel::TwoPathLink;
@@ -132,17 +137,17 @@ proptest! {
     #[test]
     fn path_weights_are_gated_and_capped(
         values in proptest::collection::vec(0.001f64..10.0, 181),
-        lo in -80.0f64..-10.0,
-        hi in 10.0f64..80.0,
     ) {
+        let (lo, hi) = (PathWeights::THETA_MIN_DEG, PathWeights::THETA_MAX_DEG);
+        let cap = PathWeights::WEIGHT_CAP;
         let angles: Vec<f64> = (-90..=90).map(|a| a as f64).collect();
         let spec = Pseudospectrum::new(angles.clone(), values);
-        let w = PathWeights::with_gate_and_cap(&spec, lo, hi, 25.0);
+        let w = PathWeights::from_static_spectrum(&spec);
         for (&a, &wt) in angles.iter().zip(w.weights()) {
             if a <= lo || a >= hi {
                 prop_assert_eq!(wt, 0.0);
             } else {
-                prop_assert!(wt > 0.0 && wt <= 25.0 + 1e-12);
+                prop_assert!(wt > 0.0 && wt <= cap + 1e-12);
             }
         }
         // Weight ordering is inverse to the (normalized) spectrum inside
@@ -151,7 +156,7 @@ proptest! {
         for i in 0..angles.len() {
             for j in 0..angles.len() {
                 let (wi, wj) = (w.weights()[i], w.weights()[j]);
-                if wi > 0.0 && wj > 0.0 && wi < 25.0 - 1e-9 && wj < 25.0 - 1e-9 {
+                if wi > 0.0 && wj > 0.0 && wi < cap - 1e-9 && wj < cap - 1e-9 {
                     let (vi, vj) = (norm.values()[i], norm.values()[j]);
                     if vi < vj {
                         prop_assert!(wi >= wj - 1e-9);

@@ -95,7 +95,6 @@ fn session_config(kind: Mode) -> SessionConfig {
     let mut cfg = SessionConfig {
         recalibration: RecalPolicy {
             enabled: !matches!(kind, Mode::Frozen),
-            shadow_windows: 4,
             ..RecalPolicy::default()
         },
         ..SessionConfig::default()

@@ -69,7 +69,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig10Result, mpdf_core::error::Detect
             let captured = receiver.capture_actors(&actors, cfg.detector.window)?;
             // Only healthy packets: a faulted row would poison the
             // covariance. A window with none has no estimate.
-            let window = healthy(&captured, &cfg.detector);
+            let window = healthy(&captured);
             if window.is_empty() {
                 continue;
             }

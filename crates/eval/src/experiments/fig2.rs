@@ -97,7 +97,7 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
     let case = measurement_case();
     let mut receiver = case_receiver(&case, cfg, cfg.seed ^ 0xF1B)?;
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
-    let static_power = CsiPacket::median_power_profile(&healthy(&calibration, &cfg.detector));
+    let static_power = CsiPacket::median_power_profile(&healthy(&calibration));
 
     // Crossing: walk perpendicular through the link midpoint, 4 m wide,
     // for the duration of the capture.
@@ -125,7 +125,7 @@ pub fn run_fig2b(cfg: &CampaignConfig, packets: usize) -> Result<Fig2bResult, De
     // quarantine does not pass is left out.
     let mut series: Vec<Vec<(usize, f64)>> = (0..30).map(|_| Vec::with_capacity(packets)).collect();
     for (i, p) in stream.iter().enumerate() {
-        let Some(q) = healthy(std::slice::from_ref(p), &cfg.detector).pop() else {
+        let Some(q) = healthy(std::slice::from_ref(p)).pop() else {
             continue;
         };
         for (k, slot) in series.iter_mut().enumerate() {

@@ -61,7 +61,7 @@ fn measure(
     let stream = receiver.capture_actors(&actors, packets)?;
     let band = &cfg.detector.band;
 
-    let per_packet: Vec<Vec<f64>> = healthy(&stream, &cfg.detector)
+    let per_packet: Vec<Vec<f64>> = healthy(&stream)
         .iter()
         .map(|q| multipath_factors(q, band))
         .collect();

@@ -138,7 +138,7 @@ pub fn run_fig5c(cfg: &CampaignConfig) -> Result<Fig5cResult, DetectError> {
     let case = wall_adjacent_case();
     let mut receiver = case_receiver(&case, cfg, cfg.seed ^ 0x5C)?;
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
-    let static_power = CsiPacket::median_power_profile(&healthy(&calibration, &cfg.detector));
+    let static_power = CsiPacket::median_power_profile(&healthy(&calibration));
 
     let angles: Vec<f64> = (0..16).map(|i| -90.0 + 180.0 * i as f64 / 15.0).collect();
     let positions = crate::scenario::angle_fan_positions(&case, 1.0, &angles);
@@ -151,7 +151,7 @@ pub fn run_fig5c(cfg: &CampaignConfig) -> Result<Fig5cResult, DetectError> {
         }];
         let window = receiver.capture_actors(&actors, cfg.detector.window)?;
         // An angle whose window has no healthy packet has no reading.
-        let kept = healthy(&window, &cfg.detector);
+        let kept = healthy(&window);
         if kept.is_empty() {
             continue;
         }

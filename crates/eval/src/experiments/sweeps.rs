@@ -3,7 +3,7 @@
 
 use mpdf_core::error::DetectError;
 use mpdf_core::multipath_factor::multipath_factors;
-use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
+use mpdf_core::profile::CalibrationProfile;
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
@@ -61,14 +61,14 @@ fn location(case: &LinkCase, i: usize) -> Point {
 /// The packets of a capture the quarantine passes as healthy
 /// ([`PacketClass::Ok`]), as captured. The link-characterization
 /// experiments measure the channel itself, so a packet with a faulted
-/// row (non-finite samples, a dead chain, the AGC rail) is left out, not
-/// repaired; on a fault-free capture every packet passes. Powers and
-/// covariances are invariant to the phase calibration of \[26\], and
+/// row (non-finite samples, a dead chain) is left out, not repaired; on
+/// a fault-free capture every packet passes. Powers and covariances are
+/// invariant to the phase calibration of \[26\], and
 /// [`multipath_factors`] runs it itself.
-pub(crate) fn healthy(packets: &[CsiPacket], detector: &DetectorConfig) -> Vec<CsiPacket> {
+pub(crate) fn healthy(packets: &[CsiPacket]) -> Vec<CsiPacket> {
     packets
         .iter()
-        .filter(|p| matches!(classify(p, &detector.quarantine), PacketClass::Ok))
+        .filter(|p| matches!(classify(p), PacketClass::Ok))
         .cloned()
         .collect()
 }
@@ -104,7 +104,7 @@ pub fn location_sweep(
                 Ok(packets) => packets,
                 Err(e) => return Some(Err(e.into())),
             };
-            let kept = healthy(&packets, detector);
+            let kept = healthy(&packets);
             if kept.is_empty() {
                 return None;
             }
@@ -144,13 +144,6 @@ pub fn location_sweep(
 /// (case 1).
 pub fn measurement_case() -> LinkCase {
     crate::scenario::five_cases().remove(0)
-}
-
-/// A sweep-specific detector configuration builder.
-pub fn sweep_config() -> (CampaignConfig, DetectorConfig) {
-    let cfg = CampaignConfig::default();
-    let det = cfg.detector.clone();
-    (cfg, det)
 }
 
 #[cfg(test)]

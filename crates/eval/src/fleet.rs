@@ -21,7 +21,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use mpdf_core::scheme::SubcarrierWeighting;
-use mpdf_fleet::chaos::{ChaosPlan, FaultIo, FaultPlan};
+use mpdf_fleet::chaos::{mix, ChaosPlan, FaultIo, FaultPlan};
 use mpdf_fleet::{
     Fleet, FleetPolicy, LinkOutcome, LinkRecord, LinkWindow, ShardLog, StdIo, TickReport,
 };
@@ -63,16 +63,6 @@ impl Default for FleetDemoOptions {
             dir: None,
         }
     }
-}
-
-/// SplitMix64-style mixer, the demo's only randomness.
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn demo_policy(opts: &FleetDemoOptions) -> FleetPolicy {

@@ -50,7 +50,6 @@ fn session_config() -> SessionConfig {
     SessionConfig {
         recalibration: RecalPolicy {
             enabled: true,
-            shadow_windows: 4,
             ..RecalPolicy::default()
         },
         ..SessionConfig::default()

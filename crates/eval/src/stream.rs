@@ -46,6 +46,9 @@ use crate::workload::{
 /// mirroring [`score_campaign_schemes`]'s skip semantics.
 pub type EpochScores = [Option<f64>; 3];
 
+/// AGC gain step stamped on every encoded frame.
+const AGC: u8 = 40;
+
 /// Knobs of the replay transport.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamOptions {
@@ -53,16 +56,11 @@ pub struct StreamOptions {
     /// *smaller* than one 3×30 frame (1466 bytes) — every frame crosses
     /// a chunk boundary, so the replay exercises reassembly constantly.
     pub chunk_bytes: usize,
-    /// AGC gain step stamped on every encoded frame.
-    pub agc: u8,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions {
-            chunk_bytes: 1460,
-            agc: 40,
-        }
+        StreamOptions { chunk_bytes: 1460 }
     }
 }
 
@@ -114,7 +112,6 @@ struct Ingest<'a> {
     start: usize,
     read: usize,
     chunk_bytes: usize,
-    agc: u8,
     /// Packets per epoch.
     window: usize,
     /// Epochs in the recording; `stats.epochs` of them are cut.
@@ -160,7 +157,7 @@ impl Ingest<'_> {
                     break;
                 };
                 for p in &w.packets {
-                    wire::encode_frame(p, self.agc, &mut self.wire).map_err(unfit)?;
+                    wire::encode_frame(p, AGC, &mut self.wire).map_err(unfit)?;
                 }
             }
         }
@@ -255,7 +252,6 @@ pub fn stream_case_scores(
         start: 0,
         read: 0,
         chunk_bytes: opts.chunk_bytes.max(1),
-        agc: opts.agc,
         window,
         epochs: case.windows.len(),
         pending: Vec::new(),

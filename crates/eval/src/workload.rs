@@ -154,7 +154,6 @@ pub fn case_receiver(
         clutter_drift_rel: cfg.clutter_drift_rel,
         session_gain_drift_db: cfg.session_gain_drift_db,
         faults: cfg.faults,
-        ..ReceiverConfig::default()
     };
     CsiReceiver::with_config(channel, rx_cfg, seed)
 }

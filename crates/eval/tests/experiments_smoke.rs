@@ -5,6 +5,11 @@
 //! probability-valued rates, complete tables, paper-shaped relations that
 //! must hold even on small samples.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_eval::experiments as exp;
 use mpdf_eval::workload::CampaignConfig;
 

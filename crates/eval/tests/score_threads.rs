@@ -6,6 +6,11 @@
 //! One test in this binary, so no other test moves the global counters
 //! while it reads their deltas.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::{
     Baseline, DetectionScheme, RssiBaseline, SubcarrierAndPathWeighting, SubcarrierWeighting,

@@ -6,6 +6,11 @@
 //! Scores are printed as raw `f64` bit patterns, so "identical" here
 //! means 0 ULP, not printing precision.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::path::PathBuf;
 
 use mpdf_eval::session::{run_session_demo, SessionDemoOptions};

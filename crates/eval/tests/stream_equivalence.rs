@@ -6,6 +6,11 @@
 //! construction, and this test pins it. A scheme error stops the pull
 //! loop and comes back typed.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_core::error::DetectError;
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::{Baseline, SubcarrierAndPathWeighting, SubcarrierWeighting};
@@ -48,10 +53,7 @@ fn assert_stream_matches_offline(threads: usize, chunk_bytes: usize) {
         score_campaign(&data, &SubcarrierWeighting, &cfg.detector).expect("subcarrier"),
         score_campaign(&data, &SubcarrierAndPathWeighting, &cfg.detector).expect("combined"),
     ];
-    let opts = StreamOptions {
-        chunk_bytes,
-        ..StreamOptions::default()
-    };
+    let opts = StreamOptions { chunk_bytes };
     for case in &data {
         let (scores, stats) =
             stream_case_scores(case, &cfg.detector, threads, &opts).expect("stream case");

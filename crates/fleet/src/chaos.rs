@@ -13,8 +13,9 @@ use std::path::{Path, PathBuf};
 use crate::log::LogIo;
 
 /// SplitMix64-style mixer: a deterministic pseudo-random word from a
-/// seed and two lane values.
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
+/// seed and two lane values. The one mixer the fleet's chaos schedules,
+/// the `repro fleet` demo and the fleet tests draw from.
+pub fn mix(seed: u64, a: u64, b: u64) -> u64 {
     let mut z = seed
         .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));

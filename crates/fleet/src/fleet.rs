@@ -14,7 +14,6 @@
 //! can never reorder anything observable.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::DetectionScheme;
@@ -22,7 +21,7 @@ use mpdf_session::checkpoint::decode_image;
 use mpdf_session::{SessionConfig, SessionRuntime};
 use mpdf_wifi::csi::CsiPacket;
 
-use crate::log::{LogIo, ShardLog, StdIo};
+use crate::log::{LogIo, StdIo};
 use crate::shard::{LinkOutcome, LinkRecord, Shard};
 use crate::{FleetError, FleetPolicy, LinkMeta};
 
@@ -123,28 +122,6 @@ impl<S: DetectionScheme + Clone> Fleet<S, StdIo> {
     ) -> Result<Self, FleetError> {
         let shards = (0..shards as u32).map(|i| Shard::new(i, None)).collect();
         Fleet::new(shards, policy, threads)
-    }
-
-    /// Builds a fleet of `shards` logged shards, one
-    /// `shard<i>.mpsl` log per shard under `dir`.
-    ///
-    /// # Errors
-    /// [`FleetError::NoShards`], [`FleetError::InvalidPolicy`], log
-    /// open failures.
-    pub fn with_logs(
-        dir: &Path,
-        shards: usize,
-        compact_every: usize,
-        policy: FleetPolicy,
-        threads: usize,
-    ) -> Result<Self, FleetError> {
-        let mut built = Vec::with_capacity(shards);
-        for i in 0..shards as u32 {
-            let path = dir.join(format!("shard{i}.mpsl"));
-            let (log, _) = ShardLog::open(StdIo, path, i, compact_every)?;
-            built.push(Shard::new(i, Some(log)));
-        }
-        Fleet::new(built, policy, threads)
     }
 }
 

@@ -7,6 +7,11 @@
 //! refused the same way, and a save that fails at any filesystem call
 //! leaves exactly the old or the new snapshot behind.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;

@@ -7,6 +7,11 @@
 //! 32-byte stripe of the checksum and of its tail included — drops that
 //! record.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::path::PathBuf;
 
 use proptest::prelude::*;

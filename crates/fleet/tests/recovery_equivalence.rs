@@ -10,12 +10,17 @@
 //! original ticks) and each replay must reproduce the original record
 //! exactly.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::SubcarrierWeighting;
-use mpdf_fleet::chaos::{ChaosPlan, FaultIo, FaultPlan};
+use mpdf_fleet::chaos::{mix, ChaosPlan, FaultIo, FaultPlan};
 use mpdf_fleet::{
     Fleet, FleetPolicy, LinkOutcome, LinkRecord, LinkWindow, LogIo, Shard, ShardLog, StdIo,
     TickReport,
@@ -35,15 +40,6 @@ const SHARDS: usize = 2;
 const TICKS: u64 = 8;
 const WINDOW: usize = 25;
 const SEED: u64 = 0xF1EE7;
-
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn receiver(seed: u64) -> CsiReceiver {
     let env = Environment::empty_room(Rect::new(Vec2::ZERO, Vec2::new(8.0, 6.0)));

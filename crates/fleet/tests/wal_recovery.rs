@@ -12,6 +12,11 @@
 //! - A logged shard refuses, at registration, a calibrated shape whose
 //!   windows the wire header could not carry.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -19,7 +24,7 @@ use proptest::prelude::*;
 
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::{Baseline, SubcarrierWeighting};
-use mpdf_fleet::chaos::{FaultIo, FaultPlan, MemIo};
+use mpdf_fleet::chaos::{mix, FaultIo, FaultPlan, MemIo};
 use mpdf_fleet::{
     Fleet, FleetError, FleetPolicy, LinkHealth, LinkOutcome, LinkRecord, LinkWindow, LogError,
     Shard, ShardLog, TickReport,
@@ -45,15 +50,6 @@ const SEED: u64 = 0x0003_A10C;
 
 type Runtime = SessionRuntime<SubcarrierWeighting>;
 type LoggedFleet = Fleet<SubcarrierWeighting, FaultIo<MemIo>>;
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = SEED
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn receiver(seed: u64) -> CsiReceiver {
     let env = Environment::empty_room(Rect::new(Vec2::ZERO, Vec2::new(8.0, 6.0)));
@@ -101,11 +97,11 @@ fn windows() -> &'static [Vec<Vec<CsiPacket>>] {
             .map(|tick| {
                 (0..LINKS)
                     .map(|link| {
-                        if mix(link, tick ^ 0xFA).is_multiple_of(7) {
+                        if mix(SEED, link, tick ^ 0xFA).is_multiple_of(7) {
                             return poisoned();
                         }
-                        let occupied = mix(link % 2, tick ^ 0xCC).is_multiple_of(3);
-                        receiver(mix(link ^ 0x417, tick))
+                        let occupied = mix(SEED, link % 2, tick ^ 0xCC).is_multiple_of(3);
+                        receiver(mix(SEED, link ^ 0x417, tick))
                             .capture_static(occupied.then_some(&body), 25)
                             .unwrap()
                     })

@@ -61,13 +61,6 @@ impl Line {
         let foot = self.project(p);
         foot + (foot - p)
     }
-
-    /// True when `p` and `q` are strictly on opposite sides of the line.
-    pub fn separates(&self, p: Point, q: Point) -> bool {
-        let sp = self.signed_distance(p);
-        let sq = self.signed_distance(q);
-        sp * sq < 0.0
-    }
 }
 
 #[cfg(test)]
@@ -115,13 +108,5 @@ mod tests {
         let f = line.project(q);
         assert!((f - p(1.0, 1.0)).norm() < 1e-12);
         assert!(line.signed_distance(f).abs() < 1e-12);
-    }
-
-    #[test]
-    fn separates_detects_sides() {
-        let line = Line::new(p(0.0, 0.0), Vec2::new(1.0, 0.0)).unwrap();
-        assert!(line.separates(p(0.0, 1.0), p(0.0, -1.0)));
-        assert!(!line.separates(p(1.0, 1.0), p(2.0, 5.0)));
-        assert!(!line.separates(p(1.0, 0.0), p(2.0, 5.0))); // on-line is not strict
     }
 }

@@ -126,23 +126,6 @@ impl ConvexPolygon {
         acc / 2.0
     }
 
-    /// Centroid of the polygon.
-    pub fn centroid(&self) -> Point {
-        let n = self.vertices.len();
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        let mut a = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            let w = p.cross(q);
-            cx += (p.x + q.x) * w;
-            cy += (p.y + q.y) * w;
-            a += w;
-        }
-        Point::new(cx / (3.0 * a), cy / (3.0 * a))
-    }
-
     /// True when `p` is inside or on the boundary (convexity: `p` is on
     /// the left of every CCW edge).
     pub fn contains(&self, p: Point) -> bool {
@@ -199,14 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn area_and_centroid() {
+    fn area() {
         let t = triangle();
         assert!((t.area() - 6.0).abs() < 1e-12);
-        let c = t.centroid();
-        assert!((c - p(4.0 / 3.0, 1.0)).norm() < 1e-12);
         let r = ConvexPolygon::rectangle(p(1.0, 1.0), p(3.0, 2.0));
         assert!((r.area() - 2.0).abs() < 1e-12);
-        assert!((r.centroid() - p(2.0, 1.5)).norm() < 1e-12);
     }
 
     #[test]
@@ -237,7 +217,6 @@ mod tests {
         let r =
             ConvexPolygon::rotated_rectangle(p(2.0, 2.0), 2.0, 1.0, std::f64::consts::FRAC_PI_4);
         assert!((r.area() - 2.0).abs() < 1e-9);
-        assert!((r.centroid() - p(2.0, 2.0)).norm() < 1e-9);
         assert!(r.contains(p(2.0, 2.0)));
         // The unrotated corner (3.0, 2.5) is outside after rotation.
         assert!(!r.contains(p(3.0, 2.5)));

@@ -134,16 +134,6 @@ impl Segment {
         self.at(t)
     }
 
-    /// Parameter `t ∈ [0, 1]` of the closest point to `p`.
-    pub fn closest_parameter(&self, p: Point) -> f64 {
-        let d = self.direction();
-        let len2 = d.norm_sqr();
-        if len2 < 1e-24 {
-            return 0.0;
-        }
-        ((p - self.a).dot(d) / len2).clamp(0.0, 1.0)
-    }
-
     /// Outward unit normal (counter-clockwise perpendicular of the
     /// direction); `None` for degenerate segments.
     pub fn normal(&self) -> Option<Vec2> {
@@ -217,7 +207,7 @@ mod tests {
         let s = Segment::new(p(0.0, 0.0), p(1.0, 0.0));
         assert_eq!(s.closest_point(p(-5.0, 0.0)), p(0.0, 0.0));
         assert_eq!(s.closest_point(p(9.0, 9.0)), p(1.0, 0.0));
-        assert_eq!(s.closest_parameter(p(0.25, 7.0)), 0.25);
+        assert_eq!(s.closest_point(p(0.25, 7.0)), p(0.25, 0.0));
     }
 
     #[test]

@@ -23,12 +23,6 @@ impl Rect {
         }
     }
 
-    /// Creates a rectangle from a center point and full extents.
-    pub fn centered(center: Point, width: f64, height: f64) -> Self {
-        let half = Vec2::new(width.abs() / 2.0, height.abs() / 2.0);
-        Rect::new(center - half, center + half)
-    }
-
     /// Lower-left corner.
     pub fn min(&self) -> Point {
         self.min
@@ -165,13 +159,6 @@ mod tests {
         assert_eq!(r.width(), 3.0);
         assert_eq!(r.height(), 3.0);
         assert_eq!(r.center(), p(1.5, 2.5));
-    }
-
-    #[test]
-    fn rect_centered() {
-        let r = Rect::centered(p(1.0, 1.0), 2.0, 4.0);
-        assert_eq!(r.min(), p(0.0, -1.0));
-        assert_eq!(r.max(), p(2.0, 3.0));
     }
 
     #[test]

@@ -79,20 +79,6 @@ impl Gauge {
         self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Raises the value to `v` if `v` is larger (high-water marks).
-    pub fn set_max(&self, v: i64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        while v > cur {
-            match self
-                .0
-                .compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -456,10 +442,6 @@ mod tests {
         g.sub(3);
         g.add(1);
         assert_eq!(g.get(), 8);
-        g.set_max(5);
-        assert_eq!(g.get(), 8, "set_max must not lower the gauge");
-        g.set_max(12);
-        assert_eq!(g.get(), 12);
     }
 
     #[test]

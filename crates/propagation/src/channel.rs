@@ -300,13 +300,6 @@ impl ChannelSnapshot {
         out
     }
 
-    /// [`ChannelSnapshot::cfr`] writing into a caller-provided buffer
-    /// (cleared and resized), so per-packet evaluation reuses one
-    /// allocation.
-    pub fn cfr_into(&self, freqs: &[f64], out: &mut Vec<Complex64>) {
-        self.cfr_with_offset_into(freqs, Vec2::ZERO, out);
-    }
-
     /// [`ChannelSnapshot::cfr_with_offset`] writing into a
     /// caller-provided buffer (cleared and resized).
     ///
@@ -597,7 +590,7 @@ mod tests {
         // The paper's headline §III observation: Δs can be a drop OR a rise.
         let model = link();
         let calm = model.snapshot(None).unwrap();
-        let mut signs = std::collections::HashSet::new();
+        let mut signs = std::collections::BTreeSet::new();
         for i in 0..40 {
             let x = 2.2 + 0.09 * i as f64;
             for dy in [-0.6, -0.3, 0.0, 0.3, 0.6] {

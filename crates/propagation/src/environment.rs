@@ -130,11 +130,6 @@ impl Environment {
         }
         factor
     }
-
-    /// Convenience: amplitude transmission between two free points.
-    pub fn transmission_between(&self, a: Point, b: Point) -> f64 {
-        self.leg_transmission(&Segment::new(a, b), &[])
-    }
 }
 
 /// Builder for [`Environment`] (see C-BUILDER).
@@ -226,10 +221,15 @@ mod tests {
         assert_eq!(env.furniture().len(), 1);
     }
 
+    /// Amplitude transmission of the leg `a → b`, skipping no wall.
+    fn free_leg(env: &Environment, a: Point, b: Point) -> f64 {
+        env.leg_transmission(&Segment::new(a, b), &[])
+    }
+
     #[test]
     fn free_leg_has_unit_transmission() {
         let env = Environment::empty_room(room());
-        assert_eq!(env.transmission_between(p(1.0, 1.0), p(7.0, 5.0)), 1.0);
+        assert_eq!(free_leg(&env, p(1.0, 1.0), p(7.0, 5.0)), 1.0);
     }
 
     #[test]
@@ -237,10 +237,10 @@ mod tests {
         let mut b = Environment::builder(room(), Material::CONCRETE);
         b.interior_wall(Segment::new(p(4.0, 0.0), p(4.0, 6.0)), Material::DRYWALL);
         let env = b.build();
-        let t = env.transmission_between(p(1.0, 3.0), p(7.0, 3.0));
+        let t = free_leg(&env, p(1.0, 3.0), p(7.0, 3.0));
         assert!((t - Material::DRYWALL.transmission()).abs() < 1e-12);
         // Leg on one side of the wall is unaffected.
-        assert_eq!(env.transmission_between(p(1.0, 1.0), p(3.0, 5.0)), 1.0);
+        assert_eq!(free_leg(&env, p(1.0, 1.0), p(3.0, 5.0)), 1.0);
     }
 
     #[test]
@@ -248,7 +248,7 @@ mod tests {
         let mut b = Environment::builder(room(), Material::CONCRETE);
         b.furniture(Rect::new(p(3.0, 2.0), p(5.0, 4.0)), Material::WOOD);
         let env = b.build();
-        let t = env.transmission_between(p(1.0, 3.0), p(7.0, 3.0));
+        let t = free_leg(&env, p(1.0, 3.0), p(7.0, 3.0));
         assert!((t - Material::WOOD.transmission()).abs() < 1e-12);
     }
 
@@ -276,7 +276,7 @@ mod tests {
         b.interior_wall(Segment::new(p(3.0, 0.0), p(3.0, 6.0)), Material::DRYWALL)
             .interior_wall(Segment::new(p(5.0, 0.0), p(5.0, 6.0)), Material::GLASS);
         let env = b.build();
-        let t = env.transmission_between(p(1.0, 3.0), p(7.0, 3.0));
+        let t = free_leg(&env, p(1.0, 3.0), p(7.0, 3.0));
         let expect = Material::DRYWALL.transmission() * Material::GLASS.transmission();
         assert!((t - expect).abs() < 1e-12);
     }

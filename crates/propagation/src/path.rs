@@ -26,13 +26,6 @@ pub enum PathKind {
     HumanScatter,
 }
 
-impl PathKind {
-    /// True for any path other than the direct one.
-    pub fn is_nlos(self) -> bool {
-        !matches!(self, PathKind::LineOfSight)
-    }
-}
-
 /// A traced propagation path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PropagationPath {
@@ -114,12 +107,6 @@ impl PropagationPath {
         self.length() / SPEED_OF_LIGHT
     }
 
-    /// Excess length over a reference (usually the LOS path) in metres —
-    /// the `Δd` in the paper's phase-shift relation `φ = 2πfΔd/c`.
-    pub fn excess_length(&self, reference: &PropagationPath) -> f64 {
-        self.length() - reference.length()
-    }
-
     /// Unit vector of the *arrival* direction at the receiver (pointing
     /// from the last intermediate vertex toward the receiver). `None` for
     /// degenerate final legs.
@@ -175,19 +162,6 @@ mod tests {
         );
         assert!((path.length() - 2.0 * 8.0f64.sqrt()).abs() < 1e-12);
         assert_eq!(path.legs().len(), 2);
-        assert!(path.kind().is_nlos());
-    }
-
-    #[test]
-    fn excess_length_vs_los() {
-        let los = PropagationPath::new(vec![p(0.0, 0.0), p(4.0, 0.0)], 1.0, PathKind::LineOfSight);
-        let refl = PropagationPath::new(
-            vec![p(0.0, 0.0), p(2.0, 1.5), p(4.0, 0.0)],
-            0.7,
-            PathKind::WallReflection { order: 1 },
-        );
-        assert!(refl.excess_length(&los) > 0.0);
-        assert!((los.excess_length(&los)).abs() < 1e-12);
     }
 
     #[test]

@@ -44,17 +44,6 @@ impl LinearWalk {
             duration,
         }
     }
-
-    /// Creates a walk at the given speed (m/s).
-    ///
-    /// # Panics
-    /// Panics if `speed <= 0` or the endpoints coincide.
-    pub fn with_speed(start: Point, end: Point, speed: f64) -> Self {
-        assert!(speed > 0.0, "speed must be positive");
-        let d = start.distance(end);
-        assert!(d > 0.0, "endpoints must differ");
-        LinearWalk::new(start, end, d / speed)
-    }
 }
 
 impl Trajectory for LinearWalk {
@@ -168,12 +157,6 @@ mod tests {
         // Clamped outside the span.
         assert_eq!(w.position(-1.0), p(0.0, 0.0));
         assert_eq!(w.position(100.0), p(4.0, 0.0));
-    }
-
-    #[test]
-    fn walk_with_speed_sets_duration() {
-        let w = LinearWalk::with_speed(p(0.0, 0.0), p(3.0, 4.0), 1.25);
-        assert!((w.duration() - 4.0).abs() < 1e-12);
     }
 
     #[test]

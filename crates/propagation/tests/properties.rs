@@ -1,5 +1,11 @@
 //! Property-based tests for the propagation simulator.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_geom::shapes::Rect;
 use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::channel::ChannelModel;

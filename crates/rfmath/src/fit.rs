@@ -43,18 +43,6 @@ pub struct Fit {
     pub r_squared: f64,
 }
 
-impl Fit {
-    /// Predicted value of the *linear* model at `x`.
-    pub fn predict_linear(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-
-    /// Predicted value of the *logarithmic* model at `x > 0`.
-    pub fn predict_log(&self, x: f64) -> f64 {
-        self.slope * x.ln() + self.intercept
-    }
-}
-
 /// Slope and intercept of the ordinary least-squares line `y = a·x + b`
 /// over the finite `(x, y)` pairs, without collecting the points or
 /// computing R² (the phase sanitizer's per-packet fit reads only the
@@ -260,7 +248,6 @@ mod tests {
         assert!((fit.slope - 2.5).abs() < 1e-12);
         assert!((fit.intercept + 1.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict_linear(100.0) - 249.0).abs() < 1e-9);
     }
 
     #[test]
@@ -284,7 +271,6 @@ mod tests {
         let fit = log_fit(&xs, &ys).unwrap();
         assert!((fit.slope + 4.0).abs() < 1e-9);
         assert!((fit.intercept - 2.0).abs() < 1e-9);
-        assert!((fit.predict_log(0.5) - (-4.0 * 0.5f64.ln() + 2.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl CMatrix {
         }
     }
 
-    /// Builds a column vector (`n × 1`) from a slice.
-    pub fn col_vector(data: &[Complex64]) -> Self {
-        CMatrix::from_rows(data.len(), 1, data)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -207,23 +202,6 @@ impl CMatrix {
         diff.frobenius_norm() <= tol * self.frobenius_norm().max(1.0)
     }
 
-    /// Computes `A · v` for a vector `v` given as a slice.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(v.len(), self.cols, "vector length must equal column count");
-        (0..self.rows)
-            .map(|r| {
-                self.row(r)
-                    .iter()
-                    .zip(v)
-                    .map(|(&a, &x)| a * x)
-                    .sum::<Complex64>()
-            })
-            .collect()
-    }
-
     /// Computes the quadratic form `vᴴ A v` (real for Hermitian `A`).
     ///
     /// Runs allocation-free: the angle scan of the MUSIC pseudospectrum
@@ -289,14 +267,6 @@ impl CMatrix {
     pub fn scale_in_place(&mut self, k: f64) {
         for z in &mut self.data {
             *z = z.scale(k);
-        }
-    }
-
-    /// Resets every entry to zero, keeping the allocation — lets hot
-    /// loops reuse one accumulator matrix across iterations.
-    pub fn set_zero(&mut self) {
-        for z in &mut self.data {
-            *z = Complex64::ZERO;
         }
     }
 
@@ -494,18 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_agrees_with_matrix_product() {
-        let a = CMatrix::from_fn(3, 3, |r, cc| c((r * 3 + cc) as f64, 1.0));
-        let v = [c(1.0, 0.0), c(0.0, 1.0), c(-1.0, -1.0)];
-        let av = a.mul_vec(&v);
-        let vm = CMatrix::col_vector(&v);
-        let p = &a * &vm;
-        for (i, &x) in av.iter().enumerate() {
-            assert!((x - p[(i, 0)]).norm() < 1e-12);
-        }
-    }
-
-    #[test]
     fn block_extracts_submatrix() {
         let a = CMatrix::from_fn(4, 4, |r, cc| c((r * 4 + cc) as f64, 0.0));
         let b = a.block(1, 2, 2);
@@ -567,13 +525,6 @@ mod tests {
         let mut acc = a.clone();
         acc.axpy(0.37, &b);
         assert_eq!(acc, &a + &b.scale(0.37));
-    }
-
-    #[test]
-    fn set_zero_clears_all_entries() {
-        let mut a = CMatrix::from_fn(2, 2, |r, cc| c(r as f64 + 1.0, cc as f64 + 1.0));
-        a.set_zero();
-        assert_eq!(a, CMatrix::zeros(2, 2));
     }
 
     #[test]

@@ -275,12 +275,6 @@ impl Histogram {
             .map(|&c| c as f64 / self.total as f64)
             .collect()
     }
-
-    /// Center x-coordinate of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
 }
 
 #[cfg(test)]
@@ -371,7 +365,6 @@ mod tests {
         assert_eq!(h.counts(), &[3, 2, 0, 0, 2]);
         let d = h.densities();
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

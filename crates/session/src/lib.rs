@@ -39,4 +39,4 @@ pub use checkpoint::CheckpointError;
 pub use runtime::{
     RecalOutcome, RecalPolicy, SessionConfig, SessionDecision, SessionMode, SessionRuntime,
 };
-pub use sentinel::{DriftSentinel, DriftState, SentinelConfig};
+pub use sentinel::{DriftSentinel, DriftState};

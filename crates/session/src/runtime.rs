@@ -5,23 +5,23 @@
 //!
 //! 1. every window is scored through the PR-4 quarantine/degradation
 //!    stack; windows aborted by the gap budget become *abstentions*, and
-//!    a run of consecutive abstentions beyond the watchdog budget
-//!    freezes adaptation (the link is too sick to learn from);
+//!    a run of `WATCHDOG_BUDGET` (8) consecutive abstentions freezes
+//!    adaptation (the link is too sick to learn from);
 //! 2. an HMM forward posterior is carried across windows and gates the
 //!    statistics feed: only windows with `P(present) < vacancy_eps` (and
 //!    a clean, non-degraded score) reach the drift sentinel, the null
 //!    reservoir and the shadow calibration buffer — an occupied room
 //!    must never become the new baseline;
 //! 3. on sustained [`DriftState::Drifting`] (or `Broken`) the runtime
-//!    accumulates vacancy-gated windows into a shadow buffer and stages
-//!    a recalibration: rebuild the profile, re-derive the threshold at
-//!    the pinned false-positive target, then run the **rollback guard**
-//!    — the candidate must keep the retained null-window reservoir's
-//!    false-positive rate within tolerance, else the swap is refused
-//!    with [`DetectError::RecalibrationRejected`] and retried under
-//!    window-counted exponential backoff;
-//! 4. after `max_retries` consecutive rejections the session degrades to
-//!    frozen-profile mode: it keeps detecting with the last good
+//!    accumulates `SHADOW_WINDOWS` (4) vacancy-gated windows into a
+//!    shadow buffer and stages a recalibration: rebuild the profile,
+//!    re-derive the threshold at the pinned `TARGET_FP` (0.1), then run
+//!    the **rollback guard** — the candidate must keep the retained
+//!    null-window reservoir's false-positive rate within tolerance, else
+//!    the swap is refused with [`DetectError::RecalibrationRejected`] and
+//!    retried under window-counted exponential backoff;
+//! 4. after `MAX_RETRIES` (3) consecutive rejections the session degrades
+//!    to frozen-profile mode: it keeps detecting with the last good
 //!    profile, it just stops adapting.
 //!
 //! Everything is deterministic and clock-free, so a session restored
@@ -35,7 +35,32 @@ use mpdf_core::scheme::DetectionScheme;
 use mpdf_core::threshold::{static_score_distribution, threshold_for_fp};
 use mpdf_wifi::csi::CsiPacket;
 
-use crate::sentinel::{DriftSentinel, DriftState, SentinelConfig, SentinelSnapshot};
+use crate::sentinel::{DriftSentinel, DriftState, SentinelSnapshot};
+
+/// Pinned false-positive target: the initial threshold and every
+/// recalibrated threshold are derived at this operating point.
+const TARGET_FP: f64 = 0.1;
+
+/// Watchdog: consecutive abstained (unscorable) windows tolerated before
+/// adaptation freezes. Deadlines are counted in windows, not wall time,
+/// to keep the runtime deterministic.
+const WATCHDOG_BUDGET: u32 = 8;
+
+/// Vacancy-gated windows accumulated into the shadow buffer before a
+/// recalibration is staged (split half/half into profile-build and
+/// threshold-holdout packets, like initial calibration).
+const SHADOW_WINDOWS: usize = 4;
+
+/// Consecutive rollback-guard rejections tolerated before the session
+/// degrades to frozen-profile mode.
+const MAX_RETRIES: u32 = 3;
+
+/// Backoff after the first rejection, counted in windows; it doubles
+/// with each further rejection.
+const BACKOFF_BASE_WINDOWS: u64 = 8;
+
+/// Backoff ceiling (the exponential doubling saturates here).
+const BACKOFF_CAP_WINDOWS: u64 = 64;
 
 /// Staged-recalibration policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,31 +69,16 @@ pub struct RecalPolicy {
     /// with recalibration disabled is arithmetically identical to a bare
     /// frozen-profile `Detector` loop.
     pub enabled: bool,
-    /// Vacancy-gated windows accumulated into the shadow buffer before a
-    /// recalibration is staged (split half/half into profile-build and
-    /// threshold-holdout packets, like initial calibration). At least 2.
-    pub shadow_windows: usize,
     /// Rollback guard: maximum false-positive rate the candidate profile
     /// may realize on the retained null-window reservoir.
     pub guard_fp_tolerance: f64,
-    /// Consecutive guard rejections tolerated before the session degrades
-    /// to frozen-profile mode.
-    pub max_retries: u32,
-    /// Backoff after the first rejection, counted in windows.
-    pub backoff_base_windows: u64,
-    /// Backoff ceiling (the exponential doubling saturates here).
-    pub backoff_cap_windows: u64,
 }
 
 impl Default for RecalPolicy {
     fn default() -> Self {
         RecalPolicy {
             enabled: false,
-            shadow_windows: 12,
             guard_fp_tolerance: 0.35,
-            max_retries: 3,
-            backoff_base_windows: 8,
-            backoff_cap_windows: 64,
         }
     }
 }
@@ -76,20 +86,11 @@ impl Default for RecalPolicy {
 /// Session-level configuration wrapped around a detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
-    /// Pinned false-positive target; both the initial threshold and every
-    /// recalibrated threshold are derived at this operating point.
-    pub target_fp: f64,
     /// Vacancy gate: a window feeds the baseline statistics only when the
     /// HMM posterior `P(present)` is strictly below this value.
     pub vacancy_eps: f64,
-    /// Drift-sentinel tuning.
-    pub sentinel: SentinelConfig,
     /// Staged-recalibration policy.
     pub recalibration: RecalPolicy,
-    /// Watchdog: consecutive abstained (unscorable) windows tolerated
-    /// before adaptation freezes. Deadlines are counted in windows, not
-    /// wall time, to keep the runtime deterministic.
-    pub watchdog_budget: u32,
     /// Null-window reservoir size retained for the rollback guard.
     pub reservoir_windows: usize,
 }
@@ -97,11 +98,8 @@ pub struct SessionConfig {
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
-            target_fp: 0.1,
             vacancy_eps: 0.2,
-            sentinel: SentinelConfig::default(),
             recalibration: RecalPolicy::default(),
-            watchdog_budget: 8,
             reservoir_windows: 16,
         }
     }
@@ -113,39 +111,15 @@ impl SessionConfig {
     /// # Errors
     /// [`DetectError::InvalidConfig`] on out-of-domain parameters.
     pub fn validate(&self) -> Result<(), DetectError> {
-        if self.target_fp <= 0.0 || self.target_fp >= 1.0 || self.target_fp.is_nan() {
-            return Err(DetectError::InvalidConfig {
-                what: format!("target_fp must be in (0, 1), got {}", self.target_fp),
-            });
-        }
         if self.vacancy_eps <= 0.0 || self.vacancy_eps > 1.0 || self.vacancy_eps.is_nan() {
             return Err(DetectError::InvalidConfig {
                 what: format!("vacancy_eps must be in (0, 1], got {}", self.vacancy_eps),
-            });
-        }
-        self.sentinel.validate()?;
-        if self.recalibration.shadow_windows < 2 {
-            return Err(DetectError::InvalidConfig {
-                what: format!(
-                    "shadow_windows must be at least 2, got {}",
-                    self.recalibration.shadow_windows
-                ),
             });
         }
         let tol = self.recalibration.guard_fp_tolerance;
         if !(0.0..1.0).contains(&tol) || tol.is_nan() {
             return Err(DetectError::InvalidConfig {
                 what: format!("guard_fp_tolerance must be in [0, 1), got {tol}"),
-            });
-        }
-        if self.recalibration.backoff_base_windows == 0 {
-            return Err(DetectError::InvalidConfig {
-                what: "backoff_base_windows must be at least 1".to_string(),
-            });
-        }
-        if self.watchdog_budget == 0 {
-            return Err(DetectError::InvalidConfig {
-                what: "watchdog_budget must be at least 1".to_string(),
             });
         }
         if self.reservoir_windows == 0 {
@@ -309,9 +283,9 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
         let (train, holdout) = calibration_packets.split_at(half);
         let profile = CalibrationProfile::build(train, &config)?;
         let null_scores = static_score_distribution(&profile, holdout, &scheme, &config)?;
-        let threshold = threshold_for_fp(&null_scores, session.target_fp);
+        let threshold = threshold_for_fp(&null_scores, TARGET_FP);
         let hmm = HmmSmoother::with_defaults(&null_scores)?;
-        let sentinel = DriftSentinel::from_null_scores(&null_scores, session.sentinel.clone())?;
+        let sentinel = DriftSentinel::from_null_scores(&null_scores)?;
         // Seed the rollback-guard reservoir with the newest holdout
         // windows — the best null examples we have on day one.
         let mut reservoir: Vec<Vec<CsiPacket>> = holdout
@@ -353,11 +327,6 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
     /// Current supervision mode.
     pub fn mode(&self) -> SessionMode {
         self.mode
-    }
-
-    /// Current drift classification.
-    pub fn drift_state(&self) -> DriftState {
-        self.sentinel.state()
     }
 
     /// Carried HMM posterior `P(present)`.
@@ -408,9 +377,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             Err(e) if e.is_abstention() => {
                 self.watchdog_strikes += 1;
                 mpdf_obs::counter!("session.abstained_total").inc();
-                if self.watchdog_strikes >= self.session.watchdog_budget
-                    && self.mode == SessionMode::Normal
-                {
+                if self.watchdog_strikes >= WATCHDOG_BUDGET && self.mode == SessionMode::Normal {
                     // Watchdog deadline (in windows): the receiver has
                     // been unscorable for a whole budget — freeze
                     // adaptation, keep detecting.
@@ -480,7 +447,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                     self.shadow.push(window.to_vec());
                     mpdf_obs::counter!("session.shadow_windows_total").inc();
                 }
-                if self.shadow.len() >= self.session.recalibration.shadow_windows {
+                if self.shadow.len() >= SHADOW_WINDOWS {
                     recal_outcome = Some(self.attempt_recalibration()?);
                 }
             } else if !self.shadow.is_empty() {
@@ -510,8 +477,8 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
     fn attempt_recalibration(&mut self) -> Result<RecalOutcome, DetectError> {
         let _stage = mpdf_obs::stage!("session.recalibrate");
         mpdf_obs::counter!("session.recal_attempts_total").inc();
-        let shadow_windows = std::mem::take(&mut self.shadow);
-        let shadow: Vec<CsiPacket> = shadow_windows.into_iter().flatten().collect();
+        let buffered = std::mem::take(&mut self.shadow);
+        let shadow: Vec<CsiPacket> = buffered.into_iter().flatten().collect();
         match self.stage_candidate(&shadow) {
             Ok((profile, threshold, null_scores)) => {
                 // Atomic swap: build the replacement detector fully, then
@@ -542,17 +509,15 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                 // Bounded retry with window-counted exponential backoff.
                 mpdf_obs::counter!("session.recal_rejected_total").inc();
                 self.retries += 1;
-                if self.retries > self.session.recalibration.max_retries {
+                if self.retries > MAX_RETRIES {
                     self.mode = SessionMode::Frozen;
                     mpdf_obs::counter!("session.frozen_total").inc();
                     return Ok(RecalOutcome::Frozen);
                 }
-                let base = self.session.recalibration.backoff_base_windows;
-                let cap = self.session.recalibration.backoff_cap_windows;
-                let backoff = base
+                let backoff = BACKOFF_BASE_WINDOWS
                     .checked_shl(self.retries - 1)
                     .unwrap_or(u64::MAX)
-                    .min(cap.max(base));
+                    .min(BACKOFF_CAP_WINDOWS);
                 self.backoff_remaining = backoff;
                 Ok(RecalOutcome::Rejected {
                     error: err,
@@ -593,7 +558,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                 need: 2 * config.window,
             });
         }
-        let threshold = threshold_for_fp(&null_scores, self.session.target_fp);
+        let threshold = threshold_for_fp(&null_scores, TARGET_FP);
         // Rollback guard: the candidate operating point must keep the
         // retained null reservoir quiet.
         let mut fired = 0usize;
@@ -686,7 +651,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                 ),
             });
         }
-        let sentinel = DriftSentinel::from_snapshot(snapshot.sentinel, session.sentinel.clone())?;
+        let sentinel = DriftSentinel::from_snapshot(snapshot.sentinel)?;
         let detector =
             Detector::from_parts(snapshot.profile, scheme.clone(), config, snapshot.threshold);
         Ok(SessionRuntime {
@@ -728,7 +693,6 @@ mod tests {
         SessionConfig {
             recalibration: RecalPolicy {
                 enabled,
-                shadow_windows: 4,
                 ..RecalPolicy::default()
             },
             reservoir_windows: 6,
@@ -758,8 +722,8 @@ mod tests {
             assert_eq!(d.window, w);
             assert!(d.decision.is_some());
             assert_eq!(d.mode, SessionMode::Normal);
+            assert_eq!(d.drift, DriftState::Stable);
         }
-        assert_eq!(rt.drift_state(), DriftState::Stable);
         assert_eq!(rt.cursor(), 10);
     }
 
@@ -799,6 +763,7 @@ mod tests {
         let rx = receiver(11);
         let body = HumanBody::new(Vec2::new(4.0, 3.2));
         let mut saw_occupied = false;
+        let mut drift = DriftState::Stable;
         for w in 0..12u64 {
             let win = rx.fork(2000 + w).capture_static(Some(&body), 25).unwrap();
             let d = rt.step(&win).unwrap();
@@ -806,10 +771,11 @@ mod tests {
                 saw_occupied = true;
                 assert!(!d.vacant, "occupied window admitted to baseline feed");
             }
+            drift = d.drift;
         }
         assert!(saw_occupied, "posterior never rose on occupied stream");
         assert_eq!(
-            rt.drift_state(),
+            drift,
             DriftState::Stable,
             "occupied windows must not read as drift"
         );
@@ -850,7 +816,7 @@ mod tests {
                 accepted = true;
                 assert_eq!(rt.threshold(), new_threshold);
                 assert_ne!(new_threshold, before);
-                assert_eq!(rt.drift_state(), DriftState::Stable, "sentinel rebased");
+                assert_eq!(d.drift, DriftState::Stable, "sentinel rebased");
                 break;
             }
         }
@@ -861,8 +827,6 @@ mod tests {
     fn zero_tolerance_guard_rejects_and_backs_off_then_freezes() {
         let mut cfg = session_cfg(true);
         cfg.recalibration.guard_fp_tolerance = 0.0;
-        cfg.recalibration.max_retries = 1;
-        cfg.recalibration.backoff_base_windows = 2;
         // A reservoir big enough to never evict: candidates must keep
         // *every* drift level since calibration quiet, which a zero
         // tolerance eventually makes impossible.
@@ -876,9 +840,9 @@ mod tests {
             cfg,
         )
         .unwrap();
-        let mut rejected = false;
+        let mut backoffs = Vec::new();
         let mut frozen = false;
-        for w in 0..160u64 {
+        for w in 0..400u64 {
             step_drift(&mut rx, w, 10, 0.004, 0.04);
             let win = rx.capture_static(None, 25).unwrap();
             let d = rt.step(&win).unwrap();
@@ -887,12 +851,11 @@ mod tests {
                     ref error,
                     backoff_windows,
                 }) => {
-                    rejected = true;
                     assert!(
                         matches!(error, DetectError::RecalibrationRejected { .. }),
                         "{error}"
                     );
-                    assert!(backoff_windows >= 2);
+                    backoffs.push(backoff_windows);
                 }
                 Some(RecalOutcome::Frozen) => {
                     frozen = true;
@@ -901,7 +864,10 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(rejected, "zero-tolerance guard never rejected");
+        // One backoff per tolerated retry, doubling from the base.
+        assert_eq!(backoffs.len(), MAX_RETRIES as usize, "{backoffs:?}");
+        assert_eq!(backoffs, [8, 16, 32]);
+        assert!(backoffs.iter().all(|&b| b <= BACKOFF_CAP_WINDOWS));
         assert!(frozen, "exhausted retries must freeze the session");
         assert_eq!(rt.mode(), SessionMode::Frozen);
         // Frozen mode still detects.
@@ -912,22 +878,17 @@ mod tests {
 
     #[test]
     fn watchdog_freezes_after_budget_of_empty_windows() {
-        let mut cfg = session_cfg(true);
-        cfg.watchdog_budget = 3;
-        let mut rx = receiver(11);
-        let calibration = rx.capture_static(None, 200).unwrap();
-        let mut rt = SessionRuntime::calibrate(
-            &calibration,
-            SubcarrierWeighting,
-            DetectorConfig::default(),
-            cfg,
-        )
-        .unwrap();
-        for i in 0..3 {
+        let mut rt = runtime(true);
+        for i in 1..=WATCHDOG_BUDGET {
             let d = rt.step(&[]).unwrap();
             assert!(d.decision.is_none(), "window {i}");
+            let want = if i < WATCHDOG_BUDGET {
+                SessionMode::Normal
+            } else {
+                SessionMode::Frozen
+            };
+            assert_eq!(d.mode, want, "window {i}");
         }
-        assert_eq!(rt.mode(), SessionMode::Frozen);
     }
 
     #[test]
@@ -1000,26 +961,11 @@ mod tests {
     fn invalid_session_configs_are_rejected() {
         for cfg in [
             SessionConfig {
-                target_fp: 0.0,
-                ..SessionConfig::default()
-            },
-            SessionConfig {
                 vacancy_eps: 0.0,
                 ..SessionConfig::default()
             },
             SessionConfig {
-                watchdog_budget: 0,
-                ..SessionConfig::default()
-            },
-            SessionConfig {
                 reservoir_windows: 0,
-                ..SessionConfig::default()
-            },
-            SessionConfig {
-                recalibration: RecalPolicy {
-                    shadow_windows: 1,
-                    ..RecalPolicy::default()
-                },
                 ..SessionConfig::default()
             },
             SessionConfig {

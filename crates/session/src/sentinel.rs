@@ -8,12 +8,12 @@
 //! the calibration-time null statistics, and the link is classified with
 //! hysteresis:
 //!
-//! - **Stable** — the EWMA sits within `drift_exit_sigmas` of the
+//! - **Stable** — the EWMA sits within `DRIFT_EXIT_SIGMAS` (0.5 σ) of the
 //!   calibration mean;
-//! - **Drifting** — the EWMA stayed beyond `drift_enter_sigmas` for
-//!   `enter_windows` consecutive gated windows (the trigger for staged
-//!   recalibration);
-//! - **Broken** — the EWMA jumped beyond `broken_enter_sigmas`
+//! - **Drifting** — the EWMA stayed beyond `DRIFT_ENTER_SIGMAS` (1 σ)
+//!   for `ENTER_WINDOWS` (4) consecutive gated windows (the trigger for
+//!   staged recalibration);
+//! - **Broken** — the EWMA jumped beyond `BROKEN_ENTER_SIGMAS` (4 σ)
 //!   (antenna fell over, furniture rearranged): recalibration is the only
 //!   way back.
 //!
@@ -24,7 +24,7 @@
 //! The enter band must sit *below* the HMM's absent/present emission
 //! crossover (≈1.4 σ with the default 3 σ shift): beyond the crossover a
 //! persistent shift reads as presence, the vacancy gate closes, and the
-//! sentinel is starved. The default `drift_enter_sigmas = 1.0` catches
+//! sentinel is starved. The enter band of 1 σ catches
 //! drift while it is still unambiguously drift; larger step changes are
 //! indistinguishable from occupancy without out-of-band vacancy
 //! knowledge (see DESIGN.md §11).
@@ -64,70 +64,22 @@ impl DriftState {
     }
 }
 
-/// Sentinel tuning knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SentinelConfig {
-    /// EWMA weight of each new gated window (`0 < alpha <= 1`).
-    pub alpha: f64,
-    /// Deviation (in calibration σ of the log-score) that arms the
-    /// Drifting classification.
-    pub drift_enter_sigmas: f64,
-    /// Deviation below which the sentinel relaxes back to Stable. Must be
-    /// below `drift_enter_sigmas`; the gap is the hysteresis band.
-    pub drift_exit_sigmas: f64,
-    /// Deviation that immediately classifies the link as Broken.
-    pub broken_enter_sigmas: f64,
-    /// Consecutive gated windows beyond the enter band required before
-    /// Stable escalates to Drifting.
-    pub enter_windows: u32,
-    /// Consecutive gated windows inside the exit band required before a
-    /// drifting/broken link relaxes to Stable.
-    pub exit_windows: u32,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        SentinelConfig {
-            alpha: 0.2,
-            drift_enter_sigmas: 1.0,
-            drift_exit_sigmas: 0.5,
-            broken_enter_sigmas: 4.0,
-            enter_windows: 4,
-            exit_windows: 8,
-        }
-    }
-}
-
-impl SentinelConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    /// [`DetectError::InvalidConfig`] on out-of-domain parameters.
-    pub fn validate(&self) -> Result<(), DetectError> {
-        if self.alpha <= 0.0 || self.alpha > 1.0 || self.alpha.is_nan() {
-            return Err(DetectError::InvalidConfig {
-                what: format!("sentinel alpha must be in (0, 1], got {}", self.alpha),
-            });
-        }
-        let ordered = self.drift_exit_sigmas > 0.0
-            && self.drift_exit_sigmas < self.drift_enter_sigmas
-            && self.drift_enter_sigmas < self.broken_enter_sigmas;
-        if !ordered {
-            return Err(DetectError::InvalidConfig {
-                what: format!(
-                    "sentinel bands must satisfy 0 < exit ({}) < enter ({}) < broken ({})",
-                    self.drift_exit_sigmas, self.drift_enter_sigmas, self.broken_enter_sigmas
-                ),
-            });
-        }
-        if self.enter_windows == 0 || self.exit_windows == 0 {
-            return Err(DetectError::InvalidConfig {
-                what: "sentinel enter/exit window counts must be at least 1".to_string(),
-            });
-        }
-        Ok(())
-    }
-}
+/// EWMA weight of each new gated window.
+const ALPHA: f64 = 0.2;
+/// Deviation (in calibration σ of the log-score) that arms the Drifting
+/// classification.
+const DRIFT_ENTER_SIGMAS: f64 = 1.0;
+/// Deviation below which the sentinel relaxes back to Stable; the gap to
+/// [`DRIFT_ENTER_SIGMAS`] is the hysteresis band.
+const DRIFT_EXIT_SIGMAS: f64 = 0.5;
+/// Deviation that immediately classifies the link as Broken.
+const BROKEN_ENTER_SIGMAS: f64 = 4.0;
+/// Consecutive gated windows beyond the enter band required before
+/// Stable escalates to Drifting.
+const ENTER_WINDOWS: u32 = 4;
+/// Consecutive gated windows inside the exit band required before a
+/// drifting/broken link relaxes to Stable.
+const EXIT_WINDOWS: u32 = 8;
 
 /// Complete dynamic state of a sentinel, as stored in checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,7 +101,6 @@ pub struct SentinelSnapshot {
 /// EWMA drift sentinel over vacancy-gated window scores.
 #[derive(Debug, Clone)]
 pub struct DriftSentinel {
-    config: SentinelConfig,
     baseline_mean: f64,
     baseline_std: f64,
     ewma: f64,
@@ -167,16 +118,10 @@ impl DriftSentinel {
     /// Fits the baseline to calibration null scores.
     ///
     /// # Errors
-    /// [`DetectError::InvalidConfig`] on a bad config or fewer than two
-    /// null scores.
-    pub fn from_null_scores(
-        null_scores: &[f64],
-        config: SentinelConfig,
-    ) -> Result<Self, DetectError> {
-        config.validate()?;
+    /// [`DetectError::InvalidConfig`] on fewer than two null scores.
+    pub fn from_null_scores(null_scores: &[f64]) -> Result<Self, DetectError> {
         let (m, s) = baseline_of(null_scores)?;
         Ok(DriftSentinel {
-            config,
             baseline_mean: m,
             baseline_std: s,
             ewma: m,
@@ -190,9 +135,9 @@ impl DriftSentinel {
     /// updated) classification.
     pub fn observe(&mut self, score: f64) -> DriftState {
         let x = log_score(score);
-        self.ewma = (1.0 - self.config.alpha) * self.ewma + self.config.alpha * x;
+        self.ewma = (1.0 - ALPHA) * self.ewma + ALPHA * x;
         let z = self.zscore();
-        if z >= self.config.broken_enter_sigmas {
+        if z >= BROKEN_ENTER_SIGMAS {
             // No hysteresis on the way *up* to Broken: a jump this large
             // means the baseline is already useless.
             self.state = DriftState::Broken;
@@ -200,16 +145,16 @@ impl DriftSentinel {
             self.below_exit = 0;
             return self.state;
         }
-        if z >= self.config.drift_enter_sigmas {
+        if z >= DRIFT_ENTER_SIGMAS {
             self.above_enter += 1;
             self.below_exit = 0;
-            if self.state == DriftState::Stable && self.above_enter >= self.config.enter_windows {
+            if self.state == DriftState::Stable && self.above_enter >= ENTER_WINDOWS {
                 self.state = DriftState::Drifting;
             }
-        } else if z <= self.config.drift_exit_sigmas {
+        } else if z <= DRIFT_EXIT_SIGMAS {
             self.below_exit += 1;
             self.above_enter = 0;
-            if self.state != DriftState::Stable && self.below_exit >= self.config.exit_windows {
+            if self.state != DriftState::Stable && self.below_exit >= EXIT_WINDOWS {
                 self.state = DriftState::Stable;
                 self.below_exit = 0;
             }
@@ -262,13 +207,9 @@ impl DriftSentinel {
     /// Reconstructs a sentinel from a checkpointed snapshot.
     ///
     /// # Errors
-    /// [`DetectError::InvalidConfig`] on a bad config or a non-positive
-    /// snapshot baseline std.
-    pub fn from_snapshot(
-        snapshot: SentinelSnapshot,
-        config: SentinelConfig,
-    ) -> Result<Self, DetectError> {
-        config.validate()?;
+    /// [`DetectError::InvalidConfig`] on a non-positive snapshot baseline
+    /// std or a non-finite baseline mean.
+    pub fn from_snapshot(snapshot: SentinelSnapshot) -> Result<Self, DetectError> {
         if snapshot.baseline_std <= 0.0
             || snapshot.baseline_std.is_nan()
             || !snapshot.baseline_mean.is_finite()
@@ -281,7 +222,6 @@ impl DriftSentinel {
             });
         }
         Ok(DriftSentinel {
-            config,
             baseline_mean: snapshot.baseline_mean,
             baseline_std: snapshot.baseline_std,
             ewma: snapshot.ewma,
@@ -313,7 +253,7 @@ mod tests {
 
     fn sentinel() -> DriftSentinel {
         // Nulls around 1.0 → baseline mean ≈ 0, std floored to 0.05.
-        DriftSentinel::from_null_scores(&[1.0; 20], SentinelConfig::default()).unwrap()
+        DriftSentinel::from_null_scores(&[1.0; 20]).unwrap()
     }
 
     #[test]
@@ -339,7 +279,7 @@ mod tests {
         }
         let when = first_drifting.expect("sustained shift must escalate");
         assert!(
-            when >= SentinelConfig::default().enter_windows as usize - 1,
+            when >= ENTER_WINDOWS as usize - 1,
             "escalated after {when} windows, before the hysteresis count"
         );
         // Recovery also needs sustained evidence.
@@ -352,7 +292,7 @@ mod tests {
         }
         let back = back.expect("return to null must relax to Stable");
         assert!(
-            back >= SentinelConfig::default().exit_windows as usize - 1,
+            back >= EXIT_WINDOWS as usize - 1,
             "relaxed after {back} windows"
         );
     }
@@ -391,7 +331,7 @@ mod tests {
             s.observe(1.0 + 0.2 * i as f64);
         }
         let snap = s.snapshot();
-        let restored = DriftSentinel::from_snapshot(snap, SentinelConfig::default()).unwrap();
+        let restored = DriftSentinel::from_snapshot(snap).unwrap();
         // Continue both and require bit-identical trajectories.
         let mut a = s;
         let mut b = restored;
@@ -403,34 +343,8 @@ mod tests {
     }
 
     #[test]
-    fn bad_configs_are_rejected() {
-        let nulls = [1.0, 1.1];
-        for cfg in [
-            SentinelConfig {
-                alpha: 0.0,
-                ..SentinelConfig::default()
-            },
-            SentinelConfig {
-                alpha: 1.5,
-                ..SentinelConfig::default()
-            },
-            SentinelConfig {
-                drift_exit_sigmas: 4.0,
-                ..SentinelConfig::default()
-            },
-            SentinelConfig {
-                broken_enter_sigmas: 0.8,
-                ..SentinelConfig::default()
-            },
-            SentinelConfig {
-                enter_windows: 0,
-                ..SentinelConfig::default()
-            },
-        ] {
-            let err = DriftSentinel::from_null_scores(&nulls, cfg).unwrap_err();
-            assert!(matches!(err, DetectError::InvalidConfig { .. }), "{err}");
-        }
-        let err = DriftSentinel::from_null_scores(&[1.0], SentinelConfig::default()).unwrap_err();
+    fn too_few_null_scores_are_rejected() {
+        let err = DriftSentinel::from_null_scores(&[1.0]).unwrap_err();
         assert!(matches!(err, DetectError::InvalidConfig { .. }), "{err}");
     }
 

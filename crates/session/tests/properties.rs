@@ -4,6 +4,11 @@
 //! image are typed errors, never a panic. Corruption of a stored image
 //! is caught by the shard-log record checksum (`mpdf-fleet`'s tests).
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use proptest::prelude::*;
 
 use mpdf_core::profile::DetectorConfig;
@@ -20,7 +25,6 @@ fn session_cfg() -> SessionConfig {
     SessionConfig {
         recalibration: RecalPolicy {
             enabled: true,
-            shadow_windows: 4,
             ..RecalPolicy::default()
         },
         reservoir_windows: 4,

@@ -102,17 +102,6 @@ impl UniformLinearArray {
             })
             .collect()
     }
-
-    /// The unambiguous angular field of view: with spacing ≤ λ/2 the
-    /// full ±90°; wider spacing aliases earlier.
-    pub fn unambiguous_fov(&self, wavelength_m: f64) -> f64 {
-        let ratio = wavelength_m / (2.0 * self.spacing_m);
-        if ratio >= 1.0 {
-            std::f64::consts::FRAC_PI_2
-        } else {
-            ratio.asin()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,14 +161,6 @@ mod tests {
         let s2 = a.steering_vector(0.8, LAMBDA);
         let corr: Complex64 = s1.iter().zip(&s2).map(|(&x, &y)| x.conj() * y).sum();
         assert!(corr.norm() < 3.0 - 1e-3, "distinct angles must decorrelate");
-    }
-
-    #[test]
-    fn half_wavelength_spacing_has_full_fov() {
-        let a = UniformLinearArray::three_element(LAMBDA);
-        assert!((a.unambiguous_fov(LAMBDA) - FRAC_PI_2).abs() < 1e-12);
-        let wide = UniformLinearArray::new(3, LAMBDA, Vec2::new(0.0, 1.0));
-        assert!(wide.unambiguous_fov(LAMBDA) < FRAC_PI_2);
     }
 
     #[test]

@@ -144,15 +144,6 @@ impl Band {
         self.center_hz + self.indices[k] as f64 * SUBCARRIER_SPACING_HZ
     }
 
-    /// Checked sibling of [`Band::subcarrier_hz`] for slot indices that
-    /// came from untrusted input: `None` instead of a panic when `k` is
-    /// out of range.
-    pub fn get_subcarrier_hz(&self, k: usize) -> Option<f64> {
-        self.indices
-            .get(k)
-            .map(|&idx| self.center_hz + idx as f64 * SUBCARRIER_SPACING_HZ)
-    }
-
     /// All subcarrier frequencies in slot order.
     pub fn frequencies(&self) -> Vec<f64> {
         (0..self.indices.len())
@@ -163,19 +154,6 @@ impl Band {
     /// Wavelength at the centre frequency (m).
     pub fn center_wavelength(&self) -> f64 {
         mpdf_propagation::pathloss::PathLossModel::wavelength(self.center_hz)
-    }
-
-    /// Occupied bandwidth of the reported grid (Hz): the lowest-to-
-    /// highest subcarrier span for two or more indices, one subcarrier
-    /// spacing for a singleton (a lone subcarrier still occupies its
-    /// 312.5 kHz slot, not zero bandwidth), and `0.0` only for a
-    /// genuinely empty index set.
-    pub fn span_hz(&self) -> f64 {
-        match (self.indices.iter().min(), self.indices.iter().max()) {
-            (Some(&lo), Some(&hi)) if hi > lo => (hi - lo) as f64 * SUBCARRIER_SPACING_HZ,
-            (Some(_), Some(_)) => SUBCARRIER_SPACING_HZ,
-            _ => 0.0,
-        }
     }
 }
 
@@ -224,8 +202,6 @@ mod tests {
         let freqs = band.frequencies();
         assert_eq!(freqs.len(), 30);
         assert!(freqs.windows(2).all(|w| w[1] > w[0]));
-        // 56 slots × 312.5 kHz = 17.5 MHz reported span.
-        assert!((band.span_hz() - 17.5e6).abs() < 1.0);
     }
 
     #[test]
@@ -270,25 +246,5 @@ mod tests {
             Band::try_with_indices(2.4e9, vec![5, -2]),
             Err(BandError::UnsortedIndices { at: 0 })
         );
-    }
-
-    #[test]
-    fn get_subcarrier_hz_is_total() {
-        let band = Band::wifi_2_4ghz_channel11();
-        assert_eq!(band.get_subcarrier_hz(0), Some(band.subcarrier_hz(0)));
-        assert_eq!(band.get_subcarrier_hz(29), Some(band.subcarrier_hz(29)));
-        assert_eq!(band.get_subcarrier_hz(30), None);
-        assert_eq!(band.get_subcarrier_hz(usize::MAX), None);
-    }
-
-    #[test]
-    fn span_hz_handles_degenerate_grids() {
-        // Singleton: one subcarrier still occupies its slot.
-        let single = Band::new(2.4e9, vec![7]);
-        assert_eq!(single.span_hz(), SUBCARRIER_SPACING_HZ);
-        // n ≥ 2 is unchanged by the fix.
-        let pair = Band::new(2.4e9, vec![-3, 5]);
-        assert_eq!(pair.span_hz(), 8.0 * SUBCARRIER_SPACING_HZ);
-        assert!((Band::wifi_2_4ghz_channel11().span_hz() - 17.5e6).abs() < 1.0);
     }
 }

@@ -51,6 +51,6 @@ pub use band::{Band, BandError, INTEL5300_SUBCARRIER_INDICES, NUM_SUBCARRIERS};
 pub use csi::CsiPacket;
 pub use fault::FaultModel;
 pub use impairments::ImpairmentModel;
-pub use quarantine::{PacketClass, Quarantine, QuarantinePolicy, RejectReason};
+pub use quarantine::{PacketClass, Quarantine, RejectReason};
 pub use receiver::{Actor, CsiReceiver, ReceiverConfig};
 pub use wire::{FrameSplitter, WireError, WireRecord};

@@ -22,8 +22,8 @@ use crate::csi::CsiPacket;
 use crate::fault::{FaultModel, FaultState};
 use crate::impairments::ImpairmentModel;
 
-/// Packet rate used throughout the paper's evaluation (§V-A).
-pub const DEFAULT_PACKET_RATE_HZ: f64 = 50.0;
+/// Packet rate of every capture, the paper's 50 pkt/s (§V-A).
+const PACKET_RATE_HZ: f64 = 50.0;
 
 /// Receiver configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,17 +34,15 @@ pub struct ReceiverConfig {
     pub array: UniformLinearArray,
     /// Impairment model (default: commodity NIC).
     pub impairments: ImpairmentModel,
-    /// Packet rate in Hz (default 50).
-    pub packet_rate_hz: f64,
     /// Amplitude of session-to-session clutter drift, relative to the RMS
-    /// CSI amplitude (default 0.04). Real campaigns span days: doors,
+    /// CSI amplitude (default 0.025). Real campaigns span days: doors,
     /// chairs and equipment move between the calibration and monitoring
     /// sessions, perturbing the static profile. Modelled as one weak
     /// extra path with random delay, arrival angle and phase, resampled
     /// by [`CsiReceiver::resample_drift`]. `0` disables drift.
     pub clutter_drift_rel: f64,
     /// Peak flat gain drift between sessions in dB (uniform in
-    /// `±session_gain_drift_db`; default 1.0). Applied by
+    /// `±session_gain_drift_db`; default 0.3). Applied by
     /// [`CsiReceiver::resample_drift`] alongside the clutter path.
     pub session_gain_drift_db: f64,
     /// Injected receiver faults (default: none). Applied after the
@@ -62,7 +60,6 @@ impl Default for ReceiverConfig {
             band,
             array,
             impairments: ImpairmentModel::commodity_nic(),
-            packet_rate_hz: DEFAULT_PACKET_RATE_HZ,
             clutter_drift_rel: 0.025,
             session_gain_drift_db: 0.3,
             faults: FaultModel::none(),
@@ -117,15 +114,11 @@ impl CsiReceiver {
     /// # Errors
     /// Kept for API stability: the link was traced, and validated, when
     /// `channel` was built.
-    ///
-    /// # Panics
-    /// Panics if the packet rate is not positive.
     pub fn with_config(
         channel: ChannelModel,
         config: ReceiverConfig,
         seed: u64,
     ) -> Result<Self, TraceError> {
-        assert!(config.packet_rate_hz > 0.0, "packet rate must be positive");
         // Normalize so a 1 m LOS link has unit amplitude.
         let fc = config.band.center_hz();
         let gain = 1.0 / channel.pathloss().amplitude_gain(1.0, fc);
@@ -306,7 +299,7 @@ impl CsiReceiver {
             &mut self.rng,
         );
         self.seq += 1;
-        self.time += 1.0 / self.config.packet_rate_hz;
+        self.time += 1.0 / PACKET_RATE_HZ;
         if self.config.faults.is_none() {
             out.push(packet);
         } else {

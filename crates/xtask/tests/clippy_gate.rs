@@ -11,6 +11,12 @@
 //! These tests need `cargo clippy`; without it they fail, they never
 //! skip.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -7,6 +7,11 @@
 //! `OBS_registry.txt` manifests. The bans clippy enforces are proved on
 //! their own fixture by `tests/clippy_gate.rs`.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::path::Path;
 use std::process::{Command, Output};
 

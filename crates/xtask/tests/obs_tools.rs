@@ -3,6 +3,11 @@
 //! pinning output determinism and the exit-code contract (0 clean,
 //! 1 findings, 2 usage/I/O errors) the CI jobs rely on.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};

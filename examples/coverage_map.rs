@@ -4,6 +4,11 @@
 //!
 //! Run with `cargo run --release --example coverage_map`.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it shows on stdout"
+)]
+
 use mpdf_eval::scenario::{classroom, classroom_room};
 use multipath_hd::prelude::*;
 

@@ -4,6 +4,11 @@
 //!
 //! Run with `cargo run --release --example intrusion_timeline`.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it shows on stdout"
+)]
+
 use mpdf_core::variance::motion_score;
 use mpdf_propagation::trajectory::LinearWalk;
 use multipath_hd::prelude::*;

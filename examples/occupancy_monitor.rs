@@ -8,6 +8,11 @@
 //!
 //! Run with `cargo run --release --example occupancy_monitor`.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it shows on stdout"
+)]
+
 use mpdf_propagation::trajectory::{StaticSway, Trajectory, WaypointWalk};
 use multipath_hd::prelude::*;
 

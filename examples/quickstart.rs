@@ -3,6 +3,11 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it shows on stdout"
+)]
+
 use multipath_hd::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

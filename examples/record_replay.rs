@@ -6,6 +6,11 @@
 //!
 //! Run with `cargo run --release --example record_replay [capture.mpdf]`.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it shows on stdout"
+)]
+
 use mpdf_wifi::wire::{drain_frames, encode_stream};
 use multipath_hd::prelude::*;
 

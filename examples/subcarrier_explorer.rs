@@ -4,6 +4,11 @@
 //!
 //! Run with `cargo run --release --example subcarrier_explorer`.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it shows on stdout"
+)]
+
 use mpdf_core::multipath_factor::multipath_factors;
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_wifi::csi::CsiPacket;

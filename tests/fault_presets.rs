@@ -3,6 +3,11 @@
 //! each run returns `Ok` — at a tiny scale, in the debug profile, where
 //! the numeric contracts are live.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_eval::experiments as exp;
 use mpdf_eval::workload::CampaignConfig;
 use mpdf_wifi::FaultModel;

@@ -1,5 +1,10 @@
 //! Cross-crate integration: physics → CSI → weighting → detection.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use multipath_hd::prelude::*;
 
 fn classroom_link() -> ChannelModel {

@@ -1,5 +1,10 @@
 //! Failure injection and determinism across the full stack.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
+)]
+
 use mpdf_core::error::DetectError;
 use multipath_hd::prelude::*;
 
