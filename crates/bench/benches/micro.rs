@@ -25,7 +25,7 @@ use mpdf_bench::{bench_fixture, bench_link, Harness};
 #[cfg(feature = "alloc-profile")]
 #[global_allocator]
 static COUNTING_ALLOC: mpdf_obs::allocs::CountingAllocator = mpdf_obs::allocs::CountingAllocator;
-use mpdf_core::multipath_factor::multipath_factors;
+use mpdf_core::multipath_factor::{multipath_factors, MuGrid, MuScratch};
 use mpdf_core::scheme::{
     Baseline, DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
 };
@@ -35,12 +35,14 @@ use mpdf_music::covariance::sample_covariance;
 use mpdf_music::music::{pseudospectrum, AngleGrid, UlaSteering};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::tracer::{trace, TraceConfig};
+use mpdf_rfmath::angle::phase_args_into;
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::dft::nudft_at_delay;
 use mpdf_rfmath::eig::hermitian_eig;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_session::runtime::{SessionConfig, SessionRuntime};
 use mpdf_wifi::band::Band;
+use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::receiver::CsiReceiver;
 use mpdf_wifi::wire;
 
@@ -52,6 +54,17 @@ fn bench_numerics(h: &mut Harness) {
     let freqs = band.frequencies();
     h.bench("numerics/nudft_delay0_30", || {
         nudft_at_delay(black_box(&x), black_box(&freqs), 0.0)
+    });
+    // The phase angles of one packet's 30 antenna sums, as the μ_k
+    // estimator's linear-phase fit reads them (no zero component, so
+    // the batched kernel runs, not the std fallback).
+    let sums: Vec<Complex64> = (0..30)
+        .map(|i| Complex64::cis(0.7 * i as f64 + 0.3) * (1.0 + 0.01 * i as f64))
+        .collect();
+    let mut phases = Vec::with_capacity(30);
+    h.bench("numerics/phase_args_30", || {
+        phase_args_into(black_box(&sums), &mut phases);
+        phases[0]
     });
     let v = [
         Complex64::new(1.0, 0.5),
@@ -83,11 +96,40 @@ fn bench_physics(h: &mut Harness) {
 
 fn bench_detection(h: &mut Harness) {
     let (profile, window, config) = bench_fixture();
-    // μ_k of one packet as captured: the linear-phase fit, the rotor and
-    // Eq. 9–11 on each rotated antenna row.
+    // μ_k of one packet as captured, grid built per call: the
+    // linear-phase fit, the rotor and Eq. 9–11 on each antenna row.
     let pkt = &window[0];
     h.bench("detection/multipath_factors_packet", || {
         multipath_factors(black_box(pkt), &config.band)
+    });
+    // μ_k of a whole window on a prebuilt grid: 25 packets, each turned
+    // by its own common phase, as the fleet delivers them.
+    let rotated: Vec<CsiPacket> = window
+        .iter()
+        .enumerate()
+        .map(|(p, pkt)| {
+            let w = Complex64::cis(0.37 * p as f64 + 0.1);
+            let data = (0..pkt.antennas())
+                .flat_map(|a| pkt.antenna_row(a).iter().map(move |&h| h * w))
+                .collect();
+            CsiPacket::new(
+                pkt.antennas(),
+                pkt.subcarriers(),
+                data,
+                pkt.seq,
+                pkt.timestamp,
+            )
+        })
+        .collect();
+    let mu_grid = MuGrid::new(&config.band);
+    let mut mu_scratch = MuScratch::default();
+    let k = config.band.num_subcarriers();
+    let mut mus = vec![0.0; rotated.len() * k];
+    h.bench("detection/mu_k_window_25pkt", || {
+        for (p, seg) in black_box(&rotated).iter().zip(mus.chunks_exact_mut(k)) {
+            mu_grid.packet_factors_into(p, &mut mu_scratch, seg);
+        }
+        mus[0]
     });
     h.bench("detection/subcarrier_weights_25pkt", || {
         SubcarrierWeights::from_packets(black_box(&window), &config.band)

@@ -16,18 +16,24 @@
 //!
 //! Phase calibration: `ĥ(0)` is the one quantity of the detector that
 //! reads CSI phase across subcarriers, so the packet-level estimator
-//! owns the paper's linear-phase fit ("as in \[26\]", §IV-C): it fits
-//! each packet as captured ([`estimate_linear_phase_with`]) and forms
-//! `ĥ(0)` and `|H(f_k)|²` from the rotated samples `h·rot_k` in a row
-//! buffer. Packets themselves are never rewritten; the factors are
-//! bitwise those of the sanitized copy ([`mpdf_wifi::sanitize`]).
+//! owns the paper's linear-phase fit ("as in \[26\]", §IV-C). Per packet
+//! it takes the phase of the antenna sum per tone (one batched
+//! [`phase_args_into`] over the tones), unwraps and fits it against the
+//! OFDM indices, and forms `ĥ(0)` under the rotor `e^{−j·slope·idx_k}`,
+//! built as integer powers of one phasor. The fit's intercept is a
+//! common phase `|ĥ(0)|²` does not see, and a unit rotor leaves
+//! `|H(f_k)|²` as captured, so packets are never rewritten; the factors
+//! are within 1e-12 (relative) of those of the sanitized copy
+//! ([`mpdf_wifi::sanitize`]).
 
+use mpdf_rfmath::angle::phase_args_into;
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::contract;
 use mpdf_rfmath::dft::nudft_at_delay;
+use mpdf_rfmath::fit::TrendAxis;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
-use mpdf_wifi::sanitize::{estimate_linear_phase_with, SanitizeScratch};
+use mpdf_wifi::sanitize::unwrap_phases_into;
 
 /// Dominant-tap power `|ĥ(0)|²` of one antenna's CFR row.
 ///
@@ -67,79 +73,70 @@ fn split_prefix(freqs_hz: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Multipath factors `μ_k` of one antenna row (Eq. 11) under a
-/// precomputed split prefix, written into `out` (cleared and refilled).
-///
-/// # Panics
-/// Panics if the row length differs from the grid length.
-fn row_factors_into(
-    csi_row: &[Complex64],
-    freqs_hz: &[f64],
-    split_prefix: &[f64],
-    out: &mut Vec<f64>,
-) {
-    assert_eq!(
-        csi_row.len(),
-        freqs_hz.len(),
-        "CSI row and frequency grid must have equal length"
-    );
-    let h0 = dominant_tap_power(csi_row, freqs_hz);
-    out.clear();
-    out.resize(csi_row.len(), 0.0);
-    for ((mu, h), &pre) in out.iter_mut().zip(csi_row).zip(split_prefix) {
-        let p = pre * h0;
-        let power = h.norm_sqr();
-        // Divide, then select: the branch-free loop vectorizes, and a
-        // dead tone's quotient is discarded, not used.
-        let ratio = p / power;
-        *mu = if power <= f64::MIN_POSITIVE {
-            0.0
-        } else {
-            ratio
-        };
+/// Eq. 11's `μ_k = P_L(f_k)/|H(f_k)|²`, or 0 on a dead tone.
+#[inline]
+fn factor(los: f64, power: f64) -> f64 {
+    // Divide, then select: the branch-free loop vectorizes, and a dead
+    // tone's quotient is discarded, not used.
+    let ratio = los / power;
+    if power <= f64::MIN_POSITIVE {
+        0.0
+    } else {
+        ratio
     }
-    contract::assert_non_negative("multipath factors μ (row)", out);
 }
 
 /// Precomputed per-band state for the μ_k estimator.
 ///
 /// Eq. 10's LOS split is `P_L(f_k) = (K·f_k⁻²/Σ_j f_j⁻²) · |ĥ(0)|²`:
-/// everything left of `|ĥ(0)|²` depends only on the frequency grid, so a
-/// monitoring window (25 packets × 3 antennas on the same band plan)
-/// recomputed it 75 times. The grid hoists that prefix once; per row the
-/// split is one multiply. Factor values are bit-identical to the free
-/// functions below — the prefix is the identical left-associated
-/// sub-expression of Eq. 10's original formulation. The band's OFDM
-/// indices are the abscissa of the per-packet linear-phase fit.
+/// everything left of `|ĥ(0)|²` depends only on the frequency grid, so
+/// the grid hoists that prefix once; per row the split is one multiply.
+/// The band's OFDM indices are the abscissa of the per-packet
+/// linear-phase fit (with `x̄` and `Sxx` formed once) and the exponents
+/// of its rotor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MuGrid {
     indices: Vec<i32>,
     freqs_hz: Vec<f64>,
     /// `K·f_k⁻²/Σ_j f_j⁻²` per subcarrier.
     split_prefix: Vec<f64>,
+    /// The OFDM indices as the phase fit's abscissa.
+    axis: TrendAxis,
+    /// `max_k |idx_k|`, the highest rotor power a packet needs.
+    max_order: usize,
 }
 
-/// Reusable buffers of the per-packet μ_k pass (the phase fit's, the
-/// rotor `e^{-j(slope·idx_k + intercept)}`, one rotated antenna row and
-/// its factors), carried across the packets a grid scores.
+/// Reusable buffers of the per-packet μ_k pass — the phase fit's
+/// antenna sums, their phases and the unwrapped phases, and the rotor's
+/// integer powers and per-tone values — carried across the packets a
+/// grid scores.
 #[derive(Debug, Clone, Default)]
 pub struct MuScratch {
-    fit: SanitizeScratch,
+    sums: Vec<Complex64>,
+    phases: Vec<f64>,
+    unwrapped: Vec<f64>,
+    powers: Vec<Complex64>,
     rots: Vec<Complex64>,
-    row: Vec<Complex64>,
-    mus: Vec<f64>,
 }
 
 impl MuGrid {
-    /// Precomputes the split prefix for a band plan.
+    /// Precomputes the split prefix and the phase-fit axis for a band
+    /// plan.
     ///
     /// # Panics
     /// Panics if the band has no subcarriers.
     pub fn new(band: &Band) -> Self {
         let freqs_hz = band.frequencies();
+        let indices = band.indices().to_vec();
         MuGrid {
-            indices: band.indices().to_vec(),
             split_prefix: split_prefix(&freqs_hz),
+            axis: TrendAxis::new(indices.iter().map(|&i| f64::from(i)).collect()),
+            max_order: indices
+                .iter()
+                .map(|i| i.unsigned_abs() as usize)
+                .max()
+                .unwrap_or(0),
+            indices,
             freqs_hz,
         }
     }
@@ -152,8 +149,9 @@ impl MuGrid {
     /// Antenna-averaged packet factors (Eq. 11) of a packet as captured,
     /// written into the `out` slice — the allocation-free core of
     /// [`multipath_factors`]. The packet's linear phase is fitted and
-    /// its rotor applied to each antenna row in `scratch`, so the
-    /// factors are bitwise those of the packet's sanitized copy.
+    /// its rotor built in `scratch`; each antenna row is read once for
+    /// `ĥ(0)` and once for `|H_k|²`. The factors are within 1e-12
+    /// (relative) of those of the packet's sanitized copy.
     ///
     /// # Panics
     /// Panics if the packet's subcarrier count or `out.len()` differs
@@ -164,44 +162,64 @@ impl MuGrid {
         scratch: &mut MuScratch,
         out: &mut [f64],
     ) {
+        let k = self.freqs_hz.len();
         assert_eq!(
             packet.subcarriers(),
-            self.freqs_hz.len(),
+            k,
             "frequency grid must match packet subcarriers"
         );
-        assert_eq!(
-            out.len(),
-            self.freqs_hz.len(),
-            "output length must match the frequency grid"
-        );
-        let corr = estimate_linear_phase_with(&mut scratch.fit, packet, &self.indices);
-        // The rotor depends only on the subcarrier index: one `cis` per
-        // tone, shared by every antenna.
-        scratch.rots.clear();
-        scratch.rots.extend(
-            self.indices
-                .iter()
-                .map(|&idx| Complex64::cis(-(corr.slope * idx as f64 + corr.intercept))),
-        );
-        out.fill(0.0);
-        scratch.row.resize(self.indices.len(), Complex64::ZERO);
+        assert_eq!(out.len(), k, "output length must match the frequency grid");
+        let MuScratch {
+            sums,
+            phases,
+            unwrapped,
+            powers,
+            rots,
+        } = scratch;
+        // Phase fit ([26]): the phase of the antenna sum per tone,
+        // unwrapped and fitted against the OFDM indices.
+        sums.clear();
+        sums.resize(k, Complex64::ZERO);
         for a in 0..packet.antennas() {
-            let rotated = scratch
-                .row
-                .iter_mut()
-                .zip(packet.antenna_row(a))
-                .zip(&scratch.rots);
-            for ((slot, &h), &rot) in rotated {
-                *slot = h * rot;
+            for (s, &h) in sums.iter_mut().zip(packet.antenna_row(a)) {
+                *s += h;
             }
-            row_factors_into(
-                &scratch.row,
-                &self.freqs_hz,
-                &self.split_prefix,
-                &mut scratch.mus,
-            );
-            for (slot, &v) in out.iter_mut().zip(&scratch.mus) {
-                *slot += v;
+        }
+        phase_args_into(sums, phases);
+        unwrap_phases_into(phases, unwrapped);
+        let slope = self.axis.trend(unwrapped).map_or(0.0, |(slope, _)| slope);
+        // Rotor e^{−j·slope·idx_k} = w^{idx_k} with w = e^{−j·slope}: one
+        // `cis`, then integer powers (conjugated for negative indices).
+        let w = Complex64::cis(-slope);
+        powers.clear();
+        let mut power = Complex64::ONE;
+        powers.push(power);
+        for _ in 0..self.max_order {
+            power *= w;
+            powers.push(power);
+        }
+        rots.clear();
+        rots.extend(self.indices.iter().map(|&idx| {
+            let p = powers[idx.unsigned_abs() as usize];
+            if idx < 0 {
+                p.conj()
+            } else {
+                p
+            }
+        }));
+        out.fill(0.0);
+        for a in 0..packet.antennas() {
+            let row = packet.antenna_row(a);
+            // Eq. 9: ĥ(0), the mean of the calibrated row.
+            let h0 = row
+                .iter()
+                .zip(rots.iter())
+                .fold(Complex64::ZERO, |acc, (&h, &rot)| acc + h * rot)
+                / k as f64;
+            let h0_power = h0.norm_sqr();
+            // Eq. 10–11; the unit rotor leaves |H_k|² as captured.
+            for ((mu, h), &pre) in out.iter_mut().zip(row).zip(&self.split_prefix) {
+                *mu += factor(pre * h0_power, h.norm_sqr());
             }
         }
         for v in out.iter_mut() {
@@ -221,15 +239,27 @@ impl MuGrid {
 /// # Panics
 /// Panics if the row and frequency grid lengths differ or are empty.
 pub fn multipath_factors_row(csi_row: &[Complex64], freqs_hz: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(csi_row.len());
-    row_factors_into(csi_row, freqs_hz, &split_prefix(freqs_hz), &mut out);
+    assert_eq!(
+        csi_row.len(),
+        freqs_hz.len(),
+        "CSI row and frequency grid must have equal length"
+    );
+    let h0 = dominant_tap_power(csi_row, freqs_hz);
+    let out: Vec<f64> = csi_row
+        .iter()
+        .zip(split_prefix(freqs_hz))
+        .map(|(h, pre)| factor(pre * h0, h.norm_sqr()))
+        .collect();
+    contract::assert_non_negative("multipath factors μ (row)", &out);
     out
 }
 
 /// Multipath factors for a whole packet as captured, phase-calibrated
 /// and averaged over antennas — the per-packet measurement the weighting
 /// scheme consumes (the paper notes μ is "directly measurable at runtime
-/// from one packet").
+/// from one packet"). Builds a [`MuGrid`] per call; a caller scoring
+/// many packets builds one grid and calls
+/// [`MuGrid::packet_factors_into`].
 ///
 /// # Panics
 /// Panics if the band's subcarrier count differs from the packet's.
@@ -373,11 +403,9 @@ mod tests {
     }
 
     #[test]
-    fn grid_factors_are_bitwise_identical_to_direct_formulation() {
-        // The hoisted split prefix and the in-estimator phase fit must not
-        // perturb a single bit: the prefix is the same left-associated
-        // sub-expression Eq. 10 evaluated per call before the hoist, and
-        // the rotor is the one `sanitize_packet` applies.
+    fn grid_factors_match_the_sanitized_copy() {
+        // Row level, bitwise: the hoisted split prefix is the same
+        // left-associated sub-expression Eq. 10 evaluated per call.
         let band = Band::wifi_2_4ghz_channel11();
         let freqs = band.frequencies();
         let grid = MuGrid::new(&band);
@@ -390,7 +418,6 @@ mod tests {
                     + Complex64::from_polar(0.6, 0.37 * i as f64)
             })
             .collect();
-        // Row level: hoisted prefix vs reference split arithmetic.
         let direct = direct_row_factors(&row, &freqs);
         for (i, (mu, reference)) in multipath_factors_row(&row, &freqs)
             .iter()
@@ -399,8 +426,12 @@ mod tests {
         {
             assert_eq!(mu.to_bits(), reference.to_bits(), "subcarrier {i}");
         }
-        // Packet level, as captured and with an injected slope and
-        // intercept: grid vs the direct formulation on the sanitized copy.
+        // Packet level, relative 1e-12: the grid's batched phase angles
+        // and rotor powers against the direct formulation on the
+        // sanitized copy (std `atan2`, one `cis` per tone), as captured,
+        // with an injected slope and intercept, and with an antenna sum
+        // of exactly zero on one tone (the phase angles fall back to
+        // std for that packet).
         let mut data = row.clone();
         data.extend(row.iter().map(|&z| z * Complex64::new(0.2, 0.8)));
         let flat = CsiPacket::new(2, 30, data, 0, 0.0);
@@ -418,8 +449,13 @@ mod tests {
             1,
             0.0,
         );
+        let mut data = tilted.antenna_row(0).to_vec();
+        data.extend(tilted.antenna_row(1));
+        data[30 + 5] = -data[5];
+        let cancelled = CsiPacket::new(2, 30, data, 2, 0.0);
+        assert_eq!(cancelled.get(0, 5) + cancelled.get(1, 5), Complex64::ZERO);
         let mut scratch = MuScratch::default();
-        for (n, packet) in [flat, tilted].into_iter().enumerate() {
+        for (n, packet) in [flat, tilted, cancelled].into_iter().enumerate() {
             let mut sanitized = packet.clone();
             sanitize_packet(&mut sanitized, band.indices());
             let mut reference = vec![0.0; 30];
@@ -438,8 +474,11 @@ mod tests {
             grid.packet_factors_into(&packet, &mut scratch, &mut buffered);
             let wrapper = multipath_factors(&packet, &band);
             for (i, ((a, b), r)) in buffered.iter().zip(&wrapper).zip(&reference).enumerate() {
-                assert_eq!(a.to_bits(), r.to_bits(), "packet {n}, subcarrier {i}");
-                assert_eq!(b.to_bits(), r.to_bits(), "packet {n}, subcarrier {i}");
+                assert_eq!(a.to_bits(), b.to_bits(), "packet {n}, subcarrier {i}");
+                assert!(
+                    (a - r).abs() <= 1e-12 * r.abs(),
+                    "packet {n}, subcarrier {i}: {a} vs sanitized {r}"
+                );
             }
         }
     }

@@ -12,6 +12,7 @@
     reason = "integration-test helpers stop on a setup failure, as clippy.toml's allow-*-in-tests lets `#[test]` code"
 )]
 
+use mpdf_core::degrade::assess_window;
 use mpdf_core::multipath_factor::{multipath_factors, multipath_factors_row, MuGrid, MuScratch};
 use mpdf_core::path_weight::PathWeights;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
@@ -28,7 +29,8 @@ use mpdf_rfmath::eig::hermitian_eig;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
-use mpdf_wifi::receiver::CsiReceiver;
+use mpdf_wifi::fault::FaultModel;
+use mpdf_wifi::receiver::{CsiReceiver, ReceiverConfig};
 
 use std::f64::consts::{PI, TAU};
 
@@ -371,8 +373,12 @@ fn bartlett(cov: &Matrix, a: &[Complex64]) -> f64 {
 /// The combined score of §IV-C: per gated angle, the dB ratio of the
 /// Bartlett powers (clamped at 0) of the Eq. 15-weighted monitored and
 /// static covariances; the gate mean removed; the path-weighted RMS.
+/// The static side is the calibration's pooled covariance restricted to
+/// the chains the window kept (`kept`, indices into the calibration's
+/// rows).
 fn combined_score(
     calibration: &[CsiPacket],
+    kept: &[usize],
     window: &[CsiPacket],
     weights_by_angle: &[f64],
     spacing: f64,
@@ -380,7 +386,11 @@ fn combined_score(
 ) -> f64 {
     let (_, _, weights) = reference_weights(window, band);
     let monitored = pooled_covariance(window, &weights);
-    let stored = pooled_covariance(calibration, &weights);
+    let pooled = pooled_covariance(calibration, &weights);
+    let stored: Matrix = kept
+        .iter()
+        .map(|&i| kept.iter().map(|&j| pooled[i][j]).collect())
+        .collect();
     let m = monitored.len();
     let mut gated = Vec::new();
     for (theta, &w) in angles_deg().into_iter().zip(weights_by_angle) {
@@ -505,7 +515,15 @@ fn production_combined_score_matches_the_straight_line_reference() {
                 config.num_sources,
                 spacing,
             ));
-            let want = combined_score(&calibration, &window, &weights_by_angle, spacing, &band);
+            let all: Vec<usize> = (0..chains.len()).collect();
+            let want = combined_score(
+                &calibration,
+                &all,
+                &window,
+                &weights_by_angle,
+                spacing,
+                &band,
+            );
             assert!(
                 want > 1e-3,
                 "seed {seed}, chains {chains:?}: the person moves no power ({want})"
@@ -516,4 +534,135 @@ fn production_combined_score_matches_the_straight_line_reference() {
             );
         }
     }
+}
+
+/// Windows a faulted receiver delivers: five 25-packet captures with a
+/// person near the link under fault `preset`.
+fn faulted_windows(seed: u64, preset: &str) -> Vec<Vec<CsiPacket>> {
+    let env = Environment::empty_room(Rect::new(Vec2::ZERO, Vec2::new(8.0, 6.0)));
+    let link = ChannelModel::new(env, Vec2::new(2.0, 3.0), Vec2::new(6.0, 3.0)).unwrap();
+    let config = ReceiverConfig {
+        faults: FaultModel::preset(preset).unwrap(),
+        ..ReceiverConfig::default()
+    };
+    let mut rx = CsiReceiver::with_config(link, config, seed).unwrap();
+    let person = HumanBody::new(Vec2::new(4.4, 3.7));
+    (0..5)
+        .map(|_| rx.capture_static(Some(&person), 25).unwrap())
+        .collect()
+}
+
+/// A clean window delivered out of order, with a back-to-back and a
+/// late duplicate, one packet lost and chain 1 dead in one packet.
+fn mangled(window: &[CsiPacket]) -> Vec<Vec<CsiPacket>> {
+    let mut reordered = window.to_vec();
+    reordered.swap(3, 4);
+    reordered.swap(10, 11);
+    let mut duplicated = window.to_vec();
+    duplicated.insert(6, window[5].clone());
+    duplicated.push(window[2].clone());
+    let mut everything = duplicated.clone();
+    everything.swap(12, 13);
+    everything.remove(8);
+    let dead = &everything[9];
+    let mut data = Vec::with_capacity(dead.antennas() * dead.subcarriers());
+    for a in 0..dead.antennas() {
+        if a == 1 {
+            data.extend(std::iter::repeat_n(Complex64::ZERO, dead.subcarriers()));
+        } else {
+            data.extend_from_slice(dead.antenna_row(a));
+        }
+    }
+    everything[9] = CsiPacket::new(
+        dead.antennas(),
+        dead.subcarriers(),
+        data,
+        dead.seq,
+        dead.timestamp,
+    );
+    vec![reordered, duplicated, everything]
+}
+
+#[test]
+fn degraded_and_faulted_windows_match_the_straight_line_reference() {
+    let band = Band::wifi_2_4ghz_channel11();
+    let (config, spacing) = sub_array_config(&[0, 1, 2]);
+    let (mut widened, mut repaired) = (0, 0);
+    for seed in [3, 41] {
+        let (calibration, window) = calibration_and_window(seed);
+        let profile = CalibrationProfile::build(&calibration, &config).unwrap();
+        let grid = profile.mu_grid(&band);
+        let weights_by_angle = path_weights(&music_spectrum(
+            &pooled_covariance(&calibration, &vec![1.0; band.num_subcarriers()]),
+            config.num_sources,
+            spacing,
+        ));
+        let cases = ["loss", "dropout", "glitch", "chaos"]
+            .into_iter()
+            .flat_map(|preset| {
+                faulted_windows(seed, preset)
+                    .into_iter()
+                    .map(move |w| (preset, w))
+            })
+            .chain(mangled(&window).into_iter().map(|w| ("hand-built", w)));
+        let mut compared = std::collections::BTreeMap::new();
+        for (label, raw) in cases {
+            let (survivors, health) = match assess_window(&profile, &raw) {
+                Ok(front) => front,
+                Err(e) => {
+                    assert!(e.is_abstention(), "seed {seed}, {label}: {e}");
+                    continue;
+                }
+            };
+            *compared.entry(label).or_insert(0) += 1;
+            repaired += usize::from(health.degraded);
+            // Eq. 12–15 on the surviving packets.
+            let got = SubcarrierWeights::from_packets_on(&survivors, &grid);
+            let (mean_mu, stability, weights) = reference_weights(&survivors, &band);
+            for (name, got, want) in [
+                ("μ̄", &got.mean_mu, &mean_mu),
+                ("r", &got.stability, &stability),
+                ("weight", &got.weights, &weights),
+            ] {
+                for (k, (&g, &w)) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        close(g, w),
+                        "seed {seed}, {label}, {name}_{k}: {g} vs reference {w}"
+                    );
+                }
+            }
+            // The combined score on the chains the window kept.
+            let score = SubcarrierAndPathWeighting.score(&profile, &raw, &config);
+            let usable = &health.usable_antennas;
+            if usable.len() < 2 {
+                assert!(score.unwrap_err().is_abstention(), "seed {seed}, {label}");
+                continue;
+            }
+            widened += usize::from(health.widened_uncertainty);
+            let sub_spacing = config
+                .steering
+                .subset(usable)
+                .unwrap()
+                .spacing_wavelengths();
+            let want = combined_score(
+                &calibration,
+                usable,
+                &survivors,
+                &weights_by_angle,
+                sub_spacing,
+                &band,
+            );
+            let got = score.unwrap();
+            assert!(
+                close(got, want),
+                "seed {seed}, {label}, chains {usable:?}: score {got} vs reference {want}"
+            );
+        }
+        // Every preset leaves windows to score.
+        assert_eq!(compared.len(), 5, "seed {seed}: {compared:?}");
+    }
+    assert!(
+        widened > 0 && repaired > widened,
+        "widened {widened}, repaired {repaired}"
+    );
 }

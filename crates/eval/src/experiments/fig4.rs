@@ -7,7 +7,7 @@
 //! (Eq. 13/14).
 
 use mpdf_core::error::DetectError;
-use mpdf_core::multipath_factor::multipath_factors;
+use mpdf_core::multipath_factor::{MuGrid, MuScratch};
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::human::HumanBody;
@@ -46,6 +46,7 @@ fn measure(
     case_idx: usize,
     position: Point,
     cfg: &CampaignConfig,
+    grid: &MuGrid,
     packets: usize,
 ) -> Result<LocationStability, DetectError> {
     let case = &five_cases()[case_idx];
@@ -59,14 +60,20 @@ fn measure(
         trajectory: &sway,
     }];
     let stream = receiver.capture_actors(&actors, packets)?;
-    let band = &cfg.detector.band;
+    let k = grid.freqs_hz().len();
+    let per_packet: Vec<Vec<f64>> = {
+        let _stage = mpdf_obs::stage!("core.mu_k");
+        let mut scratch = MuScratch::default();
+        healthy(&stream)
+            .iter()
+            .map(|q| {
+                let mut mus = vec![0.0; k];
+                grid.packet_factors_into(q, &mut scratch, &mut mus);
+                mus
+            })
+            .collect()
+    };
 
-    let per_packet: Vec<Vec<f64>> = healthy(&stream)
-        .iter()
-        .map(|q| multipath_factors(q, band))
-        .collect();
-
-    let k = band.num_subcarriers();
     let n = per_packet.len() as f64;
     let mut mean_mu = vec![0.0; k];
     for mus in &per_packet {
@@ -135,10 +142,11 @@ pub fn run(cfg: &CampaignConfig, packets: usize) -> Result<Fig4Result, DetectErr
         .perp();
     let loc1 = mid;
     let loc2 = mid + across * (-1.2);
+    let grid = MuGrid::new(&cfg.detector.band);
     Ok(Fig4Result {
         locations: vec![
-            measure(2, loc1, cfg, packets)?,
-            measure(2, Vec2::new(loc2.x, loc2.y), cfg, packets)?,
+            measure(2, loc1, cfg, &grid, packets)?,
+            measure(2, Vec2::new(loc2.x, loc2.y), cfg, &grid, packets)?,
         ],
     })
 }

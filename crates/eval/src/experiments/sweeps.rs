@@ -2,7 +2,7 @@
 //! experiments.
 
 use mpdf_core::error::DetectError;
-use mpdf_core::multipath_factor::multipath_factors;
+use mpdf_core::multipath_factor::MuScratch;
 use mpdf_core::profile::CalibrationProfile;
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::human::HumanBody;
@@ -63,8 +63,8 @@ fn location(case: &LinkCase, i: usize) -> Point {
 /// experiments measure the channel itself, so a packet with a faulted
 /// row (non-finite samples, a dead chain) is left out, not repaired; on
 /// a fault-free capture every packet passes. Powers and covariances are
-/// invariant to the phase calibration of \[26\], and
-/// [`multipath_factors`] runs it itself.
+/// invariant to the phase calibration of \[26\], and the μ_k estimator
+/// ([`mpdf_core::multipath_factor`]) runs it itself.
 pub(crate) fn healthy(packets: &[CsiPacket]) -> Vec<CsiPacket> {
     packets
         .iter()
@@ -91,6 +91,9 @@ pub fn location_sweep(
     let calibration = receiver.capture_static(None, cfg.calibration_packets)?;
     let profile = CalibrationProfile::build(&calibration, detector)?;
     let subcarriers = detector.band.num_subcarriers();
+    let grid = profile.mu_grid(&detector.band);
+    let mut scratch = MuScratch::default();
+    let mut packet_mu = vec![0.0; subcarriers];
 
     let samples = (0..n_locations)
         .filter_map(|i| {
@@ -122,9 +125,13 @@ pub fn location_sweep(
                 .collect();
             // Window-mean μ per subcarrier.
             let mut mu = vec![0.0; subcarriers];
-            for p in &kept {
-                for (slot, v) in mu.iter_mut().zip(multipath_factors(p, &detector.band)) {
-                    *slot += v;
+            {
+                let _stage = mpdf_obs::stage!("core.mu_k");
+                for p in &kept {
+                    grid.packet_factors_into(p, &mut scratch, &mut packet_mu);
+                    for (slot, v) in mu.iter_mut().zip(&packet_mu) {
+                        *slot += v;
+                    }
                 }
             }
             for v in &mut mu {

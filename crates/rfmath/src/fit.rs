@@ -45,7 +45,7 @@ pub struct Fit {
 
 /// Slope and intercept of the ordinary least-squares line `y = a·x + b`
 /// over the finite `(x, y)` pairs, without collecting the points or
-/// computing R² (the phase sanitizer's per-packet fit reads only the
+/// computing R² (the per-packet linear-phase fit reads only the
 /// line). [`linear_fit`] is this plus R².
 ///
 /// # Errors
@@ -70,7 +70,7 @@ pub fn linear_trend(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), FitError> {
 /// A fixed abscissa for repeated [`linear_trend`] fits, with `x̄` and
 /// `Sxx` computed once.
 ///
-/// The phase sanitizer fits every packet against the same OFDM indices,
+/// The μ_k estimator fits every packet against the same OFDM indices,
 /// so [`linear_trend`]'s x-side passes recompute constants. When every
 /// `x` and every `y` of a fit is finite, the finite pairs are all pairs
 /// in order, so `x̄` and `Sxx` are the sums [`linear_trend`] would form
@@ -95,12 +95,7 @@ impl TrendAxis {
         TrendAxis { xs, stats }
     }
 
-    /// The abscissa.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// `linear_trend(self.xs(), ys)`, bitwise.
+    /// `linear_trend` of `ys` against the axis, bitwise.
     ///
     /// # Errors
     /// Same as [`linear_trend`].
@@ -230,13 +225,13 @@ mod tests {
         inf[29] = f64::NEG_INFINITY;
         cases.extend([nan, inf, vec![1.0; 29], vec![f64::NAN; 30]]);
         for ys in &cases {
-            assert_eq!(bits(axis.trend(ys)), bits(linear_trend(axis.xs(), ys)));
+            assert_eq!(bits(axis.trend(ys)), bits(linear_trend(&axis.xs, ys)));
         }
         // Degenerate and non-finite axes take the general path too.
         for xs in [vec![2.0; 30], vec![f64::NAN; 30], vec![1.0]] {
             let axis = TrendAxis::new(xs);
-            let ys = vec![0.5; axis.xs().len()];
-            assert_eq!(bits(axis.trend(&ys)), bits(linear_trend(axis.xs(), &ys)));
+            let ys = vec![0.5; axis.xs.len()];
+            assert_eq!(bits(axis.trend(&ys)), bits(linear_trend(&axis.xs, &ys)));
         }
     }
 

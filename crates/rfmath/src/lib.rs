@@ -6,6 +6,8 @@
 //! implements exactly what the paper's pipeline needs:
 //!
 //! - [`complex`] — `Complex64` scalar arithmetic (channel superposition).
+//! - [`angle`] — batched phase angles (the μ_k estimator's linear-phase
+//!   fit).
 //! - [`contract`] — `debug_assert`-backed numerical contracts the hot
 //!   paths assert at their boundaries (finiteness, normalization,
 //!   Hermitian symmetry).
@@ -35,6 +37,7 @@
     clippy::cast_possible_wrap
 )]
 
+pub mod angle;
 pub mod complex;
 pub mod contract;
 pub mod db;

@@ -12,12 +12,14 @@
 //!
 //! That shared rotor leaves amplitudes, powers and every per-subcarrier
 //! covariance `Σ u·uᴴ` unchanged, so the one quantity it matters to is
-//! the dominant tap `|ĥ(0)|²` of the μ_k estimator (Eq. 10). The fit is
-//! therefore run inside that estimator (`mpdf_core::multipath_factor`),
-//! on packets as captured; nothing else in the pipeline rotates packets.
+//! the dominant tap `|ĥ(0)|²` of the μ_k estimator (Eq. 10). That
+//! estimator (`mpdf_core::multipath_factor`) therefore runs its own fit,
+//! on packets as captured, with batched phase angles and a rotor built
+//! from one phasor; nothing in the pipeline rotates packets. The fit
+//! here, on `f64::atan2` and one `cis` per tone, is its test oracle.
 
 use mpdf_rfmath::complex::Complex64;
-use mpdf_rfmath::fit::TrendAxis;
+use mpdf_rfmath::fit::linear_trend;
 
 use crate::csi::CsiPacket;
 
@@ -61,85 +63,6 @@ pub struct PhaseCorrection {
     pub intercept: f64,
 }
 
-/// Reusable buffers for the per-packet linear-phase fit.
-///
-/// Fitting a monitoring window runs the same fixed-size intermediate
-/// computations once per packet; a scratch carried across packets (and
-/// windows) removes every per-call allocation, and caches the OFDM
-/// indices converted to `f64` as a [`TrendAxis`] — constant across a
-/// window, so the fit's x-side sums are formed once. All arithmetic is
-/// untouched: corrections are bit-identical to the allocating
-/// formulation.
-#[derive(Debug, Clone, Default)]
-pub struct SanitizeScratch {
-    sums: Vec<Complex64>,
-    phases: Vec<f64>,
-    unwrapped: Vec<f64>,
-    axis: TrendAxis,
-}
-
-impl SanitizeScratch {
-    /// A fresh scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds the cached index axis when `indices` changed since the
-    /// last call (cheap length+value check, usually a no-op).
-    fn prepare_axis(&mut self, indices: &[i32]) {
-        let xs = self.axis.xs();
-        let up_to_date = xs.len() == indices.len()
-            && xs
-                .iter()
-                .zip(indices)
-                .all(|(&x, &i)| x.to_bits() == f64::from(i).to_bits());
-        if !up_to_date {
-            self.axis = TrendAxis::new(indices.iter().map(|&i| f64::from(i)).collect());
-        }
-    }
-}
-
-/// Estimates the linear phase trend of a packet across subcarriers,
-/// reusing the caller's scratch buffers (the allocation-free core of
-/// [`estimate_linear_phase`]).
-///
-/// # Panics
-/// Panics if the index list length differs from the packet's subcarrier
-/// count.
-pub fn estimate_linear_phase_with(
-    scratch: &mut SanitizeScratch,
-    packet: &CsiPacket,
-    indices: &[i32],
-) -> PhaseCorrection {
-    assert_eq!(
-        indices.len(),
-        packet.subcarriers(),
-        "index list must match packet subcarriers"
-    );
-    scratch.prepare_axis(indices);
-    let SanitizeScratch {
-        sums,
-        phases,
-        unwrapped,
-        axis,
-    } = scratch;
-    // Antenna sums accumulated row-major (cache order); per subcarrier
-    // the additions happen in the same antenna order as the previous
-    // column-major formulation, so the sums are bit-identical.
-    sums.clear();
-    sums.resize(packet.subcarriers(), Complex64::ZERO);
-    for a in 0..packet.antennas() {
-        for (s, &h) in sums.iter_mut().zip(packet.antenna_row(a)) {
-            *s += h;
-        }
-    }
-    phases.clear();
-    phases.extend(sums.iter().map(|s| s.arg()));
-    unwrap_phases_into(phases, unwrapped);
-    let (slope, intercept) = axis.trend(unwrapped).unwrap_or((0.0, 0.0));
-    PhaseCorrection { slope, intercept }
-}
-
 /// Estimates the linear phase trend of a packet across subcarriers.
 ///
 /// The per-subcarrier phase is taken from the *sum over antennas* of the
@@ -150,16 +73,31 @@ pub fn estimate_linear_phase_with(
 /// Panics if the index list length differs from the packet's subcarrier
 /// count.
 pub fn estimate_linear_phase(packet: &CsiPacket, indices: &[i32]) -> PhaseCorrection {
-    estimate_linear_phase_with(&mut SanitizeScratch::new(), packet, indices)
+    assert_eq!(
+        indices.len(),
+        packet.subcarriers(),
+        "index list must match packet subcarriers"
+    );
+    let mut sums = vec![Complex64::ZERO; packet.subcarriers()];
+    for a in 0..packet.antennas() {
+        for (s, &h) in sums.iter_mut().zip(packet.antenna_row(a)) {
+            *s += h;
+        }
+    }
+    let phases: Vec<f64> = sums.iter().map(|s| s.arg()).collect();
+    let xs: Vec<f64> = indices.iter().map(|&i| f64::from(i)).collect();
+    let (slope, intercept) = linear_trend(&xs, &unwrap_phases(&phases)).unwrap_or((0.0, 0.0));
+    PhaseCorrection { slope, intercept }
 }
 
 /// Removes the estimated linear phase from every antenna of a packet,
 /// in place, and returns the applied correction.
 ///
 /// No pipeline stage rewrites packets: the μ_k estimator
-/// (`mpdf_core::multipath_factor`) applies the same rotor to a row
-/// buffer, and every other quantity the detector reads is invariant to
-/// it. This is the sanitized copy that estimator is pinned against.
+/// (`mpdf_core::multipath_factor`) fits and applies the same rotor
+/// itself, and every other quantity the detector reads is invariant to
+/// it. Its factors are within 1e-12 (relative) of those of this
+/// sanitized copy.
 ///
 /// # Panics
 /// Panics if the index list length differs from the packet's subcarrier
